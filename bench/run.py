@@ -44,9 +44,9 @@ import workloads as wl  # noqa: E402
 WORKLOADS = ("dense", "certify", "traffic", "cli")
 MODULES = ("errors", "semiring", "tropmat", "spectral", "projector", "twosided",
            "determ", "assign", "plucker", "dynamics", "io")
-SETUP_REPS = 7
+SETUP_REPS = 5
 TAIL_BEYOND = 10  # samples that must lie above the reported tail latency
-PER_LAYER_BOUND = 0.10  # compare-mode bound for metrics that BENCHMARK.json leaves unbounded
+CAP_FACTOR = 6  # a loop stops early, at a whole cycle, after this many times its planned seconds
 
 
 def import_tropkit() -> SimpleNamespace:
@@ -115,19 +115,24 @@ class Tracer:
                                "parent": parent, "task": task, "failed": failed})
 
 
-def measure(workload, lib, plain, objs, call, seconds=None, tasks=None, tracer=None):
+def measure(workload, lib, plain, objs, call, tasks, cap_s=None, tracer=None):
     """Closed loop with one client; checks run between tasks, outside the timing.
 
-    Runs whole cycles until `seconds` of wall task time have passed, or
-    exactly `tasks` tasks. Returns per-task latencies, scaled to the
+    Runs exactly `tasks` tasks, however fast the program is, so every run
+    has the same mix and its percentiles the same ranks. Only as a safety
+    cap, the loop stops at the end of a whole cycle once `cap_s` seconds of
+    wall task time have passed. Returns per-task latencies, scaled to the
     reference speed and as wall times, and the failures.
+
+    The calibration after one task is also the one before the next: only
+    that task's untimed check lies between them.
     """
     latencies, walls, failures = [], [], []
     i, cycle = 0, len(workload.cycle)
-    while (sum(walls) < seconds or i % cycle) if tasks is None else i < tasks:
+    before = speed.calibrate()
+    while i < tasks and (cap_s is None or i % cycle or sum(walls) < cap_s):
         k = i % len(objs)
         kind = plain[k]["kind"]
-        before = speed.calibrate()
         if tracer:
             tracer.begin(i, kind)
         t0 = time.perf_counter()
@@ -138,8 +143,10 @@ def measure(workload, lib, plain, objs, call, seconds=None, tasks=None, tracer=N
         dt = time.perf_counter() - t0
         if tracer:
             tracer.end(err is not None)
-        latencies.append(dt * speed.scale(before, speed.calibrate()))
+        after = speed.calibrate()
+        latencies.append(dt * speed.scale(before, after))
         walls.append(dt)
+        before = after
         if err is None:
             try:
                 err = workload.check(plain[k], out)
@@ -204,11 +211,14 @@ def run(args) -> dict:
         plain = workload.generate(args.seed)
         setup_s, setup_wall, lib, objs = setup(workload, plain, env, workdir)
         gc.collect()  # discarded set-up repetitions are not collected inside a timed task
-        gc.freeze()  # nor are the long-lived inputs traversed by every full collection
         meta = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
                 "seconds": args.seconds, **env_info}
+        seconds = args.seconds / 2 if args.trace else args.seconds
+        planned = workload.tasks(seconds)
+        lat, walls, failures = measure(workload, lib, plain, objs, wl.direct, planned,
+                                       cap_s=CAP_FACTOR * seconds)
+        meta.update(tasks_planned=planned, capped=len(lat) < planned)
         if not args.trace:
-            lat, walls, failures = measure(workload, lib, plain, objs, wl.direct, seconds=args.seconds)
             usage = resource.RUSAGE_CHILDREN if args.workload == "cli" else resource.RUSAGE_SELF
             metrics = latency_metrics(lat)
             metrics["setup_s"] = (setup_s, "s")
@@ -217,14 +227,13 @@ def run(args) -> dict:
             meta.update(tail_info(len(lat)), wall={**wall, "setup_s": setup_wall})
             attempted = len(lat)
         else:
-            lat_u, _, failures = measure(workload, lib, plain, objs, wl.direct, seconds=args.seconds / 2)
             tracer = Tracer()
-            lat_t, walls_t, fail_t = measure(workload, lib, plain, objs, tracer.call, tasks=len(lat_u),
+            lat_t, walls_t, fail_t = measure(workload, lib, plain, objs, tracer.call, len(lat),
                                              tracer=tracer)
             failures += fail_t
-            attempted = len(lat_u) + len(lat_t)
+            attempted = len(lat) + len(lat_t)
             metrics = span_metrics(tracer, sum(walls_t))
-            metrics["trace_overhead_ratio"] = (sum(lat_t) / sum(lat_u), "ratio")
+            metrics["trace_overhead_ratio"] = (sum(lat_t) / sum(lat), "ratio")
             cli = workload if args.workload == "cli" else wl.Cli(workdir, env)
             rows, violations = kernels.measure(lib or import_tropkit(), args.seed, cli)
             metrics.update(rows)
@@ -265,15 +274,15 @@ def _quartiles(values):
 def compare(base_path: str, new_path: str) -> None:
     """Per workload and metric: medians, quartiles, ratio new/base and a verdict.
 
-    A metric has regressed when its new median is worse than the base median
-    by more than its bound, improved when better by more than the bound, and
-    is flat otherwise. It is unresolved when either side's quartile spread,
-    as a share of its median, is wider than the bound, unless every new run
-    is better than every base run.
+    An end-to-end metric has regressed when its new median is worse than the
+    base median by more than its bound, improved when better by more than
+    the bound, and is flat otherwise. It is unresolved when either side's
+    quartile spread, as a share of its median, is wider than the bound,
+    unless every new run is better than every base run. Per-layer metrics
+    have no bound, so they get the figures and no verdict.
     """
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-    rules.update({m["name"]: (m["better"], PER_LAYER_BOUND) for m in spec["per_layer"]})
     sides = []
     for path in (base_path, new_path):
         table = {}
@@ -294,21 +303,23 @@ def compare(base_path: str, new_path: str) -> None:
               f" {'new/base':>9s}  verdict")
         for key in keys:
             name = key[1]
-            better, bound = rules.get(name, ("lower", PER_LAYER_BOUND))
             b, n = base[key], new[key]
             (b1, bm, b3), (n1, nm, n3) = _quartiles(b), _quartiles(n)
             ratio = nm / bm if bm else float("nan")
-            worse = (ratio - 1) if better == "lower" else (1 - ratio)
-            spread = max((b3 - b1) / bm if bm else 0, (n3 - n1) / nm if nm else 0)
-            all_better = min(n) > max(b) if better == "higher" else max(n) < min(b)
-            if spread > bound and not all_better:
-                verdict = "unresolved"
-            elif worse > bound:
-                verdict = "regressed"
-            elif worse < -bound:
-                verdict = "improved"
-            else:
-                verdict = "flat"
+            verdict = "-"
+            if name in rules:
+                better, bound = rules[name]
+                worse = (ratio - 1) if better == "lower" else (1 - ratio)
+                spread = max((b3 - b1) / bm if bm else 0, (n3 - n1) / nm if nm else 0)
+                all_better = min(n) > max(b) if better == "higher" else max(n) < min(b)
+                if spread > bound and not all_better:
+                    verdict = "unresolved"
+                elif worse > bound:
+                    verdict = "regressed"
+                elif worse < -bound:
+                    verdict = "improved"
+                else:
+                    verdict = "flat"
             print(f"{name:44s} {bm:12.4g} {f'[{b1:.4g}, {b3:.4g}]':>22s} {nm:12.4g} {f'[{n1:.4g}, {n3:.4g}]':>22s}"
                   f" {ratio:9.3f}  {verdict}")
 
@@ -317,7 +328,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=15)
+    p.add_argument("--seconds", type=float, help="run_seconds from BENCHMARK.json")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", help="append the run's record to this JSON-lines file")
     p.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"), help="compare two record files")
@@ -327,8 +338,8 @@ def main(argv=None) -> int:
         return 0
     if args.workload is None:
         p.error("--workload is required")
-    if args.seconds <= 0:
-        p.error("--seconds must be positive")
+    if args.seconds is None or args.seconds <= 0:
+        p.error("--seconds is required and must be positive")
     if not (ROOT / "src" / "tropkit" / "__init__.py").is_file():
         print(f"bench: no tropkit sources under {ROOT / 'src'}; run from a tropkit checkout",
               file=sys.stderr)

@@ -3,9 +3,9 @@
     python3 -m pytest -q bench/test_bench.py
 
 Checks that every metric named in BENCHMARK.json is emitted, that a
-corrupted answer is counted as failed, that the seed changes the inputs
-but not the metric names, and that the harness refuses to run without the
-tropkit sources.
+corrupted answer is counted as failed, that a run does a fixed number of
+tasks, that the seed changes the inputs but not the metric names, and that
+the harness refuses to run without the tropkit sources.
 """
 
 import json
@@ -47,7 +47,8 @@ def assert_metrics(res, spec_metrics):
 @pytest.mark.parametrize("workload", run.WORKLOADS)
 def test_end_to_end_metrics_emitted(workload):
     res = result("--workload", workload, "--seed", "3", "--seconds", "0.5", "--trace", "0")
-    assert res["correct"] and res["failed"] == 0 and res["attempted"] >= 1
+    assert res["correct"] and res["failed"] == 0
+    assert res["attempted"] == wl.make(workload, ROOT, {}).tasks(0.5)  # fixed work, whatever the speed
     assert_metrics(res, SPEC["end_to_end"])
     assert all(m["value"] > 0 for m in res["metrics"].values())
 

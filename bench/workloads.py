@@ -9,6 +9,8 @@ contents of each instance.
 A workload provides:
 
     cycle                  task kinds, in the order the loop visits them
+    cycles_per_s           whole cycles per second of --seconds, about the
+                           rate at the seed commit: tasks(seconds) is fixed work
     generate(seed)         plain instances (lists, ints, Fractions), in cycle order
     build(lib, plain)      library objects for one instance (part of set-up)
     run(lib, obj, call)    the timed task; every call into tropkit goes
@@ -57,7 +59,14 @@ def _mismatch(what, got, want):
 class Workload:
     name = ""
     cycle: tuple = ()
+    cycles_per_s = 1.0
     copies = 1  # instances per cycle position in the pool
+
+    def tasks(self, seconds: float) -> int:
+        """Whole cycles sized from `seconds` of reference-scaled task time at
+        the seed commit. The count depends on `seconds` only, never on how
+        fast the program runs."""
+        return len(self.cycle) * max(1, round(seconds * self.cycles_per_s))
 
     def generate(self, seed: int) -> list:
         rng = random.Random(f"{self.name}-{seed}")
@@ -87,9 +96,11 @@ class Dense(Workload):
     """Spectral analysis, star, interval star and projection on one matrix."""
 
     name = "dense"
-    # n=24 holds the median and the tail percentile for any run of 13 to 98
-    # tasks; n=40 is the ROADMAP target size
+    # n=24 holds the median and the tail percentile for any run of 2 to 10
+    # cycles; n=40 is the ROADMAP target size. The seed commit runs 0.35
+    # cycles per second; 15 s runs 7 cycles, not 5, to steady the tail.
     cycle = (12, 24, 24, 24, 24, 24, 24, 24, 40)
+    cycles_per_s = 0.47
     copies = 10
 
     def instance(self, rng, n):
@@ -181,10 +192,11 @@ class Certify(Workload):
     separation and Plucker functions on one instance of size 5, 6 or 7."""
 
     name = "certify"
-    # n=6 holds the median and n=7 the tail percentile for any run of 66 or
-    # more tasks; with three 3x4 blocks per task, twosided and determ+assign
-    # each take just under half of the task time
+    # n=6 holds the median and n=7 the tail percentile for any run of 11 or
+    # more cycles (15 s is 22); with three 3x4 blocks per task, twosided and
+    # determ+assign each take just under half of the task time
     cycle = (5, 5, 6, 6, 6, 7)
+    cycles_per_s = 1.5
     copies = 32
     blocks = 3
 
@@ -340,6 +352,7 @@ class Traffic(Workload):
 
     name = "traffic"
     cycle = ("road", "priority", "fifty", "tent", "t1h")
+    cycles_per_s = 2.4
     copies = 6
 
     def instance(self, rng, kind):
@@ -487,6 +500,7 @@ class Cli(Workload):
         "plucker_check", "plucker_build", "plucker_reconstruct", "assign",
         "traffic_diagram", "traffic_tent", "schema_float", "schema_semiring",
     )
+    cycles_per_s = 0.4
     copies = 5
     expect_exit = {"schema_float": (2,), "schema_semiring": (2,), "separate": (0, 1)}
 
