@@ -18,6 +18,7 @@ from . import assign as assign_mod
 from . import determ, dynamics, io, plucker, projector, spectral, twosided, tropmat
 from .errors import TropkitError
 from .io import SchemaError
+from .semiring import MAX_PLUS, MIN_PLUS
 
 
 def _read(path: str) -> str:
@@ -69,18 +70,24 @@ def _vec_json(x) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _path_algebra(m, command: str):
+    if m.tag not in (MAX_PLUS, MIN_PLUS):
+        raise SchemaError(f"{command} needs a max-plus or min-plus matrix, not {m.tag.value}")
+    return m
+
+
 def _cmd_star(args) -> str:
-    a = _load_matrix(args.matrix)
+    a = _path_algebra(_load_matrix(args.matrix), "star")
     return io.dumps(io.matrix_to_json(tropmat.kleene_star(a)))
 
 
 def _cmd_interval(args) -> str:
-    im = io.interval_matrix_from_json(io.loads(_read(args.matrix)))
+    im = _path_algebra(io.interval_matrix_from_json(io.loads(_read(args.matrix))), "interval")
     return io.dumps(io.interval_matrix_to_json(tropmat.iv_kleene_star(im)))
 
 
 def _cmd_eig(args) -> str:
-    a = _load_matrix(args.matrix)
+    a = _path_algebra(_load_matrix(args.matrix), "eig")
     res = spectral.spectral_analysis(a)
     body = {
         "eigenvalue": io.scalar_to_json(res.eigenvalue),

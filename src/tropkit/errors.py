@@ -50,7 +50,9 @@ class ImprovingCycle(TropkitError):
 
 
 class CertificateInvalid(TropkitError):
-    """A regularity certificate fails its strict inequalities."""
+    """A certificate fails its own check: a regularity certificate violates
+    its strict inequalities, or an eigenvalue witness (Collatz-Wielandt
+    vector, cyclic orbit) does not attain the value it certifies."""
 
 
 class NoFlow(TropkitError):

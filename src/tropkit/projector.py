@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch, EmptySupport, TagMismatch, TooLarge, TropkitError
+from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TooLarge, TropkitError
 from .semiring import MAX_PLUS, SemiringTag, TropScalar, one, sr_mul, sr_residual, zero
 from .tropmat import TropMatrix, TropVector, from_columns, mat_residual_left, vec_residual
 
@@ -259,7 +259,8 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         for w in ws:
             x = project(w, x)
             witnesses.append(x)
-        assert hilbert_value(witnesses) == lam, "orbit witnesses fail to attain the eigenvalue"
+        if hilbert_value(witnesses) != lam:
+            raise CertificateInvalid("orbit witnesses fail to attain the eigenvalue")
         return lam, tuple(witnesses), eig
 
     if n > SUPPORT_ENUM_CAP:

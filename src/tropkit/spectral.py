@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
-from .errors import NoCycle, Unbounded
-from .semiring import MAX_PLUS, MIN_PLUS, SemiringTag, TropScalar, one, sr_mul, sr_residual
-from .tropmat import TropMatrix, TropVector, kleene_plus, kleene_star, vector
+from .errors import CertificateInvalid, NoCycle, Unbounded
+from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, sr_residual
+from .tropmat import TropMatrix, TropVector, _closure
 
 
 def _weight_grid(a: TropMatrix) -> List[List[Optional[Fraction]]]:
@@ -141,89 +141,41 @@ class SpectralResult:
     eigenvectors: Tuple[TropVector, ...]
 
 
-def _critical_sccs(nodes: FrozenSet[int], edges: FrozenSet[Tuple[int, int]]) -> List[FrozenSet[int]]:
-    """Strongly connected components of the critical graph (Tarjan)."""
-    adj: Dict[int, List[int]] = {v: [] for v in nodes}
-    for i, j in edges:
-        adj[i].append(j)
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    counter = [0]
-    stack: List[int] = []
-    on_stack: set = set()
-    comps: List[FrozenSet[int]] = []
-
-    def strongconnect(v: int) -> None:
-        work = [(v, iter(adj[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adj[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    u = stack.pop()
-                    on_stack.discard(u)
-                    comp.add(u)
-                    if u == node:
-                        break
-                comps.append(frozenset(comp))
-
-    for v in sorted(nodes):
-        if v not in index:
-            strongconnect(v)
-    return sorted(comps, key=min)
-
-
 def spectral_analysis(a: TropMatrix) -> SpectralResult:
     """Eigenvalue, critical graph, critical classes, and one generator each.
 
     A node is critical iff the plus-closure of the normalized matrix has a
     unit diagonal entry there; an edge (i, j) is critical iff it lies on a
-    unit-weight cycle of the normalized matrix. Generators are the columns
-    of the normalized star at the smallest node of each critical class and
-    satisfy A v = lambda v exactly.
+    unit-weight cycle of the normalized matrix. Two critical nodes share a
+    critical class (a strongly connected component of the critical graph)
+    iff star_ij * star_ji is the unit. Generators are the columns of the
+    normalized star at the smallest node of each critical class and satisfy
+    A v = lambda v exactly.
     """
     lam = max_cycle_mean(a)
-    norm = a.scale(sr_residual(one(a.tag), lam))
-    star = kleene_star(norm)
-    plus = norm @ star
-    unit = one(a.tag)
-    nodes = frozenset(i for i in range(a.rows) if plus[i, i] == unit)
+    star = _closure(a, lam.value)  # the plus-closure until the unit diagonal is set
+    nodes = frozenset(i for i, row in enumerate(star) if row[i] == 0)
+    for i, row in enumerate(star):
+        row[i] = 0
+
+    def unit_product(x, y) -> bool:
+        return x is not None and y is not None and x + y == 0
+
     edges = frozenset(
         (i, j)
-        for i in range(a.rows)
-        for j in range(a.cols)
-        if not norm[i, j].is_zero and sr_mul(norm[i, j], star[j, i]) == unit
+        for i, row in enumerate(a.entries)
+        for j, e in enumerate(row)
+        if e.value is not None and unit_product(e.value - lam.value, star[j][i])
     )
-    classes = tuple(_critical_sccs(nodes, edges))
-    gens = tuple(star.column(min(c)) for c in classes)
-    return SpectralResult(lam, nodes, edges, classes, gens)
-
-
-def critical_graph(a: TropMatrix) -> SpectralResult:
-    """Spec name for the graph part of the spectral analysis."""
-    return spectral_analysis(a)
+    classes: List[FrozenSet[int]] = []
+    for i in sorted(nodes):
+        if all(i not in c for c in classes):
+            classes.append(frozenset(j for j in nodes if unit_product(star[i][j], star[j][i])))
+    gens = tuple(
+        TropVector(tuple(TropScalar._fast(row[min(c)], a.tag) for row in star), a.tag)
+        for c in classes
+    )
+    return SpectralResult(lam, nodes, edges, tuple(classes), gens)
 
 
 def eigenvectors(a: TropMatrix) -> List[TropVector]:
@@ -236,23 +188,25 @@ def collatz_wielandt_certificate(a: TropMatrix) -> Tuple[TropScalar, TropVector]
 
     The value is inf over finite u of the extremal coordinate of (A u) / u;
     for a linear map it equals the cycle-mean eigenvalue. The witness u
-    (a finite completion built from the normalized star) attains the
-    infimum exactly: max_i (A u)_i / u_i = lambda.
+    (the row sums of the normalized star, all finite) attains the infimum
+    exactly: max_i (A u)_i / u_i = lambda. The attainment is checked, and a
+    witness that misses it raises CertificateInvalid.
     """
     _check_spectral_tag(a)
     for i in range(a.rows):
         if all(not a[i, j].is_finite for j in range(a.cols)):
             raise Unbounded(f"row {i} is all zero; the infimum is unbounded below")
     lam = max_cycle_mean(a)
-    norm = a.scale(sr_residual(one(a.tag), lam))
-    star = kleene_star(norm)
-    u = star.apply(vector([0] * a.rows, a.tag))
+    best = max if a.tag is MAX_PLUS else min
+    star_sums = (best([0] + [v for v in row if v is not None]) for row in _closure(a, lam.value))
+    u = TropVector(tuple(TropScalar._fast(v, a.tag) for v in star_sums), a.tag)
     au = a.apply(u)
     witnessed = None
     for i in range(a.rows):
         r = sr_residual(au[i], u[i])
         witnessed = r if witnessed is None else (witnessed + r)
-    assert witnessed == lam, "certificate failed to attain the eigenvalue"
+    if witnessed != lam:
+        raise CertificateInvalid(f"witness attains {witnessed!r}, not the eigenvalue {lam!r}")
     return lam, u
 
 

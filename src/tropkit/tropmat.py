@@ -1,7 +1,8 @@
 """Dense matrices and vectors over a tagged semiring.
 
-Product, left residuation, Kleene star (by repeated squaring with an exact
-divergence pre-check), and the endpointwise interval star.
+Product, left residuation, Kleene star and plus-closure (one Floyd-Warshall
+pass on raw payloads that fails fast on divergence), and the endpointwise
+interval star.
 """
 
 from __future__ import annotations
@@ -257,50 +258,56 @@ def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
     return TropVector(tuple(out), v.tag)
 
 
-def mat_residual_left_matrix(v: TropMatrix, x: TropMatrix) -> TropMatrix:
-    """V \\ X columnwise: the greatest matrix L with V * L <= X."""
-    cols = [mat_residual_left(v, x.column(j)) for j in range(x.cols)]
-    return from_columns(cols, v.tag)
+def _closure(a: TropMatrix, shift=0) -> List[list]:
+    """Raw payloads (None = bottom) of the plus-closure of A, with `shift`
+    subtracted from every finite entry first, by one Floyd-Warshall pass in
+    place on a copy, run as max-plus (min-plus payloads are negated).
 
-
-def _star_exponent(n: int) -> int:
-    """Number of squarings of (I + A) needed to reach the (n-1)-th power sum."""
-    k = 0
-    while (1 << k) < max(n - 1, 1):
-        k += 1
-    return k
-
-
-def kleene_star(a: TropMatrix) -> TropMatrix:
-    """A* = I + A + A^2 + ... = sum of the first n powers when it converges.
-
-    Entries of A* are optimal path weights on the digraph of A. Convergence
-    requires every cycle weight <= unit; this is pre-checked exactly through
-    the Karp cycle mean, so divergent inputs fail fast instead of producing
-    garbage.
+    After pivot k, d[i][j] is the best weight of a path i -> j of at least
+    one edge with intermediate nodes <= k. A pivot diagonal above the unit
+    closes a cycle that makes the series diverge: Divergent, at once.
     """
     if not a.is_square:
         raise DimensionMismatch("star needs a square matrix")
     if a.tag not in (MAX_PLUS, MIN_PLUS):
         raise ValueError("matrix star is provided for max-plus and min-plus tags")
-    from . import spectral
-    from .errors import NoCycle
+    sign = -1 if a.tag is MIN_PLUS else 1
+    d = [[None if e.value is None else sign * (e.value - shift) for e in row] for row in a.entries]
+    for k, dk in enumerate(d):
+        if dk[k] is not None and dk[k] > 0:
+            raise Divergent(f"a cycle through node {k} has weight {sign * dk[k]}, above the unit")
+        out = [(j, v) for j, v in enumerate(dk) if v is not None]
+        for i, di in enumerate(d):
+            dik = di[k]
+            if dik is None or i == k:
+                continue
+            for j, v in out:
+                c = dik + v
+                dij = di[j]
+                if dij is None or c > dij:
+                    di[j] = c
+    return [[None if v is None else sign * v for v in row] for row in d]
 
-    try:
-        lam = spectral.max_cycle_mean(a)
-        if lam > one(a.tag):
-            raise Divergent(f"cycle mean {lam!r} above the unit")
-    except NoCycle:
-        pass
-    b = identity(a.rows, a.tag) + a
-    for _ in range(_star_exponent(a.rows)):
-        b = b @ b
-    return b
+
+def _box(d: List[list], tag: SemiringTag) -> TropMatrix:
+    return TropMatrix(tuple(tuple(TropScalar._fast(v, tag) for v in row) for row in d), tag)
+
+
+def kleene_star(a: TropMatrix) -> TropMatrix:
+    """A* = I + A + A^2 + ..., the optimal path weights on the digraph of A.
+
+    One Floyd-Warshall pass gives the plus-closure A+ and A* = I + A+. A
+    cycle weight above the unit raises Divergent as soon as the pass meets it.
+    """
+    d = _closure(a)
+    for i, row in enumerate(d):
+        row[i] = 0
+    return _box(d, a.tag)
 
 
 def kleene_plus(a: TropMatrix) -> TropMatrix:
-    """A+ = A * A*, the closure over paths with at least one edge."""
-    return mat_mul(a, kleene_star(a))
+    """A+ = A A* = A + A^2 + ..., the closure over paths with at least one edge."""
+    return _box(_closure(a), a.tag)
 
 
 @dataclass(frozen=True)

@@ -207,3 +207,21 @@ def test_cli_interval(tmp_path):
     code, out, _ = run_cli(["interval", "--matrix", ip])
     body = json.loads(out)
     assert body["lo"] == [[0, BOT], [BOT, 0]] and body["hi"] == [[0, -3], [-2, 0]]
+
+
+# (lo, hi) entries with lo <= hi; star-like commands take hi as their matrix
+_UNSUPPORTED_ENTRIES = {
+    "max-times": ([[1, 2], [3, 4]], [[1, 3], [3, 5]]),
+    "boolean": ([[False, True], [True, False]], [[True, True], [True, True]]),
+}
+
+
+@pytest.mark.parametrize("command", ["star", "eig", "interval"])
+@pytest.mark.parametrize("semiring", sorted(_UNSUPPORTED_ENTRIES))
+def test_cli_path_algebra_commands_reject_other_semirings(tmp_path, command, semiring):
+    lo, hi = _UNSUPPORTED_ENTRIES[semiring]
+    obj = {"semiring": semiring, "rows": 2, "cols": 2}
+    obj.update({"lo": lo, "hi": hi} if command == "interval" else {"data": hi})
+    code, out, err = run_cli([command, "--matrix", write(tmp_path, "m.json", obj)])
+    assert (code, out) == (2, "")
+    assert err.startswith("tropkit: ") and err.count("\n") == 1 and semiring in err

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit.errors import EmptySupport
+from tropkit import projector
+from tropkit.errors import CertificateInvalid, EmptySupport
 from tropkit.projector import (
     Halfspace,
     NotSeparable,
@@ -16,7 +17,7 @@ from tropkit.projector import (
     semimodule,
     separate,
 )
-from tropkit.semiring import MAX_PLUS, scalar, zero
+from tropkit.semiring import MAX_PLUS, scalar, sr_mul, zero
 from tropkit.tropmat import identity, vector
 
 BOT = "-inf"
@@ -127,6 +128,20 @@ def test_radius_eigenvector_certificate():
         for v in vs:
             z = project(v, z)
         assert z == y.scale(rep.value)
+
+
+def test_radius_rejects_orbit_witnesses_that_miss_the_value(monkeypatch):
+    # an orbit eigenvalue that the projected witnesses do not attain fails
+    # the check, with asserts stripped too
+    real = projector._orbit_solve
+
+    def wrong(ws, y):
+        lam, eig = real(ws, y)
+        return sr_mul(lam, scalar(1)), eig
+
+    monkeypatch.setattr(projector, "_orbit_solve", wrong)
+    with pytest.raises(CertificateInvalid):
+        cyclic_spectral_radius([semimodule([[0], [0]]), semimodule([[0], [2]])])
 
 
 def test_separation_examples():

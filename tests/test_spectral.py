@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit.errors import NoCycle, Unbounded
-from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar, sr_mul
+from tropkit import spectral
+from tropkit.errors import CertificateInvalid, NoCycle, Unbounded
+from tropkit.semiring import MAX_PLUS, MIN_PLUS, one, scalar, sr_mul, sr_residual
 from tropkit.spectral import (
     collatz_wielandt,
     collatz_wielandt_certificate,
@@ -14,7 +15,7 @@ from tropkit.spectral import (
     max_cycle_mean_bruteforce,
     spectral_analysis,
 )
-from tropkit.tropmat import matrix, vector
+from tropkit.tropmat import kleene_star, mat_mul, matrix, vector
 
 BOT = "-inf"
 
@@ -79,6 +80,55 @@ def test_critical_graph_examples():
     res3 = spectral_analysis(matrix([[3]]))
     assert res3.critical_nodes == frozenset({0})
     assert res3.critical_edges == frozenset({(0, 0)})
+
+
+def test_critical_nodes_equal_plus_closure_diagonal_random():
+    # oracle: i is critical iff (N N*)_ii is the unit, N the normalized matrix
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        bot = BOT if tag is MAX_PLUS else "+inf"
+        m = matrix(
+            [[rng.choice([bot, bot] + list(range(-5, 6))) for _ in range(n)] for _ in range(n)],
+            tag,
+        )
+        try:
+            res = spectral_analysis(m)
+        except NoCycle:
+            continue
+        norm = m.scale(sr_residual(one(tag), res.eigenvalue))
+        plus = mat_mul(norm, kleene_star(norm))
+        assert res.critical_nodes == frozenset(i for i in range(n) if plus[i, i] == one(tag))
+
+
+def test_critical_graph_equals_cycle_enumeration_random():
+    # oracle: the critical graph is the union of the simple cycles whose mean
+    # is the eigenvalue, and the critical classes are its strongly connected
+    # components, found here by reachability
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        bot = BOT if tag is MAX_PLUS else "+inf"
+        m = matrix(
+            [[rng.choice([bot, bot] + list(range(-3, 4))) for _ in range(n)] for _ in range(n)],
+            tag,
+        )
+        try:
+            res = spectral_analysis(m)
+        except NoCycle:
+            continue
+        cycles = [c for c, mean in cycle_means_bruteforce(m) if mean == res.eigenvalue.value]
+        edges = {(c[k], c[(k + 1) % len(c)]) for c in cycles for k in range(len(c))}
+        nodes = {i for c in cycles for i in c}
+        assert res.critical_nodes == nodes and res.critical_edges == edges
+        reach = {i: {j for i2, j in edges if i2 == i} for i in nodes}
+        for _ in nodes:
+            reach = {i: r.union(*(reach[j] for j in r)) for i, r in reach.items()}
+        classes = {frozenset(j for j in reach[i] if i in reach[j]) for i in nodes}
+        assert set(res.critical_classes) == classes
+        assert [min(c) for c in res.critical_classes] == sorted(min(c) for c in classes)
 
 
 def test_eigenvector_examples():
@@ -148,3 +198,11 @@ def test_collatz_wielandt_equals_cycle_mean_random():
                 max(m[i, j].value + u[j] for j in range(n)) - u[i] for i in range(n)
             )
             assert val >= lam
+
+
+def test_collatz_wielandt_rejects_a_witness_that_misses_the_value(monkeypatch):
+    # a witness that does not attain the eigenvalue fails the check, with
+    # asserts stripped too
+    monkeypatch.setattr(spectral, "_closure", lambda a, shift: [[None, 5], [None, None]])
+    with pytest.raises(CertificateInvalid):
+        collatz_wielandt_certificate(matrix([[BOT, 2], [0, BOT]]))

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit.errors import DimensionMismatch, Divergent, ZeroColumn
+from tropkit.errors import DimensionMismatch, Divergent, NoCycle, ZeroColumn
 from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar
+from tropkit.spectral import max_cycle_mean
 from tropkit.tropmat import (
     identity,
     interval_matrix,
     iv_kleene_star,
+    kleene_plus,
     kleene_star,
     mat_mul,
     mat_residual_left,
@@ -84,21 +86,67 @@ def test_kleene_star_examples():
     assert kleene_star(zero_matrix(2, 2)) == identity(2)
 
 
+def rand_convergent(rng, n, tag, denominators=(1,)):
+    """Random matrix whose every cycle weight is <= unit: all weights on the
+    non-positive side of the unit, Fraction-valued when denominators allow."""
+    sign = 1 if tag is MAX_PLUS else -1
+    bot = BOT if tag is MAX_PLUS else "+inf"
+    return matrix(
+        [
+            [
+                sign * Fraction(rng.randint(-5, 0), rng.choice(denominators))
+                if rng.random() < 0.7
+                else bot
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ],
+        tag,
+    )
+
+
 def test_star_partial_sums_oracle():
-    # star equals the stabilized partial sums I + A + A^2 + ...
+    # star equals the stabilized partial sums I + A + A^2 + ... + A^(n-1),
+    # in max-plus and min-plus, with integer and Fraction weights
     rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        a = rand_matrix(rng, n, lo=-5, hi=0, density=0.7)
+    for _ in range(160):
+        n = rng.randint(1, 8)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        denominators = rng.choice([(1,), (1, 2, 3, 7)])
+        a = rand_convergent(rng, n, tag, denominators)
         st = kleene_star(a)
-        acc = identity(n)
-        p = identity(n)
+        acc = identity(n, tag)
+        p = identity(n, tag)
         for _ in range(n):
             p = mat_mul(p, a)
             acc = acc + p
         assert st == acc
-        # star fixed point identity
-        assert st == identity(n) + mat_mul(a, st)
+        # star fixed point identity, and the plus-closure A+ = A A*
+        assert st == identity(n, tag) + mat_mul(a, st)
+        assert kleene_plus(a) == mat_mul(a, st)
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
+def test_star_diverges_iff_cycle_mean_above_unit(tag):
+    # Karp's cycle mean is the oracle for the divergence verdict
+    rng = random.Random(f"diverge-{tag.value}")
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        a = rand_matrix(rng, n, lo=-6, hi=3, density=rng.choice([0.2, 0.4, 0.7]), tag=tag)
+        try:
+            diverges = max_cycle_mean(a) > scalar(0, tag)
+        except NoCycle:
+            diverges = False
+        verdicts.add(diverges)
+        if diverges:
+            with pytest.raises(Divergent):
+                kleene_star(a)
+            with pytest.raises(Divergent):
+                kleene_plus(a)
+        else:
+            assert kleene_plus(a) == mat_mul(a, kleene_star(a))
+    assert verdicts == {False, True}
 
 
 def test_min_plus_star():
