@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch, ImprovingCycle, TooLarge
+from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle, TooLarge
 from .semiring import MAX_PLUS, TropScalar, scalar
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
@@ -242,8 +242,6 @@ def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStrong
 
 
 def _validate_certificate(b: AssignMatrix, cert: RegularityCertificate) -> None:
-    from .errors import CertificateInvalid
-
     n = b.n
     perm, f, g = cert.bijection, cert.f, cert.g
     for i in range(n):
@@ -307,8 +305,6 @@ def distances_potentials(
             row.append(None if e is None else e - base)
         rows.append(row)
     d = matrix(rows, MAX_PLUS)
-    from .errors import Divergent
-
     try:
         closure = kleene_plus(d)
     except Divergent as exc:

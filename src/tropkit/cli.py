@@ -8,9 +8,7 @@ JSON error body), 2 I/O or schema errors (diagnostic on stderr).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -55,6 +53,12 @@ def _densities(arg: str) -> List[Fraction]:
         out.append(d)
         d += step
     return out
+
+
+def _at_least(value: int, least: int, option: str) -> int:
+    if value < least:
+        raise SchemaError(f"{option} must be at least {least}, not {value}")
+    return value
 
 
 def _rat(v) -> object:
@@ -202,6 +206,8 @@ def _cmd_assign(args) -> str:
 
 
 def _traffic_builder(cfg: dict):
+    if not isinstance(cfg, dict):
+        raise SchemaError("traffic config must be a JSON object")
     kind = cfg.get("kind")
     if kind == "single_road":
         m = cfg.get("m")
@@ -224,7 +230,7 @@ def _cmd_traffic(args) -> str:
         cfg = io.loads(_read(args.config))
         build = _traffic_builder(cfg)
         densities = _densities(args.densities)
-        threads = int(os.environ.get("TROPKIT_THREADS", "1") or "1")
+        steps = _at_least(args.steps, 2, "--steps")
 
         def run(rho: Fraction):
             try:
@@ -232,16 +238,12 @@ def _cmd_traffic(args) -> str:
             except TropkitError:
                 return rho, None
             try:
-                _, lam = dynamics.hom_iterate(f, x0, args.steps)
+                _, lam = dynamics.hom_iterate(f, x0, steps)
                 return rho, lam
             except dynamics.Diverged:
                 return rho, None
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                points = list(pool.map(run, densities))
-        else:
-            points = [run(rho) for rho in densities]
+        points = [run(rho) for rho in densities]
         if args.format == "json":
             return io.dumps(
                 [
@@ -254,10 +256,15 @@ def _cmd_traffic(args) -> str:
             lines.append(f"{_rat(r)},{'NA' if q is None else _rat(q)}")
         return "\n".join(lines) + "\n"
     if args.action == "tent":
-        y0 = Fraction(args.y0)
-        _, hist = dynamics.tent_trajectory(y0, args.steps, bins=args.bins)
+        try:
+            y0 = Fraction(args.y0)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad --y0 {args.y0!r}; want an exact rational") from exc
+        steps = _at_least(args.steps, 1, "--steps")
+        bins = _at_least(args.bins, 1, "--bins")
+        _, hist = dynamics.tent_trajectory(y0, steps, bins=bins)
         if args.format == "json":
-            return io.dumps({"bins": args.bins, "counts": hist})
+            return io.dumps({"bins": bins, "counts": hist})
         lines = ["bin,count"]
         for i, c in enumerate(hist):
             lines.append(f"{i},{c}")

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadConfig, DimensionMismatch, Diverged
 from .semiring import MIN_PLUS, TropScalar, scalar, zero
-from .tropmat import TropMatrix, TropVector, mat_mul
+from .tropmat import TropMatrix, TropVector, mat_mul, matrix
 
 Rat = Fraction
 DEFAULT_SPREAD_BOUND = Fraction(10**6)
@@ -154,8 +154,6 @@ class HomogeneousMap:
                 j = t.exponents.index(Fraction(1))
                 row[j] = t.constant if row[j] is None else min(row[j], t.constant)
             rows.append([v if v is not None else "+inf" for v in row])
-        from .tropmat import matrix
-
         return matrix(rows, MIN_PLUS)
 
 
@@ -274,23 +272,27 @@ def tent_system() -> HomogeneousMap:
 def tent_trajectory(
     y0: Rat, k: int, bins: Optional[int] = None
 ) -> Tuple[List[Rat], Optional[List[int]]]:
-    """Exact orbit of y -> min(2y, 2 - 2y) on [0, 1], with optional histogram."""
+    """Exact orbit of y -> min(2y, 2 - 2y) on [0, 1], with optional histogram.
+
+    The map never grows the denominator q of y0, so the orbit runs on
+    integer numerators over q: p -> min(2p, 2q - 2p).
+    """
     y = Fraction(y0)
     if not 0 <= y <= 1:
         raise BadConfig("tent map runs on [0, 1]")
     if k < 1:
         raise ValueError("need at least one step")
-    orbit = [y]
+    p, q = y.numerator, y.denominator
+    nums = [p]
     for _ in range(k):
-        y = min(2 * y, 2 - 2 * y)
-        orbit.append(y)
+        p = min(2 * p, 2 * q - 2 * p)
+        nums.append(p)
     hist: Optional[List[int]] = None
     if bins is not None:
         hist = [0] * bins
-        for v in orbit:
-            idx = min(int(v * bins), bins - 1)
-            hist[idx] += 1
-    return orbit, hist
+        for n in nums:
+            hist[min(n * bins // q, bins - 1)] += 1
+    return [Fraction(n, q) for n in nums], hist
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +533,6 @@ class UTermMatrix:
     entries: Tuple[Tuple[UEntry, ...], ...]
 
     def eval(self, u: Sequence[Rat]) -> TropMatrix:
-        from .tropmat import matrix
-
         data = []
         for row in self.entries:
             out_row = []
@@ -667,8 +667,6 @@ def traffic_light_system(
     phi = [Fraction(p) for p in phase_tokens]
     if len(phi) != 4:
         raise BadConfig("four phase places are required")
-    from .tropmat import matrix
-
     inf = "+inf"
     c = matrix(
         [

@@ -21,7 +21,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TooLarge, TropkitError
 from .semiring import MAX_PLUS, SemiringTag, TropScalar, one, sr_mul, sr_residual, zero
-from .tropmat import TropMatrix, TropVector, from_columns, mat_residual_left, vec_residual
+from .tropmat import TropMatrix, TropVector, from_columns, mat_residual_left, vec_residual, vector
 
 SUPPORT_ENUM_CAP = 12
 
@@ -63,8 +63,6 @@ def semimodule(columns, tag: SemiringTag = MAX_PLUS) -> Semimodule:
     """Build a semimodule from generator columns (vectors or plain lists)."""
     if isinstance(columns, TropMatrix):
         return Semimodule(columns)
-    from .tropmat import vector
-
     vecs = [c if isinstance(c, TropVector) else vector(c, tag) for c in columns]
     return Semimodule(from_columns(vecs, tag))
 

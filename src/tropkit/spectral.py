@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Tuple
 
-from .errors import CertificateInvalid, NoCycle, Unbounded
+from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
 from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, sr_residual
 from .tropmat import TropMatrix, TropVector, _closure
 
@@ -33,8 +33,6 @@ def _weight_grid(a: TropMatrix) -> List[List[Optional[Fraction]]]:
 
 def _check_spectral_tag(a: TropMatrix) -> None:
     if not a.is_square:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("spectral theory needs a square matrix")
     if a.tag not in (MAX_PLUS, MIN_PLUS):
         raise ValueError("spectral theory is provided for max-plus and min-plus tags")

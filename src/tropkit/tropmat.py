@@ -178,11 +178,19 @@ class TropMatrix:
         return TropMatrix(tuple(tuple(sr_mul(c, e) for e in r) for r in self.entries), self.tag)
 
     def apply(self, x: TropVector) -> TropVector:
-        """Matrix-vector product A * x."""
+        """Matrix-vector product A * x; max-plus and min-plus on raw payloads."""
         if self.cols != len(x):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length {len(x)}")
         if self.tag is not x.tag:
             raise TagMismatch("matrix and vector tags differ")
+        if self.tag in (MAX_PLUS, MIN_PLUS):
+            best = max if self.tag is MAX_PLUS else min
+            xs = [e.value for e in x.entries]
+            out = []
+            for row in self.entries:
+                terms = [e.value + v for e, v in zip(row, xs) if e.value is not None and v is not None]
+                out.append(TropScalar._fast(best(terms) if terms else None, self.tag))
+            return TropVector(tuple(out), self.tag)
         out = []
         for i in range(self.rows):
             acc = zero(self.tag)
@@ -242,13 +250,24 @@ def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
     """V \\ x: the greatest vector lam with V * lam <= x.
 
     Componentwise (V\\x)_j = min over the support of column j of x_i / V_ij.
-    Columns of all zeros admit no residual.
+    Columns of all zeros admit no residual. Max-plus and min-plus run on raw
+    payloads, where the canonical min is the numeric min (max for min-plus)
+    and any bottom x_i on the support makes the entry the bottom.
     """
     if v.rows != len(x):
         raise DimensionMismatch("row count does not match vector length")
     if v.tag is not x.tag:
         raise TagMismatch("matrix and vector tags differ")
     out = []
+    if v.tag in (MAX_PLUS, MIN_PLUS):
+        least = min if v.tag is MAX_PLUS else max
+        xs = [e.value for e in x.entries]
+        for j, col in enumerate(zip(*v.entries)):
+            ratios = [None if xi is None else xi - e.value for e, xi in zip(col, xs) if e.value is not None]
+            if not ratios:
+                raise ZeroColumn(f"column {j} is all zero")
+            out.append(TropScalar._fast(None if None in ratios else least(ratios), v.tag))
+        return TropVector(tuple(out), v.tag)
     for j in range(v.cols):
         col = v.column(j)
         supp = col.support()

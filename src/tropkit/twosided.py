@@ -1,23 +1,23 @@
 """Two-sided max-linear inequality systems A x <= B x.
 
-A single row a x <= b x has an explicitly generated solution semimodule
-(unit vectors on the slack coordinates, plus one mixed generator per
-slack/tight pair). Full systems are solved combinatorially: each row is
-split over the pivot coordinate carrying the right-hand maximum, every
-pivot system is a one-sided problem P x <= x solved by the Kleene star of
-P, and the pivot choices are expanded across rows. Redundant columns are
-pruned with the projector membership test.
+Solutions are generated by the tropical double description method: start
+from the unit vectors, which generate the whole space, and intersect with
+one row a x <= b x at a time. A generator g with a g <= b g stays, and it
+pairs with every generator h with a h > b h into (a h) g + (b g) h, on which
+both sides of the row are equal. A single row is this step applied once to
+the unit vectors. After every step, columns generated by the others are
+pruned with the projector membership test, so only extreme rays remain.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional
 
-from .errors import DimensionMismatch, Infeasible, TagMismatch, TooLarge
-from .semiring import MAX_PLUS, TropScalar, one, sr_add, sr_mul, sr_residual, zero
-from .tropmat import TropMatrix, TropVector, from_columns, kleene_star, unit_vector
+from .errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
+from .projector import Semimodule, project
+from .semiring import MAX_PLUS, one, sr_residual
+from .tropmat import TropMatrix, TropVector, from_columns, unit_vector
 
 COMBINATORIAL_CAP = 6
 
@@ -67,169 +67,77 @@ def _normalize(col: TropVector) -> Optional[TropVector]:
 
 
 def _prune(cols: List[TropVector]) -> List[TropVector]:
-    """Drop duplicates and columns generated by the others (extreme rays stay)."""
-    from .projector import Semimodule, project
-
-    seen: List[TropVector] = []
+    """Normalize, drop duplicates, then drop in one pass each column that the
+    columns still kept generate. Extreme rays are unique up to scaling, so
+    exactly they stay, in their first-seen order."""
+    kept: List[TropVector] = []
     for c in cols:
         nc = _normalize(c)
-        if nc is not None and nc not in seen:
-            seen.append(nc)
-    kept = list(seen)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(kept):
-            others = [o for o in kept if o != c]
-            if not others:
-                continue
-            sm = Semimodule(from_columns(others, c.tag))
-            if project(sm, c) == c:
-                kept.remove(c)
-                changed = True
-                break
+        if nc is not None and nc not in kept:
+            kept.append(nc)
+    for c in list(kept):
+        others = [o for o in kept if o is not c]
+        if others and project(Semimodule(from_columns(others, c.tag)), c) == c:
+            kept.remove(c)
     return kept
+
+
+def _intersect(gens: List[TropVector], a: TropMatrix, b: TropMatrix) -> List[TropVector]:
+    """Generators of {x in span(gens) : a x <= b x} for one row (1 x n matrices).
+
+    Each g with a g <= b g stays and, for every h with a h > b h, adds
+    (a h) g + (b g) h, whose two sides both equal (a h)(b g).
+    """
+    sides = [(a.apply(g)[0], b.apply(g)[0]) for g in gens]
+    out: List[TropVector] = []
+    for g, (ag, bg) in zip(gens, sides):
+        if ag <= bg:
+            out.append(g)
+            out.extend(g.scale(ah) + h.scale(bg) for h, (ah, bh) in zip(gens, sides) if ah > bh)
+    return _prune(out)
+
+
+def _certified(s: InequalitySystem, gens: List[TropVector]) -> GeneratorSet:
+    """Check every generator against the system; raise if one fails."""
+    for g in gens:
+        if not check_solution(s, g):
+            raise CertificateInvalid(f"generator {g!r} violates A x <= B x")
+    return GeneratorSet(from_columns(gens, MAX_PLUS), certified=True)
 
 
 def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:
     """Generators of {x : a x <= b x} for one inequality row.
 
-    With J = {j : a_j <= b_j} of size k, the semimodule is generated by the
-    k(n+1-k) vectors e_j (j in J) and e_j + (b_j / a_l) e_l for j in J and
-    l outside J. Infeasible when J is empty (b strictly below a everywhere).
-    Ties a_j = b_j put j in J; repeated values are ordered stably by index.
+    One intersection step on the unit vectors: with J = {j : a_j <= b_j},
+    the extreme rays among e_j (j in J) and e_j + (b_j / a_l) e_l for j in J
+    and l outside J. Infeasible when J is empty (b strictly below a
+    everywhere). Ties a_j = b_j put j in J; columns keep index order.
     """
     if len(a) != len(b):
         raise DimensionMismatch("row lengths differ")
     if a.tag is not MAX_PLUS or b.tag is not MAX_PLUS:
         raise TagMismatch("two-sided rows are over max-plus")
-    n = len(a)
-    j_set = [j for j in range(n) if a[j] <= b[j]]
-    if not j_set:
+    s = InequalitySystem(TropMatrix((a.entries,), MAX_PLUS), TropMatrix((b.entries,), MAX_PLUS))
+    units = [unit_vector(len(a), j) for j in range(len(a))]
+    gens = _intersect(units, s.a, s.b)
+    if not gens:
         raise Infeasible("b dominates a strictly in every coordinate; only x = 0 solves")
-    cols: List[TropVector] = []
-    outside = [l for l in range(n) if l not in j_set]
-    for j in j_set:
-        cols.append(unit_vector(n, j, a.tag))
-        for l in outside:
-            coeff = sr_residual(b[j], a[l])
-            cols.append(unit_vector(n, j, a.tag) + unit_vector(n, l, a.tag).scale(coeff))
-    kept = _prune(cols)
-    return GeneratorSet(from_columns(kept, a.tag), certified=True)
-
-
-_ZERO_BRANCH = -1
-_FREE_ROW = -2
-
-
-def _pivot_matrix(s: InequalitySystem, i: int, p: int) -> TropMatrix:
-    """Part-3 pivot matrix: row p collects the row inequality, others identity."""
-    n = s.cols
-    tag = MAX_PLUS
-    rows = []
-    binv = sr_residual(one(tag), s.b[i, p])
-    for r in range(n):
-        if r != p:
-            rows.append(tuple(one(tag) if c == r else zero(tag) for c in range(n)))
-        else:
-            row = []
-            for c in range(n):
-                coeff = s.a[i, c] if c == p else sr_add(s.a[i, c], s.b[i, c])
-                row.append(sr_mul(binv, coeff))
-            rows.append(tuple(row))
-    return TropMatrix(tuple(rows), tag)
-
-
-def _solve_one_sided(p: TropMatrix, forced: Set[int]) -> List[TropVector]:
-    """Generators of {x : P x <= x, x_j = 0 for j in forced}.
-
-    Coordinates fed by a positive cycle are forced to zero as well; on the
-    rest the star of P exists and its columns generate the solution set.
-    """
-    n = p.rows
-    unit = one(p.tag)
-    finite = [[not p[i, j].is_zero for j in range(n)] for i in range(n)]
-    seeds: Set[int] = set(forced)
-
-    def cycle_search(start: int, node: int, weight: TropScalar, seen: frozenset) -> None:
-        for nxt in range(start, n):
-            if not finite[node][nxt]:
-                continue
-            w = sr_mul(weight, p[node, nxt])
-            if nxt == start:
-                if w > unit:
-                    seeds.update(seen)
-            elif nxt not in seen:
-                cycle_search(start, nxt, w, seen | {nxt})
-
-    for st in range(n):
-        cycle_search(st, st, unit, frozenset({st}))
-    frontier = list(seeds)
-    zeroed = set(seeds)
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if finite[i][j] and j not in zeroed:
-                zeroed.add(j)
-                frontier.append(j)
-    free = [j for j in range(n) if j not in zeroed]
-    if not free:
-        return []
-    sub = TropMatrix(tuple(tuple(p[i, j] for j in free) for i in free), p.tag)
-    star = kleene_star(sub)
-    cols = []
-    for jj in range(len(free)):
-        entries = [zero(p.tag)] * n
-        for ii, i in enumerate(free):
-            entries[i] = star[ii, jj]
-        cols.append(TropVector(tuple(entries), p.tag))
-    return cols
+    return _certified(s, gens)
 
 
 def solve_system(s: InequalitySystem) -> GeneratorSet:
-    """Generators of {x : A x <= B x} by pivot-choice expansion.
+    """Generators of {x : A x <= B x}, intersecting one row at a time.
 
-    For every row, either the right-hand maximum is carried by some pivot p
-    with a_ip <= b_ip and b_ip nonzero, or the solution vanishes on every
-    coordinate the row touches (the zero branch). Expanding one choice per
-    row and solving each combined one-sided system therefore covers all
-    solutions; rows with a zero left-hand side impose nothing. Surviving
-    columns are checked against the full system and pruned for redundancy.
+    Starts from the unit vectors and applies the row step of
+    `row_generators` to the current generators for each row in turn; every
+    intermediate set is pruned to its extreme rays.
     """
     m, n = s.rows, s.cols
     if m > COMBINATORIAL_CAP or n > COMBINATORIAL_CAP:
         raise TooLarge(f"combinatorial path is capped at {COMBINATORIAL_CAP}x{COMBINATORIAL_CAP}")
-    tag = MAX_PLUS
-    options: List[List[int]] = []
-    for i in range(m):
-        a_supp = {j for j in range(n) if not s.a[i, j].is_zero}
-        if not a_supp:
-            options.append([_FREE_ROW])
-            continue
-        opts = [p for p in range(n) if not s.b[i, p].is_zero and s.a[i, p] <= s.b[i, p]]
-        opts.append(_ZERO_BRANCH)
-        options.append(opts)
-
-    collected: List[TropVector] = []
-    for choice in itertools.product(*options):
-        combined: Optional[TropMatrix] = None
-        forced: Set[int] = set()
-        for i, p in enumerate(choice):
-            if p == _FREE_ROW:
-                continue
-            if p == _ZERO_BRANCH:
-                forced |= {j for j in range(n) if not (s.a[i, j].is_zero and s.b[i, j].is_zero)}
-                continue
-            pm = _pivot_matrix(s, i, p)
-            combined = pm if combined is None else combined + pm
-        if combined is None:
-            from .tropmat import zero_matrix
-
-            combined = zero_matrix(n, n, tag)
-        for col in _solve_one_sided(combined, forced):
-            if not col.is_zero and check_solution(s, col):
-                collected.append(col)
-    kept = _prune(collected)
-    if not kept:
+    gens = [unit_vector(n, j) for j in range(n)]
+    for ra, rb in zip(s.a.entries, s.b.entries):
+        gens = _intersect(gens, TropMatrix((ra,), MAX_PLUS), TropMatrix((rb,), MAX_PLUS))
+    if not gens:
         raise Infeasible("only the zero vector solves the system")
-    return GeneratorSet(from_columns(kept, tag), certified=True)
+    return _certified(s, gens)

@@ -1,12 +1,15 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 
 import pytest
 
+import tropkit
 from tropkit import io as tio
 from tropkit.cli import main
 from tropkit.plucker import flow_tp, grid_edges, grid_net
@@ -142,14 +145,6 @@ def test_cli_traffic_and_out_file(tmp_path):
     lines = target.read_text().strip().splitlines()
     assert lines[0] == "rho,q"
     assert lines[1] == "0,0" and lines[3] == "2/5,2/5" and lines[6] == "1,0"
-    os.environ["TROPKIT_THREADS"] = "3"
-    try:
-        code, out, _ = run_cli(
-            ["traffic", "diagram", "--config", cfg, "--densities", "0:1:1/5", "--steps", "200"]
-        )
-    finally:
-        del os.environ["TROPKIT_THREADS"]
-    assert code == 0 and out.strip().splitlines()[1:] == lines[1:]
 
 
 def test_cli_tent_histogram():
@@ -225,3 +220,32 @@ def test_cli_path_algebra_commands_reject_other_semirings(tmp_path, command, sem
     code, out, err = run_cli([command, "--matrix", write(tmp_path, "m.json", obj)])
     assert (code, out) == (2, "")
     assert err.startswith("tropkit: ") and err.count("\n") == 1 and semiring in err
+
+
+# the directory holding the imported package, for the subprocess
+_SRC = os.path.dirname(os.path.dirname(tropkit.__file__))
+_ROAD = {"kind": "single_road", "m": 10}
+_BAD_TRAFFIC_REQUESTS = {
+    "tent_y0_abc": ["tent", "--y0", "abc"],
+    "tent_y0_zero_denominator": ["tent", "--y0", "1/0"],
+    "tent_bins_0": ["tent", "--y0", "1/5", "--bins", "0"],
+    "tent_bins_negative": ["tent", "--y0", "1/5", "--bins", "-2"],
+    "tent_steps_0": ["tent", "--y0", "1/5", "--steps", "0"],
+    "diagram_steps_1": ["diagram", "--config", _ROAD, "--densities", "0:1:1/2", "--steps", "1"],
+    "diagram_config_list": ["diagram", "--config", [_ROAD], "--densities", "0:1:1/2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TRAFFIC_REQUESTS))
+def test_cli_traffic_bad_requests_exit_2(tmp_path, name):
+    argv = ["traffic"] + [
+        write(tmp_path, "cfg.json", a) if isinstance(a, (dict, list)) else a
+        for a in _BAD_TRAFFIC_REQUESTS[name]
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropkit.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("tropkit: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from tropkit.errors import Infeasible
+from tropkit import twosided
+from tropkit.errors import CertificateInvalid, Infeasible
 from tropkit.projector import Semimodule, project
 from tropkit.semiring import scalar, sr_residual
 from tropkit.tropmat import from_columns, matrix, vector
@@ -12,8 +13,6 @@ from tropkit.twosided import (
     check_solution,
     row_generators,
     solve_system,
-    _pivot_matrix,
-    _solve_one_sided,
 )
 
 BOT = "-inf"
@@ -63,16 +62,6 @@ def test_check_solution_examples():
     assert not check_solution(s, vector([0, 0]))  # lhs 3 > rhs 2
 
 
-def test_star_criterion():
-    # pivot star has a solution with x_p nonzero iff a_p <= b_p
-    s = InequalitySystem(matrix([[0, 3]]), matrix([[2, 1]]))
-    cols = _solve_one_sided(_pivot_matrix(s, 0, 0), set())
-    assert any(not c[0].is_zero for c in cols)
-    # pivot 1 has a_1 = 3 > 1 = b_1: every solution kills x_1
-    cols_bad = _solve_one_sided(_pivot_matrix(s, 0, 1), set())
-    assert all(c[1].is_zero for c in cols_bad)
-
-
 def test_solve_system_examples():
     a = matrix([[0, 1], [1, 0]])
     s = InequalitySystem(a, a)
@@ -80,11 +69,6 @@ def test_solve_system_examples():
     sm = Semimodule(sols.generators)
     for v in (vector([5, -7]), vector([0, 0]), vector([BOT, 3])):
         assert project(sm, v) == v
-    # single row reduces to the row case
-    s1 = InequalitySystem(matrix([[0, BOT]]), matrix([[BOT, 0]]))
-    assert normalized(solve_system(s1).columns()) == normalized(
-        row_generators(vector([0, BOT]), vector([BOT, 0])).columns()
-    )
     # x1 <= x2 and x2 <= x1: the diagonal
     s2 = InequalitySystem(
         matrix([[0, BOT], [BOT, 0]]), matrix([[BOT, 0], [0, BOT]])
@@ -94,18 +78,23 @@ def test_solve_system_examples():
     assert sr_residual(sols2[0][0], sols2[0][1]) == scalar(0)
 
 
+def random_rows(rng, m, n):
+    return [[rng.choice([BOT] + list(range(-3, 4))) for _ in range(n)] for _ in range(m)]
+
+
+def test_unsound_generator_raises_certificate_invalid(monkeypatch):
+    # skip the row step: the unit vector e_1 violates 3 + x1 <= 1 + x1
+    monkeypatch.setattr(twosided, "_intersect", lambda gens, a, b: gens)
+    with pytest.raises(CertificateInvalid):
+        solve_system(InequalitySystem(matrix([[0, 3]]), matrix([[2, 1]])))
+
+
 def test_randomized_soundness_and_completeness():
     rng = random.Random(15)
     for _ in range(50):
-        m = rng.randint(1, 2)
+        m = rng.randint(1, 3)
         n = rng.randint(2, 3)
-        a = matrix(
-            [[rng.choice([BOT] + list(range(-3, 4))) for _ in range(n)] for _ in range(m)]
-        )
-        b = matrix(
-            [[rng.choice([BOT] + list(range(-3, 4))) for _ in range(n)] for _ in range(m)]
-        )
-        s = InequalitySystem(a, b)
+        s = InequalitySystem(matrix(random_rows(rng, m, n)), matrix(random_rows(rng, m, n)))
         try:
             sols = solve_system(s).columns()
         except Infeasible:
@@ -119,3 +108,54 @@ def test_randomized_soundness_and_completeness():
                 continue
             assert sm is not None
             assert project(sm, x) == x
+
+
+def test_generators_are_minimal_random():
+    # no returned generator lies in the span of the others
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(2, 5)
+        s = InequalitySystem(matrix(random_rows(rng, m, n)), matrix(random_rows(rng, m, n)))
+        try:
+            cols = solve_system(s).columns()
+        except Infeasible:
+            continue
+        for k, c in enumerate(cols):
+            others = cols[:k] + cols[k + 1:]
+            if others:
+                assert project(Semimodule(from_columns(others)), c) != c
+                checked += 1
+    assert checked > 50
+
+
+def test_row_order_invariance_random():
+    rng = random.Random(17)
+    for _ in range(60):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        a, b = random_rows(rng, m, n), random_rows(rng, m, n)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        answers = []
+        for rows in (range(m), perm):
+            s = InequalitySystem(matrix([a[i] for i in rows]), matrix([b[i] for i in rows]))
+            try:
+                answers.append(normalized(solve_system(s).columns()))
+            except Infeasible:
+                answers.append(None)
+        assert answers[0] == answers[1]
+
+
+def test_single_row_system_equals_row_generators_random():
+    # same columns in the same order, and the same infeasibility
+    rng = random.Random(18)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        (a,), (b,) = random_rows(rng, 1, n), random_rows(rng, 1, n)
+        try:
+            row = row_generators(vector(a), vector(b)).generators
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                solve_system(InequalitySystem(matrix([a]), matrix([b])))
+            continue
+        assert solve_system(InequalitySystem(matrix([a]), matrix([b]))).generators == row
