@@ -10,16 +10,14 @@ from the Kleene closure of the reduced-cost matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle, TooLarge
+from .determ import _optimal_bijections, _raw
+from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
 from .semiring import MAX_PLUS, TropScalar, scalar
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
-
-BRUTE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -145,29 +143,12 @@ class NotStronglyRegular:
 
 
 def optimal_bijections(b: AssignMatrix, keep: int = 2):
-    """Optimal value and up to `keep` optimal bijections, by enumeration."""
-    n = b.n
-    if n > BRUTE_CAP:
-        raise TooLarge(f"bijection enumeration capped at n <= {BRUTE_CAP}")
-    best: Optional[Fraction] = None
-    witnesses: List[Tuple[int, ...]] = []
-    for perm in itertools.permutations(range(n)):
-        total = Fraction(0)
-        ok = True
-        for i, j in enumerate(perm):
-            e = b.entry(i, j)
-            if e is None:
-                ok = False
-                break
-            total += e
-        if not ok:
-            continue
-        if best is None or total > best:
-            best = total
-            witnesses = [perm]
-        elif total == best and len(witnesses) < keep:
-            witnesses.append(perm)
-    return best, witnesses
+    """Optimal value and the first `keep` optimal bijections in lexicographic
+    order (at least one when a finite bijection exists), from the O(n^3)
+    Hungarian kernel that also gives the permanent; (None, []) when every
+    bijection meets a bottom."""
+    value, witnesses = _optimal_bijections(_raw(b.data), MAX_PLUS, keep)
+    return (None if value is None else Fraction(value)), witnesses
 
 
 def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...]) -> Optional[Tuple[Fraction, ...]]:
@@ -177,7 +158,8 @@ def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...]) -> Optional[Tuple[Fract
     (rational, epsilon-count): an edge F(i) -> k of rational weight
     b_ik - b_{iF(i)} must be beaten strictly, so it carries one epsilon.
     Uniqueness of the optimum makes every cycle lexicographically negative,
-    so Bellman-Ford converges; epsilon is then realized as a small rational.
+    so Bellman-Ford converges; epsilon is then realized as the largest
+    t = 2^-k (k >= 0) that keeps every edge strict, in closed form.
     """
     n = b.n
     edges = []
@@ -201,30 +183,30 @@ def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...]) -> Optional[Tuple[Fract
             break
     else:
         return None
-    t = Fraction(1)
-    while True:
-        f = tuple(num + t * cnt for num, cnt in pot)
-        if all(
-            f[k] - f[perm[i]] > e - b.entry(i, perm[i])
-            for perm_i, i, k, e in (
-                (perm[i], i, k, b.entry(i, k))
-                for i in range(n)
-                for k in range(n)
-                if k != perm[i] and b.entry(i, k) is not None
-            )
-        ):
-            return f
-        t /= 2
+    # every edge now reads A + t B > 0 with A > 0, or A = 0 and B >= 1, so
+    # t = 2^-k must stay below A / -B on the edges with B < 0: 2^k > -B / A
+    q = max(
+        (
+            (pot[src][1] - pot[dst][1]) // (pot[dst][0] - pot[src][0] - w)
+            for src, dst, w in edges
+            if pot[dst][1] < pot[src][1]
+        ),
+        default=0,
+    )
+    t = Fraction(1, 2 ** q.bit_length())
+    return tuple(num + t * cnt for num, cnt in pot)
 
 
 def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStronglyRegular]:
     """Unique optimal bijection with strict dual vectors, or the obstruction.
 
     The matrix is strongly regular iff the assignment optimum is attained by
-    exactly one bijection F; then finite duals f, g exist with
-    b_{iF(i)} - f_{F(i)} > b_{ik} - f_k (k != F(i)) and the column-dual
+    exactly one bijection F (the Hungarian kernel of optimal_bijections looks
+    for the first two in lexicographic order); then finite duals f, g exist
+    with b_{iF(i)} - f_{F(i)} > b_{ik} - f_k (k != F(i)) and the column-dual
     strict inequality, and the certificate realizes the subdifferential
-    singleton equivalences.
+    singleton equivalences. Otherwise the obstruction names the first
+    optimal bijections in lexicographic order, when any exist.
     """
     best, witnesses = optimal_bijections(b)
     if best is None:

@@ -112,7 +112,7 @@ def _cmd_project(args) -> str:
 def _cmd_separate(args) -> str:
     modules = [projector.Semimodule(_load_matrix(p)) for p in args.modules]
     rep = projector.cyclic_spectral_radius(modules)
-    result = projector.separate(modules)
+    result = projector._separate(modules, rep)
     if isinstance(result, projector.NotSeparable):
         body = {
             "error": {

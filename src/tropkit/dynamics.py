@@ -199,9 +199,7 @@ def hom_iterate(
         if max(x) - min(x) > spread_bound:
             raise Diverged("coordinate spread exceeded the configured bound")
         traj.append(list(x))
-    half = k // 2
-    span = k - half
-    rates = [(traj[k][i] - traj[half][i]) / span for i in range(len(x))]
+    rates = coordinate_rates(traj)
     lam = sum(rates, Fraction(0)) / len(rates)
     return traj, lam
 

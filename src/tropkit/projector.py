@@ -303,7 +303,11 @@ def separate(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:
     of each V_t is exact and the empty intersection is verified on the
     generator grid before the halfspaces are returned.
     """
-    rep = cyclic_spectral_radius(vs)
+    return _separate(vs, cyclic_spectral_radius(vs))
+
+
+def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfspace], NotSeparable]:
+    """separate(vs), given the cyclic spectral radius report `rep` of vs."""
     unit = one(MAX_PLUS)
     if rep.value == unit:
         return NotSeparable(witness=rep.witness_vectors[0])

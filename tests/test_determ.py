@@ -1,11 +1,20 @@
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
-from tropkit.assign import assign_matrix, optimal_bijections
+from tropkit.assign import (
+    NotStronglyRegular,
+    RegularityCertificate,
+    assign_matrix,
+    optimal_bijections,
+    strong_regularity,
+)
 from tropkit.determ import (
     StandardTransform,
+    _optimal_bijections,
     apply_standard_transform,
     bideterminant,
     identity_transform,
@@ -16,7 +25,17 @@ from tropkit.determ import (
     rook_coefficients,
 )
 from tropkit.errors import TooLarge
-from tropkit.semiring import MAX_PLUS, MAX_TIMES, one, scalar, sr_add, sr_mul
+from tropkit.semiring import (
+    BOOLEAN,
+    MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    one,
+    scalar,
+    sr_add,
+    sr_mul,
+    zero,
+)
 from tropkit.tropmat import identity, matrix, zero_matrix
 
 BOT = "-inf"
@@ -39,14 +58,114 @@ def test_permanent_examples():
     assert permanent(identity(4)) == scalar(0)
 
 
+def _random_entry(rng, tag, bottom_rate, pool):
+    if tag is BOOLEAN:
+        return rng.random() >= bottom_rate
+    if rng.random() < bottom_rate:
+        return 0 if tag is MAX_TIMES else None
+    v = rng.choice(pool)
+    return (abs(v) or 1) if tag is MAX_TIMES else v
+
+
+def _random_instance(rng, tag):
+    n = rng.randint(1, 7)
+    bottom_rate = rng.choice([0, 0.2, 0.5])
+    pool = rng.choice([[0], [0, 1], list(range(-3, 4)), [Fraction(1, 2), 1, Fraction(3, 2), 2]])
+    rows = [[_random_entry(rng, tag, bottom_rate, pool) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and rng.random() < 0.25:  # a repeated row forces a tie
+        rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+    return rows
+
+
+def _nfact_oracle(a):
+    """The permutation sum (the zero, or the first best product in
+    lexicographic order) and every permutation attaining it, by the tag's
+    own arithmetic over all of S_n."""
+    n = a.rows
+    best, attaining = zero(a.tag), []
+    for perm in itertools.permutations(range(n)):
+        term = one(a.tag)
+        for i, j in enumerate(perm):
+            term = sr_mul(term, a[i, j])
+        if term > best:
+            best, attaining = term, [perm]
+        elif term == best:
+            attaining.append(perm)
+    return best, attaining
+
+
 def test_permanent_equals_assignment_value():
+    # n! oracle for the Hungarian kernel behind permanent, is_trop_singular
+    # and optimal_bijections: value, payload type and witness order
     rng = random.Random(16)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        per = permanent(matrix(rows))
-        best, _ = optimal_bijections(assign_matrix(rows))
-        assert per == scalar(best)
+    for trial in range(280):
+        tag = (MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN)[trial % 4]
+        rows = _random_instance(rng, tag)
+        a = matrix(rows, tag)
+        best, attaining = _nfact_oracle(a)
+        per = permanent(a)
+        assert per == best and type(per.value) is type(best.value)
+        assert is_trop_singular(a) == (len(attaining) >= 2)
+        payloads = [[e.value for e in row] for row in a.entries]
+        try:
+            b = assign_matrix(rows) if tag is MAX_PLUS else None
+        except ValueError:  # a row or column of bottoms
+            b = None
+        for keep in range(1, 5):
+            value, witnesses = _optimal_bijections(payloads, tag, keep)
+            if best.is_zero:
+                assert (value, witnesses) == (None, [])
+            else:
+                assert witnesses == attaining[:keep]
+                assert value == best.value and type(value) is type(best.value)
+            if b is not None:
+                ob_best, ob_witnesses = optimal_bijections(b, keep)
+                assert ob_witnesses == witnesses
+                assert ob_best == value and (best.is_zero or type(ob_best) is Fraction)
+
+
+def _planted(rng, n):
+    """A max-plus matrix whose unique optimal bijection is known: a zero
+    diagonal and strictly negative (or bottom) off-diagonal entries, rows
+    and columns permuted and shifted."""
+    sigma, tau = list(range(n)), list(range(n))
+    rng.shuffle(sigma)
+    rng.shuffle(tau)
+    s = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3])) for _ in range(n)]
+    t = [rng.randint(-20, 20) for _ in range(n)]
+
+    def core(i, j):
+        if i == j:
+            return 0
+        return None if rng.random() < 0.3 else -rng.randint(1, 9)
+
+    c = [[core(i, j) for j in range(n)] for i in range(n)]
+    rows = [
+        [None if c[sigma[r]][tau[k]] is None else c[sigma[r]][tau[k]] + s[r] + t[k] for k in range(n)]
+        for r in range(n)
+    ]
+    bijection = tuple(tau.index(sigma[r]) for r in range(n))
+    return rows, bijection, sum(s) + sum(t)
+
+
+def test_unique_optimum_above_old_enumeration_cap():
+    rng = random.Random(22)
+    for n in (12, 17, 25, 33, 40):
+        rows, bijection, value = _planted(rng, n)
+        a = matrix(rows)
+        assert permanent(a) == scalar(value)
+        assert not is_trop_singular(a)
+        cert = strong_regularity(assign_matrix(rows))
+        assert isinstance(cert, RegularityCertificate) and cert.bijection == bijection
+    flat = [[0] * 40 for _ in range(40)]
+    t0 = time.perf_counter()
+    assert permanent(matrix(flat)) == scalar(0)
+    assert is_trop_singular(matrix(flat))
+    res = strong_regularity(assign_matrix(flat))
+    assert time.perf_counter() - t0 < 1.0
+    assert isinstance(res, NotStronglyRegular)
+    assert res.best_bijection == tuple(range(40))
+    assert res.second_bijection == tuple(range(38)) + (39, 38)
 
 
 def test_rook_examples():
