@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .determ import _optimal_bijections, _raw
+from .determ import _optimal_bijections
 from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
 from .semiring import MAX_PLUS, TropScalar, scalar
-from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
+from .tropmat import TropMatrix, TropVector, _raw, kleene_plus, matrix
 
 
 @dataclass(frozen=True)

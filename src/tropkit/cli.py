@@ -74,24 +74,34 @@ def _vec_json(x) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _path_algebra(m, command: str):
-    if m.tag not in (MAX_PLUS, MIN_PLUS):
-        raise SchemaError(f"{command} needs a max-plus or min-plus matrix, not {m.tag.value}")
+def _over(m, command: str, *tags):
+    if m.tag not in tags:
+        names = " or ".join(t.value for t in tags)
+        raise SchemaError(f"{command} needs a {names} matrix, not {m.tag.value}")
     return m
 
 
+def _checked(build, m):
+    """build(m), with a ValueError from its input checks reported as a schema error."""
+    try:
+        return build(m)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def _cmd_star(args) -> str:
-    a = _path_algebra(_load_matrix(args.matrix), "star")
+    a = _over(_load_matrix(args.matrix), "star", MAX_PLUS, MIN_PLUS)
     return io.dumps(io.matrix_to_json(tropmat.kleene_star(a)))
 
 
 def _cmd_interval(args) -> str:
-    im = _path_algebra(io.interval_matrix_from_json(io.loads(_read(args.matrix))), "interval")
+    im = io.interval_matrix_from_json(io.loads(_read(args.matrix)))
+    im = _over(im, "interval", MAX_PLUS, MIN_PLUS)
     return io.dumps(io.interval_matrix_to_json(tropmat.iv_kleene_star(im)))
 
 
 def _cmd_eig(args) -> str:
-    a = _path_algebra(_load_matrix(args.matrix), "eig")
+    a = _over(_load_matrix(args.matrix), "eig", MAX_PLUS, MIN_PLUS)
     res = spectral.spectral_analysis(a)
     body = {
         "eigenvalue": io.scalar_to_json(res.eigenvalue),
@@ -104,13 +114,16 @@ def _cmd_eig(args) -> str:
 
 
 def _cmd_project(args) -> str:
-    v = projector.Semimodule(_load_matrix(args.module))
+    v = _checked(projector.Semimodule, _load_matrix(args.module))
     x = io.vector_from_json(io.loads(_read(args.vector)))
     return io.dumps(io.vector_to_json(projector.project(v, x)))
 
 
 def _cmd_separate(args) -> str:
-    modules = [projector.Semimodule(_load_matrix(p)) for p in args.modules]
+    modules = [
+        _checked(projector.Semimodule, _over(_load_matrix(p), "separate", MAX_PLUS))
+        for p in args.modules
+    ]
     rep = projector.cyclic_spectral_radius(modules)
     result = projector._separate(modules, rep)
     if isinstance(result, projector.NotSeparable):
@@ -180,7 +193,7 @@ def _cmd_plucker(args) -> str:
 
 
 def _cmd_assign(args) -> str:
-    b = assign_mod.AssignMatrix(_load_matrix(args.matrix))
+    b = _checked(assign_mod.AssignMatrix, _over(_load_matrix(args.matrix), "assign", MAX_PLUS))
     res = assign_mod.strong_regularity(b)
     if isinstance(res, assign_mod.NotStronglyRegular):
         body = {

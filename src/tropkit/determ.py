@@ -30,7 +30,7 @@ from .semiring import (
     sr_mul,
     zero,
 )
-from .tropmat import TropMatrix
+from .tropmat import TropMatrix, _raw
 
 PERMANENT_CAP = 8
 ROOK_CAP = 7
@@ -193,10 +193,6 @@ def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
     for i, j in enumerate(witnesses[0]):
         value = mul(value, rows[i][j])
     return value, witnesses
-
-
-def _raw(a: TropMatrix) -> List[list]:
-    return [[e.value for e in row] for row in a.entries]
 
 
 def _permanent_of(rows: Sequence[Sequence], tag: SemiringTag) -> TropScalar:

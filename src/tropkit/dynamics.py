@@ -7,6 +7,11 @@ chaotic system, two roads through one crossing (priority or fifty-fifty
 completion), fundamental-diagram sweeps, and triangular one-homogeneous
 (T1H) systems with a min-plus linear light-control layer.
 
+Every branch of a homogeneous map, and every entry of a T1H control
+matrix, is one `MinPlusTerm`: a constant plus a sparse sum of exponent
+times coordinate, so a road step costs O(m). T1H steps evaluate A(u) and
+B(u) to raw payload rows and apply them without boxing a matrix.
+
 Everything runs in exact rational arithmetic: binary floating point would
 collapse tent orbits onto the fixed point and blur the exact plateau
 values the models predict.
@@ -16,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadConfig, DimensionMismatch, Diverged
-from .semiring import MIN_PLUS, TropScalar, scalar, zero
-from .tropmat import TropMatrix, TropVector, mat_mul, matrix
+from .semiring import MIN_PLUS
+from .tropmat import TropMatrix, _raw, mat_mul, matrix
 
 Rat = Fraction
 DEFAULT_SPREAD_BOUND = Fraction(10**6)
@@ -96,21 +101,30 @@ def exclusion_run(w: RingWord, steps: int) -> Tuple[List[RingWord], List[Rat]]:
 
 @dataclass(frozen=True)
 class MinPlusTerm:
-    """constant + sum_i exponents[i] * x_i, one branch of a min."""
+    """constant + sum of e * x_i over the sparse exponent pairs (i, e).
+
+    `exponents` is a tuple of (index, coefficient) pairs sorted by index,
+    every coefficient nonzero; one branch of a min.
+    """
 
     constant: Rat
-    exponents: Tuple[Rat, ...]
+    exponents: Tuple[Tuple[int, Rat], ...]
 
     def eval(self, x: Sequence[Rat]) -> Rat:
         acc = self.constant
-        for e, v in zip(self.exponents, x):
-            if e:
-                acc += e * v
+        for i, e in self.exponents:
+            acc += e * x[i]
         return acc
 
 
+def _term(constant, pairs) -> MinPlusTerm:
+    """The term with the given (index, coefficient) pairs; zeros dropped."""
+    return MinPlusTerm(Fraction(constant), tuple(sorted((i, Fraction(e)) for i, e in pairs if e)))
+
+
 def term(constant, exponents) -> MinPlusTerm:
-    return MinPlusTerm(Fraction(constant), tuple(Fraction(e) for e in exponents))
+    """The term with a dense exponent sequence, stored sparsely."""
+    return _term(constant, enumerate(exponents))
 
 
 @dataclass(frozen=True)
@@ -127,20 +141,21 @@ class HomogeneousMap:
             if not terms:
                 raise ValueError("each coordinate needs at least one term")
             for t in terms:
-                if len(t.exponents) != self.dim:
-                    raise DimensionMismatch("term arity differs from dimension")
-                if sum(t.exponents) != 1:
+                if any(not 0 <= i < self.dim for i, _ in t.exponents):
+                    raise DimensionMismatch(f"term index outside 0..{self.dim - 1}")
+                if sum(e for _, e in t.exponents) != 1:
                     raise ValueError("exponents of a degree-one term must sum to 1")
 
     def __call__(self, x: Sequence[Rat]) -> List[Rat]:
         if len(x) != self.dim:
             raise DimensionMismatch("point dimension differs from map dimension")
-        return [min(t.eval(x) for t in terms) for terms in self.coords]
+        return [min([t.eval(x) for t in terms]) for terms in self.coords]
 
     def is_linear(self) -> bool:
         return all(
-            all(set(t.exponents) <= {Fraction(0), Fraction(1)} for t in terms)
+            len(t.exponents) == 1 and t.exponents[0][1] == 1
             for terms in self.coords
+            for t in terms
         )
 
     def linear_matrix(self) -> TropMatrix:
@@ -151,9 +166,9 @@ class HomogeneousMap:
         for terms in self.coords:
             row: List[Optional[Rat]] = [None] * self.dim
             for t in terms:
-                j = t.exponents.index(Fraction(1))
+                ((j, _),) = t.exponents
                 row[j] = t.constant if row[j] is None else min(row[j], t.constant)
-            rows.append([v if v is not None else "+inf" for v in row])
+            rows.append(row)
         return matrix(rows, MIN_PLUS)
 
 
@@ -167,14 +182,11 @@ def road_event_graph(occupancy: Sequence[int], m: Optional[int] = None) -> Homog
     m = m if m is not None else len(a)
     if m != len(a) or m < 2:
         raise BadConfig("need one occupancy bit per cell, at least two cells")
-    coords = []
-    for i in range(m):
-        e_prev = [0] * m
-        e_prev[(i - 1) % m] = 1
-        e_next = [0] * m
-        e_next[(i + 1) % m] = 1
-        coords.append((term(a[(i - 1) % m], e_prev), term(1 - a[i], e_next)))
-    return HomogeneousMap(m, tuple(coords))
+    coords = tuple(
+        (_term(a[i - 1], [((i - 1) % m, 1)]), _term(1 - a[i], [((i + 1) % m, 1)]))
+        for i in range(m)
+    )
+    return HomogeneousMap(m, coords)
 
 
 def hom_iterate(
@@ -261,8 +273,8 @@ def tent_system() -> HomogeneousMap:
     return HomogeneousMap(
         2,
         (
-            (term(0, (1, 0)),),
-            (term(0, (-1, 2)), term(2, (3, -2))),
+            (_term(0, [(0, 1)]),),
+            (_term(0, [(0, -1), (1, 2)]), _term(2, [(0, 3), (1, -2)])),
         ),
     )
 
@@ -388,35 +400,23 @@ def build_crossing(
     a = occ
     exit1, exit2 = 0, n1
     entry1, entry2 = n1 - 1, n1 + n2 - 1
-
-    def unit(i: int) -> List[Rat]:
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        return e
-
-    def pair(i: int, j: int) -> List[Rat]:
-        e = [Fraction(0)] * dim
-        e[i] += Fraction(1, 2)
-        e[j] += Fraction(1, 2)
-        return e
-
+    half = Fraction(1, 2)
     coords: List[Tuple[MinPlusTerm, ...]] = [()] * dim
-    for i in range(1, n1 - 1):
-        coords[i] = (term(a[i - 1], unit(i - 1)), term(1 - a[i], unit(i + 1)))
-    for idx in range(n1 + 1, n1 + n2 - 1):
-        coords[idx] = (term(a[idx - 1], unit(idx - 1)), term(1 - a[idx], unit(idx + 1)))
-    cross = pair(entry1, entry2)
-    coords[exit1] = (term(a[entry1], cross), term(1 - a[exit1], unit(1 % n1)))
-    coords[exit2] = (term(a[entry2], cross), term(1 - a[exit2], unit(n1 + (1 % n2))))
+    for i in [*range(1, n1 - 1), *range(n1 + 1, n1 + n2 - 1)]:
+        coords[i] = (_term(a[i - 1], [(i - 1, 1)]), _term(1 - a[i], [(i + 1, 1)]))
+    cross = [(entry1, half), (entry2, half)]
+    coords[exit1] = (_term(a[entry1], cross), _term(1 - a[exit1], [(1 % n1, 1)]))
+    coords[exit2] = (_term(a[entry2], cross), _term(1 - a[exit2], [(n1 + (1 % n2), 1)]))
     # fifty-fifty entries average the free-space constraint over the exits:
     # x' = (abar + exit1 + exit2) / 2 keeps the exponent sum at one
+    exits = [(exit1, half), (exit2, half)]
     coords[entry1] = (
-        term(Fraction(1 - a[entry1], 2), pair(exit1, exit2)),
-        term(a[entry1 - 1], unit(entry1 - 1)),
+        _term(Fraction(1 - a[entry1], 2), exits),
+        _term(a[entry1 - 1], [(entry1 - 1, 1)]),
     )
     coords[entry2] = (
-        term(Fraction(1 - a[entry2], 2), pair(exit1, exit2)),
-        term(a[entry2 - 1], unit(entry2 - 1)),
+        _term(Fraction(1 - a[entry2], 2), exits),
+        _term(a[entry2 - 1], [(entry2 - 1, 1)]),
     )
     return HomogeneousMap(dim, tuple(coords))
 
@@ -496,29 +496,15 @@ def crossing_builder(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UTerm:
-    """constant + sum_i exponents[i] * u_i with exponents summing to zero."""
-
-    constant: Rat
-    exponents: Tuple[Rat, ...]
-
-    def eval(self, u: Sequence[Rat]) -> Rat:
-        acc = self.constant
-        for e, v in zip(self.exponents, u):
-            if e:
-                acc += e * v
-        return acc
-
-
-def uterm(constant, exponents) -> UTerm:
-    t = UTerm(Fraction(constant), tuple(Fraction(e) for e in exponents))
-    if sum(t.exponents) != 0:
+def uterm(constant, exponents) -> MinPlusTerm:
+    """A control-matrix term: dense exponents in u that sum to zero."""
+    t = term(constant, exponents)
+    if sum(e for _, e in t.exponents) != 0:
         raise ValueError("control-matrix terms must be 0-homogeneous in u")
     return t
 
 
-UEntry = Optional[Tuple[UTerm, ...]]
+UEntry = Optional[Tuple[MinPlusTerm, ...]]
 
 
 @dataclass(frozen=True)
@@ -530,31 +516,29 @@ class UTermMatrix:
     udim: int
     entries: Tuple[Tuple[UEntry, ...], ...]
 
+    def _raw_eval(self, u: Sequence[Rat]) -> List[List[Optional[Rat]]]:
+        """Raw min-plus payload rows at u, None standing for +inf."""
+        return [
+            [None if entry is None else min([t.eval(u) for t in entry]) for entry in row]
+            for row in self.entries
+        ]
+
     def eval(self, u: Sequence[Rat]) -> TropMatrix:
-        data = []
-        for row in self.entries:
-            out_row = []
-            for entry in row:
-                if entry is None:
-                    out_row.append("+inf")
-                else:
-                    out_row.append(min(t.eval(u) for t in entry))
-            data.append(out_row)
-        return matrix(data, MIN_PLUS)
+        return matrix(self._raw_eval(u), MIN_PLUS)
 
 
 def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
-    """Entries: None (no edge), a constant, or an iterable of UTerm."""
+    """Entries: None (no edge), a constant, a MinPlusTerm or an iterable of them."""
     norm: List[Tuple[UEntry, ...]] = []
     for row in rows:
         out_row: List[UEntry] = []
         for entry in row:
             if entry is None:
                 out_row.append(None)
-            elif isinstance(entry, UTerm):
+            elif isinstance(entry, MinPlusTerm):
                 out_row.append((entry,))
             elif isinstance(entry, (int, Fraction)):
-                out_row.append((uterm(entry, (0,) * udim),))
+                out_row.append((_term(entry, ()),))
             else:
                 out_row.append(tuple(entry))
         norm.append(tuple(out_row))
@@ -578,6 +562,11 @@ class T1HSystem:
             raise DimensionMismatch("control matrix and u0 disagree")
         if self.a_of_u.rows != self.a_of_u.cols or self.a_of_u.rows != len(self.x0):
             raise DimensionMismatch("state matrix and x0 disagree")
+        if self.b_of_u and (self.b_of_u.rows, self.b_of_u.cols) != (len(self.x0), len(self.u0)):
+            raise DimensionMismatch("input matrix disagrees with x0 and u0")
+        entries = [e for m in (self.a_of_u, self.b_of_u) if m for row in m.entries for e in row if e]
+        if any(not 0 <= i < len(self.u0) for e in entries for t in e for i, _ in t.exponents):
+            raise DimensionMismatch(f"control term index outside 0..{len(self.u0) - 1}")
 
 
 @dataclass(frozen=True)
@@ -587,19 +576,14 @@ class PeriodReport:
     gain: Tuple[Rat, ...]
 
 
-def _min_plus_apply(m: TropMatrix, v: List[Rat]) -> List[Rat]:
+def _min_plus_apply(rows: Sequence[Sequence[Optional[Rat]]], v: Sequence[Rat]) -> List[Rat]:
+    """Min-plus product of raw payload rows (None = +inf) with a finite vector."""
     out = []
-    for i in range(m.rows):
-        best: Optional[Rat] = None
-        for j in range(m.cols):
-            e = m[i, j]
-            if e.is_finite:
-                cand = e.value + v[j]
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
+    for i, row in enumerate(rows):
+        sums = [a + b for a, b in zip(row, v) if a is not None]
+        if not sums:
             raise Diverged(f"state coordinate {i} has no input")
-        out.append(best)
+        out.append(min(sums))
     return out
 
 
@@ -617,6 +601,7 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
     x = [Fraction(v) for v in system.x0]
     u_traj = [list(u)]
     x_traj = [list(x)]
+    c_rows = _raw(system.c)
     seen: Dict[Tuple[Rat, ...], int] = {}
     report: Optional[PeriodReport] = None
     for step in range(k):
@@ -631,13 +616,11 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
                 report = PeriodReport(start, period, gain)
             else:
                 seen[norm] = step
-        a_k = system.a_of_u.eval(u)
-        new_x = _min_plus_apply(a_k, x)
+        new_x = _min_plus_apply(system.a_of_u._raw_eval(u), x)
         if system.b_of_u is not None:
-            b_k = system.b_of_u.eval(u)
-            bu = _min_plus_apply(b_k, u)
+            bu = _min_plus_apply(system.b_of_u._raw_eval(u), u)
             new_x = [min(p, q) for p, q in zip(new_x, bu)]
-        u = _min_plus_apply(system.c, u)
+        u = _min_plus_apply(c_rows, u)
         x = new_x
         u_traj.append(list(u))
         x_traj.append(list(x))
@@ -677,10 +660,9 @@ def traffic_light_system(
     )
     occ_v = _occupancy_from_cars(n_vertical, cars_vertical)
     occ_h = _occupancy_from_cars(n_horizontal, cars_horizontal)
-    a0_init, b0_init = 1, 0
     dim = n_vertical + n_horizontal
 
-    def road_block(offset: int, cells: int, occ: List[int], gate: UTerm):
+    def road_block(offset: int, cells: int, occ: List[int], gate: MinPlusTerm):
         rows: List[List[object]] = []
         for local in range(cells):
             row: List[object] = [None] * dim
@@ -693,8 +675,8 @@ def traffic_light_system(
             rows.append(row)
         return rows
 
-    gate_v = uterm(a0_init, (1, -1, 0, 0))
-    gate_h = uterm(b0_init, (0, 0, 1, -1))
+    gate_v = _term(1, [(0, 1), (1, -1)])
+    gate_h = _term(0, [(2, 1), (3, -1)])
     rows = road_block(0, n_vertical, occ_v, gate_v) + road_block(
         n_vertical, n_horizontal, occ_h, gate_h
     )
@@ -720,19 +702,20 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
     Returns A(u^3) A(u^2) A(u^1) A(u^0) restricted to the road's rows and
     columns; its min-plus eigenvalue over 4 equals the asymptotic flow.
     """
+    dim = system.a_of_u.rows
+    if road == "vertical":
+        idx = range(n_vertical)
+    elif road == "horizontal":
+        idx = range(n_vertical, dim)
+    else:
+        raise ValueError("road must be vertical or horizontal")
+    c_rows = _raw(system.c)
     u = [Fraction(v) for v in system.u0]
     mats = []
     for _ in range(4):
-        full = system.a_of_u.eval(u)
-        if road == "vertical":
-            idx = range(n_vertical)
-        elif road == "horizontal":
-            idx = range(n_vertical, full.rows)
-        else:
-            raise ValueError("road must be vertical or horizontal")
-        sub = TropMatrix(tuple(tuple(full[i, j] for j in idx) for i in idx), MIN_PLUS)
-        mats.append(sub)
-        u = _min_plus_apply(system.c, u)
+        full = system.a_of_u._raw_eval(u)
+        mats.append(matrix([[full[i][j] for j in idx] for i in idx], MIN_PLUS))
+        u = _min_plus_apply(c_rows, u)
     prod = mats[3]
     for m in (mats[2], mats[1], mats[0]):
         prod = mat_mul(prod, m)

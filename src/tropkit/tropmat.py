@@ -308,6 +308,10 @@ def _closure(a: TropMatrix, shift=0) -> List[list]:
     return [[None if v is None else sign * v for v in row] for row in d]
 
 
+def _raw(a: TropMatrix) -> List[list]:
+    return [[e.value for e in row] for row in a.entries]
+
+
 def _box(d: List[list], tag: SemiringTag) -> TropMatrix:
     return TropMatrix(tuple(tuple(TropScalar._fast(v, tag) for v in row) for row in d), tag)
 

@@ -6,7 +6,9 @@ import pytest
 from tropkit.dynamics import (
     CrossingMap,
     HomogeneousMap,
+    MinPlusTerm,
     RingWord,
+    T1HSystem,
     build_crossing,
     coordinate_rates,
     crossing_builder,
@@ -24,10 +26,13 @@ from tropkit.dynamics import (
     tent_trajectory,
     term,
     traffic_light_system,
+    uterm,
+    uterm_matrix,
 )
-from tropkit.errors import BadConfig, Diverged
+from tropkit.errors import BadConfig, DimensionMismatch, Diverged
 from tropkit.semiring import MIN_PLUS, scalar
 from tropkit.spectral import max_cycle_mean
+from tropkit.tropmat import matrix
 
 
 def test_exclusion_reference_sequence():
@@ -209,9 +214,6 @@ def test_t1h_matrices_repeat_with_period():
 
 
 def test_t1h_constant_control_reduces_to_linear():
-    from tropkit.dynamics import T1HSystem, uterm_matrix
-    from tropkit.tropmat import matrix
-
     cid = matrix([[0, "+inf"], ["+inf", 0]], MIN_PLUS)
     a_const = uterm_matrix(2, [[1, 3], [None, 2]])
     s = T1HSystem(cid, a_const, None, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
@@ -225,3 +227,150 @@ def test_t1h_constant_control_reduces_to_linear():
             for i in range(2)
         ]
     assert x == x_traj[-1]
+
+
+def test_terms_store_exponents_sparsely():
+    half = Fraction(1, 2)
+    t = term(3, [0, half, 0, half])
+    assert t.exponents == ((1, half), (3, half)) and t.eval([9, 2, 9, 4]) == 6
+    assert type(uterm(1, (1, -1, 0, 0))) is MinPlusTerm
+    assert uterm(1, (1, -1, 0, 0)).exponents == ((0, 1), (1, -1))
+    road = road_event_graph([1, 0, 0, 1, 0])
+    assert all(len(t.exponents) == 1 for terms in road.coords for t in terms)
+    cross = build_crossing(3, 4, [1, 4], "fifty_fifty")
+    assert max(len(t.exponents) for terms in cross.coords for t in terms) == 2
+
+
+def _map2(first):
+    """A two-dimensional map whose first coordinate has the given terms."""
+    return HomogeneousMap(2, (first, (term(0, (0, 1)),)))
+
+
+def _light2(a_of_u, b_of_u):
+    """A T1H system with the identity control layer on two places and one state."""
+    u0, x0 = (Fraction(0), Fraction(0)), (Fraction(0),)
+    return T1HSystem(matrix([[0, "+inf"], ["+inf", 0]], MIN_PLUS), a_of_u, b_of_u, u0, x0)
+
+
+_BAD_TERMS = {
+    "exponent_sum_2": (lambda: _map2((term(0, (1, 1)),)), ValueError),
+    "exponent_sum_0": (lambda: _map2((term(0, (0, 0)),)), ValueError),
+    "index_above_dim": (lambda: _map2((term(0, (0, 0, 1)),)), DimensionMismatch),
+    "index_negative": (lambda: _map2((MinPlusTerm(Fraction(0), ((-1, Fraction(1)),)),)), DimensionMismatch),
+    "empty_coordinate": (lambda: _map2(()), ValueError),
+    "missing_coordinate": (lambda: HomogeneousMap(2, ((term(0, (0, 1)),),)), DimensionMismatch),
+    "uterm_sum_1": (lambda: uterm(0, (1, 0, 0, 0)), ValueError),
+    "control_index_outside_u": (lambda: _light2(uterm_matrix(2, [[uterm(0, (1, 0, -1))]]), None), DimensionMismatch),
+    "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TERMS))
+def test_term_and_map_validation(name):
+    build, error = _BAD_TERMS[name]
+    with pytest.raises(error):
+        build()
+
+
+def _plain_iterate(step, x0, k):
+    traj = [list(x0)]
+    for _ in range(k):
+        traj.append(step(traj[-1]))
+    return traj
+
+
+def _plain_rates(traj):
+    k = len(traj) - 1
+    half = k // 2
+    return [(traj[k][i] - traj[half][i]) / (k - half) for i in range(len(traj[0]))]
+
+
+def _plain_road(a):
+    m = len(a)
+    return lambda x: [min(a[i - 1] + x[i - 1], 1 - a[i] + x[(i + 1) % m]) for i in range(m)]
+
+
+def _plain_crossing(n1, n2, a, priority):
+    exit1, exit2, entry1, entry2 = 0, n1, n1 - 1, n1 + n2 - 1
+    half = Fraction(1, 2)
+
+    def step(x):
+        y = list(x)
+        for i in list(range(1, n1 - 1)) + list(range(n1 + 1, n1 + n2 - 1)):
+            y[i] = min(a[i - 1] + x[i - 1], 1 - a[i] + x[i + 1])
+        y[exit1] = min(a[entry1] + half * (x[entry1] + x[entry2]), 1 - a[exit1] + x[1 % n1])
+        y[exit2] = min(a[entry2] + half * (x[entry1] + x[entry2]), 1 - a[exit2] + x[n1 + 1 % n2])
+        if priority:
+            y[entry1] = min(1 - a[entry1] + x[exit1] + x[exit2] - x[entry2], a[entry1 - 1] + x[entry1 - 1])
+            y[entry2] = min(1 - a[entry2] + x[exit1] + x[exit2] - y[entry1], a[entry2 - 1] + x[entry2 - 1])
+        else:
+            for e in (entry1, entry2):
+                y[e] = min(half * (1 - a[e] + x[exit1] + x[exit2]), a[e - 1] + x[e - 1])
+        return y
+
+    return step
+
+
+def _plain_light(occ_v, occ_h, phi, k, window=64):
+    """u, x trajectories, (start, period, gain) and rates of the four-phase light."""
+    nv = len(occ_v)
+    u, x = [Fraction(0)] * 4, [Fraction(0)] * (nv + len(occ_h))
+    us, xs, seen, report = [u], [x], {}, None
+    for step in range(k):
+        norm = tuple(v - u[0] for v in u)
+        if report is None and step <= window:
+            if norm in seen:
+                p = step - seen[norm]
+                report = (seen[norm], p, tuple((u[i] - us[seen[norm]][i]) / p for i in range(4)))
+            else:
+                seen[norm] = step
+        gates = (1 + u[0] - u[1], u[2] - u[3])
+        y = []
+        for off, occ, gate in ((0, occ_v, gates[0]), (nv, occ_h, gates[1])):
+            c = len(occ)
+            for loc in range(c):
+                cands = [occ[loc - 1] + x[off + (loc - 1) % c], 1 - occ[loc] + x[off + (loc + 1) % c]]
+                if loc == c - 1:
+                    cands.append(gate + x[off + loc])
+                y.append(min(cands))
+        u = [phi[3] + u[3], phi[0] + u[0], phi[1] + u[1], phi[2] + u[2]]
+        x = y
+        us.append(u)
+        xs.append(x)
+    return us, xs, report, _plain_rates(xs)
+
+
+def test_trajectories_equal_plain_resimulation_random():
+    rng = random.Random(35)
+    for _ in range(40):
+        m = rng.randint(2, 12)
+        occ = [rng.randint(0, 1) for _ in range(m)]
+        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m)]
+        k = rng.randint(2, 40)
+        traj, lam = hom_iterate(road_event_graph(occ), x0, k)
+        want = _plain_iterate(_plain_road(occ), x0, k)
+        assert traj == want and lam == sum(_plain_rates(want)) / m
+    for _ in range(40):
+        n1, n2 = rng.randint(2, 7), rng.randint(2, 7)
+        cars = sorted(rng.sample(range(n1 + n2), rng.randint(0, n1 + n2)))
+        occ = [int(i in cars) for i in range(n1 + n2)]
+        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in occ]
+        k = rng.randint(2, 40)
+        for policy in ("fifty_fifty", "priority"):
+            traj, lam = hom_iterate(build_crossing(n1, n2, cars, policy), x0, k)
+            want = _plain_iterate(_plain_crossing(n1, n2, occ, policy == "priority"), x0, k)
+            assert traj == want and lam == sum(_plain_rates(want)) / (n1 + n2)
+    for _ in range(30):
+        nv, nh = rng.randint(2, 7), rng.randint(2, 7)
+        cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
+        ch = sorted(rng.sample(range(nh), rng.randint(0, nh)))
+        phi = [rng.choice((0, 0, 1, 2)) for _ in range(4)]
+        if not any(phi):
+            phi[rng.randrange(4)] = 1
+        k = rng.randint(2, 90)
+        u_traj, x_traj, report, rates = t1h_simulate(traffic_light_system(nv, nh, cv, ch, phi), k)
+        occ_v, occ_h = [int(i in cv) for i in range(nv)], [int(i in ch) for i in range(nh)]
+        us, xs, want_report, want_rates = _plain_light(occ_v, occ_h, phi, k)
+        assert u_traj == us and x_traj == xs and rates == want_rates
+        got = None if report is None else (report.start, report.period, report.gain)
+        assert got == want_report

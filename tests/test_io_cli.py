@@ -236,11 +236,31 @@ _BAD_TRAFFIC_REQUESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_BAD_TRAFFIC_REQUESTS))
-def test_cli_traffic_bad_requests_exit_2(tmp_path, name):
-    argv = ["traffic"] + [
-        write(tmp_path, "cfg.json", a) if isinstance(a, (dict, list)) else a
-        for a in _BAD_TRAFFIC_REQUESTS[name]
+def _max_plus(data):
+    return {"semiring": "max-plus", "rows": len(data), "cols": len(data[0]), "data": data}
+
+
+_MIN_PLUS_2 = {"semiring": "min-plus", "rows": 2, "cols": 2, "data": [[0, 1], [1, 0]]}
+_BAD_MATRIX_REQUESTS = {
+    "assign_min_plus": ["assign", "--matrix", _MIN_PLUS_2],
+    "assign_condition_c": ["assign", "--matrix", _max_plus([[BOT, BOT], [1, 0]])],
+    "project_bottom_column": [
+        "project", "--module", _max_plus([[0, BOT], [1, BOT]]),
+        "--vector", {"semiring": "max-plus", "data": [0, 0]},
+    ],
+    "separate_bottom_column": [
+        "separate", "--modules", _max_plus([[0], [0]]), _max_plus([[0, BOT], [2, BOT]]),
+    ],
+    "separate_min_plus": ["separate", "--modules", _MIN_PLUS_2, _MIN_PLUS_2],
+}
+
+
+def _assert_schema_exit(tmp_path, argv):
+    """Run the CLI as a subprocess, JSON arguments written to files first;
+    it must exit 2 with one `tropkit:` line on stderr and no traceback."""
+    argv = [
+        write(tmp_path, f"arg{k}.json", a) if isinstance(a, (dict, list)) else a
+        for k, a in enumerate(argv)
     ]
     proc = subprocess.run(
         [sys.executable, "-m", "tropkit.cli", *argv],
@@ -249,3 +269,13 @@ def test_cli_traffic_bad_requests_exit_2(tmp_path, name):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("tropkit: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_TRAFFIC_REQUESTS))
+def test_cli_traffic_bad_requests_exit_2(tmp_path, name):
+    _assert_schema_exit(tmp_path, ["traffic"] + _BAD_TRAFFIC_REQUESTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_MATRIX_REQUESTS))
+def test_cli_bad_matrix_requests_exit_2(tmp_path, name):
+    _assert_schema_exit(tmp_path, _BAD_MATRIX_REQUESTS[name])
