@@ -43,5 +43,5 @@ print("makes the result the exact interval hull of all stars in the box")
 lo = matrix([["-inf", "-inf"], ["-inf", "-inf"]])
 ivm = interval_matrix(lo, m)
 st_iv = iv_kleene_star(ivm)
-print("  lo endpoint star =", st_iv.lo_matrix())
-print("  hi endpoint star =", st_iv.hi_matrix())
+print("  lo endpoint star =", st_iv.lo)
+print("  hi endpoint star =", st_iv.hi)

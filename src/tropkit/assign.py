@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .determ import _optimal_bijections
 from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
-from .semiring import MAX_PLUS, TropScalar, scalar
-from .tropmat import TropMatrix, TropVector, _raw, kleene_plus, matrix
+from .semiring import MAX_PLUS
+from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,17 @@ class AssignMatrix:
             raise ValueError("assignment matrices are over max-plus")
         if not self.data.is_square:
             raise DimensionMismatch("assignment matrices are square")
-        n = self.data.rows
-        for i in range(n):
-            if all(not self.data[i, j].is_finite for j in range(n)):
-                raise ValueError(f"row {i} has no finite entry (condition C)")
-        for j in range(n):
-            if all(not self.data[i, j].is_finite for i in range(n)):
-                raise ValueError(f"column {j} has no finite entry (condition C)")
+        for name, lines in (("row", self.data.payload), ("column", zip(*self.data.payload))):
+            for i, line in enumerate(lines):
+                if all(v is None for v in line):
+                    raise ValueError(f"{name} {i} has no finite entry (condition C)")
 
     @property
     def n(self) -> int:
         return self.data.rows
 
     def entry(self, i: int, j: int) -> Optional[Fraction]:
-        e = self.data[i, j]
-        return e.value if e.is_finite else None
+        return self.data.payload[i][j]
 
 
 def assign_matrix(rows) -> AssignMatrix:
@@ -147,7 +144,7 @@ def optimal_bijections(b: AssignMatrix, keep: int = 2):
     order (at least one when a finite bijection exists), from the O(n^3)
     Hungarian kernel that also gives the permanent; (None, []) when every
     bijection meets a bottom."""
-    value, witnesses = _optimal_bijections(_raw(b.data), MAX_PLUS, keep)
+    value, witnesses = _optimal_bijections(b.data.payload, MAX_PLUS, keep)
     return (None if value is None else Fraction(value)), witnesses
 
 
@@ -291,12 +288,7 @@ def distances_potentials(
         closure = kleene_plus(d)
     except Divergent as exc:
         raise ImprovingCycle("the bijection admits an improving cycle") from exc
-    phi = TropVector(
-        tuple(max((closure[i, j] for j in range(n)), default=scalar(0)) for i in range(n)),
-        MAX_PLUS,
-    )
-    phi_t = TropVector(
-        tuple(max((closure[j, i] for j in range(n)), default=scalar(0)) for i in range(n)),
-        MAX_PLUS,
-    )
+    add = MAX_PLUS.ops.add
+    phi = TropVector._trusted(tuple(reduce(add, row) for row in closure.payload), MAX_PLUS)
+    phi_t = TropVector._trusted(tuple(reduce(add, col) for col in zip(*closure.payload)), MAX_PLUS)
     return closure, phi, phi_t

@@ -66,7 +66,7 @@ def _rat(v) -> object:
 
 
 def _vec_json(x) -> list:
-    return [io.scalar_to_json(e) for e in x.entries]
+    return io.vector_to_json(x)["data"]
 
 
 # ---------------------------------------------------------------------------

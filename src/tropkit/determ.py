@@ -16,21 +16,12 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, TooLarge
-from .semiring import (
-    BOOLEAN,
-    MAX_TIMES,
-    MIN_PLUS,
-    SemiringTag,
-    TropScalar,
-    one,
-    sr_add,
-    sr_mul,
-    zero,
-)
-from .tropmat import TropMatrix, _raw
+from .semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, SemiringTag, TropScalar, one
+from .tropmat import TropMatrix, unit_vector
 
 PERMANENT_CAP = 8
 ROOK_CAP = 7
@@ -54,11 +45,12 @@ def _perm_parity(perm: Sequence[int]) -> int:
     return parity
 
 
-def _diag_product(a: TropMatrix, perm: Sequence[int]) -> TropScalar:
-    acc = one(a.tag)
-    for i, j in enumerate(perm):
-        acc = sr_mul(acc, a[i, j])
-    return acc
+def _diag_products(a: TropMatrix):
+    """(perm, payload of the product along perm) for every perm in S_n, in order."""
+    ops = a.tag.ops
+    mul, unit, rows = ops.mul, ops.unit, a.payload
+    for perm in itertools.permutations(range(a.rows)):
+        yield perm, reduce(mul, (rows[i][j] for i, j in enumerate(perm)), unit)
 
 
 @dataclass(frozen=True)
@@ -74,14 +66,14 @@ def bideterminant(a: TropMatrix) -> Bideterminant:
     n = a.rows
     if n > PERMANENT_CAP:
         raise TooLarge(f"bideterminant enumeration capped at n <= {PERMANENT_CAP}")
-    plus, minus = zero(a.tag), zero(a.tag)
-    for perm in itertools.permutations(range(n)):
-        term = _diag_product(a, perm)
+    add = a.tag.ops.add
+    plus = minus = a.tag.ops.zero
+    for perm, term in _diag_products(a):
         if _perm_parity(perm) == 0:
-            plus = sr_add(plus, term)
+            plus = add(plus, term)
         else:
-            minus = sr_add(minus, term)
-    return Bideterminant(plus, minus)
+            minus = add(minus, term)
+    return Bideterminant(TropScalar._fast(plus, a.tag), TropScalar._fast(minus, a.tag))
 
 
 def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
@@ -195,9 +187,10 @@ def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
     return value, witnesses
 
 
-def _permanent_of(rows: Sequence[Sequence], tag: SemiringTag) -> TropScalar:
+def _permanent_of(rows: Sequence[Sequence], tag: SemiringTag):
+    """The payload of the permanent of the raw payload rows."""
     value, _ = _optimal_bijections(rows, tag, 1)
-    return zero(tag) if value is None else TropScalar._fast(value, tag)
+    return tag.ops.zero if value is None else value
 
 
 def permanent(a: TropMatrix) -> TropScalar:
@@ -208,7 +201,7 @@ def permanent(a: TropMatrix) -> TropScalar:
     """
     if not a.is_square:
         raise DimensionMismatch("permanent needs a square matrix")
-    return _permanent_of(_raw(a), a.tag)
+    return TropScalar._fast(_permanent_of(a.payload, a.tag), a.tag)
 
 
 def rook_coefficients(a: TropMatrix) -> List[TropScalar]:
@@ -216,15 +209,15 @@ def rook_coefficients(a: TropMatrix) -> List[TropScalar]:
     m, n = a.rows, a.cols
     if m > ROOK_CAP or n > ROOK_CAP:
         raise TooLarge(f"rook enumeration capped at {ROOK_CAP}")
-    raw = _raw(a)
+    add = a.tag.ops.add
     out = [one(a.tag)]
     for j in range(1, min(m, n) + 1):
-        acc = zero(a.tag)
+        acc = a.tag.ops.zero
         for rows in itertools.combinations(range(m), j):
             for cols in itertools.combinations(range(n), j):
-                sub = [[raw[r][c] for c in cols] for r in rows]
-                acc = sr_add(acc, _permanent_of(sub, a.tag))
-        out.append(acc)
+                sub = [[a.payload[r][c] for c in cols] for r in rows]
+                acc = add(acc, _permanent_of(sub, a.tag))
+        out.append(TropScalar._fast(acc, a.tag))
     return out
 
 
@@ -239,7 +232,7 @@ def is_trop_singular(a: TropMatrix) -> bool:
     """
     if not a.is_square:
         raise DimensionMismatch("tropical singularity needs a square matrix")
-    value, witnesses = _optimal_bijections(_raw(a), a.tag, 2)
+    value, witnesses = _optimal_bijections(a.payload, a.tag, 2)
     if value is None:
         return a.rows >= 2
     return len(witnesses) >= 2
@@ -253,15 +246,16 @@ def is_trop_singular_subsets(a: TropMatrix) -> bool:
     n = a.rows
     if n > SUBSET_CAP:
         raise TooLarge(f"subset enumeration capped at n <= {SUBSET_CAP}")
-    terms = [_diag_product(a, perm) for perm in itertools.permutations(range(n))]
+    terms = [term for _, term in _diag_products(a)]
     total = len(terms)
+    add, zero = a.tag.ops.add, a.tag.ops.zero
     for mask in range(1, (1 << total) - 1):
-        left, right = zero(a.tag), zero(a.tag)
+        left = right = zero
         for t in range(total):
             if mask >> t & 1:
-                left = sr_add(left, terms[t])
+                left = add(left, terms[t])
             else:
-                right = sr_add(right, terms[t])
+                right = add(right, terms[t])
         if left == right:
             return True
     return False
@@ -271,28 +265,20 @@ def is_pattern_singular(a: TropMatrix) -> str:
     """Zero-pattern singularity over antinegative semirings without zero
     divisors: A x = 0 with x != 0 forces an all-zero column, and dually for
     rows. Returns "right", "left", or "none" (right checked first)."""
-    for j in range(a.cols):
-        if all(a[i, j].is_zero for i in range(a.rows)):
-            return "right"
-    for i in range(a.rows):
-        if all(a[i, j].is_zero for j in range(a.cols)):
-            return "left"
+    zero = a.tag.ops.zero
+    for side, lines in (("right", zip(*a.payload)), ("left", a.payload)):
+        if any(all(v == zero for v in line) for line in lines):
+            return side
     return "none"
 
 
 def _perm_matrix(perm: Sequence[int], tag: SemiringTag) -> TropMatrix:
-    n = len(perm)
-    return TropMatrix(
-        tuple(tuple(one(tag) if j == perm[i] else zero(tag) for j in range(n)) for i in range(n)),
-        tag,
-    )
+    return TropMatrix._trusted(tuple(unit_vector(len(perm), p, tag).payload for p in perm), tag)
 
 
 def _diag_matrix(diag: Sequence[TropScalar], tag: SemiringTag) -> TropMatrix:
-    n = len(diag)
-    return TropMatrix(
-        tuple(tuple(diag[i] if i == j else zero(tag) for j in range(n)) for i in range(n)), tag
-    )
+    rows = (unit_vector(len(diag), i, tag).scale(d).payload for i, d in enumerate(diag))
+    return TropMatrix._trusted(tuple(rows), tag)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadConfig, DimensionMismatch, Diverged
 from .semiring import MIN_PLUS
-from .tropmat import TropMatrix, _raw, mat_mul, matrix
+from .tropmat import TropMatrix, mat_mul, matrix
 
 Rat = Fraction
 DEFAULT_SPREAD_BOUND = Fraction(10**6)
@@ -516,15 +516,20 @@ class UTermMatrix:
     udim: int
     entries: Tuple[Tuple[UEntry, ...], ...]
 
-    def _raw_eval(self, u: Sequence[Rat]) -> List[List[Optional[Rat]]]:
-        """Raw min-plus payload rows at u, None standing for +inf."""
+    def __post_init__(self):
+        terms = (t for row in self.entries for entry in row if entry for t in entry)
+        if any(not 0 <= i < self.udim for t in terms for i, _ in t.exponents):
+            raise DimensionMismatch(f"control term index outside 0..{self.udim - 1}")
+
+    def _payload_at(self, u: Sequence[Rat]) -> List[List[Optional[Rat]]]:
+        """Min-plus payload rows at u, None standing for +inf."""
         return [
             [None if entry is None else min([t.eval(u) for t in entry]) for entry in row]
             for row in self.entries
         ]
 
     def eval(self, u: Sequence[Rat]) -> TropMatrix:
-        return matrix(self._raw_eval(u), MIN_PLUS)
+        return matrix(self._payload_at(u), MIN_PLUS)
 
 
 def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
@@ -564,9 +569,8 @@ class T1HSystem:
             raise DimensionMismatch("state matrix and x0 disagree")
         if self.b_of_u and (self.b_of_u.rows, self.b_of_u.cols) != (len(self.x0), len(self.u0)):
             raise DimensionMismatch("input matrix disagrees with x0 and u0")
-        entries = [e for m in (self.a_of_u, self.b_of_u) if m for row in m.entries for e in row if e]
-        if any(not 0 <= i < len(self.u0) for e in entries for t in e for i, _ in t.exponents):
-            raise DimensionMismatch(f"control term index outside 0..{len(self.u0) - 1}")
+        if any(m and m.udim != len(self.u0) for m in (self.a_of_u, self.b_of_u)):
+            raise DimensionMismatch("control-matrix udim disagrees with u0")
 
 
 @dataclass(frozen=True)
@@ -601,7 +605,6 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
     x = [Fraction(v) for v in system.x0]
     u_traj = [list(u)]
     x_traj = [list(x)]
-    c_rows = _raw(system.c)
     seen: Dict[Tuple[Rat, ...], int] = {}
     report: Optional[PeriodReport] = None
     for step in range(k):
@@ -616,11 +619,11 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
                 report = PeriodReport(start, period, gain)
             else:
                 seen[norm] = step
-        new_x = _min_plus_apply(system.a_of_u._raw_eval(u), x)
+        new_x = _min_plus_apply(system.a_of_u._payload_at(u), x)
         if system.b_of_u is not None:
-            bu = _min_plus_apply(system.b_of_u._raw_eval(u), u)
+            bu = _min_plus_apply(system.b_of_u._payload_at(u), u)
             new_x = [min(p, q) for p, q in zip(new_x, bu)]
-        u = _min_plus_apply(c_rows, u)
+        u = _min_plus_apply(system.c.payload, u)
         x = new_x
         u_traj.append(list(u))
         x_traj.append(list(x))
@@ -709,13 +712,12 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
         idx = range(n_vertical, dim)
     else:
         raise ValueError("road must be vertical or horizontal")
-    c_rows = _raw(system.c)
     u = [Fraction(v) for v in system.u0]
     mats = []
     for _ in range(4):
-        full = system.a_of_u._raw_eval(u)
+        full = system.a_of_u._payload_at(u)
         mats.append(matrix([[full[i][j] for j in idx] for i in idx], MIN_PLUS))
-        u = _min_plus_apply(c_rows, u)
+        u = _min_plus_apply(system.c.payload, u)
     prod = mats[3]
     for m in (mats[2], mats[1], mats[0]):
         prod = mat_mul(prod, m)

@@ -13,23 +13,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
 from .plucker import GridFlowNet, SubsetFunction, grid_edges, grid_net, subset_function
-from .semiring import (
-    BOOLEAN,
-    MAX_PLUS,
-    MAX_TIMES,
-    MIN_PLUS,
-    SemiringTag,
-    TropScalar,
-    scalar,
-)
-from .tropmat import (
-    IntervalMatrix,
-    TropMatrix,
-    TropVector,
-    interval_matrix,
-    matrix,
-    vector,
-)
+from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, payload_of
+from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
 
 
 class SchemaError(ValueError):
@@ -62,34 +47,41 @@ def fraction_from_json(v) -> Fraction:
     raise SchemaError(f"bad rational {v!r}")
 
 
-def scalar_to_json(s: TropScalar) -> Union[int, str, bool]:
-    if s.tag is BOOLEAN:
-        return bool(s.value)
-    if s.value is None:
-        return "-inf" if s.tag is MAX_PLUS else "+inf"
-    return fraction_to_json(s.value)
+def _payload_to_json(v: Payload, tag: SemiringTag) -> Union[int, str, bool]:
+    if tag is BOOLEAN:
+        return bool(v)
+    if v is None:
+        return "-inf" if tag is MAX_PLUS else "+inf"
+    return fraction_to_json(v)
 
 
-def scalar_from_json(v, tag: SemiringTag) -> TropScalar:
+def _payload_from_json(v, tag: SemiringTag) -> Payload:
     if tag is BOOLEAN:
         if isinstance(v, bool):
-            return scalar(v, tag)
+            return v
         raise SchemaError(f"boolean entry required, got {v!r}")
     if v in ("-inf", "+inf"):
         try:
-            return scalar(v, tag)
+            return payload_of(v, tag)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
-    return scalar(fraction_from_json(v), tag)
+    return payload_of(fraction_from_json(v), tag)
+
+
+def scalar_to_json(s: TropScalar) -> Union[int, str, bool]:
+    return _payload_to_json(s.value, s.tag)
+
+
+def scalar_from_json(v, tag: SemiringTag) -> TropScalar:
+    return TropScalar._fast(_payload_from_json(v, tag), tag)
+
+
+def _rows_to_json(m: TropMatrix) -> List[list]:
+    return [[_payload_to_json(v, m.tag) for v in row] for row in m.payload]
 
 
 def matrix_to_json(m: TropMatrix) -> Dict:
-    return {
-        "semiring": m.tag.value,
-        "rows": m.rows,
-        "cols": m.cols,
-        "data": [[scalar_to_json(e) for e in row] for row in m.entries],
-    }
+    return {"semiring": m.tag.value, "rows": m.rows, "cols": m.cols, "data": _rows_to_json(m)}
 
 
 def matrix_from_json(obj) -> TropMatrix:
@@ -105,11 +97,13 @@ def matrix_from_json(obj) -> TropMatrix:
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError("matrix data does not match the declared column count")
-    return matrix([[scalar_from_json(v, tag) for v in row] for row in data], tag)
+    return TropMatrix._trusted(
+        tuple(tuple(_payload_from_json(v, tag) for v in row) for row in data), tag
+    )
 
 
 def vector_to_json(x: TropVector) -> Dict:
-    return {"semiring": x.tag.value, "data": [scalar_to_json(e) for e in x.entries]}
+    return {"semiring": x.tag.value, "data": [_payload_to_json(v, x.tag) for v in x.payload]}
 
 
 def vector_from_json(obj) -> TropVector:
@@ -118,7 +112,7 @@ def vector_from_json(obj) -> TropVector:
     tag = tag_from_name(obj["semiring"])
     if not isinstance(obj["data"], list) or not obj["data"]:
         raise SchemaError("vector data must be a nonempty list")
-    return vector([scalar_from_json(v, tag) for v in obj["data"]], tag)
+    return TropVector._trusted(tuple(_payload_from_json(v, tag) for v in obj["data"]), tag)
 
 
 def interval_matrix_to_json(m: IntervalMatrix) -> Dict:
@@ -126,8 +120,8 @@ def interval_matrix_to_json(m: IntervalMatrix) -> Dict:
         "semiring": m.tag.value,
         "rows": m.rows,
         "cols": m.cols,
-        "lo": [[scalar_to_json(e.lo) for e in row] for row in m.entries],
-        "hi": [[scalar_to_json(e.hi) for e in row] for row in m.entries],
+        "lo": _rows_to_json(m.lo),
+        "hi": _rows_to_json(m.hi),
     }
 
 
@@ -146,7 +140,7 @@ def interval_matrix_from_json(obj) -> IntervalMatrix:
 
 
 def matrix_to_csv(m: TropMatrix) -> str:
-    return "\n".join(",".join(str(scalar_to_json(e)) for e in row) for row in m.entries) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in _rows_to_json(m)) + "\n"
 
 
 def matrix_from_csv(text: str, tag: SemiringTag) -> TropMatrix:
@@ -156,14 +150,14 @@ def matrix_from_csv(text: str, tag: SemiringTag) -> TropMatrix:
         row = []
         for c in cells:
             if c in ("-inf", "+inf"):
-                row.append(scalar_from_json(c, tag))
+                row.append(_payload_from_json(c, tag))
             else:
-                row.append(scalar_from_json(c if "/" in c else int(c), tag))
-        rows.append(row)
+                row.append(_payload_from_json(c if "/" in c else int(c), tag))
+        rows.append(tuple(row))
     widths = {len(r) for r in rows}
     if not rows or len(widths) != 1:
         raise SchemaError("CSV matrix must be rectangular and nonempty")
-    return matrix(rows, tag)
+    return TropMatrix._trusted(tuple(rows), tag)
 
 
 def subset_function_to_json(f: SubsetFunction) -> Dict:

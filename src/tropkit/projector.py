@@ -20,10 +20,11 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TooLarge, TropkitError
-from .semiring import MAX_PLUS, SemiringTag, TropScalar, one, sr_mul, sr_residual, zero
+from .semiring import MAX_PLUS, SemiringTag, TropScalar, one, sr_mul, zero
 from .tropmat import TropMatrix, TropVector, from_columns, mat_residual_left, vec_residual, vector
 
 SUPPORT_ENUM_CAP = 12
+Supports = List[List[FrozenSet[int]]]  # per semimodule, the support of each generator
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,8 @@ class Semimodule:
     generators: TropMatrix
 
     def __post_init__(self):
-        for j in range(self.generators.cols):
-            if not self.generators.column(j).support():
+        for j, g in enumerate(self.generators.columns()):
+            if g.is_zero:
                 raise ValueError(f"generator column {j} is all zero")
 
     @property
@@ -145,7 +146,7 @@ class NotSeparable:
     witness: TropVector
 
 
-def _active_generators(vs: Sequence[Semimodule], m: FrozenSet[int]) -> Optional[List[List[int]]]:
+def _active_generators(supports: Supports, m: FrozenSet[int]) -> Optional[List[List[int]]]:
     """Per-stage generator indices supported inside M, provided they cover M.
 
     M is a valid support class iff every stage has such generators and
@@ -153,27 +154,24 @@ def _active_generators(vs: Sequence[Semimodule], m: FrozenSet[int]) -> Optional[
     M around the whole projector cycle.
     """
     active: List[List[int]] = []
-    for v in vs:
-        idx = [j for j in range(v.num_generators) if v.generators.column(j).support() <= m]
-        if not idx:
-            return None
-        cover = frozenset().union(*(v.generators.column(j).support() for j in idx))
-        if cover != m:
+    for stage in supports:
+        idx = [j for j, s in enumerate(stage) if s <= m]
+        if not idx or frozenset().union(*(stage[j] for j in idx)) != m:
             return None
         active.append(idx)
     return active
 
 
-def _maximal_class(vs: Sequence[Semimodule], n: int) -> Optional[FrozenSet[int]]:
+def _maximal_class(supports: Supports, n: int) -> Optional[FrozenSet[int]]:
     """Largest valid support class, by monotone shrinking from full support."""
     m = frozenset(range(n))
     while m:
         new_m = m
-        for v in vs:
-            idx = [j for j in range(v.num_generators) if v.generators.column(j).support() <= new_m]
-            if not idx:
+        for stage in supports:
+            inside = [s for s in stage if s <= new_m]
+            if not inside:
                 return None
-            new_m = frozenset().union(*(v.generators.column(j).support() for j in idx))
+            new_m = frozenset().union(*inside)
         if new_m == m:
             return m
         m = new_m
@@ -196,6 +194,7 @@ def _orbit_solve(ws: List[Semimodule], y: TropVector, max_cycles: int = 120):
     exactly before being returned).
     """
     tag = y.tag
+    residual = tag.ops.residual
     supp = sorted(y.support())
 
     def full_cycle(x: TropVector) -> TropVector:
@@ -209,11 +208,10 @@ def _orbit_solve(ws: List[Semimodule], y: TropVector, max_cycles: int = 120):
         z = orbit[-1]
         for p in range(1, len(orbit)):
             prev = orbit[-1 - p]
-            diffs = {sr_residual(z[i], prev[i]) for i in supp}
+            diffs = {residual(z.payload[i], prev.payload[i]) for i in supp}
             if len(diffs) != 1:
                 continue
-            gain = diffs.pop()
-            lam = TropScalar(Fraction(gain.value, p), tag)
+            lam = TropScalar(Fraction(diffs.pop(), p), tag)
             if p == 1:
                 return lam, prev
             cand = prev
@@ -245,6 +243,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         raise ValueError("the cyclic spectral radius is provided over max-plus")
     n = next(iter(dims))
     tag = MAX_PLUS
+    supports = [[g.support() for g in v.generator_list()] for v in vs]
 
     def solve_class(m: FrozenSet[int], active: List[List[int]]):
         ws = _class_semimodules(vs, active)
@@ -262,17 +261,17 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         return lam, tuple(witnesses), eig
 
     if n > SUPPORT_ENUM_CAP:
-        m = _maximal_class(vs, n)
+        m = _maximal_class(supports, n)
         if m is None:
             return HilbertReport(zero(tag), (), frozenset(), False)
-        active = _active_generators(vs, m)
+        active = _active_generators(supports, m)
         lam, wit, eig = solve_class(m, active)
         return HilbertReport(lam, wit, m, False, eig)
 
     best = None
     for mask in range(1, 1 << n):
         m = frozenset(i for i in range(n) if mask >> i & 1)
-        active = _active_generators(vs, m)
+        active = _active_generators(supports, m)
         if active is None:
             continue
         lam, wit, eig = solve_class(m, active)

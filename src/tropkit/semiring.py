@@ -7,8 +7,13 @@ Four tagged semirings are supported:
     max-times  (Q+, max, *)             zero = 0,    unit = 1
     boolean    ({False, True}, or, and)
 
-All numeric payloads are exact `fractions.Fraction`; floats are rejected so
-that every identity tested downstream holds with equality, not tolerance.
+A payload is the raw value behind a scalar: an exact `int` or
+`fractions.Fraction` (input coercion stores integral values as `int`, and
+exact arithmetic may leave an integral `Fraction`), `None` for the bottoms
+-inf and +inf, or a `bool` for the boolean tag; the max-times zero is
+`Fraction(0)`. Floats are rejected so that every identity tested downstream
+holds with equality, not tolerance. `PayloadOps` holds each tag's laws on
+payloads, and the scalar operations and every matrix kernel read them there.
 The canonical order of an idempotent semiring (a <= b  iff  a + b == b) is
 the one used everywhere; note that for min-plus it is the reverse of the
 numeric order.
@@ -17,9 +22,11 @@ numeric order.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import DivisionByBottom, Divergent, TagMismatch
 
@@ -34,12 +41,17 @@ class SemiringTag(enum.Enum):
     def is_semifield(self) -> bool:
         return self is not SemiringTag.BOOLEAN
 
+    @functools.cached_property
+    def ops(self) -> "PayloadOps":
+        return _OPS[self]
+
 
 MAX_PLUS = SemiringTag.MAX_PLUS
 MIN_PLUS = SemiringTag.MIN_PLUS
 MAX_TIMES = SemiringTag.MAX_TIMES
 BOOLEAN = SemiringTag.BOOLEAN
 
+Payload = Union[int, Fraction, None, bool]
 ScalarLike = Union["TropScalar", Fraction, int, str, bool, None]
 
 
@@ -82,6 +94,82 @@ def _coerce_payload(value, tag: SemiringTag):
     return value
 
 
+def payload_of(value: ScalarLike, tag: SemiringTag) -> Payload:
+    """The payload of any scalar-like value: a same-tag TropScalar's own, else coerced."""
+    if isinstance(value, TropScalar):
+        if value.tag is not tag:
+            raise TagMismatch(f"{value.tag.value} vs {tag.value}")
+        return value.value
+    return _coerce_payload(value, tag)
+
+
+# -- the semiring laws on payloads ---------------------------------------------
+# A sum returns one of its operands, the left one on ties, so folds keep
+# their first best term.
+
+
+def _add_max(a, b):
+    if a is None:
+        return b
+    return a if b is None or a >= b else b
+
+
+def _add_min(a, b):
+    if a is None:
+        return b
+    return a if b is None or a <= b else b
+
+
+def _mul_plus(a, b):
+    return None if a is None or b is None else a + b
+
+
+def _residual_plus(x, y):
+    if y is None:
+        raise DivisionByBottom("residual denominator is the semiring zero")
+    return None if x is None else x - y
+
+
+def _residual_times(x, y):
+    if y == 0:
+        raise DivisionByBottom("residual denominator is the semiring zero")
+    if x == 0:
+        return Fraction(0)
+    q = Fraction(x) / Fraction(y)
+    return int(q) if q.denominator == 1 else q
+
+
+def _residual_boolean(x, y):
+    raise ValueError("residuation needs a semifield tag, not boolean")
+
+
+@dataclass(frozen=True)
+class PayloadOps:
+    """One tag's semiring laws on raw payloads: a kernel picks them once per call.
+
+    `residual` raises DivisionByBottom on a zero denominator, and ValueError
+    for boolean.
+    """
+
+    add: Callable[[Payload, Payload], Payload]
+    mul: Callable[[Payload, Payload], Payload]
+    residual: Callable[[Payload, Payload], Payload]
+    zero: Payload
+    unit: Payload
+
+    def le(self, a: Payload, b: Payload) -> bool:
+        """The canonical order: a <= b iff a + b == b."""
+        return self.add(a, b) == b
+
+
+_OPS = {
+    MAX_PLUS: PayloadOps(_add_max, _mul_plus, _residual_plus, None, 0),
+    MIN_PLUS: PayloadOps(_add_min, _mul_plus, _residual_plus, None, 0),
+    MAX_TIMES: PayloadOps(_add_max, operator.mul, _residual_times, Fraction(0), 1),
+    BOOLEAN: PayloadOps(operator.or_, operator.and_, _residual_boolean, False, True),
+}
+
+
 @dataclass(frozen=True)
 class TropScalar:
     """An element of a tagged idempotent semiring (value or bottom)."""
@@ -96,19 +184,16 @@ class TropScalar:
     def _fast(cls, value, tag: SemiringTag) -> "TropScalar":
         """Internal constructor for payloads already in canonical form."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "value", value)
-        object.__setattr__(obj, "tag", tag)
+        fields = obj.__dict__  # written directly: the dataclass is frozen
+        fields["value"] = value
+        fields["tag"] = tag
         return obj
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        if self.tag is BOOLEAN:
-            return self.value is False
-        if self.tag is MAX_TIMES:
-            return self.value == 0
-        return self.value is None
+        return self.value == self.tag.ops.zero
 
     @property
     def is_finite(self) -> bool:
@@ -136,16 +221,8 @@ class TropScalar:
     # -- canonical order (a <= b iff a + b == b) -----------------------------
 
     def __le__(self, other: "TropScalar") -> bool:
-        if self.tag is not other.tag:
-            raise TagMismatch(f"{self.tag.value} vs {other.tag.value}")
-        a, b = self.value, other.value
-        if self.tag is BOOLEAN:
-            return (not a) or bool(b)
-        if self.tag is MIN_PLUS:
-            return a is None or (b is not None and b <= a)
-        if a is None:
-            return True
-        return b is not None and a <= b
+        self.same_tag(other)
+        return self.tag.ops.le(self.value, other.value)
 
     def __ge__(self, other: "TropScalar") -> bool:
         return other.__le__(self)
@@ -166,55 +243,27 @@ class TropScalar:
 
 def scalar(value: ScalarLike, tag: SemiringTag = MAX_PLUS) -> TropScalar:
     """Convenience constructor accepting ints, Fractions, "p/q", bottoms."""
-    if isinstance(value, TropScalar):
-        if value.tag is not tag:
-            raise TagMismatch(f"{value.tag.value} vs {tag.value}")
-        return value
-    return TropScalar(value, tag)
+    return TropScalar._fast(payload_of(value, tag), tag)
 
 
 def zero(tag: SemiringTag) -> TropScalar:
-    if tag is BOOLEAN:
-        return TropScalar(False, tag)
-    return TropScalar(None, tag)
+    return TropScalar._fast(tag.ops.zero, tag)
 
 
 def one(tag: SemiringTag) -> TropScalar:
-    if tag is BOOLEAN:
-        return TropScalar(True, tag)
-    if tag is MAX_TIMES:
-        return TropScalar(1, tag)
-    return TropScalar(0, tag)
+    return TropScalar._fast(tag.ops.unit, tag)
 
 
 def sr_add(a: TropScalar, b: TropScalar) -> TropScalar:
-    """a + b in the tagged semiring (idempotent, commutative)."""
-    if a.tag is not b.tag:
-        raise TagMismatch(f"{a.tag.value} vs {b.tag.value}")
-    tag = a.tag
-    if tag is BOOLEAN:
-        return a if a.value else b
-    if a.value is None:
-        return b
-    if b.value is None:
-        return a
-    if tag is MIN_PLUS:
-        return a if a.value <= b.value else b
-    return a if a.value >= b.value else b
+    """a + b in the tagged semiring (idempotent, commutative): a or b itself."""
+    a.same_tag(b)
+    return a if a.tag.ops.add(a.value, b.value) is a.value else b
 
 
 def sr_mul(a: TropScalar, b: TropScalar) -> TropScalar:
     """a * b in the tagged semiring; the zero is absorbing."""
-    if a.tag is not b.tag:
-        raise TagMismatch(f"{a.tag.value} vs {b.tag.value}")
-    tag = a.tag
-    if tag is BOOLEAN:
-        return a if not a.value else b
-    if tag is MAX_TIMES:
-        return TropScalar._fast(a.value * b.value, tag)
-    if a.value is None or b.value is None:
-        return TropScalar._fast(None, tag)
-    return TropScalar._fast(a.value + b.value, tag)
+    a.same_tag(b)
+    return TropScalar._fast(a.tag.ops.mul(a.value, b.value), a.tag)
 
 
 def sr_residual(x: TropScalar, y: TropScalar) -> TropScalar:
@@ -222,19 +271,8 @@ def sr_residual(x: TropScalar, y: TropScalar) -> TropScalar:
 
     Subtraction in max-plus and min-plus, division in max-times.
     """
-    if x.tag is not y.tag:
-        raise TagMismatch(f"{x.tag.value} vs {y.tag.value}")
-    tag = x.tag
-    if not tag.is_semifield:
-        raise ValueError("residuation needs a semifield tag, not boolean")
-    if y.is_zero:
-        raise DivisionByBottom("residual denominator is the semiring zero")
-    if x.is_zero:
-        return zero(tag)
-    if tag is MAX_TIMES:
-        q = Fraction(x.value) / Fraction(y.value)
-        return TropScalar._fast(int(q) if q.denominator == 1 else q, tag)
-    return TropScalar._fast(x.value - y.value, tag)
+    x.same_tag(y)
+    return TropScalar._fast(x.tag.ops.residual(x.value, y.value), x.tag)
 
 
 def sr_star(a: TropScalar) -> TropScalar:

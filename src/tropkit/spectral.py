@@ -11,24 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import FrozenSet, List, Optional, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
-from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, sr_residual
-from .tropmat import TropMatrix, TropVector, _closure
-
-
-def _weight_grid(a: TropMatrix) -> List[List[Optional[Fraction]]]:
-    """Finite entries as max-plus weights (min-plus negated), None = no edge."""
-    flip = a.tag is MIN_PLUS
-    grid: List[List[Optional[Fraction]]] = []
-    for i in range(a.rows):
-        row = []
-        for j in range(a.cols):
-            e = a[i, j]
-            row.append(None if not e.is_finite else (-e.value if flip else e.value))
-        grid.append(row)
-    return grid
+from .semiring import MAX_PLUS, MIN_PLUS, TropScalar
+from .tropmat import TropMatrix, TropVector, _closure, _signed
 
 
 def _check_spectral_tag(a: TropMatrix) -> None:
@@ -46,7 +34,7 @@ def max_cycle_mean(a: TropMatrix) -> TropScalar:
     entries is acyclic.
     """
     _check_spectral_tag(a)
-    w = _weight_grid(a)
+    _, w = _signed(a)
     n = a.rows
     # D[k][i] = best weight of a length-k walk ending at i, from anywhere.
     d: List[List[Optional[Fraction]]] = [[0] * n]
@@ -96,12 +84,11 @@ def cycle_means_bruteforce(a: TropMatrix) -> List[Tuple[Tuple[int, ...], Fractio
     duplicates. Exponential; intended for small matrices.
     """
     _check_spectral_tag(a)
-    w = _weight_grid(a)
+    sign, w = _signed(a)
     n = a.rows
-    sign = -1 if a.tag is MIN_PLUS else 1
     out: List[Tuple[Tuple[int, ...], Fraction]] = []
 
-    def dfs(start: int, node: int, path: List[int], weight: Fraction, seen: set) -> None:
+    def dfs(start: int, node: int, path: List[int], weight, seen: set) -> None:
         for nxt in range(start, n):
             wn = w[node][nxt]
             if wn is None:
@@ -117,7 +104,7 @@ def cycle_means_bruteforce(a: TropMatrix) -> List[Tuple[Tuple[int, ...], Fractio
                 seen.remove(nxt)
 
     for s in range(n):
-        dfs(s, s, [s], Fraction(0), {s})
+        dfs(s, s, [s], 0, {s})
     return out
 
 
@@ -161,18 +148,15 @@ def spectral_analysis(a: TropMatrix) -> SpectralResult:
 
     edges = frozenset(
         (i, j)
-        for i, row in enumerate(a.entries)
-        for j, e in enumerate(row)
-        if e.value is not None and unit_product(e.value - lam.value, star[j][i])
+        for i, row in enumerate(a.payload)
+        for j, v in enumerate(row)
+        if v is not None and unit_product(v - lam.value, star[j][i])
     )
     classes: List[FrozenSet[int]] = []
     for i in sorted(nodes):
         if all(i not in c for c in classes):
             classes.append(frozenset(j for j in nodes if unit_product(star[i][j], star[j][i])))
-    gens = tuple(
-        TropVector(tuple(TropScalar._fast(row[min(c)], a.tag) for row in star), a.tag)
-        for c in classes
-    )
+    gens = tuple(TropVector._trusted(tuple(row[min(c)] for row in star), a.tag) for c in classes)
     return SpectralResult(lam, nodes, edges, tuple(classes), gens)
 
 
@@ -191,18 +175,16 @@ def collatz_wielandt_certificate(a: TropMatrix) -> Tuple[TropScalar, TropVector]
     witness that misses it raises CertificateInvalid.
     """
     _check_spectral_tag(a)
-    for i in range(a.rows):
-        if all(not a[i, j].is_finite for j in range(a.cols)):
+    for i, row in enumerate(a.payload):
+        if all(v is None for v in row):
             raise Unbounded(f"row {i} is all zero; the infimum is unbounded below")
     lam = max_cycle_mean(a)
     best = max if a.tag is MAX_PLUS else min
     star_sums = (best([0] + [v for v in row if v is not None]) for row in _closure(a, lam.value))
-    u = TropVector(tuple(TropScalar._fast(v, a.tag) for v in star_sums), a.tag)
-    au = a.apply(u)
-    witnessed = None
-    for i in range(a.rows):
-        r = sr_residual(au[i], u[i])
-        witnessed = r if witnessed is None else (witnessed + r)
+    u = TropVector._trusted(tuple(star_sums), a.tag)
+    ops = a.tag.ops
+    residuals = map(ops.residual, a.apply(u).payload, u.payload)
+    witnessed = TropScalar._fast(reduce(ops.add, residuals), a.tag)
     if witnessed != lam:
         raise CertificateInvalid(f"witness attains {witnessed!r}, not the eigenvalue {lam!r}")
     return lam, u

@@ -1,19 +1,30 @@
 """Dense matrices and vectors over a tagged semiring.
 
-Product, left residuation, Kleene star and plus-closure (one Floyd-Warshall
-pass on raw payloads that fails fast on divergence), and the endpointwise
-interval star.
+A `TropMatrix` stores one tuple of raw payload rows and its tag, a
+`TropVector` one tuple of payloads (see `semiring` for the payload types).
+The public constructors accept any scalar-like entries, same-tag
+`TropScalar`s included, and coerce each entry once; kernels build their
+results from payloads they computed through the private trusted constructor
+`_trusted`, which checks nothing. Indexing, `row`, `column` and `entries`
+box `TropScalar`s on demand, for callers at the edges.
+
+Every kernel (product, sum, scaling, order, left residuation) picks its
+tag's `PayloadOps` once per call and runs the same code for all four tags.
+The Kleene star and plus-closure are one Floyd-Warshall pass on signed
+payloads that fails fast on divergence, and the interval star runs it on
+both endpoint matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
     Divergent,
-    DivisionByBottom,
     EmptySupport,
     TagMismatch,
     ZeroColumn,
@@ -22,116 +33,133 @@ from .semiring import (
     MAX_PLUS,
     MIN_PLUS,
     Interval,
+    Payload,
     ScalarLike,
     SemiringTag,
     TropScalar,
-    one,
-    scalar,
-    sr_add,
-    sr_mul,
-    sr_residual,
-    zero,
+    payload_of,
 )
 
 
-def _canonical_min(items: Iterable[TropScalar]) -> TropScalar:
-    """Greatest lower bound of a nonempty chain in the canonical order."""
-    it = iter(items)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise EmptySupport("canonical min over an empty set")
-    for x in it:
-        if x <= best:
-            best = x
-    return best
+def _boxed(values: Iterable[Payload], tag: SemiringTag) -> Tuple[TropScalar, ...]:
+    return tuple(TropScalar._fast(v, tag) for v in values)
 
 
-@dataclass(frozen=True)
-class TropVector:
-    entries: Tuple[TropScalar, ...]
+class _PayloadBacked:
+    """Frozen `payload` and `tag` fields, set once by a constructor."""
+
+    def _fill(self, payload, tag: SemiringTag):
+        fields = self.__dict__  # written directly: the dataclasses are frozen
+        fields["payload"] = payload
+        fields["tag"] = tag
+        return self
+
+    @classmethod
+    def _trusted(cls, payload, tag: SemiringTag):
+        """Wrap payloads a kernel computed; nothing is checked or copied."""
+        return object.__new__(cls)._fill(payload, tag)
+
+
+@dataclass(frozen=True, init=False)
+class TropVector(_PayloadBacked):
+    payload: Tuple[Payload, ...]
     tag: SemiringTag
 
-    def __post_init__(self):
-        for e in self.entries:
-            if e.tag is not self.tag:
-                raise TagMismatch("vector entry tag differs from vector tag")
+    def __init__(self, entries: Iterable[ScalarLike], tag: SemiringTag):
+        self._fill(tuple(payload_of(v, tag) for v in entries), tag)
 
     @property
-    def len(self) -> int:
-        return len(self.entries)
+    def entries(self) -> Tuple[TropScalar, ...]:
+        return _boxed(self.payload, self.tag)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.payload)
 
     def __getitem__(self, i: int) -> TropScalar:
-        return self.entries[i]
+        return TropScalar._fast(self.payload[i], self.tag)
 
     def support(self) -> frozenset:
-        return frozenset(i for i, e in enumerate(self.entries) if not e.is_zero)
+        zero = self.tag.ops.zero
+        return frozenset(i for i, v in enumerate(self.payload) if v != zero)
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return not self.support()
 
-    def __add__(self, other: "TropVector") -> "TropVector":
+    def _check_same(self, other: "TropVector") -> None:
+        if self.tag is not other.tag:
+            raise TagMismatch("vector tags differ")
         if len(self) != len(other):
             raise DimensionMismatch("vector lengths differ")
-        return TropVector(tuple(sr_add(a, b) for a, b in zip(self.entries, other.entries)), self.tag)
+
+    def __add__(self, other: "TropVector") -> "TropVector":
+        self._check_same(other)
+        return TropVector._trusted(tuple(map(self.tag.ops.add, self.payload, other.payload)), self.tag)
 
     def scale(self, c: TropScalar) -> "TropVector":
-        return TropVector(tuple(sr_mul(c, e) for e in self.entries), self.tag)
+        if c.tag is not self.tag:
+            raise TagMismatch("scalar and vector tags differ")
+        mul, cv = self.tag.ops.mul, c.value
+        return TropVector._trusted(tuple(mul(cv, v) for v in self.payload), self.tag)
 
     def __le__(self, other: "TropVector") -> bool:
-        return all(a <= b for a, b in zip(self.entries, other.entries))
+        self._check_same(other)
+        return all(map(self.tag.ops.le, self.payload, other.payload))
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(repr(e) for e in self.entries) + ")"
+        return "(" + ", ".join(map(repr, self.entries)) + ")"
 
 
 def vector(values: Sequence[ScalarLike], tag: SemiringTag = MAX_PLUS) -> TropVector:
-    return TropVector(tuple(scalar(v, tag) for v in values), tag)
+    return TropVector(values, tag)
 
 
 def unit_vector(n: int, i: int, tag: SemiringTag = MAX_PLUS) -> TropVector:
-    return TropVector(tuple(one(tag) if j == i else zero(tag) for j in range(n)), tag)
+    ops = tag.ops
+    return TropVector._trusted(tuple(ops.unit if j == i else ops.zero for j in range(n)), tag)
 
 
 def vec_residual(x: TropVector, y: TropVector) -> TropScalar:
     """x / y = max{lam : lam * y <= x}, the scalar vector residual.
 
-    Equals min over the support of y of x_i / y_i; the zero vector has no
-    residual (empty support).
+    Equals the canonical min over the support of y of x_i / y_i; the zero
+    vector has no residual (empty support).
     """
-    if len(x) != len(y):
-        raise DimensionMismatch("vector lengths differ")
-    supp = y.support()
-    if not supp:
+    x._check_same(y)
+    ops = x.tag.ops
+    residuals = [ops.residual(a, b) for a, b in zip(x.payload, y.payload) if b != ops.zero]
+    if not residuals:
         raise EmptySupport("residual against the zero vector")
-    return _canonical_min(sr_residual(x[i], y[i]) for i in sorted(supp))
+    le = ops.le
+    best = residuals[0]
+    for r in residuals[1:]:
+        if le(r, best):
+            best = r
+    return TropScalar._fast(best, x.tag)
 
 
-@dataclass(frozen=True)
-class TropMatrix:
-    entries: Tuple[Tuple[TropScalar, ...], ...]
+@dataclass(frozen=True, init=False)
+class TropMatrix(_PayloadBacked):
+    payload: Tuple[Tuple[Payload, ...], ...]
     tag: SemiringTag
 
-    def __post_init__(self):
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
+    def __init__(self, entries: Iterable[Iterable[ScalarLike]], tag: SemiringTag):
+        payload = tuple(tuple(payload_of(v, tag) for v in row) for row in entries)
+        if len({len(r) for r in payload}) > 1:
             raise DimensionMismatch("ragged rows")
-        for row in self.entries:
-            for e in row:
-                if e.tag is not self.tag:
-                    raise TagMismatch("matrix entry tag differs from matrix tag")
+        self._fill(payload, tag)
+
+    @property
+    def entries(self) -> Tuple[Tuple[TropScalar, ...], ...]:
+        return tuple(_boxed(row, self.tag) for row in self.payload)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.payload)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.payload[0]) if self.payload else 0
 
     @property
     def is_square(self) -> bool:
@@ -139,72 +167,64 @@ class TropMatrix:
 
     def __getitem__(self, ij: Tuple[int, int]) -> TropScalar:
         i, j = ij
-        return self.entries[i][j]
+        return TropScalar._fast(self.payload[i][j], self.tag)
 
     def row(self, i: int) -> TropVector:
-        return TropVector(self.entries[i], self.tag)
+        return TropVector._trusted(self.payload[i], self.tag)
 
     def column(self, j: int) -> TropVector:
-        return TropVector(tuple(r[j] for r in self.entries), self.tag)
+        return TropVector._trusted(tuple(r[j] for r in self.payload), self.tag)
 
     def columns(self) -> List[TropVector]:
-        return [self.column(j) for j in range(self.cols)]
+        return [TropVector._trusted(c, self.tag) for c in zip(*self.payload)]
 
     def transpose(self) -> "TropMatrix":
-        return TropMatrix(tuple(zip(*self.entries)), self.tag) if self.entries else self
+        return TropMatrix._trusted(tuple(zip(*self.payload)), self.tag) if self.payload else self
 
-    def __add__(self, other: "TropMatrix") -> "TropMatrix":
+    def _check_same(self, other: "TropMatrix") -> None:
         if self.tag is not other.tag:
             raise TagMismatch("matrix tags differ")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return TropMatrix(
-            tuple(
-                tuple(sr_add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-            self.tag,
+
+    def __add__(self, other: "TropMatrix") -> "TropMatrix":
+        self._check_same(other)
+        add = self.tag.ops.add
+        return TropMatrix._trusted(
+            tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.payload, other.payload)), self.tag
         )
 
     def __matmul__(self, other: "TropMatrix") -> "TropMatrix":
         return mat_mul(self, other)
 
     def __le__(self, other: "TropMatrix") -> bool:
-        return all(
-            a <= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
+        self._check_same(other)
+        return all(map(self.tag.ops.le, chain(*self.payload), chain(*other.payload)))
 
     def scale(self, c: TropScalar) -> "TropMatrix":
-        return TropMatrix(tuple(tuple(sr_mul(c, e) for e in r) for r in self.entries), self.tag)
+        if c.tag is not self.tag:
+            raise TagMismatch("scalar and matrix tags differ")
+        mul, cv = self.tag.ops.mul, c.value
+        return TropMatrix._trusted(tuple(tuple(mul(cv, v) for v in r) for r in self.payload), self.tag)
 
     def apply(self, x: TropVector) -> TropVector:
-        """Matrix-vector product A * x; max-plus and min-plus on raw payloads."""
+        """Matrix-vector product A * x."""
         if self.cols != len(x):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length {len(x)}")
         if self.tag is not x.tag:
             raise TagMismatch("matrix and vector tags differ")
-        if self.tag in (MAX_PLUS, MIN_PLUS):
-            best = max if self.tag is MAX_PLUS else min
-            xs = [e.value for e in x.entries]
-            out = []
-            for row in self.entries:
-                terms = [e.value + v for e, v in zip(row, xs) if e.value is not None and v is not None]
-                out.append(TropScalar._fast(best(terms) if terms else None, self.tag))
-            return TropVector(tuple(out), self.tag)
-        out = []
-        for i in range(self.rows):
-            acc = zero(self.tag)
-            for j in range(self.cols):
-                acc = sr_add(acc, sr_mul(self.entries[i][j], x[j]))
-            out.append(acc)
-        return TropVector(tuple(out), self.tag)
+        ops = self.tag.ops
+        add, mul, zero, xs = ops.add, ops.mul, ops.zero, x.payload
+        return TropVector._trusted(
+            tuple(reduce(add, map(mul, row, xs), zero) for row in self.payload), self.tag
+        )
 
     def __repr__(self) -> str:
-        return "[" + "; ".join(", ".join(repr(e) for e in row) for row in self.entries) + "]"
+        return "[" + "; ".join(", ".join(map(repr, row)) for row in self.entries) + "]"
 
 
 def matrix(rows: Sequence[Sequence[ScalarLike]], tag: SemiringTag = MAX_PLUS) -> TropMatrix:
-    return TropMatrix(tuple(tuple(scalar(v, tag) for v in row) for row in rows), tag)
+    return TropMatrix(rows, tag)
 
 
 def from_columns(cols: Sequence[TropVector], tag: Optional[SemiringTag] = None) -> TropMatrix:
@@ -214,17 +234,17 @@ def from_columns(cols: Sequence[TropVector], tag: Optional[SemiringTag] = None) 
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise DimensionMismatch("column lengths differ")
-    return TropMatrix(tuple(tuple(c[i] for c in cols) for i in range(n)), tag)
+    if any(c.tag is not tag for c in cols):
+        raise TagMismatch("column tag differs from matrix tag")
+    return TropMatrix._trusted(tuple(zip(*(c.payload for c in cols))), tag)
 
 
 def identity(n: int, tag: SemiringTag = MAX_PLUS) -> TropMatrix:
-    return TropMatrix(
-        tuple(tuple(one(tag) if i == j else zero(tag) for j in range(n)) for i in range(n)), tag
-    )
+    return TropMatrix._trusted(tuple(unit_vector(n, i, tag).payload for i in range(n)), tag)
 
 
 def zero_matrix(rows: int, cols: int, tag: SemiringTag = MAX_PLUS) -> TropMatrix:
-    return TropMatrix(tuple(tuple(zero(tag) for _ in range(cols)) for _ in range(rows)), tag)
+    return TropMatrix._trusted(((tag.ops.zero,) * cols,) * rows, tag)
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -233,65 +253,61 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise TagMismatch("matrix tags differ")
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    bt = b.transpose().entries
-    out = []
-    for row in a.entries:
-        out_row = []
-        for col in bt:
-            acc = zero(a.tag)
-            for x, y in zip(row, col):
-                acc = sr_add(acc, sr_mul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return TropMatrix(tuple(out), a.tag)
+    ops = a.tag.ops
+    add, mul, zero = ops.add, ops.mul, ops.zero
+    b_cols = tuple(zip(*b.payload))
+    return TropMatrix._trusted(
+        tuple(tuple(reduce(add, map(mul, row, col), zero) for col in b_cols) for row in a.payload),
+        a.tag,
+    )
 
 
 def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
     """V \\ x: the greatest vector lam with V * lam <= x.
 
-    Componentwise (V\\x)_j = min over the support of column j of x_i / V_ij.
-    Columns of all zeros admit no residual. Max-plus and min-plus run on raw
-    payloads, where the canonical min is the numeric min (max for min-plus)
-    and any bottom x_i on the support makes the entry the bottom.
+    Componentwise (V\\x)_j = min over the support of column j of x_i / V_ij,
+    in the canonical order. Columns of all zeros admit no residual.
     """
     if v.rows != len(x):
         raise DimensionMismatch("row count does not match vector length")
     if v.tag is not x.tag:
         raise TagMismatch("matrix and vector tags differ")
+    ops = v.tag.ops
+    residual, le, zero, xs = ops.residual, ops.le, ops.zero, x.payload
     out = []
-    if v.tag in (MAX_PLUS, MIN_PLUS):
-        least = min if v.tag is MAX_PLUS else max
-        xs = [e.value for e in x.entries]
-        for j, col in enumerate(zip(*v.entries)):
-            ratios = [None if xi is None else xi - e.value for e, xi in zip(col, xs) if e.value is not None]
-            if not ratios:
-                raise ZeroColumn(f"column {j} is all zero")
-            out.append(TropScalar._fast(None if None in ratios else least(ratios), v.tag))
-        return TropVector(tuple(out), v.tag)
-    for j in range(v.cols):
-        col = v.column(j)
-        supp = col.support()
-        if not supp:
+    for j, col in enumerate(zip(*v.payload)):
+        residuals = [residual(xi, e) for e, xi in zip(col, xs) if e != zero]
+        if not residuals:
             raise ZeroColumn(f"column {j} is all zero")
-        out.append(_canonical_min(sr_residual(x[i], col[i]) for i in sorted(supp)))
-    return TropVector(tuple(out), v.tag)
+        best = residuals[0]
+        for r in residuals[1:]:
+            if not le(best, r):
+                best = r
+        out.append(best)
+    return TropVector._trusted(tuple(out), v.tag)
 
 
-def _closure(a: TropMatrix, shift=0) -> List[list]:
-    """Raw payloads (None = bottom) of the plus-closure of A, with `shift`
-    subtracted from every finite entry first, by one Floyd-Warshall pass in
-    place on a copy, run as max-plus (min-plus payloads are negated).
-
-    After pivot k, d[i][j] is the best weight of a path i -> j of at least
-    one edge with intermediate nodes <= k. A pivot diagonal above the unit
-    closes a cycle that makes the series diverge: Divergent, at once.
-    """
+def _signed(a: TropMatrix, shift=0) -> Tuple[int, List[list]]:
+    """(sign, rows): A's payloads as max-plus weights, `shift` subtracted from
+    every finite entry and min-plus negated (sign -1), in fresh lists."""
     if not a.is_square:
         raise DimensionMismatch("star needs a square matrix")
     if a.tag not in (MAX_PLUS, MIN_PLUS):
         raise ValueError("matrix star is provided for max-plus and min-plus tags")
     sign = -1 if a.tag is MIN_PLUS else 1
-    d = [[None if e.value is None else sign * (e.value - shift) for e in row] for row in a.entries]
+    return sign, [[None if v is None else sign * (v - shift) for v in row] for row in a.payload]
+
+
+def _closure(a: TropMatrix, shift=0) -> List[list]:
+    """Raw payloads (None = bottom) of the plus-closure of A, with `shift`
+    subtracted from every finite entry first, by one Floyd-Warshall pass in
+    place on the signed payloads, run as max-plus.
+
+    After pivot k, d[i][j] is the best weight of a path i -> j of at least
+    one edge with intermediate nodes <= k. A pivot diagonal above the unit
+    closes a cycle that makes the series diverge: Divergent, at once.
+    """
+    sign, d = _signed(a, shift)
     for k, dk in enumerate(d):
         if dk[k] is not None and dk[k] > 0:
             raise Divergent(f"a cycle through node {k} has weight {sign * dk[k]}, above the unit")
@@ -308,14 +324,6 @@ def _closure(a: TropMatrix, shift=0) -> List[list]:
     return [[None if v is None else sign * v for v in row] for row in d]
 
 
-def _raw(a: TropMatrix) -> List[list]:
-    return [[e.value for e in row] for row in a.entries]
-
-
-def _box(d: List[list], tag: SemiringTag) -> TropMatrix:
-    return TropMatrix(tuple(tuple(TropScalar._fast(v, tag) for v in row) for row in d), tag)
-
-
 def kleene_star(a: TropMatrix) -> TropMatrix:
     """A* = I + A + A^2 + ..., the optimal path weights on the digraph of A.
 
@@ -325,63 +333,56 @@ def kleene_star(a: TropMatrix) -> TropMatrix:
     d = _closure(a)
     for i, row in enumerate(d):
         row[i] = 0
-    return _box(d, a.tag)
+    return TropMatrix._trusted(tuple(map(tuple, d)), a.tag)
 
 
 def kleene_plus(a: TropMatrix) -> TropMatrix:
     """A+ = A A* = A + A^2 + ..., the closure over paths with at least one edge."""
-    return _box(_closure(a), a.tag)
+    return TropMatrix._trusted(tuple(map(tuple, _closure(a))), a.tag)
 
 
 @dataclass(frozen=True)
 class IntervalMatrix:
-    entries: Tuple[Tuple[Interval, ...], ...]
-    tag: SemiringTag
+    """Matrix of order intervals, stored as its two endpoint matrices."""
+
+    lo: TropMatrix
+    hi: TropMatrix
 
     def __post_init__(self):
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
-            raise DimensionMismatch("ragged rows")
-        for row in self.entries:
-            for e in row:
-                if e.tag is not self.tag:
-                    raise TagMismatch("interval entry tag differs from matrix tag")
+        if self.lo.tag is not self.hi.tag:
+            raise TagMismatch("endpoint tags differ")
+        if (self.lo.rows, self.lo.cols) != (self.hi.rows, self.hi.cols):
+            raise DimensionMismatch("endpoint shapes differ")
+        if not self.lo <= self.hi:
+            pairs = zip(chain(*self.lo.entries), chain(*self.hi.entries))
+            lo, hi = next((lo, hi) for lo, hi in pairs if not lo <= hi)
+            raise ValueError(f"interval endpoints out of order: {lo!r}, {hi!r}")
+
+    @property
+    def tag(self) -> SemiringTag:
+        return self.lo.tag
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return self.lo.rows
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return self.lo.cols
+
+    @property
+    def entries(self) -> Tuple[Tuple[Interval, ...], ...]:
+        return tuple(tuple(map(Interval, *rows)) for rows in zip(self.lo.entries, self.hi.entries))
 
     def __getitem__(self, ij: Tuple[int, int]) -> Interval:
-        i, j = ij
-        return self.entries[i][j]
-
-    def lo_matrix(self) -> TropMatrix:
-        return TropMatrix(tuple(tuple(e.lo for e in r) for r in self.entries), self.tag)
-
-    def hi_matrix(self) -> TropMatrix:
-        return TropMatrix(tuple(tuple(e.hi for e in r) for r in self.entries), self.tag)
+        return Interval(self.lo[ij], self.hi[ij])
 
     def contains(self, m: TropMatrix) -> bool:
-        return all(
-            e.contains(m[i, j]) for i, r in enumerate(self.entries) for j, e in enumerate(r)
-        )
+        return self.lo <= m and m <= self.hi
 
 
 def interval_matrix(lo: TropMatrix, hi: TropMatrix) -> IntervalMatrix:
-    if lo.tag is not hi.tag:
-        raise TagMismatch("endpoint tags differ")
-    if (lo.rows, lo.cols) != (hi.rows, hi.cols):
-        raise DimensionMismatch("endpoint shapes differ")
-    return IntervalMatrix(
-        tuple(
-            tuple(Interval(lo[i, j], hi[i, j]) for j in range(lo.cols)) for i in range(lo.rows)
-        ),
-        lo.tag,
-    )
+    return IntervalMatrix(lo, hi)
 
 
 def iv_kleene_star(a: IntervalMatrix) -> IntervalMatrix:
@@ -390,6 +391,6 @@ def iv_kleene_star(a: IntervalMatrix) -> IntervalMatrix:
     Costs exactly two ordinary stars; diverges iff the upper endpoint
     matrix does (the lower one is dominated, so it converges first).
     """
-    hi_star = kleene_star(a.hi_matrix())
-    lo_star = kleene_star(a.lo_matrix())
-    return interval_matrix(lo_star, hi_star)
+    hi_star = kleene_star(a.hi)
+    lo_star = kleene_star(a.lo)
+    return IntervalMatrix(lo_star, hi_star)

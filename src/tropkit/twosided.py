@@ -60,10 +60,8 @@ def check_solution(s: InequalitySystem, x: TropVector) -> bool:
 
 def _normalize(col: TropVector) -> Optional[TropVector]:
     """Scale so the first finite coordinate is the unit; None for the zero column."""
-    for e in col.entries:
-        if e.is_finite:
-            return col.scale(sr_residual(one(col.tag), e))
-    return None
+    supp = col.support()
+    return col.scale(sr_residual(one(col.tag), col[min(supp)])) if supp else None
 
 
 def _prune(cols: List[TropVector]) -> List[TropVector]:
@@ -117,7 +115,7 @@ def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:
         raise DimensionMismatch("row lengths differ")
     if a.tag is not MAX_PLUS or b.tag is not MAX_PLUS:
         raise TagMismatch("two-sided rows are over max-plus")
-    s = InequalitySystem(TropMatrix((a.entries,), MAX_PLUS), TropMatrix((b.entries,), MAX_PLUS))
+    s = InequalitySystem(*(TropMatrix._trusted((v.payload,), MAX_PLUS) for v in (a, b)))
     units = [unit_vector(len(a), j) for j in range(len(a))]
     gens = _intersect(units, s.a, s.b)
     if not gens:
@@ -136,8 +134,8 @@ def solve_system(s: InequalitySystem) -> GeneratorSet:
     if m > COMBINATORIAL_CAP or n > COMBINATORIAL_CAP:
         raise TooLarge(f"combinatorial path is capped at {COMBINATORIAL_CAP}x{COMBINATORIAL_CAP}")
     gens = [unit_vector(n, j) for j in range(n)]
-    for ra, rb in zip(s.a.entries, s.b.entries):
-        gens = _intersect(gens, TropMatrix((ra,), MAX_PLUS), TropMatrix((rb,), MAX_PLUS))
+    for rows in zip(s.a.payload, s.b.payload):
+        gens = _intersect(gens, *(TropMatrix._trusted((r,), MAX_PLUS) for r in rows))
     if not gens:
         raise Infeasible("only the zero vector solves the system")
     return _certified(s, gens)

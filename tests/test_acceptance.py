@@ -482,8 +482,8 @@ def test_criterion_10_interval_star_exactness():
             lo_rows.append(lo_row)
         iv = interval_matrix(matrix(lo_rows), matrix(hi_rows))
         st = iv_kleene_star(iv)
-        assert st.lo_matrix() == kleene_star(iv.lo_matrix())
-        assert st.hi_matrix() == kleene_star(iv.hi_matrix())
+        assert st.lo == kleene_star(iv.lo)
+        assert st.hi == kleene_star(iv.hi)
         for _ in range(100):
             rows = []
             for i in range(n):

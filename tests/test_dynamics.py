@@ -262,6 +262,7 @@ _BAD_TERMS = {
     "uterm_sum_1": (lambda: uterm(0, (1, 0, 0, 0)), ValueError),
     "control_index_outside_u": (lambda: _light2(uterm_matrix(2, [[uterm(0, (1, 0, -1))]]), None), DimensionMismatch),
     "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
+    "udim_disagrees_with_u0": (lambda: _light2(uterm_matrix(3, [[0]]), None), DimensionMismatch),
 }
 
 

@@ -3,10 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit.errors import DimensionMismatch, Divergent, NoCycle, ZeroColumn
-from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar
+from tropkit.errors import DimensionMismatch, Divergent, NoCycle, TagMismatch, ZeroColumn
+from tropkit.projector import Halfspace
+from tropkit.semiring import (
+    BOOLEAN,
+    MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    SemiringTag,
+    scalar,
+    sr_add,
+    sr_mul,
+    sr_residual,
+    zero,
+)
 from tropkit.spectral import max_cycle_mean
 from tropkit.tropmat import (
+    TropMatrix,
+    TropVector,
     identity,
     interval_matrix,
     iv_kleene_star,
@@ -167,11 +181,11 @@ def test_interval_star_examples():
     lo = matrix([[BOT, BOT], [BOT, BOT]])
     hi = matrix([[-1, -3], [-2, -1]])
     st = iv_kleene_star(interval_matrix(lo, hi))
-    assert st.lo_matrix() == identity(2)
-    assert st.hi_matrix() == matrix([[0, -3], [-2, 0]])
+    assert st.lo == identity(2)
+    assert st.hi == matrix([[0, -3], [-2, 0]])
     # degenerate point interval
     pt = iv_kleene_star(interval_matrix(hi, hi))
-    assert pt.lo_matrix() == pt.hi_matrix() == kleene_star(hi)
+    assert pt.lo == pt.hi == kleene_star(hi)
     with pytest.raises(Divergent):
         iv_kleene_star(interval_matrix(matrix([[0]]), matrix([[1]])))
 
@@ -212,3 +226,123 @@ def test_interval_star_soundness_random():
             for i in range(n):
                 for j in range(n):
                     assert st[i, j].contains(sample_star[i, j])
+
+
+_SHAPE_AND_TAG_CHECKS = {
+    "vector_longer": (lambda: vector([1, 2]) <= vector([1]), DimensionMismatch),
+    "vector_shorter": (lambda: vector([1]) <= vector([1, 2]), DimensionMismatch),
+    "matrix_larger": (lambda: matrix([[0, 0], [5, 5]]) <= matrix([[0]]), DimensionMismatch),
+    "matrix_wider": (lambda: matrix([[0]]) <= matrix([[0, 0]]), DimensionMismatch),
+    "halfspace_lengths": (lambda: Halfspace(vector([0, 0, 0]), vector([1, 1])), DimensionMismatch),
+    "vector_tags": (lambda: vector([1]) <= vector([1], MIN_PLUS), TagMismatch),
+    "matrix_tags": (lambda: matrix([[1]]) <= matrix([[1]], MIN_PLUS), TagMismatch),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPE_AND_TAG_CHECKS))
+def test_order_checks_shape_and_tag(name):
+    compare, error = _SHAPE_AND_TAG_CHECKS[name]
+    with pytest.raises(error):
+        compare()
+
+
+def _rand_payload(rng, tag: SemiringTag):
+    if tag is BOOLEAN:
+        return rng.random() < 0.5
+    if rng.random() < 0.25:
+        return None  # the zero: -inf, +inf, or 0 in max-times
+    value = Fraction(rng.randint(0 if tag is MAX_TIMES else -4, 4), rng.choice([1, 2]))
+    return int(value) if rng.random() < 0.5 and value.denominator == 1 else value
+
+
+def _rand_rows(rng, tag, rows, cols):
+    return [[_rand_payload(rng, tag) for _ in range(cols)] for _ in range(rows)]
+
+
+def _fold(op, items, start):
+    acc = start
+    for x in items:
+        acc = op(acc, x)
+    return acc
+
+
+def _assert_same(got, want):
+    """Equal values, equal repr, and payloads of the same Python type."""
+    assert got == want and repr(got) == repr(want)
+    if isinstance(got, TropMatrix):
+        assert [[type(v) for v in row] for row in got.payload] == [[type(v) for v in row] for row in want.payload]
+    elif isinstance(got, TropVector):
+        assert [type(v) for v in got.payload] == [type(v) for v in want.payload]
+    else:
+        assert type(got.value) is type(want.value)
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN], ids=lambda t: t.value)
+def test_kernels_equal_scalar_folds_all_tags(tag):
+    # every kernel against plain folds of the scalar operations, entry by entry
+    rng = random.Random(f"kernels-{tag.value}")
+    for _ in range(150):
+        m, n, k = (rng.randint(1, 6) for _ in range(3))
+        a = matrix(_rand_rows(rng, tag, m, n), tag)
+        b = matrix(_rand_rows(rng, tag, n, k), tag)
+        a2 = matrix(_rand_rows(rng, tag, m, n), tag)
+        x = vector(_rand_rows(rng, tag, 1, n)[0], tag)
+        y = vector(_rand_rows(rng, tag, 1, m)[0], tag)
+        c = scalar(_rand_payload(rng, tag), tag)
+
+        product = TropMatrix(
+            [[_fold(sr_add, (sr_mul(a[i, j], b[j, l]) for j in range(n)), zero(tag)) for l in range(k)]
+             for i in range(m)],
+            tag,
+        )
+        _assert_same(mat_mul(a, b), product)
+        image = TropVector([_fold(sr_add, (sr_mul(a[i, j], x[j]) for j in range(n)), zero(tag)) for i in range(m)], tag)
+        _assert_same(a.apply(x), image)
+        _assert_same(a + a2, TropMatrix([[sr_add(a[i, j], a2[i, j]) for j in range(n)] for i in range(m)], tag))
+        _assert_same(a.scale(c), TropMatrix([[sr_mul(c, a[i, j]) for j in range(n)] for i in range(m)], tag))
+        _assert_same(x.scale(c), TropVector([sr_mul(c, e) for e in x.entries], tag))
+        assert (a <= a2) == all(a[i, j] <= a2[i, j] for i in range(m) for j in range(n))
+        assert a <= a + a2 and x <= x + x.scale(c)
+        if not tag.is_semifield:
+            continue
+        for j in range(n):
+            residuals = [sr_residual(y[i], a[i, j]) for i in range(m) if not a[i, j].is_zero]
+            if not residuals:
+                with pytest.raises(ZeroColumn):
+                    mat_residual_left(a, y)
+                break
+        else:
+            columns = []
+            for j in range(n):
+                residuals = [sr_residual(y[i], a[i, j]) for i in range(m) if not a[i, j].is_zero]
+                columns.append(_fold(lambda best, r: r if r < best else best, residuals[1:], residuals[0]))
+            _assert_same(mat_residual_left(a, y), TropVector(columns, tag))
+        if x.is_zero:
+            continue
+        for x2 in (vector(row, tag) for row in _rand_rows(rng, tag, 4, n)):
+            residuals = [sr_residual(x2[i], x[i]) for i in range(n) if not x[i].is_zero]
+            want = _fold(lambda best, r: r if r <= best else best, residuals[1:], residuals[0])
+            _assert_same(vec_residual(x2, x), want)
+
+
+_CONSTRUCTOR_ERRORS = {
+    "matrix_other_tag_scalar": (lambda: TropMatrix([[scalar(1, MIN_PLUS)]], MAX_PLUS), TagMismatch),
+    "vector_other_tag_scalar": (lambda: TropVector([scalar(1), scalar(1, MAX_TIMES)], MAX_PLUS), TagMismatch),
+    "matrix_float": (lambda: matrix([[0, 1.5]]), TypeError),
+    "vector_float": (lambda: vector([0.5], MAX_TIMES), TypeError),
+    "ragged_rows": (lambda: matrix([[1, 2], [3]]), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTOR_ERRORS))
+def test_constructor_rejects(name):
+    build, error = _CONSTRUCTOR_ERRORS[name]
+    with pytest.raises(error):
+        build()
+
+
+def test_constructor_accepts_same_tag_scalars():
+    rows = [[scalar(1, MIN_PLUS), "+inf"], [Fraction(4, 2), scalar("1/3", MIN_PLUS)]]
+    m = TropMatrix(rows, MIN_PLUS)
+    assert m.payload == ((1, None), (2, Fraction(1, 3))) and type(m.payload[1][0]) is int
+    assert m == matrix(rows, MIN_PLUS) and m.entries[1][1] == scalar("1/3", MIN_PLUS)
