@@ -16,7 +16,7 @@ from . import assign as assign_mod
 from . import determ, dynamics, io, plucker, projector, spectral, twosided, tropmat
 from .errors import TropkitError
 from .io import SchemaError
-from .semiring import MAX_PLUS, MIN_PLUS
+from .semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS
 
 
 def _read(path: str) -> str:
@@ -114,7 +114,8 @@ def _cmd_eig(args) -> str:
 
 
 def _cmd_project(args) -> str:
-    v = _checked(projector.Semimodule, _load_matrix(args.module))
+    m = _over(_load_matrix(args.module), "project", MAX_PLUS, MIN_PLUS, MAX_TIMES)
+    v = _checked(projector.Semimodule, m)
     x = io.vector_from_json(io.loads(_read(args.vector)))
     return io.dumps(io.vector_to_json(projector.project(v, x)))
 

@@ -2,55 +2,26 @@
 tropical and zero-pattern singularity, and standard transformations.
 
 The bideterminant replaces the determinant over subtraction-free semirings:
-the pair of permutation sums split by parity. The permanent is the full
-permutation sum; over max-plus it is the optimal assignment value. The
-permanent and tropical singularity come from one O(n^3) Hungarian kernel
+the pair of permutation sums split by parity, found by a DP over rows and
+used-column sets in O(2^n n). The permanent is the full permutation sum;
+over max-plus it is the optimal assignment value. The permanent, tropical
+singularity and the rook coefficients come from one O(n^3) Hungarian kernel
 with a lexicographic search for the optimal bijections (the assignment
-module uses it too); the bideterminant, the rook coefficients' subset loop
-and the literal subset singularity stay exact, capped enumerations.
+module uses it too); a rook coefficient is the permanent of a padded matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, TooLarge
 from .semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, SemiringTag, TropScalar, one
 from .tropmat import TropMatrix, unit_vector
 
-PERMANENT_CAP = 8
-ROOK_CAP = 7
-SUBSET_CAP = 3
-
-
-def _perm_parity(perm: Sequence[int]) -> int:
-    """0 for even, 1 for odd (cycle decomposition)."""
-    seen = [False] * len(perm)
-    parity = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
-def _diag_products(a: TropMatrix):
-    """(perm, payload of the product along perm) for every perm in S_n, in order."""
-    ops = a.tag.ops
-    mul, unit, rows = ops.mul, ops.unit, a.payload
-    for perm in itertools.permutations(range(a.rows)):
-        yield perm, reduce(mul, (rows[i][j] for i, j in enumerate(perm)), unit)
+BIDETERMINANT_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -60,20 +31,33 @@ class Bideterminant:
 
 
 def bideterminant(a: TropMatrix) -> Bideterminant:
-    """(|A|+, |A|-): permutation sums over even and odd permutations."""
+    """(|A|+, |A|-): permutation sums over even and odd permutations.
+
+    A DP over rows in order keeps, for each set `mask` of columns used so
+    far, the (even, odd) sums of the partial products. Putting the next row
+    in column j adds one inversion per used column above j, so the parity
+    flips with popcount(mask >> (j + 1)). O(2^n n) steps, so n is capped.
+    """
     if not a.is_square:
         raise DimensionMismatch("bideterminant needs a square matrix")
     n = a.rows
-    if n > PERMANENT_CAP:
-        raise TooLarge(f"bideterminant enumeration capped at n <= {PERMANENT_CAP}")
-    add = a.tag.ops.add
-    plus = minus = a.tag.ops.zero
-    for perm, term in _diag_products(a):
-        if _perm_parity(perm) == 0:
-            plus = add(plus, term)
-        else:
-            minus = add(minus, term)
-    return Bideterminant(TropScalar._fast(plus, a.tag), TropScalar._fast(minus, a.tag))
+    if n > BIDETERMINANT_CAP:
+        raise TooLarge(f"bideterminant DP capped at n <= {BIDETERMINANT_CAP}")
+    ops, rows, full = a.tag.ops, a.payload, (1 << n) - 1
+    add, mul = ops.add, ops.mul
+    even, odd = [ops.zero] * (full + 1), [ops.zero] * (full + 1)
+    even[0] = ops.unit
+    for mask in range(full):
+        e, o, row = even[mask], odd[mask], rows[mask.bit_count()]
+        for j in range(n):
+            if mask >> j & 1:
+                continue
+            pe, po = mul(e, row[j]), mul(o, row[j])
+            if (mask >> (j + 1)).bit_count() & 1:
+                pe, po = po, pe
+            t = mask | 1 << j
+            even[t], odd[t] = add(even[t], pe), add(odd[t], po)
+    return Bideterminant(TropScalar._fast(even[full], a.tag), TropScalar._fast(odd[full], a.tag))
 
 
 def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
@@ -205,19 +189,21 @@ def permanent(a: TropMatrix) -> TropScalar:
 
 
 def rook_coefficients(a: TropMatrix) -> List[TropScalar]:
-    """[p_0, ..., p_min(m,n)]: p_0 = unit, p_j = sum of j x j subpermanents."""
+    """[p_0, ..., p_min(m,n)]: p_0 = unit, p_k = sum of k x k subpermanents.
+
+    p_k is the optimal k-cardinality assignment, one ordinary assignment of
+    size m + n - k (Dell'Amico & Martello 1997): A gets m - k unit columns,
+    then n - k unit rows over its columns with the zero in the dummy block.
+    Every perfect matching of that square matrix pairs exactly k real rows
+    with k real columns, so p_k is its permanent.
+    """
     m, n = a.rows, a.cols
-    if m > ROOK_CAP or n > ROOK_CAP:
-        raise TooLarge(f"rook enumeration capped at {ROOK_CAP}")
-    add = a.tag.ops.add
+    unit, zero = a.tag.ops.unit, a.tag.ops.zero
     out = [one(a.tag)]
-    for j in range(1, min(m, n) + 1):
-        acc = a.tag.ops.zero
-        for rows in itertools.combinations(range(m), j):
-            for cols in itertools.combinations(range(n), j):
-                sub = [[a.payload[r][c] for c in cols] for r in rows]
-                acc = add(acc, _permanent_of(sub, a.tag))
-        out.append(TropScalar._fast(acc, a.tag))
+    for k in range(1, min(m, n) + 1):
+        padded = [list(row) + [unit] * (m - k) for row in a.payload]
+        padded += [[unit] * n + [zero] * (m - k)] * (n - k)
+        out.append(TropScalar._fast(_permanent_of(padded, a.tag), a.tag))
     return out
 
 
@@ -227,8 +213,8 @@ def is_trop_singular(a: TropMatrix) -> bool:
     The Hungarian kernel looks for a second optimal bijection; when every
     bijection meets a bottom, all n! products tie at the zero. For
     idempotent addition this coincides with the general balanced-subset
-    definition (split off one attaining permutation); is_trop_singular_subsets
-    is the literal subset form, kept as a small-size cross-check.
+    definition (split off one attaining permutation); the tests check it
+    against the literal subset form at small sizes.
     """
     if not a.is_square:
         raise DimensionMismatch("tropical singularity needs a square matrix")
@@ -236,29 +222,6 @@ def is_trop_singular(a: TropMatrix) -> bool:
     if value is None:
         return a.rows >= 2
     return len(witnesses) >= 2
-
-
-def is_trop_singular_subsets(a: TropMatrix) -> bool:
-    """Literal general definition: some nonempty proper subset T of S_n
-    balances the two permutation sums. Exponential in n!, capped small."""
-    if not a.is_square:
-        raise DimensionMismatch("tropical singularity needs a square matrix")
-    n = a.rows
-    if n > SUBSET_CAP:
-        raise TooLarge(f"subset enumeration capped at n <= {SUBSET_CAP}")
-    terms = [term for _, term in _diag_products(a)]
-    total = len(terms)
-    add, zero = a.tag.ops.add, a.tag.ops.zero
-    for mask in range(1, (1 << total) - 1):
-        left = right = zero
-        for t in range(total):
-            if mask >> t & 1:
-                left = add(left, terms[t])
-            else:
-                right = add(right, terms[t])
-        if left == right:
-            return True
-    return False
 
 
 def is_pattern_singular(a: TropMatrix) -> str:

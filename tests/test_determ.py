@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -13,6 +14,7 @@ from tropkit.assign import (
     strong_regularity,
 )
 from tropkit.determ import (
+    BIDETERMINANT_CAP,
     StandardTransform,
     _optimal_bijections,
     apply_standard_transform,
@@ -20,7 +22,6 @@ from tropkit.determ import (
     identity_transform,
     is_pattern_singular,
     is_trop_singular,
-    is_trop_singular_subsets,
     permanent,
     rook_coefficients,
 )
@@ -39,6 +40,91 @@ from tropkit.semiring import (
 from tropkit.tropmat import identity, matrix, zero_matrix
 
 BOT = "-inf"
+
+# -- enumeration oracles: every permutation, every subset -----------------------
+
+SUBSET_CAP = 3
+
+
+def _perm_parity(perm):
+    """0 for even, 1 for odd (cycle decomposition)."""
+    seen = [False] * len(perm)
+    parity = 0
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
+
+
+def _diag_products(a):
+    """(perm, payload of the product along perm) for every perm in S_n, in order."""
+    ops = a.tag.ops
+    mul, unit, rows = ops.mul, ops.unit, a.payload
+    for perm in itertools.permutations(range(a.rows)):
+        yield perm, reduce(mul, (rows[i][j] for i, j in enumerate(perm)), unit)
+
+
+def is_trop_singular_subsets(a):
+    """Literal general definition: some nonempty proper subset T of S_n
+    balances the two permutation sums. Exponential in n!, capped small."""
+    n = a.rows
+    if n > SUBSET_CAP:
+        raise TooLarge(f"subset enumeration capped at n <= {SUBSET_CAP}")
+    terms = [term for _, term in _diag_products(a)]
+    total = len(terms)
+    add, zero = a.tag.ops.add, a.tag.ops.zero
+    for mask in range(1, (1 << total) - 1):
+        left = right = zero
+        for t in range(total):
+            if mask >> t & 1:
+                left = add(left, terms[t])
+            else:
+                right = add(right, terms[t])
+        if left == right:
+            return True
+    return False
+
+
+def _bideterminant_oracle(a):
+    """(plus, minus) payloads: the products along every permutation of S_n,
+    folded by parity."""
+    add = a.tag.ops.add
+    sums = [a.tag.ops.zero, a.tag.ops.zero]
+    for perm, term in _diag_products(a):
+        parity = _perm_parity(perm)
+        sums[parity] = add(sums[parity], term)
+    return tuple(sums)
+
+
+def _rook_oracle(a):
+    """[p_0, ..., p_min(m,n)] payloads: p_k folds the products of every
+    placement of k non-attacking rooks, a k-subset of rows sent injectively
+    into the columns."""
+    ops, rows = a.tag.ops, a.payload
+    out = [ops.unit]
+    for k in range(1, min(a.rows, a.cols) + 1):
+        acc = ops.zero
+        for rs in itertools.combinations(range(a.rows), k):
+            for cs in itertools.permutations(range(a.cols), k):
+                term = reduce(ops.mul, (rows[r][c] for r, c in zip(rs, cs)), ops.unit)
+                acc = ops.add(acc, term)
+        out.append(acc)
+    return out
+
+
+def _assert_same_payload(got, want, tag):
+    """Equal value and repr; the payload types may differ only between an
+    int and an equal integral Fraction, which repr, JSON and == cannot tell
+    apart."""
+    assert got == want and repr(scalar(got, tag)) == repr(scalar(want, tag))
+    assert type(got) is type(want) or {type(got), type(want)} == {int, Fraction}
 
 
 def test_bideterminant_worked_examples():
@@ -67,13 +153,14 @@ def _random_entry(rng, tag, bottom_rate, pool):
     return (abs(v) or 1) if tag is MAX_TIMES else v
 
 
-def _random_instance(rng, tag):
-    n = rng.randint(1, 7)
+def _random_instance(rng, tag, m=None, n=None):
+    n = n or rng.randint(1, 7)
+    m = m or n
     bottom_rate = rng.choice([0, 0.2, 0.5])
     pool = rng.choice([[0], [0, 1], list(range(-3, 4)), [Fraction(1, 2), 1, Fraction(3, 2), 2]])
-    rows = [[_random_entry(rng, tag, bottom_rate, pool) for _ in range(n)] for _ in range(n)]
-    if n >= 2 and rng.random() < 0.25:  # a repeated row forces a tie
-        rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+    rows = [[_random_entry(rng, tag, bottom_rate, pool) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 0.25:  # a repeated row forces a tie
+        rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
     return rows
 
 
@@ -166,6 +253,52 @@ def test_unique_optimum_above_old_enumeration_cap():
     assert isinstance(res, NotStronglyRegular)
     assert res.best_bijection == tuple(range(40))
     assert res.second_bijection == tuple(range(38)) + (39, 38)
+
+
+_TAGS = (MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN)
+
+
+def test_bideterminant_matches_parity_oracle():
+    # the used-column DP against the parity fold over all of S_n, n <= 7
+    rng = random.Random(23)
+    for trial in range(240):
+        tag = _TAGS[trial % 4]
+        a = matrix(_random_instance(rng, tag), tag)
+        bd = bideterminant(a)
+        plus, minus = _bideterminant_oracle(a)
+        _assert_same_payload(bd.plus.value, plus, tag)
+        _assert_same_payload(bd.minus.value, minus, tag)
+
+
+def test_rook_coefficients_match_subset_oracle():
+    # the padded-matrix permanent against every rook placement, m, n <= 6
+    rng = random.Random(24)
+    for trial in range(240):
+        tag = _TAGS[trial % 4]
+        n = rng.randint(1, 6)
+        m = n if trial % 8 < 4 else rng.randint(1, 6)
+        a = matrix(_random_instance(rng, tag, m, n), tag)
+        got, want = rook_coefficients(a), _rook_oracle(a)
+        assert len(got) == len(want) == min(m, n) + 1
+        for p, w in zip(got, want):
+            _assert_same_payload(p.value, w, tag)
+
+
+def test_rook_and_bideterminant_above_old_caps():
+    rng = random.Random(25)
+    diag = [Fraction(v, 3) for v in rng.sample(range(-60, 60), 12)]
+    rows = [[diag[i] if i == j else BOT for j in range(12)] for i in range(12)]
+    top = sorted(diag, reverse=True)
+    assert rook_coefficients(matrix(rows)) == [scalar(sum(top[:k])) for k in range(13)]
+    cycle = tuple(range(1, 14)) + (0,)
+    shuffled = tuple(rng.sample(range(14), 14))
+    for perm, tag in ((cycle, MAX_PLUS), (shuffled, MAX_TIMES), (shuffled[::-1], BOOLEAN)):
+        unit_rows = identity(14, tag).payload
+        bd = bideterminant(matrix([unit_rows[p] for p in perm], tag))
+        parts = (bd.plus, bd.minus) if _perm_parity(perm) == 0 else (bd.minus, bd.plus)
+        assert parts == (one(tag), zero(tag))
+    with pytest.raises(TooLarge):
+        bideterminant(identity(BIDETERMINANT_CAP + 1))
 
 
 def test_rook_examples():

@@ -224,6 +224,7 @@ def test_cli_path_algebra_commands_reject_other_semirings(tmp_path, command, sem
 
 # the directory holding the imported package, for the subprocess
 _SRC = os.path.dirname(os.path.dirname(tropkit.__file__))
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 _ROAD = {"kind": "single_road", "m": 10}
 _BAD_TRAFFIC_REQUESTS = {
     "tent_y0_abc": ["tent", "--y0", "abc"],
@@ -252,6 +253,10 @@ _BAD_MATRIX_REQUESTS = {
         "separate", "--modules", _max_plus([[0], [0]]), _max_plus([[0, BOT], [2, BOT]]),
     ],
     "separate_min_plus": ["separate", "--modules", _MIN_PLUS_2, _MIN_PLUS_2],
+    "project_boolean": [
+        "project", "--module", os.path.join(_GOLDEN, "a_boolean.json"),
+        "--vector", {"semiring": "boolean", "data": [True, False, True]},
+    ],
 }
 
 
@@ -269,6 +274,20 @@ def _assert_schema_exit(tmp_path, argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("tropkit: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_invariants_above_old_enumeration_cap(tmp_path):
+    # n = 9 was past the n! enumeration caps of the bideterminant and rooks
+    data = [[(3 * i + 5 * j) % 7 - 3 for j in range(9)] for i in range(9)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropkit.cli", "invariants", "--matrix",
+         write(tmp_path, "m.json", _max_plus(data))],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    body = json.loads(proc.stdout)
+    assert len(body["rook_coefficients"]) == 10
+    assert body["permanent"] == body["rook_coefficients"][9]
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_TRAFFIC_REQUESTS))
