@@ -3,17 +3,33 @@
 Run:  python demos/03_spectral_theory.py
 """
 
+from fractions import Fraction
+from itertools import permutations
+
 from tropkit.spectral import (
     collatz_wielandt_certificate,
-    cycle_means_bruteforce,
     max_cycle_mean,
     spectral_analysis,
 )
 from tropkit.tropmat import matrix
 
+
+def simple_cycles(a):
+    """Every simple cycle, listed from its smallest node, with its mean weight.
+
+    Exponential in the size; Karp's recurrence finds the best mean without it.
+    """
+    n = a.rows
+    for k in range(1, n + 1):
+        for nodes in permutations(range(n), k):
+            edges = [a[nodes[t], nodes[(t + 1) % k]] for t in range(k)]
+            if nodes[0] == min(nodes) and all(e.is_finite for e in edges):
+                yield nodes, Fraction(sum(e.value for e in edges), k)
+
+
 a = matrix([["-inf", 2], [0, "-inf"]])
 print("A =", a)
-print("all simple cycles and their means:", cycle_means_bruteforce(a))
+print("all simple cycles and their means:", list(simple_cycles(a)))
 print("eigenvalue (Karp) =", max_cycle_mean(a))
 
 res = spectral_analysis(a)

@@ -9,18 +9,25 @@ completion), fundamental-diagram sweeps, and triangular one-homogeneous
 
 Every branch of a homogeneous map, and every entry of a T1H control
 matrix, is one `MinPlusTerm`: a constant plus a sparse sum of exponent
-times coordinate, so a road step costs O(m). T1H steps evaluate A(u) and
-B(u) to raw payload rows and apply them without boxing a matrix.
+times coordinate, so a road step costs O(m).
 
-Everything runs in exact rational arithmetic: binary floating point would
-collapse tent orbits onto the fixed point and blur the exact plateau
-values the models predict.
+Every model steps on integer numerators X over one common denominator D.
+A map whose term constants and exponents have denominators dividing L is
+compiled once to integer terms scaled by L, and one step sends X / D to
+X' / (D L) with integer min and plus only (L = 1 for roads and the light,
+2 for both crossings). Iterations divide out gcd(D, X) after each step and
+build `Fraction`s only for the points they return, one per distinct value.
+
+Everything is exact: binary floating point would collapse tent orbits onto
+the fixed point and blur the exact plateau values the models predict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadConfig, DimensionMismatch, Diverged
@@ -99,6 +106,61 @@ def exclusion_run(w: RingWord, steps: int) -> Tuple[List[RingWord], List[Rat]]:
 # ---------------------------------------------------------------------------
 
 
+IntTerm = Tuple[int, Tuple[Tuple[int, int], ...]]
+IntRow = Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]  # (column, C, ((i, E), ...))
+
+
+def _scale_in(x: Sequence) -> Tuple[List[int], int]:
+    """Integer numerators X and the least common denominator D of x = X / D."""
+    fr = [Fraction(v) for v in x]
+    D = math.lcm(*(v.denominator for v in fr))
+    return [v.numerator * (D // v.denominator) for v in fr], D
+
+
+def _reduced(X: List[int], D: int) -> Tuple[List[int], int]:
+    """X / D with gcd(D, *X) divided out."""
+    if D == 1:
+        return X, D
+    g = math.gcd(D, *X)
+    if g == 1:
+        return X, D
+    return [v // g for v in X], D // g
+
+
+class _FractionsOver(dict):
+    """numerator -> Fraction(numerator, D) for one denominator D, built on first use."""
+
+    def __init__(self, D: int):
+        super().__init__()
+        self.D = D
+
+    def __missing__(self, v: int) -> Rat:
+        f = self[v] = Fraction(v, self.D)
+        return f
+
+
+class _Points(dict):
+    """Builds points X / D as Fractions, each distinct value once per run.
+
+    Trajectory points repeat their values heavily (a 450-step priority
+    crossing run holds 9,020 entries but 228 distinct values), and building
+    a `Fraction` costs far more than a dict lookup. Fractions are immutable,
+    so points may share them.
+    """
+
+    def __missing__(self, D: int) -> _FractionsOver:
+        over = self[D] = _FractionsOver(D)
+        return over
+
+    def __call__(self, X: Sequence[int], D: int) -> List[Rat]:
+        return list(map(self[D].__getitem__, X))
+
+
+def _fractions(X: Sequence[int], D: int) -> List[Rat]:
+    """The point X / D, one Fraction per coordinate."""
+    return _Points()(X, D)
+
+
 @dataclass(frozen=True)
 class MinPlusTerm:
     """constant + sum of e * x_i over the sparse exponent pairs (i, e).
@@ -110,11 +172,24 @@ class MinPlusTerm:
     constant: Rat
     exponents: Tuple[Tuple[int, Rat], ...]
 
+    @property
+    def denominator(self) -> int:
+        """Least common denominator of the constant and the coefficients."""
+        return math.lcm(self.constant.denominator, *(e.denominator for _, e in self.exponents))
+
+    def scaled(self, L: int) -> IntTerm:
+        """(C, ((i, E), ...)) with C = constant * L and E = e * L.
+
+        The entries are integers when `denominator` divides L; at x = X / D
+        the term equals (C D + sum E X_i) / (D L).
+        """
+        return int(self.constant * L), tuple((i, int(e * L)) for i, e in self.exponents)
+
     def eval(self, x: Sequence[Rat]) -> Rat:
-        acc = self.constant
-        for i, e in self.exponents:
-            acc += e * x[i]
-        return acc
+        X, D = _scale_in(x)
+        L = self.denominator
+        C, exps = self.scaled(L)
+        return Fraction(C * D + sum(E * X[i] for i, E in exps), D * L)
 
 
 def _term(constant, pairs) -> MinPlusTerm:
@@ -146,10 +221,31 @@ class HomogeneousMap:
                 if sum(e for _, e in t.exponents) != 1:
                     raise ValueError("exponents of a degree-one term must sum to 1")
 
-    def __call__(self, x: Sequence[Rat]) -> List[Rat]:
-        if len(x) != self.dim:
+    @cached_property
+    def _compiled(self) -> Tuple[int, Tuple[Tuple[IntTerm, ...], ...]]:
+        """(L, coords): every term scaled by the lcm L of all its denominators."""
+        L = math.lcm(*(t.denominator for terms in self.coords for t in terms))
+        return L, tuple(tuple(t.scaled(L) for t in terms) for terms in self.coords)
+
+    def step(self, X: Sequence[int], D: int) -> Tuple[List[int], int]:
+        """One step on integer numerators: the point X / D maps to X' / (D L)."""
+        if len(X) != self.dim:
             raise DimensionMismatch("point dimension differs from map dimension")
-        return [min([t.eval(x) for t in terms]) for terms in self.coords]
+        L, coords = self._compiled
+        out = []
+        for terms in coords:
+            best = None
+            for C, exps in terms:
+                v = C * D
+                for i, E in exps:
+                    v += E * X[i]
+                if best is None or v < best:
+                    best = v
+            out.append(best)
+        return out, D * L
+
+    def __call__(self, x: Sequence[Rat]) -> List[Rat]:
+        return _fractions(*self.step(*_scale_in(x)))
 
     def is_linear(self) -> bool:
         return all(
@@ -197,20 +293,24 @@ def hom_iterate(
 ) -> Tuple[List[List[Rat]], Rat]:
     """Iterate x^{t+1} = f(x^t) and measure the throughput.
 
-    The estimate is (x_i^K - x_i^{K/2}) / (K - K/2) averaged over the
-    coordinates; for a min-plus linear f it equals the matrix eigenvalue
-    exactly once K/2 clears the transient and the span covers whole
-    periods. Raises Diverged when coordinate spread explodes.
+    f is a `HomogeneousMap` or a `CrossingMap`; the iteration runs on its
+    integer `step`. The estimate is (x_i^K - x_i^{K/2}) / (K - K/2)
+    averaged over the coordinates; for a min-plus linear f it equals the
+    matrix eigenvalue exactly once K/2 clears the transient and the span
+    covers whole periods. Raises Diverged when coordinate spread explodes.
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    x = [Fraction(v) for v in x0]
-    traj = [list(x)]
+    bound = Fraction(spread_bound)
+    X, D = _scale_in(x0)
+    point = _Points()
+    traj = [point(X, D)]
     for _ in range(k):
-        x = [Fraction(v) for v in f(x)]
-        if max(x) - min(x) > spread_bound:
+        X, D = _reduced(*f.step(X, D))
+        # max(x) - min(x) > bound for x = X / D, cross-multiplied
+        if (max(X) - min(X)) * bound.denominator > bound.numerator * D:
             raise Diverged("coordinate spread exceeded the configured bound")
-        traj.append(list(x))
+        traj.append(point(X, D))
     rates = coordinate_rates(traj)
     lam = sum(rates, Fraction(0)) / len(rates)
     return traj, lam
@@ -295,14 +395,14 @@ def tent_trajectory(
     p, q = y.numerator, y.denominator
     nums = [p]
     for _ in range(k):
-        p = min(2 * p, 2 * q - 2 * p)
+        p = 2 * p if 2 * p <= q else 2 * (q - p)
         nums.append(p)
     hist: Optional[List[int]] = None
     if bins is not None:
         hist = [0] * bins
         for n in nums:
-            hist[min(n * bins // q, bins - 1)] += 1
-    return [Fraction(n, q) for n in nums], hist
+            hist[n * bins // q if n < q else bins - 1] += 1
+    return _fractions(nums, q), hist
 
 
 # ---------------------------------------------------------------------------
@@ -347,33 +447,31 @@ class CrossingMap:
     def dim(self) -> int:
         return self.n1 + self.n2
 
-    def __call__(self, x: Sequence[Rat]) -> List[Rat]:
+    def step(self, X: Sequence[int], D: int) -> Tuple[List[int], int]:
+        """One step on integer numerators: the point X / D maps to X' / (2 D)."""
         n1, n2 = self.n1, self.n2
         a = self.occupancy
         exit1, exit2 = 0, n1
         entry1, entry2 = n1 - 1, n1 + n2 - 1
-        half = Fraction(1, 2)
-        out: List[Optional[Rat]] = [None] * (n1 + n2)
-
-        def road_cell(i: int, prev: int, nxt: int) -> Rat:
-            return min(a[prev] + x[prev], (1 - a[i]) + x[nxt])
-
-        for i in range(1, n1 - 1):
-            out[i] = road_cell(i, i - 1, i + 1)
-        for idx in range(n1 + 1, n1 + n2 - 1):
-            out[idx] = road_cell(idx, idx - 1, idx + 1)
-        cross_out = half * (x[entry1] + x[entry2])
-        out[exit1] = min(a[entry1] + cross_out, (1 - a[exit1]) + x[1 % n1])
-        out[exit2] = min(a[entry2] + cross_out, (1 - a[exit2]) + x[n1 + (1 % n2)])
-        out[entry1] = min(
-            (1 - a[entry1]) + x[exit1] + x[exit2] - x[entry2],
-            a[entry1 - 1] + x[entry1 - 1],
+        out = [0] * (n1 + n2)
+        for i in [*range(1, n1 - 1), *range(n1 + 1, n1 + n2 - 1)]:
+            out[i] = 2 * min(a[i - 1] * D + X[i - 1], (1 - a[i]) * D + X[i + 1])
+        cross_out = X[entry1] + X[entry2]
+        out[exit1] = min(2 * a[entry1] * D + cross_out, 2 * ((1 - a[exit1]) * D + X[1 % n1]))
+        out[exit2] = min(2 * a[entry2] * D + cross_out, 2 * ((1 - a[exit2]) * D + X[n1 + (1 % n2)]))
+        free = X[exit1] + X[exit2]
+        out[entry1] = 2 * min(
+            (1 - a[entry1]) * D + free - X[entry2],
+            a[entry1 - 1] * D + X[entry1 - 1],
         )
         out[entry2] = min(
-            (1 - a[entry2]) + x[exit1] + x[exit2] - out[entry1],
-            a[entry2 - 1] + x[entry2 - 1],
+            2 * ((1 - a[entry2]) * D + free) - out[entry1],
+            2 * (a[entry2 - 1] * D + X[entry2 - 1]),
         )
-        return [Fraction(v) for v in out]
+        return out, 2 * D
+
+    def __call__(self, x: Sequence[Rat]) -> List[Rat]:
+        return _fractions(*self.step(*_scale_in(x)))
 
 
 def build_crossing(
@@ -517,19 +615,30 @@ class UTermMatrix:
     entries: Tuple[Tuple[UEntry, ...], ...]
 
     def __post_init__(self):
-        terms = (t for row in self.entries for entry in row if entry for t in entry)
-        if any(not 0 <= i < self.udim for t in terms for i, _ in t.exponents):
+        if any(entry == () for row in self.entries for entry in row):
+            raise ValueError("an entry needs at least one term; None stands for no edge")
+        if any(not 0 <= i < self.udim for t in self._terms() for i, _ in t.exponents):
             raise DimensionMismatch(f"control term index outside 0..{self.udim - 1}")
 
-    def _payload_at(self, u: Sequence[Rat]) -> List[List[Optional[Rat]]]:
-        """Min-plus payload rows at u, None standing for +inf."""
-        return [
-            [None if entry is None else min([t.eval(u) for t in entry]) for entry in row]
+    def _terms(self):
+        return (t for row in self.entries for entry in row if entry for t in entry)
+
+    @property
+    def denominator(self) -> int:
+        """Least common denominator of every term of every entry."""
+        return math.lcm(*(t.denominator for t in self._terms()))
+
+    def scaled(self, L: int) -> Tuple[IntRow, ...]:
+        """Rows of (column, C, ((i, E), ...)), one per term of every entry, scaled by L."""
+        return tuple(
+            tuple((j, *t.scaled(L)) for j, entry in enumerate(row) if entry for t in entry)
             for row in self.entries
-        ]
+        )
 
     def eval(self, u: Sequence[Rat]) -> TropMatrix:
-        return matrix(self._payload_at(u), MIN_PLUS)
+        L = self.denominator
+        U, D = _scale_in(u)
+        return _min_plus_matrix(_entry_numerators(self.scaled(L), self.cols, U, D), D * L)
 
 
 def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
@@ -580,15 +689,51 @@ class PeriodReport:
     gain: Tuple[Rat, ...]
 
 
-def _min_plus_apply(rows: Sequence[Sequence[Optional[Rat]]], v: Sequence[Rat]) -> List[Rat]:
-    """Min-plus product of raw payload rows (None = +inf) with a finite vector."""
+def _entry_numerators(
+    rows: Sequence[IntRow], cols: int, U: Sequence[int], D: int
+) -> List[List[Optional[int]]]:
+    """Entry numerators over D L of a matrix scaled by L at u = U / D; None is +inf."""
     out = []
-    for i, row in enumerate(rows):
-        sums = [a + b for a, b in zip(row, v) if a is not None]
-        if not sums:
-            raise Diverged(f"state coordinate {i} has no input")
-        out.append(min(sums))
+    for row in rows:
+        vals: List[Optional[int]] = [None] * cols
+        for j, C, exps in row:
+            v = C * D + sum(E * U[i] for i, E in exps)
+            if vals[j] is None or v < vals[j]:
+                vals[j] = v
+        out.append(vals)
     return out
+
+
+def _min_plus_matrix(nums: Sequence[Sequence[Optional[int]]], D: int) -> TropMatrix:
+    """The min-plus matrix of entry numerators over D, None standing for +inf."""
+    return matrix([[None if n is None else Fraction(n, D) for n in row] for row in nums], MIN_PLUS)
+
+
+def _min_plus_rows(
+    rows: Sequence[IntRow], U: Sequence[int], V: Sequence[int], D: int, L: int
+) -> List[int]:
+    """Numerators over D L of min_j (entry_ij(u) + v_j), with u = U / D, v = V / D."""
+    out = []
+    for r, row in enumerate(rows):
+        best = None
+        for j, C, exps in row:
+            n = C * D + L * V[j]
+            for i, E in exps:
+                n += E * U[i]
+            if best is None or n < best:
+                best = n
+        if best is None:
+            raise Diverged(f"state coordinate {r} has no input")
+        out.append(best)
+    return out
+
+
+def _compiled_t1h(system: T1HSystem):
+    """(L, A rows, B rows or None, C rows), all scaled by the lcm L of their denominators."""
+    c = uterm_matrix(len(system.u0), system.c.payload)
+    b = system.b_of_u
+    L = math.lcm(*(m.denominator for m in (system.a_of_u, b, c) if m is not None))
+    return L, system.a_of_u.scaled(L), None if b is None else b.scaled(L), c.scaled(L)
 
 
 def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
@@ -597,36 +742,41 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
     The u-orbit of a min-plus linear layer is eventually periodic after
     normalization; once it is, the matrices A(u_k) repeat with the period
     and the state behaves as a linear periodic system. Returned flow rates
-    are per-coordinate second-half growth rates of x.
+    are per-coordinate second-half growth rates of x. u and x step on
+    integer numerators over one shared denominator.
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    u = [Fraction(v) for v in system.u0]
-    x = [Fraction(v) for v in system.x0]
-    u_traj = [list(u)]
-    x_traj = [list(x)]
+    L, a_rows, b_rows, c_rows = _compiled_t1h(system)
+    udim = len(system.u0)
+    nums, D = _scale_in([*system.u0, *system.x0])
+    U, X = nums[:udim], nums[udim:]
+    point = _Points()
+    u_traj = [point(U, D)]
+    x_traj = [point(X, D)]
     seen: Dict[Tuple[Rat, ...], int] = {}
     report: Optional[PeriodReport] = None
     for step in range(k):
         if report is None and step <= detect_window:
+            u = u_traj[step]
             norm = tuple(v - u[0] for v in u)
             if norm in seen:
                 start = seen[norm]
                 period = step - start
-                gain = tuple(
-                    (u_traj[step][i] - u_traj[start][i]) / period for i in range(len(u))
-                )
+                gain = tuple((u[i] - u_traj[start][i]) / period for i in range(udim))
                 report = PeriodReport(start, period, gain)
             else:
                 seen[norm] = step
-        new_x = _min_plus_apply(system.a_of_u._payload_at(u), x)
-        if system.b_of_u is not None:
-            bu = _min_plus_apply(system.b_of_u._payload_at(u), u)
-            new_x = [min(p, q) for p, q in zip(new_x, bu)]
-        u = _min_plus_apply(system.c.payload, u)
-        x = new_x
-        u_traj.append(list(u))
-        x_traj.append(list(x))
+        new_X = _min_plus_rows(a_rows, U, X, D, L)
+        if b_rows is not None:
+            new_X = [min(p, q) for p, q in zip(new_X, _min_plus_rows(b_rows, U, U, D, L))]
+        U = _min_plus_rows(c_rows, U, U, D, L)
+        X, D = new_X, D * L
+        if D != 1:
+            nums, D = _reduced(U + X, D)
+            U, X = nums[:udim], nums[udim:]
+        u_traj.append(point(U, D))
+        x_traj.append(point(X, D))
     rates = coordinate_rates(x_traj)
     return u_traj, x_traj, report, rates
 
@@ -712,12 +862,13 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
         idx = range(n_vertical, dim)
     else:
         raise ValueError("road must be vertical or horizontal")
-    u = [Fraction(v) for v in system.u0]
+    L, a_rows, _, c_rows = _compiled_t1h(system)
+    U, D = _scale_in(system.u0)
     mats = []
     for _ in range(4):
-        full = system.a_of_u._payload_at(u)
-        mats.append(matrix([[full[i][j] for j in idx] for i in idx], MIN_PLUS))
-        u = _min_plus_apply(system.c.payload, u)
+        full = _entry_numerators(a_rows, dim, U, D)
+        mats.append(_min_plus_matrix([[full[i][j] for j in idx] for i in idx], D * L))
+        U, D = _reduced(_min_plus_rows(c_rows, U, U, D, L), D * L)
     prod = mats[3]
     for m in (mats[2], mats[1], mats[0]):
         prod = mat_mul(prod, m)

@@ -299,6 +299,15 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo!r}, {self.hi!r}")
 
+    @classmethod
+    def _trusted(cls, lo: TropScalar, hi: TropScalar) -> "Interval":
+        """Internal constructor for same-tag endpoints known to be in order."""
+        obj = object.__new__(cls)
+        fields = obj.__dict__  # written directly: the dataclass is frozen
+        fields["lo"] = lo
+        fields["hi"] = hi
+        return obj
+
     @property
     def tag(self) -> SemiringTag:
         return self.lo.tag

@@ -370,12 +370,16 @@ class IntervalMatrix:
     def cols(self) -> int:
         return self.lo.cols
 
+    # __post_init__ checked the tag and order of every entry, so entries
+    # are boxed as trusted Intervals
+
     @property
     def entries(self) -> Tuple[Tuple[Interval, ...], ...]:
-        return tuple(tuple(map(Interval, *rows)) for rows in zip(self.lo.entries, self.hi.entries))
+        pairs = zip(self.lo.entries, self.hi.entries)
+        return tuple(tuple(map(Interval._trusted, *rows)) for rows in pairs)
 
     def __getitem__(self, ij: Tuple[int, int]) -> Interval:
-        return Interval(self.lo[ij], self.hi[ij])
+        return Interval._trusted(self.lo[ij], self.hi[ij])
 
     def contains(self, m: TropMatrix) -> bool:
         return self.lo <= m and m <= self.hi

@@ -48,11 +48,7 @@ from tropkit.projector import (
     separate,
 )
 from tropkit.semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS, scalar
-from tropkit.spectral import (
-    max_cycle_mean,
-    max_cycle_mean_bruteforce,
-    spectral_analysis,
-)
+from tropkit.spectral import max_cycle_mean, spectral_analysis
 from tropkit.tropmat import (
     from_columns,
     interval_matrix,
@@ -62,6 +58,8 @@ from tropkit.tropmat import (
     vector,
 )
 from tropkit.twosided import InequalitySystem, check_solution, row_generators
+
+from cycle_oracle import max_cycle_mean_bruteforce
 
 BOT = "-inf"
 

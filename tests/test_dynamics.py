@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tropkit.dynamics import (
+    DEFAULT_SPREAD_BOUND,
     CrossingMap,
     HomogeneousMap,
     MinPlusTerm,
@@ -263,6 +264,7 @@ _BAD_TERMS = {
     "control_index_outside_u": (lambda: _light2(uterm_matrix(2, [[uterm(0, (1, 0, -1))]]), None), DimensionMismatch),
     "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
     "udim_disagrees_with_u0": (lambda: _light2(uterm_matrix(3, [[0]]), None), DimensionMismatch),
+    "control_entry_without_terms": (lambda: uterm_matrix(2, [[[], 0]]), ValueError),
 }
 
 
@@ -341,31 +343,72 @@ def _plain_light(occ_v, occ_h, phi, k, window=64):
     return us, xs, report, _plain_rates(xs)
 
 
+def _plain_t1h(system, k):
+    """u and x trajectories of any T1H system, in plain Fraction arithmetic on its fields."""
+    c = system.c
+
+    def entry(terms, u):
+        return min(t.constant + sum(e * u[i] for i, e in t.exponents) for t in terms)
+
+    def apply(m, u, v):
+        return [
+            min(entry(terms, u) + v[j] for j, terms in enumerate(row) if terms is not None)
+            for row in m.entries
+        ]
+
+    u, x = [Fraction(v) for v in system.u0], [Fraction(v) for v in system.x0]
+    us, xs = [u], [x]
+    for _ in range(k):
+        y = apply(system.a_of_u, u, x)
+        if system.b_of_u is not None:
+            y = [min(p, q) for p, q in zip(y, apply(system.b_of_u, u, u))]
+        u = [
+            min(c[i, j].value + u[j] for j in range(c.cols) if c[i, j].is_finite)
+            for i in range(c.rows)
+        ]
+        x = y
+        us.append(u)
+        xs.append(x)
+    return us, xs
+
+
+def _all_fractions(*trajectories):
+    return all(type(v) is Fraction for traj in trajectories for point in traj for v in point)
+
+
 def test_trajectories_equal_plain_resimulation_random():
     rng = random.Random(35)
     for _ in range(40):
         m = rng.randint(2, 12)
         occ = [rng.randint(0, 1) for _ in range(m)]
-        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m)]
+        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in range(m)]
         k = rng.randint(2, 40)
         traj, lam = hom_iterate(road_event_graph(occ), x0, k)
         want = _plain_iterate(_plain_road(occ), x0, k)
         assert traj == want and lam == sum(_plain_rates(want)) / m
+        assert _all_fractions(traj)
     for _ in range(40):
         n1, n2 = rng.randint(2, 7), rng.randint(2, 7)
         cars = sorted(rng.sample(range(n1 + n2), rng.randint(0, n1 + n2)))
         occ = [int(i in cars) for i in range(n1 + n2)]
-        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in occ]
-        k = rng.randint(2, 40)
+        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in occ]
+        # long runs: the crossings double D each step, so the gcd reduction must keep it small
+        k = rng.randint(2, 300)
         for policy in ("fifty_fifty", "priority"):
-            traj, lam = hom_iterate(build_crossing(n1, n2, cars, policy), x0, k)
+            f = build_crossing(n1, n2, cars, policy)
             want = _plain_iterate(_plain_crossing(n1, n2, occ, policy == "priority"), x0, k)
+            if any(max(p) - min(p) > DEFAULT_SPREAD_BOUND for p in want[1:]):
+                with pytest.raises(Diverged):
+                    hom_iterate(f, x0, k)
+                continue
+            traj, lam = hom_iterate(f, x0, k)
             assert traj == want and lam == sum(_plain_rates(want)) / (n1 + n2)
+            assert _all_fractions(traj)
     for _ in range(30):
         nv, nh = rng.randint(2, 7), rng.randint(2, 7)
         cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
         ch = sorted(rng.sample(range(nh), rng.randint(0, nh)))
-        phi = [rng.choice((0, 0, 1, 2)) for _ in range(4)]
+        phi = [rng.choice((0, 0, 1, 2, Fraction(1, 2), Fraction(2, 3))) for _ in range(4)]
         if not any(phi):
             phi[rng.randrange(4)] = 1
         k = rng.randint(2, 90)
@@ -373,5 +416,52 @@ def test_trajectories_equal_plain_resimulation_random():
         occ_v, occ_h = [int(i in cv) for i in range(nv)], [int(i in ch) for i in range(nh)]
         us, xs, want_report, want_rates = _plain_light(occ_v, occ_h, phi, k)
         assert u_traj == us and x_traj == xs and rates == want_rates
+        assert _all_fractions(u_traj, x_traj)
         got = None if report is None else (report.start, report.period, report.gain)
         assert got == want_report
+
+
+def test_t1h_input_matrix_and_rational_phases_equal_plain_resimulation():
+    rng = random.Random(36)
+    half = Fraction(1, 2)
+    for _ in range(30):
+        nv, nh = rng.randint(2, 5), rng.randint(2, 5)
+        cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
+        ch = sorted(rng.sample(range(nh), rng.randint(0, nh)))
+        phi = [rng.choice((0, 1, half, Fraction(2, 3), Fraction(5, 4))) for _ in range(4)]
+        light = traffic_light_system(nv, nh, cv, ch, phi)
+        b_rows = []
+        for _ in range(nv + nh):
+            row = [None] * 4
+            row[rng.randrange(4)] = Fraction(rng.randint(0, 9), rng.choice((1, 3)))
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(4), 2)
+                e = rng.choice((half, 1, Fraction(3, 2)))
+                exponents = [e if t == i else -e if t == j else 0 for t in range(4)]
+                row[rng.randrange(4)] = uterm(rng.randint(-2, 2), exponents)
+            b_rows.append(row)
+        u0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(4))
+        x0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(nv + nh))
+        system = T1HSystem(light.c, light.a_of_u, uterm_matrix(4, b_rows), u0, x0)
+        k = rng.randint(2, 120)
+        u_traj, x_traj, _, rates = t1h_simulate(system, k)
+        us, xs = _plain_t1h(system, k)
+        assert u_traj == us and x_traj == xs and rates == _plain_rates(xs)
+        assert _all_fractions(u_traj, x_traj)
+
+
+def test_integer_steps_and_exact_spread_bound():
+    x = [0, 1, 0, 1, 1, 0, 0]
+    assert road_event_graph([1, 0, 0, 1, 0, 1, 0]).step(x, 1)[1] == 1
+    assert build_crossing(3, 4, [0, 4], "fifty_fifty").step(x, 1)[1] == 2
+    assert build_crossing(3, 4, [0, 4], "priority").step(x, 1)[1] == 2
+    # the swap keeps the spread of x0 at every step
+    swap = HomogeneousMap(2, ((term(0, (0, 1)),), (term(0, (1, 0)),)))
+    bound = Fraction(7, 3)
+    traj, _ = hom_iterate(swap, [Fraction(1, 5), Fraction(1, 5) + bound], 6, spread_bound=bound)
+    assert traj[-1] == [Fraction(1, 5), Fraction(1, 5) + bound] and _all_fractions(traj)
+    with pytest.raises(Diverged):
+        hom_iterate(swap, [0, bound + Fraction(1, 10**12)], 6, spread_bound=bound)
+    hom_iterate(swap, [0, 3], 6, spread_bound=3)
+    with pytest.raises(Diverged):
+        hom_iterate(swap, [0, Fraction(301, 100)], 6, spread_bound=3)

@@ -9,13 +9,13 @@ from tropkit.semiring import MAX_PLUS, MIN_PLUS, one, scalar, sr_mul, sr_residua
 from tropkit.spectral import (
     collatz_wielandt,
     collatz_wielandt_certificate,
-    cycle_means_bruteforce,
     eigenvectors,
     max_cycle_mean,
-    max_cycle_mean_bruteforce,
     spectral_analysis,
 )
 from tropkit.tropmat import kleene_star, mat_mul, matrix, vector
+
+from cycle_oracle import cycle_means_bruteforce, max_cycle_mean_bruteforce
 
 BOT = "-inf"
 

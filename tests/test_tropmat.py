@@ -7,6 +7,7 @@ from tropkit.errors import DimensionMismatch, Divergent, NoCycle, TagMismatch, Z
 from tropkit.projector import Halfspace
 from tropkit.semiring import (
     BOOLEAN,
+    Interval,
     MAX_PLUS,
     MAX_TIMES,
     MIN_PLUS,
@@ -188,6 +189,23 @@ def test_interval_star_examples():
     assert pt.lo == pt.hi == kleene_star(hi)
     with pytest.raises(Divergent):
         iv_kleene_star(interval_matrix(matrix([[0]]), matrix([[1]])))
+
+
+def test_interval_matrix_entries_equal_checked_intervals():
+    cases = (
+        (matrix([[BOT, -2], [0, -4]]), matrix([[-1, -2], [3, -1]])),
+        (matrix([[5, "+inf"], [2, 7]], MIN_PLUS), matrix([[1, 0], [2, 6]], MIN_PLUS)),
+    )
+    for lo, hi in cases:
+        iv = interval_matrix(lo, hi)
+        for i in range(2):
+            for j in range(2):
+                want = Interval(lo[i, j], hi[i, j])
+                assert iv[i, j] == want and iv.entries[i][j] == want
+                assert iv[i, j].tag is lo.tag
+        # a user-built interval still checks its endpoint order
+        with pytest.raises(ValueError):
+            Interval(hi[0, 0], lo[0, 0])
 
 
 def test_interval_star_soundness_random():
