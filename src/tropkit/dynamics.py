@@ -392,6 +392,8 @@ def tent_trajectory(
         raise BadConfig("tent map runs on [0, 1]")
     if k < 1:
         raise ValueError("need at least one step")
+    if bins is not None and bins < 1:
+        raise ValueError("need at least one bin")
     p, q = y.numerator, y.denominator
     nums = [p]
     for _ in range(k):

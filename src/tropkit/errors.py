@@ -42,7 +42,12 @@ class Infeasible(TropkitError):
 
 
 class TooLarge(TropkitError):
-    """Instance exceeds the cap of the exact enumeration path."""
+    """Instance exceeds a size cap, or a bounded search ran out of budget.
+
+    Caps bound work that is exponential in the input size even for the best
+    exact algorithm in use (tables over all 2^n subsets, double-description
+    generator sets); no cap guards an enumeration path.
+    """
 
 
 class ImprovingCycle(TropkitError):

@@ -3,9 +3,12 @@
 TP-functions satisfy the tropicalized 3-term Plucker relation as an exact
 equality of maxima; DMTP-functions satisfy the weaker "maximum attained at
 least twice" form of the 3- and 4-term relations. Normal flows on the
-planar grid digraph produce DMTP-functions, TP-functions are determined by
-their values on the interval family, and submodularity of a TP-function can
-be read off the intervals alone.
+planar grid digraph produce DMTP-functions; they are built subset by subset
+with one longest augmenting path each. TP-functions are determined by their
+values on the interval family, and submodularity of a TP-function can be
+read off the intervals alone. The checkers, the flow construction and the
+reconstruction are all capped at n <= CHECK_CAP, because each one reads or
+writes a table over all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .errors import Inconsistent, NoFlow, TooLarge
 
 CHECK_CAP = 8
-FLOW_CAP = 4
-
-MINUS_INF = None  # recorded value when no normal flow exists for a subset
 
 
 def subset_mask(elements: Iterable[int], n: int) -> int:
@@ -100,13 +100,29 @@ class CheckResult:
         return self.ok
 
 
-def _tp_triples(n: int):
-    """All (A, i, j, k) with i < j < k disjoint from A."""
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        rest = [e for e in range(1, n + 1) if e not in (i, j, k)]
+def _relation_sums(f: SubsetFunction, size: int):
+    """(witness, (s1, s2, s3)) for the 3-term (size 3) or 4-term (size 4)
+    relation at every (A, i < j < k [< l]) with A disjoint from the indices.
+
+    s1 = f(A+ik) + f(A+jl), s2 = f(A+ij) + f(A+kl), s3 = f(A+jk) + f(A+il),
+    where the 3-term relation reads l as absent. Relations touching a
+    minus-infinity (None) value are skipped; witnesses are (A, i, j, k[, l]).
+    """
+    n, t = f.n, f.table
+    for idx in itertools.combinations(range(1, n + 1), size):
+        bi, bj, bk, bl = [1 << (e - 1) for e in idx] + [0] * (4 - size)
+        rest = [e for e in range(1, n + 1) if e not in idx]
         for r in range(len(rest) + 1):
             for combo in itertools.combinations(rest, r):
-                yield subset_mask(combo, n), i, j, k
+                a = subset_mask(combo, n)
+                vals = (
+                    t[a | bi | bk], t[a | bj | bl],
+                    t[a | bi | bj], t[a | bk | bl],
+                    t[a | bj | bk], t[a | bi | bl],
+                )
+                if any(v is None for v in vals):
+                    continue
+                yield (a,) + idx, (vals[0] + vals[1], vals[2] + vals[3], vals[4] + vals[5])
 
 
 def is_tp(f: SubsetFunction) -> CheckResult:
@@ -115,22 +131,11 @@ def is_tp(f: SubsetFunction) -> CheckResult:
     f(A+ik) + f(A+j) = max(f(A+ij) + f(A+k), f(A+jk) + f(A+i)).
     Subsets where f records no flow (minus infinity) are excluded.
     """
-    n = f.n
-    if n > CHECK_CAP:
+    if f.n > CHECK_CAP:
         raise TooLarge(f"TP check capped at n <= {CHECK_CAP}")
-    for a, i, j, k in _tp_triples(n):
-        bi, bj, bk = 1 << (i - 1), 1 << (j - 1), 1 << (k - 1)
-        vals = (
-            f.table[a | bi | bk], f.table[a | bj],
-            f.table[a | bi | bj], f.table[a | bk],
-            f.table[a | bj | bk], f.table[a | bi],
-        )
-        if any(v is None for v in vals):
-            continue
-        lhs = vals[0] + vals[1]
-        rhs = max(vals[2] + vals[3], vals[4] + vals[5])
-        if lhs != rhs:
-            return CheckResult(False, (a, i, j, k))
+    for witness, (lhs, s2, s3) in _relation_sums(f, 3):
+        if lhs != max(s2, s3):
+            return CheckResult(False, witness)
     return CheckResult(True)
 
 
@@ -141,37 +146,12 @@ def _max_twice(values: Sequence[Fraction]) -> bool:
 
 def is_dmtp(f: SubsetFunction) -> CheckResult:
     """Maximum attained at least twice in every 3-term and 4-term triple."""
-    n = f.n
-    if n > CHECK_CAP:
+    if f.n > CHECK_CAP:
         raise TooLarge(f"DMTP check capped at n <= {CHECK_CAP}")
-    for a, i, j, k in _tp_triples(n):
-        bi, bj, bk = 1 << (i - 1), 1 << (j - 1), 1 << (k - 1)
-        vals = (
-            f.table[a | bi | bk], f.table[a | bj],
-            f.table[a | bi | bj], f.table[a | bk],
-            f.table[a | bj | bk], f.table[a | bi],
-        )
-        if any(v is None for v in vals):
-            continue
-        triple = (vals[0] + vals[1], vals[2] + vals[3], vals[4] + vals[5])
-        if not _max_twice(triple):
-            return CheckResult(False, ("3-term", a, i, j, k))
-    for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
-        rest = [e for e in range(1, n + 1) if e not in (i, j, k, l)]
-        bi, bj, bk, bl = (1 << (e - 1) for e in (i, j, k, l))
-        for r in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                a = subset_mask(combo, n)
-                vals = (
-                    f.table[a | bi | bk], f.table[a | bj | bl],
-                    f.table[a | bi | bj], f.table[a | bk | bl],
-                    f.table[a | bj | bk], f.table[a | bi | bl],
-                )
-                if any(v is None for v in vals):
-                    continue
-                triple = (vals[0] + vals[1], vals[2] + vals[3], vals[4] + vals[5])
-                if not _max_twice(triple):
-                    return CheckResult(False, ("4-term", a, i, j, k, l))
+    for size, family in ((3, "3-term"), (4, "4-term")):
+        for witness, sums in _relation_sums(f, size):
+            if not _max_twice(sums):
+                return CheckResult(False, (family,) + witness)
     return CheckResult(True)
 
 
@@ -223,45 +203,34 @@ def grid_net(n: int, weights: Mapping[Edge, object]) -> GridFlowNet:
     return GridFlowNet(n, tuple(table))
 
 
-def _all_paths(n: int, frm: Tuple[int, int], to: Tuple[int, int], used: frozenset):
-    """Monotone grid paths frm -> to avoiding used edges, as edge tuples."""
-    if frm == to:
-        yield ()
-        return
-    i, j = frm
-    ti, tj = to
-    if i < ti or j > tj:
-        return
-    if i > 1:
-        e = ((i, j), (i - 1, j))
-        if e not in used:
-            for rest in _all_paths(n, (i - 1, j), to, used | {e}):
-                yield (e,) + rest
-    if j < n:
-        e = ((i, j), (i, j + 1))
-        if e not in used:
-            for rest in _all_paths(n, (i, j + 1), to, used | {e}):
-                yield (e,) + rest
-
-
-def _best_flow(net: GridFlowNet, sources: List[Tuple[int, int]], sinks: List[Tuple[int, int]]):
-    """Max weight of an edge-disjoint path system routing sources to sinks."""
-    w = net.weights
-    best: List[Optional[Fraction]] = [None]
-
-    def route(idx: int, remaining: Tuple[Tuple[int, int], ...], used: frozenset, acc: Fraction):
-        if idx == len(sources):
-            if best[0] is None or acc > best[0]:
-                best[0] = acc
-            return
-        src = sources[idx]
-        for pos, snk in enumerate(remaining):
-            rest = remaining[:pos] + remaining[pos + 1:]
-            for path in _all_paths(net.n, src, snk, used):
-                route(idx + 1, rest, used | set(path), acc + sum((w[e] for e in path), Fraction(0)))
-
-    route(0, tuple(sinks), frozenset(), Fraction(0))
-    return best[0]
+def _augment(
+    edges: Sequence[Tuple[Edge, Fraction]], flow: frozenset, frm, to
+) -> Tuple[Fraction, frozenset]:
+    """Gain of a longest frm -> to path in the residual grid of `flow`, and
+    the flow it leaves. An unused edge a->b is the arc a->b with gain w, a
+    used one the arc b->a with gain -w. Exact Bellman-Ford with early exit;
+    `flow` is optimal, so its residual grid has no positive cycle."""
+    arcs = [(e[1], e[0], -g, e) if e in flow else (e[0], e[1], g, e) for e, g in edges]
+    dist = {frm: Fraction(0)}
+    pred = {}
+    for _ in range(len(arcs)):  # the grid has at least |vertices| - 1 arcs
+        changed = False
+        for u, v, g, e in arcs:
+            du = dist.get(u)
+            if du is not None and (v not in dist or du + g > dist[v]):
+                dist[v] = du + g
+                pred[v] = (u, e)
+                changed = True
+        if not changed:
+            break
+    if to not in dist:
+        raise NoFlow(f"no residual path from {frm} to {to}")
+    used = set(flow)
+    v = to
+    while v != frm:
+        v, e = pred[v]
+        used ^= {e}
+    return dist[to], frozenset(used)
 
 
 def flow_tp(net: GridFlowNet) -> SubsetFunction:
@@ -269,58 +238,30 @@ def flow_tp(net: GridFlowNet) -> SubsetFunction:
 
     A normal flow has divergence +1 on S', -1 on the first |S'| sinks and 0
     elsewhere; on the acyclic grid these are exactly the edge-disjoint path
-    systems from the chosen sources onto the leading sinks. The result is a
-    DMTP-function. Subsets admitting no flow are recorded as minus infinity
-    and skipped by the relation checkers (the standard grid always routes).
+    systems from the chosen sources onto the leading sinks, i.e. integral
+    unit-capacity flows. The result is a DMTP-function.
+
+    Successive longest augmenting paths (Ahuja, Magnanti & Orlin, *Network
+    Flows*, 1993): the best flow for S' is the best flow for S' minus its
+    largest element e, plus one longest path in that flow's residual grid
+    from the source of e to sink |S'|. Raises NoFlow if that path does not
+    exist (the complete grid always routes).
     """
     n = net.n
-    if n > FLOW_CAP:
-        raise TooLarge(f"normal-flow enumeration capped at n <= {FLOW_CAP}")
-    table: List[Optional[Fraction]] = [None] * (1 << n)
-    table[0] = Fraction(0)
+    if n > CHECK_CAP:
+        raise TooLarge(f"normal-flow construction capped at n <= {CHECK_CAP}")
+    # tails bottom row first, left to right: a topological order of the
+    # grid, so a path without backward arcs settles in one pass
+    edges = sorted(net.edge_weights, key=lambda ew: (-ew[0][0][0], ew[0][0][1]))
+    table: List[Fraction] = [Fraction(0)]
+    flows = [frozenset()]
     for mask in range(1, 1 << n):
-        elems = mask_elements(mask)
-        sources = [net.source(e) for e in elems]
-        sinks = [net.sink(r) for r in range(1, len(elems) + 1)]
-        table[mask] = _best_flow(net, sources, sinks)
+        top = mask.bit_length()
+        rest = mask & ~(1 << (top - 1))
+        gain, flow = _augment(edges, flows[rest], net.source(top), net.sink(bin(mask).count("1")))
+        table.append(table[rest] + gain)
+        flows.append(flow)
     return SubsetFunction(n, tuple(table))
-
-
-def flow_value_bruteforce(net: GridFlowNet, subset: Iterable[int]) -> Optional[Fraction]:
-    """Independent oracle: scan all 2^|E| edge subsets for the divergence
-    constraints of a normal flow and maximize the weight. Tiny n only."""
-    n = net.n
-    edges = grid_edges(n)
-    if len(edges) > 14:
-        raise TooLarge("edge-subset scan is exponential; use n <= 2")
-    w = net.weights
-    elems = sorted(set(subset))
-    sources = {net.source(e) for e in elems}
-    sinks = {net.sink(r) for r in range(1, len(elems) + 1)}
-    best: Optional[Fraction] = None
-    for chosen in itertools.product((False, True), repeat=len(edges)):
-        div: Dict[Tuple[int, int], int] = {}
-        weight = Fraction(0)
-        for flag, e in zip(chosen, edges):
-            if not flag:
-                continue
-            a, b = e
-            div[a] = div.get(a, 0) + 1
-            div[b] = div.get(b, 0) - 1
-            weight += w[e]
-        ok = True
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                v = (i, j)
-                want = (1 if v in sources else 0) - (1 if v in sinks else 0)
-                if div.get(v, 0) != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and (best is None or weight > best):
-            best = weight
-    return best
 
 
 def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFunction:

@@ -265,6 +265,8 @@ _BAD_TERMS = {
     "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
     "udim_disagrees_with_u0": (lambda: _light2(uterm_matrix(3, [[0]]), None), DimensionMismatch),
     "control_entry_without_terms": (lambda: uterm_matrix(2, [[[], 0]]), ValueError),
+    "tent_bins_0": (lambda: tent_trajectory(Fraction(1, 3), 4, bins=0), ValueError),
+    "tent_bins_-2": (lambda: tent_trajectory(Fraction(1, 3), 4, bins=-2), ValueError),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 import tropkit
 from tropkit import io as tio
 from tropkit.cli import main
-from tropkit.plucker import flow_tp, grid_edges, grid_net
+from tropkit.plucker import flow_tp, grid_edges, grid_net, is_tp
 from tropkit.semiring import BOOLEAN, MAX_PLUS, MAX_TIMES, MIN_PLUS
 from tropkit.tropmat import interval_matrix, matrix, vector
 
@@ -288,6 +288,25 @@ def test_cli_invariants_above_old_enumeration_cap(tmp_path):
     body = json.loads(proc.stdout)
     assert len(body["rook_coefficients"]) == 10
     assert body["permanent"] == body["rook_coefficients"][9]
+
+
+def test_cli_plucker_build_above_old_flow_cap(tmp_path):
+    # n = 6 was past the n <= 4 cap of the path-system enumeration
+    weights = {}
+    for i in range(1, 7):
+        for j in range(1, 7):
+            if i > 1:
+                weights[f"{i},{j}->{i - 1},{j}"] = f"{(i * j) % 5 - 2}/{1 + j % 3}"
+            if j < 6:
+                weights[f"{i},{j}->{i},{j + 1}"] = (2 * i - j) % 7 - 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropkit.cli", "plucker", "build", "--net",
+         write(tmp_path, "net.json", {"n": 6, "weights": weights})],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    f = tio.subset_function_from_json(json.loads(proc.stdout))
+    assert f.n == 6 and f.is_finite() and is_tp(f)
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_TRAFFIC_REQUESTS))

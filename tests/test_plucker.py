@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from flow_oracle import flow_table_enumerated, flow_value_bruteforce
+from tropkit.errors import NoFlow, TooLarge
 from tropkit.plucker import (
+    CHECK_CAP,
+    GridFlowNet,
     flow_tp,
-    flow_value_bruteforce,
     grid_edges,
     grid_net,
     interval_masks,
@@ -36,6 +39,44 @@ def test_flow_matches_edge_subset_oracle_n2():
             assert f.table[mask] == flow_value_bruteforce(net, mask_elements(mask))
 
 
+def test_flow_matches_path_system_oracle():
+    rng = random.Random(27)
+    for n in (1, 2, 3, 4):
+        for _ in range(30 if n < 4 else 10):
+            w = {e: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for e in grid_edges(n)}
+            net = grid_net(n, w)
+            f = flow_tp(net)
+            assert list(f.table) == flow_table_enumerated(net)
+            assert all(type(v) is Fraction for v in f.table)
+
+
+@pytest.mark.parametrize("n", range(1, CHECK_CAP + 1))
+def test_zero_weight_grid_routes_every_subset(n):
+    f = flow_tp(grid_net(n, {}))
+    assert f.is_finite() and all(v == 0 for v in f.table)
+
+
+@pytest.mark.parametrize("n", range(5, CHECK_CAP + 1))
+def test_flow_functions_above_enumeration_reach(n):
+    rng = random.Random(28 + n)
+    w = {e: Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for e in grid_edges(n)}
+    f = flow_tp(grid_net(n, w))
+    assert f.is_finite()
+    assert is_tp(f) and is_dmtp(f)
+    assert is_submodular(f) == is_submodular(f, on_intervals_only=True)
+    assert reconstruct_from_intervals(n, f.restrict_to_intervals()).table == f.table
+
+
+def test_flow_capped_at_check_cap():
+    with pytest.raises(TooLarge):
+        flow_tp(grid_net(CHECK_CAP + 1, {}))
+
+
+def test_flow_without_residual_path_raises_no_flow():
+    with pytest.raises(NoFlow):
+        flow_tp(GridFlowNet(2, ()))  # no edges: source 1 cannot reach sink 1
+
+
 def test_flow_empty_set_and_zero_weights():
     net = grid_net(3, {})
     f = flow_tp(net)
@@ -64,6 +105,23 @@ def test_perturbation_yields_witness():
     assert not r and r.witness is not None
     rd = is_dmtp(fp)
     assert not rd and rd.witness is not None
+
+
+def test_first_witnesses_are_pinned():
+    # one scan order for both checkers: the first failing relation is reported
+    rng = random.Random(27)
+    w = {e: Fraction(rng.randint(-4, 4)) for e in grid_edges(4)}
+    vals = dict(enumerate(flow_tp(grid_net(4, w)).table))
+    vals[subset_mask([2, 4], 4)] += 1
+    fp = subset_function(4, vals)
+    assert is_tp(fp).witness == (subset_mask([4], 4), 1, 2, 3)
+    assert is_dmtp(fp).witness == ("3-term", subset_mask([4], 4), 1, 2, 3)
+    # no finite 3-term relation, so only the 4-term one at A = {} can fail
+    pairs = {m: Fraction(0) for m in range(16) if bin(m).count("1") == 2}
+    pairs[subset_mask([1, 3], 4)] = pairs[subset_mask([2, 4], 4)] = Fraction(1)
+    g = subset_function(4, {m: pairs.get(m, 0 if m in (0, 15) else None) for m in range(16)})
+    assert is_tp(g)
+    assert is_dmtp(g).witness == ("4-term", 0, 1, 2, 3, 4)
 
 
 def test_reconstruction_round_trip():
