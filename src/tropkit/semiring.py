@@ -120,6 +120,14 @@ def _add_min(a, b):
     return a if b is None or a <= b else b
 
 
+def _le_max(a, b):
+    return a is None or (b is not None and a <= b)
+
+
+def _le_min(a, b):
+    return a is None or (b is not None and a >= b)
+
+
 def _mul_plus(a, b):
     return None if a is None or b is None else a + b
 
@@ -148,25 +156,23 @@ class PayloadOps:
     """One tag's semiring laws on raw payloads: a kernel picks them once per call.
 
     `residual` raises DivisionByBottom on a zero denominator, and ValueError
-    for boolean.
+    for boolean. `le` is the canonical order (a <= b iff a + b == b),
+    computed directly.
     """
 
     add: Callable[[Payload, Payload], Payload]
     mul: Callable[[Payload, Payload], Payload]
     residual: Callable[[Payload, Payload], Payload]
+    le: Callable[[Payload, Payload], bool]
     zero: Payload
     unit: Payload
 
-    def le(self, a: Payload, b: Payload) -> bool:
-        """The canonical order: a <= b iff a + b == b."""
-        return self.add(a, b) == b
-
 
 _OPS = {
-    MAX_PLUS: PayloadOps(_add_max, _mul_plus, _residual_plus, None, 0),
-    MIN_PLUS: PayloadOps(_add_min, _mul_plus, _residual_plus, None, 0),
-    MAX_TIMES: PayloadOps(_add_max, operator.mul, _residual_times, Fraction(0), 1),
-    BOOLEAN: PayloadOps(operator.or_, operator.and_, _residual_boolean, False, True),
+    MAX_PLUS: PayloadOps(_add_max, _mul_plus, _residual_plus, _le_max, None, 0),
+    MIN_PLUS: PayloadOps(_add_min, _mul_plus, _residual_plus, _le_min, None, 0),
+    MAX_TIMES: PayloadOps(_add_max, operator.mul, _residual_times, operator.le, Fraction(0), 1),
+    BOOLEAN: PayloadOps(operator.or_, operator.and_, _residual_boolean, operator.le, False, True),
 }
 
 

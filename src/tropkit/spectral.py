@@ -54,26 +54,29 @@ def max_cycle_mean(a: TropMatrix) -> TropScalar:
                 if cur[i] is None or cand > cur[i]:
                     cur[i] = cand
         d.append(cur)
-    best: Optional[Fraction] = None
+    # Ratios (num, den) with den > 0 compare by cross-multiplication; only
+    # the answer becomes a Fraction.
+    best: Optional[Tuple[Fraction, int]] = None
     for i in range(n):
         dn = d[n][i]
         if dn is None:
             continue
-        worst: Optional[Fraction] = None
+        worst: Optional[Tuple[Fraction, int]] = None
         for k in range(n):
             dk = d[k][i]
             if dk is None:
                 continue
-            ratio = Fraction(dn - dk, n - k)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best is None or worst > best):
+            num, den = dn - dk, n - k
+            if worst is None or num * worst[1] < worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (best is None or worst[0] * best[1] > best[0] * worst[1]):
             best = worst
     if best is None:
         raise NoCycle("digraph of finite entries is acyclic")
+    mean = Fraction(*best)
     if a.tag is MIN_PLUS:
-        best = -best
-    return TropScalar(best, a.tag)
+        mean = -mean
+    return TropScalar(mean, a.tag)
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,31 @@ one row a x <= b x at a time. A generator g with a g <= b g stays, and it
 pairs with every generator h with a h > b h into (a h) g + (b g) h, on which
 both sides of the row are equal. A single row is this step applied once to
 the unit vectors. After every step, columns generated by the others are
-pruned with the projector membership test, so only extreme rays remain.
+pruned, so only extreme rays remain.
+
+The steps run on raw max-plus payload tuples (None for -inf) with the
+max-plus payload laws of `semiring`. Columns are normalized by subtracting
+their first finite coordinate and compared as tuples. A column c lies in
+the span of others iff every finite c_i is attained by the greatest
+multiple of some other column below c (the covering criterion), which needs
+no projector. Generators are boxed into vectors once, and each is checked
+against the system by `check_solution` before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import reduce
+from itertools import repeat
+from typing import List, Optional, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
-from .projector import Semimodule, project
-from .semiring import MAX_PLUS, one, sr_residual
-from .tropmat import TropMatrix, TropVector, from_columns, unit_vector
+from .semiring import MAX_PLUS, Payload
+from .tropmat import TropMatrix, TropVector, from_columns, identity
 
 COMBINATORIAL_CAP = 6
+Column = Tuple[Payload, ...]  # max-plus payloads, None for -inf
+_add, _mul, _le = MAX_PLUS.ops.add, MAX_PLUS.ops.mul, MAX_PLUS.ops.le
 
 
 @dataclass(frozen=True)
@@ -58,49 +69,73 @@ def check_solution(s: InequalitySystem, x: TropVector) -> bool:
     return s.a.apply(x) <= s.b.apply(x)
 
 
-def _normalize(col: TropVector) -> Optional[TropVector]:
-    """Scale so the first finite coordinate is the unit; None for the zero column."""
-    supp = col.support()
-    return col.scale(sr_residual(one(col.tag), col[min(supp)])) if supp else None
+def _normalize(col: Column) -> Optional[Column]:
+    """Shift so the first finite coordinate is the unit; None for the zero column."""
+    first = next((v for v in col if v is not None), None)
+    if first is None:
+        return None
+    return tuple(map(_mul, repeat(0 - first), col))
 
 
-def _prune(cols: List[TropVector]) -> List[TropVector]:
+def _spans(gens: List[Column], c: Column) -> bool:
+    """True iff c lies in the span of gens, by the covering criterion.
+
+    The greatest multiple of g below c is lam g with lam = min of c_i - g_i
+    over the support of g, finite only when c is finite there. Their sum
+    never exceeds c, and equals it iff every finite c_i is attained,
+    lam + g_i = c_i, by some g.
+    """
+    missing = {i for i, v in enumerate(c) if v is not None}
+    for g in gens:
+        supp = [i for i, v in enumerate(g) if v is not None]
+        if any(c[i] is None for i in supp):
+            continue
+        gaps = [c[i] - g[i] for i in supp]
+        lam = min(gaps)
+        missing.difference_update(i for i, gap in zip(supp, gaps) if gap == lam)
+        if not missing:
+            return True
+    return False
+
+
+def _prune(cols: List[Column]) -> List[Column]:
     """Normalize, drop duplicates, then drop in one pass each column that the
     columns still kept generate. Extreme rays are unique up to scaling, so
     exactly they stay, in their first-seen order."""
-    kept: List[TropVector] = []
+    kept: List[Column] = []
     for c in cols:
         nc = _normalize(c)
         if nc is not None and nc not in kept:
             kept.append(nc)
     for c in list(kept):
-        others = [o for o in kept if o is not c]
-        if others and project(Semimodule(from_columns(others, c.tag)), c) == c:
+        if _spans([o for o in kept if o is not c], c):
             kept.remove(c)
     return kept
 
 
-def _intersect(gens: List[TropVector], a: TropMatrix, b: TropMatrix) -> List[TropVector]:
-    """Generators of {x in span(gens) : a x <= b x} for one row (1 x n matrices).
+def _intersect(gens: List[Column], a: Column, b: Column) -> List[Column]:
+    """Generators of {x in span(gens) : a x <= b x} for one row.
 
     Each g with a g <= b g stays and, for every h with a h > b h, adds
     (a h) g + (b g) h, whose two sides both equal (a h)(b g).
     """
-    sides = [(a.apply(g)[0], b.apply(g)[0]) for g in gens]
-    out: List[TropVector] = []
+    sides = [tuple(reduce(_add, map(_mul, row, g), None) for row in (a, b)) for g in gens]
+    over = [(h, ah) for h, (ah, bh) in zip(gens, sides) if not _le(ah, bh)]
+    out: List[Column] = []
     for g, (ag, bg) in zip(gens, sides):
-        if ag <= bg:
+        if _le(ag, bg):
             out.append(g)
-            out.extend(g.scale(ah) + h.scale(bg) for h, (ah, bh) in zip(gens, sides) if ah > bh)
+            out.extend(tuple(map(_add, map(_mul, repeat(ah), g), map(_mul, repeat(bg), h))) for h, ah in over)
     return _prune(out)
 
 
-def _certified(s: InequalitySystem, gens: List[TropVector]) -> GeneratorSet:
-    """Check every generator against the system; raise if one fails."""
-    for g in gens:
-        if not check_solution(s, g):
-            raise CertificateInvalid(f"generator {g!r} violates A x <= B x")
-    return GeneratorSet(from_columns(gens, MAX_PLUS), certified=True)
+def _certified(s: InequalitySystem, gens: List[Column]) -> GeneratorSet:
+    """Box the generators, check each against the system; raise if one fails."""
+    vecs = [TropVector._trusted(g, MAX_PLUS) for g in gens]
+    for v in vecs:
+        if not check_solution(s, v):
+            raise CertificateInvalid(f"generator {v!r} violates A x <= B x")
+    return GeneratorSet(from_columns(vecs, MAX_PLUS), certified=True)
 
 
 def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:
@@ -116,8 +151,7 @@ def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:
     if a.tag is not MAX_PLUS or b.tag is not MAX_PLUS:
         raise TagMismatch("two-sided rows are over max-plus")
     s = InequalitySystem(*(TropMatrix._trusted((v.payload,), MAX_PLUS) for v in (a, b)))
-    units = [unit_vector(len(a), j) for j in range(len(a))]
-    gens = _intersect(units, s.a, s.b)
+    gens = _intersect(list(identity(len(a)).payload), a.payload, b.payload)
     if not gens:
         raise Infeasible("b dominates a strictly in every coordinate; only x = 0 solves")
     return _certified(s, gens)
@@ -133,9 +167,9 @@ def solve_system(s: InequalitySystem) -> GeneratorSet:
     m, n = s.rows, s.cols
     if m > COMBINATORIAL_CAP or n > COMBINATORIAL_CAP:
         raise TooLarge(f"combinatorial path is capped at {COMBINATORIAL_CAP}x{COMBINATORIAL_CAP}")
-    gens = [unit_vector(n, j) for j in range(n)]
-    for rows in zip(s.a.payload, s.b.payload):
-        gens = _intersect(gens, *(TropMatrix._trusted((r,), MAX_PLUS) for r in rows))
+    gens = list(identity(n).payload)
+    for a_row, b_row in zip(s.a.payload, s.b.payload):
+        gens = _intersect(gens, a_row, b_row)
     if not gens:
         raise Infeasible("only the zero vector solves the system")
     return _certified(s, gens)

@@ -86,6 +86,23 @@ def test_residuation_adjunction_grid():
             assert (sr_mul(lam, y) <= x) == (lam <= r)
 
 
+def test_direct_order_agrees_with_sum():
+    # each tag's le is computed directly; it must be the canonical order
+    # a <= b iff a + b == b, bottoms and integral Fractions included
+    rationals = [-2, 0, 3, Fraction(1, 2), Fraction(-7, 3), Fraction(3), Fraction(0)]
+    grid = {
+        MAX_PLUS: [None] + rationals,
+        MIN_PLUS: [None] + rationals,
+        MAX_TIMES: [Fraction(0), 0, 1, 2, Fraction(1, 2), Fraction(7, 3), Fraction(2)],
+        BOOLEAN: [False, True],
+    }
+    for tag, values in grid.items():
+        ops = tag.ops
+        for a in values:
+            for b in values:
+                assert ops.le(a, b) == (ops.add(a, b) == b), (tag, a, b)
+
+
 def test_interval_examples():
     a, b = interval(1, 2), interval(0, 3)
     assert iv_binary("add", a, b) == interval(1, 3)

@@ -70,6 +70,42 @@ def test_karp_equals_bruteforce_random():
         assert k == bf
 
 
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
+@pytest.mark.parametrize("unit", [1, Fraction(1, 3), Fraction(-5, 2)])
+def test_karp_tied_ratios_against_oracle(tag, unit):
+    # a loop of weight 2, a 2-cycle of weight 4 and a 3-cycle of weight 6
+    # all have mean 2, so Karp's ratios tie at different lengths k
+    bot = BOT if tag is MAX_PLUS else "+inf"
+    w = [[2, 1, bot], [3, bot, 0], [5, bot, bot]]
+    m = matrix([[v if v == bot else v * unit for v in row] for row in w], tag)
+    lam = max_cycle_mean(m)
+    assert lam == scalar(2 * unit, tag) == max_cycle_mean_bruteforce(m)
+    assert type(lam.value) is type(max_cycle_mean_bruteforce(m).value)
+
+
+def test_karp_equals_bruteforce_rational_random():
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        bot = BOT if tag is MAX_PLUS else "+inf"
+        m = matrix(
+            [
+                [rng.choice([bot, Fraction(rng.randint(-6, 6), rng.randint(1, 4))]) for _ in range(n)]
+                for _ in range(n)
+            ],
+            tag,
+        )
+        try:
+            k = max_cycle_mean(m)
+        except NoCycle:
+            with pytest.raises(NoCycle):
+                max_cycle_mean_bruteforce(m)
+            continue
+        bf = max_cycle_mean_bruteforce(m)
+        assert k == bf and type(k.value) is type(bf.value)
+
+
 def test_critical_graph_examples():
     res = spectral_analysis(matrix([[BOT, 2], [0, BOT]]))
     assert res.critical_nodes == frozenset({0, 1})

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from tropkit.twosided import (
     row_generators,
     solve_system,
 )
+
+from twosided_oracle import generators_oracle
 
 BOT = "-inf"
 
@@ -159,3 +162,50 @@ def test_single_row_system_equals_row_generators_random():
                 solve_system(InequalitySystem(matrix([a]), matrix([b])))
             continue
         assert solve_system(InequalitySystem(matrix([a]), matrix([b]))).generators == row
+
+
+def payload_types(columns):
+    return [tuple(map(type, c)) for c in columns]
+
+
+def test_tied_combination_keeps_left_payload_type():
+    # a combination (a h) g + (b g) h ties int 0 against Fraction(0) in its
+    # first coordinate; the semiring sum keeps the left term, so the second
+    # generator starts with the int 0, as the oracle's does
+    h = Fraction(1, 2)
+    s = InequalitySystem(
+        matrix([[-1, 0, 1, 0], [1, 3 * h, 1, 3 * h]]),
+        matrix([[-h, h, -1, -1], [-h, BOT, 1, 3 * h]]),
+    )
+    got = [c.payload for c in solve_system(s).columns()]
+    assert got == generators_oracle(s)
+    assert payload_types(got) == payload_types(generators_oracle(s))
+    assert type(got[1][0]) is int
+
+
+def test_generators_match_object_level_oracle_random():
+    # the payload kernel against the projector-based row step and pruning:
+    # equal generators in value, order and payload type, up to the cap
+    rng = random.Random(19)
+    values = [None] * 3 + list(range(-3, 4)) + [Fraction(1, 2), Fraction(-5, 3), Fraction(4, 3)]
+    cap = twosided.COMBINATORIAL_CAP
+    integral_fractions = 0
+    for _ in range(150):
+        m, n = rng.randint(1, cap), rng.randint(1, cap)
+        a, b = ([[rng.choice(values) for _ in range(n)] for _ in range(m)] for _ in "ab")
+        s = InequalitySystem(matrix(a), matrix(b))
+        want = generators_oracle(s)
+        try:
+            got = [c.payload for c in solve_system(s).columns()]
+        except Infeasible:
+            got = []
+        assert got == want and payload_types(got) == payload_types(want)
+        integral_fractions += sum(type(v) is Fraction and v.denominator == 1 for c in got for v in c)
+        row = InequalitySystem(matrix(a[:1]), matrix(b[:1]))
+        want = generators_oracle(row)
+        try:
+            got = [c.payload for c in row_generators(vector(a[0]), vector(b[0])).columns()]
+        except Infeasible:
+            got = []
+        assert got == want and payload_types(got) == payload_types(want)
+    assert integral_fractions > 0
