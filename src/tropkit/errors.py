@@ -42,7 +42,7 @@ class Infeasible(TropkitError):
 
 
 class TooLarge(TropkitError):
-    """Instance exceeds a size cap, or a bounded search ran out of budget.
+    """Instance exceeds a size cap.
 
     Caps bound work that is exponential in the input size even for the best
     exact algorithm in use (tables over all 2^n subsets, double-description

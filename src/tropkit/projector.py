@@ -6,25 +6,24 @@ P_V(x) = G (G \\ x), the greatest element of V below x. Compositions of
 several such projectors (cyclic projectors) are isotone, homogeneous and
 continuous, so their spectral radius obeys the nonlinear Collatz-Wielandt
 formula; it equals the largest Hilbert value of the semimodules, attained
-on some common support set. The radius is computed per support class by
-orbit iteration with exact eigenvector extraction; an exact eigenvector
-with full class support pins the class radius from both sides, so every
-reported value is certified.
+on some common support set. A cyclic projector is a min-max function, and
+its radius is the value of a mean-payoff game: strategy iteration over the
+residuals' row choices (Cochet-Terrasson, Gaubert & Gunawardena) bounds it
+from above by a max-plus linear map and from below by an exact eigenvector,
+so every reported value is certified at every dimension.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TooLarge, TropkitError
+from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TropkitError
 from .semiring import MAX_PLUS, SemiringTag, TropScalar, one, sr_mul, zero
+from .spectral import _cycle_time
 from .tropmat import TropMatrix, TropVector, from_columns, mat_residual_left, vec_residual, vector
-
-SUPPORT_ENUM_CAP = 12
-Supports = List[List[FrozenSet[int]]]  # per semimodule, the support of each generator
 
 
 @dataclass(frozen=True)
@@ -146,93 +145,55 @@ class NotSeparable:
     witness: TropVector
 
 
-def _active_generators(supports: Supports, m: FrozenSet[int]) -> Optional[List[List[int]]]:
-    """Per-stage generator indices supported inside M, provided they cover M.
+def _choose(cols: Sequence[tuple], sigma: Sequence[Optional[int]], chi: list, eta: list) -> Tuple[int, ...]:
+    """Per generator g, the row i of supp g with the least residual
+    (chi_i, eta_i - g_i), bottom least and ties to the smallest i; the
+    current row (None: none yet) stays unless strictly beaten."""
 
-    M is a valid support class iff every stage has such generators and
-    their supports cover M exactly; vectors of support M then keep support
-    M around the whole projector cycle.
+    def key(g, i):
+        return (0,) if chi[i] is None else (1, chi[i], eta[i] - g[i])
+
+    out = []
+    for g, cur in zip(cols, sigma):
+        best = min((i for i, v in enumerate(g) if v is not None), key=lambda i: key(g, i))
+        out.append(best if cur is None or key(g, best) < key(g, cur) else cur)
+    return tuple(out)
+
+
+def _push(cols: Sequence[tuple], sigma: Sequence[int], chi: list, eta: list) -> Tuple[list, list]:
+    """Growth rate and second-order term of M x for x = N chi + eta, N large,
+    with M[l][i] = max of g_l - g_i over the generators g with sigma(g) = i:
+    per row l, the lexicographic max of (chi_i, g_l - g_i + eta_i).
+
+    The residual's min over supp g is at most its term at row sigma(g), so
+    the stage projector is at most M pointwise.
     """
-    active: List[List[int]] = []
-    for stage in supports:
-        idx = [j for j, s in enumerate(stage) if s <= m]
-        if not idx or frozenset().union(*(stage[j] for j in idx)) != m:
-            return None
-        active.append(idx)
-    return active
-
-
-def _maximal_class(supports: Supports, n: int) -> Optional[FrozenSet[int]]:
-    """Largest valid support class, by monotone shrinking from full support."""
-    m = frozenset(range(n))
-    while m:
-        new_m = m
-        for stage in supports:
-            inside = [s for s in stage if s <= new_m]
-            if not inside:
-                return None
-            new_m = frozenset().union(*inside)
-        if new_m == m:
-            return m
-        m = new_m
-    return None
-
-
-def _class_semimodules(vs: Sequence[Semimodule], active: List[List[int]]) -> List[Semimodule]:
-    return [
-        Semimodule(from_columns([v.generators.column(j) for j in idx], v.tag))
-        for v, idx in zip(vs, active)
-    ]
-
-
-def _orbit_solve(ws: List[Semimodule], y: TropVector, max_cycles: int = 120):
-    """Exact eigenpair of the composed projector on an invariant class.
-
-    Iterates full cycles from y, looking for additive periodicity
-    F^p(x) = c x. Period one is an eigenvector directly; otherwise the
-    cycle sum z = sum_j lam^{-j} F^j(x) with lam = c/p is one (checked
-    exactly before being returned).
-    """
-    tag = y.tag
-    residual = tag.ops.residual
-    supp = sorted(y.support())
-
-    def full_cycle(x: TropVector) -> TropVector:
-        for w in ws:
-            x = project(w, x)
-        return x
-
-    orbit = [y]
-    for _ in range(max_cycles):
-        orbit.append(full_cycle(orbit[-1]))
-        z = orbit[-1]
-        for p in range(1, len(orbit)):
-            prev = orbit[-1 - p]
-            diffs = {residual(z.payload[i], prev.payload[i]) for i in supp}
-            if len(diffs) != 1:
-                continue
-            lam = TropScalar(Fraction(diffs.pop(), p), tag)
-            if p == 1:
-                return lam, prev
-            cand = prev
-            cur = prev
-            for j in range(1, p):
-                cur = full_cycle(cur)
-                cand = cand + cur.scale(TropScalar(-j * lam.value, tag))
-            if full_cycle(cand) == cand.scale(lam):
-                return lam, cand
-    raise TooLarge("orbit did not become periodic within the cycle budget")
+    best: List[Optional[tuple]] = [None] * len(chi)
+    for g, i in zip(cols, sigma):
+        if chi[i] is not None:
+            for l, gl in enumerate(g):
+                if gl is not None and (best[l] is None or (chi[i], gl - g[i] + eta[i]) > best[l]):
+                    best[l] = (chi[i], gl - g[i] + eta[i])
+    return [b and b[0] for b in best], [b and b[1] for b in best]
 
 
 def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     """Largest Hilbert value of the semimodules = spectral radius of Pk...P1.
 
-    Certified path (ambient dimension <= 12): enumerate the support classes
-    M on which all semimodules have vectors of support exactly M, solve each
-    class exactly by orbit iteration, and take the best eigenvalue. The
-    returned witnesses are the eigenvector orbit; they attain the value as a
-    Hilbert value, exactly. Above the cap only the maximal class is solved
-    and the report is flagged uncertified.
+    Strategy iteration on the projectors' min-max game. A strategy sigma
+    picks one row of each generator's support in place of the residual's
+    min, so P <= A_sigma = Mk...M1 pointwise (stage matrices as in `_push`).
+    It starts as P's own choices along the orbit of top, the sum of the last
+    stage's generators. Each round evaluates A_sigma's cycle-time vector chi
+    and bias eta; r = max chi is A_sigma's cycle mean (Karp), an upper bound
+    on the radius. If x = eta on S = {chi = r} satisfies P(x) = r x exactly,
+    r is attained and the iteration stops. Otherwise each choice switches to
+    a row with a strictly smaller residual at (chi, eta) pushed through the
+    stages; meeting a strategy again raises CertificateInvalid. An acyclic
+    A_sigma certifies the zero radius. The eigenvector is the greatest
+    multiple of x below the sum of the last stage's generators supported in
+    S; its orbit, the witnesses, must attain r as a Hilbert value, or
+    CertificateInvalid is raised.
     """
     if not vs:
         raise ValueError("need at least one semimodule")
@@ -243,43 +204,45 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         raise ValueError("the cyclic spectral radius is provided over max-plus")
     n = next(iter(dims))
     tag = MAX_PLUS
-    supports = [[g.support() for g in v.generator_list()] for v in vs]
+    cols = [list(zip(*v.generators.payload)) for v in vs]
+    eta = list(reduce(TropVector.__add__, vs[-1].generator_list()).payload)
+    chi, sigma = [None if v is None else 0 for v in eta], []
+    for c in cols:
+        sigma.append(_choose(c, [None] * len(c), chi, eta))
+        chi, eta = _push(c, sigma[-1], chi, eta)
+    sigma, seen = tuple(sigma), set()
+    while True:
+        columns = [[None] * n] * n  # A_sigma e_i, stage by stage; bottom unless stage 1 picks i
+        for i in set(sigma[0]):
+            chi = eta = [0 if l == i else None for l in range(n)]
+            for c, s in zip(cols, sigma):
+                chi, eta = _push(c, s, chi, eta)
+            columns[i] = eta
+        a = TropMatrix._trusted(tuple(zip(*columns)), MAX_PLUS)
+        chi, eta = _cycle_time(a)
+        if all(c is None for c in chi):
+            return HilbertReport(zero(tag), (), frozenset(), True)
+        lam = TropScalar._fast(max(c for c in chi if c is not None), tag)
+        x = TropVector._trusted(tuple(e if c == lam.value else None for c, e in zip(chi, eta)), tag)
+        orbit = cyclic_orbit(vs, x, 1)
+        if orbit[-1] == x.scale(lam):
+            break
+        seen.add(sigma)
+        improved = []
+        for c, s in zip(cols, sigma):
+            improved.append(_choose(c, s, chi, eta))
+            chi, eta = _push(c, s, chi, eta)
+        sigma = tuple(improved)
+        if sigma in seen:
+            raise CertificateInvalid("strategy iteration stalled without an eigenvector")
 
-    def solve_class(m: FrozenSet[int], active: List[List[int]]):
-        ws = _class_semimodules(vs, active)
-        top = None
-        for g in ws[-1].generator_list():
-            top = g if top is None else top + g
-        lam, eig = _orbit_solve(ws, top)
-        witnesses = []
-        x = eig
-        for w in ws:
-            x = project(w, x)
-            witnesses.append(x)
-        if hilbert_value(witnesses) != lam:
-            raise CertificateInvalid("orbit witnesses fail to attain the eigenvalue")
-        return lam, tuple(witnesses), eig
-
-    if n > SUPPORT_ENUM_CAP:
-        m = _maximal_class(supports, n)
-        if m is None:
-            return HilbertReport(zero(tag), (), frozenset(), False)
-        active = _active_generators(supports, m)
-        lam, wit, eig = solve_class(m, active)
-        return HilbertReport(lam, wit, m, False, eig)
-
-    best = None
-    for mask in range(1, 1 << n):
-        m = frozenset(i for i in range(n) if mask >> i & 1)
-        active = _active_generators(supports, m)
-        if active is None:
-            continue
-        lam, wit, eig = solve_class(m, active)
-        if best is None or best[0] < lam or (best[0] == lam and len(m) > len(best[2])):
-            best = (lam, wit, m, eig)
-    if best is None:
-        return HilbertReport(zero(tag), (), frozenset(), True)
-    return HilbertReport(best[0], best[1], best[2], True, best[3])
+    support = x.support()
+    inside = [g for g in vs[-1].generator_list() if g.support() <= support]
+    c = vec_residual(reduce(TropVector.__add__, inside), x)
+    eig, witnesses = x.scale(c), tuple(w.scale(c) for w in orbit)
+    if hilbert_value(witnesses) != lam:
+        raise CertificateInvalid("orbit witnesses fail to attain the eigenvalue")
+    return HilbertReport(lam, witnesses, support, True, eig)
 
 
 def _grid_points(vs: Sequence[Semimodule]) -> List[TropVector]:
@@ -316,10 +279,7 @@ def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfsp
         for v, vin in zip(vs, inputs):
             halfspaces.append(Halfspace(project(v, vin), vin))
     else:
-        top = None
-        for v in vs:
-            for g in v.generator_list():
-                top = g if top is None else top + g
+        top = reduce(TropVector.__add__, (g for v in vs for g in v.generator_list()))
         for v in vs:
             halfspaces.append(Halfspace(project(v, top), top))
     for v, h in zip(vs, halfspaces):

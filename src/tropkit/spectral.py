@@ -122,6 +122,32 @@ def spectral_analysis(a: TropMatrix) -> SpectralResult:
     return SpectralResult(lam, nodes, edges, tuple(classes), gens)
 
 
+def _cycle_time(a: TropMatrix) -> Tuple[list, list]:
+    """Cycle-time vector chi and bias eta of a max-plus matrix, reducible or not.
+
+    chi_l is the best cycle mean among the strongly connected components that
+    l reaches, None if it reaches no cycle. Levels are peeled off from the
+    top: the nodes reaching a critical class of the rest of the matrix have
+    chi = its eigenvalue and eta = the sum of its eigenvector generators,
+    and no node outside a level reaches into it. So
+    eta_l = max{a_li + eta_i : chi_i = chi_l} - chi_l, None where chi_l is.
+    """
+    chi: List = [None] * a.rows
+    eta: List = [None] * a.rows
+    rest = list(range(a.rows))
+    while rest:
+        sub = TropMatrix._trusted(tuple(tuple(a.payload[i][j] for j in rest) for i in rest), a.tag)
+        try:
+            res = spectral_analysis(sub)
+        except NoCycle:
+            break
+        for l, e in zip(rest, reduce(TropVector.__add__, res.eigenvectors).payload):
+            if e is not None:
+                chi[l], eta[l] = res.eigenvalue.value, e
+        rest = [l for l in rest if chi[l] is None]
+    return chi, eta
+
+
 def eigenvectors(a: TropMatrix) -> List[TropVector]:
     """One eigenvector generator per critical class, unit at its representative."""
     return list(spectral_analysis(a).eigenvectors)

@@ -127,6 +127,21 @@ def test_cli_separate_and_witness(tmp_path):
     assert code == 1 and json.loads(out)["error"]["type"] == "NotSeparable"
 
 
+def test_cli_separate_shared_axis_ray(tmp_path):
+    # both semimodules contain multiples of e0, although the orbit on the
+    # full support class never turns periodic: a domain outcome, exit 1
+    v1 = _max_plus([[-2, 0, BOT, 0], [BOT, 4, 1, -2], [BOT, 1, -2, BOT]])
+    v2 = _max_plus([[3, -3], [-3, BOT], [-4, BOT]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropkit.cli", "separate", "--modules",
+         write(tmp_path, "v1.json", v1), write(tmp_path, "v2.json", v2)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "NotSeparable" and error["witness"][1:] == [BOT, BOT]
+
+
 def test_cli_twosided_infeasible(tmp_path):
     a = write(tmp_path, "A.json", {"semiring": "max-plus", "rows": 1, "cols": 2, "data": [[5, 5]]})
     b = write(tmp_path, "B.json", {"semiring": "max-plus", "rows": 1, "cols": 2, "data": [[1, 1]]})

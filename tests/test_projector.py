@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit import projector
-from tropkit.errors import CertificateInvalid, EmptySupport
+from tropkit import projector, spectral
+from tropkit.errors import CertificateInvalid, EmptySupport, TooLarge
 from tropkit.projector import (
     Halfspace,
     NotSeparable,
@@ -19,6 +19,8 @@ from tropkit.projector import (
 )
 from tropkit.semiring import MAX_PLUS, scalar, sr_mul, zero
 from tropkit.tropmat import identity, vector
+
+from projector_oracle import cyclic_spectral_radius_oracle
 
 BOT = "-inf"
 
@@ -81,6 +83,10 @@ def test_radius_examples():
     assert hilbert_value(rep.witness_vectors) == rep.value
     assert cyclic_spectral_radius([va, va]).value == scalar(0)
     assert cyclic_spectral_radius([va]).value == scalar(0)
+    # the eigenvector is the greatest multiple of x below the sum of the
+    # last stage's generators supported in the attaining class
+    rep = cyclic_spectral_radius([semimodule([[-1, BOT]]), semimodule([[-2, BOT], [3, 2]])])
+    assert (rep.value, rep.support_set, rep.eigenvector) == (scalar(0), frozenset({0}), vector([-2, BOT]))
     # disjoint axes: no common support class, radius is the zero scalar
     ax1, ax2 = semimodule([[0, BOT]]), semimodule([[BOT, 0]])
     assert cyclic_spectral_radius([ax1, ax2]).value == zero(MAX_PLUS)
@@ -131,17 +137,104 @@ def test_radius_eigenvector_certificate():
 
 
 def test_radius_rejects_orbit_witnesses_that_miss_the_value(monkeypatch):
-    # an orbit eigenvalue that the projected witnesses do not attain fails
-    # the check, with asserts stripped too
-    real = projector._orbit_solve
+    # a strategy evaluation that reports a radius off by one: no strategy
+    # makes the orbit of x attain it, so the iteration stalls and fails,
+    # with asserts stripped too
+    real = spectral._cycle_time
 
-    def wrong(ws, y):
-        lam, eig = real(ws, y)
-        return sr_mul(lam, scalar(1)), eig
+    def wrong(a):
+        chi, eta = real(a)
+        return [None if c is None else c + 1 for c in chi], eta
 
-    monkeypatch.setattr(projector, "_orbit_solve", wrong)
+    monkeypatch.setattr(projector, "_cycle_time", wrong)
     with pytest.raises(CertificateInvalid):
         cyclic_spectral_radius([semimodule([[0], [0]]), semimodule([[0], [2]])])
+
+
+def test_radius_rejects_witnesses_whose_hilbert_value_misses(monkeypatch):
+    # witnesses whose Hilbert value is off the radius fail the check, with
+    # asserts stripped too
+    real = hilbert_value
+    monkeypatch.setattr(projector, "hilbert_value", lambda xs: sr_mul(real(xs), scalar(1)))
+    with pytest.raises(CertificateInvalid):
+        cyclic_spectral_radius([semimodule([[0], [0]]), semimodule([[0], [2]])])
+
+
+def _random_stages(rng, n, k, max_gens, bottom_share):
+    stages = []
+    for _ in range(k):
+        gens = []
+        for _ in range(rng.randint(1, max_gens)):
+            g = [BOT] * n
+            while g == [BOT] * n:
+                g = [
+                    BOT if rng.random() < bottom_share
+                    else Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+                    for _ in range(n)
+                ]
+            gens.append(g)
+        stages.append(gens)
+    return stages
+
+
+def _fixed(vs, y, lam):
+    z = y
+    for v in vs:
+        z = project(v, z)
+    return z == y.scale(lam)
+
+
+def test_radius_matches_support_class_oracle_random():
+    # strategy iteration against the 2^n support-class loop; where the
+    # oracle's orbit search runs out of budget, the eigenvector equation
+    # alone is checked
+    rng = random.Random(16)
+    for trial in range(260):
+        n = rng.randint(1, 6) if trial < 240 else rng.randint(7, 8)
+        k = rng.randint(1, 4)
+        vs = [semimodule(g) for g in _random_stages(rng, n, k, 4, rng.choice([0, 0.2, 0.4, 0.6]))]
+        rep = cyclic_spectral_radius(vs)
+        assert rep.certified
+        if rep.eigenvector is not None:
+            assert _fixed(vs, rep.eigenvector, rep.value)
+        try:
+            want = cyclic_spectral_radius_oracle(vs)
+        except TooLarge:
+            continue
+        assert (rep.value, rep.support_set) == (want.value, want.support_set)
+
+
+def test_separate_shared_axis_ray_is_not_separable():
+    # the orbit on the full support class drifts and never turns periodic,
+    # but both semimodules contain multiples of e0: the radius is the unit
+    v1 = semimodule([[-2, BOT, BOT], [0, 4, 1], [BOT, 1, -2], [0, -2, BOT]])
+    v2 = semimodule([[3, -3, -4], [-3, BOT, BOT]])
+    with pytest.raises(TooLarge):
+        cyclic_spectral_radius_oracle([v1, v2])
+    rep = cyclic_spectral_radius([v1, v2])
+    assert (rep.value, rep.support_set) == (scalar(0), frozenset({0}))
+    res = separate([v1, v2])
+    assert isinstance(res, NotSeparable)
+    assert not res.witness.is_zero
+    assert all(project(v, res.witness) == res.witness for v in (v1, v2))
+
+
+def test_radius_above_old_enumeration_cap():
+    # four n = 4 blocks on disjoint coordinates: P acts blockwise, so the
+    # n = 16 radius is the largest block radius
+    rng = random.Random(16)
+    k = 3
+    blocks = [_random_stages(rng, 4, k, 3, 0.2) for _ in range(4)]
+    block_radii = [cyclic_spectral_radius_oracle([semimodule(g) for g in b]).value for b in blocks]
+    stages = [
+        [[BOT] * (4 * b) + g + [BOT] * (12 - 4 * b) for b, blk in enumerate(blocks) for g in blk[t]]
+        for t in range(k)
+    ]
+    vs = [semimodule(g) for g in stages]
+    rep = cyclic_spectral_radius(vs)
+    assert rep.certified
+    assert rep.value == max(block_radii)
+    assert _fixed(vs, rep.eigenvector, rep.value)
 
 
 def test_separation_examples():

@@ -199,6 +199,38 @@ def test_eigenvectors_exact_random():
             assert v[min(cls)] == scalar(0)
 
 
+def test_cycle_time_of_reducible_matrix():
+    # node 0 (loop 3) reaches node 1 (loop 1), node 2 reaches node 0 and
+    # node 3 reaches no cycle; the bias keeps only edges of equal growth,
+    # so the edge 0 -> 1 of weight 5 does not raise eta_0
+    a = matrix([[3, 5, BOT, BOT], [BOT, 1, BOT, BOT], [0, BOT, BOT, 2], [BOT] * 4])
+    assert spectral._cycle_time(a) == ([3, 1, 3, None], [0, 0, -3, None])
+
+
+def test_cycle_time_against_cycle_enumeration_random():
+    rng = random.Random(10)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice([BOT, BOT] + [Fraction(v, rng.choice([1, 2])) for v in range(-5, 6)])
+                 for _ in range(n)] for _ in range(n)]
+        a = matrix(rows)
+        chi, eta = spectral._cycle_time(a)
+        reach = [{i} for i in range(n)]  # nodes reachable by paths of length >= 0
+        for _ in range(n):
+            reach = [r | {j for i in r for j in range(n) if a.payload[i][j] is not None} for r in reach]
+        means = cycle_means_bruteforce(a)
+        for l in range(n):
+            reached = [m for cyc, m in means if cyc[0] in reach[l]]
+            assert chi[l] == (max(reached) if reached else None)
+            if chi[l] is None:
+                assert eta[l] is None
+                continue
+            level = [
+                a.payload[l][i] + eta[i] for i in range(n) if a.payload[l][i] is not None and chi[i] == chi[l]
+            ]
+            assert eta[l] == max(level) - chi[l]
+
+
 def test_scaling_invariance():
     rng = random.Random(9)
     for _ in range(60):
