@@ -245,19 +245,7 @@ def _cmd_traffic(args) -> str:
         build = _traffic_builder(cfg)
         densities = _densities(args.densities)
         steps = _at_least(args.steps, 2, "--steps")
-
-        def run(rho: Fraction):
-            try:
-                f, x0 = build(rho)
-            except TropkitError:
-                return rho, None
-            try:
-                _, lam = dynamics.hom_iterate(f, x0, steps)
-                return rho, lam
-            except dynamics.Diverged:
-                return rho, None
-
-        points = [run(rho) for rho in densities]
+        points = dynamics.fundamental_diagram(build, densities, steps)
         if args.format == "json":
             return io.dumps(
                 [

@@ -17,6 +17,9 @@ compiled once to integer terms scaled by L, and one step sends X / D to
 X' / (D L) with integer min and plus only (L = 1 for roads and the light,
 2 for both crossings). Iterations divide out gcd(D, X) after each step and
 build `Fraction`s only for the points they return, one per distinct value.
+A T1H system is compiled to one `HomogeneousMap` on the concatenated state
+(u, x) and steps through it; the priority `CrossingMap` (sequential, so not
+a plain homogeneous map) and the tent orbit keep their own integer steps.
 
 Everything is exact: binary floating point would collapse tent orbits onto
 the fixed point and blur the exact plateau values the models predict.
@@ -107,7 +110,6 @@ def exclusion_run(w: RingWord, steps: int) -> Tuple[List[RingWord], List[Rat]]:
 
 
 IntTerm = Tuple[int, Tuple[Tuple[int, int], ...]]
-IntRow = Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]  # (column, C, ((i, E), ...))
 
 
 def _scale_in(x: Sequence) -> Tuple[List[int], int]:
@@ -183,13 +185,12 @@ class MinPlusTerm:
         The entries are integers when `denominator` divides L; at x = X / D
         the term equals (C D + sum E X_i) / (D L).
         """
-        return int(self.constant * L), tuple((i, int(e * L)) for i, e in self.exponents)
+        c = self.constant
+        exps = tuple((i, e.numerator * (L // e.denominator)) for i, e in self.exponents)
+        return c.numerator * (L // c.denominator), exps
 
     def eval(self, x: Sequence[Rat]) -> Rat:
-        X, D = _scale_in(x)
-        L = self.denominator
-        C, exps = self.scaled(L)
-        return Fraction(C * D + sum(E * X[i] for i, E in exps), D * L)
+        return self.constant + sum((e * Fraction(x[i]) for i, e in self.exponents), Fraction(0))
 
 
 def _term(constant, pairs) -> MinPlusTerm:
@@ -536,18 +537,19 @@ def fundamental_diagram(
 ) -> List[Tuple[Rat, Optional[Rat]]]:
     """Sweep densities; builder(rho) -> (map, x0); records (rho, throughput).
 
-    A Diverged run records None for its density instead of aborting the
-    sweep.
+    A density the builder rejects with BadConfig (not realizable on the
+    network) and a Diverged run both record None for that density instead
+    of aborting the sweep.
     """
     out: List[Tuple[Rat, Optional[Rat]]] = []
     for rho in densities:
         rho = Fraction(rho)
-        f, x0 = builder(rho)
         try:
+            f, x0 = builder(rho)
             _, lam = hom_iterate(f, x0, steps, spread_bound)
-            out.append((rho, lam))
-        except Diverged:
-            out.append((rho, None))
+        except (BadConfig, Diverged):
+            lam = None
+        out.append((rho, lam))
     return out
 
 
@@ -596,12 +598,15 @@ def crossing_builder(
 # ---------------------------------------------------------------------------
 
 
-def uterm(constant, exponents) -> MinPlusTerm:
-    """A control-matrix term: dense exponents in u that sum to zero."""
-    t = term(constant, exponents)
+def _zero_homogeneous(t: MinPlusTerm) -> MinPlusTerm:
     if sum(e for _, e in t.exponents) != 0:
         raise ValueError("control-matrix terms must be 0-homogeneous in u")
     return t
+
+
+def uterm(constant, exponents) -> MinPlusTerm:
+    """A control-matrix term: dense exponents in u that sum to zero."""
+    return _zero_homogeneous(term(constant, exponents))
 
 
 UEntry = Optional[Tuple[MinPlusTerm, ...]]
@@ -619,28 +624,15 @@ class UTermMatrix:
     def __post_init__(self):
         if any(entry == () for row in self.entries for entry in row):
             raise ValueError("an entry needs at least one term; None stands for no edge")
-        if any(not 0 <= i < self.udim for t in self._terms() for i, _ in t.exponents):
+        terms = [t for row in self.entries for entry in row if entry for t in entry]
+        if any(not 0 <= i < self.udim for t in terms for i, _ in t.exponents):
             raise DimensionMismatch(f"control term index outside 0..{self.udim - 1}")
-
-    def _terms(self):
-        return (t for row in self.entries for entry in row if entry for t in entry)
-
-    @property
-    def denominator(self) -> int:
-        """Least common denominator of every term of every entry."""
-        return math.lcm(*(t.denominator for t in self._terms()))
-
-    def scaled(self, L: int) -> Tuple[IntRow, ...]:
-        """Rows of (column, C, ((i, E), ...)), one per term of every entry, scaled by L."""
-        return tuple(
-            tuple((j, *t.scaled(L)) for j, entry in enumerate(row) if entry for t in entry)
-            for row in self.entries
-        )
+        for t in terms:
+            _zero_homogeneous(t)
 
     def eval(self, u: Sequence[Rat]) -> TropMatrix:
-        L = self.denominator
-        U, D = _scale_in(u)
-        return _min_plus_matrix(_entry_numerators(self.scaled(L), self.cols, U, D), D * L)
+        rows = [[None if e is None else min(t.eval(u) for t in e) for e in row] for row in self.entries]
+        return matrix(rows, MIN_PLUS)
 
 
 def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
@@ -691,51 +683,38 @@ class PeriodReport:
     gain: Tuple[Rat, ...]
 
 
-def _entry_numerators(
-    rows: Sequence[IntRow], cols: int, U: Sequence[int], D: int
-) -> List[List[Optional[int]]]:
-    """Entry numerators over D L of a matrix scaled by L at u = U / D; None is +inf."""
-    out = []
-    for row in rows:
-        vals: List[Optional[int]] = [None] * cols
-        for j, C, exps in row:
-            v = C * D + sum(E * U[i] for i, E in exps)
-            if vals[j] is None or v < vals[j]:
-                vals[j] = v
-        out.append(vals)
-    return out
+def _plus_coordinate(t: MinPlusTerm, i: int) -> MinPlusTerm:
+    """The term t + x_i, merged with any x_i exponent t already has.
+
+    A new exponent stays the int 1: this term only feeds the integer compile.
+    """
+    exps = dict(t.exponents)
+    exps[i] = exps.get(i, 0) + 1
+    return MinPlusTerm(t.constant, tuple(sorted((j, e) for j, e in exps.items() if e)))
 
 
-def _min_plus_matrix(nums: Sequence[Sequence[Optional[int]]], D: int) -> TropMatrix:
-    """The min-plus matrix of entry numerators over D, None standing for +inf."""
-    return matrix([[None if n is None else Fraction(n, D) for n in row] for row in nums], MIN_PLUS)
+def _t1h_map(system: T1HSystem) -> HomogeneousMap:
+    """The pair (u, x) as one degree-one homogeneous map on udim + xdim coordinates.
 
-
-def _min_plus_rows(
-    rows: Sequence[IntRow], U: Sequence[int], V: Sequence[int], D: int, L: int
-) -> List[int]:
-    """Numerators over D L of min_j (entry_ij(u) + v_j), with u = U / D, v = V / D."""
-    out = []
-    for r, row in enumerate(rows):
-        best = None
-        for j, C, exps in row:
-            n = C * D + L * V[j]
-            for i, E in exps:
-                n += E * U[i]
-            if best is None or n < best:
-                best = n
-        if best is None:
-            raise Diverged(f"state coordinate {r} has no input")
-        out.append(best)
-    return out
-
-
-def _compiled_t1h(system: T1HSystem):
-    """(L, A rows, B rows or None, C rows), all scaled by the lcm L of their denominators."""
-    c = uterm_matrix(len(system.u0), system.c.payload)
-    b = system.b_of_u
-    L = math.lcm(*(m.denominator for m in (system.a_of_u, b, c) if m is not None))
-    return L, system.a_of_u.scaled(L), None if b is None else b.scaled(L), c.scaled(L)
+    Entry c_ij becomes the term c_ij + u_j, a term t of A(u) entry (r, j)
+    becomes t + x_j and one of B(u) entry (r, j) becomes t + u_j; control
+    terms are 0-homogeneous, so every compiled term has exponent sum one.
+    """
+    udim = len(system.u0)
+    c = uterm_matrix(udim, system.c.payload)
+    layers = (("control", [(c, 0)]), ("state", [(system.a_of_u, udim), (system.b_of_u, 0)]))
+    coords = []
+    for name, blocks in layers:
+        for r in range(blocks[0][0].rows):
+            terms = tuple(
+                _plus_coordinate(t, offset + j)
+                for m, offset in blocks if m is not None
+                for j, entry in enumerate(m.entries[r]) if entry for t in entry
+            )
+            if not terms:
+                raise Diverged(f"{name} coordinate {r} has no input")
+            coords.append(terms)
+    return HomogeneousMap(udim + len(system.x0), tuple(coords))
 
 
 def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
@@ -744,18 +723,17 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
     The u-orbit of a min-plus linear layer is eventually periodic after
     normalization; once it is, the matrices A(u_k) repeat with the period
     and the state behaves as a linear periodic system. Returned flow rates
-    are per-coordinate second-half growth rates of x. u and x step on
-    integer numerators over one shared denominator.
+    are per-coordinate second-half growth rates of x. The pair (u, x) steps
+    as one homogeneous map on integer numerators over a shared denominator.
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    L, a_rows, b_rows, c_rows = _compiled_t1h(system)
+    f = _t1h_map(system)
     udim = len(system.u0)
-    nums, D = _scale_in([*system.u0, *system.x0])
-    U, X = nums[:udim], nums[udim:]
+    Y, D = _scale_in([*system.u0, *system.x0])
     point = _Points()
-    u_traj = [point(U, D)]
-    x_traj = [point(X, D)]
+    u_traj = [point(Y[:udim], D)]
+    x_traj = [point(Y[udim:], D)]
     seen: Dict[Tuple[Rat, ...], int] = {}
     report: Optional[PeriodReport] = None
     for step in range(k):
@@ -769,16 +747,9 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
                 report = PeriodReport(start, period, gain)
             else:
                 seen[norm] = step
-        new_X = _min_plus_rows(a_rows, U, X, D, L)
-        if b_rows is not None:
-            new_X = [min(p, q) for p, q in zip(new_X, _min_plus_rows(b_rows, U, U, D, L))]
-        U = _min_plus_rows(c_rows, U, U, D, L)
-        X, D = new_X, D * L
-        if D != 1:
-            nums, D = _reduced(U + X, D)
-            U, X = nums[:udim], nums[udim:]
-        u_traj.append(point(U, D))
-        x_traj.append(point(X, D))
+        Y, D = _reduced(*f.step(Y, D))
+        u_traj.append(point(Y[:udim], D))
+        x_traj.append(point(Y[udim:], D))
     rates = coordinate_rates(x_traj)
     return u_traj, x_traj, report, rates
 
@@ -864,13 +835,14 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
         idx = range(n_vertical, dim)
     else:
         raise ValueError("road must be vertical or horizontal")
-    L, a_rows, _, c_rows = _compiled_t1h(system)
-    U, D = _scale_in(system.u0)
+    f = _t1h_map(system)
+    udim = len(system.u0)
+    Y, D = _scale_in([*system.u0, *system.x0])
     mats = []
     for _ in range(4):
-        full = _entry_numerators(a_rows, dim, U, D)
-        mats.append(_min_plus_matrix([[full[i][j] for j in idx] for i in idx], D * L))
-        U, D = _reduced(_min_plus_rows(c_rows, U, U, D, L), D * L)
+        a = system.a_of_u.eval(_fractions(Y[:udim], D)).payload
+        mats.append(matrix([[a[i][j] for j in idx] for i in idx], MIN_PLUS))
+        Y, D = _reduced(*f.step(Y, D))
     prod = mats[3]
     for m in (mats[2], mats[1], mats[0]):
         prod = mat_mul(prod, m)

@@ -379,7 +379,10 @@ class IntervalMatrix:
         return tuple(tuple(map(Interval._trusted, *rows)) for rows in pairs)
 
     def __getitem__(self, ij: Tuple[int, int]) -> Interval:
-        return Interval._trusted(self.lo[ij], self.hi[ij])
+        i, j = ij
+        tag = self.lo.tag
+        lo = TropScalar._fast(self.lo.payload[i][j], tag)
+        return Interval._trusted(lo, TropScalar._fast(self.hi.payload[i][j], tag))
 
     def contains(self, m: TropMatrix) -> bool:
         return self.lo <= m and m <= self.hi

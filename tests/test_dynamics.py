@@ -184,8 +184,11 @@ def test_crossing_phases_small():
 
 def test_single_road_diagram():
     build = single_road_builder(10)
-    pts = dict(fundamental_diagram(build, [Fraction(0), Fraction(3, 10), Fraction(7, 10)], steps=400))
+    densities = [Fraction(0), Fraction(3, 10), Fraction(1, 3), Fraction(7, 10)]
+    pts = dict(fundamental_diagram(build, densities, steps=400))
     assert pts[Fraction(0)] == 0
+    # 1/3 of 10 cells is no whole number of cars: the builder raises BadConfig
+    assert pts[Fraction(1, 3)] is None
     assert pts[Fraction(3, 10)] == Fraction(3, 10)
     assert pts[Fraction(7, 10)] == Fraction(3, 10)
 
@@ -265,6 +268,7 @@ _BAD_TERMS = {
     "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
     "udim_disagrees_with_u0": (lambda: _light2(uterm_matrix(3, [[0]]), None), DimensionMismatch),
     "control_entry_without_terms": (lambda: uterm_matrix(2, [[[], 0]]), ValueError),
+    "control_term_not_0_homogeneous": (lambda: uterm_matrix(2, [[term(0, (1, 0))]]), ValueError),
     "tent_bins_0": (lambda: tent_trajectory(Fraction(1, 3), 4, bins=0), ValueError),
     "tent_bins_-2": (lambda: tent_trajectory(Fraction(1, 3), 4, bins=-2), ValueError),
 }
@@ -467,3 +471,35 @@ def test_integer_steps_and_exact_spread_bound():
     hom_iterate(swap, [0, 3], 6, spread_bound=3)
     with pytest.raises(Diverged):
         hom_iterate(swap, [0, Fraction(301, 100)], 6, spread_bound=3)
+
+
+def test_t1h_input_term_cancelling_its_control_column_equals_plain_resimulation():
+    light = traffic_light_system(3, 4, [0], [1, 2], (1, Fraction(1, 2), 0, 2))
+    # u_0 - u_1 in column 1 multiplies u_1, so the input term is u_0 alone
+    b_rows = [[None, uterm(0, (1, -1, 0, 0)), None, None]] + [[3, None, None, Fraction(5, 2)]] * 6
+    u0 = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2, 3))
+    x0 = (Fraction(4),) * 7
+    system = T1HSystem(light.c, light.a_of_u, uterm_matrix(4, b_rows), u0, x0)
+    u_traj, x_traj, report, rates = t1h_simulate(system, 50)
+    us, xs = _plain_t1h(system, 50)
+    assert u_traj == us and x_traj == xs and rates == _plain_rates(xs)
+    assert _all_fractions(u_traj, x_traj)
+    assert x_traj[1][0] == u0[0]
+    assert x_traj != t1h_simulate(T1HSystem(light.c, light.a_of_u, None, u0, x0), 50)[1]
+
+
+def test_t1h_coordinate_without_input_diverges():
+    zeros = (Fraction(0), Fraction(0))
+    identity = matrix([[0, "+inf"], ["+inf", 0]], MIN_PLUS)
+    control = matrix([[0, "+inf"], ["+inf", "+inf"]], MIN_PLUS)
+    no_control = T1HSystem(control, uterm_matrix(2, [[0]]), None, zeros, (Fraction(0),))
+    with pytest.raises(Diverged, match="control coordinate 1 has no input"):
+        t1h_simulate(no_control, 4)
+    with pytest.raises(Diverged, match="control coordinate 1 has no input"):
+        four_phase_product(no_control, "vertical", 1)
+    a_of_u = uterm_matrix(2, [[0, None], [None, None]])
+    with pytest.raises(Diverged, match="state coordinate 1 has no input"):
+        t1h_simulate(T1HSystem(identity, a_of_u, None, zeros, zeros), 4)
+    # an input entry alone feeds a state coordinate
+    fed = T1HSystem(identity, a_of_u, uterm_matrix(2, [[None, None], [None, 3]]), zeros, zeros)
+    assert t1h_simulate(fed, 4)[1][1] == [0, 3]
