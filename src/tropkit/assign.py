@@ -1,11 +1,14 @@
 """Finite idempotent assignment analysis.
 
 The Bellman-type maps (B f)_i = max_j (b_ij - f_j) and their transposes
-form a Galois pair; subdifferential coverings characterize solvability and
-uniqueness of B f = g, strong regularity is uniqueness of the optimal
-assignment with strict dual certificates, and every strongly regular matrix
-is similar to a strongly normal one. Optimal distances and potentials come
-from the Kleene closure of the reduced-cost matrix.
+form a Galois pair, computed as max-plus products with -f; subdifferential
+coverings characterize solvability and uniqueness of B f = g. Strong
+regularity is uniqueness of the optimal assignment with strict dual
+certificates: the `determ` Hungarian kernel decides uniqueness and its
+optimal duals, lifted along the acyclic digraph of tight edges, give the
+strict duals. Every strongly regular matrix is similar to a strongly normal
+one. Optimal distances and potentials come from the Kleene closure of the
+reduced-cost matrix.
 """
 
 from __future__ import annotations
@@ -50,23 +53,11 @@ def assign_matrix(rows) -> AssignMatrix:
 
 
 def apply_b(b: AssignMatrix, f: Sequence, transpose: bool = False) -> List[Fraction]:
-    """(B f)_i = max_j (b_ij - f_j); the transpose uses b_ji."""
-    n = b.n
-    if len(f) != n:
-        raise DimensionMismatch("vector length differs from matrix size")
-    fv = [Fraction(x) for x in f]
-    out = []
-    for i in range(n):
-        best: Optional[Fraction] = None
-        for j in range(n):
-            e = b.entry(j, i) if transpose else b.entry(i, j)
-            if e is None:
-                continue
-            cand = e - fv[j]
-            if best is None or cand > best:
-                best = cand
-        out.append(best)
-    return out
+    """(B f)_i = max_j (b_ij - f_j), the max-plus product of B and -f; the
+    transpose uses b_ji."""
+    m = b.data.transpose() if transpose else b.data
+    neg = TropVector._trusted(tuple(-Fraction(x) for x in f), MAX_PLUS)
+    return list(m.apply(neg).payload)
 
 
 @dataclass(frozen=True)
@@ -108,18 +99,7 @@ def subdifferential(b: AssignMatrix, g: Sequence) -> SubdifferentialReport:
 
 def subdifferential_f(b: AssignMatrix, f: Sequence) -> Dict[int, FrozenSet[int]]:
     """Primal subdifferential: for column j, the rows attaining (B f)_k at j."""
-    n = b.n
-    fv = [Fraction(x) for x in f]
-    bf = apply_b(b, fv)
-    out: Dict[int, FrozenSet[int]] = {}
-    for j in range(n):
-        ks = []
-        for k in range(n):
-            e = b.entry(k, j)
-            if e is not None and bf[k] is not None and e - fv[j] == bf[k]:
-                ks.append(k)
-        out[j] = frozenset(ks)
-    return out
+    return subdifferential(AssignMatrix(b.data.transpose()), f).mapping
 
 
 @dataclass(frozen=True)
@@ -127,7 +107,6 @@ class RegularityCertificate:
     bijection: Tuple[int, ...]
     f: Tuple[Fraction, ...]
     g: Tuple[Fraction, ...]
-    strongly_regular: bool = True
 
 
 @dataclass(frozen=True)
@@ -144,76 +123,66 @@ def optimal_bijections(b: AssignMatrix, keep: int = 2):
     order (at least one when a finite bijection exists), from the O(n^3)
     Hungarian kernel that also gives the permanent; (None, []) when every
     bijection meets a bottom."""
-    value, witnesses = _optimal_bijections(b.data.payload, MAX_PLUS, keep)
+    value, witnesses, _ = _optimal_bijections(b.data.payload, MAX_PLUS, keep)
     return (None if value is None else Fraction(value)), witnesses
 
 
-def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...]) -> Optional[Tuple[Fraction, ...]]:
-    """Finite f with b_{iF(i)} - f_{F(i)} > b_{ik} - f_k for all k != F(i).
+def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...], u, v) -> Tuple[Fraction, ...]:
+    """Finite f with b_{iF(i)} - f_{F(i)} > b_ik - f_k for all k != F(i).
 
-    Longest-path potentials of the reduced-cost graph over the ordered pairs
-    (rational, epsilon-count): an edge F(i) -> k of rational weight
-    b_ik - b_{iF(i)} must be beaten strictly, so it carries one epsilon.
-    Uniqueness of the optimum makes every cycle lexicographically negative,
-    so Bellman-Ford converges; epsilon is then realized as the largest
-    t = 2^-k (k >= 0) that keeps every edge strict, in closed form.
+    The optimal duals give u_i = b_{iF(i)} - v_{F(i)} >= b_ik - v_k, with
+    slack u_i + v_k - b_ik. The tight edges F(i) -> k (k != F(i), no slack)
+    form a digraph that is acyclic when the optimum is unique, since a tight
+    cycle would reassign its rows to another optimal bijection. So
+    f_k = v_k + t depth_k, with depth_k the longest tight path ending at k,
+    is strict on every tight edge; depths differ by less than n, so t = (least
+    positive slack) / n keeps every slack edge strict.
     """
     n = b.n
-    edges = []
-    for i in range(n):
-        base = b.entry(i, perm[i])
-        for k in range(n):
-            if k == perm[i]:
+    succ: List[List[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
+    least = None
+    for i, row in enumerate(b.data.payload):
+        for k, e in enumerate(row):
+            if k == perm[i] or e is None:
                 continue
-            e = b.entry(i, k)
-            if e is not None:
-                edges.append((perm[i], k, e - base))
-    pot = [(Fraction(0), 0)] * n
-    for rounds in range(n * n + n + 1):
-        changed = False
-        for src, dst, w in edges:
-            cand = (pot[src][0] + w, pot[src][1] + 1)
-            if cand > pot[dst]:
-                pot[dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        return None
-    # every edge now reads A + t B > 0 with A > 0, or A = 0 and B >= 1, so
-    # t = 2^-k must stay below A / -B on the edges with B < 0: 2^k > -B / A
-    q = max(
-        (
-            (pot[src][1] - pot[dst][1]) // (pot[dst][0] - pot[src][0] - w)
-            for src, dst, w in edges
-            if pot[dst][1] < pot[src][1]
-        ),
-        default=0,
-    )
-    t = Fraction(1, 2 ** q.bit_length())
-    return tuple(num + t * cnt for num, cnt in pot)
+            slack = u[i] + v[k] - e
+            if slack == 0:
+                succ[perm[i]].append(k)
+                indegree[k] += 1
+            elif least is None or slack < least:
+                least = slack
+    depth = [0] * n
+    order = [k for k in range(n) if not indegree[k]]
+    for j in order:
+        for k in succ[j]:
+            depth[k] = max(depth[k], depth[j] + 1)
+            indegree[k] -= 1
+            if not indegree[k]:
+                order.append(k)
+    t = Fraction(1 if least is None else least, n)
+    return tuple(v[k] + t * depth[k] for k in range(n))
 
 
 def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStronglyRegular]:
     """Unique optimal bijection with strict dual vectors, or the obstruction.
 
     The matrix is strongly regular iff the assignment optimum is attained by
-    exactly one bijection F (the Hungarian kernel of optimal_bijections looks
-    for the first two in lexicographic order); then finite duals f, g exist
-    with b_{iF(i)} - f_{F(i)} > b_{ik} - f_k (k != F(i)) and the column-dual
-    strict inequality, and the certificate realizes the subdifferential
-    singleton equivalences. Otherwise the obstruction names the first
-    optimal bijections in lexicographic order, when any exist.
+    exactly one bijection F; the `determ` Hungarian kernel looks for the
+    first two in lexicographic order. Its optimal duals then give f
+    with b_{iF(i)} - f_{F(i)} > b_ik - f_k (k != F(i)) by _strict_dual, and
+    g_i = b_{iF(i)} - f_{F(i)} satisfies the column-dual strict inequality;
+    the certificate realizes the subdifferential singleton equivalences and
+    is checked before it is returned. Otherwise the obstruction names the
+    first optimal bijections in lexicographic order, when any exist.
     """
-    best, witnesses = optimal_bijections(b)
-    if best is None:
+    value, witnesses, duals = _optimal_bijections(b.data.payload, MAX_PLUS, 2)
+    if value is None:
         return NotStronglyRegular(None, None, "no bijection with finite weight")
     if len(witnesses) > 1:
         return NotStronglyRegular(witnesses[0], witnesses[1], "optimal bijection is not unique")
     perm = witnesses[0]
-    f = _strict_dual(b, perm)
-    if f is None:
-        return NotStronglyRegular(perm, None, "strict duals do not exist")
+    f = _strict_dual(b, perm, *duals)
     g = tuple(b.entry(i, perm[i]) - f[perm[i]] for i in range(b.n))
     cert = RegularityCertificate(perm, f, g)
     _validate_certificate(b, cert)

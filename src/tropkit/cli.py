@@ -188,7 +188,7 @@ def _cmd_plucker(args) -> str:
     if args.action == "reconstruct":
         obj = io.loads(_read(args.function))
         mapping = io.subset_function_from_json(obj, partial=True)
-        f = plucker.reconstruct_from_intervals(obj["n"], mapping)
+        f = _checked(lambda m: plucker.reconstruct_from_intervals(obj["n"], m), mapping)
         return io.dumps(io.subset_function_to_json(f))
     raise SchemaError(f"unknown plucker action {args.action!r}")
 

@@ -6,8 +6,10 @@ the pair of permutation sums split by parity, found by a DP over rows and
 used-column sets in O(2^n n). The permanent is the full permutation sum;
 over max-plus it is the optimal assignment value. The permanent, tropical
 singularity and the rook coefficients come from one O(n^3) Hungarian kernel
-with a lexicographic search for the optimal bijections (the assignment
-module uses it too); a rook coefficient is the permanent of a padded matrix.
+with a lexicographic search for the optimal bijections; a rook coefficient
+is the permanent of a padded matrix. The kernel also returns its optimal
+duals u, v (u_i v_j >= a_ij, tight on every optimal bijection), which only
+the assignment module reads: its strict dual certificate is built from them.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ def bideterminant(a: TropMatrix) -> Bideterminant:
 
 
 def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
-    """(value, witnesses): the optimal permutation sum of the raw payload rows
-    and its first `keep` attaining bijections in lexicographic order.
+    """(value, witnesses, (u, v)): the optimal permutation sum of the raw
+    payload rows, its first `keep` attaining bijections in lexicographic
+    order, and the optimal duals.
 
     One O(n^3) shortest-augmenting-path Hungarian pass (Kuhn 1955) finds
     optimal duals u, v with u_i v_j >= a_ij, run as max-plus (min-plus is
@@ -71,8 +74,9 @@ def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
     exactly the perfect matchings of the tight edges u_i v_j = a_ij; a depth
     first search over rows in order and columns ascending lists them,
     pruning a column as soon as the remaining rows cannot be rematched. The
-    value is the product along the first witness; (None, []) when no
-    bijection avoids the bottom.
+    value is the product along the first witness; (None, [], None) when no
+    bijection avoids the bottom. The duals u, v are lists of length n in the
+    kernel's arithmetic (max-plus or max-times on the converted weights).
     """
     n = len(rows)
     if tag is MAX_TIMES:
@@ -111,7 +115,7 @@ def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
                 if s is not None and (delta is None or s < delta):
                     delta, j1 = s, j
             if j1 is None:
-                return None, []
+                return None, [], None
             for j in range(n + 1):
                 if used[j]:
                     u[owner[j]] = div(u[owner[j]], delta)
@@ -163,17 +167,18 @@ def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
         return False
 
     search(0)
+    duals = (u, v[:n])
     if tag is BOOLEAN:
-        return True, witnesses
+        return True, witnesses, duals
     value = unit
     for i, j in enumerate(witnesses[0]):
         value = mul(value, rows[i][j])
-    return value, witnesses
+    return value, witnesses, duals
 
 
 def _permanent_of(rows: Sequence[Sequence], tag: SemiringTag):
     """The payload of the permanent of the raw payload rows."""
-    value, _ = _optimal_bijections(rows, tag, 1)
+    value, _, _ = _optimal_bijections(rows, tag, 1)
     return tag.ops.zero if value is None else value
 
 
@@ -218,7 +223,7 @@ def is_trop_singular(a: TropMatrix) -> bool:
     """
     if not a.is_square:
         raise DimensionMismatch("tropical singularity needs a square matrix")
-    value, witnesses = _optimal_bijections(a.payload, a.tag, 2)
+    value, witnesses, _ = _optimal_bijections(a.payload, a.tag, 2)
     if value is None:
         return a.rows >= 2
     return len(witnesses) >= 2

@@ -184,6 +184,8 @@ def subset_function_from_json(obj, partial: bool = False) -> Union[SubsetFunctio
     n = obj["n"]
     if not isinstance(n, int) or n < 1:
         raise SchemaError("ground-set size must be a positive integer")
+    if not isinstance(obj["values"], dict):
+        raise SchemaError("subset function values must be an object")
     mapping: Dict[int, Optional[Fraction]] = {}
     for key, v in obj["values"].items():
         mask = _mask_from_key(key, n)
@@ -209,8 +211,11 @@ def grid_net_from_json(obj) -> GridFlowNet:
     n = obj["n"]
     if not isinstance(n, int) or n < 1:
         raise SchemaError("grid size must be a positive integer")
+    given = obj.get("weights", {})
+    if not isinstance(given, dict):
+        raise SchemaError("flow net weights must be an object")
     weights = {}
-    for key, v in obj.get("weights", {}).items():
+    for key, v in given.items():
         try:
             src, dst = key.split("->")
             a = tuple(int(t) for t in src.split(","))

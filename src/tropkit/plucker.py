@@ -282,6 +282,8 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
     for m in needed:
         if m not in given:
             raise ValueError("interval data must cover the empty set and every interval")
+        if given[m] is None:
+            raise ValueError("interval values must be finite")
         table[m] = Fraction(given[m])
         known[m] = True
     extra = set(given) - set(needed)

@@ -56,7 +56,6 @@ class InequalitySystem:
 @dataclass(frozen=True)
 class GeneratorSet:
     generators: TropMatrix
-    certified: bool
 
     def columns(self) -> List[TropVector]:
         return self.generators.columns()
@@ -135,7 +134,7 @@ def _certified(s: InequalitySystem, gens: List[Column]) -> GeneratorSet:
     for v in vecs:
         if not check_solution(s, v):
             raise CertificateInvalid(f"generator {v!r} violates A x <= B x")
-    return GeneratorSet(from_columns(vecs, MAX_PLUS), certified=True)
+    return GeneratorSet(from_columns(vecs, MAX_PLUS))
 
 
 def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:

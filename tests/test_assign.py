@@ -17,8 +17,9 @@ from tropkit.assign import (
     subdifferential,
     subdifferential_f,
 )
+from tropkit.determ import _optimal_bijections
 from tropkit.errors import CertificateInvalid, ImprovingCycle
-from tropkit.semiring import scalar
+from tropkit.semiring import MAX_PLUS, scalar
 from tropkit.tropmat import vector
 
 
@@ -108,6 +109,29 @@ def test_agreement_with_exhaustive_uniqueness():
         assert isinstance(res, RegularityCertificate) == unique
 
 
+def _assert_certificate(b, res):
+    assert isinstance(res, RegularityCertificate)
+    n = b.n
+    f, g, perm = list(res.f), list(res.g), res.bijection
+    # the Galois pair closes at the certificate
+    assert apply_b(b, g, transpose=True) == f
+    assert apply_b(b, f) == g
+    # Prop 2.4 singleton equivalences
+    dtg = subdifferential(b, g)
+    df = subdifferential_f(b, f)
+    for i in range(n):
+        assert dtg.mapping[i] == frozenset({perm[i]})
+        assert df[perm[i]] == frozenset({i})
+    assert dtg.is_covering and dtg.is_minimal_covering
+    # normal form is strongly normal and similar to b; it validates res first
+    nf = normal_form(b, res)
+    for i in range(n):
+        assert nf.entry(i, i) == 0
+        for j in range(n):
+            if i != j:
+                assert nf.entry(i, j) is None or nf.entry(i, j) < 0
+
+
 def test_certificate_structure_random():
     rng = random.Random(28)
     checked = 0
@@ -118,24 +142,26 @@ def test_certificate_structure_random():
         if not isinstance(res, RegularityCertificate):
             continue
         checked += 1
-        f, g, perm = list(res.f), list(res.g), res.bijection
-        # the Galois pair closes at the certificate
-        assert apply_b(b, g, transpose=True) == f
-        assert apply_b(b, f) == g
-        # Prop 2.4 singleton equivalences
-        dtg = subdifferential(b, g)
-        df = subdifferential_f(b, f)
-        for i in range(n):
-            assert dtg.mapping[i] == frozenset({perm[i]})
-            assert df[perm[i]] == frozenset({i})
-        assert dtg.is_covering and dtg.is_minimal_covering
-        # normal form is strongly normal and similar to b
-        nf = normal_form(b, res)
-        for i in range(n):
-            assert nf.entry(i, i) == 0
-            for j in range(n):
-                if i != j:
-                    assert nf.entry(i, j) is None or nf.entry(i, j) < 0
+        _assert_certificate(b, res)
+
+
+def test_strict_dual_from_tight_hungarian_duals():
+    # the Hungarian duals u = (3, 2, 1), v = 0 are tight on the off-bijection
+    # edges 0 -> 1 and 1 -> 2, so v alone is no strict certificate; the
+    # slack-1 edge 2 -> 0 back up the chain needs t = 1/3, below 1/2
+    b = assign_matrix([[3, 3, 0], [None, 2, 2], [0, None, 1]])
+    _, _, (u, v) = _optimal_bijections(b.data.payload, MAX_PLUS, 1)
+    assert (u, v) == ([3, 2, 1], [0, 0, 0])
+    with pytest.raises(CertificateInvalid):
+        normal_form(b, RegularityCertificate((0, 1, 2), tuple(map(Fraction, v)), tuple(map(Fraction, u))))
+    res = strong_regularity(b)
+    assert res.f == (0, Fraction(1, 3), Fraction(2, 3))
+    _assert_certificate(b, res)
+    # every off-bijection edge tight: no slack edge fixes t, which is then 1/n
+    b2 = assign_matrix([[0, 0], [None, 0]])
+    res2 = strong_regularity(b2)
+    assert res2.f == (0, Fraction(1, 2)) and all(type(x) is Fraction for x in res2.f)
+    _assert_certificate(b2, res2)
 
 
 def test_potentials_properties_random():

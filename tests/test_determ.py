@@ -199,7 +199,7 @@ def test_permanent_equals_assignment_value():
         except ValueError:  # a row or column of bottoms
             b = None
         for keep in range(1, 5):
-            value, witnesses = _optimal_bijections(payloads, tag, keep)
+            value, witnesses, _ = _optimal_bijections(payloads, tag, keep)
             if best.is_zero:
                 assert (value, witnesses) == (None, [])
             else:

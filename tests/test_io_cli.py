@@ -329,6 +329,29 @@ def test_cli_traffic_bad_requests_exit_2(tmp_path, name):
     _assert_schema_exit(tmp_path, ["traffic"] + _BAD_TRAFFIC_REQUESTS[name])
 
 
+_BAD_PLUCKER_REQUESTS = {
+    "reconstruct_interval_missing": [
+        "reconstruct", "--function", {"n": 2, "values": {"0b0": 0, "0b1": 1, "0b10": 2}},
+    ],
+    "reconstruct_non_interval": [
+        "reconstruct", "--function",
+        {"n": 3, "values": {"0b0": 0, "0b1": 1, "0b10": 2, "0b100": 0, "0b11": 3,
+                            "0b110": 2, "0b111": 4, "0b101": 1}},
+    ],
+    "reconstruct_bottom_interval": [
+        "reconstruct", "--function", {"n": 2, "values": {"0b0": 0, "0b1": BOT, "0b10": 2, "0b11": 1}},
+    ],
+    "reconstruct_values_list": ["reconstruct", "--function", {"n": 2, "values": [0, 1, 2, 3]}],
+    "check_values_list": ["check", "--function", {"n": 2, "values": [0, 1, 2, 3]}],
+    "build_weights_list": ["build", "--net", {"n": 2, "weights": [1, 2]}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_PLUCKER_REQUESTS))
+def test_cli_plucker_bad_requests_exit_2(tmp_path, name):
+    _assert_schema_exit(tmp_path, ["plucker"] + _BAD_PLUCKER_REQUESTS[name])
+
+
 @pytest.mark.parametrize("name", sorted(_BAD_MATRIX_REQUESTS))
 def test_cli_bad_matrix_requests_exit_2(tmp_path, name):
     _assert_schema_exit(tmp_path, _BAD_MATRIX_REQUESTS[name])
