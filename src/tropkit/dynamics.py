@@ -17,9 +17,12 @@ compiled once to integer terms scaled by L, and one step sends X / D to
 X' / (D L) with integer min and plus only (L = 1 for roads and the light,
 2 for both crossings). Iterations divide out gcd(D, X) after each step and
 build `Fraction`s only for the points they return, one per distinct value.
-A T1H system is compiled to one `HomogeneousMap` on the concatenated state
-(u, x) and steps through it; the priority `CrossingMap` (sequential, so not
-a plain homogeneous map) and the tent orbit keep their own integer steps.
+`HomogeneousMap.step` is the one integer kernel of every model but the
+tent, whose scalar orbit runs on its own numerators. A T1H system is
+compiled to one `HomogeneousMap` on the concatenated state (u, x). Both
+crossing policies are built from one geometry; the priority `CrossingMap`
+is a `HomogeneousMap` whose step patches the non-priority entry with the
+priority entry's current-step value, the one sequential read of the model.
 
 Everything is exact: binary floating point would collapse tent orbits onto
 the fixed point and blur the exact plateau values the models predict.
@@ -39,6 +42,8 @@ from .tropmat import TropMatrix, mat_mul, matrix
 
 Rat = Fraction
 DEFAULT_SPREAD_BOUND = Fraction(10**6)
+# steps within which t1h_simulate looks for the normalized control orbit to repeat
+PERIOD_DETECT_WINDOW = 64
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +299,12 @@ def hom_iterate(
 ) -> Tuple[List[List[Rat]], Rat]:
     """Iterate x^{t+1} = f(x^t) and measure the throughput.
 
-    f is a `HomogeneousMap` or a `CrossingMap`; the iteration runs on its
-    integer `step`. The estimate is (x_i^K - x_i^{K/2}) / (K - K/2)
-    averaged over the coordinates; for a min-plus linear f it equals the
-    matrix eigenvalue exactly once K/2 clears the transient and the span
-    covers whole periods. Raises Diverged when coordinate spread explodes.
+    f is a `HomogeneousMap` (the priority `CrossingMap` is one); the
+    iteration runs on its integer `step`. The estimate is
+    (x_i^K - x_i^{K/2}) / (K - K/2) averaged over the coordinates; for a
+    min-plus linear f it equals the matrix eigenvalue exactly once K/2
+    clears the transient and the span covers whole periods. Raises Diverged
+    when coordinate spread exceeds `spread_bound`.
     """
     if k < 2:
         raise ValueError("need at least two steps")
@@ -425,56 +431,27 @@ def _occupancy_from_cars(total: int, cars: Sequence[int]) -> List[int]:
 
 
 @dataclass(frozen=True)
-class CrossingMap:
-    """Two circular roads through one crossing, with right priority.
+class CrossingMap(HomogeneousMap):
+    """The priority crossing: a homogeneous map plus one sequential patch.
 
-    Roads occupy coordinates 0..n1-1 and n1..n1+n2-1, the crossing places
-    are the last cell of each road, and the exits are the first cells. The
-    priority completion divides by the other road's entry counter; the
-    non-priority entry reads the priority entry's current-step value, which
-    is what makes the map sequential (still degree-one homogeneous). Exits
-    split the crossing output evenly (square root, i.e. half-exponents).
+    The non-priority entry's free-space term reads the priority entry's
+    current-step value, so after the plain step it is lowered to
+    (1 - a) + x_exit1 + x_exit2 - x'_entry1 (still degree-one homogeneous).
+    The fields are the four places and 1 - a at the non-priority entry.
     """
 
-    n1: int
-    n2: int
-    occupancy: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise BadConfig("each road needs at least two cells")
-        if len(self.occupancy) != self.n1 + self.n2:
-            raise BadConfig("occupancy length differs from total places")
-
-    @property
-    def dim(self) -> int:
-        return self.n1 + self.n2
+    entry1: int
+    entry2: int
+    exit1: int
+    exit2: int
+    free2: int
 
     def step(self, X: Sequence[int], D: int) -> Tuple[List[int], int]:
-        """One step on integer numerators: the point X / D maps to X' / (2 D)."""
-        n1, n2 = self.n1, self.n2
-        a = self.occupancy
-        exit1, exit2 = 0, n1
-        entry1, entry2 = n1 - 1, n1 + n2 - 1
-        out = [0] * (n1 + n2)
-        for i in [*range(1, n1 - 1), *range(n1 + 1, n1 + n2 - 1)]:
-            out[i] = 2 * min(a[i - 1] * D + X[i - 1], (1 - a[i]) * D + X[i + 1])
-        cross_out = X[entry1] + X[entry2]
-        out[exit1] = min(2 * a[entry1] * D + cross_out, 2 * ((1 - a[exit1]) * D + X[1 % n1]))
-        out[exit2] = min(2 * a[entry2] * D + cross_out, 2 * ((1 - a[exit2]) * D + X[n1 + (1 % n2)]))
-        free = X[exit1] + X[exit2]
-        out[entry1] = 2 * min(
-            (1 - a[entry1]) * D + free - X[entry2],
-            a[entry1 - 1] * D + X[entry1 - 1],
-        )
-        out[entry2] = min(
-            2 * ((1 - a[entry2]) * D + free) - out[entry1],
-            2 * (a[entry2 - 1] * D + X[entry2 - 1]),
-        )
-        return out, 2 * D
-
-    def __call__(self, x: Sequence[Rat]) -> List[Rat]:
-        return _fractions(*self.step(*_scale_in(x)))
+        out, DL = super().step(X, D)
+        patch = self._compiled[0] * (self.free2 * D + X[self.exit1] + X[self.exit2]) - out[self.entry1]
+        if patch < out[self.entry2]:
+            out[self.entry2] = patch
+        return out, DL
 
 
 def build_crossing(
@@ -482,17 +459,20 @@ def build_crossing(
     n_road2: int,
     cars: Sequence[int],
     policy: str = "priority",
-):
+) -> HomogeneousMap:
     """Degree-one homogeneous map of the two-roads-one-crossing system.
 
-    policy "priority": the displayed sequential system with division terms.
-    policy "fifty_fifty": the routing completion where both the entries and
-    the exits use half-exponent (square-root) terms, a plain HomogeneousMap.
+    Roads occupy coordinates 0..n1-1 and n1..n1+n2-1, the crossing places
+    are the last cell of each road, and the exits are the first cells. Exits
+    split the crossing output evenly (square root, i.e. half-exponents), so
+    both policies compile at L = 2. The policies differ only at the entries.
+    policy "priority": road 1's entry divides by the other road's entry
+    counter, and road 2's entry yields to road 1's current step (a
+    `CrossingMap`). policy "fifty_fifty": both entries average the free
+    space over the exits, a plain `HomogeneousMap`.
     """
     occ = _occupancy_from_cars(n_road1 + n_road2, cars)
-    if policy == "priority":
-        return CrossingMap(n_road1, n_road2, tuple(occ))
-    if policy != "fifty_fifty":
+    if policy not in ("priority", "fifty_fifty"):
         raise BadConfig(f"unknown policy {policy!r}")
     n1, n2 = n_road1, n_road2
     if n1 < 2 or n2 < 2:
@@ -508,17 +488,17 @@ def build_crossing(
     cross = [(entry1, half), (entry2, half)]
     coords[exit1] = (_term(a[entry1], cross), _term(1 - a[exit1], [(1 % n1, 1)]))
     coords[exit2] = (_term(a[entry2], cross), _term(1 - a[exit2], [(n1 + (1 % n2), 1)]))
+    upstream = {e: _term(a[e - 1], [(e - 1, 1)]) for e in (entry1, entry2)}
+    if policy == "priority":
+        free1 = _term(1 - a[entry1], [(exit1, 1), (exit2, 1), (entry2, -1)])
+        coords[entry1] = (free1, upstream[entry1])
+        coords[entry2] = (upstream[entry2],)
+        return CrossingMap(dim, tuple(coords), entry1, entry2, exit1, exit2, 1 - a[entry2])
     # fifty-fifty entries average the free-space constraint over the exits:
     # x' = (abar + exit1 + exit2) / 2 keeps the exponent sum at one
     exits = [(exit1, half), (exit2, half)]
-    coords[entry1] = (
-        _term(Fraction(1 - a[entry1], 2), exits),
-        _term(a[entry1 - 1], [(entry1 - 1, 1)]),
-    )
-    coords[entry2] = (
-        _term(Fraction(1 - a[entry2], 2), exits),
-        _term(a[entry2 - 1], [(entry2 - 1, 1)]),
-    )
+    for e in (entry1, entry2):
+        coords[e] = (_term(Fraction(1 - a[e], 2), exits), upstream[e])
     return HomogeneousMap(dim, tuple(coords))
 
 
@@ -533,20 +513,19 @@ def fundamental_diagram(
     builder: Callable[[Rat], Tuple[object, Sequence[Rat]]],
     densities: Sequence[Rat],
     steps: int = 4000,
-    spread_bound: Rat = DEFAULT_SPREAD_BOUND,
 ) -> List[Tuple[Rat, Optional[Rat]]]:
     """Sweep densities; builder(rho) -> (map, x0); records (rho, throughput).
 
     A density the builder rejects with BadConfig (not realizable on the
-    network) and a Diverged run both record None for that density instead
-    of aborting the sweep.
+    network) and a Diverged run (spread above `DEFAULT_SPREAD_BOUND`) both
+    record None for that density instead of aborting the sweep.
     """
     out: List[Tuple[Rat, Optional[Rat]]] = []
     for rho in densities:
         rho = Fraction(rho)
         try:
             f, x0 = builder(rho)
-            _, lam = hom_iterate(f, x0, steps, spread_bound)
+            _, lam = hom_iterate(f, x0, steps)
         except (BadConfig, Diverged):
             lam = None
         out.append((rho, lam))
@@ -570,13 +549,13 @@ def single_road_builder(m: int) -> Callable[[Rat], Tuple[HomogeneousMap, List[Ra
 
 def crossing_builder(
     n: int, policy: str = "priority"
-) -> Callable[[Rat], Tuple[object, List[Rat]]]:
+) -> Callable[[Rat], Tuple[HomogeneousMap, List[Rat]]]:
     """builder(rho) for two symmetric n-cell roads through one crossing.
 
     Cars are split evenly between the roads and spread evenly along each.
     """
 
-    def build(rho: Rat) -> Tuple[object, List[Rat]]:
+    def build(rho: Rat) -> Tuple[HomogeneousMap, List[Rat]]:
         total = Fraction(rho) * (2 * n)
         if total.denominator != 1:
             raise BadConfig(f"density {rho} is not realizable on {2 * n} places")
@@ -717,12 +696,14 @@ def _t1h_map(system: T1HSystem) -> HomogeneousMap:
     return HomogeneousMap(udim + len(system.x0), tuple(coords))
 
 
-def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
+def t1h_simulate(system: T1HSystem, k: int):
     """Iterate the triangular system; returns trajectories, periodicity, rates.
 
     The u-orbit of a min-plus linear layer is eventually periodic after
-    normalization; once it is, the matrices A(u_k) repeat with the period
-    and the state behaves as a linear periodic system. Returned flow rates
+    normalization; the report holds the first repeat found within
+    `PERIOD_DETECT_WINDOW` steps, or None. Once the orbit is periodic, the
+    matrices A(u_k) repeat with the period and the state behaves as a
+    linear periodic system. Returned flow rates
     are per-coordinate second-half growth rates of x. The pair (u, x) steps
     as one homogeneous map on integer numerators over a shared denominator.
     """
@@ -737,7 +718,7 @@ def t1h_simulate(system: T1HSystem, k: int, detect_window: int = 64):
     seen: Dict[Tuple[Rat, ...], int] = {}
     report: Optional[PeriodReport] = None
     for step in range(k):
-        if report is None and step <= detect_window:
+        if report is None and step <= PERIOD_DETECT_WINDOW:
             u = u_traj[step]
             norm = tuple(v - u[0] for v in u)
             if norm in seen:

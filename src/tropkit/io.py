@@ -3,7 +3,9 @@
 Rationals cross the file boundary as "p/q" strings (plain integers stay
 numbers), the bottoms of max-plus and min-plus as "-inf" / "+inf", subset
 functions as binary-literal masks. Parsing is strict: malformed payloads
-raise SchemaError, which the CLI maps to exit code 2.
+raise SchemaError, which the CLI maps to exit code 2. Subset functions and
+flow nets above the plucker CHECK_CAP raise TooLarge (exit code 1) before
+any table over their ground set is built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
-from .plucker import GridFlowNet, SubsetFunction, grid_edges, grid_net, subset_function
+from .errors import TooLarge
+from .plucker import CHECK_CAP, GridFlowNet, SubsetFunction, grid_edges, grid_net, subset_function
 from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, payload_of
 from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
 
@@ -186,6 +189,8 @@ def subset_function_from_json(obj, partial: bool = False) -> Union[SubsetFunctio
         raise SchemaError("ground-set size must be a positive integer")
     if not isinstance(obj["values"], dict):
         raise SchemaError("subset function values must be an object")
+    if n > CHECK_CAP:
+        raise TooLarge(f"subset functions capped at n <= {CHECK_CAP}")
     mapping: Dict[int, Optional[Fraction]] = {}
     for key, v in obj["values"].items():
         mask = _mask_from_key(key, n)
@@ -214,6 +219,8 @@ def grid_net_from_json(obj) -> GridFlowNet:
     given = obj.get("weights", {})
     if not isinstance(given, dict):
         raise SchemaError("flow net weights must be an object")
+    if n > CHECK_CAP:
+        raise TooLarge(f"flow nets capped at n <= {CHECK_CAP}")
     weights = {}
     for key, v in given.items():
         try:

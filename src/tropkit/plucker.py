@@ -6,9 +6,9 @@ least twice" form of the 3- and 4-term relations. Normal flows on the
 planar grid digraph produce DMTP-functions; they are built subset by subset
 with one longest augmenting path each. TP-functions are determined by their
 values on the interval family, and submodularity of a TP-function can be
-read off the intervals alone. The checkers, the flow construction and the
-reconstruction are all capped at n <= CHECK_CAP, because each one reads or
-writes a table over all 2^n subsets.
+read off the intervals alone. Building a subset function, the checkers, the
+flow construction and the reconstruction are all capped at n <= CHECK_CAP,
+because each one reads or writes a table over all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ class SubsetFunction:
 
 def subset_function(n: int, values: Mapping) -> SubsetFunction:
     """Build from any mapping of subsets (masks or iterables) to rationals."""
+    if n > CHECK_CAP:
+        raise TooLarge(f"subset functions capped at n <= {CHECK_CAP}")
     table: List[Optional[Fraction]] = [None] * (1 << n)
     assigned = [False] * (1 << n)
     for key, val in values.items():

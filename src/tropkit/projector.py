@@ -112,12 +112,15 @@ def hilbert_value(xs: Sequence[TropVector]) -> TropScalar:
 
 @dataclass(frozen=True)
 class HilbertReport:
-    """Cyclic spectral radius with attaining witnesses and its eigenvector."""
+    """Cyclic spectral radius with attaining witnesses and its eigenvector.
+
+    Every report is certified: a result whose certificate fails raises
+    CertificateInvalid instead of being returned.
+    """
 
     value: TropScalar
     witness_vectors: Tuple[TropVector, ...]
     support_set: FrozenSet[int]
-    certified: bool
     eigenvector: Optional[TropVector] = None
 
 
@@ -221,7 +224,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         a = TropMatrix._trusted(tuple(zip(*columns)), MAX_PLUS)
         chi, eta = _cycle_time(a)
         if all(c is None for c in chi):
-            return HilbertReport(zero(tag), (), frozenset(), True)
+            return HilbertReport(zero(tag), (), frozenset())
         lam = TropScalar._fast(max(c for c in chi if c is not None), tag)
         x = TropVector._trusted(tuple(e if c == lam.value else None for c, e in zip(chi, eta)), tag)
         orbit = cyclic_orbit(vs, x, 1)
@@ -242,7 +245,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     eig, witnesses = x.scale(c), tuple(w.scale(c) for w in orbit)
     if hilbert_value(witnesses) != lam:
         raise CertificateInvalid("orbit witnesses fail to attain the eigenvalue")
-    return HilbertReport(lam, witnesses, support, True, eig)
+    return HilbertReport(lam, witnesses, support, eig)
 
 
 def _grid_points(vs: Sequence[Semimodule]) -> List[TropVector]:

@@ -126,5 +126,5 @@ def cyclic_spectral_radius_oracle(vs: Sequence[Semimodule]) -> HilbertReport:
         if best is None or best[0] < lam or (best[0] == lam and len(m) > len(best[2])):
             best = (lam, wit, m, eig)
     if best is None:
-        return HilbertReport(zero(tag), (), frozenset(), True)
-    return HilbertReport(best[0], best[1], best[2], True, best[3])
+        return HilbertReport(zero(tag), (), frozenset())
+    return HilbertReport(best[0], best[1], best[2], best[3])

@@ -175,6 +175,19 @@ def test_build_crossing_validation():
         build_crossing(1, 3, [])
 
 
+def test_crossing_policies_share_one_geometry():
+    ff = build_crossing(3, 4, [1, 4], "fifty_fifty")
+    pr = build_crossing(3, 4, [1, 4], "priority")
+    assert type(ff) is HomogeneousMap and isinstance(pr, CrossingMap)
+    entries = (pr.entry1, pr.entry2)
+    assert entries == (2, 6)
+    assert [c for i, c in enumerate(pr.coords) if i not in entries] == [
+        c for i, c in enumerate(ff.coords) if i not in entries
+    ]
+    # the priority entry divides by the other entry's counter
+    assert pr.coords[2][0].exponents == ((0, 1), (3, 1), (6, -1))
+
+
 def test_crossing_phases_small():
     build = crossing_builder(6, "priority")
     points = dict(fundamental_diagram(build, [Fraction(1, 12), Fraction(1, 3)], steps=600))

@@ -47,6 +47,10 @@ CLI_CASES = {
         "traffic", "diagram", "--config", "crossing.json", "--densities", "1/5:2/5:1/5",
         "--steps", "60", "--format", "json",
     ],
+    "traffic_diagram_priority": [
+        "traffic", "diagram", "--config", "crossing_priority.json", "--densities", "1/10:4/5:1/10",
+        "--steps", "80",
+    ],
     "traffic_tent": ["traffic", "tent", "--y0", "3/101", "--steps", "300", "--bins", "8"],
 }
 

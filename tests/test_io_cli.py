@@ -275,17 +275,21 @@ _BAD_MATRIX_REQUESTS = {
 }
 
 
-def _assert_schema_exit(tmp_path, argv):
-    """Run the CLI as a subprocess, JSON arguments written to files first;
-    it must exit 2 with one `tropkit:` line on stderr and no traceback."""
+def _cli_subprocess(tmp_path, argv):
+    """Run the CLI as a subprocess, JSON arguments written to files first."""
     argv = [
         write(tmp_path, f"arg{k}.json", a) if isinstance(a, (dict, list)) else a
         for k, a in enumerate(argv)
     ]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "tropkit.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
     )
+
+
+def _assert_schema_exit(tmp_path, argv):
+    """The CLI must exit 2 with one `tropkit:` line on stderr and no traceback."""
+    proc = _cli_subprocess(tmp_path, argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("tropkit: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
@@ -350,6 +354,21 @@ _BAD_PLUCKER_REQUESTS = {
 @pytest.mark.parametrize("name", sorted(_BAD_PLUCKER_REQUESTS))
 def test_cli_plucker_bad_requests_exit_2(tmp_path, name):
     _assert_schema_exit(tmp_path, ["plucker"] + _BAD_PLUCKER_REQUESTS[name])
+
+
+_TOO_LARGE_PLUCKER_REQUESTS = {
+    "check_n64": ["check", "--function", {"n": 64, "values": {"0b0": 0}}],
+    "reconstruct_n64": ["reconstruct", "--function", {"n": 64, "values": {"0b0": 0}}],
+    "build_n64": ["build", "--net", {"n": 64, "weights": {}}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOO_LARGE_PLUCKER_REQUESTS))
+def test_cli_plucker_above_check_cap_exits_1(tmp_path, name):
+    # the cap is checked before any 2^n or n^2 table is built
+    proc = _cli_subprocess(tmp_path, ["plucker"] + _TOO_LARGE_PLUCKER_REQUESTS[name])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_MATRIX_REQUESTS))

@@ -70,6 +70,9 @@ def test_flow_functions_above_enumeration_reach(n):
 def test_flow_capped_at_check_cap():
     with pytest.raises(TooLarge):
         flow_tp(grid_net(CHECK_CAP + 1, {}))
+    # refused before the 2^n table is allocated
+    with pytest.raises(TooLarge):
+        subset_function(64, {0: 0})
 
 
 def test_flow_without_residual_path_raises_no_flow():
