@@ -17,7 +17,7 @@ from tropkit.tropmat import matrix
 def simple_cycles(a):
     """Every simple cycle, listed from its smallest node, with its mean weight.
 
-    Exponential in the size; Karp's recurrence finds the best mean without it.
+    Exponential in the size; Howard's policy iteration finds the best mean without it.
     """
     n = a.rows
     for k in range(1, n + 1):
@@ -30,7 +30,7 @@ def simple_cycles(a):
 a = matrix([["-inf", 2], [0, "-inf"]])
 print("A =", a)
 print("all simple cycles and their means:", list(simple_cycles(a)))
-print("eigenvalue (Karp) =", max_cycle_mean(a))
+print("eigenvalue (policy iteration) =", max_cycle_mean(a))
 
 res = spectral_analysis(a)
 print()

@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from . import assign as assign_mod
 from . import determ, dynamics, io, plucker, projector, spectral, twosided, tropmat
-from .errors import TropkitError
+from .errors import TooLarge, TropkitError
 from .io import SchemaError
 from .semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS
 
@@ -39,7 +39,12 @@ def _load_matrix(path: str) -> tropmat.TropMatrix:
     return io.matrix_from_json(io.loads(_read(path)))
 
 
-def _densities(arg: str) -> List[Fraction]:
+# Largest densities x steps x cells of a traffic diagram, and steps + bins of a tent
+TRAFFIC_WORK_CAP = 10**7
+
+
+def _densities(arg: str) -> Tuple[Fraction, Fraction, int]:
+    """(lo, step, count) of `lo:hi:step`: the densities lo + k step <= hi."""
     try:
         lo_s, hi_s, step_s = arg.split(":")
         lo, hi, step = Fraction(lo_s), Fraction(hi_s), Fraction(step_s)
@@ -47,12 +52,7 @@ def _densities(arg: str) -> List[Fraction]:
         raise SchemaError(f"bad densities argument {arg!r}; want lo:hi:step") from exc
     if step <= 0:
         raise SchemaError("density step must be positive")
-    out = []
-    d = lo
-    while d <= hi:
-        out.append(d)
-        d += step
-    return out
+    return lo, step, max(0, (hi - lo) // step + 1)
 
 
 def _at_least(value: int, least: int, option: str) -> int:
@@ -220,6 +220,7 @@ def _cmd_assign(args) -> str:
 
 
 def _traffic_builder(cfg: dict):
+    """(builder, cells) of a network config."""
     if not isinstance(cfg, dict):
         raise SchemaError("traffic config must be a JSON object")
     kind = cfg.get("kind")
@@ -227,7 +228,7 @@ def _traffic_builder(cfg: dict):
         m = cfg.get("m")
         if not isinstance(m, int) or m < 2:
             raise SchemaError("single_road config needs integer m >= 2")
-        return dynamics.single_road_builder(m)
+        return dynamics.single_road_builder(m), m
     if kind == "crossing":
         n = cfg.get("n")
         if not isinstance(n, int) or n < 2:
@@ -235,16 +236,19 @@ def _traffic_builder(cfg: dict):
         policy = cfg.get("policy", "priority")
         if policy not in ("priority", "fifty_fifty"):
             raise SchemaError(f"unknown policy {policy!r}")
-        return dynamics.crossing_builder(n, policy)
+        return dynamics.crossing_builder(n, policy), 2 * n
     raise SchemaError(f"unknown traffic config kind {cfg.get('kind')!r}")
 
 
 def _cmd_traffic(args) -> str:
     if args.action == "diagram":
         cfg = io.loads(_read(args.config))
-        build = _traffic_builder(cfg)
-        densities = _densities(args.densities)
+        build, cells = _traffic_builder(cfg)
+        lo, step, count = _densities(args.densities)
         steps = _at_least(args.steps, 2, "--steps")
+        if count * steps * cells > TRAFFIC_WORK_CAP:
+            raise TooLarge(f"densities x steps x cells is {count * steps * cells}, above {TRAFFIC_WORK_CAP}")
+        densities = [lo + k * step for k in range(count)]
         points = dynamics.fundamental_diagram(build, densities, steps)
         if args.format == "json":
             return io.dumps(
@@ -264,6 +268,8 @@ def _cmd_traffic(args) -> str:
             raise SchemaError(f"bad --y0 {args.y0!r}; want an exact rational") from exc
         steps = _at_least(args.steps, 1, "--steps")
         bins = _at_least(args.bins, 1, "--bins")
+        if steps + bins > TRAFFIC_WORK_CAP:
+            raise TooLarge(f"steps + bins is {steps + bins}, above {TRAFFIC_WORK_CAP}")
         _, hist = dynamics.tent_trajectory(y0, steps, bins=bins)
         if args.format == "json":
             return io.dumps({"bins": bins, "counts": hist})

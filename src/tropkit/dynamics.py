@@ -274,15 +274,15 @@ class HomogeneousMap:
         return matrix(rows, MIN_PLUS)
 
 
-def road_event_graph(occupancy: Sequence[int], m: Optional[int] = None) -> HomogeneousMap:
+def road_event_graph(occupancy: Sequence[int]) -> HomogeneousMap:
     """Min-plus linear event graph of a circular road.
 
     Coordinate i advances by min(a_{i-1} + x_{i-1}, (1 - a_i) + x_{i+1});
     the matrix eigenvalue is min(n/m, (m-n)/m, 1/2) for n cars on m cells.
     """
     a = [int(b) for b in occupancy]
-    m = m if m is not None else len(a)
-    if m != len(a) or m < 2:
+    m = len(a)
+    if m < 2:
         raise BadConfig("need one occupancy bit per cell, at least two cells")
     coords = tuple(
         (_term(a[i - 1], [((i - 1) % m, 1)]), _term(1 - a[i], [((i + 1) % m, 1)]))
@@ -740,28 +740,23 @@ def traffic_light_system(
     n_horizontal: int,
     cars_vertical: Sequence[int],
     cars_horizontal: Sequence[int],
-    phase_tokens: Sequence[int] = (1, 0, 0, 0),
 ) -> T1HSystem:
     """Crossing with a four-phase traffic light and no turning.
 
     The light is the autonomous min-plus counter system u_{k+1} = C u_k
-    with one token travelling through the four phase places; with the
-    default single token and u0 = 0 the gate markings
-    a0(k) = 1 + u1 - u2 and b0(k) = u3 - u4 cycle through
+    with one token travelling through the four phase places; with u0 = 0
+    the gate markings a0(k) = 1 + u1 - u2 and b0(k) = u3 - u4 cycle through
     (1,0), (0,0), (0,1), (0,0). Each road is a circular event graph whose
     junction cell carries the 0-homogeneous gate entry a0 u1/u2
     (resp. b0 u3/u4) on the diagonal.
     """
-    phi = [Fraction(p) for p in phase_tokens]
-    if len(phi) != 4:
-        raise BadConfig("four phase places are required")
     inf = "+inf"
     c = matrix(
         [
-            [inf, inf, inf, phi[3]],
-            [phi[0], inf, inf, inf],
-            [inf, phi[1], inf, inf],
-            [inf, inf, phi[2], inf],
+            [inf, inf, inf, 0],
+            [1, inf, inf, inf],
+            [inf, 0, inf, inf],
+            [inf, inf, 0, inf],
         ],
         MIN_PLUS,
     )

@@ -46,7 +46,7 @@ class TooLarge(TropkitError):
 
     Caps bound work that is exponential in the input size even for the best
     exact algorithm in use (tables over all 2^n subsets, double-description
-    generator sets); no cap guards an enumeration path.
+    generator sets) or set by a traffic request; no cap guards enumeration.
     """
 
 

@@ -63,12 +63,12 @@ def _payload_from_json(v, tag: SemiringTag) -> Payload:
         if isinstance(v, bool):
             return v
         raise SchemaError(f"boolean entry required, got {v!r}")
-    if v in ("-inf", "+inf"):
-        try:
-            return payload_of(v, tag)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    return payload_of(fraction_from_json(v), tag)
+    if v not in ("-inf", "+inf"):
+        v = fraction_from_json(v)
+    try:
+        return payload_of(v, tag)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def scalar_to_json(s: TropScalar) -> Union[int, str, bool]:
@@ -146,17 +146,19 @@ def matrix_to_csv(m: TropMatrix) -> str:
     return "\n".join(",".join(map(str, row)) for row in _rows_to_json(m)) + "\n"
 
 
+def _cell_from_csv(c: str):
+    """The JSON value a CSV cell stands for (bools as Python writes them), else the string."""
+    try:
+        return json.loads(c.lower() if c in ("True", "False") else c)
+    except ValueError:
+        return c
+
+
 def matrix_from_csv(text: str, tag: SemiringTag) -> TropMatrix:
-    rows = []
-    for line in text.strip().splitlines():
-        cells = [c.strip() for c in line.split(",")]
-        row = []
-        for c in cells:
-            if c in ("-inf", "+inf"):
-                row.append(_payload_from_json(c, tag))
-            else:
-                row.append(_payload_from_json(c if "/" in c else int(c), tag))
-        rows.append(tuple(row))
+    rows = [
+        tuple(_payload_from_json(_cell_from_csv(c.strip()), tag) for c in line.split(","))
+        for line in text.strip().splitlines()
+    ]
     widths = {len(r) for r in rows}
     if not rows or len(widths) != 1:
         raise SchemaError("CSV matrix must be rectangular and nonempty")

@@ -188,7 +188,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     min, so P <= A_sigma = Mk...M1 pointwise (stage matrices as in `_push`).
     It starts as P's own choices along the orbit of top, the sum of the last
     stage's generators. Each round evaluates A_sigma's cycle-time vector chi
-    and bias eta; r = max chi is A_sigma's cycle mean (Karp), an upper bound
+    and bias eta by policy iteration; r = max chi is A_sigma's cycle mean, an upper bound
     on the radius. If x = eta on S = {chi = r} satisfies P(x) = r x exactly,
     r is attained and the iteration stops. Otherwise each choice switches to
     a row with a strictly smaller residual at (chi, eta) pushed through the

@@ -1,7 +1,8 @@
 """Max-plus spectral theory: cycle-mean eigenvalue, critical graph, eigenvectors.
 
 The eigenvalue is the extremal cycle mean of the digraph of finite entries,
-computed by Karp's recurrence. The critical graph collects the cycles that
+the best entry of the cycle-time vector that Howard's policy iteration
+computes. The critical graph collects the cycles that
 attain it; its strongly connected components (the critical classes) index the
 eigenvector generators, which are columns of the star of the normalized
 matrix. Min-plus matrices are handled by duality through the canonical order.
@@ -9,10 +10,11 @@ matrix. Min-plus matrices are handled by duality through the canonical order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
 from .semiring import MAX_PLUS, MIN_PLUS, TropScalar
@@ -27,56 +29,18 @@ def _check_spectral_tag(a: TropMatrix) -> None:
 
 
 def max_cycle_mean(a: TropMatrix) -> TropScalar:
-    """Extremal cycle mean (the eigenvalue) by Karp's recurrence.
+    """Extremal cycle mean (the eigenvalue): the best entry of the cycle-time
+    vector that Howard's policy iteration computes.
 
     Max-plus: the maximum over cycles of weight/length. Min-plus: the
     minimum, via negation. Raises NoCycle when the digraph of finite
     entries is acyclic.
     """
     _check_spectral_tag(a)
-    _, w = _signed(a)
-    n = a.rows
-    # D[k][i] = best weight of a length-k walk ending at i, from anywhere.
-    d: List[List[Optional[Fraction]]] = [[0] * n]
-    for k in range(1, n + 1):
-        prev = d[k - 1]
-        cur: List[Optional[Fraction]] = [None] * n
-        for j in range(n):
-            if prev[j] is None:
-                continue
-            wj = w[j]
-            base = prev[j]
-            for i in range(n):
-                wji = wj[i]
-                if wji is None:
-                    continue
-                cand = base + wji
-                if cur[i] is None or cand > cur[i]:
-                    cur[i] = cand
-        d.append(cur)
-    # Ratios (num, den) with den > 0 compare by cross-multiplication; only
-    # the answer becomes a Fraction.
-    best: Optional[Tuple[Fraction, int]] = None
-    for i in range(n):
-        dn = d[n][i]
-        if dn is None:
-            continue
-        worst: Optional[Tuple[Fraction, int]] = None
-        for k in range(n):
-            dk = d[k][i]
-            if dk is None:
-                continue
-            num, den = dn - dk, n - k
-            if worst is None or num * worst[1] < worst[0] * den:
-                worst = (num, den)
-        if worst is not None and (best is None or worst[0] * best[1] > best[0] * worst[1]):
-            best = worst
-    if best is None:
+    chi = [c for c in _cycle_time(a)[0] if c is not None]
+    if not chi:
         raise NoCycle("digraph of finite entries is acyclic")
-    mean = Fraction(*best)
-    if a.tag is MIN_PLUS:
-        mean = -mean
-    return TropScalar(mean, a.tag)
+    return TropScalar._fast(-max(chi) if a.tag is MIN_PLUS else max(chi), a.tag)
 
 
 @dataclass(frozen=True)
@@ -123,29 +87,61 @@ def spectral_analysis(a: TropMatrix) -> SpectralResult:
 
 
 def _cycle_time(a: TropMatrix) -> Tuple[list, list]:
-    """Cycle-time vector chi and bias eta of a max-plus matrix, reducible or not.
+    """Cycle-time vector chi and bias eta of A's max-plus weights (min-plus
+    negated), by Howard's multichain policy iteration (Cochet-Terrasson,
+    Cohen, Gaubert, Mc Gettrick & Quadrat, 1998).
 
-    chi_l is the best cycle mean among the strongly connected components that
-    l reaches, None if it reaches no cycle. Levels are peeled off from the
-    top: the nodes reaching a critical class of the rest of the matrix have
-    chi = its eigenvalue and eta = the sum of its eigenvector generators,
-    and no node outside a level reaches into it. So
-    eta_l = max{a_li + eta_i : chi_i = chi_l} - chi_l, None where chi_l is.
+    chi_l is the best mean of a cycle that l reaches, None if it reaches
+    none, and eta_l = max{a_li + eta_i : chi_i = chi_l} - chi_l, None where
+    chi_l is. Each policy cycle's smallest node keeps its bias from the round
+    before, so the bias never decreases and the iteration terminates.
     """
-    chi: List = [None] * a.rows
-    eta: List = [None] * a.rows
-    rest = list(range(a.rows))
-    while rest:
-        sub = TropMatrix._trusted(tuple(tuple(a.payload[i][j] for j in rest) for i in rest), a.tag)
-        try:
-            res = spectral_analysis(sub)
-        except NoCycle:
-            break
-        for l, e in zip(rest, reduce(TropVector.__add__, res.eigenvectors).payload):
-            if e is not None:
-                chi[l], eta[l] = res.eigenvalue.value, e
-        rest = [l for l in rest if chi[l] is None]
-    return chi, eta
+    _, w = _signed(a)
+    n = a.rows
+    live, keep = None, list(range(n))
+    while keep != live:  # drop the nodes without an edge into the rest
+        live, keep = keep, [i for i in keep if any(w[i][j] is not None for j in keep)]
+    # one integer scale that makes every weight and every cycle mean integral
+    denominators = math.lcm(*(v.denominator for r in w for v in r if v is not None))
+    scale = math.lcm(*range(1, len(live) + 1)) * denominators
+    succ = [[(j, r[j].numerator * (scale // r[j].denominator)) for j in live if r[j] is not None] for r in w]
+    pi = {i: max(succ[i], key=lambda e: e[1]) for i in live}  # (successor, weight)
+    chi: List = [None] * n
+    eta: List = [0 if s else None for s in succ]  # no node off live has an edge into it
+    while True:
+        seen = [False] * n
+        for s in live:
+            path, j = [], s
+            while not seen[j]:
+                seen[j] = True
+                path.append(j)
+                j = pi[j][0]
+            if j in path:  # a new policy cycle; its smallest node is the root
+                cycle = path[path.index(j):]
+                del path[-len(cycle):]
+                k = cycle.index(min(cycle))
+                chi[cycle[k]] = sum(pi[i][1] for i in cycle) // len(cycle)
+                path += cycle[k + 1:] + cycle[:k]
+            for i in reversed(path):
+                j, v = pi[i]
+                chi[i] = chi[j]
+                eta[i] = v - chi[j] + eta[j]
+        switched = False
+        for i in live:
+            j, v = pi[i]
+            bc, bv = chi[j], v + eta[j]
+            for j, v in succ[i]:
+                if chi[j] > bc or (chi[j] == bc and v + eta[j] > bv):
+                    bc, bv, pi[i], switched = chi[j], v + eta[j], (j, v), True
+        if not switched:
+            return [_unscaled(c, scale) for c in chi], [_unscaled(e, scale) for e in eta]
+
+
+def _unscaled(v, scale: int):
+    if v is None:
+        return None
+    q, r = divmod(v, scale)
+    return q if r == 0 else Fraction(v, scale)
 
 
 def eigenvectors(a: TropMatrix) -> List[TropVector]:

@@ -1,16 +1,19 @@
-"""Simple-cycle enumeration: the test oracle for Karp's cycle-mean eigenvalue.
+"""Test oracles for the cycle-mean eigenvalue: simple-cycle enumeration and
+Karp's recurrence.
 
-Exponential in the matrix size, so it lives with the tests; production code
-computes the eigenvalue by Karp's recurrence in `tropkit.spectral`.
+Enumeration is exponential in the matrix size, and Karp's O(n^3) recurrence
+is an independent second algorithm that reaches sizes enumeration cannot;
+production code computes the eigenvalue and the cycle-time vector by
+Howard's policy iteration in `tropkit.spectral`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from tropkit.errors import NoCycle
-from tropkit.semiring import MAX_PLUS, TropScalar
+from tropkit.semiring import MAX_PLUS, MIN_PLUS, TropScalar
 from tropkit.spectral import _check_spectral_tag
 from tropkit.tropmat import TropMatrix, _signed
 
@@ -18,7 +21,7 @@ from tropkit.tropmat import TropMatrix, _signed
 def cycle_means_bruteforce(a: TropMatrix) -> List[Tuple[Tuple[int, ...], Fraction]]:
     """All simple cycles (as node tuples) with their mean weights.
 
-    Independent verification oracle for Karp: plain DFS enumeration,
+    Independent verification oracle: plain DFS enumeration,
     restricted to cycles whose smallest node is the start to avoid
     duplicates. Exponential; intended for small matrices.
     """
@@ -54,3 +57,56 @@ def max_cycle_mean_bruteforce(a: TropMatrix) -> TropScalar:
         raise NoCycle("digraph of finite entries is acyclic")
     best = max(means) if a.tag is MAX_PLUS else min(means)
     return TropScalar(best, a.tag)
+
+
+def max_cycle_mean_karp(a: TropMatrix) -> TropScalar:
+    """Extremal cycle mean by Karp's recurrence, in O(n^3).
+
+    Max-plus: the maximum over cycles of weight/length. Min-plus: the
+    minimum, via negation. Raises NoCycle when the digraph of finite
+    entries is acyclic.
+    """
+    _check_spectral_tag(a)
+    _, w = _signed(a)
+    n = a.rows
+    # D[k][i] = best weight of a length-k walk ending at i, from anywhere.
+    d: List[List[Optional[Fraction]]] = [[0] * n]
+    for k in range(1, n + 1):
+        prev = d[k - 1]
+        cur: List[Optional[Fraction]] = [None] * n
+        for j in range(n):
+            if prev[j] is None:
+                continue
+            wj = w[j]
+            base = prev[j]
+            for i in range(n):
+                wji = wj[i]
+                if wji is None:
+                    continue
+                cand = base + wji
+                if cur[i] is None or cand > cur[i]:
+                    cur[i] = cand
+        d.append(cur)
+    # Ratios (num, den) with den > 0 compare by cross-multiplication; only
+    # the answer becomes a Fraction.
+    best: Optional[Tuple[Fraction, int]] = None
+    for i in range(n):
+        dn = d[n][i]
+        if dn is None:
+            continue
+        worst: Optional[Tuple[Fraction, int]] = None
+        for k in range(n):
+            dk = d[k][i]
+            if dk is None:
+                continue
+            num, den = dn - dk, n - k
+            if worst is None or num * worst[1] < worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (best is None or worst[0] * best[1] > best[0] * worst[1]):
+            best = worst
+    if best is None:
+        raise NoCycle("digraph of finite entries is acyclic")
+    mean = Fraction(*best)
+    if a.tag is MIN_PLUS:
+        mean = -mean
+    return TropScalar(mean, a.tag)

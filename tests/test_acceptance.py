@@ -173,7 +173,7 @@ def test_criterion_05_spectral_oracle_equivalence():
                 assert m.apply(v) == v.scale(res.eigenvalue)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
-    report(5, "Karp = cycle enumeration on 1000 instances, eigenvectors exact", elapsed, 60)
+    report(5, "policy iteration = cycle enumeration on 1000 instances, eigenvectors exact", elapsed, 60)
 
 
 # -- 6 ----------------------------------------------------------------------

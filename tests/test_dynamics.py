@@ -362,6 +362,17 @@ def _plain_light(occ_v, occ_h, phi, k, window=64):
     return us, xs, report, _plain_rates(xs)
 
 
+def _phased_light(nv, nh, cv, ch, phi):
+    """The four-phase light with phi[t] tokens on the arc out of phase place t."""
+    light = traffic_light_system(nv, nh, cv, ch)
+    inf = "+inf"
+    c = matrix(
+        [[inf, inf, inf, phi[3]], [phi[0], inf, inf, inf], [inf, phi[1], inf, inf], [inf, inf, phi[2], inf]],
+        MIN_PLUS,
+    )
+    return T1HSystem(c, light.a_of_u, None, light.u0, light.x0)
+
+
 def _plain_t1h(system, k):
     """u and x trajectories of any T1H system, in plain Fraction arithmetic on its fields."""
     c = system.c
@@ -431,7 +442,7 @@ def test_trajectories_equal_plain_resimulation_random():
         if not any(phi):
             phi[rng.randrange(4)] = 1
         k = rng.randint(2, 90)
-        u_traj, x_traj, report, rates = t1h_simulate(traffic_light_system(nv, nh, cv, ch, phi), k)
+        u_traj, x_traj, report, rates = t1h_simulate(_phased_light(nv, nh, cv, ch, phi), k)
         occ_v, occ_h = [int(i in cv) for i in range(nv)], [int(i in ch) for i in range(nh)]
         us, xs, want_report, want_rates = _plain_light(occ_v, occ_h, phi, k)
         assert u_traj == us and x_traj == xs and rates == want_rates
@@ -448,7 +459,7 @@ def test_t1h_input_matrix_and_rational_phases_equal_plain_resimulation():
         cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
         ch = sorted(rng.sample(range(nh), rng.randint(0, nh)))
         phi = [rng.choice((0, 1, half, Fraction(2, 3), Fraction(5, 4))) for _ in range(4)]
-        light = traffic_light_system(nv, nh, cv, ch, phi)
+        light = _phased_light(nv, nh, cv, ch, phi)
         b_rows = []
         for _ in range(nv + nh):
             row = [None] * 4
@@ -487,7 +498,7 @@ def test_integer_steps_and_exact_spread_bound():
 
 
 def test_t1h_input_term_cancelling_its_control_column_equals_plain_resimulation():
-    light = traffic_light_system(3, 4, [0], [1, 2], (1, Fraction(1, 2), 0, 2))
+    light = _phased_light(3, 4, [0], [1, 2], (1, Fraction(1, 2), 0, 2))
     # u_0 - u_1 in column 1 multiplies u_1, so the input term is u_0 alone
     b_rows = [[None, uterm(0, (1, -1, 0, 0)), None, None]] + [[3, None, None, Fraction(5, 2)]] * 6
     u0 = (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2, 3))

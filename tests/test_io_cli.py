@@ -34,7 +34,7 @@ def write(tmp_path, name, obj):
 
 def test_matrix_round_trip():
     rng = random.Random(34)
-    for tag in (MAX_PLUS, MIN_PLUS, MAX_TIMES):
+    for tag in (MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN):
         bot = {"max-plus": BOT, "min-plus": "+inf"}.get(tag.value)
         for _ in range(20):
             n = rng.randint(1, 4)
@@ -42,7 +42,9 @@ def test_matrix_round_trip():
             for _ in range(n):
                 row = []
                 for _ in range(n):
-                    if tag is MAX_TIMES:
+                    if tag is BOOLEAN:
+                        row.append(rng.random() < 0.5)
+                    elif tag is MAX_TIMES:
                         row.append(Fraction(rng.randint(0, 9), rng.randint(1, 4)))
                     elif rng.random() < 0.2:
                         row.append(bot)
@@ -52,6 +54,15 @@ def test_matrix_round_trip():
             m = matrix(rows, tag)
             assert tio.matrix_from_json(tio.matrix_to_json(m)) == m
             assert tio.matrix_from_csv(tio.matrix_to_csv(m), tag) == m
+
+
+@pytest.mark.parametrize("cell, tag", [
+    ("1.5", MAX_PLUS), ("abc", MAX_PLUS), ("True", MAX_PLUS), ("[1]", MIN_PLUS),
+    ("-1", MAX_TIMES), ("1", BOOLEAN),
+])
+def test_matrix_from_csv_rejects_malformed_cells(cell, tag):
+    with pytest.raises(tio.SchemaError):
+        tio.matrix_from_csv(f"{cell}\n", tag)
 
 
 def test_vector_and_interval_round_trip():
@@ -268,6 +279,9 @@ _BAD_MATRIX_REQUESTS = {
         "separate", "--modules", _max_plus([[0], [0]]), _max_plus([[0, BOT], [2, BOT]]),
     ],
     "separate_min_plus": ["separate", "--modules", _MIN_PLUS_2, _MIN_PLUS_2],
+    "invariants_max_times_negative": [
+        "invariants", "--matrix", {"semiring": "max-times", "rows": 1, "cols": 1, "data": [[-1]]},
+    ],
     "project_boolean": [
         "project", "--module", os.path.join(_GOLDEN, "a_boolean.json"),
         "--vector", {"semiring": "boolean", "data": [True, False, True]},
@@ -374,3 +388,20 @@ def test_cli_plucker_above_check_cap_exits_1(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(_BAD_MATRIX_REQUESTS))
 def test_cli_bad_matrix_requests_exit_2(tmp_path, name):
     _assert_schema_exit(tmp_path, _BAD_MATRIX_REQUESTS[name])
+
+
+_TOO_LARGE_TRAFFIC_REQUESTS = {
+    "tent_bins_1e12": ["tent", "--y0", "1/5", "--bins", str(10**12)],
+    "tent_steps_1e12": ["tent", "--y0", "1/5", "--steps", str(10**12)],
+    "diagram_steps_1e9": ["diagram", "--config", _ROAD, "--densities", "0:1:1/2", "--steps", str(10**9)],
+    "diagram_density_step_1e-9": ["diagram", "--config", _ROAD, "--densities", f"0:1:1/{10**9}"],
+    "diagram_road_m_1e9": ["diagram", "--config", {"kind": "single_road", "m": 10**9}, "--densities", "0:1:1/2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOO_LARGE_TRAFFIC_REQUESTS))
+def test_cli_traffic_above_work_cap_exits_1(tmp_path, name):
+    # the cap is checked before any density list or histogram is built
+    proc = _cli_subprocess(tmp_path, ["traffic"] + _TOO_LARGE_TRAFFIC_REQUESTS[name])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"

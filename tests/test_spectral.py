@@ -15,7 +15,7 @@ from tropkit.spectral import (
 )
 from tropkit.tropmat import kleene_star, mat_mul, matrix, vector
 
-from cycle_oracle import cycle_means_bruteforce, max_cycle_mean_bruteforce
+from cycle_oracle import cycle_means_bruteforce, max_cycle_mean_bruteforce, max_cycle_mean_karp
 
 BOT = "-inf"
 
@@ -74,7 +74,7 @@ def test_karp_equals_bruteforce_random():
 @pytest.mark.parametrize("unit", [1, Fraction(1, 3), Fraction(-5, 2)])
 def test_karp_tied_ratios_against_oracle(tag, unit):
     # a loop of weight 2, a 2-cycle of weight 4 and a 3-cycle of weight 6
-    # all have mean 2, so Karp's ratios tie at different lengths k
+    # all have mean 2, so cycles of different lengths tie for the eigenvalue
     bot = BOT if tag is MAX_PLUS else "+inf"
     w = [[2, 1, bot], [3, bot, 0], [5, bot, bot]]
     m = matrix([[v if v == bot else v * unit for v in row] for row in w], tag)
@@ -104,6 +104,61 @@ def test_karp_equals_bruteforce_rational_random():
             continue
         bf = max_cycle_mean_bruteforce(m)
         assert k == bf and type(k.value) is type(bf.value)
+
+
+def _random_matrix(rng, n, tag):
+    # bottoms, ties from a narrow range of weights, and rationals
+    bot = BOT if tag is MAX_PLUS else "+inf"
+    p_bot = rng.choice([0, 0.3, 0.6, 0.85])
+    span = rng.choice([1, 2, 10])
+    den = rng.choice([1, 1, 3])
+    return matrix(
+        [[bot if rng.random() < p_bot else Fraction(rng.randint(-span, span), rng.randint(1, den))
+          for _ in range(n)] for _ in range(n)],
+        tag,
+    )
+
+
+def test_max_cycle_mean_equals_karp_random():
+    # Karp's recurrence checks sizes that cycle enumeration cannot reach
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        m = _random_matrix(rng, n, rng.choice([MAX_PLUS, MIN_PLUS]))
+        try:
+            k = max_cycle_mean_karp(m)
+        except NoCycle:
+            with pytest.raises(NoCycle):
+                max_cycle_mean(m)
+            continue
+        lam = max_cycle_mean(m)
+        assert lam == k and type(lam.value) is type(k.value)
+
+
+def test_cycle_time_equals_karp_on_reachable_submatrix_random():
+    # chi_l is the eigenvalue of the submatrix on the nodes that l reaches
+    rng = random.Random(32)
+    for _ in range(40):
+        n = rng.randint(1, 16)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        m = _random_matrix(rng, n, tag)
+        chi, _ = spectral._cycle_time(m)
+        for l in range(n):
+            reach, todo = {l}, [l]
+            while todo:
+                i = todo.pop()
+                for j in range(n):
+                    if m.payload[i][j] is not None and j not in reach:
+                        reach.add(j)
+                        todo.append(j)
+            nodes = sorted(reach)
+            sub = matrix([[m.payload[i][j] for j in nodes] for i in nodes], tag)
+            try:
+                k = max_cycle_mean_karp(sub).value
+            except NoCycle:
+                assert chi[l] is None
+                continue
+            assert chi[l] == (k if tag is MAX_PLUS else -k) and type(chi[l]) is type(k)
 
 
 def test_critical_graph_examples():
@@ -202,9 +257,11 @@ def test_eigenvectors_exact_random():
 def test_cycle_time_of_reducible_matrix():
     # node 0 (loop 3) reaches node 1 (loop 1), node 2 reaches node 0 and
     # node 3 reaches no cycle; the bias keeps only edges of equal growth,
-    # so the edge 0 -> 1 of weight 5 does not raise eta_0
+    # so the edge 0 -> 1 of weight 5 does not raise eta_0; the first policy
+    # takes that edge and sets eta_0 = 5 - 1 + eta_1 = 4, which the root of
+    # the loop at node 0 keeps once the policy switches to it
     a = matrix([[3, 5, BOT, BOT], [BOT, 1, BOT, BOT], [0, BOT, BOT, 2], [BOT] * 4])
-    assert spectral._cycle_time(a) == ([3, 1, 3, None], [0, 0, -3, None])
+    assert spectral._cycle_time(a) == ([3, 1, 3, None], [4, 0, 1, None])
 
 
 def test_cycle_time_against_cycle_enumeration_random():

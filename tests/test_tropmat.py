@@ -143,7 +143,7 @@ def test_star_partial_sums_oracle():
 
 @pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
 def test_star_diverges_iff_cycle_mean_above_unit(tag):
-    # Karp's cycle mean is the oracle for the divergence verdict
+    # the cycle-mean eigenvalue is the oracle for the divergence verdict
     rng = random.Random(f"diverge-{tag.value}")
     verdicts = set()
     for _ in range(200):
