@@ -1,11 +1,16 @@
 """Max-plus spectral theory: cycle-mean eigenvalue, critical graph, eigenvectors.
 
 The eigenvalue is the extremal cycle mean of the digraph of finite entries,
-the best entry of the cycle-time vector that Howard's policy iteration
-computes. The critical graph collects the cycles that
-attain it; its strongly connected components (the critical classes) index the
-eigenvector generators, which are columns of the star of the normalized
-matrix. Min-plus matrices are handled by duality through the canonical order.
+the best entry of the cycle-time vector chi that Howard's policy iteration
+computes, and the rest is read from the same run. On the nodes where chi is
+the eigenvalue, Howard's final bias eta makes every reduced weight
+a_ij - lambda + eta_j - eta_i nonpositive, so the cycles that attain the
+eigenvalue are the cycles of tight edges (reduced weight zero). The critical
+graph is the tight edges inside the strongly connected components of the
+tight graph, the components with such an edge are the critical classes, and
+the generator of a class (the normalized star's column at its smallest node)
+comes from one Dijkstra search toward that node on the reduced weights.
+Min-plus matrices are handled by duality through the canonical order.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
 from .semiring import MAX_PLUS, MIN_PLUS, TropScalar
-from .tropmat import TropMatrix, TropVector, _closure, _signed
+from .tropmat import TropMatrix, TropVector, _closure
 
 
 def _check_spectral_tag(a: TropMatrix) -> None:
@@ -37,10 +42,15 @@ def max_cycle_mean(a: TropMatrix) -> TropScalar:
     entries is acyclic.
     """
     _check_spectral_tag(a)
-    chi = [c for c in _cycle_time(a)[0] if c is not None]
-    if not chi:
+    sign, chi, _, scale, _ = _howard(a)
+    return TropScalar._fast(sign * _unscaled(_best(chi), scale), a.tag)
+
+
+def _best(chi: list) -> int:
+    finite = [c for c in chi if c is not None]
+    if not finite:
         raise NoCycle("digraph of finite entries is acyclic")
-    return TropScalar._fast(-max(chi) if a.tag is MIN_PLUS else max(chi), a.tag)
+    return max(finite)
 
 
 @dataclass(frozen=True)
@@ -53,58 +63,141 @@ class SpectralResult:
 
 
 def spectral_analysis(a: TropMatrix) -> SpectralResult:
-    """Eigenvalue, critical graph, critical classes, and one generator each.
+    """Eigenvalue, critical graph, critical classes, and one generator each,
+    from one run of Howard's policy iteration.
 
-    A node is critical iff the plus-closure of the normalized matrix has a
-    unit diagonal entry there; an edge (i, j) is critical iff it lies on a
-    unit-weight cycle of the normalized matrix. Two critical nodes share a
-    critical class (a strongly connected component of the critical graph)
-    iff star_ij * star_ji is the unit. Generators are the columns of the
-    normalized star at the smallest node of each critical class and satisfy
-    A v = lambda v exactly.
+    On T = {chi = lambda} every reduced weight a_ij - lambda + eta_j - eta_i
+    is nonpositive, and a cycle attains lambda iff all its edges are tight
+    (reduced weight zero). An edge is critical iff it is tight and its ends
+    share a strongly connected component of the tight graph; the critical
+    classes are the components with a tight edge, ordered by their smallest
+    node r. Only nodes of T reach r, so the generator, the normalized star's
+    column r, is star_ir = dist_i + eta_i - eta_r for the best reduced weight
+    dist_i of a path i -> r, found by one Dijkstra search toward r. Each
+    generator satisfies A v = lambda v exactly and carries the unit at r.
     """
-    lam = max_cycle_mean(a)
-    star = _closure(a, lam.value)  # the plus-closure until the unit diagonal is set
-    nodes = frozenset(i for i, row in enumerate(star) if row[i] == 0)
-    for i, row in enumerate(star):
-        row[i] = 0
+    _check_spectral_tag(a)
+    sign, chi, eta, scale, succ = _howard(a)
+    lam = _best(chi)
+    on = [c == lam for c in chi]
+    into: List[list] = [[] for _ in chi]  # (i, reduced weight of i -> j) for each j
+    tight: List[list] = [[] for _ in chi]
+    for i, row in enumerate(succ):
+        if on[i]:
+            top = lam + eta[i]
+            for j, v in row:
+                if on[j]:
+                    reduced = v + eta[j] - top
+                    into[j].append((i, reduced))
+                    if reduced == 0:
+                        tight[i].append(j)
+    components = _components([i for i, t in enumerate(on) if t], tight)
+    component = {i: k for k, c in enumerate(components) for i in c}
+    edges = frozenset((i, j) for i, t in enumerate(tight) for j in t if component[i] == component[j])
+    critical = {component[i] for i, _ in edges}
+    classes = tuple(sorted((frozenset(c) for k, c in enumerate(components) if k in critical), key=min))
+    gens = []
+    for c in classes:
+        r = min(c)
+        dist = _dijkstra_toward(r, into)
+        payload = (None if d is None else sign * _unscaled(d + eta[i] - eta[r], scale) for i, d in enumerate(dist))
+        gens.append(TropVector._trusted(tuple(payload), a.tag))
+    lam_value = TropScalar._fast(sign * _unscaled(lam, scale), a.tag)
+    return SpectralResult(lam_value, frozenset().union(*classes), edges, classes, tuple(gens))
 
-    def unit_product(x, y) -> bool:
-        return x is not None and y is not None and x + y == 0
 
-    edges = frozenset(
-        (i, j)
-        for i, row in enumerate(a.payload)
-        for j, v in enumerate(row)
-        if v is not None and unit_product(v - lam.value, star[j][i])
-    )
-    classes: List[FrozenSet[int]] = []
-    for i in sorted(nodes):
-        if all(i not in c for c in classes):
-            classes.append(frozenset(j for j in nodes if unit_product(star[i][j], star[j][i])))
-    gens = tuple(TropVector._trusted(tuple(row[min(c)] for row in star), a.tag) for c in classes)
-    return SpectralResult(lam, nodes, edges, tuple(classes), gens)
+def _components(nodes: List[int], succ: List[list]) -> List[List[int]]:
+    """Strongly connected components of the digraph `succ` on `nodes`, by
+    Tarjan's search with an explicit stack of frames, so a deep graph cannot
+    exceed the interpreter's recursion limit."""
+    index: dict = {}
+    low: dict = {}  # for the nodes still on `stack`
+    stack: List[int] = []
+    out: List[List[int]] = []
+    work: list = []  # frames (node, its unvisited successors, its position on `stack`)
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = len(index)
+        work.append((v, iter(succ[v]), len(stack)))
+        stack.append(v)
+
+    for s in nodes:
+        if s not in index:
+            visit(s)
+        while work:
+            v, later, at = work[-1]
+            for j in later:
+                if j not in index:
+                    visit(j)
+                    break
+                if j in low:
+                    low[v] = min(low[v], index[j])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:  # v roots a component: everything above it
+                    out.append(stack[at:])
+                    del stack[at:]
+                    for j in out[-1]:
+                        del low[j]
+    return out
+
+
+def _dijkstra_toward(r: int, into: List[list]) -> list:
+    """Best weight of a path i -> r for every node i, None where r is out of
+    reach, on the nonpositive edge weights `into[j]` = [(i, w_ij), ...]."""
+    dist: list = [None] * len(into)
+    frontier = {r: 0}
+    while frontier:
+        j = max(frontier, key=frontier.__getitem__)
+        d = dist[j] = frontier.pop(j)
+        for i, w in into[j]:
+            if dist[i] is None:
+                c = d + w
+                f = frontier.get(i)
+                if f is None or c > f:
+                    frontier[i] = c
+    return dist
 
 
 def _cycle_time(a: TropMatrix) -> Tuple[list, list]:
     """Cycle-time vector chi and bias eta of A's max-plus weights (min-plus
-    negated), by Howard's multichain policy iteration (Cochet-Terrasson,
-    Cohen, Gaubert, Mc Gettrick & Quadrat, 1998).
+    negated), by Howard's multichain policy iteration (see `_howard`)."""
+    _, chi, eta, scale, _ = _howard(a)
+    return [_unscaled(c, scale) for c in chi], [_unscaled(e, scale) for e in eta]
 
-    chi_l is the best mean of a cycle that l reaches, None if it reaches
-    none, and eta_l = max{a_li + eta_i : chi_i = chi_l} - chi_l, None where
-    chi_l is. Each policy cycle's smallest node keeps its bias from the round
-    before, so the bias never decreases and the iteration terminates.
+
+def _howard(a: TropMatrix) -> Tuple[int, list, list, int, List[list]]:
+    """(sign, chi, eta, scale, succ): Howard's multichain policy iteration
+    (Cochet-Terrasson, Cohen, Gaubert, Mc Gettrick & Quadrat, 1998) on A's
+    max-plus weights, min-plus negated (sign -1), all scaled by one integer.
+
+    `scale` makes every weight and every cycle mean integral; succ[i] lists
+    (j, scale * sign * a_ij) for the edges i -> j that Howard keeps, and chi
+    and eta are scaled integers. chi_l is the best mean of a cycle that l
+    reaches, None if it reaches none, and eta_l = max{a_li + eta_i : chi_i =
+    chi_l} - chi_l, None where chi_l is. Each policy cycle's smallest node
+    keeps its bias from the round before, so the bias never decreases and
+    the iteration terminates.
     """
-    _, w = _signed(a)
+    sign = -1 if a.tag is MIN_PLUS else 1
+    w = a.payload
     n = a.rows
     live, keep = None, list(range(n))
     while keep != live:  # drop the nodes without an edge into the rest
         live, keep = keep, [i for i in keep if any(w[i][j] is not None for j in keep)]
+    succ = [[(j, r[j]) for j in live if r[j] is not None] for r in w]
     # one integer scale that makes every weight and every cycle mean integral
-    denominators = math.lcm(*(v.denominator for r in w for v in r if v is not None))
-    scale = math.lcm(*range(1, len(live) + 1)) * denominators
-    succ = [[(j, r[j].numerator * (scale // r[j].denominator)) for j in live if r[j] is not None] for r in w]
+    scale = math.lcm(*range(1, len(live) + 1))
+    denominators = {v.denominator for edges in succ for _, v in edges if type(v) is not int}
+    if denominators:
+        scale *= math.lcm(*denominators)
+        succ = [[(j, sign * v.numerator * (scale // v.denominator)) for j, v in edges] for edges in succ]
+    else:
+        step = sign * scale
+        succ = [[(j, v * step) for j, v in edges] for edges in succ]
     pi = {i: max(succ[i], key=lambda e: e[1]) for i in live}  # (successor, weight)
     chi: List = [None] * n
     eta: List = [0 if s else None for s in succ]  # no node off live has an edge into it
@@ -134,7 +227,7 @@ def _cycle_time(a: TropMatrix) -> Tuple[list, list]:
                 if chi[j] > bc or (chi[j] == bc and v + eta[j] > bv):
                     bc, bv, pi[i], switched = chi[j], v + eta[j], (j, v), True
         if not switched:
-            return [_unscaled(c, scale) for c in chi], [_unscaled(e, scale) for e in eta]
+            return sign, chi, eta, scale, succ
 
 
 def _unscaled(v, scale: int):

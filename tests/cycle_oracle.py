@@ -1,21 +1,24 @@
-"""Test oracles for the cycle-mean eigenvalue: simple-cycle enumeration and
-Karp's recurrence.
+"""Test oracles for the cycle-mean eigenvalue and the spectral elements:
+simple-cycle enumeration, Karp's recurrence, and the normalized closure.
 
 Enumeration is exponential in the matrix size, and Karp's O(n^3) recurrence
 is an independent second algorithm that reaches sizes enumeration cannot;
 production code computes the eigenvalue and the cycle-time vector by
-Howard's policy iteration in `tropkit.spectral`.
+Howard's policy iteration in `tropkit.spectral`. The closure oracle reads
+the critical graph, the critical classes and the eigenvector generators from
+the plus-closure of the normalized matrix, in O(n^3), where production code
+reads them from Howard's final policy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from tropkit.errors import NoCycle
 from tropkit.semiring import MAX_PLUS, MIN_PLUS, TropScalar
-from tropkit.spectral import _check_spectral_tag
-from tropkit.tropmat import TropMatrix, _signed
+from tropkit.spectral import SpectralResult, _check_spectral_tag, max_cycle_mean
+from tropkit.tropmat import TropMatrix, TropVector, _closure, _signed
 
 
 def cycle_means_bruteforce(a: TropMatrix) -> List[Tuple[Tuple[int, ...], Fraction]]:
@@ -110,3 +113,37 @@ def max_cycle_mean_karp(a: TropMatrix) -> TropScalar:
     if a.tag is MIN_PLUS:
         mean = -mean
     return TropScalar(mean, a.tag)
+
+
+def spectral_analysis_closure(a: TropMatrix) -> SpectralResult:
+    """Eigenvalue, critical graph, critical classes, and one generator each,
+    from the normalized closure.
+
+    A node is critical iff the plus-closure of the normalized matrix has a
+    unit diagonal entry there; an edge (i, j) is critical iff it lies on a
+    unit-weight cycle of the normalized matrix. Two critical nodes share a
+    critical class iff star_ij * star_ji is the unit. Generators are the
+    columns of the normalized star at the smallest node of each critical
+    class.
+    """
+    lam = max_cycle_mean(a)
+    star = _closure(a, lam.value)  # the plus-closure until the unit diagonal is set
+    nodes = frozenset(i for i, row in enumerate(star) if row[i] == 0)
+    for i, row in enumerate(star):
+        row[i] = 0
+
+    def unit_product(x, y) -> bool:
+        return x is not None and y is not None and x + y == 0
+
+    edges = frozenset(
+        (i, j)
+        for i, row in enumerate(a.payload)
+        for j, v in enumerate(row)
+        if v is not None and unit_product(v - lam.value, star[j][i])
+    )
+    classes: List[FrozenSet[int]] = []
+    for i in sorted(nodes):
+        if all(i not in c for c in classes):
+            classes.append(frozenset(j for j in nodes if unit_product(star[i][j], star[j][i])))
+    gens = tuple(TropVector._trusted(tuple(row[min(c)] for row in star), a.tag) for c in classes)
+    return SpectralResult(lam, nodes, edges, tuple(classes), gens)

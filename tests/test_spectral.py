@@ -13,9 +13,14 @@ from tropkit.spectral import (
     max_cycle_mean,
     spectral_analysis,
 )
-from tropkit.tropmat import kleene_star, mat_mul, matrix, vector
+from tropkit.tropmat import TropMatrix, kleene_star, mat_mul, matrix, vector
 
-from cycle_oracle import cycle_means_bruteforce, max_cycle_mean_bruteforce, max_cycle_mean_karp
+from cycle_oracle import (
+    cycle_means_bruteforce,
+    max_cycle_mean_bruteforce,
+    max_cycle_mean_karp,
+    spectral_analysis_closure,
+)
 
 BOT = "-inf"
 
@@ -220,6 +225,94 @@ def test_critical_graph_equals_cycle_enumeration_random():
         classes = {frozenset(j for j in reach[i] if i in reach[j]) for i in nodes}
         assert set(res.critical_classes) == classes
         assert [min(c) for c in res.critical_classes] == sorted(min(c) for c in classes)
+
+
+def _assert_canonical(res):
+    # an integral payload is an int, never an integral Fraction
+    values = [res.eigenvalue.value] + [x for v in res.eigenvectors for x in v.payload if x is not None]
+    assert all(type(x) is int or x.denominator != 1 for x in values)
+
+
+def test_spectral_analysis_equals_closure_oracle_random():
+    # every field, the order of the classes and the generator values agree
+    # with the normalized closure; reducible instances bottom every entry
+    # from a trailing block of nodes into a leading one
+    rng = random.Random(16)
+    for t in range(800):
+        n = rng.randint(15, 40) if t % 20 == 0 else rng.randint(1, 14)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        m = _random_matrix(rng, n, tag)
+        if rng.random() < 0.3:
+            cut = rng.randint(0, n)
+            m = matrix([[None if i >= cut > j else v for j, v in enumerate(row)] for i, row in enumerate(m.payload)], tag)
+        try:
+            want = spectral_analysis_closure(m)
+        except NoCycle:
+            with pytest.raises(NoCycle):
+                spectral_analysis(m)
+            continue
+        res = spectral_analysis(m)
+        assert res.eigenvalue == want.eigenvalue
+        assert type(res.eigenvalue.value) is type(want.eigenvalue.value)
+        assert res.critical_nodes == want.critical_nodes
+        assert res.critical_edges == want.critical_edges
+        assert res.critical_classes == want.critical_classes
+        assert res.eigenvectors == want.eigenvectors
+        _assert_canonical(res)
+
+
+def test_spectral_analysis_rational_eigenvalue_n40():
+    # a dense_matrix-style instance whose weights are at most 8 apart from the
+    # cycle 1 -> 2 -> 3 -> 1 of weights 9, 9, 10: every other cycle has mean
+    # at most 9, so lambda = 28/3 and that cycle is the one critical class
+    rng = random.Random(28)
+    n = 40
+    rows = [[None if rng.random() < 0.3 else rng.randint(-9, 8) for _ in range(n)] for _ in range(n)]
+    for i in range(n):  # a Hamiltonian cycle
+        if rows[i][(i + 1) % n] is None:
+            rows[i][(i + 1) % n] = rng.randint(-9, 8)
+    rows[0][0] = 8
+    rows[1][2], rows[2][3], rows[3][1] = 9, 9, 10
+    m = matrix(rows)
+    res = spectral_analysis(m)
+    assert res.eigenvalue == scalar(Fraction(28, 3))
+    assert res.critical_classes == (frozenset({1, 2, 3}),)
+    assert res.critical_edges == frozenset({(1, 2), (2, 3), (3, 1)})
+    assert res == spectral_analysis_closure(m)
+    (v,) = res.eigenvectors
+    assert m.apply(v) == v.scale(res.eigenvalue) and v[1] == scalar(0)
+    _assert_canonical(res)
+
+
+def test_spectral_analysis_large_ring_without_recursion():
+    # a 1,500-node ring is deeper than the interpreter's default recursion
+    # limit; its weights i mod 3 sum to 1,500, so lambda = 1 and all of it
+    # is critical
+    n = 1500
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = i % 3
+    m = TropMatrix._trusted(tuple(map(tuple, rows)), MAX_PLUS)
+    res = spectral_analysis(m)
+    assert res.eigenvalue == scalar(1)
+    assert res.critical_nodes == frozenset(range(n))
+    assert res.critical_edges == frozenset((i, (i + 1) % n) for i in range(n))
+    assert res.critical_classes == (frozenset(range(n)),)
+    (v,) = res.eigenvectors
+    assert m.apply(v) == v.scale(res.eigenvalue) and v[0] == scalar(0)
+
+
+def test_cycle_time_of_integral_fraction_weights():
+    # payloads a kernel left as integral Fractions take the general scaling
+    # path and give the same integers as int payloads
+    rows = [[3, 5, None, None], [None, 1, None, None], [0, None, None, 2], [None] * 4]
+    ints = TropMatrix._trusted(tuple(map(tuple, rows)), MAX_PLUS)
+    fracs = TropMatrix._trusted(
+        tuple(tuple(None if v is None else Fraction(v) for v in row) for row in rows), MAX_PLUS
+    )
+    assert spectral._cycle_time(ints) == spectral._cycle_time(fracs) == ([3, 1, 3, None], [4, 0, 1, None])
+    for a in (ints, fracs):
+        assert spectral._howard(a)[1:4] == ([18, 6, 18, None], [24, 0, 6, None], 6)
 
 
 def test_eigenvector_examples():
