@@ -260,6 +260,8 @@ class StandardTransform:
     transpose: bool = False
 
     def __post_init__(self):
+        if sorted(self.p) != list(range(len(self.p))) or sorted(self.q) != list(range(len(self.q))):
+            raise ValueError("p and q of a standard transform must be permutations")
         for s in self.d + self.e:
             if s.is_zero:
                 raise ValueError("diagonal entries of a standard transform must be invertible")

@@ -1,4 +1,4 @@
-"""Max-plus spectral theory: cycle-mean eigenvalue, critical graph, eigenvectors.
+"""Max-plus spectral theory: eigenvalue, critical graph, eigenvectors, Collatz-Wielandt.
 
 The eigenvalue is the extremal cycle mean of the digraph of finite entries,
 the best entry of the cycle-time vector chi that Howard's policy iteration
@@ -10,6 +10,7 @@ graph is the tight edges inside the strongly connected components of the
 tight graph, the components with such an edge are the critical classes, and
 the generator of a class (the normalized star's column at its smallest node)
 comes from one Dijkstra search toward that node on the reduced weights.
+The Collatz-Wielandt witness is read from the same run's chi and eta.
 Min-plus matrices are handled by duality through the canonical order.
 """
 
@@ -23,7 +24,7 @@ from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
 from .semiring import MAX_PLUS, MIN_PLUS, TropScalar
-from .tropmat import TropMatrix, TropVector, _closure
+from .tropmat import TropMatrix, TropVector
 
 
 def _check_spectral_tag(a: TropMatrix) -> None:
@@ -237,36 +238,31 @@ def _unscaled(v, scale: int):
     return q if r == 0 else Fraction(v, scale)
 
 
-def eigenvectors(a: TropMatrix) -> List[TropVector]:
-    """One eigenvector generator per critical class, unit at its representative."""
-    return list(spectral_analysis(a).eigenvectors)
-
-
 def collatz_wielandt_certificate(a: TropMatrix) -> Tuple[TropScalar, TropVector]:
     """The Collatz-Wielandt value with a finite super-eigenvector witness.
 
     The value is inf over finite u of the extremal coordinate of (A u) / u;
-    for a linear map it equals the cycle-mean eigenvalue. The witness u
-    (the row sums of the normalized star, all finite) attains the infimum
-    exactly: max_i (A u)_i / u_i = lambda. The attainment is checked, and a
-    witness that misses it raises CertificateInvalid.
+    for a linear map it equals the cycle-mean eigenvalue. With no all-zero row
+    Howard's final chi and eta are finite, and the witness is u = eta + N chi:
+    on an edge i -> j with chi_j = chi_i the policy's termination gives
+    a_ij + u_j <= lambda + u_i, N >= 0 is the least integer that gives it on
+    the edges with chi_j < chi_i, and a policy edge where chi = lambda attains
+    lambda. The attainment is checked, and a witness that misses it raises
+    CertificateInvalid.
     """
     _check_spectral_tag(a)
     for i, row in enumerate(a.payload):
         if all(v is None for v in row):
             raise Unbounded(f"row {i} is all zero; the infimum is unbounded below")
-    lam = max_cycle_mean(a)
-    best = max if a.tag is MAX_PLUS else min
-    star_sums = (best([0] + [v for v in row if v is not None]) for row in _closure(a, lam.value))
-    u = TropVector._trusted(tuple(star_sums), a.tag)
+    sign, chi, eta, scale, succ = _howard(a)
+    lam = _best(chi)
+    n = -min([0] + [(lam + eta[i] - v - eta[j]) // (chi[i] - chi[j])
+                    for i, row in enumerate(succ) for j, v in row if chi[j] < chi[i]])
+    u = TropVector._trusted(tuple(sign * _unscaled(e + n * c, scale) for e, c in zip(eta, chi)), a.tag)
+    lam_value = TropScalar._fast(sign * _unscaled(lam, scale), a.tag)
     ops = a.tag.ops
     residuals = map(ops.residual, a.apply(u).payload, u.payload)
     witnessed = TropScalar._fast(reduce(ops.add, residuals), a.tag)
-    if witnessed != lam:
-        raise CertificateInvalid(f"witness attains {witnessed!r}, not the eigenvalue {lam!r}")
-    return lam, u
-
-
-def collatz_wielandt(a: TropMatrix) -> TropScalar:
-    """Collatz-Wielandt number of the linear map induced by A."""
-    return collatz_wielandt_certificate(a)[0]
+    if witnessed != lam_value:
+        raise CertificateInvalid(f"witness attains {witnessed!r}, not the eigenvalue {lam_value!r}")
+    return lam_value, u

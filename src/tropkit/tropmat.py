@@ -287,27 +287,26 @@ def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
     return TropVector._trusted(tuple(out), v.tag)
 
 
-def _signed(a: TropMatrix, shift=0) -> Tuple[int, List[list]]:
-    """(sign, rows): A's payloads as max-plus weights, `shift` subtracted from
-    every finite entry and min-plus negated (sign -1), in fresh lists."""
+def _signed(a: TropMatrix) -> Tuple[int, List[list]]:
+    """(sign, rows): A's payloads as max-plus weights, min-plus negated
+    (sign -1), in fresh lists."""
     if not a.is_square:
         raise DimensionMismatch("star needs a square matrix")
     if a.tag not in (MAX_PLUS, MIN_PLUS):
         raise ValueError("matrix star is provided for max-plus and min-plus tags")
     sign = -1 if a.tag is MIN_PLUS else 1
-    return sign, [[None if v is None else sign * (v - shift) for v in row] for row in a.payload]
+    return sign, [[None if v is None else sign * v for v in row] for row in a.payload]
 
 
-def _closure(a: TropMatrix, shift=0) -> List[list]:
-    """Raw payloads (None = bottom) of the plus-closure of A, with `shift`
-    subtracted from every finite entry first, by one Floyd-Warshall pass in
-    place on the signed payloads, run as max-plus.
+def _closure(a: TropMatrix) -> List[list]:
+    """Raw payloads (None = bottom) of the plus-closure of A, by one
+    Floyd-Warshall pass in place on the signed payloads, run as max-plus.
 
     After pivot k, d[i][j] is the best weight of a path i -> j of at least
     one edge with intermediate nodes <= k. A pivot diagonal above the unit
     closes a cycle that makes the series diverge: Divergent, at once.
     """
-    sign, d = _signed(a, shift)
+    sign, d = _signed(a)
     for k, dk in enumerate(d):
         if dk[k] is not None and dk[k] > 0:
             raise Divergent(f"a cycle through node {k} has weight {sign * dk[k]}, above the unit")

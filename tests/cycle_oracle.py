@@ -127,7 +127,8 @@ def spectral_analysis_closure(a: TropMatrix) -> SpectralResult:
     class.
     """
     lam = max_cycle_mean(a)
-    star = _closure(a, lam.value)  # the plus-closure until the unit diagonal is set
+    normalized = a.scale(TropScalar._fast(-lam.value, a.tag))
+    star = _closure(normalized)  # the plus-closure until the unit diagonal is set
     nodes = frozenset(i for i, row in enumerate(star) if row[i] == 0)
     for i, row in enumerate(star):
         row[i] = 0
@@ -137,9 +138,9 @@ def spectral_analysis_closure(a: TropMatrix) -> SpectralResult:
 
     edges = frozenset(
         (i, j)
-        for i, row in enumerate(a.payload)
+        for i, row in enumerate(normalized.payload)
         for j, v in enumerate(row)
-        if v is not None and unit_product(v - lam.value, star[j][i])
+        if unit_product(v, star[j][i])
     )
     classes: List[FrozenSet[int]] = []
     for i in sorted(nodes):

@@ -351,6 +351,14 @@ def test_standard_transform_examples():
     assert apply_standard_transform(x, t) == p @ d @ x @ identity(2) @ identity(2)
 
 
+@pytest.mark.parametrize("p, q", [((0, 0), (0, 1)), ((0, 5), (0, 1)), ((0, 1), (1, 1))])
+def test_standard_transform_rejects_a_non_permutation(p, q):
+    # (0, 0) would copy row 0 over row 1, and (0, 5) would leave a zero row
+    units = (one(MAX_PLUS),) * 2
+    with pytest.raises(ValueError):
+        StandardTransform(p, units, units, q)
+
+
 def test_weak_multiplicativity():
     rng = random.Random(18)
     for _ in range(120):

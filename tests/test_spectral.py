@@ -7,9 +7,7 @@ from tropkit import spectral
 from tropkit.errors import CertificateInvalid, NoCycle, Unbounded
 from tropkit.semiring import MAX_PLUS, MIN_PLUS, one, scalar, sr_mul, sr_residual
 from tropkit.spectral import (
-    collatz_wielandt,
     collatz_wielandt_certificate,
-    eigenvectors,
     max_cycle_mean,
     spectral_analysis,
 )
@@ -282,6 +280,7 @@ def test_spectral_analysis_rational_eigenvalue_n40():
     (v,) = res.eigenvectors
     assert m.apply(v) == v.scale(res.eigenvalue) and v[1] == scalar(0)
     _assert_canonical(res)
+    _assert_collatz_wielandt(m)
 
 
 def test_spectral_analysis_large_ring_without_recursion():
@@ -316,13 +315,13 @@ def test_cycle_time_of_integral_fraction_weights():
 
 
 def test_eigenvector_examples():
-    vs = eigenvectors(matrix([[BOT, 2], [0, BOT]]))
-    assert vs == [vector([0, -1])]
+    vs = spectral_analysis(matrix([[BOT, 2], [0, BOT]])).eigenvectors
+    assert vs == (vector([0, -1]),)
     # identity: lambda = 0, both unit vectors are generators
-    vs2 = eigenvectors(matrix([[0, BOT], [BOT, 0]]))
+    vs2 = spectral_analysis(matrix([[0, BOT], [BOT, 0]])).eigenvectors
     assert len(vs2) == 2
     assert vs2[0] == vector([0, BOT]) and vs2[1] == vector([BOT, 0])
-    assert eigenvectors(matrix([[3]])) == [vector([0])]
+    assert spectral_analysis(matrix([[3]])).eigenvectors == (vector([0]),)
 
 
 def test_eigenvectors_exact_random():
@@ -397,9 +396,11 @@ def test_collatz_wielandt():
     au = a.apply(u)
     residuals = [au[i].value - u[i].value for i in range(2)]
     assert max(residuals) == 1
-    assert collatz_wielandt(matrix([[3]])) == scalar(3)
+    assert collatz_wielandt_certificate(matrix([[3]]))[0] == scalar(3)
     with pytest.raises(Unbounded):
-        collatz_wielandt(matrix([[BOT, BOT], [0, 0]]))
+        collatz_wielandt_certificate(matrix([[BOT, BOT], [0, 0]]))
+    with pytest.raises(Unbounded):
+        collatz_wielandt_certificate(matrix([[1, 2], ["+inf", "+inf"]], MIN_PLUS))
 
 
 def test_collatz_wielandt_equals_cycle_mean_random():
@@ -407,7 +408,7 @@ def test_collatz_wielandt_equals_cycle_mean_random():
     for _ in range(120):
         n = rng.randint(2, 5)
         m = matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        assert collatz_wielandt(m) == max_cycle_mean(m)
+        assert collatz_wielandt_certificate(m)[0] == max_cycle_mean(m)
         # grid of vectors only bounds the infimum from above
         lam = max_cycle_mean(m).value
         for _ in range(10):
@@ -418,9 +419,45 @@ def test_collatz_wielandt_equals_cycle_mean_random():
             assert val >= lam
 
 
+def _assert_collatz_wielandt(m):
+    # the value is the eigenvalue and the finite witness attains it, recomputed
+    # here with plain Fraction arithmetic
+    lam, u = collatz_wielandt_certificate(m)
+    assert lam == max_cycle_mean(m)
+    assert all(x is not None for x in u.payload)
+    best = max if m.tag is MAX_PLUS else min
+    u = [Fraction(x) for x in u.payload]
+    au = [best(Fraction(v) + x for v, x in zip(row, u) if v is not None) for row in m.payload]
+    assert best(y - x for y, x in zip(au, u)) == lam.value
+
+
+def test_collatz_wielandt_witness_random():
+    # min-plus, bottoms, rationals and reducible matrices up to n = 15
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 15)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        rows = [list(row) for row in _random_matrix(rng, n, tag).payload]
+        if rng.random() < 0.3:  # block triangular: no edge from the last nodes back
+            k = rng.randint(1, n)
+            for row in rows[k:]:
+                row[:k] = [None] * k
+        for i, row in enumerate(rows):  # an all-zero row is Unbounded
+            if all(v is None for v in row):
+                row[rng.randrange(i, n)] = rng.randint(-3, 3)
+        _assert_collatz_wielandt(TropMatrix._trusted(tuple(map(tuple, rows)), tag))
+
+
 def test_collatz_wielandt_rejects_a_witness_that_misses_the_value(monkeypatch):
-    # a witness that does not attain the eigenvalue fails the check, with
-    # asserts stripped too
-    monkeypatch.setattr(spectral, "_closure", lambda a, shift: [[None, 5], [None, None]])
+    # on [[-inf, 2], [0, -inf]] (scale 2, chi = (2, 2)) the bias (0, -10)
+    # gives the witness (0, -5), which attains 5, not lambda = 1; the check
+    # rejects it, with asserts stripped too
+    howard = spectral._howard
+
+    def corrupted(a):
+        sign, chi, _, scale, succ = howard(a)
+        return sign, chi, [0, -10], scale, succ
+
+    monkeypatch.setattr(spectral, "_howard", corrupted)
     with pytest.raises(CertificateInvalid):
         collatz_wielandt_certificate(matrix([[BOT, 2], [0, BOT]]))
