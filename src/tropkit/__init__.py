@@ -11,6 +11,7 @@ Submodules:
     plucker    tropical Plucker functions, normal flows, reconstruction
     assign     idempotent assignment analysis, strong regularity
     dynamics   degree-one homogeneous min-plus dynamics and traffic models
+    errors     the exception hierarchy of domain outcomes
     io         exact JSON/CSV serialization of all object kinds
     cli        the `tropkit` command-line front end
 """

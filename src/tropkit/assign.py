@@ -35,6 +35,8 @@ class AssignMatrix:
             raise ValueError("assignment matrices are over max-plus")
         if not self.data.is_square:
             raise DimensionMismatch("assignment matrices are square")
+        if not self.data.rows:
+            raise ValueError("assignment matrices are nonempty")
         for name, lines in (("row", self.data.payload), ("column", zip(*self.data.payload))):
             for i, line in enumerate(lines):
                 if all(v is None for v in line):

@@ -2,7 +2,9 @@
 
 One subcommand per module family, stable exact file formats, deterministic
 byte-identical output. Exit status: 0 success, 1 domain errors (structured
-JSON error body), 2 I/O or schema errors (diagnostic on stderr).
+JSON error body), 2 I/O or schema errors (diagnostic on stderr). Each
+handler imports the modules it uses, so a request loads only its own
+subcommand's modules besides `io`, `errors` and `semiring`.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from . import assign as assign_mod
-from . import determ, dynamics, io, plucker, projector, spectral, twosided, tropmat
+from . import io
 from .errors import TooLarge, TropkitError
 from .io import SchemaError
 from .semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS
@@ -35,7 +36,7 @@ def _write(out: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _load_matrix(path: str) -> tropmat.TropMatrix:
+def _load_matrix(path: str):
     return io.matrix_from_json(io.loads(_read(path)))
 
 
@@ -90,17 +91,23 @@ def _checked(build, m):
 
 
 def _cmd_star(args) -> str:
+    from . import tropmat
+
     a = _over(_load_matrix(args.matrix), "star", MAX_PLUS, MIN_PLUS)
     return io.dumps(io.matrix_to_json(tropmat.kleene_star(a)))
 
 
 def _cmd_interval(args) -> str:
+    from . import tropmat
+
     im = io.interval_matrix_from_json(io.loads(_read(args.matrix)))
     im = _over(im, "interval", MAX_PLUS, MIN_PLUS)
     return io.dumps(io.interval_matrix_to_json(tropmat.iv_kleene_star(im)))
 
 
 def _cmd_eig(args) -> str:
+    from . import spectral
+
     a = _over(_load_matrix(args.matrix), "eig", MAX_PLUS, MIN_PLUS)
     res = spectral.spectral_analysis(a)
     body = {
@@ -114,6 +121,8 @@ def _cmd_eig(args) -> str:
 
 
 def _cmd_project(args) -> str:
+    from . import projector
+
     m = _over(_load_matrix(args.module), "project", MAX_PLUS, MIN_PLUS, MAX_TIMES)
     v = _checked(projector.Semimodule, m)
     x = io.vector_from_json(io.loads(_read(args.vector)))
@@ -121,6 +130,8 @@ def _cmd_project(args) -> str:
 
 
 def _cmd_separate(args) -> str:
+    from . import projector
+
     modules = [
         _checked(projector.Semimodule, _over(_load_matrix(p), "separate", MAX_PLUS))
         for p in args.modules
@@ -146,6 +157,8 @@ def _cmd_separate(args) -> str:
 
 
 def _cmd_twosided(args) -> str:
+    from . import twosided
+
     a = _load_matrix(args.A)
     b = _load_matrix(args.B)
     gens = twosided.solve_system(twosided.InequalitySystem(a, b))
@@ -153,6 +166,8 @@ def _cmd_twosided(args) -> str:
 
 
 def _cmd_invariants(args) -> str:
+    from . import determ
+
     a = _load_matrix(args.matrix)
     bd = determ.bideterminant(a)
     body = {
@@ -169,6 +184,8 @@ def _cmd_invariants(args) -> str:
 
 
 def _cmd_plucker(args) -> str:
+    from . import plucker
+
     if args.action == "check":
         f = io.subset_function_from_json(io.loads(_read(args.function)))
         tp = plucker.is_tp(f)
@@ -194,6 +211,8 @@ def _cmd_plucker(args) -> str:
 
 
 def _cmd_assign(args) -> str:
+    from . import assign as assign_mod
+
     b = _checked(assign_mod.AssignMatrix, _over(_load_matrix(args.matrix), "assign", MAX_PLUS))
     res = assign_mod.strong_regularity(b)
     if isinstance(res, assign_mod.NotStronglyRegular):
@@ -221,6 +240,8 @@ def _cmd_assign(args) -> str:
 
 def _traffic_builder(cfg: dict):
     """(builder, cells) of a network config."""
+    from . import dynamics
+
     if not isinstance(cfg, dict):
         raise SchemaError("traffic config must be a JSON object")
     kind = cfg.get("kind")
@@ -241,6 +262,8 @@ def _traffic_builder(cfg: dict):
 
 
 def _cmd_traffic(args) -> str:
+    from . import dynamics
+
     if args.action == "diagram":
         cfg = io.loads(_read(args.config))
         build, cells = _traffic_builder(cfg)

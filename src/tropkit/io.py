@@ -5,7 +5,8 @@ numbers), the bottoms of max-plus and min-plus as "-inf" / "+inf", subset
 functions as binary-literal masks. Parsing is strict: malformed payloads
 raise SchemaError, which the CLI maps to exit code 2. Subset functions and
 flow nets above the plucker CHECK_CAP raise TooLarge (exit code 1) before
-any table over their ground set is built.
+any table over their ground set is built. The subset-function and flow-net
+decoders import `plucker` when they run, so the matrix codecs never load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
 from .errors import TooLarge
-from .plucker import CHECK_CAP, GridFlowNet, SubsetFunction, grid_edges, grid_net, subset_function
 from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, payload_of
 from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
 
@@ -165,7 +165,7 @@ def matrix_from_csv(text: str, tag: SemiringTag) -> TropMatrix:
     return TropMatrix._trusted(tuple(rows), tag)
 
 
-def subset_function_to_json(f: SubsetFunction) -> Dict:
+def subset_function_to_json(f: "SubsetFunction") -> Dict:
     values = {}
     for mask, v in enumerate(f.table):
         values[bin(mask)] = "-inf" if v is None else fraction_to_json(v)
@@ -182,8 +182,10 @@ def _mask_from_key(key: str, n: int) -> int:
     return mask
 
 
-def subset_function_from_json(obj, partial: bool = False) -> Union[SubsetFunction, Dict[int, Fraction]]:
+def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFunction", Dict[int, Fraction]]:
     """Full subset function, or the raw mask mapping when partial=True."""
+    from .plucker import CHECK_CAP, subset_function
+
     if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
         raise SchemaError("subset function payload needs 'n' and 'values'")
     n = obj["n"]
@@ -205,14 +207,16 @@ def subset_function_from_json(obj, partial: bool = False) -> Union[SubsetFunctio
         raise SchemaError(str(exc)) from exc
 
 
-def grid_net_to_json(net: GridFlowNet) -> Dict:
+def grid_net_to_json(net: "GridFlowNet") -> Dict:
     weights = {}
     for (a, b), w in net.edge_weights:
         weights[f"{a[0]},{a[1]}->{b[0]},{b[1]}"] = fraction_to_json(w)
     return {"n": net.n, "weights": weights}
 
 
-def grid_net_from_json(obj) -> GridFlowNet:
+def grid_net_from_json(obj) -> "GridFlowNet":
+    from .plucker import CHECK_CAP, grid_net
+
     if not isinstance(obj, dict) or "n" not in obj:
         raise SchemaError("flow net payload needs 'n'")
     n = obj["n"]

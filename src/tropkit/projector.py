@@ -196,7 +196,8 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     A_sigma certifies the zero radius. The eigenvector is the greatest
     multiple of x below the sum of the last stage's generators supported in
     S; its orbit, the witnesses, must attain r as a Hilbert value, or
-    CertificateInvalid is raised.
+    CertificateInvalid is raised. A semimodule without generators is {0},
+    which sends every orbit to zero: the radius is zero, with no witnesses.
     """
     if not vs:
         raise ValueError("need at least one semimodule")
@@ -207,6 +208,8 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         raise ValueError("the cyclic spectral radius is provided over max-plus")
     n = next(iter(dims))
     tag = MAX_PLUS
+    if any(not v.num_generators for v in vs):
+        return HilbertReport(zero(tag), (), frozenset())
     cols = [list(zip(*v.generators.payload)) for v in vs]
     eta = list(reduce(TropVector.__add__, vs[-1].generator_list()).payload)
     chi, sigma = [None if v is None else 0 for v in eta], []
@@ -282,7 +285,9 @@ def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfsp
         for v, vin in zip(vs, inputs):
             halfspaces.append(Halfspace(project(v, vin), vin))
     else:
-        top = reduce(TropVector.__add__, (g for v in vs for g in v.generator_list()))
+        # sum of all generators; with none at all, a finite top makes each halfspace {0}
+        gens = [g for v in vs for g in v.generator_list()]
+        top = reduce(TropVector.__add__, gens) if gens else vector([0] * vs[0].ambient_dim, MAX_PLUS)
         for v in vs:
             halfspaces.append(Halfspace(project(v, top), top))
     for v, h in zip(vs, halfspaces):

@@ -65,6 +65,12 @@ def test_strong_regularity_examples():
     assert isinstance(cert5, RegularityCertificate) and cert5.bijection == (0, 1)
 
 
+def test_assign_matrix_rejects_an_empty_matrix():
+    # a 0 x 0 matrix has no bijection to certify, and no n to divide the slack by
+    with pytest.raises(ValueError, match="nonempty"):
+        assign_matrix([])
+
+
 def test_normal_form_examples():
     b5 = assign_matrix([[5, 1], [1, 5]])
     hand = RegularityCertificate((0, 1), (Fraction(0), Fraction(0)), (Fraction(5), Fraction(5)))

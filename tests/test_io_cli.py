@@ -271,6 +271,7 @@ _MIN_PLUS_2 = {"semiring": "min-plus", "rows": 2, "cols": 2, "data": [[0, 1], [1
 _BAD_MATRIX_REQUESTS = {
     "assign_min_plus": ["assign", "--matrix", _MIN_PLUS_2],
     "assign_condition_c": ["assign", "--matrix", _max_plus([[BOT, BOT], [1, 0]])],
+    "assign_empty": ["assign", "--matrix", {"semiring": "max-plus", "rows": 0, "cols": 0, "data": []}],
     "project_bottom_column": [
         "project", "--module", _max_plus([[0, BOT], [1, BOT]]),
         "--vector", {"semiring": "max-plus", "data": [0, 0]},
@@ -405,3 +406,108 @@ def test_cli_traffic_above_work_cap_exits_1(tmp_path, name):
     proc = _cli_subprocess(tmp_path, ["traffic"] + _TOO_LARGE_TRAFFIC_REQUESTS[name])
     assert (proc.returncode, proc.stderr) == (1, "")
     assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_cli_separate_with_a_generatorless_semimodule(tmp_path, empty_first):
+    # the n x 0 module gets the halfspace {0} wherever it stands
+    empty = {"semiring": "max-plus", "rows": 3, "cols": 0, "data": [[], [], []]}
+    full = os.path.join(_GOLDEN, "sep1.json")
+    proc = _cli_subprocess(tmp_path, ["separate", "--modules", *([empty, full] if empty_first else [full, empty])])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    body = json.loads(proc.stdout)
+    assert (body["radius"], body["support_set"]) == (BOT, [])
+    assert body["halfspaces"][0 if empty_first else 1] == {"u": [BOT] * 3, "v": [0, 3, 4]}
+
+
+# Each subcommand's tropkit modules: the CLI imports a subcommand's modules
+# in its handler, so a request pays only for what it uses.
+_CORE = ["tropkit", "tropkit.cli", "tropkit.errors", "tropkit.io", "tropkit.semiring", "tropkit.tropmat"]
+_IMPORTS = {
+    "star": (["star", "--matrix", "a_maxplus.json"], []),
+    "interval": (["interval", "--matrix", "interval.json"], []),
+    "schema_float": (["star", "--matrix", "a_float.json"], []),
+    "schema_missing_file": (["star", "--matrix", "missing.json"], []),
+    "eig": (["eig", "--matrix", "eig.json"], ["tropkit.spectral"]),
+    "project": (
+        ["project", "--module", "module.json", "--vector", "vector.json"],
+        ["tropkit.projector", "tropkit.spectral"],
+    ),
+    "separate": (["separate", "--modules", "sep1.json", "sep2.json"], ["tropkit.projector", "tropkit.spectral"]),
+    "twosided": (["twosided", "--A", "ts_a.json", "--B", "ts_b.json"], ["tropkit.twosided"]),
+    "invariants": (["invariants", "--matrix", "a_maxplus.json"], ["tropkit.determ"]),
+    "plucker_check": (["plucker", "check", "--function", "tp.json"], ["tropkit.plucker"]),
+    "plucker_build": (["plucker", "build", "--net", "net.json"], ["tropkit.plucker"]),
+    "plucker_reconstruct": (["plucker", "reconstruct", "--function", "intervals.json"], ["tropkit.plucker"]),
+    "assign": (["assign", "--matrix", "assign.json"], ["tropkit.assign", "tropkit.determ"]),
+    "traffic_diagram": (
+        ["traffic", "diagram", "--config", "road.json", "--densities", "1/10:1/2:1/5", "--steps", "20"],
+        ["tropkit.dynamics"],
+    ),
+    "traffic_tent": (["traffic", "tent", "--y0", "3/101", "--steps", "20", "--bins", "4"], ["tropkit.dynamics"]),
+}
+_LOADED = (
+    "import contextlib, io, sys\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    {}\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('tropkit'))))"
+)
+
+
+def _loaded_modules(statement, argv=()):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED.format(statement), *argv], cwd=_GOLDEN,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("name", sorted(_IMPORTS))
+def test_cli_subcommand_loads_only_its_modules(name):
+    argv, extra = _IMPORTS[name]
+    assert _loaded_modules("from tropkit.cli import main; main(sys.argv[1:])", argv) == sorted(_CORE + extra)
+
+
+def test_io_does_not_load_plucker():
+    assert _loaded_modules("import tropkit.io") == sorted(m for m in _CORE if m != "tropkit.cli")
+
+
+def _empty(semiring, rows, cols=0):
+    return {"semiring": semiring, "rows": rows, "cols": cols, "data": [[]] * rows}
+
+
+# 0 x 0 matrices, n x 0 generator matrices and zero-length vectors
+_Z00, _Z30 = _empty("max-plus", 0), _empty("max-plus", 3)
+_V0 = {"semiring": "max-plus", "data": []}
+_SEP1 = os.path.join(_GOLDEN, "sep1.json")
+_EMPTY_SHAPE_REQUESTS = {
+    "star_0x0": ["star", "--matrix", _Z00],
+    "star_3x0": ["star", "--matrix", _Z30],
+    "interval_0x0": ["interval", "--matrix", {**_Z00, "lo": [], "hi": []}],
+    "eig_0x0": ["eig", "--matrix", _Z00],
+    "eig_3x0": ["eig", "--matrix", _Z30],
+    "project_0x0": ["project", "--module", _Z00, "--vector", _V0],
+    "project_3x0": ["project", "--module", _Z30, "--vector", {"semiring": "max-plus", "data": [0, 1, 2]}],
+    "project_zero_length_vector": ["project", "--module", _SEP1, "--vector", _V0],
+    "separate_0x0": ["separate", "--modules", _Z00],
+    "separate_3x0": ["separate", "--modules", _Z30, _Z30],
+    "separate_3x0_first": ["separate", "--modules", _Z30, _SEP1],
+    "separate_3x0_last": ["separate", "--modules", _SEP1, _Z30],
+    "twosided_0x0": ["twosided", "--A", _Z00, "--B", _Z00],
+    "twosided_3x0": ["twosided", "--A", _Z30, "--B", _Z30],
+    "assign_0x0": ["assign", "--matrix", _Z00],
+    "assign_3x0": ["assign", "--matrix", _Z30],
+    "invariants_3x0": ["invariants", "--matrix", _Z30],
+    **{
+        f"invariants_0x0_{s}": ["invariants", "--matrix", _empty(s, 0)]
+        for s in ("max-plus", "min-plus", "max-times", "boolean")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY_SHAPE_REQUESTS))
+def test_cli_empty_shapes_never_leak_a_traceback(tmp_path, name):
+    proc = _cli_subprocess(tmp_path, _EMPTY_SHAPE_REQUESTS[name])
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr

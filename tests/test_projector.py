@@ -18,7 +18,7 @@ from tropkit.projector import (
     separate,
 )
 from tropkit.semiring import MAX_PLUS, scalar, sr_mul, zero
-from tropkit.tropmat import identity, vector
+from tropkit.tropmat import identity, vector, zero_matrix
 
 from projector_oracle import cyclic_spectral_radius_oracle
 
@@ -250,6 +250,29 @@ def test_separation_examples():
     hs2 = separate([ax1, ax2])
     assert isinstance(hs2, list)
     assert not hs2[0].contains(vector([0, 0])) or not hs2[1].contains(vector([0, 0]))
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_generatorless_semimodule_in_either_position(empty_first):
+    # an n x 0 generator matrix spans {0}, so the cyclic product is the zero map
+    full, empty = semimodule([[0, 3, 0], [0, 1, 4]]), Semimodule(zero_matrix(3, 0))
+    vs = [empty, full] if empty_first else [full, empty]
+    rep = cyclic_spectral_radius(vs)
+    assert (rep.value, rep.witness_vectors, rep.support_set) == (zero(MAX_PLUS), (), frozenset())
+    hs = separate(vs)
+    assert hs[0 if empty_first else 1] == Halfspace(vector([BOT] * 3), vector([0, 3, 4]))
+    gens = full.generator_list()
+    for g in gens:
+        assert hs[1 if empty_first else 0].contains(g)
+    for x in gens + [gens[0] + gens[1]]:
+        assert not all(h.contains(x) for h in hs)
+
+
+def test_separation_of_generatorless_semimodules_only():
+    # with no generator at all, each halfspace is {0}
+    hs = separate([Semimodule(zero_matrix(3, 0))] * 2)
+    assert hs == [Halfspace(vector([BOT] * 3), vector([0, 0, 0]))] * 2
+    assert not hs[0].contains(vector([0, BOT, BOT]))
 
 
 def test_separation_random_finite():
