@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import Inconsistent, NoFlow, TooLarge
@@ -206,14 +207,15 @@ def grid_net(n: int, weights: Mapping[Edge, object]) -> GridFlowNet:
 
 
 def _augment(
-    edges: Sequence[Tuple[Edge, Fraction]], flow: frozenset, frm, to
-) -> Tuple[Fraction, frozenset]:
+    edges: Sequence[Tuple[Edge, int]], flow: frozenset, frm, to
+) -> Tuple[int, frozenset]:
     """Gain of a longest frm -> to path in the residual grid of `flow`, and
-    the flow it leaves. An unused edge a->b is the arc a->b with gain w, a
-    used one the arc b->a with gain -w. Exact Bellman-Ford with early exit;
-    `flow` is optimal, so its residual grid has no positive cycle."""
+    the flow it leaves, on integer edge weights. An unused edge a->b is the
+    arc a->b with gain w, a used one the arc b->a with gain -w. Exact
+    Bellman-Ford with early exit; `flow` is optimal, so its residual grid
+    has no positive cycle."""
     arcs = [(e[1], e[0], -g, e) if e in flow else (e[0], e[1], g, e) for e, g in edges]
-    dist = {frm: Fraction(0)}
+    dist = {frm: 0}
     pred = {}
     for _ in range(len(arcs)):  # the grid has at least |vertices| - 1 arcs
         changed = False
@@ -247,23 +249,28 @@ def flow_tp(net: GridFlowNet) -> SubsetFunction:
     Flows*, 1993): the best flow for S' is the best flow for S' minus its
     largest element e, plus one longest path in that flow's residual grid
     from the source of e to sink |S'|. Raises NoFlow if that path does not
-    exist (the complete grid always routes).
+    exist (the complete grid always routes). The paths run on the weights
+    scaled to integers by the lcm of their denominators.
     """
     n = net.n
     if n > CHECK_CAP:
         raise TooLarge(f"normal-flow construction capped at n <= {CHECK_CAP}")
+    scale = lcm(*(g.denominator for _, g in net.edge_weights))
     # tails bottom row first, left to right: a topological order of the
     # grid, so a path without backward arcs settles in one pass
-    edges = sorted(net.edge_weights, key=lambda ew: (-ew[0][0][0], ew[0][0][1]))
-    table: List[Fraction] = [Fraction(0)]
+    edges = sorted(
+        ((e, g.numerator * (scale // g.denominator)) for e, g in net.edge_weights),
+        key=lambda ew: (-ew[0][0][0], ew[0][0][1]),
+    )
+    scaled = [0]
     flows = [frozenset()]
     for mask in range(1, 1 << n):
         top = mask.bit_length()
         rest = mask & ~(1 << (top - 1))
         gain, flow = _augment(edges, flows[rest], net.source(top), net.sink(bin(mask).count("1")))
-        table.append(table[rest] + gain)
+        scaled.append(scaled[rest] + gain)
         flows.append(flow)
-    return SubsetFunction(n, tuple(table))
+    return SubsetFunction(n, tuple(Fraction(v, scale) for v in scaled))
 
 
 def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFunction:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
 from .semiring import MAX_PLUS, MIN_PLUS, TropScalar
-from .tropmat import TropMatrix, TropVector
+from .tropmat import TropMatrix, TropVector, _unscaled
 
 
 def _check_spectral_tag(a: TropMatrix) -> None:
@@ -229,13 +228,6 @@ def _howard(a: TropMatrix) -> Tuple[int, list, list, int, List[list]]:
                     bc, bv, pi[i], switched = chi[j], v + eta[j], (j, v), True
         if not switched:
             return sign, chi, eta, scale, succ
-
-
-def _unscaled(v, scale: int):
-    if v is None:
-        return None
-    q, r = divmod(v, scale)
-    return q if r == 0 else Fraction(v, scale)
 
 
 def collatz_wielandt_certificate(a: TropMatrix) -> Tuple[TropScalar, TropVector]:

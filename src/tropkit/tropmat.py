@@ -10,16 +10,28 @@ box `TropScalar`s on demand, for callers at the edges.
 
 Every kernel (product, sum, scaling, order, left residuation) picks its
 tag's `PayloadOps` once per call and runs the same code for all four tags.
-The Kleene star and plus-closure are one Floyd-Warshall pass on signed
-payloads that fails fast on divergence, and the interval star runs it on
-both endpoint matrices.
+The Kleene star and plus-closure are one Floyd-Warshall pass that fails
+fast on divergence, and the interval star runs it on both endpoint
+matrices. The pass scales the signed weights to integers over one common
+denominator and packs each row into one int, a fixed-width field per
+column: a finite weight v is stored as v + 4R + 1, where R = n max |v|
+bounds every path weight, and a bottom as R, a weight so low that any path
+through it stays below -R. Every field then stays in [0, 6R + 1] during a
+pivot, so one big-int subtract over guard bits compares a whole row pair
+without borrows between fields, and a pivot updates a row in about a dozen
+big-int operations (see `_closure`). Payloads come back canonical: an int
+whenever the value is integral.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import chain
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -287,40 +299,112 @@ def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
     return TropVector._trusted(tuple(out), v.tag)
 
 
-def _signed(a: TropMatrix) -> Tuple[int, List[list]]:
-    """(sign, rows): A's payloads as max-plus weights, min-plus negated
-    (sign -1), in fresh lists."""
+def _unscaled(v, scale: int):
+    """v / scale as a canonical payload: an int when integral, None stays None."""
+    if v is None:
+        return None
+    q, r = divmod(v, scale)
+    return q if r == 0 else Fraction(v, scale)
+
+
+# field bytes -> array typecode, for the fields that pack through `array`
+_ARRAY_CODES = {array(code).itemsize: code for code in "HIQ"}
+
+
+def _pack(values: List[int], nbytes: int, n: int) -> List[int]:
+    """The values n fields to an int, each field nbytes wide: field j of
+    int i holds values[i n + j] in bytes [j nbytes, (j + 1) nbytes),
+    little-endian."""
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        data = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    else:
+        fields = array(code, values)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        data = fields.tobytes()
+    size = n * nbytes
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+
+
+def _unpack(packed: List[int], n: int, nbytes: int) -> Sequence[int]:
+    """All fields of `_pack`'s ints, in one flat sequence."""
+    data = b"".join(p.to_bytes(n * nbytes, "little") for p in packed)
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(data[j:j + nbytes], "little") for j in range(0, len(data), nbytes)]
+    fields = array(code, data)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
+def _closure(a: TropMatrix) -> List[list]:
+    """Raw payloads (None = bottom) of the plus-closure of A, by one
+    Floyd-Warshall pass on A's max-plus weights (min-plus negated), scaled
+    to integers by the lcm L of their denominators and packed one row per int.
+
+    Let m be the largest |scaled weight| and R = n m, so a path of at most
+    n finite edges weighs in [-R, R]. Row i is one int with column j in
+    field j of F = 8 nbytes bits, the top one a guard bit that stays clear.
+    A finite weight v is stored as v + off, off = 4R + 1, and a bottom as R,
+    the weight -3R - 1. Until a positive cycle is met, an entry is the best
+    path weight, in [-R, R], when a path of finite edges exists, and else
+    the weight of a walk through a bottom edge, in [-3R - 1, -R) (a pivot
+    skips the rows whose d_ik is such a weight). So a stored value below
+    off - R decodes to bottom, every stored value lies in [R, 5R + 1], and
+    q = p_k + d_ik ONES, for d_ik in [-R, R], has every field in
+    [0, 6R + 1] < 2^(F-1): no field borrows from the next. Field j of
+    d = (p_i | guards) - q is then 2^(F-1) + p_ij - q_j, its guard bit is
+    set iff p_ij >= q_j, and p_i becomes the fieldwise max q + (d & mask)
+    in about a dozen big-int operations.
+
+    After pivot k, d_ij is the best weight of a path i -> j of at least one
+    edge with intermediate nodes <= k. A pivot diagonal above the unit
+    closes a cycle that makes the series diverge: Divergent, at once.
+    """
     if not a.is_square:
         raise DimensionMismatch("star needs a square matrix")
     if a.tag not in (MAX_PLUS, MIN_PLUS):
         raise ValueError("matrix star is provided for max-plus and min-plus tags")
     sign = -1 if a.tag is MIN_PLUS else 1
-    return sign, [[None if v is None else sign * v for v in row] for row in a.payload]
-
-
-def _closure(a: TropMatrix) -> List[list]:
-    """Raw payloads (None = bottom) of the plus-closure of A, by one
-    Floyd-Warshall pass in place on the signed payloads, run as max-plus.
-
-    After pivot k, d[i][j] is the best weight of a path i -> j of at least
-    one edge with intermediate nodes <= k. A pivot diagonal above the unit
-    closes a cycle that makes the series diverge: Divergent, at once.
-    """
-    sign, d = _signed(a)
-    for k, dk in enumerate(d):
-        if dk[k] is not None and dk[k] > 0:
-            raise Divergent(f"a cycle through node {k} has weight {sign * dk[k]}, above the unit")
-        out = [(j, v) for j, v in enumerate(dk) if v is not None]
-        for i, di in enumerate(d):
-            dik = di[k]
-            if dik is None or i == k:
+    n = a.rows
+    if not n:
+        return []
+    rows = a.payload
+    finite = [v for row in rows for v in row if v is not None]
+    scale = 1
+    if Fraction in set(map(type, finite)):  # integral Fractions from other kernels too
+        scale = lcm(*{v.denominator for v in finite})
+        rows = [[None if v is None else v.numerator * (scale // v.denominator) for v in row] for row in rows]
+    bound = n * int(scale * max(max(finite, default=0), -min(finite, default=0)))
+    off, low = 4 * bound + 1, 3 * bound + 1
+    nbytes = ((6 * bound + 1).bit_length() + 8) // 8  # room for the guard bit
+    nbytes = min((b for b in _ARRAY_CODES if b >= nbytes), default=nbytes)
+    top = 8 * nbytes - 1  # the guard bit of a field
+    (ones,) = _pack([1] * n, nbytes, n)
+    guards = ones << top
+    field = (1 << (top + 1)) - 1
+    p = _pack([bound if v is None else sign * v + off for row in rows for v in row], nbytes, n)
+    for k, pk in enumerate(p):
+        at = k * (top + 1)
+        dkk = ((pk >> at) & field) - off
+        if dkk > 0:
+            raise Divergent(f"a cycle through node {k} has weight {sign * _unscaled(dkk, scale)}, above the unit")
+        base = pk - off * ones
+        # row k itself is left unchanged, as d_kk <= 0
+        for i, pi in enumerate(p):
+            dik = (pi >> at) & field
+            if dik < low:
                 continue
-            for j, v in out:
-                c = dik + v
-                dij = di[j]
-                if dij is None or c > dij:
-                    di[j] = c
-    return [[None if v is None else sign * v for v in row] for row in d]
+            q = base + dik * ones
+            d = (pi | guards) - q  # field j: 2^top + p_ij - q_j, in (0, 2^(top+1))
+            g = d & guards  # guard set where p_ij >= q_j
+            p[i] = q + (d & (g - (g >> top)))
+    out = [None if s < low else sign * (s - off) for s in _unpack(p, n, nbytes)]
+    if scale != 1:
+        out = [_unscaled(v, scale) for v in out]
+    return [out[i:i + n] for i in range(0, n * n, n)]
 
 
 def kleene_star(a: TropMatrix) -> TropMatrix:
@@ -356,6 +440,13 @@ class IntervalMatrix:
             pairs = zip(chain(*self.lo.entries), chain(*self.hi.entries))
             lo, hi = next((lo, hi) for lo, hi in pairs if not lo <= hi)
             raise ValueError(f"interval endpoints out of order: {lo!r}, {hi!r}")
+
+    @classmethod
+    def _trusted(cls, lo: TropMatrix, hi: TropMatrix) -> "IntervalMatrix":
+        """Wrap endpoints a kernel computed in order; nothing is checked."""
+        out = object.__new__(cls)
+        out.__dict__.update(lo=lo, hi=hi)  # written directly: the dataclass is frozen
+        return out
 
     @property
     def tag(self) -> SemiringTag:
@@ -395,8 +486,9 @@ def iv_kleene_star(a: IntervalMatrix) -> IntervalMatrix:
     """Interval star [star(lo), star(hi)], exact by isotonicity of star.
 
     Costs exactly two ordinary stars; diverges iff the upper endpoint
-    matrix does (the lower one is dominated, so it converges first).
+    matrix does (the lower one is dominated, so it converges first). The
+    star is isotone, so star(lo) <= star(hi) needs no check.
     """
     hi_star = kleene_star(a.hi)
     lo_star = kleene_star(a.lo)
-    return IntervalMatrix(lo_star, hi_star)
+    return IntervalMatrix._trusted(lo_star, hi_star)

@@ -1,5 +1,6 @@
 """Test oracles for the cycle-mean eigenvalue and the spectral elements:
-simple-cycle enumeration, Karp's recurrence, and the normalized closure.
+simple-cycle enumeration, Karp's recurrence, and the normalized closure,
+with the plain Floyd-Warshall closure it runs on.
 
 Enumeration is exponential in the matrix size, and Karp's O(n^3) recurrence
 is an independent second algorithm that reaches sizes enumeration cannot;
@@ -15,10 +16,49 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Tuple
 
-from tropkit.errors import NoCycle
+from tropkit.errors import DimensionMismatch, Divergent, NoCycle
 from tropkit.semiring import MAX_PLUS, MIN_PLUS, TropScalar
 from tropkit.spectral import SpectralResult, _check_spectral_tag, max_cycle_mean
-from tropkit.tropmat import TropMatrix, TropVector, _closure, _signed
+from tropkit.tropmat import TropMatrix, TropVector
+
+
+def _signed(a: TropMatrix) -> Tuple[int, List[list]]:
+    """(sign, rows): A's payloads as max-plus weights, min-plus negated
+    (sign -1), in fresh lists."""
+    if not a.is_square:
+        raise DimensionMismatch("star needs a square matrix")
+    if a.tag not in (MAX_PLUS, MIN_PLUS):
+        raise ValueError("matrix star is provided for max-plus and min-plus tags")
+    sign = -1 if a.tag is MIN_PLUS else 1
+    return sign, [[None if v is None else sign * v for v in row] for row in a.payload]
+
+
+def closure_oracle(a: TropMatrix) -> List[list]:
+    """Raw payloads (None = bottom) of the plus-closure of A, by one
+    Floyd-Warshall pass in place on the signed payloads, run as max-plus,
+    one loop iteration per (i, k, j) triple on the payloads as given.
+
+    After pivot k, d[i][j] is the best weight of a path i -> j of at least
+    one edge with intermediate nodes <= k. A pivot diagonal above the unit
+    closes a cycle that makes the series diverge: Divergent, at once.
+    Production code runs the same pass on packed integer rows in
+    `tropkit.tropmat._closure`.
+    """
+    sign, d = _signed(a)
+    for k, dk in enumerate(d):
+        if dk[k] is not None and dk[k] > 0:
+            raise Divergent(f"a cycle through node {k} has weight {sign * dk[k]}, above the unit")
+        out = [(j, v) for j, v in enumerate(dk) if v is not None]
+        for i, di in enumerate(d):
+            dik = di[k]
+            if dik is None or i == k:
+                continue
+            for j, v in out:
+                c = dik + v
+                dij = di[j]
+                if dij is None or c > dij:
+                    di[j] = c
+    return [[None if v is None else sign * v for v in row] for row in d]
 
 
 def cycle_means_bruteforce(a: TropMatrix) -> List[Tuple[Tuple[int, ...], Fraction]]:
@@ -128,7 +168,7 @@ def spectral_analysis_closure(a: TropMatrix) -> SpectralResult:
     """
     lam = max_cycle_mean(a)
     normalized = a.scale(TropScalar._fast(-lam.value, a.tag))
-    star = _closure(normalized)  # the plus-closure until the unit diagonal is set
+    star = closure_oracle(normalized)  # the plus-closure until the unit diagonal is set
     nodes = frozenset(i for i, row in enumerate(star) if row[i] == 0)
     for i, row in enumerate(star):
         row[i] = 0

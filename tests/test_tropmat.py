@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from cycle_oracle import closure_oracle
 from tropkit.errors import DimensionMismatch, Divergent, NoCycle, TagMismatch, ZeroColumn
 from tropkit.projector import Halfspace
 from tropkit.semiring import (
@@ -22,6 +24,7 @@ from tropkit.spectral import max_cycle_mean
 from tropkit.tropmat import (
     TropMatrix,
     TropVector,
+    _closure,
     identity,
     interval_matrix,
     iv_kleene_star,
@@ -171,6 +174,81 @@ def test_min_plus_star():
     assert st == matrix([[0, 2], [3, 0]], MIN_PLUS)
     with pytest.raises(Divergent):
         kleene_star(matrix([["+inf", 2], [-3, "+inf"]], MIN_PLUS))
+
+
+def _closure_outcome(closure, a):
+    try:
+        return closure(a)
+    except Divergent as exc:
+        return f"Divergent: {exc}"
+
+
+def test_packed_closure_matches_oracle_random():
+    # the packed-row closure against the plain Floyd-Warshall loop: equal
+    # values, identical Divergent text, and a payload that is an int exactly
+    # when it is integral; weights up to 10^30 need fields wider than 64 bits
+    rng = random.Random(19)
+    verdicts, magnitudes = set(), set()
+    for _ in range(800):
+        n = rng.randint(0, 12)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        sign = 1 if tag is MAX_PLUS else -1
+        p_bottom = rng.choice([0, 0.3, 0.6, 0.85])
+        big = rng.choice([6, 10**6, 10**12, 10**30])
+        denominators = rng.choice([(1,), (1, 2, 3, 7), (4, 9)])
+        a = matrix(
+            [
+                [
+                    None if rng.random() < p_bottom
+                    else sign * Fraction(rng.randint(-big, big // 8), rng.choice(denominators))
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ],
+            tag,
+        )
+        got, want = _closure_outcome(_closure, a), _closure_outcome(closure_oracle, a)
+        assert got == want
+        verdicts.add(isinstance(got, str))
+        if n and not isinstance(got, str):
+            magnitudes.add(big)
+            for v in chain(*got):
+                assert v is None or (type(v) is int) == (v.denominator == 1)
+    assert verdicts == {False, True}
+    assert magnitudes == {6, 10**6, 10**12, 10**30}
+
+
+def test_packed_closure_bottom_and_extreme_entries():
+    # one huge weight beside small ones, all-bottom rows, a zero matrix,
+    # integral Fraction payloads, and Divergent text for rational cycles
+    big = 10**30
+    a = matrix([[BOT, big, BOT], [-big, BOT, -1], [BOT, BOT, BOT]])
+    assert _closure(a) == closure_oracle(a) == [[0, big, big - 1], [-big, 0, -1], [None, None, None]]
+    assert kleene_star(matrix([[BOT] * 3] * 3)) == identity(3)
+    assert _closure(matrix([[0, 0], [0, 0]])) == [[0, 0], [0, 0]]
+    # a product of Fractions can hold integral Fraction payloads
+    half = matrix([[Fraction(-1, 2), Fraction(-1, 2)], [Fraction(-1, 2), BOT]])
+    square = mat_mul(half, half)
+    assert any(type(v) is Fraction and v.denominator == 1 for v in square.payload[0])
+    got = kleene_star(square).payload
+    assert got == ((0, -1), (-1, 0)) and all(type(v) is int for v in chain(*got))
+    with pytest.raises(Divergent, match="node 1 has weight 1/3, above"):
+        kleene_star(matrix([[BOT, Fraction(1, 6)], [Fraction(1, 6), BOT]]))
+    with pytest.raises(Divergent, match="node 1 has weight -1, above"):
+        kleene_star(matrix([["+inf", Fraction(-1, 2)], [Fraction(-1, 2), "+inf"]], MIN_PLUS))
+
+
+def test_interval_star_endpoints_in_order_and_user_intervals_checked():
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        lo = rand_convergent(rng, n, MAX_PLUS, (1, 2))
+        hi = matrix([[BOT if v is None else min(0, v + rng.randint(0, 2)) for v in row] for row in lo.payload])
+        st = iv_kleene_star(interval_matrix(lo, hi))
+        assert st.lo == kleene_star(lo) and st.hi == kleene_star(hi)
+        assert st.lo <= st.hi
+    with pytest.raises(ValueError, match="out of order"):
+        interval_matrix(matrix([[0]]), matrix([[-1]]))
 
 
 def test_vec_residual():
