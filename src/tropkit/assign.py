@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .determ import _optimal_bijections
 from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
-from .semiring import MAX_PLUS
+from .semiring import MAX_PLUS, Payload
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
 
@@ -54,11 +54,11 @@ def assign_matrix(rows) -> AssignMatrix:
     return AssignMatrix(matrix(rows, MAX_PLUS))
 
 
-def apply_b(b: AssignMatrix, f: Sequence, transpose: bool = False) -> List[Fraction]:
+def apply_b(b: AssignMatrix, f: Sequence, transpose: bool = False) -> List[Payload]:
     """(B f)_i = max_j (b_ij - f_j), the max-plus product of B and -f; the
     transpose uses b_ji."""
     m = b.data.transpose() if transpose else b.data
-    neg = TropVector._trusted(tuple(-Fraction(x) for x in f), MAX_PLUS)
+    neg = TropVector(tuple(-Fraction(x) for x in f), MAX_PLUS)
     return list(m.apply(neg).payload)
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 from . import io
 from .errors import TooLarge, TropkitError
 from .io import SchemaError
-from .semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS
+from .semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS, parse_rational
 
 
 def _read(path: str) -> str:
@@ -48,8 +48,8 @@ def _densities(arg: str) -> Tuple[Fraction, Fraction, int]:
     """(lo, step, count) of `lo:hi:step`: the densities lo + k step <= hi."""
     try:
         lo_s, hi_s, step_s = arg.split(":")
-        lo, hi, step = Fraction(lo_s), Fraction(hi_s), Fraction(step_s)
-    except (ValueError, ZeroDivisionError) as exc:
+        lo, hi, step = map(parse_rational, (lo_s, hi_s, step_s))
+    except ValueError as exc:
         raise SchemaError(f"bad densities argument {arg!r}; want lo:hi:step") from exc
     if step <= 0:
         raise SchemaError("density step must be positive")
@@ -286,8 +286,8 @@ def _cmd_traffic(args) -> str:
         return "\n".join(lines) + "\n"
     if args.action == "tent":
         try:
-            y0 = Fraction(args.y0)
-        except (ValueError, ZeroDivisionError) as exc:
+            y0 = parse_rational(args.y0)
+        except ValueError as exc:
             raise SchemaError(f"bad --y0 {args.y0!r}; want an exact rational") from exc
         steps = _at_least(args.steps, 1, "--steps")
         bins = _at_least(args.bins, 1, "--bins")

@@ -17,11 +17,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, TooLarge
 from .semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, SemiringTag, TropScalar, one
-from .tropmat import TropMatrix, unit_vector
+from .tropmat import TropMatrix
 
 BIDETERMINANT_CAP = 14
 
@@ -167,13 +168,8 @@ def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
         return False
 
     search(0)
-    duals = (u, v[:n])
-    if tag is BOOLEAN:
-        return True, witnesses, duals
-    value = unit
-    for i, j in enumerate(witnesses[0]):
-        value = mul(value, rows[i][j])
-    return value, witnesses, duals
+    value = reduce(tag.ops.mul, (rows[i][j] for i, j in enumerate(witnesses[0])), tag.ops.unit)
+    return value, witnesses, (u, v[:n])
 
 
 def _permanent_of(rows: Sequence[Sequence], tag: SemiringTag):
@@ -240,15 +236,6 @@ def is_pattern_singular(a: TropMatrix) -> str:
     return "none"
 
 
-def _perm_matrix(perm: Sequence[int], tag: SemiringTag) -> TropMatrix:
-    return TropMatrix._trusted(tuple(unit_vector(len(perm), p, tag).payload for p in perm), tag)
-
-
-def _diag_matrix(diag: Sequence[TropScalar], tag: SemiringTag) -> TropMatrix:
-    rows = (unit_vector(len(diag), i, tag).scale(d).payload for i, d in enumerate(diag))
-    return TropMatrix._trusted(tuple(rows), tag)
-
-
 @dataclass(frozen=True)
 class StandardTransform:
     """X -> P D X' E Q with permutations P, Q and invertible diagonals D, E."""
@@ -278,11 +265,13 @@ def identity_transform(n: int, tag: SemiringTag, transpose: bool = False) -> Sta
 
 
 def apply_standard_transform(a: TropMatrix, t: StandardTransform) -> TropMatrix:
-    """P D X' E Q with X' = A or its transpose; shapes are checked."""
+    """P D X' E Q with X' = A or its transpose; shapes are checked. Entry
+    (i, j) is d_p(i) x'_p(i),k e_k with k = q^-1(j), computed directly."""
     x = a.transpose() if t.transpose else a
     if len(t.p) != x.rows or len(t.d) != x.rows:
         raise DimensionMismatch("left factors do not match the row count")
     if len(t.q) != x.cols or len(t.e) != x.cols:
         raise DimensionMismatch("right factors do not match the column count")
-    tag = a.tag
-    return _perm_matrix(t.p, tag) @ _diag_matrix(t.d, tag) @ x @ _diag_matrix(t.e, tag) @ _perm_matrix(t.q, tag)
+    mul, q_inv = a.tag.ops.mul, sorted(range(len(t.q)), key=t.q.__getitem__)
+    rows = (tuple(mul(mul(t.d[p].value, x.payload[p][k]), t.e[k].value) for k in q_inv) for p in t.p)
+    return TropMatrix._trusted(tuple(rows), a.tag)

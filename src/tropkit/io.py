@@ -2,8 +2,9 @@
 
 Rationals cross the file boundary as "p/q" strings (plain integers stay
 numbers), the bottoms of max-plus and min-plus as "-inf" / "+inf", subset
-functions as binary-literal masks. Parsing is strict: malformed payloads
-raise SchemaError, which the CLI maps to exit code 2. Subset functions and
+functions as binary-literal masks. Parsing is strict: malformed payloads,
+and rational strings other than "p" or "p/q" in ASCII digits, raise
+SchemaError, which the CLI maps to exit code 2. Subset functions and
 flow nets above the plucker CHECK_CAP raise TooLarge (exit code 1) before
 any table over their ground set is built. The subset-function and flow-net
 decoders import `plucker` when they run, so the matrix codecs never load it.
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
 from .errors import TooLarge
-from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, payload_of
+from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, parse_rational, payload_of
 from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
 
 
@@ -44,9 +45,9 @@ def fraction_from_json(v) -> Fraction:
         return Fraction(v)
     if isinstance(v, str):
         try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational {v!r}") from exc
+            return parse_rational(v)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     raise SchemaError(f"bad rational {v!r}")
 
 

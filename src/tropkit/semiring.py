@@ -7,13 +7,14 @@ Four tagged semirings are supported:
     max-times  (Q+, max, *)             zero = 0,    unit = 1
     boolean    ({False, True}, or, and)
 
-A payload is the raw value behind a scalar: an exact `int` or
-`fractions.Fraction` (input coercion stores integral values as `int`, and
-exact arithmetic may leave an integral `Fraction`), `None` for the bottoms
--inf and +inf, or a `bool` for the boolean tag; the max-times zero is
-`Fraction(0)`. Floats are rejected so that every identity tested downstream
-holds with equality, not tolerance. `PayloadOps` holds each tag's laws on
-payloads, and the scalar operations and every matrix kernel read them there.
+A payload is the raw value behind a scalar: an exact rational, an `int`
+exactly when it is integral and else a `fractions.Fraction` (so the
+max-times zero is `0`), `None` for the bottoms -inf and +inf, or a `bool`
+for the boolean tag. Input coercion and every law that makes a new value
+return this canonical form. Floats are rejected so that every identity
+tested downstream holds with equality, not tolerance. `PayloadOps` holds
+each tag's laws on payloads, and the scalar operations and every matrix
+kernel read them there.
 The canonical order of an idempotent semiring (a <= b  iff  a + b == b) is
 the one used everywhere; note that for min-plus it is the reverse of the
 numeric order.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -55,12 +57,40 @@ Payload = Union[int, Fraction, None, bool]
 ScalarLike = Union["TropScalar", Fraction, int, str, bool, None]
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(s: str) -> Fraction:
+    """The rational a string spells: an optional sign, ASCII digits, and
+    optionally "/" and more ASCII digits. Anything else (exponents, decimal
+    points, "_" separators, whitespace) and a zero denominator raise
+    ValueError, so no string costs more than reading its digits."""
+    m = _RATIONAL.fullmatch(s)
+    if m is None or (m[2] is not None and not int(m[2])):
+        raise ValueError(f"bad rational {s!r}; want p or p/q, q > 0, in ASCII digits")
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
+def _canonical(v):
+    """A rational's canonical payload: an int exactly when it is integral.
+    Never pass a bool: its denominator is 1 too, so True would become 1."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _unscaled(v, scale: int):
+    """v / scale as a canonical payload; None stays None."""
+    if v is None:
+        return None
+    q, r = divmod(v, scale)
+    return q if r == 0 else Fraction(v, scale)
+
+
 def _coerce_payload(value, tag: SemiringTag):
     """Turn a user-supplied payload into the internal representation.
 
     `None` stands for the bottom of max-plus (-inf) and min-plus (+inf).
-    Strings accept "p/q", "-inf" and "+inf". Floats are rejected: the
-    toolkit is exact by contract.
+    Strings accept "p/q" (see `parse_rational`), "-inf" and "+inf". Floats
+    are rejected: the toolkit is exact by contract.
     """
     if tag is BOOLEAN:
         if isinstance(value, bool):
@@ -69,9 +99,7 @@ def _coerce_payload(value, tag: SemiringTag):
             return bool(value)
         raise TypeError(f"boolean scalar needs a bool, got {value!r}")
     if value is None:
-        if tag is MAX_TIMES:
-            return Fraction(0)
-        return None
+        return tag.ops.zero
     if isinstance(value, str):
         s = value.strip()
         if s in ("-inf", "-oo"):
@@ -82,16 +110,12 @@ def _coerce_payload(value, tag: SemiringTag):
             if tag is not MIN_PLUS:
                 raise ValueError(f"+inf is not an element of {tag.value}")
             return None
-        value = Fraction(s)
-    if isinstance(value, bool) or isinstance(value, float):
+        value = parse_rational(s)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"exact rational required, got {value!r}")
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = int(value)  # integers stay machine ints: exact and fast
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"cannot interpret {value!r} as a {tag.value} scalar")
     if tag is MAX_TIMES and value < 0:
         raise ValueError("max-times scalars are nonnegative rationals")
-    return value
+    return _canonical(value)
 
 
 def payload_of(value: ScalarLike, tag: SemiringTag) -> Payload:
@@ -129,22 +153,30 @@ def _le_min(a, b):
 
 
 def _mul_plus(a, b):
-    return None if a is None or b is None else a + b
+    if a is None or b is None:
+        return None
+    c = a + b
+    return c if type(c) is int else _canonical(c)
+
+
+def _mul_times(a, b):
+    c = a * b
+    return c if type(c) is int else _canonical(c)
 
 
 def _residual_plus(x, y):
     if y is None:
         raise DivisionByBottom("residual denominator is the semiring zero")
-    return None if x is None else x - y
+    if x is None:
+        return None
+    c = x - y
+    return c if type(c) is int else _canonical(c)
 
 
 def _residual_times(x, y):
     if y == 0:
         raise DivisionByBottom("residual denominator is the semiring zero")
-    if x == 0:
-        return Fraction(0)
-    q = Fraction(x) / Fraction(y)
-    return int(q) if q.denominator == 1 else q
+    return _canonical(Fraction(x, y))
 
 
 def _residual_boolean(x, y):
@@ -171,7 +203,7 @@ class PayloadOps:
 _OPS = {
     MAX_PLUS: PayloadOps(_add_max, _mul_plus, _residual_plus, _le_max, None, 0),
     MIN_PLUS: PayloadOps(_add_min, _mul_plus, _residual_plus, _le_min, None, 0),
-    MAX_TIMES: PayloadOps(_add_max, operator.mul, _residual_times, operator.le, Fraction(0), 1),
+    MAX_TIMES: PayloadOps(_add_max, _mul_times, _residual_times, operator.le, 0, 1),
     BOOLEAN: PayloadOps(operator.or_, operator.and_, _residual_boolean, operator.le, False, True),
 }
 

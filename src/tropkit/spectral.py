@@ -22,8 +22,8 @@ from functools import reduce
 from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
-from .semiring import MAX_PLUS, MIN_PLUS, TropScalar
-from .tropmat import TropMatrix, TropVector, _unscaled
+from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, _unscaled
+from .tropmat import TropMatrix, TropVector
 
 
 def _check_spectral_tag(a: TropMatrix) -> None:

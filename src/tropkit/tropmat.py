@@ -19,8 +19,8 @@ bounds every path weight, and a bottom as R, a weight so low that any path
 through it stays below -R. Every field then stays in [0, 6R + 1] during a
 pivot, so one big-int subtract over guard bits compares a whole row pair
 without borrows between fields, and a pivot updates a row in about a dozen
-big-int operations (see `_closure`). Payloads come back canonical: an int
-whenever the value is integral.
+big-int operations (see `_closure`). Payloads come back canonical, as the
+`semiring` laws and the closure's unscaling return them.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .semiring import (
     ScalarLike,
     SemiringTag,
     TropScalar,
+    _unscaled,
     payload_of,
 )
 
@@ -131,6 +132,20 @@ def unit_vector(n: int, i: int, tag: SemiringTag = MAX_PLUS) -> TropVector:
     return TropVector._trusted(tuple(ops.unit if j == i else ops.zero for j in range(n)), tag)
 
 
+def _least_residual(xs: Sequence[Payload], ys: Sequence[Payload], ops) -> Payload:
+    """The canonical min of x_i / y_i over the i with y_i nonzero, or EmptySupport.
+    Equal values have one canonical payload, so the fold needs no tie rule."""
+    residual, zero, le = ops.residual, ops.zero, ops.le
+    residuals = [residual(x, y) for x, y in zip(xs, ys) if y != zero]
+    if not residuals:
+        raise EmptySupport("residual against the zero vector")
+    best = residuals[0]
+    for r in residuals[1:]:
+        if not le(best, r):
+            best = r
+    return best
+
+
 def vec_residual(x: TropVector, y: TropVector) -> TropScalar:
     """x / y = max{lam : lam * y <= x}, the scalar vector residual.
 
@@ -138,16 +153,7 @@ def vec_residual(x: TropVector, y: TropVector) -> TropScalar:
     vector has no residual (empty support).
     """
     x._check_same(y)
-    ops = x.tag.ops
-    residuals = [ops.residual(a, b) for a, b in zip(x.payload, y.payload) if b != ops.zero]
-    if not residuals:
-        raise EmptySupport("residual against the zero vector")
-    le = ops.le
-    best = residuals[0]
-    for r in residuals[1:]:
-        if le(r, best):
-            best = r
-    return TropScalar._fast(best, x.tag)
+    return TropScalar._fast(_least_residual(x.payload, y.payload, x.tag.ops), x.tag)
 
 
 @dataclass(frozen=True, init=False)
@@ -284,27 +290,13 @@ def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
         raise DimensionMismatch("row count does not match vector length")
     if v.tag is not x.tag:
         raise TagMismatch("matrix and vector tags differ")
-    ops = v.tag.ops
-    residual, le, zero, xs = ops.residual, ops.le, ops.zero, x.payload
-    out = []
+    ops, xs, out = v.tag.ops, x.payload, []
     for j, col in enumerate(zip(*v.payload)):
-        residuals = [residual(xi, e) for e, xi in zip(col, xs) if e != zero]
-        if not residuals:
-            raise ZeroColumn(f"column {j} is all zero")
-        best = residuals[0]
-        for r in residuals[1:]:
-            if not le(best, r):
-                best = r
-        out.append(best)
+        try:
+            out.append(_least_residual(xs, col, ops))
+        except EmptySupport:
+            raise ZeroColumn(f"column {j} is all zero") from None
     return TropVector._trusted(tuple(out), v.tag)
-
-
-def _unscaled(v, scale: int):
-    """v / scale as a canonical payload: an int when integral, None stays None."""
-    if v is None:
-        return None
-    q, r = divmod(v, scale)
-    return q if r == 0 else Fraction(v, scale)
 
 
 # field bytes -> array typecode, for the fields that pack through `array`
@@ -374,7 +366,7 @@ def _closure(a: TropMatrix) -> List[list]:
     rows = a.payload
     finite = [v for row in rows for v in row if v is not None]
     scale = 1
-    if Fraction in set(map(type, finite)):  # integral Fractions from other kernels too
+    if Fraction in set(map(type, finite)):
         scale = lcm(*{v.denominator for v in finite})
         rows = [[None if v is None else v.numerator * (scale // v.denominator) for v in row] for row in rows]
     bound = n * int(scale * max(max(finite, default=0), -min(finite, default=0)))

@@ -37,7 +37,7 @@ from tropkit.semiring import (
     sr_mul,
     zero,
 )
-from tropkit.tropmat import identity, matrix, zero_matrix
+from tropkit.tropmat import identity, matrix, unit_vector, zero_matrix
 
 BOT = "-inf"
 
@@ -120,11 +120,9 @@ def _rook_oracle(a):
 
 
 def _assert_same_payload(got, want, tag):
-    """Equal value and repr; the payload types may differ only between an
-    int and an equal integral Fraction, which repr, JSON and == cannot tell
-    apart."""
+    """Equal value, repr and payload type."""
     assert got == want and repr(scalar(got, tag)) == repr(scalar(want, tag))
-    assert type(got) is type(want) or {type(got), type(want)} == {int, Fraction}
+    assert type(got) is type(want)
 
 
 def test_bideterminant_worked_examples():
@@ -357,6 +355,44 @@ def test_standard_transform_rejects_a_non_permutation(p, q):
     units = (one(MAX_PLUS),) * 2
     with pytest.raises(ValueError):
         StandardTransform(p, units, units, q)
+
+
+def _transform_oracle(a, t):
+    """P D X' E Q as four matrix products of permutation and diagonal matrices."""
+    tag = a.tag
+
+    def perm_matrix(perm):
+        return matrix([unit_vector(len(perm), p, tag).payload for p in perm], tag)
+
+    def diag_matrix(diag):
+        return matrix([unit_vector(len(diag), i, tag).scale(d).payload for i, d in enumerate(diag)], tag)
+
+    x = a.transpose() if t.transpose else a
+    return perm_matrix(t.p) @ diag_matrix(t.d) @ x @ diag_matrix(t.e) @ perm_matrix(t.q)
+
+
+def test_standard_transform_matches_four_products():
+    # the entrywise formula against the four-product oracle: equal value and
+    # payload type, on every tag, shape and transpose flag
+    rng = random.Random(26)
+    units = [Fraction(1, 2), 1, Fraction(-3, 2), 2, Fraction(2, 3)]
+    for trial in range(400):
+        tag = _TAGS[trial % 4]
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        x = matrix(_random_instance(rng, tag, m, n), tag)
+        transpose = rng.random() < 0.5
+        rows, cols = (n, m) if transpose else (m, n)
+        t = StandardTransform(
+            tuple(rng.sample(range(rows), rows)),
+            tuple(scalar(_random_entry(rng, tag, 0, units), tag) for _ in range(rows)),
+            tuple(scalar(_random_entry(rng, tag, 0, units), tag) for _ in range(cols)),
+            tuple(rng.sample(range(cols), cols)),
+            transpose,
+        )
+        got, want = apply_standard_transform(x, t), _transform_oracle(x, t)
+        assert got == want
+        for g, w in zip(itertools.chain(*got.payload), itertools.chain(*want.payload)):
+            _assert_same_payload(g, w, tag)
 
 
 def test_weak_multiplicativity():

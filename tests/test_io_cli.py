@@ -260,6 +260,8 @@ _BAD_TRAFFIC_REQUESTS = {
     "tent_steps_0": ["tent", "--y0", "1/5", "--steps", "0"],
     "diagram_steps_1": ["diagram", "--config", _ROAD, "--densities", "0:1:1/2", "--steps", "1"],
     "diagram_config_list": ["diagram", "--config", [_ROAD], "--densities", "0:1:1/2"],
+    "tent_y0_exponent": ["tent", "--y0", "1e-3"],
+    "diagram_densities_exponent": ["diagram", "--config", _ROAD, "--densities", "0:1:1e-1"],
 }
 
 
@@ -269,6 +271,9 @@ def _max_plus(data):
 
 _MIN_PLUS_2 = {"semiring": "min-plus", "rows": 2, "cols": 2, "data": [[0, 1], [1, 0]]}
 _BAD_MATRIX_REQUESTS = {
+    # a rational cell spells p or p/q in ASCII digits: no exponent, no decimal point
+    "star_cell_exponent": ["star", "--matrix", _max_plus([["1e3"]])],
+    "star_cell_decimal": ["star", "--matrix", _max_plus([["1.5"]])],
     "assign_min_plus": ["assign", "--matrix", _MIN_PLUS_2],
     "assign_condition_c": ["assign", "--matrix", _max_plus([[BOT, BOT], [1, 0]])],
     "assign_empty": ["assign", "--matrix", {"semiring": "max-plus", "rows": 0, "cols": 0, "data": []}],
@@ -389,6 +394,18 @@ def test_cli_plucker_above_check_cap_exits_1(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(_BAD_MATRIX_REQUESTS))
 def test_cli_bad_matrix_requests_exit_2(tmp_path, name):
     _assert_schema_exit(tmp_path, _BAD_MATRIX_REQUESTS[name])
+
+
+def test_cli_huge_exponent_cell_exits_2_at_once(tmp_path):
+    # Fraction("1e1000000000000") would build a 10^12-digit integer; the
+    # strict parser rejects the cell before any arithmetic
+    argv = ["star", "--matrix", write(tmp_path, "m.json", _max_plus([["1e1000000000000"]]))]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropkit.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC), timeout=1,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("tropkit: ") and "Traceback" not in proc.stderr
 
 
 _TOO_LARGE_TRAFFIC_REQUESTS = {

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit.errors import DivisionByBottom, Divergent, TagMismatch
+from tropkit.assign import AssignMatrix, apply_b, distances_potentials, optimal_bijections
+from tropkit.determ import bideterminant, permanent, rook_coefficients
+from tropkit.errors import DivisionByBottom, Divergent, Infeasible, NoCycle, TagMismatch
+from tropkit.projector import project, semimodule
 from tropkit.semiring import (
     BOOLEAN,
     MAX_PLUS,
@@ -13,6 +16,7 @@ from tropkit.semiring import (
     interval,
     iv_binary,
     one,
+    parse_rational,
     scalar,
     sr_add,
     sr_mul,
@@ -20,6 +24,19 @@ from tropkit.semiring import (
     sr_star,
     zero,
 )
+from tropkit.spectral import collatz_wielandt_certificate, spectral_analysis
+from tropkit.tropmat import (
+    interval_matrix,
+    iv_kleene_star,
+    kleene_plus,
+    kleene_star,
+    mat_mul,
+    mat_residual_left,
+    matrix,
+    vec_residual,
+    vector,
+)
+from tropkit.twosided import InequalitySystem, solve_system
 
 
 def test_add_examples():
@@ -159,3 +176,111 @@ def test_interval_order_validation():
 def test_reject_floats():
     with pytest.raises(TypeError):
         scalar(0.5)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("7", 7), ("-7", -7), ("+7", 7), ("1/2", Fraction(1, 2)), ("-6/4", Fraction(-3, 2)),
+    ("007/0021", Fraction(1, 3)),
+])
+def test_parse_rational_accepts_the_documented_syntax(text, value):
+    got = parse_rational(text)
+    assert got == value and type(got) is Fraction
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", "-1e3", "1.5", "1_0", "1_0.5e1", ".5", "1/0", "1/-2", "1 / 2", "", "/2", "1/",
+    "١", "inf", "nan", "0x10", "1e1000000000000",
+])
+def test_parse_rational_rejects_everything_else(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        scalar(text)
+
+
+# -- canonical payloads from every kernel ----------------------------------------
+
+
+def _assert_canonical(payloads, tag):
+    """An int exactly when the value is integral; bool only under the boolean
+    tag; None only as a max-plus or min-plus bottom (the max-times zero is 0)."""
+    for v in payloads:
+        if tag is BOOLEAN:
+            assert type(v) is bool, v
+        elif v is None:
+            assert tag in (MAX_PLUS, MIN_PLUS)
+        else:
+            assert type(v) is (int if v.denominator == 1 else Fraction), (tag, v)
+
+
+def _flat(m):
+    return [v for row in m.payload for v in row]
+
+
+# denominators 1 to 3, so that sums, differences and products land on integers
+_THIRDS_HALVES = [Fraction(k, d) for d in (1, 2, 3) for k in range(-4, 5)]
+_POSITIVE = [Fraction(k, d) for d in (1, 2, 3) for k in (1, 2, 3, 4, 6)]
+
+
+def _entry(rng, tag, nonpositive=False):
+    if tag is BOOLEAN:
+        return rng.random() < 0.7
+    if rng.random() < 0.15:
+        return None
+    if tag is MAX_TIMES:
+        return rng.choice(_POSITIVE)
+    v = rng.choice(_THIRDS_HALVES)
+    if nonpositive:  # every cycle weighs at most the unit: the star converges
+        v = -abs(v) if tag is MAX_PLUS else abs(v)
+    return v
+
+
+def _rand_matrix(rng, tag, m, n, nonpositive=False):
+    return matrix([[_entry(rng, tag, nonpositive) for _ in range(n)] for _ in range(m)], tag)
+
+
+def test_every_kernel_returns_canonical_payloads():
+    rng = random.Random(20)
+    for trial in range(240):
+        tag = (MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN)[trial % 4]
+        n = rng.randint(1, 4)
+        a, b = _rand_matrix(rng, tag, n, n), _rand_matrix(rng, tag, n, n)
+        x = vector([_entry(rng, tag) for _ in range(n)], tag)
+        c = scalar(rng.choice([True] if tag is BOOLEAN else _POSITIVE), tag)
+        outs = [_flat(mat_mul(a, b)), _flat(a + b), _flat(a.scale(c)), a.apply(x).payload,
+                x.scale(c).payload, (x + a.row(0)).payload]
+        bd = bideterminant(a)
+        outs.append([permanent(a).value, bd.plus.value, bd.minus.value])
+        outs.append([p.value for p in rook_coefficients(_rand_matrix(rng, tag, n, rng.randint(1, 4)))])
+        if tag is not BOOLEAN:
+            y = vector([rng.choice(_POSITIVE) for _ in range(n)], tag)
+            outs.append([vec_residual(x, y).value])
+            outs.append(mat_residual_left(a, x).payload if all(not col.is_zero for col in a.columns()) else [])
+            gens = [col for col in a.columns() if not col.is_zero]
+            if gens:
+                outs.append(project(semimodule(gens, tag), x).payload)
+        if tag in (MAX_PLUS, MIN_PLUS):
+            s = _rand_matrix(rng, tag, n, n, nonpositive=True)
+            outs += [_flat(kleene_star(s)), _flat(kleene_plus(s))]
+            iv = iv_kleene_star(interval_matrix(s.scale(scalar(Fraction(-1, 2) if tag is MAX_PLUS else Fraction(1, 2), tag)), s))
+            outs += [_flat(iv.lo), _flat(iv.hi)]
+            try:
+                sa = spectral_analysis(a)
+                outs.append([sa.eigenvalue.value] + [v for e in sa.eigenvectors for v in e.payload])
+            except NoCycle:
+                pass
+            if all(any(v is not None for v in row) for row in a.payload):
+                lam, u = collatz_wielandt_certificate(a)
+                outs.append((lam.value,) + u.payload)
+        if tag is MAX_PLUS:
+            try:
+                outs.append([g for col in solve_system(InequalitySystem(a, b)).columns() for g in col.payload])
+            except Infeasible:
+                pass
+            full = matrix([[v if v is not None else rng.choice(_THIRDS_HALVES) for v in row] for row in a.payload])
+            am = AssignMatrix(full)
+            outs.append(apply_b(am, [rng.choice(_THIRDS_HALVES) for _ in range(n)]))
+            closure, phi, phi_t = distances_potentials(am, optimal_bijections(am)[1][0])
+            outs += [_flat(closure), phi.payload, phi_t.payload]
+        for out in outs:
+            _assert_canonical(out, tag)

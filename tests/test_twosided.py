@@ -169,9 +169,10 @@ def payload_types(columns):
 
 
 def test_tied_combination_keeps_left_payload_type():
-    # a combination (a h) g + (b g) h ties int 0 against Fraction(0) in its
-    # first coordinate; the semiring sum keeps the left term, so the second
-    # generator starts with the int 0, as the oracle's does
+    # a combination (a h) g + (b g) h ties two zeros in its first coordinate,
+    # one of them reached through Fractions; the laws give both the one
+    # canonical payload, so the second generator starts with the int 0, as
+    # the oracle's does
     h = Fraction(1, 2)
     s = InequalitySystem(
         matrix([[-1, 0, 1, 0], [1, 3 * h, 1, 3 * h]]),
@@ -189,7 +190,6 @@ def test_generators_match_object_level_oracle_random():
     rng = random.Random(19)
     values = [None] * 3 + list(range(-3, 4)) + [Fraction(1, 2), Fraction(-5, 3), Fraction(4, 3)]
     cap = twosided.COMBINATORIAL_CAP
-    integral_fractions = 0
     for _ in range(150):
         m, n = rng.randint(1, cap), rng.randint(1, cap)
         a, b = ([[rng.choice(values) for _ in range(n)] for _ in range(m)] for _ in "ab")
@@ -200,7 +200,7 @@ def test_generators_match_object_level_oracle_random():
         except Infeasible:
             got = []
         assert got == want and payload_types(got) == payload_types(want)
-        integral_fractions += sum(type(v) is Fraction and v.denominator == 1 for c in got for v in c)
+        assert not any(type(v) is Fraction and v.denominator == 1 for c in got for v in c)
         row = InequalitySystem(matrix(a[:1]), matrix(b[:1]))
         want = generators_oracle(row)
         try:
@@ -208,4 +208,3 @@ def test_generators_match_object_level_oracle_random():
         except Infeasible:
             got = []
         assert got == want and payload_types(got) == payload_types(want)
-    assert integral_fractions > 0
