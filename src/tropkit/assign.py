@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .determ import _optimal_bijections
 from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
-from .semiring import MAX_PLUS, Payload
+from .semiring import MAX_PLUS, Payload, _canonical
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
 
@@ -46,7 +46,7 @@ class AssignMatrix:
     def n(self) -> int:
         return self.data.rows
 
-    def entry(self, i: int, j: int) -> Optional[Fraction]:
+    def entry(self, i: int, j: int) -> Payload:
         return self.data.payload[i][j]
 
 
@@ -99,16 +99,11 @@ def subdifferential(b: AssignMatrix, g: Sequence) -> SubdifferentialReport:
     return SubdifferentialReport(mapping, inverse, covering, minimal)
 
 
-def subdifferential_f(b: AssignMatrix, f: Sequence) -> Dict[int, FrozenSet[int]]:
-    """Primal subdifferential: for column j, the rows attaining (B f)_k at j."""
-    return subdifferential(AssignMatrix(b.data.transpose()), f).mapping
-
-
 @dataclass(frozen=True)
 class RegularityCertificate:
     bijection: Tuple[int, ...]
-    f: Tuple[Fraction, ...]
-    g: Tuple[Fraction, ...]
+    f: Tuple[Payload, ...]
+    g: Tuple[Payload, ...]
 
 
 @dataclass(frozen=True)
@@ -126,10 +121,10 @@ def optimal_bijections(b: AssignMatrix, keep: int = 2):
     Hungarian kernel that also gives the permanent; (None, []) when every
     bijection meets a bottom."""
     value, witnesses, _ = _optimal_bijections(b.data.payload, MAX_PLUS, keep)
-    return (None if value is None else Fraction(value)), witnesses
+    return value, witnesses
 
 
-def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...], u, v) -> Tuple[Fraction, ...]:
+def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...], u, v) -> Tuple[Payload, ...]:
     """Finite f with b_{iF(i)} - f_{F(i)} > b_ik - f_k for all k != F(i).
 
     The optimal duals give u_i = b_{iF(i)} - v_{F(i)} >= b_ik - v_k, with
@@ -163,7 +158,7 @@ def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...], u, v) -> Tuple[Fraction
             if not indegree[k]:
                 order.append(k)
     t = Fraction(1 if least is None else least, n)
-    return tuple(v[k] + t * depth[k] for k in range(n))
+    return tuple(_canonical(v[k] + t * depth[k]) for k in range(n))
 
 
 def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStronglyRegular]:
@@ -185,7 +180,7 @@ def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStrong
         return NotStronglyRegular(witnesses[0], witnesses[1], "optimal bijection is not unique")
     perm = witnesses[0]
     f = _strict_dual(b, perm, *duals)
-    g = tuple(b.entry(i, perm[i]) - f[perm[i]] for i in range(b.n))
+    g = tuple(_canonical(b.entry(i, perm[i]) - f[perm[i]]) for i in range(b.n))
     cert = RegularityCertificate(perm, f, g)
     _validate_certificate(b, cert)
     return cert

@@ -62,10 +62,6 @@ def _at_least(value: int, least: int, option: str) -> int:
     return value
 
 
-def _rat(v) -> object:
-    return io.fraction_to_json(Fraction(v))
-
-
 def _vec_json(x) -> list:
     return io.vector_to_json(x)["data"]
 
@@ -228,8 +224,8 @@ def _cmd_assign(args) -> str:
     body = {
         "strongly_regular": True,
         "bijection": list(res.bijection),
-        "f": [_rat(v) for v in res.f],
-        "g": [_rat(v) for v in res.g],
+        "f": [io.fraction_to_json(v) for v in res.f],
+        "g": [io.fraction_to_json(v) for v in res.g],
         "normal_form": io.matrix_to_json(nf.data),
         "optimal_distances": io.matrix_to_json(bt),
         "potential": _vec_json(phi),
@@ -272,17 +268,13 @@ def _cmd_traffic(args) -> str:
         if count * steps * cells > TRAFFIC_WORK_CAP:
             raise TooLarge(f"densities x steps x cells is {count * steps * cells}, above {TRAFFIC_WORK_CAP}")
         densities = [lo + k * step for k in range(count)]
-        points = dynamics.fundamental_diagram(build, densities, steps)
+        points = [
+            (io.fraction_to_json(r), None if q is None else io.fraction_to_json(q))
+            for r, q in dynamics.fundamental_diagram(build, densities, steps)
+        ]
         if args.format == "json":
-            return io.dumps(
-                [
-                    {"rho": _rat(r), "q": None if q is None else _rat(q)}
-                    for r, q in points
-                ]
-            )
-        lines = ["rho,q"]
-        for r, q in points:
-            lines.append(f"{_rat(r)},{'NA' if q is None else _rat(q)}")
+            return io.dumps([{"rho": r, "q": q} for r, q in points])
+        lines = ["rho,q"] + [f"{r},{'NA' if q is None else q}" for r, q in points]
         return "\n".join(lines) + "\n"
     if args.action == "tent":
         try:

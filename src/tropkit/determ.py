@@ -254,16 +254,6 @@ class StandardTransform:
                 raise ValueError("diagonal entries of a standard transform must be invertible")
 
 
-def identity_transform(n: int, tag: SemiringTag, transpose: bool = False) -> StandardTransform:
-    return StandardTransform(
-        tuple(range(n)),
-        tuple(one(tag) for _ in range(n)),
-        tuple(one(tag) for _ in range(n)),
-        tuple(range(n)),
-        transpose,
-    )
-
-
 def apply_standard_transform(a: TropMatrix, t: StandardTransform) -> TropMatrix:
     """P D X' E Q with X' = A or its transpose; shapes are checked. Entry
     (i, j) is d_p(i) x'_p(i),k e_k with k = q^-1(j), computed directly."""

@@ -2,17 +2,20 @@
 
 Rationals cross the file boundary as "p/q" strings (plain integers stay
 numbers), the bottoms of max-plus and min-plus as "-inf" / "+inf", subset
-functions as binary-literal masks. Parsing is strict: malformed payloads,
-and rational strings other than "p" or "p/q" in ASCII digits, raise
-SchemaError, which the CLI maps to exit code 2. Subset functions and
-flow nets above the plucker CHECK_CAP raise TooLarge (exit code 1) before
-any table over their ground set is built. The subset-function and flow-net
+functions as binary-literal masks, and flow-net edges as "i,j->k,l" keys.
+Parsing is strict: malformed payloads, rational strings other than "p" or
+"p/q" in ASCII digits, mask keys other than a binary, octal, hex or decimal
+literal in ASCII digits (no "_", sign or spaces), and edge keys other than
+four ASCII-digit coordinates raise SchemaError, which the CLI maps to exit
+code 2. Subset functions and flow nets above the plucker CHECK_CAP raise
+TooLarge (exit code 1) before any table over their ground set is built. The subset-function and flow-net
 decoders import `plucker` when they run, so the matrix codecs never load it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -34,7 +37,7 @@ def tag_from_name(name: str) -> SemiringTag:
     return _TAGS[name]
 
 
-def fraction_to_json(x: Fraction) -> Union[int, str]:
+def fraction_to_json(x: Union[int, Fraction]) -> Union[int, str]:
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -74,10 +77,6 @@ def _payload_from_json(v, tag: SemiringTag) -> Payload:
 
 def scalar_to_json(s: TropScalar) -> Union[int, str, bool]:
     return _payload_to_json(s.value, s.tag)
-
-
-def scalar_from_json(v, tag: SemiringTag) -> TropScalar:
-    return TropScalar._fast(_payload_from_json(v, tag), tag)
 
 
 def _rows_to_json(m: TropMatrix) -> List[list]:
@@ -173,11 +172,15 @@ def subset_function_to_json(f: "SubsetFunction") -> Dict:
     return {"n": f.n, "values": values}
 
 
+# int(key, 0)'s forms in ASCII digits, without "_" separators or spaces
+_MASK_KEY = re.compile(r"0[bB][01]+|0[oO][0-7]+|0[xX][0-9a-fA-F]+|0|[1-9][0-9]*")
+_EDGE_KEY = re.compile(r"([0-9]+),([0-9]+)->([0-9]+),([0-9]+)")
+
+
 def _mask_from_key(key: str, n: int) -> int:
-    try:
-        mask = int(key, 0) if isinstance(key, str) else int(key)
-    except ValueError as exc:
-        raise SchemaError(f"bad subset key {key!r}") from exc
+    if not isinstance(key, str) or _MASK_KEY.fullmatch(key) is None:
+        raise SchemaError(f"bad subset key {key!r}")
+    mask = int(key, 0)
     if not 0 <= mask < (1 << n):
         raise SchemaError(f"subset key {key!r} outside the power set of n={n}")
     return mask
@@ -230,13 +233,11 @@ def grid_net_from_json(obj) -> "GridFlowNet":
         raise TooLarge(f"flow nets capped at n <= {CHECK_CAP}")
     weights = {}
     for key, v in given.items():
-        try:
-            src, dst = key.split("->")
-            a = tuple(int(t) for t in src.split(","))
-            b = tuple(int(t) for t in dst.split(","))
-        except ValueError as exc:
-            raise SchemaError(f"bad edge key {key!r}") from exc
-        weights[(a, b)] = fraction_from_json(v)
+        m = _EDGE_KEY.fullmatch(key)
+        if m is None:
+            raise SchemaError(f"bad edge key {key!r}")
+        i, j, k, l = map(int, m.groups())
+        weights[((i, j), (k, l))] = fraction_from_json(v)
     try:
         return grid_net(n, weights)
     except ValueError as exc:

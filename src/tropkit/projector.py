@@ -45,13 +45,6 @@ class Semimodule:
     def ambient_dim(self) -> int:
         return self.generators.rows
 
-    @property
-    def num_generators(self) -> int:
-        return self.generators.cols
-
-    def generator_list(self) -> List[TropVector]:
-        return self.generators.columns()
-
     def contains(self, x: TropVector) -> bool:
         """Exact membership: x belongs to the span iff the projection fixes it."""
         if x.is_zero:
@@ -208,10 +201,10 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         raise ValueError("the cyclic spectral radius is provided over max-plus")
     n = next(iter(dims))
     tag = MAX_PLUS
-    if any(not v.num_generators for v in vs):
+    if any(not v.generators.cols for v in vs):
         return HilbertReport(zero(tag), (), frozenset())
     cols = [list(zip(*v.generators.payload)) for v in vs]
-    eta = list(reduce(TropVector.__add__, vs[-1].generator_list()).payload)
+    eta = list(reduce(TropVector.__add__, vs[-1].generators.columns()).payload)
     chi, sigma = [None if v is None else 0 for v in eta], []
     for c in cols:
         sigma.append(_choose(c, [None] * len(c), chi, eta))
@@ -243,7 +236,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
             raise CertificateInvalid("strategy iteration stalled without an eigenvector")
 
     support = x.support()
-    inside = [g for g in vs[-1].generator_list() if g.support() <= support]
+    inside = [g for g in vs[-1].generators.columns() if g.support() <= support]
     c = vec_residual(reduce(TropVector.__add__, inside), x)
     eig, witnesses = x.scale(c), tuple(w.scale(c) for w in orbit)
     if hilbert_value(witnesses) != lam:
@@ -253,7 +246,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
 
 def _grid_points(vs: Sequence[Semimodule]) -> List[TropVector]:
     """Generators plus pairwise sums: the falsification grid for separation."""
-    gens = [g for v in vs for g in v.generator_list()]
+    gens = [g for v in vs for g in v.generators.columns()]
     pts = list(gens)
     for a, b in itertools.combinations(gens, 2):
         pts.append(a + b)
@@ -286,12 +279,12 @@ def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfsp
             halfspaces.append(Halfspace(project(v, vin), vin))
     else:
         # sum of all generators; with none at all, a finite top makes each halfspace {0}
-        gens = [g for v in vs for g in v.generator_list()]
+        gens = [g for v in vs for g in v.generators.columns()]
         top = reduce(TropVector.__add__, gens) if gens else vector([0] * vs[0].ambient_dim, MAX_PLUS)
         for v in vs:
             halfspaces.append(Halfspace(project(v, top), top))
     for v, h in zip(vs, halfspaces):
-        for g in v.generator_list():
+        for g in v.generators.columns():
             if not h.contains(g):
                 raise TropkitError("separation halfspace fails to contain its semimodule")
     for x in _grid_points(vs):

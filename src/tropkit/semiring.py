@@ -39,10 +39,6 @@ class SemiringTag(enum.Enum):
     MAX_TIMES = "max-times"
     BOOLEAN = "boolean"
 
-    @property
-    def is_semifield(self) -> bool:
-        return self is not SemiringTag.BOOLEAN
-
     @functools.cached_property
     def ops(self) -> "PayloadOps":
         return _OPS[self]

@@ -261,10 +261,6 @@ def identity(n: int, tag: SemiringTag = MAX_PLUS) -> TropMatrix:
     return TropMatrix._trusted(tuple(unit_vector(n, i, tag).payload for i in range(n)), tag)
 
 
-def zero_matrix(rows: int, cols: int, tag: SemiringTag = MAX_PLUS) -> TropMatrix:
-    return TropMatrix._trusted(((tag.ops.zero,) * cols,) * rows, tag)
-
-
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """C_ik = sum_j a_ij * b_jk over the tagged semiring."""
     if a.tag is not b.tag:

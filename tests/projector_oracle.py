@@ -99,12 +99,12 @@ def cyclic_spectral_radius_oracle(vs: Sequence[Semimodule]) -> HilbertReport:
         raise ValueError("the cyclic spectral radius is provided over max-plus")
     n = next(iter(dims))
     tag = MAX_PLUS
-    supports = [[g.support() for g in v.generator_list()] for v in vs]
+    supports = [[g.support() for g in v.generators.columns()] for v in vs]
 
     def solve_class(m: FrozenSet[int], active: List[List[int]]):
         ws = _class_semimodules(vs, active)
         top = None
-        for g in ws[-1].generator_list():
+        for g in ws[-1].generators.columns():
             top = g if top is None else top + g
         lam, eig = _orbit_solve(ws, top)
         witnesses = []

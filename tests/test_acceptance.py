@@ -310,9 +310,9 @@ def test_criterion_06_cyclic_projector_radius_and_separation():
         else:
             separable_seen += 1
             for v, h in zip(vs, result):
-                for g in v.generator_list():
+                for g in v.generators.columns():
                     assert h.contains(g)
-            gens = [g for v in vs for g in v.generator_list()]
+            gens = [g for v in vs for g in v.generators.columns()]
             grid = gens + [a + b for a, b in itertools.combinations(gens, 2)]
             for x in grid:
                 if not x.is_zero:

@@ -15,7 +15,6 @@ from tropkit.assign import (
     optimal_bijections,
     strong_regularity,
     subdifferential,
-    subdifferential_f,
 )
 from tropkit.determ import _optimal_bijections
 from tropkit.errors import CertificateInvalid, ImprovingCycle
@@ -124,7 +123,7 @@ def _assert_certificate(b, res):
     assert apply_b(b, f) == g
     # Prop 2.4 singleton equivalences
     dtg = subdifferential(b, g)
-    df = subdifferential_f(b, f)
+    df = subdifferential(AssignMatrix(b.data.transpose()), f).mapping
     for i in range(n):
         assert dtg.mapping[i] == frozenset({perm[i]})
         assert df[perm[i]] == frozenset({i})
@@ -166,7 +165,7 @@ def test_strict_dual_from_tight_hungarian_duals():
     # every off-bijection edge tight: no slack edge fixes t, which is then 1/n
     b2 = assign_matrix([[0, 0], [None, 0]])
     res2 = strong_regularity(b2)
-    assert res2.f == (0, Fraction(1, 2)) and all(type(x) is Fraction for x in res2.f)
+    assert res2.f == (0, Fraction(1, 2)) and [type(x) for x in res2.f] == [int, Fraction]
     _assert_certificate(b2, res2)
 
 

@@ -19,7 +19,6 @@ from tropkit.determ import (
     _optimal_bijections,
     apply_standard_transform,
     bideterminant,
-    identity_transform,
     is_pattern_singular,
     is_trop_singular,
     permanent,
@@ -37,7 +36,7 @@ from tropkit.semiring import (
     sr_mul,
     zero,
 )
-from tropkit.tropmat import identity, matrix, unit_vector, zero_matrix
+from tropkit.tropmat import identity, matrix, unit_vector
 
 BOT = "-inf"
 
@@ -138,7 +137,7 @@ def test_bideterminant_worked_examples():
 
 def test_permanent_examples():
     assert permanent(matrix([[0, 3], [2, 1]])) == scalar(5)
-    assert permanent(zero_matrix(3, 3)).is_zero
+    assert permanent(matrix([[None] * 3] * 3)).is_zero
     assert permanent(identity(4)) == scalar(0)
 
 
@@ -206,7 +205,7 @@ def test_permanent_equals_assignment_value():
             if b is not None:
                 ob_best, ob_witnesses = optimal_bijections(b, keep)
                 assert ob_witnesses == witnesses
-                assert ob_best == value and (best.is_zero or type(ob_best) is Fraction)
+                assert ob_best == value and (best.is_zero or type(ob_best) is type(value))
 
 
 def _planted(rng, n):
@@ -302,7 +301,7 @@ def test_rook_and_bideterminant_above_old_caps():
 def test_rook_examples():
     assert rook_coefficients(matrix([[0, 3], [2, 1]])) == [scalar(0), scalar(3), scalar(5)]
     assert rook_coefficients(matrix([[7]])) == [scalar(0), scalar(7)]
-    rc = rook_coefficients(zero_matrix(2, 2))
+    rc = rook_coefficients(matrix([[None] * 2] * 2))
     assert rc[0] == scalar(0) and rc[1].is_zero and rc[2].is_zero
 
 
@@ -338,11 +337,9 @@ def test_pattern_singularity():
 
 def test_standard_transform_examples():
     x = matrix([[0, 3], [2, 1]])
-    assert apply_standard_transform(x, identity_transform(2, MAX_PLUS)) == x
-    assert (
-        apply_standard_transform(x, identity_transform(2, MAX_PLUS, transpose=True))
-        == x.transpose()
-    )
+    units, ids = (scalar(0), scalar(0)), (0, 1)
+    assert apply_standard_transform(x, StandardTransform(ids, units, units, ids)) == x
+    assert apply_standard_transform(x, StandardTransform(ids, units, units, ids, True)) == x.transpose()
     t = StandardTransform((1, 0), (scalar(1), scalar(-1)), (scalar(0), scalar(0)), (0, 1))
     p = matrix([[BOT, 0], [0, BOT]])
     d = matrix([[1, BOT], [BOT, -1]])

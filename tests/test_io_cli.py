@@ -90,7 +90,7 @@ def test_schema_errors():
     with pytest.raises(tio.SchemaError):
         tio.fraction_from_json(0.5)
     with pytest.raises(tio.SchemaError):
-        tio.scalar_from_json("+inf", MAX_PLUS)
+        tio.vector_from_json({"semiring": "max-plus", "data": ["+inf"]})
 
 
 def test_cli_star_and_errors(tmp_path):
@@ -368,6 +368,14 @@ _BAD_PLUCKER_REQUESTS = {
     "reconstruct_values_list": ["reconstruct", "--function", {"n": 2, "values": [0, 1, 2, 3]}],
     "check_values_list": ["check", "--function", {"n": 2, "values": [0, 1, 2, 3]}],
     "build_weights_list": ["build", "--net", {"n": 2, "weights": [1, 2]}],
+    # keys in ASCII digits only: int() would read these as 1,1->1,2, 0b10 and 3
+    "build_non_ascii_edge_key": ["build", "--net", {"n": 2, "weights": {"\u0661,1->\u0661,2": 1}}],
+    "check_underscore_mask_key": [
+        "check", "--function", {"n": 2, "values": {"0b0": 0, "0b1": 1, "0b1_0": 2, "0b11": 3}},
+    ],
+    "check_spaced_mask_key": [
+        "check", "--function", {"n": 2, "values": {"0b0": 0, "0b1": 1, "0b10": 2, " 3 ": 3}},
+    ],
 }
 
 

@@ -18,7 +18,7 @@ from tropkit.projector import (
     separate,
 )
 from tropkit.semiring import MAX_PLUS, scalar, sr_mul, zero
-from tropkit.tropmat import identity, vector, zero_matrix
+from tropkit.tropmat import identity, matrix, vector
 
 from projector_oracle import cyclic_spectral_radius_oracle
 
@@ -30,7 +30,7 @@ def test_project_examples():
     assert project(v, vector([1, 3])) == vector([1, 1])
     # fixed point on the semimodule
     w = semimodule([[0, 2], [1, 1]])
-    for g in w.generator_list():
+    for g in w.generators.columns():
         assert project(w, g) == g
     full = Semimodule(identity(2))
     assert project(full, vector([1, 3])) == vector([1, 3])
@@ -107,7 +107,7 @@ def test_radius_dominates_sampled_tuples():
         for _ in range(15):
             tup = []
             for v in vs:
-                gens = v.generator_list()
+                gens = v.generators.columns()
                 x = gens[rng.randrange(len(gens))]
                 if len(gens) > 1 and rng.random() < 0.5:
                     other = gens[rng.randrange(len(gens))]
@@ -239,7 +239,7 @@ def test_separation_examples():
     hs = separate([va, vb])
     assert isinstance(hs, list) and len(hs) == 2
     for v, h in zip([va, vb], hs):
-        for g in v.generator_list():
+        for g in v.generators.columns():
             assert h.contains(g)
     ns = separate([va, va])
     assert isinstance(ns, NotSeparable)
@@ -255,13 +255,13 @@ def test_separation_examples():
 @pytest.mark.parametrize("empty_first", [True, False])
 def test_generatorless_semimodule_in_either_position(empty_first):
     # an n x 0 generator matrix spans {0}, so the cyclic product is the zero map
-    full, empty = semimodule([[0, 3, 0], [0, 1, 4]]), Semimodule(zero_matrix(3, 0))
+    full, empty = semimodule([[0, 3, 0], [0, 1, 4]]), Semimodule(matrix([[]] * 3))
     vs = [empty, full] if empty_first else [full, empty]
     rep = cyclic_spectral_radius(vs)
     assert (rep.value, rep.witness_vectors, rep.support_set) == (zero(MAX_PLUS), (), frozenset())
     hs = separate(vs)
     assert hs[0 if empty_first else 1] == Halfspace(vector([BOT] * 3), vector([0, 3, 4]))
-    gens = full.generator_list()
+    gens = full.generators.columns()
     for g in gens:
         assert hs[1 if empty_first else 0].contains(g)
     for x in gens + [gens[0] + gens[1]]:
@@ -270,7 +270,7 @@ def test_generatorless_semimodule_in_either_position(empty_first):
 
 def test_separation_of_generatorless_semimodules_only():
     # with no generator at all, each halfspace is {0}
-    hs = separate([Semimodule(zero_matrix(3, 0))] * 2)
+    hs = separate([Semimodule(matrix([[]] * 3))] * 2)
     assert hs == [Halfspace(vector([BOT] * 3), vector([0, 0, 0]))] * 2
     assert not hs[0].contains(vector([0, BOT, BOT]))
 
@@ -293,11 +293,11 @@ def test_separation_random_finite():
             assert all(project(v, w) == w for v in vs)
         else:
             separable += 1
-            gens = [g for v in vs for g in v.generator_list()]
+            gens = [g for v in vs for g in v.generators.columns()]
             pts = gens + [a + b for a, b in itertools.combinations(gens, 2)]
             for x in pts:
                 assert not all(h.contains(x) for h in res)
             for v, h in zip(vs, res):
-                for g in v.generator_list():
+                for g in v.generators.columns():
                     assert h.contains(g)
     assert separable > 5

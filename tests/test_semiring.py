@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit.assign import AssignMatrix, apply_b, distances_potentials, optimal_bijections
+from tropkit.assign import (
+    AssignMatrix,
+    RegularityCertificate,
+    apply_b,
+    distances_potentials,
+    optimal_bijections,
+    strong_regularity,
+)
 from tropkit.determ import bideterminant, permanent, rook_coefficients
 from tropkit.errors import DivisionByBottom, Divergent, Infeasible, NoCycle, TagMismatch
 from tropkit.projector import project, semimodule
@@ -241,6 +248,7 @@ def _rand_matrix(rng, tag, m, n, nonpositive=False):
 
 def test_every_kernel_returns_canonical_payloads():
     rng = random.Random(20)
+    certificates = 0
     for trial in range(240):
         tag = (MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN)[trial % 4]
         n = rng.randint(1, 4)
@@ -282,5 +290,13 @@ def test_every_kernel_returns_canonical_payloads():
             outs.append(apply_b(am, [rng.choice(_THIRDS_HALVES) for _ in range(n)]))
             closure, phi, phi_t = distances_potentials(am, optimal_bijections(am)[1][0])
             outs += [_flat(closure), phi.payload, phi_t.payload]
+            # and the same matrix with its entries scaled by 6 to integers
+            for b in (am, AssignMatrix(matrix([[6 * v for v in row] for row in full.payload]))):
+                outs.append([optimal_bijections(b)[0]])
+                reg = strong_regularity(b)
+                if isinstance(reg, RegularityCertificate):
+                    outs += [reg.f, reg.g]
+                    certificates += 1
         for out in outs:
             _assert_canonical(out, tag)
+    assert certificates >= 50  # strongly regular cases, integer and rational, were checked

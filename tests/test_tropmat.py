@@ -35,7 +35,6 @@ from tropkit.tropmat import (
     matrix,
     vec_residual,
     vector,
-    zero_matrix,
 )
 
 BOT = "-inf"
@@ -101,7 +100,7 @@ def test_kleene_star_examples():
     st = kleene_star(matrix([[-1, -3], [-2, -1]]))
     assert st == matrix([[0, -3], [-2, 0]])
     assert mat_mul(st, st) == st
-    assert kleene_star(zero_matrix(2, 2)) == identity(2)
+    assert kleene_star(matrix([[None] * 2] * 2)) == identity(2)
 
 
 def rand_convergent(rng, n, tag, denominators=(1,)):
@@ -399,7 +398,7 @@ def test_kernels_equal_scalar_folds_all_tags(tag):
         _assert_same(x.scale(c), TropVector([sr_mul(c, e) for e in x.entries], tag))
         assert (a <= a2) == all(a[i, j] <= a2[i, j] for i in range(m) for j in range(n))
         assert a <= a + a2 and x <= x + x.scale(c)
-        if not tag.is_semifield:
+        if tag is BOOLEAN:
             continue
         for j in range(n):
             residuals = [sr_residual(y[i], a[i, j]) for i in range(m) if not a[i, j].is_zero]
