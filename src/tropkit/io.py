@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from .errors import TooLarge
 from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, parse_rational, payload_of

@@ -8,25 +8,33 @@ both sides of the row are equal. A single row is this step applied once to
 the unit vectors. After every step, columns generated by the others are
 pruned, so only extreme rays remain.
 
-The steps run on raw max-plus payload tuples (None for -inf) with the
-max-plus payload laws of `semiring`. Columns are normalized by subtracting
-their first finite coordinate and compared as tuples. A column c lies in
-the span of others iff every finite c_i is attained by the greatest
-multiple of some other column below c (the covering criterion), which needs
-no projector. Generators are boxed into vectors once, and each is checked
-against the system by `check_solution` before it is returned.
+The steps run on raw max-plus payload tuples (None for -inf). Products and
+sums are written inline as plain comparisons, and every non-int result goes
+through `semiring._canonical`, so each value keeps its one payload. Columns
+are normalized by subtracting their first finite coordinate and compared as
+tuples. A column c lies in the span of others iff every finite c_i is
+attained by the greatest multiple of some other column below c (the
+covering criterion), which needs no projector. Extreme rays are unique up
+to scaling and generate every other column, so each distinct column is
+tested against all the others, with no dependence on order: an int support
+mask skips every column whose support is not inside c's, and the test stops
+once the attained coordinates cover c's support. The pairwise one-pass
+pruning this replaces is the test oracle in `tests/twosided_oracle.py`.
+
+Before they are returned, the generators are checked against every row on
+their payloads by the max-plus laws, the fold `check_solution` runs and not
+the kernel's inline arithmetic, and boxed into one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
-from .semiring import MAX_PLUS, Payload
-from .tropmat import TropMatrix, TropVector, from_columns, identity
+from .semiring import MAX_PLUS, Payload, _canonical
+from .tropmat import TropMatrix, TropVector, identity
 
 COMBINATORIAL_CAP = 6
 Column = Tuple[Payload, ...]  # max-plus payloads, None for -inf
@@ -68,73 +76,117 @@ def check_solution(s: InequalitySystem, x: TropVector) -> bool:
     return s.a.apply(x) <= s.b.apply(x)
 
 
-def _normalize(col: Column) -> Optional[Column]:
-    """Shift so the first finite coordinate is the unit; None for the zero column."""
-    first = next((v for v in col if v is not None), None)
-    if first is None:
-        return None
-    return tuple(map(_mul, repeat(0 - first), col))
+def _canon(c):
+    return c if type(c) is int else _canonical(c)
 
 
-def _spans(gens: List[Column], c: Column) -> bool:
-    """True iff c lies in the span of gens, by the covering criterion.
-
-    The greatest multiple of g below c is lam g with lam = min of c_i - g_i
-    over the support of g, finite only when c is finite there. Their sum
-    never exceeds c, and equals it iff every finite c_i is attained,
-    lam + g_i = c_i, by some g.
-    """
-    missing = {i for i, v in enumerate(c) if v is not None}
-    for g in gens:
-        supp = [i for i, v in enumerate(g) if v is not None]
-        if any(c[i] is None for i in supp):
-            continue
-        gaps = [c[i] - g[i] for i in supp]
-        lam = min(gaps)
-        missing.difference_update(i for i, gap in zip(supp, gaps) if gap == lam)
-        if not missing:
-            return True
-    return False
+def _normalize(col: Column) -> Column:
+    """Shift a nonzero column of canonical payloads so its first finite
+    coordinate is 0."""
+    for first in col:
+        if first is not None:
+            break
+    if first == 0:
+        return col
+    return tuple(None if v is None else _canon(v - first) for v in col)
 
 
 def _prune(cols: List[Column]) -> List[Column]:
-    """Normalize, drop duplicates, then drop in one pass each column that the
-    columns still kept generate. Extreme rays are unique up to scaling, so
-    exactly they stay, in their first-seen order."""
+    """Drop duplicates of normalized columns, then each column that the
+    other distinct columns generate, by the covering criterion.
+
+    The greatest multiple of g below c is lam g with lam = min of c_i - g_i
+    over the support of g, finite only when that support lies inside c's.
+    Their sum never exceeds c, and equals it iff every finite c_i is
+    attained, lam + g_i = c_i, by some g. Extreme rays are unique up to
+    scaling and generate every other column, so testing each column against
+    all the others keeps exactly the extreme rays, in first-seen order.
+    """
+    distinct = list(dict.fromkeys(cols))
+    supports = []
+    for c in distinct:
+        mask, items = 0, []
+        for i, v in enumerate(c):
+            if v is not None:
+                mask |= 1 << i
+                items.append((1 << i, i, v))
+        supports.append((mask, items))
     kept: List[Column] = []
-    for c in cols:
-        nc = _normalize(c)
-        if nc is not None and nc not in kept:
-            kept.append(nc)
-    for c in list(kept):
-        if _spans([o for o in kept if o is not c], c):
-            kept.remove(c)
+    for k, c in enumerate(distinct):
+        mask = supports[k][0]
+        covered = 0
+        for j, (g_mask, items) in enumerate(supports):
+            if j == k or g_mask & ~mask:
+                continue
+            lam = None
+            for bit, i, v in items:
+                gap = c[i] - v
+                if lam is None or gap < lam:
+                    lam, hit = gap, bit
+                elif gap == lam:
+                    hit |= bit
+            covered |= hit
+            if covered == mask:
+                break
+        else:
+            kept.append(c)
     return kept
 
 
 def _intersect(gens: List[Column], a: Column, b: Column) -> List[Column]:
-    """Generators of {x in span(gens) : a x <= b x} for one row.
+    """Generators of {x in span(gens) : a x <= b x} for one row; gens are
+    normalized.
 
     Each g with a g <= b g stays and, for every h with a h > b h, adds
-    (a h) g + (b g) h, whose two sides both equal (a h)(b g).
+    (a h) g + (b g) h, whose two sides both equal (a h)(b g). When b g is
+    -inf the combination is a multiple of g, which is already kept.
     """
-    sides = [tuple(reduce(_add, map(_mul, row, g), None) for row in (a, b)) for g in gens]
-    over = [(h, ah) for h, (ah, bh) in zip(gens, sides) if not _le(ah, bh)]
+    sides = []
+    for g in gens:
+        ag = bg = None
+        for x, y, v in zip(a, b, g):
+            if v is not None:
+                if x is not None:
+                    t = x + v
+                    if ag is None or t > ag:
+                        ag = t
+                if y is not None:
+                    t = y + v
+                    if bg is None or t > bg:
+                        bg = t
+        sides.append((ag, bg))
+    over = [(h, ah) for h, (ah, bh) in zip(gens, sides) if ah is not None and (bh is None or ah > bh)]
     out: List[Column] = []
     for g, (ag, bg) in zip(gens, sides):
-        if _le(ag, bg):
-            out.append(g)
-            out.extend(tuple(map(_add, map(_mul, repeat(ah), g), map(_mul, repeat(bg), h))) for h, ah in over)
+        if ag is not None and (bg is None or ag > bg):
+            continue
+        out.append(g)
+        if bg is None:
+            continue
+        for h, ah in over:
+            col = []
+            for u, w in zip(g, h):
+                if u is None:
+                    t = None if w is None else bg + w
+                elif w is None:
+                    t = ah + u
+                else:
+                    t, q = ah + u, bg + w
+                    if q > t:
+                        t = q
+                col.append(t if t is None or type(t) is int else _canonical(t))
+            out.append(_normalize(tuple(col)))
     return _prune(out)
 
 
-def _certified(s: InequalitySystem, gens: List[Column]) -> GeneratorSet:
-    """Box the generators, check each against the system; raise if one fails."""
-    vecs = [TropVector._trusted(g, MAX_PLUS) for g in gens]
-    for v in vecs:
-        if not check_solution(s, v):
-            raise CertificateInvalid(f"generator {v!r} violates A x <= B x")
-    return GeneratorSet(from_columns(vecs, MAX_PLUS))
+def _certified(a_rows: Tuple[Column, ...], b_rows: Tuple[Column, ...], gens: List[Column]) -> GeneratorSet:
+    """Check each generator against every row by the max-plus payload laws,
+    the fold `check_solution` runs, and raise if one fails; then box them."""
+    for g in gens:
+        for a, b in zip(a_rows, b_rows):
+            if not _le(reduce(_add, map(_mul, a, g), None), reduce(_add, map(_mul, b, g), None)):
+                raise CertificateInvalid(f"generator {TropVector._trusted(g, MAX_PLUS)!r} violates A x <= B x")
+    return GeneratorSet(TropMatrix._trusted(tuple(zip(*gens)), MAX_PLUS))
 
 
 def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:
@@ -149,11 +201,10 @@ def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:
         raise DimensionMismatch("row lengths differ")
     if a.tag is not MAX_PLUS or b.tag is not MAX_PLUS:
         raise TagMismatch("two-sided rows are over max-plus")
-    s = InequalitySystem(*(TropMatrix._trusted((v.payload,), MAX_PLUS) for v in (a, b)))
     gens = _intersect(list(identity(len(a)).payload), a.payload, b.payload)
     if not gens:
         raise Infeasible("b dominates a strictly in every coordinate; only x = 0 solves")
-    return _certified(s, gens)
+    return _certified((a.payload,), (b.payload,), gens)
 
 
 def solve_system(s: InequalitySystem) -> GeneratorSet:
@@ -171,4 +222,4 @@ def solve_system(s: InequalitySystem) -> GeneratorSet:
         gens = _intersect(gens, a_row, b_row)
     if not gens:
         raise Infeasible("only the zero vector solves the system")
-    return _certified(s, gens)
+    return _certified(s.a.payload, s.b.payload, gens)

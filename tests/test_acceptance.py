@@ -14,8 +14,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from tropkit.assign import (
     RegularityCertificate,
     assign_matrix,

@@ -11,7 +11,6 @@ from tropkit.dynamics import (
     RingWord,
     T1HSystem,
     build_crossing,
-    coordinate_rates,
     crossing_builder,
     eigen_reduce,
     exclusion_run,

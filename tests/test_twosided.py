@@ -8,7 +8,7 @@ from tropkit import twosided
 from tropkit.errors import CertificateInvalid, Infeasible
 from tropkit.projector import Semimodule, project
 from tropkit.semiring import scalar, sr_residual
-from tropkit.tropmat import from_columns, matrix, vector
+from tropkit.tropmat import from_columns, identity, matrix, vector
 from tropkit.twosided import (
     InequalitySystem,
     check_solution,
@@ -16,7 +16,7 @@ from tropkit.twosided import (
     solve_system,
 )
 
-from twosided_oracle import generators_oracle
+from twosided_oracle import generators_oracle, intersect_oracle
 
 BOT = "-inf"
 
@@ -90,6 +90,20 @@ def test_unsound_generator_raises_certificate_invalid(monkeypatch):
     monkeypatch.setattr(twosided, "_intersect", lambda gens, a, b: gens)
     with pytest.raises(CertificateInvalid):
         solve_system(InequalitySystem(matrix([[0, 3]]), matrix([[2, 1]])))
+
+
+def test_generator_violating_only_the_last_row_raises_certificate_invalid(monkeypatch):
+    # the injected column satisfies the first row and violates the second;
+    # the check runs every row, with no assert, so -O keeps it too
+    bad = (0, 0)
+    s = InequalitySystem(matrix([[0, 0], [1, 0]]), matrix([[0, 0], [0, 0]]))
+    assert check_solution(InequalitySystem(matrix([[0, 0]]), matrix([[0, 0]])), vector(bad))
+    assert not check_solution(s, vector(bad))
+    monkeypatch.setattr(twosided, "_intersect", lambda gens, a, b: [bad])
+    with pytest.raises(CertificateInvalid):
+        solve_system(s)
+    with pytest.raises(CertificateInvalid):
+        row_generators(vector([1, 0]), vector([0, 0]))
 
 
 def test_randomized_soundness_and_completeness():
@@ -208,3 +222,35 @@ def test_generators_match_object_level_oracle_random():
         except Infeasible:
             got = []
         assert got == want and payload_types(got) == payload_types(want)
+
+
+def test_row_step_matches_payload_oracle_random():
+    # the inline row step and order-free pruning against the laws-based row
+    # step and one-pass pairwise pruning, chained row by row: equal columns
+    # in value, order and payload type, with 0/20/50 % bottoms, Fractions of
+    # mixed denominators 2, 3, 6 and 7, weights scaled by 10**25, every shape
+    # up to the cap and a few 8x8 systems past it
+    rng = random.Random(22)
+    cap = twosided.COMBINATORIAL_CAP
+    shapes = [(rng.randint(1, cap), rng.randint(1, cap)) for _ in range(240)] + [(8, 8)] * 3
+    steps = 0
+    for k, (m, n) in enumerate(shapes):
+        bottoms, weight = (0, 0.2, 0.5)[k % 3], (1, 10**25)[k % 4 == 0]
+        denominators = ((1,), (1, 2), (1, 2, 3, 6, 7))[k // 3 % 3]
+
+        def row():
+            return vector([
+                None if rng.random() < bottoms
+                else Fraction(rng.randint(-3, 3) * weight * (q := rng.choice(denominators)) + rng.randrange(q), q)
+                for _ in range(n)
+            ]).payload
+
+        gens = list(identity(n).payload)
+        for _ in range(m):
+            a, b = row(), row()
+            got, want = twosided._intersect(gens, a, b), intersect_oracle(gens, a, b)
+            assert got == want and payload_types(got) == payload_types(want)
+            gens, steps = got, steps + 1
+            if not gens:
+                break
+    assert steps > 500
