@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .determ import _optimal_bijections
 from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
-from .semiring import MAX_PLUS, Payload, _canonical
+from .semiring import MAX_PLUS, Payload, _canonical, _rational
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
 
@@ -58,7 +58,7 @@ def apply_b(b: AssignMatrix, f: Sequence, transpose: bool = False) -> List[Paylo
     """(B f)_i = max_j (b_ij - f_j), the max-plus product of B and -f; the
     transpose uses b_ji."""
     m = b.data.transpose() if transpose else b.data
-    neg = TropVector(tuple(-Fraction(x) for x in f), MAX_PLUS)
+    neg = TropVector._trusted(tuple(-_rational(x) for x in f), MAX_PLUS)
     return list(m.apply(neg).payload)
 
 
@@ -79,7 +79,7 @@ def subdifferential(b: AssignMatrix, g: Sequence) -> SubdifferentialReport:
     is unique.
     """
     n = b.n
-    gv = [Fraction(x) for x in g]
+    gv = [_rational(x) for x in g]
     btg = apply_b(b, gv, transpose=True)
     mapping: Dict[int, FrozenSet[int]] = {}
     for i in range(n):

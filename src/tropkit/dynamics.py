@@ -11,9 +11,9 @@ Every branch of a homogeneous map, and every entry of a T1H control
 matrix, is one `MinPlusTerm`: a constant plus a sparse sum of exponent
 times coordinate, so a road step costs O(m).
 
-Every model steps on integer numerators X over one common denominator D.
-A map whose term constants and exponents have denominators dividing L is
-compiled once to integer terms scaled by L, and one step sends X / D to
+Caller values enter through `semiring._rational`, and every model steps on
+integer numerators X over one denominator D from `semiring._scaled`. A map
+is compiled once to integer terms scaled by L, and one step sends X / D to
 X' / (D L) with integer min and plus only (L = 1 for roads and the light,
 2 for both crossings). Iterations divide out gcd(D, X) after each step and
 build `Fraction`s only for the points they return, one per distinct value.
@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadConfig, DimensionMismatch, Diverged
-from .semiring import MIN_PLUS
+from .semiring import MIN_PLUS, _rational, _scaled
 from .tropmat import TropMatrix, mat_mul, matrix
 
 Rat = Fraction
@@ -117,13 +117,6 @@ def exclusion_run(w: RingWord, steps: int) -> Tuple[List[RingWord], List[Rat]]:
 IntTerm = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 
-def _scale_in(x: Sequence) -> Tuple[List[int], int]:
-    """Integer numerators X and the least common denominator D of x = X / D."""
-    fr = [Fraction(v) for v in x]
-    D = math.lcm(*(v.denominator for v in fr))
-    return [v.numerator * (D // v.denominator) for v in fr], D
-
-
 def _reduced(X: List[int], D: int) -> Tuple[List[int], int]:
     """X / D with gcd(D, *X) divided out."""
     if D == 1:
@@ -179,28 +172,14 @@ class MinPlusTerm:
     constant: Rat
     exponents: Tuple[Tuple[int, Rat], ...]
 
-    @property
-    def denominator(self) -> int:
-        """Least common denominator of the constant and the coefficients."""
-        return math.lcm(self.constant.denominator, *(e.denominator for _, e in self.exponents))
-
-    def scaled(self, L: int) -> IntTerm:
-        """(C, ((i, E), ...)) with C = constant * L and E = e * L.
-
-        The entries are integers when `denominator` divides L; at x = X / D
-        the term equals (C D + sum E X_i) / (D L).
-        """
-        c = self.constant
-        exps = tuple((i, e.numerator * (L // e.denominator)) for i, e in self.exponents)
-        return c.numerator * (L // c.denominator), exps
-
     def eval(self, x: Sequence[Rat]) -> Rat:
-        return self.constant + sum((e * Fraction(x[i]) for i, e in self.exponents), Fraction(0))
+        return self.constant + sum((e * _rational(x[i]) for i, e in self.exponents), Fraction(0))
 
 
 def _term(constant, pairs) -> MinPlusTerm:
     """The term with the given (index, coefficient) pairs; zeros dropped."""
-    return MinPlusTerm(Fraction(constant), tuple(sorted((i, Fraction(e)) for i, e in pairs if e)))
+    exps = ((i, _rational(e)) for i, e in pairs)
+    return MinPlusTerm(_rational(constant), tuple(sorted((i, e) for i, e in exps if e)))
 
 
 def term(constant, exponents) -> MinPlusTerm:
@@ -229,9 +208,13 @@ class HomogeneousMap:
 
     @cached_property
     def _compiled(self) -> Tuple[int, Tuple[Tuple[IntTerm, ...], ...]]:
-        """(L, coords): every term scaled by the lcm L of all its denominators."""
-        L = math.lcm(*(t.denominator for terms in self.coords for t in terms))
-        return L, tuple(tuple(t.scaled(L) for t in terms) for terms in self.coords)
+        """(L, coords): every term's constant C and exponents E scaled to
+        integers by one `_scaled` call; at x = X / D a term is (C D + sum E X_i) / (D L)."""
+        values = [v for terms in self.coords for t in terms for v in (t.constant, *(e for _, e in t.exponents))]
+        ints, L = _scaled(values)
+        ints = iter(ints)
+        return L, tuple(tuple((next(ints), tuple((i, next(ints)) for i, _ in t.exponents)) for t in terms)
+                        for terms in self.coords)
 
     def step(self, X: Sequence[int], D: int) -> Tuple[List[int], int]:
         """One step on integer numerators: the point X / D maps to X' / (D L)."""
@@ -251,7 +234,7 @@ class HomogeneousMap:
         return out, D * L
 
     def __call__(self, x: Sequence[Rat]) -> List[Rat]:
-        return _fractions(*self.step(*_scale_in(x)))
+        return _fractions(*self.step(*_scaled(list(map(_rational, x)))))
 
     def is_linear(self) -> bool:
         return all(
@@ -308,8 +291,8 @@ def hom_iterate(
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    bound = Fraction(spread_bound)
-    X, D = _scale_in(x0)
+    bound = _rational(spread_bound)
+    X, D = _scaled(list(map(_rational, x0)))
     point = _Points()
     traj = [point(X, D)]
     for _ in range(k):
@@ -345,22 +328,19 @@ class EigenReduction:
     lam: Callable[[Sequence[Rat]], Rat]
 
     def is_fixed_point(self, y: Sequence[Rat]) -> bool:
-        return [Fraction(v) for v in self.g(y)] == [Fraction(v) for v in y]
+        return self.g(y) == list(map(_rational, y))
 
 
 def eigen_reduce(f) -> EigenReduction:
     """Reduce the eigenproblem of a degree-one homogeneous map to y = g(y)."""
     dim = f.dim
 
-    def embed(y: Sequence[Rat]) -> List[Rat]:
-        return [Fraction(0)] + [Fraction(v) for v in y]
-
     def g(y: Sequence[Rat]) -> List[Rat]:
-        fx = f(embed(y))
+        fx = f([0, *y])
         return [fx[i] - fx[0] for i in range(1, dim)]
 
     def lam(y: Sequence[Rat]) -> Rat:
-        return f(embed(y))[0]
+        return f([0, *y])[0]
 
     return EigenReduction(dim - 1, g, lam)
 
@@ -394,7 +374,7 @@ def tent_trajectory(
     The map never grows the denominator q of y0, so the orbit runs on
     integer numerators over q: p -> min(2p, 2q - 2p).
     """
-    y = Fraction(y0)
+    y = _rational(y0)
     if not 0 <= y <= 1:
         raise BadConfig("tent map runs on [0, 1]")
     if k < 1:
@@ -522,7 +502,7 @@ def fundamental_diagram(
     """
     out: List[Tuple[Rat, Optional[Rat]]] = []
     for rho in densities:
-        rho = Fraction(rho)
+        rho = Fraction(_rational(rho))
         try:
             f, x0 = builder(rho)
             _, lam = hom_iterate(f, x0, steps)
@@ -536,7 +516,7 @@ def single_road_builder(m: int) -> Callable[[Rat], Tuple[HomogeneousMap, List[Ra
     """builder(rho) for one circular road with evenly spread cars."""
 
     def build(rho: Rat) -> Tuple[HomogeneousMap, List[Rat]]:
-        cars = Fraction(rho) * m
+        cars = _rational(rho) * m
         if cars.denominator != 1:
             raise BadConfig(f"density {rho} is not realizable on {m} cells")
         occ = [0] * m
@@ -556,7 +536,7 @@ def crossing_builder(
     """
 
     def build(rho: Rat) -> Tuple[HomogeneousMap, List[Rat]]:
-        total = Fraction(rho) * (2 * n)
+        total = _rational(rho) * (2 * n)
         if total.denominator != 1:
             raise BadConfig(f"density {rho} is not realizable on {2 * n} places")
         cars = int(total)
@@ -711,7 +691,7 @@ def t1h_simulate(system: T1HSystem, k: int):
         raise ValueError("need at least two steps")
     f = _t1h_map(system)
     udim = len(system.u0)
-    Y, D = _scale_in([*system.u0, *system.x0])
+    Y, D = _scaled(list(map(_rational, [*system.u0, *system.x0])))
     point = _Points()
     u_traj = [point(Y[:udim], D)]
     x_traj = [point(Y[udim:], D)]
@@ -794,8 +774,8 @@ def traffic_light_system(
 
 def light_gate_marking(system: T1HSystem, u: Sequence[Rat]) -> Tuple[Rat, Rat]:
     """The (a0, b0) token counts of the light at control state u."""
-    u = [Fraction(v) for v in u]
-    return (1 + u[0] - u[1], u[2] - u[3])
+    u = list(map(_rational, u))
+    return Fraction(1 + u[0] - u[1]), Fraction(u[2] - u[3])
 
 
 def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMatrix:
@@ -813,7 +793,7 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
         raise ValueError("road must be vertical or horizontal")
     f = _t1h_map(system)
     udim = len(system.u0)
-    Y, D = _scale_in([*system.u0, *system.x0])
+    Y, D = _scaled(list(map(_rational, [*system.u0, *system.x0])))
     mats = []
     for _ in range(4):
         a = system.a_of_u.eval(_fractions(Y[:udim], D)).payload

@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from .errors import TooLarge
-from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, parse_rational, payload_of
+from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, _rational, payload_of
 from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
 
 
@@ -41,17 +41,12 @@ def fraction_to_json(x: Union[int, Fraction]) -> Union[int, str]:
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def fraction_from_json(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise SchemaError(f"exact rational required, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return parse_rational(v)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    raise SchemaError(f"bad rational {v!r}")
+def fraction_from_json(v) -> Payload:
+    """The canonical payload of a JSON rational: an int or a "p/q" string."""
+    try:
+        return _rational(v)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _payload_to_json(v: Payload, tag: SemiringTag) -> Union[int, str, bool]:
@@ -186,7 +181,7 @@ def _mask_from_key(key: str, n: int) -> int:
     return mask
 
 
-def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFunction", Dict[int, Fraction]]:
+def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFunction", Dict[int, Payload]]:
     """Full subset function, or the raw mask mapping when partial=True."""
     from .plucker import CHECK_CAP, subset_function
 
@@ -199,7 +194,7 @@ def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFuncti
         raise SchemaError("subset function values must be an object")
     if n > CHECK_CAP:
         raise TooLarge(f"subset functions capped at n <= {CHECK_CAP}")
-    mapping: Dict[int, Optional[Fraction]] = {}
+    mapping: Dict[int, Payload] = {}
     for key, v in obj["values"].items():
         mask = _mask_from_key(key, n)
         mapping[mask] = None if v == "-inf" else fraction_from_json(v)

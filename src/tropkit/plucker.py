@@ -4,22 +4,23 @@ TP-functions satisfy the tropicalized 3-term Plucker relation as an exact
 equality of maxima; DMTP-functions satisfy the weaker "maximum attained at
 least twice" form of the 3- and 4-term relations. Normal flows on the
 planar grid digraph produce DMTP-functions; they are built subset by subset
-with one longest augmenting path each. TP-functions are determined by their
-values on the interval family, and submodularity of a TP-function can be
-read off the intervals alone. Building a subset function, the checkers, the
-flow construction and the reconstruction are all capped at n <= CHECK_CAP,
-because each one reads or writes a table over all 2^n subsets.
+with one longest augmenting path each, on weights scaled by
+`semiring._scaled`. Tables hold canonical payloads. TP-functions are
+determined by their values on the interval family, and submodularity of a
+TP-function can be read off the intervals alone. Building a subset
+function, the checkers, the flow construction and the reconstruction are
+all capped at n <= CHECK_CAP, because each one reads or writes a table over
+all 2^n subsets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import Inconsistent, NoFlow, TooLarge
+from .semiring import Payload, _canonical, _rational, _scaled, _unscaled
 
 CHECK_CAP = 8
 
@@ -56,16 +57,16 @@ def interval_masks(n: int) -> List[int]:
 
 @dataclass(frozen=True)
 class SubsetFunction:
-    """Total function 2^{1..n} -> Q (None marking minus infinity)."""
+    """Total function 2^{1..n} -> Q as canonical payloads (None marking minus infinity)."""
 
     n: int
-    table: Tuple[Optional[Fraction], ...]
+    table: Tuple[Payload, ...]
 
     def __post_init__(self):
         if len(self.table) != 1 << self.n:
             raise ValueError("table must cover every subset")
 
-    def value(self, subset: Union[int, Iterable[int]]) -> Optional[Fraction]:
+    def value(self, subset: Union[int, Iterable[int]]) -> Payload:
         mask = subset if isinstance(subset, int) else subset_mask(subset, self.n)
         return self.table[mask]
 
@@ -74,7 +75,7 @@ class SubsetFunction:
     def is_finite(self) -> bool:
         return all(v is not None for v in self.table)
 
-    def restrict_to_intervals(self) -> Dict[int, Fraction]:
+    def restrict_to_intervals(self) -> Dict[int, Payload]:
         """The mapping on the empty set and the intervals; input of reconstruction."""
         return {m: self.table[m] for m in interval_masks(self.n)}
 
@@ -83,11 +84,11 @@ def subset_function(n: int, values: Mapping) -> SubsetFunction:
     """Build from any mapping of subsets (masks or iterables) to rationals."""
     if n > CHECK_CAP:
         raise TooLarge(f"subset functions capped at n <= {CHECK_CAP}")
-    table: List[Optional[Fraction]] = [None] * (1 << n)
+    table: List[Payload] = [None] * (1 << n)
     assigned = [False] * (1 << n)
     for key, val in values.items():
         mask = key if isinstance(key, int) else subset_mask(key, n)
-        table[mask] = None if val is None else Fraction(val)
+        table[mask] = None if val is None else _rational(val)
         assigned[mask] = True
     if not all(assigned):
         raise ValueError("subset function must be total on the power set")
@@ -142,7 +143,7 @@ def is_tp(f: SubsetFunction) -> CheckResult:
     return CheckResult(True)
 
 
-def _max_twice(values: Sequence[Fraction]) -> bool:
+def _max_twice(values: Sequence[Payload]) -> bool:
     m = max(values)
     return sum(1 for v in values if v == m) >= 2
 
@@ -171,10 +172,10 @@ class GridFlowNet:
     """
 
     n: int
-    edge_weights: Tuple[Tuple[Edge, Fraction], ...]
+    edge_weights: Tuple[Tuple[Edge, Payload], ...]
 
     @property
-    def weights(self) -> Dict[Edge, Fraction]:
+    def weights(self) -> Dict[Edge, Payload]:
         return dict(self.edge_weights)
 
     def source(self, element: int) -> Tuple[int, int]:
@@ -200,7 +201,7 @@ def grid_net(n: int, weights: Mapping[Edge, object]) -> GridFlowNet:
     table = []
     wmap = dict(weights)
     for e in grid_edges(n):
-        table.append((e, Fraction(wmap.pop(e, 0))))
+        table.append((e, _rational(wmap.pop(e, 0))))
     if wmap:
         raise ValueError(f"weights given for non-grid edges: {sorted(wmap)}")
     return GridFlowNet(n, tuple(table))
@@ -250,16 +251,16 @@ def flow_tp(net: GridFlowNet) -> SubsetFunction:
     largest element e, plus one longest path in that flow's residual grid
     from the source of e to sink |S'|. Raises NoFlow if that path does not
     exist (the complete grid always routes). The paths run on the weights
-    scaled to integers by the lcm of their denominators.
+    scaled to integers by `semiring._scaled`.
     """
     n = net.n
     if n > CHECK_CAP:
         raise TooLarge(f"normal-flow construction capped at n <= {CHECK_CAP}")
-    scale = lcm(*(g.denominator for _, g in net.edge_weights))
+    weights, scale = _scaled([g for _, g in net.edge_weights])
     # tails bottom row first, left to right: a topological order of the
     # grid, so a path without backward arcs settles in one pass
     edges = sorted(
-        ((e, g.numerator * (scale // g.denominator)) for e, g in net.edge_weights),
+        zip((e for e, _ in net.edge_weights), weights),
         key=lambda ew: (-ew[0][0][0], ew[0][0][1]),
     )
     scaled = [0]
@@ -270,7 +271,7 @@ def flow_tp(net: GridFlowNet) -> SubsetFunction:
         gain, flow = _augment(edges, flows[rest], net.source(top), net.sink(bin(mask).count("1")))
         scaled.append(scaled[rest] + gain)
         flows.append(flow)
-    return SubsetFunction(n, tuple(Fraction(v, scale) for v in scaled))
+    return SubsetFunction(n, tuple(_unscaled(v, scale) for v in scaled))
 
 
 def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFunction:
@@ -285,7 +286,7 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
     if n > CHECK_CAP:
         raise TooLarge(f"reconstruction capped at n <= {CHECK_CAP}")
     needed = interval_masks(n)
-    table: List[Optional[Fraction]] = [None] * (1 << n)
+    table: List[Payload] = [None] * (1 << n)
     known = [False] * (1 << n)
     given = {k if isinstance(k, int) else subset_mask(k, n): v for k, v in interval_values.items()}
     for m in needed:
@@ -293,7 +294,7 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
             raise ValueError("interval data must cover the empty set and every interval")
         if given[m] is None:
             raise ValueError("interval values must be finite")
-        table[m] = Fraction(given[m])
+        table[m] = _rational(given[m])
         known[m] = True
     extra = set(given) - set(needed)
     if extra:
@@ -322,7 +323,7 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
                         table[a | bi | bj] + table[a | bk],
                         table[a | bj | bk] + table[a | bi],
                     )
-                    table[mask] = rhs - table[a | bj]
+                    table[mask] = _canonical(rhs - table[a | bj])
                     known[mask] = True
                     progress = True
                     break

@@ -10,11 +10,13 @@ Four tagged semirings are supported:
 A payload is the raw value behind a scalar: an exact rational, an `int`
 exactly when it is integral and else a `fractions.Fraction` (so the
 max-times zero is `0`), `None` for the bottoms -inf and +inf, or a `bool`
-for the boolean tag. Input coercion and every law that makes a new value
-return this canonical form. Floats are rejected so that every identity
-tested downstream holds with equality, not tolerance. `PayloadOps` holds
-each tag's laws on payloads, and the scalar operations and every matrix
-kernel read them there.
+for the boolean tag. Coercion (`_rational`, for a caller's rational in any
+module) and every law that makes a new value return this canonical form.
+Floats and bools are rejected so that every identity tested downstream
+holds with equality, not tolerance. Integer kernels scale payloads by
+`_scaled` and come back through `_unscaled`. `PayloadOps` holds each tag's
+laws on payloads, and the scalar operations and every matrix kernel read
+them there.
 The canonical order of an idempotent semiring (a <= b  iff  a + b == b) is
 the one used everywhere; note that for min-plus it is the reverse of the
 numeric order.
@@ -28,6 +30,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Union
 
 from .errors import DivisionByBottom, Divergent, TagMismatch
@@ -73,6 +76,30 @@ def _canonical(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def _rational(v):
+    """The canonical payload of an exact rational: an int, a Fraction or a
+    "p/q" string (see `parse_rational`). A float, a bool or anything else
+    raises TypeError, so no caller's value enters a kernel inexactly."""
+    if isinstance(v, str):
+        v = parse_rational(v)
+    elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise TypeError(f"exact rational required, got {v!r}")
+    return _canonical(v)
+
+
+def _scaled(values: list, scale: int = 1):
+    """(ints, L): the canonical payloads times one integer L, None kept as
+    None, where L is `scale` times the lcm of their denominators. The list
+    itself comes back when it holds no Fraction and scale is 1. `_unscaled`
+    is the inverse: `_unscaled(ints[i], L)` is values[i]."""
+    if Fraction in set(map(type, values)):
+        scale *= lcm(*{v.denominator for v in values if type(v) is Fraction})
+        return [None if v is None else v.numerator * (scale // v.denominator) for v in values], scale
+    if scale == 1:
+        return values, 1
+    return [None if v is None else v * scale for v in values], scale
+
+
 def _unscaled(v, scale: int):
     """v / scale as a canonical payload; None stays None."""
     if v is None:
@@ -106,12 +133,11 @@ def _coerce_payload(value, tag: SemiringTag):
             if tag is not MIN_PLUS:
                 raise ValueError(f"+inf is not an element of {tag.value}")
             return None
-        value = parse_rational(s)
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(f"exact rational required, got {value!r}")
+        value = s
+    value = _rational(value)
     if tag is MAX_TIMES and value < 0:
         raise ValueError("max-times scalars are nonnegative rationals")
-    return _canonical(value)
+    return value
 
 
 def payload_of(value: ScalarLike, tag: SemiringTag) -> Payload:

@@ -11,6 +11,7 @@ tight graph, the components with such an edge are the critical classes, and
 the generator of a class (the normalized star's column at its smallest node)
 comes from one Dijkstra search toward that node on the reduced weights.
 The Collatz-Wielandt witness is read from the same run's chi and eta.
+Howard runs on integer weights, scaled by `semiring._scaled`.
 Min-plus matrices are handled by duality through the canonical order.
 """
 
@@ -22,7 +23,7 @@ from functools import reduce
 from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
-from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, _unscaled
+from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, _scaled, _unscaled
 from .tropmat import TropMatrix, TropVector
 
 
@@ -188,16 +189,11 @@ def _howard(a: TropMatrix) -> Tuple[int, list, list, int, List[list]]:
     live, keep = None, list(range(n))
     while keep != live:  # drop the nodes without an edge into the rest
         live, keep = keep, [i for i in keep if any(w[i][j] is not None for j in keep)]
-    succ = [[(j, r[j]) for j in live if r[j] is not None] for r in w]
-    # one integer scale that makes every weight and every cycle mean integral
-    scale = math.lcm(*range(1, len(live) + 1))
-    denominators = {v.denominator for edges in succ for _, v in edges if type(v) is not int}
-    if denominators:
-        scale *= math.lcm(*denominators)
-        succ = [[(j, sign * v.numerator * (scale // v.denominator)) for j, v in edges] for edges in succ]
-    else:
-        step = sign * scale
-        succ = [[(j, v * step) for j, v in edges] for edges in succ]
+    heads = [[j for j in live if r[j] is not None] for r in w]
+    # a cycle of at most len(live) integer weights has an integral mean
+    ints, scale = _scaled([sign * r[j] for r, js in zip(w, heads) for j in js], math.lcm(*range(1, len(live) + 1)))
+    ints = iter(ints)
+    succ = [list(zip(js, ints)) for js in heads]  # zip stops at the end of js before drawing from ints
     pi = {i: max(succ[i], key=lambda e: e[1]) for i in live}  # (successor, weight)
     chi: List = [None] * n
     eta: List = [0 if s else None for s in succ]  # no node off live has an edge into it

@@ -12,8 +12,8 @@ Every kernel (product, sum, scaling, order, left residuation) picks its
 tag's `PayloadOps` once per call and runs the same code for all four tags.
 The Kleene star and plus-closure are one Floyd-Warshall pass that fails
 fast on divergence, and the interval star runs it on both endpoint
-matrices. The pass scales the signed weights to integers over one common
-denominator and packs each row into one int, a fixed-width field per
+matrices. The pass scales the signed weights to integers with
+`semiring._scaled` and packs each row into one int, a fixed-width field per
 column: a finite weight v is stored as v + 4R + 1, where R = n max |v|
 bounds every path weight, and a bottom as R, a weight so low that any path
 through it stays below -R. Every field then stays in [0, 6R + 1] during a
@@ -28,10 +28,8 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -49,6 +47,7 @@ from .semiring import (
     ScalarLike,
     SemiringTag,
     TropScalar,
+    _scaled,
     _unscaled,
     payload_of,
 )
@@ -330,7 +329,7 @@ def _unpack(packed: List[int], n: int, nbytes: int) -> Sequence[int]:
 def _closure(a: TropMatrix) -> List[list]:
     """Raw payloads (None = bottom) of the plus-closure of A, by one
     Floyd-Warshall pass on A's max-plus weights (min-plus negated), scaled
-    to integers by the lcm L of their denominators and packed one row per int.
+    to integers by `semiring._scaled` and packed one row per int.
 
     Let m be the largest |scaled weight| and R = n m, so a path of at most
     n finite edges weighs in [-R, R]. Row i is one int with column j in
@@ -359,13 +358,8 @@ def _closure(a: TropMatrix) -> List[list]:
     n = a.rows
     if not n:
         return []
-    rows = a.payload
-    finite = [v for row in rows for v in row if v is not None]
-    scale = 1
-    if Fraction in set(map(type, finite)):
-        scale = lcm(*{v.denominator for v in finite})
-        rows = [[None if v is None else v.numerator * (scale // v.denominator) for v in row] for row in rows]
-    bound = n * int(scale * max(max(finite, default=0), -min(finite, default=0)))
+    flat, scale = _scaled(list(chain.from_iterable(a.payload)))
+    bound = n * max(map(abs, [v for v in flat if v is not None]), default=0)
     off, low = 4 * bound + 1, 3 * bound + 1
     nbytes = ((6 * bound + 1).bit_length() + 8) // 8  # room for the guard bit
     nbytes = min((b for b in _ARRAY_CODES if b >= nbytes), default=nbytes)
@@ -373,7 +367,7 @@ def _closure(a: TropMatrix) -> List[list]:
     (ones,) = _pack([1] * n, nbytes, n)
     guards = ones << top
     field = (1 << (top + 1)) - 1
-    p = _pack([bound if v is None else sign * v + off for row in rows for v in row], nbytes, n)
+    p = _pack([bound if v is None else sign * v + off for v in flat], nbytes, n)
     for k, pk in enumerate(p):
         at = k * (top + 1)
         dkk = ((pk >> at) & field) - off

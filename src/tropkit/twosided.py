@@ -22,8 +22,8 @@ once the attained coordinates cover c's support. The pairwise one-pass
 pruning this replaces is the test oracle in `tests/twosided_oracle.py`.
 
 Before they are returned, the generators are checked against every row on
-their payloads by the max-plus laws, the fold `check_solution` runs and not
-the kernel's inline arithmetic, and boxed into one matrix.
+their payloads by the max-plus laws, the one test `check_solution` runs and
+not the kernel's inline arithmetic, and boxed into one matrix.
 """
 
 from __future__ import annotations
@@ -73,7 +73,15 @@ def check_solution(s: InequalitySystem, x: TropVector) -> bool:
     """True iff A x <= B x holds entrywise, exactly."""
     if len(x) != s.cols:
         raise DimensionMismatch("vector length does not match the system")
-    return s.a.apply(x) <= s.b.apply(x)
+    if x.tag is not MAX_PLUS:
+        raise TagMismatch("matrix and vector tags differ")
+    return _satisfies(s.a.payload, s.b.payload, x.payload)
+
+
+def _satisfies(a_rows: Tuple[Column, ...], b_rows: Tuple[Column, ...], x: Column) -> bool:
+    """A x <= B x on payloads by the max-plus laws, not the row step's inline arithmetic."""
+    return all(_le(reduce(_add, map(_mul, a, x), None), reduce(_add, map(_mul, b, x), None))
+               for a, b in zip(a_rows, b_rows))
 
 
 def _canon(c):
@@ -180,12 +188,11 @@ def _intersect(gens: List[Column], a: Column, b: Column) -> List[Column]:
 
 
 def _certified(a_rows: Tuple[Column, ...], b_rows: Tuple[Column, ...], gens: List[Column]) -> GeneratorSet:
-    """Check each generator against every row by the max-plus payload laws,
-    the fold `check_solution` runs, and raise if one fails; then box them."""
+    """Check each generator by `_satisfies`, the test `check_solution` runs,
+    and raise if one fails; then box them."""
     for g in gens:
-        for a, b in zip(a_rows, b_rows):
-            if not _le(reduce(_add, map(_mul, a, g), None), reduce(_add, map(_mul, b, g), None)):
-                raise CertificateInvalid(f"generator {TropVector._trusted(g, MAX_PLUS)!r} violates A x <= B x")
+        if not _satisfies(a_rows, b_rows, g):
+            raise CertificateInvalid(f"generator {TropVector._trusted(g, MAX_PLUS)!r} violates A x <= B x")
     return GeneratorSet(TropMatrix._trusted(tuple(zip(*gens)), MAX_PLUS))
 
 

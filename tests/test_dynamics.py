@@ -203,6 +203,8 @@ def test_single_road_diagram():
     assert pts[Fraction(1, 3)] is None
     assert pts[Fraction(3, 10)] == Fraction(3, 10)
     assert pts[Fraction(7, 10)] == Fraction(3, 10)
+    # integer densities and throughputs still come back as Fractions
+    assert {type(v) for point in fundamental_diagram(build, [0, 1], steps=4) for v in point} == {Fraction}
 
 
 def test_t1h_traffic_light():
@@ -211,6 +213,7 @@ def test_t1h_traffic_light():
     marks = [light_gate_marking(sys, u) for u in u_traj[:8]]
     assert marks[:4] == [(1, 0), (0, 0), (0, 1), (0, 0)]
     assert marks[4:8] == marks[:4]
+    assert {type(v) for m in marks + [light_gate_marking(sys, [0, 0, 0, 0])] for v in m} == {Fraction}
     assert report is not None and report.period == 4
     assert all(g == Fraction(1, 4) for g in report.gain)
     lam_v = max_cycle_mean(four_phase_product(sys, "vertical", 5)).value

@@ -87,8 +87,10 @@ def test_schema_errors():
         tio.matrix_from_json({"semiring": "max-plus", "rows": 2, "cols": 2, "data": [[0]]})
     with pytest.raises(tio.SchemaError):
         tio.matrix_from_json({"semiring": "nope", "rows": 1, "cols": 1, "data": [[0]]})
-    with pytest.raises(tio.SchemaError):
-        tio.fraction_from_json(0.5)
+    for bad in (0.5, True, [1], "1.5"):
+        with pytest.raises(tio.SchemaError):
+            tio.fraction_from_json(bad)
+    assert [type(tio.fraction_from_json(v)) for v in (3, "6/2", "1/2")] == [int, int, Fraction]
     with pytest.raises(tio.SchemaError):
         tio.vector_from_json({"semiring": "max-plus", "data": ["+inf"]})
 

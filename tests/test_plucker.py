@@ -47,7 +47,7 @@ def test_flow_matches_path_system_oracle():
             net = grid_net(n, w)
             f = flow_tp(net)
             assert list(f.table) == flow_table_enumerated(net)
-            assert all(type(v) is Fraction for v in f.table)
+            assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in f.table)
 
 
 @pytest.mark.parametrize("n", range(1, CHECK_CAP + 1))

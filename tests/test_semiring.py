@@ -1,18 +1,30 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from tropkit import dynamics
 from tropkit.assign import (
     AssignMatrix,
     RegularityCertificate,
     apply_b,
+    assign_matrix,
     distances_potentials,
     optimal_bijections,
     strong_regularity,
+    subdifferential,
 )
 from tropkit.determ import bideterminant, permanent, rook_coefficients
-from tropkit.errors import DivisionByBottom, Divergent, Infeasible, NoCycle, TagMismatch
+from tropkit.errors import DivisionByBottom, Divergent, Inconsistent, Infeasible, NoCycle, TagMismatch
+from tropkit.plucker import (
+    flow_tp,
+    grid_edges,
+    grid_net,
+    interval_masks,
+    reconstruct_from_intervals,
+    subset_function,
+)
 from tropkit.projector import project, semimodule
 from tropkit.semiring import (
     BOOLEAN,
@@ -20,6 +32,9 @@ from tropkit.semiring import (
     MAX_TIMES,
     MIN_PLUS,
     Interval,
+    _canonical,
+    _scaled,
+    _unscaled,
     interval,
     iv_binary,
     one,
@@ -248,7 +263,8 @@ def _rand_matrix(rng, tag, m, n, nonpositive=False):
 
 def test_every_kernel_returns_canonical_payloads():
     rng = random.Random(20)
-    certificates = 0
+    plucker_rng = random.Random(23)  # its own stream, so the draws above stay as they were
+    certificates = reconstructions = 0
     for trial in range(240):
         tag = (MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN)[trial % 4]
         n = rng.randint(1, 4)
@@ -297,6 +313,67 @@ def test_every_kernel_returns_canonical_payloads():
                 if isinstance(reg, RegularityCertificate):
                     outs += [reg.f, reg.g]
                     certificates += 1
+            # plucker tables, from Fractions that may be integral; reconstruction
+            # sums and differences can build an integral Fraction as well
+            net = grid_net(n, {e: plucker_rng.choice(_THIRDS_HALVES) for e in grid_edges(n)})
+            outs.append(flow_tp(net).table)
+            outs.append(subset_function(n, {m: plucker_rng.choice(_THIRDS_HALVES + [None]) for m in range(1 << n)}).table)
+            intervals = {m: plucker_rng.choice(_THIRDS_HALVES) for m in interval_masks(n)}
+            try:
+                outs.append(reconstruct_from_intervals(n, intervals).table)
+                reconstructions += n >= 3
+            except Inconsistent:
+                pass
         for out in outs:
             _assert_canonical(out, tag)
     assert certificates >= 50  # strongly regular cases, integer and rational, were checked
+    assert reconstructions >= 10  # reconstructions that derive non-interval values
+
+
+def test_scaled_round_trips_through_unscaled_random():
+    rng = random.Random(23)
+    for trial in range(400):
+        n = rng.randint(1, 12)
+        big = 10 ** rng.choice((1, 6, 30))
+        den = 1 if trial % 3 == 0 else rng.choice((2, 3, 7, 10**6, 10**30))  # every third list is all ints
+        values = [None if rng.random() < 0.2 else _canonical(Fraction(rng.randint(-big, big), rng.randint(1, den)))
+                  for _ in range(n)]
+        for base in (1, lcm(*range(1, n + 1))):
+            ints, scale = _scaled(list(values), base)
+            assert scale % base == 0
+            assert all((v is None) == (x is None) and (v is None or type(v) is int) for v, x in zip(ints, values))
+            back = [_unscaled(v, scale) for v in ints]
+            assert back == values
+            _assert_canonical(back, MAX_PLUS)
+
+
+def test_floats_and_bools_are_rejected_at_every_rational_entry():
+    road = dynamics.road_event_graph([1, 0, 1, 0])
+    am = assign_matrix([[0, 1], [2, 0]])
+    edge = grid_edges(2)[0]
+    entries = {
+        "dynamics.term constant": lambda x: dynamics.term(x, [1]),
+        "dynamics.term exponent": lambda x: dynamics.term(0, [x, 1]),
+        "dynamics.uterm": lambda x: dynamics.uterm(x, [1, -1]),
+        "dynamics.hom_iterate x0": lambda x: dynamics.hom_iterate(road, [x, 0, 0, 0], 4),
+        "dynamics.hom_iterate spread_bound": lambda x: dynamics.hom_iterate(road, [0, 0, 0, 0], 4, x),
+        "dynamics.HomogeneousMap.__call__": lambda x: road([x, 0, 0, 0]),
+        "dynamics.tent_trajectory": lambda x: dynamics.tent_trajectory(x, 2),
+        "dynamics.fundamental_diagram": lambda x: dynamics.fundamental_diagram(
+            dynamics.single_road_builder(4), [x], steps=4),
+        "plucker.subset_function": lambda x: subset_function(1, {0: x, 1: 1}),
+        "plucker.grid_net": lambda x: grid_net(2, {edge: x}),
+        "plucker.reconstruct_from_intervals": lambda x: reconstruct_from_intervals(1, {0: x, 1: 0}),
+        "assign.apply_b": lambda x: apply_b(am, [x, 0]),
+        "assign.subdifferential": lambda x: subdifferential(am, [x, 0]),
+    }
+    accepted = []
+    for name, call in entries.items():
+        for x in (0.5, 1.0, True, False):
+            try:
+                call(x)
+            except TypeError as exc:
+                assert "exact rational required" in str(exc), (name, x, exc)
+            else:
+                accepted.append((name, x))
+    assert accepted == []

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from tropkit import twosided
-from tropkit.errors import CertificateInvalid, Infeasible
+from tropkit.errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch
 from tropkit.projector import Semimodule, project
-from tropkit.semiring import scalar, sr_residual
+from tropkit.semiring import MIN_PLUS, scalar, sr_residual
 from tropkit.tropmat import from_columns, identity, matrix, vector
 from tropkit.twosided import (
     InequalitySystem,
@@ -63,6 +63,10 @@ def test_check_solution_examples():
     assert check_solution(s, vector([0, -1]))  # both sides equal 2
     assert s.a.apply(vector([0, -1])) == s.b.apply(vector([0, -1]))
     assert not check_solution(s, vector([0, 0]))  # lhs 3 > rhs 2
+    with pytest.raises(DimensionMismatch):
+        check_solution(s, vector([0, 0, 0]))
+    with pytest.raises(TagMismatch):
+        check_solution(s, vector([0, 0], MIN_PLUS))
 
 
 def test_solve_system_examples():
