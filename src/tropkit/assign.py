@@ -7,20 +7,24 @@ regularity is uniqueness of the optimal assignment with strict dual
 certificates: the `determ` Hungarian kernel decides uniqueness and its
 optimal duals, lifted along the acyclic digraph of tight edges, give the
 strict duals. Every strongly regular matrix is similar to a strongly normal
-one. Optimal distances and potentials come from the Kleene closure of the
-reduced-cost matrix.
+one. The strict duals, the certificate check and the normal form run on
+integers: B's payloads and the duals (or a caller's f and g) are scaled to
+ints over one scale by one `semiring._scaled` call, and the values come
+back through `_unscaled`. Optimal distances and potentials come from the
+Kleene closure of the reduced-cost matrix. The Fraction-based versions are
+the test oracle in `tests/assign_oracle.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .determ import _optimal_bijections
 from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
-from .semiring import MAX_PLUS, Payload, _canonical, _rational
+from .semiring import MAX_PLUS, Payload, _rational, _scaled, _unscaled
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
 
@@ -124,8 +128,19 @@ def optimal_bijections(b: AssignMatrix, keep: int = 2):
     return value, witnesses
 
 
-def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...], u, v) -> Tuple[Payload, ...]:
-    """Finite f with b_{iF(i)} - f_{F(i)} > b_ik - f_k for all k != F(i).
+def _on_one_scale(b: AssignMatrix, vectors: Sequence[Sequence], scale: int = 1):
+    """(rows, vectors, L): B's payload rows and each length-n vector of
+    canonical payloads as ints over one L, a multiple of `scale`, by one
+    `semiring._scaled` call; `_unscaled(x, L)` reads a value back."""
+    n = b.n
+    flat, scale = _scaled([*chain.from_iterable(b.data.payload), *chain.from_iterable(vectors)], scale)
+    rows = [flat[i:i + n] for i in range(0, n * n, n)]
+    return rows, [flat[k:k + n] for k in range(n * n, len(flat), n)], scale
+
+
+def _strict_dual(rows: List[list], perm: Tuple[int, ...], u: list, v: list, scale: int) -> List[int]:
+    """Finite f with b_{iF(i)} - f_{F(i)} > b_ik - f_k for all k != F(i), on
+    B's rows and the optimal duals u, v as ints over one scale L that n divides.
 
     The optimal duals give u_i = b_{iF(i)} - v_{F(i)} >= b_ik - v_k, with
     slack u_i + v_k - b_ik. The tight edges F(i) -> k (k != F(i), no slack)
@@ -133,13 +148,15 @@ def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...], u, v) -> Tuple[Payload,
     cycle would reassign its rows to another optimal bijection. So
     f_k = v_k + t depth_k, with depth_k the longest tight path ending at k,
     is strict on every tight edge; depths differ by less than n, so t = (least
-    positive slack) / n keeps every slack edge strict.
+    positive slack) / n keeps every slack edge strict, and t = 1 / n when no
+    edge has slack. n divides L and every slack times L / n is an int, so t
+    is an int on this scale.
     """
-    n = b.n
+    n = len(rows)
     succ: List[List[int]] = [[] for _ in range(n)]
     indegree = [0] * n
     least = None
-    for i, row in enumerate(b.data.payload):
+    for i, row in enumerate(rows):
         for k, e in enumerate(row):
             if k == perm[i] or e is None:
                 continue
@@ -157,8 +174,8 @@ def _strict_dual(b: AssignMatrix, perm: Tuple[int, ...], u, v) -> Tuple[Payload,
             indegree[k] -= 1
             if not indegree[k]:
                 order.append(k)
-    t = Fraction(1 if least is None else least, n)
-    return tuple(_canonical(v[k] + t * depth[k]) for k in range(n))
+    t = (scale if least is None else least) // n
+    return [v[k] + t * depth[k] for k in range(n)]
 
 
 def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStronglyRegular]:
@@ -170,8 +187,10 @@ def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStrong
     with b_{iF(i)} - f_{F(i)} > b_ik - f_k (k != F(i)) by _strict_dual, and
     g_i = b_{iF(i)} - f_{F(i)} satisfies the column-dual strict inequality;
     the certificate realizes the subdifferential singleton equivalences and
-    is checked before it is returned. Otherwise the obstruction names the
-    first optimal bijections in lexicographic order, when any exist.
+    is checked before it is returned. B and the duals are scaled to ints
+    over one L once, and f and g come back through `_unscaled`. Otherwise
+    the obstruction names the first optimal bijections in lexicographic
+    order, when any exist.
     """
     value, witnesses, duals = _optimal_bijections(b.data.payload, MAX_PLUS, 2)
     if value is None:
@@ -179,29 +198,36 @@ def strong_regularity(b: AssignMatrix) -> Union[RegularityCertificate, NotStrong
     if len(witnesses) > 1:
         return NotStronglyRegular(witnesses[0], witnesses[1], "optimal bijection is not unique")
     perm = witnesses[0]
-    f = _strict_dual(b, perm, *duals)
-    g = tuple(_canonical(b.entry(i, perm[i]) - f[perm[i]]) for i in range(b.n))
-    cert = RegularityCertificate(perm, f, g)
-    _validate_certificate(b, cert)
-    return cert
+    rows, (u, v), scale = _on_one_scale(b, duals, b.n)
+    f = _strict_dual(rows, perm, u, v, scale)
+    g = [row[j] - f[j] for row, j in zip(rows, perm)]
+    _validate_certificate(rows, perm, f, g)
+    return RegularityCertificate(
+        perm, tuple(_unscaled(x, scale) for x in f), tuple(_unscaled(x, scale) for x in g)
+    )
 
 
-def _validate_certificate(b: AssignMatrix, cert: RegularityCertificate) -> None:
-    n = b.n
-    perm, f, g = cert.bijection, cert.f, cert.g
+def _validate_certificate(rows: List[list], perm: Sequence[int], f: list, g: list) -> None:
+    """Raise CertificateInvalid unless the bijection avoids the bottom and
+    both dual inequalities hold strictly, on B's rows, f and g as ints over
+    one scale."""
+    n = len(rows)
     for i in range(n):
-        base = b.entry(i, perm[i])
+        row, p = rows[i], perm[i]
+        base = row[p]
         if base is None:
             raise CertificateInvalid("bijection uses a bottom entry")
+        top = base - f[p]
         for k in range(n):
-            if k != perm[i]:
-                e = b.entry(i, k)
-                if e is not None and not base - f[perm[i]] > e - f[k]:
+            if k != p:
+                e = row[k]
+                if e is not None and not top > e - f[k]:
                     raise CertificateInvalid("row-dual inequality fails strictly")
+        top = base - g[i]
         for k in range(n):
             if k != i:
-                e = b.entry(k, perm[i])
-                if e is not None and not base - g[i] > e - g[k]:
+                e = rows[k][p]
+                if e is not None and not top > e - g[k]:
                     raise CertificateInvalid("column-dual inequality fails strictly")
 
 
@@ -209,20 +235,24 @@ def normal_form(b: AssignMatrix, cert: RegularityCertificate) -> AssignMatrix:
     """Similar strongly normal matrix: c_ij = b_{iF(j)} - f_{F(j)} - g_i.
 
     The diagonal is zero and off-diagonal entries are strictly negative
-    (or bottom); raises CertificateInvalid when the certificate is stale.
+    (or bottom). Raises CertificateInvalid when the certificate is malformed
+    (the bijection is no permutation of range(n), or f or g has not n
+    entries) or stale; f and g are read through `semiring._rational`. The
+    check and the entries run on ints over one scale.
     """
-    _validate_certificate(b, cert)
     n = b.n
-    perm, f = cert.bijection, cert.f
-    rows = []
-    for i in range(n):
-        base = b.entry(i, perm[i]) - f[perm[i]]
-        row = []
-        for j in range(n):
-            e = b.entry(i, perm[j])
-            row.append(None if e is None else e - f[perm[j]] - base)
-        rows.append(row)
-    return assign_matrix(rows)
+    perm = cert.bijection
+    if any(type(j) is not int for j in perm) or sorted(perm) != list(range(n)):
+        raise CertificateInvalid(f"bijection is not a permutation of range({n})")
+    if len(cert.f) != n or len(cert.g) != n:
+        raise CertificateInvalid(f"f and g need {n} entries each")
+    rows, (f, g), scale = _on_one_scale(b, ([_rational(x) for x in cert.f], [_rational(x) for x in cert.g]))
+    _validate_certificate(rows, perm, f, g)
+    out = []
+    for row, p in zip(rows, perm):
+        base = row[p] - f[p]
+        out.append(tuple(None if row[j] is None else _unscaled(row[j] - f[j] - base, scale) for j in perm))
+    return AssignMatrix(TropMatrix._trusted(tuple(out), MAX_PLUS))
 
 
 def distances_potentials(

@@ -166,11 +166,18 @@ class MinPlusTerm:
     """constant + sum of e * x_i over the sparse exponent pairs (i, e).
 
     `exponents` is a tuple of (index, coefficient) pairs sorted by index,
-    every coefficient nonzero; one branch of a min.
+    every coefficient nonzero; one branch of a min. The constructor reads
+    the constant and each coefficient once through `semiring._rational`,
+    then drops the zero coefficients and sorts the pairs by index.
     """
 
     constant: Rat
     exponents: Tuple[Tuple[int, Rat], ...]
+
+    def __post_init__(self):
+        exps = ((i, _rational(e)) for i, e in self.exponents)
+        object.__setattr__(self, "constant", _rational(self.constant))
+        object.__setattr__(self, "exponents", tuple(sorted((i, e) for i, e in exps if e)))
 
     def eval(self, x: Sequence[Rat]) -> Rat:
         return self.constant + sum((e * _rational(x[i]) for i, e in self.exponents), Fraction(0))
@@ -178,8 +185,7 @@ class MinPlusTerm:
 
 def _term(constant, pairs) -> MinPlusTerm:
     """The term with the given (index, coefficient) pairs; zeros dropped."""
-    exps = ((i, _rational(e)) for i, e in pairs)
-    return MinPlusTerm(_rational(constant), tuple(sorted((i, e) for i, e in exps if e)))
+    return MinPlusTerm(constant, tuple(pairs))
 
 
 def term(constant, exponents) -> MinPlusTerm:
@@ -649,7 +655,7 @@ def _plus_coordinate(t: MinPlusTerm, i: int) -> MinPlusTerm:
     """
     exps = dict(t.exponents)
     exps[i] = exps.get(i, 0) + 1
-    return MinPlusTerm(t.constant, tuple(sorted((j, e) for j, e in exps.items() if e)))
+    return MinPlusTerm(t.constant, tuple(exps.items()))
 
 
 def _t1h_map(system: T1HSystem) -> HomogeneousMap:

@@ -57,7 +57,8 @@ def interval_masks(n: int) -> List[int]:
 
 @dataclass(frozen=True)
 class SubsetFunction:
-    """Total function 2^{1..n} -> Q as canonical payloads (None marking minus infinity)."""
+    """Total function 2^{1..n} -> Q as canonical payloads (None marking minus
+    infinity); the constructor reads each value once through `semiring._rational`."""
 
     n: int
     table: Tuple[Payload, ...]
@@ -65,6 +66,7 @@ class SubsetFunction:
     def __post_init__(self):
         if len(self.table) != 1 << self.n:
             raise ValueError("table must cover every subset")
+        object.__setattr__(self, "table", tuple(None if v is None else _rational(v) for v in self.table))
 
     def value(self, subset: Union[int, Iterable[int]]) -> Payload:
         mask = subset if isinstance(subset, int) else subset_mask(subset, self.n)
@@ -88,7 +90,7 @@ def subset_function(n: int, values: Mapping) -> SubsetFunction:
     assigned = [False] * (1 << n)
     for key, val in values.items():
         mask = key if isinstance(key, int) else subset_mask(key, n)
-        table[mask] = None if val is None else _rational(val)
+        table[mask] = val
         assigned[mask] = True
     if not all(assigned):
         raise ValueError("subset function must be total on the power set")
@@ -169,10 +171,14 @@ class GridFlowNet:
     Sources are the column-1 vertices read bottom-up (element s of the
     ground set sits at (n+1-s, 1)); sinks are the row-1 vertices left to
     right. This boundary labeling is a fixed convention of the artifact.
+    The constructor reads each weight once through `semiring._rational`.
     """
 
     n: int
     edge_weights: Tuple[Tuple[Edge, Payload], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge_weights", tuple((e, _rational(w)) for e, w in self.edge_weights))
 
     @property
     def weights(self) -> Dict[Edge, Payload]:
@@ -201,7 +207,7 @@ def grid_net(n: int, weights: Mapping[Edge, object]) -> GridFlowNet:
     table = []
     wmap = dict(weights)
     for e in grid_edges(n):
-        table.append((e, _rational(wmap.pop(e, 0))))
+        table.append((e, wmap.pop(e, 0)))
     if wmap:
         raise ValueError(f"weights given for non-grid edges: {sorted(wmap)}")
     return GridFlowNet(n, tuple(table))

@@ -11,6 +11,13 @@ its radius is the value of a mean-payoff game: strategy iteration over the
 residuals' row choices (Cochet-Terrasson, Gaubert & Gunawardena) bounds it
 from above by a max-plus linear map and from below by an exact eigenvector,
 so every reported value is certified at every dimension.
+
+Separation checks its halfspaces, which hold max-plus vectors only, on
+payload tuples: one helper decides membership with inline max-plus
+arithmetic, for `Halfspace.contains` after its tag and length checks and
+for the containment and grid checks of `separate`. `project` and the
+radius's eigenvector test share one payload projection. The boxed checks
+are the test oracle in `tests/projector_oracle.py`.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TropkitError
 from .semiring import MAX_PLUS, SemiringTag, TropScalar, one, sr_mul, zero
 from .spectral import _cycle_time
-from .tropmat import TropMatrix, TropVector, from_columns, mat_residual_left, vec_residual, vector
+from .tropmat import TropMatrix, TropVector, _apply, _residual_left, from_columns, vec_residual, vector
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,13 @@ def project(v: Semimodule, x: TropVector) -> TropVector:
         raise DimensionMismatch("ambient dimensions differ")
     if v.tag is not x.tag:
         raise TagMismatch("semimodule and vector tags differ")
-    return v.generators.apply(mat_residual_left(v.generators, x))
+    return TropVector._trusted(_project(v, x.payload), x.tag)
+
+
+def _project(v: Semimodule, xs: tuple) -> tuple:
+    """P_V(x) on payloads, for every tag: x's payload in, the projection's out."""
+    rows, ops = v.generators.payload, v.tag.ops
+    return _apply(rows, _residual_left(rows, xs, ops), ops)
 
 
 def cyclic_orbit(vs: Sequence[Semimodule], x0: TropVector, sweeps: int) -> List[TropVector]:
@@ -119,19 +132,51 @@ class HilbertReport:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """Idempotent halfspace {x : u/x >= v/x} plus the zero vector, u <= v."""
+    """Idempotent halfspace {x : u/x >= v/x} plus the zero vector, u <= v,
+    over max-plus (the only tag `separate` produces)."""
 
     u: TropVector
     v: TropVector
 
     def __post_init__(self):
+        if self.u.tag is not MAX_PLUS or self.v.tag is not MAX_PLUS:
+            raise ValueError("halfspaces are provided over max-plus")
         if not self.u <= self.v:
             raise ValueError("halfspace needs u <= v")
 
     def contains(self, x: TropVector) -> bool:
-        if x.is_zero:
+        if x.tag is not MAX_PLUS:
+            raise TagMismatch("vector tags differ")
+        if len(x) != len(self.u):
+            raise DimensionMismatch("vector lengths differ")
+        return _in_halfspace(self.u.payload, self.v.payload, x.payload)
+
+
+def _in_halfspace(u: tuple, v: tuple, x: tuple) -> bool:
+    """x in {y : u/y >= v/y} u {0}, on max-plus payload tuples (None for -inf).
+
+    Over S = supp x, v/x is the min of v_i - x_i and u/x that of u_i - x_i,
+    each -inf when one of its terms is. So x is in when S is empty or some
+    v_i (i in S) is -inf, out when some u_i (i in S) is -inf and no v_i is,
+    and otherwise in iff min v_i - x_i <= min u_i - x_i.
+    """
+    lo_u = lo_v = None
+    u_bottom = False
+    for ui, vi, xi in zip(u, v, x):
+        if xi is None:
+            continue
+        if vi is None:
             return True
-        return vec_residual(self.u, x) >= vec_residual(self.v, x)
+        t = vi - xi
+        if lo_v is None or t < lo_v:
+            lo_v = t
+        if ui is None:
+            u_bottom = True
+        elif not u_bottom:
+            t = ui - xi
+            if lo_u is None or t < lo_u:
+                lo_u = t
+    return lo_v is None or (not u_bottom and lo_v <= lo_u)
 
 
 @dataclass(frozen=True)
@@ -223,8 +268,11 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
             return HilbertReport(zero(tag), (), frozenset())
         lam = TropScalar._fast(max(c for c in chi if c is not None), tag)
         x = TropVector._trusted(tuple(e if c == lam.value else None for c, e in zip(chi, eta)), tag)
-        orbit = cyclic_orbit(vs, x, 1)
-        if orbit[-1] == x.scale(lam):
+        orbit, y = [], x.payload
+        for v in vs:
+            y = _project(v, y)
+            orbit.append(y)
+        if y == x.scale(lam).payload:
             break
         seen.add(sigma)
         improved = []
@@ -238,19 +286,10 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     support = x.support()
     inside = [g for g in vs[-1].generators.columns() if g.support() <= support]
     c = vec_residual(reduce(TropVector.__add__, inside), x)
-    eig, witnesses = x.scale(c), tuple(w.scale(c) for w in orbit)
+    eig, witnesses = x.scale(c), tuple(TropVector._trusted(w, tag).scale(c) for w in orbit)
     if hilbert_value(witnesses) != lam:
         raise CertificateInvalid("orbit witnesses fail to attain the eigenvalue")
     return HilbertReport(lam, witnesses, support, eig)
-
-
-def _grid_points(vs: Sequence[Semimodule]) -> List[TropVector]:
-    """Generators plus pairwise sums: the falsification grid for separation."""
-    gens = [g for v in vs for g in v.generators.columns()]
-    pts = list(gens)
-    for a, b in itertools.combinations(gens, 2):
-        pts.append(a + b)
-    return pts
 
 
 def separate(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:
@@ -269,9 +308,32 @@ def separate(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:
 
 def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfspace], NotSeparable]:
     """separate(vs), given the cyclic spectral radius report `rep` of vs."""
-    unit = one(MAX_PLUS)
-    if rep.value == unit:
+    if rep.value == one(MAX_PLUS):
         return NotSeparable(witness=rep.witness_vectors[0])
+    halfspaces = _halfspaces(vs, rep)
+    # both checks run on payload tuples: the generators, then the grid of
+    # the generators and their pairwise sums, all nonzero as generators are
+    add = MAX_PLUS.ops.add
+    for v, h in zip(vs, halfspaces):
+        u, w = h.u.payload, h.v.payload
+        if not all(_in_halfspace(u, w, g) for g in zip(*v.generators.payload)):
+            raise TropkitError("separation halfspace fails to contain its semimodule")
+    bounds = [(h.u.payload, h.v.payload) for h in halfspaces]
+    gens = [g for v in vs for g in zip(*v.generators.payload)]
+    sums = (tuple(map(add, a, b)) for a, b in itertools.combinations(gens, 2))
+    for x in itertools.chain(gens, sums):
+        if all(_in_halfspace(u, w, x) for u, w in bounds):
+            raise TropkitError(
+                "separation verification found a common grid point; supports "
+                "outside the attaining class are not separated by this construction"
+            )
+    return halfspaces
+
+
+def _halfspaces(vs: Sequence[Semimodule], rep: HilbertReport) -> List[Halfspace]:
+    """The unchecked halfspace per semimodule, for a radius below the unit:
+    u = P_t(v) with v the stage input along the eigenvector orbit, or
+    v = the sum of all generators when the radius is zero."""
     halfspaces: List[Halfspace] = []
     if rep.witness_vectors:
         inputs = [rep.eigenvector] + list(rep.witness_vectors[:-1])
@@ -283,14 +345,4 @@ def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfsp
         top = reduce(TropVector.__add__, gens) if gens else vector([0] * vs[0].ambient_dim, MAX_PLUS)
         for v in vs:
             halfspaces.append(Halfspace(project(v, top), top))
-    for v, h in zip(vs, halfspaces):
-        for g in v.generators.columns():
-            if not h.contains(g):
-                raise TropkitError("separation halfspace fails to contain its semimodule")
-    for x in _grid_points(vs):
-        if not x.is_zero and all(h.contains(x) for h in halfspaces):
-            raise TropkitError(
-                "separation verification found a common grid point; supports "
-                "outside the attaining class are not separated by this construction"
-            )
     return halfspaces

@@ -58,12 +58,14 @@ def _boxed(values: Iterable[Payload], tag: SemiringTag) -> Tuple[TropScalar, ...
 
 
 class _PayloadBacked:
-    """Frozen `payload` and `tag` fields, set once by a constructor."""
+    """Frozen `payload` and `tag` slots, set once by a constructor."""
+
+    __slots__ = ()
 
     def _fill(self, payload, tag: SemiringTag):
-        fields = self.__dict__  # written directly: the dataclasses are frozen
-        fields["payload"] = payload
-        fields["tag"] = tag
+        # through object.__setattr__: the dataclasses are frozen
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "tag", tag)
         return self
 
     @classmethod
@@ -72,7 +74,7 @@ class _PayloadBacked:
         return object.__new__(cls)._fill(payload, tag)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class TropVector(_PayloadBacked):
     payload: Tuple[Payload, ...]
     tag: SemiringTag
@@ -155,7 +157,7 @@ def vec_residual(x: TropVector, y: TropVector) -> TropScalar:
     return TropScalar._fast(_least_residual(x.payload, y.payload, x.tag.ops), x.tag)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class TropMatrix(_PayloadBacked):
     payload: Tuple[Tuple[Payload, ...], ...]
     tag: SemiringTag
@@ -230,11 +232,7 @@ class TropMatrix(_PayloadBacked):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length {len(x)}")
         if self.tag is not x.tag:
             raise TagMismatch("matrix and vector tags differ")
-        ops = self.tag.ops
-        add, mul, zero, xs = ops.add, ops.mul, ops.zero, x.payload
-        return TropVector._trusted(
-            tuple(reduce(add, map(mul, row, xs), zero) for row in self.payload), self.tag
-        )
+        return TropVector._trusted(_apply(self.payload, x.payload, self.tag.ops), self.tag)
 
     def __repr__(self) -> str:
         return "[" + "; ".join(", ".join(map(repr, row)) for row in self.entries) + "]"
@@ -285,13 +283,24 @@ def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
         raise DimensionMismatch("row count does not match vector length")
     if v.tag is not x.tag:
         raise TagMismatch("matrix and vector tags differ")
-    ops, xs, out = v.tag.ops, x.payload, []
-    for j, col in enumerate(zip(*v.payload)):
+    return TropVector._trusted(_residual_left(v.payload, x.payload, v.tag.ops), v.tag)
+
+
+def _apply(rows: Sequence[tuple], xs: Sequence[Payload], ops) -> Tuple[Payload, ...]:
+    """A x on payloads: the rows of A, the payload of x and their tag's ops."""
+    add, mul, zero = ops.add, ops.mul, ops.zero
+    return tuple(reduce(add, map(mul, row, xs), zero) for row in rows)
+
+
+def _residual_left(rows: Sequence[tuple], xs: Sequence[Payload], ops) -> Tuple[Payload, ...]:
+    """V \\ x on payloads, as `mat_residual_left`; ZeroColumn for an all-zero column."""
+    out = []
+    for j, col in enumerate(zip(*rows)):
         try:
             out.append(_least_residual(xs, col, ops))
         except EmptySupport:
             raise ZeroColumn(f"column {j} is all zero") from None
-    return TropVector._trusted(tuple(out), v.tag)
+    return tuple(out)
 
 
 # field bytes -> array typecode, for the fields that pack through `array`

@@ -1,4 +1,5 @@
-"""Support-class enumeration: the test oracle for the cyclic spectral radius.
+"""Test oracles for `tropkit.projector`: support-class enumeration for the
+cyclic spectral radius, and boxed separation checks.
 
 Loops over all 2^n support sets M, keeps the valid classes (every
 semimodule has generators supported inside M that cover M), solves each
@@ -7,17 +8,32 @@ best eigenvalue, larger classes first on ties. Exponential in the ambient
 dimension, and the orbit search stops at a cycle budget with TooLarge, so it
 lives with the tests; production code runs strategy iteration on the
 projectors' min-max game in `tropkit.projector`.
+
+`separate_oracle` checks the halfspaces `separate` builds on boxed vectors:
+membership by two `vec_residual`s per point, over the generators and their
+pairwise sums as `TropVector`s. Production code runs the same checks on
+payload tuples with inline max-plus arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, List, Optional, Sequence, Union
 
-from tropkit.errors import CertificateInvalid, DimensionMismatch, TooLarge
-from tropkit.projector import HilbertReport, Semimodule, hilbert_value, project
-from tropkit.semiring import MAX_PLUS, TropScalar, zero
-from tropkit.tropmat import TropVector, from_columns
+from tropkit.errors import CertificateInvalid, DimensionMismatch, TooLarge, TropkitError
+from tropkit.projector import (
+    Halfspace,
+    HilbertReport,
+    NotSeparable,
+    Semimodule,
+    _halfspaces,
+    cyclic_spectral_radius,
+    hilbert_value,
+    project,
+)
+from tropkit.semiring import MAX_PLUS, TropScalar, one, zero
+from tropkit.tropmat import TropVector, from_columns, vec_residual
 
 Supports = List[List[FrozenSet[int]]]  # per semimodule, the support of each generator
 
@@ -128,3 +144,38 @@ def cyclic_spectral_radius_oracle(vs: Sequence[Semimodule]) -> HilbertReport:
     if best is None:
         return HilbertReport(zero(tag), (), frozenset())
     return HilbertReport(best[0], best[1], best[2], best[3])
+
+
+def contains_oracle(h: Halfspace, x: TropVector) -> bool:
+    """x in {y : u/y >= v/y} u {0} by boxed vector residuals."""
+    if x.is_zero:
+        return True
+    return vec_residual(h.u, x) >= vec_residual(h.v, x)
+
+
+def _grid_points(vs: Sequence[Semimodule]) -> List[TropVector]:
+    """Generators plus pairwise sums: the falsification grid for separation."""
+    gens = [g for v in vs for g in v.generators.columns()]
+    pts = list(gens)
+    for a, b in itertools.combinations(gens, 2):
+        pts.append(a + b)
+    return pts
+
+
+def separate_oracle(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:
+    """`separate` with its containment and grid checks on boxed vectors."""
+    rep = cyclic_spectral_radius(vs)
+    if rep.value == one(MAX_PLUS):
+        return NotSeparable(witness=rep.witness_vectors[0])
+    halfspaces = _halfspaces(vs, rep)
+    for v, h in zip(vs, halfspaces):
+        for g in v.generators.columns():
+            if not contains_oracle(h, g):
+                raise TropkitError("separation halfspace fails to contain its semimodule")
+    for x in _grid_points(vs):
+        if not x.is_zero and all(contains_oracle(h, x) for h in halfspaces):
+            raise TropkitError(
+                "separation verification found a common grid point; supports "
+                "outside the attaining class are not separated by this construction"
+            )
+    return halfspaces

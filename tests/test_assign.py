@@ -20,6 +20,8 @@ from tropkit.errors import CertificateInvalid, ImprovingCycle
 from tropkit.semiring import MAX_PLUS, scalar
 from tropkit.tropmat import vector
 
+from assign_oracle import normal_form_oracle, strong_regularity_oracle
+
 
 def rand_assign(rng, n):
     while True:
@@ -208,3 +210,95 @@ def test_galois_generalized_inverse():
         g = apply_b(b, f)
         ftil = apply_b(b, g, transpose=True)
         assert apply_b(b, ftil) == g
+
+
+def _rand_rational_assign(rng, n, bottom_share):
+    """A matrix meeting condition C: ints or Fractions over denominators 1-3."""
+    while True:
+        rows = [
+            [None if rng.random() < bottom_share else Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        try:
+            return assign_matrix(rows)
+        except ValueError:
+            continue
+
+
+def _normal_form_outcome(normal, b, cert):
+    try:
+        nf = normal(b, cert)
+    except CertificateInvalid as exc:
+        return type(exc), str(exc)
+    return nf.data.payload, [[type(x) for x in row] for row in nf.data.payload]
+
+
+def _types(values):
+    return [type(x) for x in values]
+
+
+def test_certificates_and_normal_forms_match_the_fraction_oracle_random():
+    rng = random.Random(24)
+    texts = {}
+    regular = 0
+    for trial in range(900):
+        n = rng.randint(1, 6)
+        b = _rand_rational_assign(rng, n, rng.choice([0, 0.2, 0.4]))
+        res, want = strong_regularity(b), strong_regularity_oracle(b)
+        assert res == want
+        if isinstance(res, RegularityCertificate):
+            regular += 1
+            assert (_types(res.f), _types(res.g)) == (_types(want.f), _types(want.g))
+            certs = [res]
+            f, g, perm = list(res.f), list(res.g), list(res.bijection)
+            delta = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+            k = rng.randrange(n)
+            certs.append(RegularityCertificate(res.bijection, tuple(f[:k] + [f[k] + delta] + f[k + 1:]), res.g))
+            certs.append(RegularityCertificate(res.bijection, res.f, tuple(g[:k] + [g[k] + delta] + g[k + 1:])))
+            if n > 1:
+                i, j = rng.sample(range(n), 2)
+                perm[i], perm[j] = perm[j], perm[i]
+                certs.append(RegularityCertificate(tuple(perm), res.f, res.g))
+        else:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            draw = lambda: tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n))
+            certs = [RegularityCertificate(tuple(perm), draw(), draw())]
+        for cert in certs:
+            got = _normal_form_outcome(normal_form, b, cert)
+            assert got == _normal_form_outcome(normal_form_oracle, b, cert)
+            if got[0] is CertificateInvalid:
+                texts[got[1]] = texts.get(got[1], 0) + 1
+    assert regular >= 200
+    assert set(texts) == {
+        "bijection uses a bottom entry",
+        "row-dual inequality fails strictly",
+        "column-dual inequality fails strictly",
+    }
+    assert min(texts.values()) >= 20
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        RegularityCertificate((0,), (0,), (0,)),
+        RegularityCertificate((0, 0), (0, 0), (5, 5)),
+        RegularityCertificate((0, 2), (0, 0), (5, 5)),
+        RegularityCertificate((1.0, 0), (0, 0), (5, 5)),
+        RegularityCertificate((0, 1), (0,), (5, 5)),
+        RegularityCertificate((0, 1), (0, 0), (5, 5, 5)),
+    ],
+)
+def test_normal_form_rejects_malformed_certificates(cert):
+    with pytest.raises(CertificateInvalid):
+        normal_form(assign_matrix([[5, 1], [1, 5]]), cert)
+
+
+def test_normal_form_reads_certificate_values_as_exact_rationals():
+    b5 = assign_matrix([[5, 1], [1, 5]])
+    nf = normal_form(b5, RegularityCertificate((0, 1), ("1/2", 0), ("5", 5)))
+    assert nf.data.payload == ((0, Fraction(-7, 2)), (Fraction(-9, 2), 0))
+    for bad in (0.5, True, None):
+        with pytest.raises(TypeError):
+            normal_form(b5, RegularityCertificate((0, 1), (bad, 0), (5, 5)))

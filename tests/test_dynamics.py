@@ -529,3 +529,14 @@ def test_t1h_coordinate_without_input_diverges():
     # an input entry alone feeds a state coordinate
     fed = T1HSystem(identity, a_of_u, uterm_matrix(2, [[None, None], [None, 3]]), zeros, zeros)
     assert t1h_simulate(fed, 4)[1][1] == [0, 3]
+
+
+def test_min_plus_term_constructor_reads_values_as_exact_rationals():
+    # a float constant used to fail late, inside hom_iterate's integer kernel
+    with pytest.raises(TypeError):
+        MinPlusTerm(0.5, ((0, 1),))
+    with pytest.raises(TypeError):
+        MinPlusTerm(0, ((0, 0.0), (1, 1)))  # read before zero coefficients drop
+    t = MinPlusTerm(Fraction(4, 2), ((1, Fraction(1)), (0, 0)))
+    assert t == term(2, (0, 1)) and type(t.constant) is int
+    assert t.exponents == ((1, 1),) and type(t.exponents[0][1]) is int

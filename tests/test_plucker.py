@@ -8,6 +8,7 @@ from tropkit.errors import NoFlow, TooLarge
 from tropkit.plucker import (
     CHECK_CAP,
     GridFlowNet,
+    SubsetFunction,
     flow_tp,
     grid_edges,
     grid_net,
@@ -209,3 +210,21 @@ def test_minus_infinity_values_are_skipped():
     f = subset_function(3, vals)
     assert is_tp(f) and is_dmtp(f)
     assert is_submodular(f)
+
+
+def test_subset_function_constructor_reads_values_as_exact_rationals():
+    # a float table used to be checked as given: is_tp answered ok=True on it
+    with pytest.raises(TypeError):
+        SubsetFunction(2, (0.5, 1.5, 0.25, 0.1))
+    f = SubsetFunction(2, (Fraction(4, 2), "1/2", None, 3))
+    assert f.table == (2, Fraction(1, 2), None, 3)
+    assert [type(v) for v in f.table] == [int, Fraction, type(None), int]
+
+
+def test_grid_flow_net_constructor_reads_weights_as_exact_rationals():
+    # float weights used to fail late, inside flow_tp's unscaling
+    with pytest.raises(TypeError):
+        GridFlowNet(2, tuple((e, 0.5) for e in grid_edges(2)))
+    net = GridFlowNet(2, tuple((e, Fraction(2, 2)) for e in grid_edges(2)))
+    assert all(type(w) is int for _, w in net.edge_weights)
+    assert flow_tp(net) == flow_tp(grid_net(2, {e: 1 for e in grid_edges(2)}))

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from tropkit import projector, spectral
-from tropkit.errors import CertificateInvalid, EmptySupport, TooLarge
+from tropkit.errors import (
+    CertificateInvalid,
+    DimensionMismatch,
+    EmptySupport,
+    TagMismatch,
+    TooLarge,
+    TropkitError,
+)
 from tropkit.projector import (
     Halfspace,
     NotSeparable,
@@ -17,10 +24,10 @@ from tropkit.projector import (
     semimodule,
     separate,
 )
-from tropkit.semiring import MAX_PLUS, scalar, sr_mul, zero
+from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar, sr_mul, zero
 from tropkit.tropmat import identity, matrix, vector
 
-from projector_oracle import cyclic_spectral_radius_oracle
+from projector_oracle import contains_oracle, cyclic_spectral_radius_oracle, separate_oracle
 
 BOT = "-inf"
 
@@ -301,3 +308,81 @@ def test_separation_random_finite():
                 for g in v.generators.columns():
                     assert h.contains(g)
     assert separable > 5
+
+
+def _rand_separation_input(rng, rational):
+    """ROADMAP item 1's distribution: n 2-5, 2-3 semimodules, 1-3 generators
+    in [-5, 5] with 0, 20 or 40 % bottoms; `rational` divides each finite
+    entry by 1, 2 or 3."""
+    n, share = rng.randint(2, 5), rng.choice([0, 0.2, 0.4])
+    vs = []
+    for _ in range(rng.randint(2, 3)):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = [None] * n
+            while g == [None] * n:
+                g = [
+                    None if rng.random() < share
+                    else Fraction(rng.randint(-5, 5), rng.randint(1, 3) if rational else 1)
+                    for _ in range(n)
+                ]
+            gens.append(g)
+        vs.append(semimodule(gens))
+    return vs
+
+
+def _separation_outcome(sep, vs):
+    try:
+        res = sep(vs)
+    except TropkitError as exc:
+        return type(exc), str(exc)
+    if isinstance(res, NotSeparable):
+        return res, _payload_types(res.witness)
+    return res, [(_payload_types(h.u), _payload_types(h.v)) for h in res]
+
+
+def _payload_types(x):
+    return [type(v) for v in x.payload]
+
+
+def test_separation_checks_match_the_boxed_oracle_random():
+    rng = random.Random(7)
+    kinds = {}
+    for trial in range(1200):
+        vs = _rand_separation_input(rng, rational=trial % 3 == 2)
+        got = _separation_outcome(separate, vs)
+        assert got == _separation_outcome(separate_oracle, vs)
+        kind = got[1] if isinstance(got[0], type) else type(got[0]).__name__
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # separations, NotSeparable witnesses and grid refusals all occur
+    assert min(kinds.get(k, 0) for k in ("list", "NotSeparable")) >= 100
+    assert sum(v for k, v in kinds.items() if "common grid point" in k) >= 50
+
+
+def test_halfspace_contains_matches_the_boxed_oracle_random():
+    rng = random.Random(8)
+    draw = lambda n, share: [
+        None if rng.random() < share else Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)
+    ]
+    outcomes = set()
+    for _ in range(2000):
+        n, share = rng.randint(1, 5), rng.choice([0, 0.2, 0.4, 0.8])
+        u, x = vector(draw(n, share)), vector(draw(n, share))
+        v = u + vector(draw(n, share))
+        h = Halfspace(u, v)
+        got = h.contains(x)
+        assert got is contains_oracle(h, x)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_halfspace_edge_checks():
+    h = Halfspace(vector([0, BOT, 1]), vector([0, 2, 1]))
+    with pytest.raises(DimensionMismatch):
+        h.contains(vector([0, 0]))
+    with pytest.raises(DimensionMismatch):
+        h.contains(vector([BOT, BOT]))  # the zero vector of another length too
+    with pytest.raises(TagMismatch):
+        h.contains(vector([0, 0, 0], MIN_PLUS))
+    with pytest.raises(ValueError, match="max-plus"):
+        Halfspace(vector([0, 1], MIN_PLUS), vector([0, 1], MIN_PLUS))
