@@ -278,10 +278,10 @@ def distances_potentials(
             if base is None:
                 raise ValueError("bijection uses a bottom entry")
             row.append(None if e is None else e - base)
-        rows.append(row)
-    d = matrix(rows, MAX_PLUS)
+        rows.append(tuple(row))
     try:
-        closure = kleene_plus(d)
+        # the closure scales the differences to integers: its payloads are canonical
+        closure = kleene_plus(TropMatrix._trusted(tuple(rows), MAX_PLUS))
     except Divergent as exc:
         raise ImprovingCycle("the bijection admits an improving cycle") from exc
     add = MAX_PLUS.ops.add

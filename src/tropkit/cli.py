@@ -5,6 +5,9 @@ byte-identical output. Exit status: 0 success, 1 domain errors (structured
 JSON error body), 2 I/O or schema errors (diagnostic on stderr). Each
 handler imports the modules it uses, so a request loads only its own
 subcommand's modules besides `io`, `errors` and `semiring`.
+argparse owns the options: each leaf parser (one per `plucker` and
+`traffic` action) takes only the options its handler reads, so a missing
+option or another action's option exits 2 before any handler runs.
 """
 
 from __future__ import annotations
@@ -198,12 +201,10 @@ def _cmd_plucker(args) -> str:
     if args.action == "build":
         net = io.grid_net_from_json(io.loads(_read(args.net)))
         return io.dumps(io.subset_function_to_json(plucker.flow_tp(net)))
-    if args.action == "reconstruct":
-        obj = io.loads(_read(args.function))
-        mapping = io.subset_function_from_json(obj, partial=True)
-        f = _checked(lambda m: plucker.reconstruct_from_intervals(obj["n"], m), mapping)
-        return io.dumps(io.subset_function_to_json(f))
-    raise SchemaError(f"unknown plucker action {args.action!r}")
+    obj = io.loads(_read(args.function))
+    mapping = io.subset_function_from_json(obj, partial=True)
+    f = _checked(lambda m: plucker.reconstruct_from_intervals(obj["n"], m), mapping)
+    return io.dumps(io.subset_function_to_json(f))
 
 
 def _cmd_assign(args) -> str:
@@ -276,23 +277,21 @@ def _cmd_traffic(args) -> str:
             return io.dumps([{"rho": r, "q": q} for r, q in points])
         lines = ["rho,q"] + [f"{r},{'NA' if q is None else q}" for r, q in points]
         return "\n".join(lines) + "\n"
-    if args.action == "tent":
-        try:
-            y0 = parse_rational(args.y0)
-        except ValueError as exc:
-            raise SchemaError(f"bad --y0 {args.y0!r}; want an exact rational") from exc
-        steps = _at_least(args.steps, 1, "--steps")
-        bins = _at_least(args.bins, 1, "--bins")
-        if steps + bins > TRAFFIC_WORK_CAP:
-            raise TooLarge(f"steps + bins is {steps + bins}, above {TRAFFIC_WORK_CAP}")
-        _, hist = dynamics.tent_trajectory(y0, steps, bins=bins)
-        if args.format == "json":
-            return io.dumps({"bins": bins, "counts": hist})
-        lines = ["bin,count"]
-        for i, c in enumerate(hist):
-            lines.append(f"{i},{c}")
-        return "\n".join(lines) + "\n"
-    raise SchemaError(f"unknown traffic action {args.action!r}")
+    try:
+        y0 = parse_rational(args.y0)
+    except ValueError as exc:
+        raise SchemaError(f"bad --y0 {args.y0!r}; want an exact rational") from exc
+    steps = _at_least(args.steps, 1, "--steps")
+    bins = _at_least(args.bins, 1, "--bins")
+    if steps + bins > TRAFFIC_WORK_CAP:
+        raise TooLarge(f"steps + bins is {steps + bins}, above {TRAFFIC_WORK_CAP}")
+    _, hist = dynamics.tent_trajectory(y0, steps, bins=bins)
+    if args.format == "json":
+        return io.dumps({"bins": bins, "counts": hist})
+    lines = ["bin,count"]
+    for i, c in enumerate(hist):
+        lines.append(f"{i},{c}")
+    return "\n".join(lines) + "\n"
 
 
 class _DomainExit(Exception):
@@ -310,68 +309,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def add(parent, name, fn, **kwargs):
+        """A leaf parser: it runs fn and is the only one that takes --out."""
+        sp = parent.add_parser(name, **kwargs)
         sp.set_defaults(handler=fn)
         sp.add_argument("--out", help="output path (default stdout)")
         return sp
 
-    sp = add("star", _cmd_star, help="Kleene star of a square matrix")
+    sp = add(sub, "star", _cmd_star, help="Kleene star of a square matrix")
     sp.add_argument("--matrix", required=True)
 
-    sp = add("interval", _cmd_interval, help="interval Kleene star, exact endpoints")
+    sp = add(sub, "interval", _cmd_interval, help="interval Kleene star, exact endpoints")
     sp.add_argument("--matrix", required=True, help="interval matrix JSON")
 
-    sp = add("eig", _cmd_eig, help="cycle-mean eigenvalue, critical classes, eigenvectors")
+    sp = add(sub, "eig", _cmd_eig, help="cycle-mean eigenvalue, critical classes, eigenvectors")
     sp.add_argument("--matrix", required=True)
 
-    sp = add("project", _cmd_project, help="project a vector onto a semimodule")
+    sp = add(sub, "project", _cmd_project, help="project a vector onto a semimodule")
     sp.add_argument("--module", required=True, help="generator matrix JSON")
     sp.add_argument("--vector", required=True)
 
-    sp = add("separate", _cmd_separate, help="separating halfspaces or a common point")
+    sp = add(sub, "separate", _cmd_separate, help="separating halfspaces or a common point")
     sp.add_argument("--modules", required=True, nargs="+", help="generator matrix JSONs")
 
-    sp = add("twosided", _cmd_twosided, help="generators of A x <= B x")
+    sp = add(sub, "twosided", _cmd_twosided, help="generators of A x <= B x")
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
 
-    sp = add("invariants", _cmd_invariants, help="bideterminant, permanent, rook, singularity")
+    sp = add(sub, "invariants", _cmd_invariants, help="bideterminant, permanent, rook, singularity")
     sp.add_argument("--matrix", required=True)
 
-    sp = add("plucker", _cmd_plucker, help="TP/DMTP checking, flow build, reconstruction")
-    sp.add_argument("action", choices=["check", "build", "reconstruct"])
-    sp.add_argument("--function", help="subset function JSON (check, reconstruct)")
-    sp.add_argument("--net", help="grid flow net JSON (build)")
+    plucker = sub.add_parser("plucker", help="TP/DMTP checking, flow build, reconstruction")
+    actions = plucker.add_subparsers(dest="action", required=True)
+    sp = add(actions, "check", _cmd_plucker, help="TP, DMTP and submodularity, with witnesses")
+    sp.add_argument("--function", required=True, help="subset function JSON")
+    sp = add(actions, "build", _cmd_plucker, help="the subset function of a grid flow net")
+    sp.add_argument("--net", required=True, help="grid flow net JSON")
+    sp = add(actions, "reconstruct", _cmd_plucker, help="a TP function from its interval values")
+    sp.add_argument("--function", required=True, help="subset function JSON on intervals")
 
-    sp = add("assign", _cmd_assign, help="strong regularity, normal form, potentials")
+    sp = add(sub, "assign", _cmd_assign, help="strong regularity, normal form, potentials")
     sp.add_argument("--matrix", required=True)
 
-    sp = add("traffic", _cmd_traffic, help="fundamental diagrams and tent histograms")
-    sp.add_argument("action", choices=["diagram", "tent"])
-    sp.add_argument("--config", help="network config JSON (diagram)")
-    sp.add_argument("--densities", help="lo:hi:step (diagram)")
-    sp.add_argument("--steps", type=int, default=4000)
-    sp.add_argument("--bins", type=int, default=100)
-    sp.add_argument("--y0", help="exact rational start (tent)")
-    sp.add_argument("--format", choices=["json", "csv"], default="csv")
+    traffic = sub.add_parser("traffic", help="fundamental diagrams and tent histograms")
+    actions = traffic.add_subparsers(dest="action", required=True)
+    diagram = add(actions, "diagram", _cmd_traffic, help="fundamental diagram of a network")
+    diagram.add_argument("--config", required=True, help="network config JSON")
+    diagram.add_argument("--densities", required=True, help="lo:hi:step")
+    tent = add(actions, "tent", _cmd_traffic, help="histogram of a tent-map orbit")
+    tent.add_argument("--y0", required=True, help="exact rational start")
+    tent.add_argument("--bins", type=int, default=100)
+    for sp in (diagram, tent):
+        sp.add_argument("--steps", type=int, default=4000)
+        sp.add_argument("--format", choices=["json", "csv"], default="csv")
 
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "traffic":
-        if args.action == "diagram" and (not args.config or not args.densities):
-            parser.error("traffic diagram needs --config and --densities")
-        if args.action == "tent" and not args.y0:
-            parser.error("traffic tent needs --y0")
-    if args.command == "plucker":
-        if args.action in ("check", "reconstruct") and not args.function:
-            parser.error(f"plucker {args.action} needs --function")
-        if args.action == "build" and not args.net:
-            parser.error("plucker build needs --net")
+    args = build_parser().parse_args(argv)
     try:
         text = args.handler(args)
     except _DomainExit as exc:

@@ -3,13 +3,17 @@
 Rationals cross the file boundary as "p/q" strings (plain integers stay
 numbers), the bottoms of max-plus and min-plus as "-inf" / "+inf", subset
 functions as binary-literal masks, and flow-net edges as "i,j->k,l" keys.
-Parsing is strict: malformed payloads, rational strings other than "p" or
-"p/q" in ASCII digits, mask keys other than a binary, octal, hex or decimal
-literal in ASCII digits (no "_", sign or spaces), and edge keys other than
-four ASCII-digit coordinates raise SchemaError, which the CLI maps to exit
-code 2. Subset functions and flow nets above the plucker CHECK_CAP raise
-TooLarge (exit code 1) before any table over their ground set is built. The subset-function and flow-net
-decoders import `plucker` when they run, so the matrix codecs never load it.
+Each matrix or vector cell is read once, by `semiring.payload_of`; a
+boolean file takes only true and false, and a CSV cell, stripped of spaces,
+is the JSON value it spells or else a string. Parsing is strict: malformed
+payloads, JSON null, floats, strings other than "p" or "p/q" in ASCII
+digits and the file's own bottom, mask keys other than a binary, octal, hex
+or decimal literal in ASCII digits (no "_", sign or spaces), and edge keys
+other than four ASCII-digit coordinates raise SchemaError, which the CLI
+maps to exit code 2. Subset functions and flow nets above the plucker
+CHECK_CAP raise TooLarge (exit code 1) before any table over their ground
+set is built. The subset-function and flow-net decoders import `plucker`
+when they run, so the matrix codecs never load it.
 """
 
 from __future__ import annotations
@@ -58,15 +62,11 @@ def _payload_to_json(v: Payload, tag: SemiringTag) -> Union[int, str, bool]:
 
 
 def _payload_from_json(v, tag: SemiringTag) -> Payload:
-    if tag is BOOLEAN:
-        if isinstance(v, bool):
-            return v
-        raise SchemaError(f"boolean entry required, got {v!r}")
-    if v not in ("-inf", "+inf"):
-        v = fraction_from_json(v)
+    if v is None or tag is BOOLEAN and type(v) is not bool:
+        raise SchemaError(f"{tag.value} entry required, got {json.dumps(v)}")
     try:
         return payload_of(v, tag)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from exc
 
 

@@ -332,13 +332,13 @@ def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfsp
 
 def _halfspaces(vs: Sequence[Semimodule], rep: HilbertReport) -> List[Halfspace]:
     """The unchecked halfspace per semimodule, for a radius below the unit:
-    u = P_t(v) with v the stage input along the eigenvector orbit, or
-    v = the sum of all generators when the radius is zero."""
+    u = P_t(v), the report's witness w_t, with v the stage input along the
+    eigenvector orbit, or v = the sum of all generators for a zero radius."""
     halfspaces: List[Halfspace] = []
     if rep.witness_vectors:
         inputs = [rep.eigenvector] + list(rep.witness_vectors[:-1])
-        for v, vin in zip(vs, inputs):
-            halfspaces.append(Halfspace(project(v, vin), vin))
+        for u, vin in zip(rep.witness_vectors, inputs):
+            halfspaces.append(Halfspace(u, vin))
     else:
         # sum of all generators; with none at all, a finite top makes each halfspace {0}
         gens = [g for v in vs for g in v.generators.columns()]

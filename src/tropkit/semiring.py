@@ -12,8 +12,10 @@ exactly when it is integral and else a `fractions.Fraction` (so the
 max-times zero is `0`), `None` for the bottoms -inf and +inf, or a `bool`
 for the boolean tag. Coercion (`_rational`, for a caller's rational in any
 module) and every law that makes a new value return this canonical form.
-Floats and bools are rejected so that every identity tested downstream
-holds with equality, not tolerance. Integer kernels scale payloads by
+`payload_of` is the one scalar reader, behind `TropScalar`, `scalar`,
+`vector`, `matrix` and the file codecs. It takes exactly the spellings its
+docstring lists, so that every identity tested downstream holds with
+equality, not tolerance. Integer kernels scale payloads by
 `_scaled` and come back through `_unscaled`. `PayloadOps` holds each tag's
 laws on payloads, and the scalar operations and every matrix kernel read
 them there.
@@ -108,45 +110,34 @@ def _unscaled(v, scale: int):
     return q if r == 0 else Fraction(v, scale)
 
 
-def _coerce_payload(value, tag: SemiringTag):
-    """Turn a user-supplied payload into the internal representation.
-
-    `None` stands for the bottom of max-plus (-inf) and min-plus (+inf).
-    Strings accept "p/q" (see `parse_rational`), "-inf" and "+inf". Floats
-    are rejected: the toolkit is exact by contract.
-    """
-    if tag is BOOLEAN:
-        if isinstance(value, bool):
-            return value
-        if value in (0, 1):
-            return bool(value)
-        raise TypeError(f"boolean scalar needs a bool, got {value!r}")
-    if value is None:
-        return tag.ops.zero
-    if isinstance(value, str):
-        s = value.strip()
-        if s in ("-inf", "-oo"):
-            if tag is not MAX_PLUS:
-                raise ValueError(f"-inf is not an element of {tag.value}")
-            return None
-        if s in ("+inf", "inf", "+oo"):
-            if tag is not MIN_PLUS:
-                raise ValueError(f"+inf is not an element of {tag.value}")
-            return None
-        value = s
-    value = _rational(value)
-    if tag is MAX_TIMES and value < 0:
-        raise ValueError("max-times scalars are nonnegative rationals")
-    return value
-
-
 def payload_of(value: ScalarLike, tag: SemiringTag) -> Payload:
-    """The payload of any scalar-like value: a same-tag TropScalar's own, else coerced."""
+    """The payload of a scalar-like value: the one scalar reader.
+
+    It reads a same-tag TropScalar; an int, a Fraction or a "p/q" string
+    (see `parse_rational`); "-inf" under max-plus and "+inf" under min-plus;
+    None for the zero of any tag but boolean; and under the boolean tag only
+    a bool or the int 0 or 1. Anything else raises, whitespace, any other
+    spelling of infinity and floats included: the toolkit is exact.
+    """
     if isinstance(value, TropScalar):
         if value.tag is not tag:
             raise TagMismatch(f"{value.tag.value} vs {tag.value}")
         return value.value
-    return _coerce_payload(value, tag)
+    if tag is BOOLEAN:
+        if type(value) is bool or type(value) is int and value in (0, 1):
+            return bool(value)
+        raise TypeError(f"boolean scalar needs a bool or the int 0 or 1, got {value!r}")
+    if isinstance(value, str):
+        if value in ("-inf", "+inf"):
+            if tag is not (MAX_PLUS if value == "-inf" else MIN_PLUS):
+                raise ValueError(f"{value} is not an element of {tag.value}")
+            return None
+    elif value is None:
+        return tag.ops.zero
+    value = _rational(value)
+    if tag is MAX_TIMES and value < 0:
+        raise ValueError("max-times scalars are nonnegative rationals")
+    return value
 
 
 # -- the semiring laws on payloads ---------------------------------------------
@@ -238,7 +229,7 @@ class TropScalar:
     tag: SemiringTag
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _coerce_payload(self.value, self.tag))
+        object.__setattr__(self, "value", payload_of(self.value, self.tag))
 
     @classmethod
     def _fast(cls, value, tag: SemiringTag) -> "TropScalar":

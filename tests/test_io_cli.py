@@ -65,6 +65,18 @@ def test_matrix_from_csv_rejects_malformed_cells(cell, tag):
         tio.matrix_from_csv(f"{cell}\n", tag)
 
 
+@pytest.mark.parametrize("cell, tag", [
+    (" 3 ", MAX_PLUS), ("3 ", MIN_PLUS), ("-oo", MAX_PLUS), ("+oo", MIN_PLUS), ("inf", MIN_PLUS),
+    (" -inf", MAX_PLUS), ("+inf", MAX_PLUS), ("-inf", MAX_TIMES), (None, MAX_PLUS), (None, MAX_TIMES),
+    (1.0, MAX_PLUS), (1.0, BOOLEAN), (0, BOOLEAN), (1, BOOLEAN), (None, BOOLEAN), ("true", BOOLEAN),
+])
+def test_json_cells_take_only_the_documented_spellings(cell, tag):
+    with pytest.raises(tio.SchemaError):
+        tio.matrix_from_json({"semiring": tag.value, "rows": 1, "cols": 1, "data": [[cell]]})
+    with pytest.raises(tio.SchemaError):
+        tio.vector_from_json({"semiring": tag.value, "data": [cell]})
+
+
 def test_vector_and_interval_round_trip():
     v = vector([1, BOT, Fraction(3, 2)])
     assert tio.vector_from_json(tio.vector_to_json(v)) == v
@@ -473,31 +485,76 @@ _IMPORTS = {
     ),
     "traffic_tent": (["traffic", "tent", "--y0", "3/101", "--steps", "20", "--bins", "4"], ["tropkit.dynamics"]),
 }
+# Each leaf action: its name words, its required options with golden
+# inputs, and an option that only other actions take. Argparse owns the
+# options, so a missing required option or another action's option exits 2.
+_LEAVES = {
+    "star": (["star"], [["--matrix", "a_maxplus.json"]], ["--function", "tp.json"]),
+    "interval": (["interval"], [["--matrix", "interval.json"]], ["--module", "module.json"]),
+    "eig": (["eig"], [["--matrix", "eig.json"]], ["--steps", "20"]),
+    "project": (
+        ["project"], [["--module", "module.json"], ["--vector", "vector.json"]], ["--matrix", "eig.json"],
+    ),
+    "separate": (["separate"], [["--modules", "sep1.json", "sep2.json"]], ["--A", "ts_a.json"]),
+    "twosided": (["twosided"], [["--A", "ts_a.json"], ["--B", "ts_b.json"]], ["--modules", "sep1.json"]),
+    "invariants": (["invariants"], [["--matrix", "a_maxplus.json"]], ["--y0", "1/5"]),
+    "assign": (["assign"], [["--matrix", "assign.json"]], ["--format", "json"]),
+    "plucker_check": (["plucker", "check"], [["--function", "tp.json"]], ["--net", "net.json"]),
+    "plucker_build": (["plucker", "build"], [["--net", "net.json"]], ["--function", "tp.json"]),
+    "plucker_reconstruct": (
+        ["plucker", "reconstruct"], [["--function", "intervals.json"]], ["--net", "net.json"],
+    ),
+    "traffic_diagram": (
+        ["traffic", "diagram"], [["--config", "road.json"], ["--densities", "1/10:1/2:1/5"]], ["--y0", "abc"],
+    ),
+    "traffic_tent": (["traffic", "tent"], [["--y0", "3/101"]], ["--config", "road.json"]),
+}
+# A request that argparse ends (help, a missing action or option, another
+# action's option) exits before any handler runs: it loads no handler module.
+for _name in ("plucker_check", "plucker_build", "plucker_reconstruct", "traffic_diagram", "traffic_tent"):
+    _words, _, _other = _LEAVES[_name]
+    _IMPORTS[f"{_name}_help"] = (_words + ["--help"], [])
+    _IMPORTS[f"{_name}_missing_option"] = (_words, [])
+    _IMPORTS[f"{_name}_other_option"] = (_IMPORTS[_name][0] + _other, [])
+_IMPORTS["plucker_no_action"] = (["plucker"], [])
+_IMPORTS["traffic_no_action"] = (["traffic"], [])
+# exit status 0 except where named
+_STATUS = {"schema_float": 2, "schema_missing_file": 2}
+_STATUS.update(
+    {name: 2 for name in _IMPORTS if name.endswith(("_missing_option", "_other_option", "_no_action"))}
+)
 _LOADED = (
     "import contextlib, io, sys\n"
     "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-    "    {}\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('tropkit'))))"
+    "    try:\n"
+    "        {}\n"
+    "        status = 0\n"
+    "    except SystemExit as exc:\n"
+    "        status = exc.code\n"
+    "print(status, *sorted(m for m in sys.modules if m.startswith('tropkit')))"
 )
 
 
 def _loaded_modules(statement, argv=()):
+    """(exit status, tropkit modules loaded) of a statement run in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED.format(statement), *argv], cwd=_GOLDEN,
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    return proc.stdout.split()
+    status, *modules = proc.stdout.split()
+    return int(status), modules
 
 
 @pytest.mark.parametrize("name", sorted(_IMPORTS))
 def test_cli_subcommand_loads_only_its_modules(name):
     argv, extra = _IMPORTS[name]
-    assert _loaded_modules("from tropkit.cli import main; main(sys.argv[1:])", argv) == sorted(_CORE + extra)
+    got = _loaded_modules("from tropkit.cli import main; sys.exit(main(sys.argv[1:]))", argv)
+    assert got == (_STATUS.get(name, 0), sorted(_CORE + extra))
 
 
 def test_io_does_not_load_plucker():
-    assert _loaded_modules("import tropkit.io") == sorted(m for m in _CORE if m != "tropkit.cli")
+    assert _loaded_modules("import tropkit.io") == (0, sorted(m for m in _CORE if m != "tropkit.cli"))
 
 
 def _empty(semiring, rows, cols=0):
@@ -538,3 +595,38 @@ def test_cli_empty_shapes_never_leak_a_traceback(tmp_path, name):
     proc = _cli_subprocess(tmp_path, _EMPTY_SHAPE_REQUESTS[name])
     assert proc.returncode in (0, 1, 2)
     assert "Traceback" not in proc.stderr
+
+
+def _argparse_exit(argv):
+    """Run the CLI in the golden directory; argparse must end it with exit 2."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropkit.cli", *argv], cwd=_GOLDEN,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(_LEAVES))
+def test_cli_option_of_another_action_exits_2(name):
+    # without the other option, each request is valid and exits 0
+    words, required, other = _LEAVES[name]
+    _argparse_exit(words + [a for option in required for a in option] + other)
+
+
+@pytest.mark.parametrize("name, missing", [
+    (name, k) for name, (_, required, _) in sorted(_LEAVES.items()) for k in range(len(required))
+])
+def test_cli_missing_required_option_exits_2(name, missing):
+    words, required, _ = _LEAVES[name]
+    _argparse_exit(words + [a for k, option in enumerate(required) if k != missing for a in option])
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["plucker"], ["traffic"],
+    # --out and every other option belong to the leaf: a group parser takes none
+    ["plucker", "--out", "x.json", "check", "--function", "tp.json"],
+    ["traffic", "--steps", "20", "tent", "--y0", "3/101"],
+])
+def test_cli_groups_need_an_action_and_take_no_options(argv):
+    _argparse_exit(argv)

@@ -32,6 +32,7 @@ from tropkit.semiring import (
     MAX_TIMES,
     MIN_PLUS,
     Interval,
+    TropScalar,
     _canonical,
     _scaled,
     _unscaled,
@@ -218,6 +219,49 @@ def test_parse_rational_rejects_everything_else(text):
         parse_rational(text)
     with pytest.raises(ValueError):
         scalar(text)
+
+
+# Every constructor reads a scalar through `payload_of`, so each one takes
+# exactly the documented spellings and nothing else.
+_PAYLOAD_OF = {
+    "scalar": lambda v, tag: scalar(v, tag).value,
+    "TropScalar": lambda v, tag: TropScalar(v, tag).value,
+    "vector": lambda v, tag: vector([v], tag).payload[0],
+    "matrix": lambda v, tag: matrix([[v]], tag).payload[0][0],
+}
+
+
+@pytest.mark.parametrize("make", sorted(_PAYLOAD_OF))
+@pytest.mark.parametrize("value, tag, error", [
+    (" 3 ", MAX_PLUS, ValueError), ("3 ", MIN_PLUS, ValueError), ("-oo", MAX_PLUS, ValueError),
+    ("+oo", MIN_PLUS, ValueError), ("inf", MIN_PLUS, ValueError), (" -inf", MAX_PLUS, ValueError),
+    ("+inf", MAX_PLUS, ValueError), ("-inf", MIN_PLUS, ValueError), ("-inf", MAX_TIMES, ValueError),
+    (1.0, BOOLEAN, TypeError), (0.0, BOOLEAN, TypeError), (Fraction(1), BOOLEAN, TypeError),
+    (2, BOOLEAN, TypeError), ("1", BOOLEAN, TypeError), (None, BOOLEAN, TypeError),
+])
+def test_every_constructor_rejects_undocumented_spellings(make, value, tag, error):
+    with pytest.raises(error):
+        _PAYLOAD_OF[make](value, tag)
+
+
+@pytest.mark.parametrize("make", sorted(_PAYLOAD_OF))
+def test_every_constructor_reads_the_documented_spellings(make):
+    cases = [
+        ("-inf", MAX_PLUS, None), ("+inf", MIN_PLUS, None), (None, MAX_PLUS, None),
+        (None, MAX_TIMES, 0), ("6/4", MAX_PLUS, Fraction(3, 2)), ("4/2", MIN_PLUS, 2),
+        (Fraction(4, 2), MAX_TIMES, 2), (-3, MAX_PLUS, -3), (True, BOOLEAN, True),
+        (0, BOOLEAN, False), (1, BOOLEAN, True), (scalar(3), MAX_PLUS, 3),
+        (scalar("+inf", MIN_PLUS), MIN_PLUS, None),
+    ]
+    for value, tag, want in cases:
+        got = _PAYLOAD_OF[make](value, tag)
+        assert (got, type(got)) == (want, type(want)), (value, tag)
+    with pytest.raises(TagMismatch):
+        _PAYLOAD_OF[make](scalar(3), MIN_PLUS)
+
+
+def test_tropscalar_reads_a_same_tag_scalar():
+    assert TropScalar(scalar(3), MAX_PLUS) == scalar(3)
 
 
 # -- canonical payloads from every kernel ----------------------------------------
