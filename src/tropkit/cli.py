@@ -306,12 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="tropkit",
         description="exact idempotent/tropical mathematics toolkit",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(parent, name, fn, **kwargs):
         """A leaf parser: it runs fn and is the only one that takes --out."""
-        sp = parent.add_parser(name, **kwargs)
+        sp = parent.add_parser(name, allow_abbrev=False, **kwargs)
         sp.set_defaults(handler=fn)
         sp.add_argument("--out", help="output path (default stdout)")
         return sp
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add(sub, "invariants", _cmd_invariants, help="bideterminant, permanent, rook, singularity")
     sp.add_argument("--matrix", required=True)
 
-    plucker = sub.add_parser("plucker", help="TP/DMTP checking, flow build, reconstruction")
+    plucker = sub.add_parser("plucker", allow_abbrev=False, help="TP/DMTP checking, flow build, reconstruction")
     actions = plucker.add_subparsers(dest="action", required=True)
     sp = add(actions, "check", _cmd_plucker, help="TP, DMTP and submodularity, with witnesses")
     sp.add_argument("--function", required=True, help="subset function JSON")
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add(sub, "assign", _cmd_assign, help="strong regularity, normal form, potentials")
     sp.add_argument("--matrix", required=True)
 
-    traffic = sub.add_parser("traffic", help="fundamental diagrams and tent histograms")
+    traffic = sub.add_parser("traffic", allow_abbrev=False, help="fundamental diagrams and tent histograms")
     actions = traffic.add_subparsers(dest="action", required=True)
     diagram = add(actions, "diagram", _cmd_traffic, help="fundamental diagram of a network")
     diagram.add_argument("--config", required=True, help="network config JSON")

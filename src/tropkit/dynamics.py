@@ -18,7 +18,8 @@ X' / (D L) with integer min and plus only (L = 1 for roads and the light,
 2 for both crossings). Iterations divide out gcd(D, X) after each step and
 build `Fraction`s only for the points they return, one per distinct value.
 `HomogeneousMap.step` is the one integer kernel of every model but the
-tent, whose scalar orbit runs on its own numerators. A T1H system is
+tent, whose scalar orbit runs on its own numerators, and `_orbit` is the one
+loop that iterates it. A T1H system is
 compiled to one `HomogeneousMap` on the concatenated state (u, x). Both
 crossing policies are built from one geometry; the priority `CrossingMap`
 is a `HomogeneousMap` whose step patches the non-priority entry with the
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BadConfig, DimensionMismatch, Diverged
 from .semiring import MIN_PLUS, _rational, _scaled
@@ -42,8 +43,6 @@ from .tropmat import TropMatrix, mat_mul, matrix
 
 Rat = Fraction
 DEFAULT_SPREAD_BOUND = Fraction(10**6)
-# steps within which t1h_simulate looks for the normalized control orbit to repeat
-PERIOD_DETECT_WINDOW = 64
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +160,15 @@ def _fractions(X: Sequence[int], D: int) -> List[Rat]:
     return _Points()(X, D)
 
 
+def _orbit(f, x0: Sequence[Rat], k: int) -> Iterator[Tuple[List[int], int]]:
+    """x0 and its k images under f's integer `step`, each as reduced (X, D)."""
+    X, D = _scaled(list(map(_rational, x0)))
+    yield X, D
+    for _ in range(k):
+        X, D = _reduced(*f.step(X, D))
+        yield X, D
+
+
 @dataclass(frozen=True)
 class MinPlusTerm:
     """constant + sum of e * x_i over the sparse exponent pairs (i, e).
@@ -183,14 +191,9 @@ class MinPlusTerm:
         return self.constant + sum((e * _rational(x[i]) for i, e in self.exponents), Fraction(0))
 
 
-def _term(constant, pairs) -> MinPlusTerm:
-    """The term with the given (index, coefficient) pairs; zeros dropped."""
-    return MinPlusTerm(constant, tuple(pairs))
-
-
 def term(constant, exponents) -> MinPlusTerm:
     """The term with a dense exponent sequence, stored sparsely."""
-    return _term(constant, enumerate(exponents))
+    return MinPlusTerm(constant, enumerate(exponents))
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,7 @@ def road_event_graph(occupancy: Sequence[int]) -> HomogeneousMap:
     if m < 2:
         raise BadConfig("need one occupancy bit per cell, at least two cells")
     coords = tuple(
-        (_term(a[i - 1], [((i - 1) % m, 1)]), _term(1 - a[i], [((i + 1) % m, 1)]))
+        (MinPlusTerm(a[i - 1], [((i - 1) % m, 1)]), MinPlusTerm(1 - a[i], [((i + 1) % m, 1)]))
         for i in range(m)
     )
     return HomogeneousMap(m, coords)
@@ -298,11 +301,10 @@ def hom_iterate(
     if k < 2:
         raise ValueError("need at least two steps")
     bound = _rational(spread_bound)
-    X, D = _scaled(list(map(_rational, x0)))
+    orbit = _orbit(f, x0, k)
     point = _Points()
-    traj = [point(X, D)]
-    for _ in range(k):
-        X, D = _reduced(*f.step(X, D))
+    traj = [point(*next(orbit))]
+    for X, D in orbit:
         # max(x) - min(x) > bound for x = X / D, cross-multiplied
         if (max(X) - min(X)) * bound.denominator > bound.numerator * D:
             raise Diverged("coordinate spread exceeded the configured bound")
@@ -366,8 +368,8 @@ def tent_system() -> HomogeneousMap:
     return HomogeneousMap(
         2,
         (
-            (_term(0, [(0, 1)]),),
-            (_term(0, [(0, -1), (1, 2)]), _term(2, [(0, 3), (1, -2)])),
+            (MinPlusTerm(0, [(0, 1)]),),
+            (MinPlusTerm(0, [(0, -1), (1, 2)]), MinPlusTerm(2, [(0, 3), (1, -2)])),
         ),
     )
 
@@ -470,13 +472,13 @@ def build_crossing(
     half = Fraction(1, 2)
     coords: List[Tuple[MinPlusTerm, ...]] = [()] * dim
     for i in [*range(1, n1 - 1), *range(n1 + 1, n1 + n2 - 1)]:
-        coords[i] = (_term(a[i - 1], [(i - 1, 1)]), _term(1 - a[i], [(i + 1, 1)]))
+        coords[i] = (MinPlusTerm(a[i - 1], [(i - 1, 1)]), MinPlusTerm(1 - a[i], [(i + 1, 1)]))
     cross = [(entry1, half), (entry2, half)]
-    coords[exit1] = (_term(a[entry1], cross), _term(1 - a[exit1], [(1 % n1, 1)]))
-    coords[exit2] = (_term(a[entry2], cross), _term(1 - a[exit2], [(n1 + (1 % n2), 1)]))
-    upstream = {e: _term(a[e - 1], [(e - 1, 1)]) for e in (entry1, entry2)}
+    coords[exit1] = (MinPlusTerm(a[entry1], cross), MinPlusTerm(1 - a[exit1], [(1 % n1, 1)]))
+    coords[exit2] = (MinPlusTerm(a[entry2], cross), MinPlusTerm(1 - a[exit2], [(n1 + (1 % n2), 1)]))
+    upstream = {e: MinPlusTerm(a[e - 1], [(e - 1, 1)]) for e in (entry1, entry2)}
     if policy == "priority":
-        free1 = _term(1 - a[entry1], [(exit1, 1), (exit2, 1), (entry2, -1)])
+        free1 = MinPlusTerm(1 - a[entry1], [(exit1, 1), (exit2, 1), (entry2, -1)])
         coords[entry1] = (free1, upstream[entry1])
         coords[entry2] = (upstream[entry2],)
         return CrossingMap(dim, tuple(coords), entry1, entry2, exit1, exit2, 1 - a[entry2])
@@ -484,7 +486,7 @@ def build_crossing(
     # x' = (abar + exit1 + exit2) / 2 keeps the exponent sum at one
     exits = [(exit1, half), (exit2, half)]
     for e in (entry1, entry2):
-        coords[e] = (_term(Fraction(1 - a[e], 2), exits), upstream[e])
+        coords[e] = (MinPlusTerm(Fraction(1 - a[e], 2), exits), upstream[e])
     return HomogeneousMap(dim, tuple(coords))
 
 
@@ -611,7 +613,7 @@ def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
             elif isinstance(entry, MinPlusTerm):
                 out_row.append((entry,))
             elif isinstance(entry, (int, Fraction)):
-                out_row.append((_term(entry, ()),))
+                out_row.append((MinPlusTerm(entry, ()),))
             else:
                 out_row.append(tuple(entry))
         norm.append(tuple(out_row))
@@ -686,37 +688,31 @@ def t1h_simulate(system: T1HSystem, k: int):
     """Iterate the triangular system; returns trajectories, periodicity, rates.
 
     The u-orbit of a min-plus linear layer is eventually periodic after
-    normalization; the report holds the first repeat found within
-    `PERIOD_DETECT_WINDOW` steps, or None. Once the orbit is periodic, the
-    matrices A(u_k) repeat with the period and the state behaves as a
-    linear periodic system. Returned flow rates
-    are per-coordinate second-half growth rates of x. The pair (u, x) steps
-    as one homogeneous map on integer numerators over a shared denominator.
+    normalization (each u less its first coordinate); the report holds the
+    first repeat among all k + 1 points, or None. Once the orbit is
+    periodic, the matrices A(u_k) repeat with the period and the state
+    behaves as a linear periodic system. Returned flow rates are
+    per-coordinate second-half growth rates of x. The pair (u, x) steps as
+    one homogeneous map on integer numerators over a shared denominator.
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    f = _t1h_map(system)
     udim = len(system.u0)
-    Y, D = _scaled(list(map(_rational, [*system.u0, *system.x0])))
     point = _Points()
-    u_traj = [point(Y[:udim], D)]
-    x_traj = [point(Y[udim:], D)]
-    seen: Dict[Tuple[Rat, ...], int] = {}
+    u_traj: List[List[Rat]] = []
+    x_traj: List[List[Rat]] = []
+    seen: Dict[Tuple[Tuple[int, ...], int], int] = {}
     report: Optional[PeriodReport] = None
-    for step in range(k):
-        if report is None and step <= PERIOD_DETECT_WINDOW:
-            u = u_traj[step]
-            norm = tuple(v - u[0] for v in u)
-            if norm in seen:
-                start = seen[norm]
-                period = step - start
-                gain = tuple((u[i] - u_traj[start][i]) / period for i in range(udim))
-                report = PeriodReport(start, period, gain)
-            else:
-                seen[norm] = step
-        Y, D = _reduced(*f.step(Y, D))
+    for step, (Y, D) in enumerate(_orbit(_t1h_map(system), [*system.u0, *system.x0], k)):
         u_traj.append(point(Y[:udim], D))
         x_traj.append(point(Y[udim:], D))
+        if report is None:
+            X, E = _reduced([v - Y[0] for v in Y[:udim]], D)
+            start = seen.setdefault((tuple(X), E), step)
+            if start != step:
+                u = u_traj[step]
+                gain = tuple((u[i] - u_traj[start][i]) / (step - start) for i in range(udim))
+                report = PeriodReport(start, step - start, gain)
     rates = coordinate_rates(x_traj)
     return u_traj, x_traj, report, rates
 
@@ -763,8 +759,8 @@ def traffic_light_system(
             rows.append(row)
         return rows
 
-    gate_v = _term(1, [(0, 1), (1, -1)])
-    gate_h = _term(0, [(2, 1), (3, -1)])
+    gate_v = MinPlusTerm(1, [(0, 1), (1, -1)])
+    gate_h = MinPlusTerm(0, [(2, 1), (3, -1)])
     rows = road_block(0, n_vertical, occ_v, gate_v) + road_block(
         n_vertical, n_horizontal, occ_h, gate_h
     )
@@ -797,14 +793,11 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
         idx = range(n_vertical, dim)
     else:
         raise ValueError("road must be vertical or horizontal")
-    f = _t1h_map(system)
     udim = len(system.u0)
-    Y, D = _scaled(list(map(_rational, [*system.u0, *system.x0])))
     mats = []
-    for _ in range(4):
+    for Y, D in _orbit(_t1h_map(system), [*system.u0, *system.x0], 3):
         a = system.a_of_u.eval(_fractions(Y[:udim], D)).payload
         mats.append(matrix([[a[i][j] for j in idx] for i in idx], MIN_PLUS))
-        Y, D = _reduced(*f.step(Y, D))
     prod = mats[3]
     for m in (mats[2], mats[1], mats[0]):
         prod = mat_mul(prod, m)

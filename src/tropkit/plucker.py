@@ -5,12 +5,12 @@ equality of maxima; DMTP-functions satisfy the weaker "maximum attained at
 least twice" form of the 3- and 4-term relations. Normal flows on the
 planar grid digraph produce DMTP-functions; they are built subset by subset
 with one longest augmenting path each, on weights scaled by
-`semiring._scaled`. Tables hold canonical payloads. TP-functions are
-determined by their values on the interval family, and submodularity of a
-TP-function can be read off the intervals alone. Building a subset
-function, the checkers, the flow construction and the reconstruction are
-all capped at n <= CHECK_CAP, because each one reads or writes a table over
-all 2^n subsets.
+`semiring._scaled`. Tables hold canonical payloads. A TP-function is
+determined by its values on the interval family, rebuilt from them in one
+pass in order of span, and its submodularity is read off the intervals
+alone. Building a subset function, the checkers, the flow construction and
+the reconstruction are all capped at n <= CHECK_CAP, because each one reads
+or writes a table over all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -283,17 +283,17 @@ def flow_tp(net: GridFlowNet) -> SubsetFunction:
 def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFunction:
     """Extend values on the empty set and the intervals to a TP-function.
 
-    Every non-interval set S has a gap witness (i, j, k): i, k in S, j not,
-    i < j < k; the 3-term relation then determines f(S) from five sets that
-    are strictly closer to the interval family. Propagation scans sets in
-    ascending mask order with the lexicographically smallest usable witness,
-    repeating until stable, and the result is verified to be TP.
+    The extension exists and is unique (Danilov, Karzanov & Koshevoy,
+    "Tropical Plucker functions and their bases", 2009). One pass fills the
+    table in order of span (max S - min S): a non-interval S with i = min S,
+    k = max S, j the least element of (i, k) outside S and A = S - {i, k} gets
+    f(S) = max(f(A+ij) + f(A+k), f(A+jk) + f(A+i)) - f(A+j), from five sets
+    of smaller span. The result is verified to be TP.
     """
     if n > CHECK_CAP:
         raise TooLarge(f"reconstruction capped at n <= {CHECK_CAP}")
     needed = interval_masks(n)
     table: List[Payload] = [None] * (1 << n)
-    known = [False] * (1 << n)
     given = {k if isinstance(k, int) else subset_mask(k, n): v for k, v in interval_values.items()}
     for m in needed:
         if m not in given:
@@ -301,40 +301,20 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
         if given[m] is None:
             raise ValueError("interval values must be finite")
         table[m] = _rational(given[m])
-        known[m] = True
     extra = set(given) - set(needed)
     if extra:
         raise ValueError("interval data mentions non-interval subsets")
-
-    def witnesses(mask: int):
-        elems = mask_elements(mask)
-        inside = set(elems)
-        for i, k in itertools.combinations(elems, 2):
-            for j in range(i + 1, k):
-                if j not in inside:
-                    yield i, j, k
-
-    progress = True
-    while progress:
-        progress = False
-        for mask in range(1 << n):
-            if known[mask]:
-                continue
-            for i, j, k in sorted(witnesses(mask)):
-                bi, bj, bk = 1 << (i - 1), 1 << (j - 1), 1 << (k - 1)
-                a = mask & ~bi & ~bk
-                others = (a | bj, a | bi | bj, a | bk, a | bj | bk, a | bi)
-                if all(known[m] for m in others):
-                    rhs = max(
-                        table[a | bi | bj] + table[a | bk],
-                        table[a | bj | bk] + table[a | bi],
-                    )
-                    table[mask] = _canonical(rhs - table[a | bj])
-                    known[mask] = True
-                    progress = True
-                    break
-    if not all(known):
-        raise Inconsistent("reconstruction could not determine every subset")
+    for span in range(2, n):
+        for lo in range(n - span):
+            bi, bk = 1 << lo, 1 << (lo + span)
+            inner = bk - (bi << 1)
+            a = 0
+            while a != inner:  # every proper submask of inner, ascending
+                gap = inner & ~a
+                bj = gap & -gap
+                rhs = max(table[a | bi | bj] + table[a | bk], table[a | bj | bk] + table[a | bi])
+                table[a | bi | bk] = _canonical(rhs - table[a | bj])
+                a = (a - inner) & inner
     f = SubsetFunction(n, tuple(table))
     check = is_tp(f)
     if not check:

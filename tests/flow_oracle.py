@@ -1,18 +1,30 @@
-"""Path-system and edge-subset enumeration: the test oracles for normal flows.
+"""Path-system and edge-subset enumeration: the test oracles for normal flows,
+and the repeat-until-stable propagation: the oracle for reconstruction.
 
 Exponential in the grid size, so they live with the tests; production code
 builds every flow value by one longest augmenting path in
-`tropkit.plucker.flow_tp`.
+`tropkit.plucker.flow_tp`, and reconstructs a TP-function in one pass in
+order of span in `tropkit.plucker.reconstruct_from_intervals`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from tropkit.errors import TooLarge
-from tropkit.plucker import GridFlowNet, grid_edges, mask_elements
+from tropkit.errors import Inconsistent, TooLarge
+from tropkit.plucker import (
+    CHECK_CAP,
+    GridFlowNet,
+    SubsetFunction,
+    grid_edges,
+    interval_masks,
+    is_tp,
+    mask_elements,
+    subset_mask,
+)
+from tropkit.semiring import Payload, _canonical, _rational
 
 
 def _all_paths(n: int, frm: Tuple[int, int], to: Tuple[int, int], used: frozenset):
@@ -102,3 +114,66 @@ def flow_value_bruteforce(net: GridFlowNet, subset: Iterable[int]) -> Optional[F
         if ok and (best is None or weight > best):
             best = weight
     return best
+
+
+def reconstruct_fixpoint_oracle(n: int, interval_values: Mapping) -> SubsetFunction:
+    """Extend values on the empty set and the intervals to a TP-function:
+    the oracle of `tropkit.plucker.reconstruct_from_intervals`.
+
+    Every non-interval set S has a gap witness (i, j, k): i, k in S, j not,
+    i < j < k; the 3-term relation then determines f(S) from five sets that
+    are strictly closer to the interval family. Propagation scans sets in
+    ascending mask order with the lexicographically smallest usable witness,
+    repeating until stable, and the result is verified to be TP.
+    """
+    if n > CHECK_CAP:
+        raise TooLarge(f"reconstruction capped at n <= {CHECK_CAP}")
+    needed = interval_masks(n)
+    table: List[Payload] = [None] * (1 << n)
+    known = [False] * (1 << n)
+    given = {k if isinstance(k, int) else subset_mask(k, n): v for k, v in interval_values.items()}
+    for m in needed:
+        if m not in given:
+            raise ValueError("interval data must cover the empty set and every interval")
+        if given[m] is None:
+            raise ValueError("interval values must be finite")
+        table[m] = _rational(given[m])
+        known[m] = True
+    extra = set(given) - set(needed)
+    if extra:
+        raise ValueError("interval data mentions non-interval subsets")
+
+    def witnesses(mask: int):
+        elems = mask_elements(mask)
+        inside = set(elems)
+        for i, k in itertools.combinations(elems, 2):
+            for j in range(i + 1, k):
+                if j not in inside:
+                    yield i, j, k
+
+    progress = True
+    while progress:
+        progress = False
+        for mask in range(1 << n):
+            if known[mask]:
+                continue
+            for i, j, k in sorted(witnesses(mask)):
+                bi, bj, bk = 1 << (i - 1), 1 << (j - 1), 1 << (k - 1)
+                a = mask & ~bi & ~bk
+                others = (a | bj, a | bi | bj, a | bk, a | bj | bk, a | bi)
+                if all(known[m] for m in others):
+                    rhs = max(
+                        table[a | bi | bj] + table[a | bk],
+                        table[a | bj | bk] + table[a | bi],
+                    )
+                    table[mask] = _canonical(rhs - table[a | bj])
+                    known[mask] = True
+                    progress = True
+                    break
+    if not all(known):
+        raise Inconsistent("reconstruction could not determine every subset")
+    f = SubsetFunction(n, tuple(table))
+    check = is_tp(f)
+    if not check:
+        raise Inconsistent(f"reconstructed function violates the 3-term relation at {check.witness}")
+    return f

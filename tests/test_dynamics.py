@@ -8,6 +8,7 @@ from tropkit.dynamics import (
     CrossingMap,
     HomogeneousMap,
     MinPlusTerm,
+    PeriodReport,
     RingWord,
     T1HSystem,
     build_crossing,
@@ -248,6 +249,16 @@ def test_t1h_constant_control_reduces_to_linear():
     assert x == x_traj[-1]
 
 
+def test_t1h_reports_a_late_control_period():
+    # u_2 - u_1 climbs by 1/100 a step to 1, so (0, 1) first repeats at step 101
+    c = matrix([[0, 1], [1, Fraction(1, 100)]], MIN_PLUS)
+    zeros = (Fraction(0), Fraction(0))
+    s = T1HSystem(c, uterm_matrix(2, [[0]]), None, zeros, (Fraction(0),))
+    u_traj, _, report, _ = t1h_simulate(s, 200)
+    assert u_traj[100] == u_traj[101] == [0, 1]
+    assert report == PeriodReport(100, 1, (0, 0))
+
+
 def test_terms_store_exponents_sparsely():
     half = Fraction(1, 2)
     t = term(3, [0, half, 0, half])
@@ -335,19 +346,21 @@ def _plain_crossing(n1, n2, a, priority):
     return step
 
 
-def _plain_light(occ_v, occ_h, phi, k, window=64):
+def _plain_light(occ_v, occ_h, phi, k):
     """u, x trajectories, (start, period, gain) and rates of the four-phase light."""
     nv = len(occ_v)
     u, x = [Fraction(0)] * 4, [Fraction(0)] * (nv + len(occ_h))
     us, xs, seen, report = [u], [x], {}, None
-    for step in range(k):
+    for step in range(k + 1):
         norm = tuple(v - u[0] for v in u)
-        if report is None and step <= window:
+        if report is None:
             if norm in seen:
                 p = step - seen[norm]
                 report = (seen[norm], p, tuple((u[i] - us[seen[norm]][i]) / p for i in range(4)))
             else:
                 seen[norm] = step
+        if step == k:
+            break
         gates = (1 + u[0] - u[1], u[2] - u[3])
         y = []
         for off, occ, gate in ((0, occ_v, gates[0]), (nv, occ_h, gates[1])):

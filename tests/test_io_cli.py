@@ -622,6 +622,17 @@ def test_cli_missing_required_option_exits_2(name, missing):
     _argparse_exit(words + [a for k, option in enumerate(required) if k != missing for a in option])
 
 
+@pytest.mark.parametrize("name", sorted(_LEAVES))
+def test_cli_unique_option_prefix_exits_2(tmp_path, name):
+    # argparse's default takes a unique prefix for a whole option name;
+    # the first option name longer than "--xy" loses its last letter
+    words, required, _ = _LEAVES[name]
+    argv = [a for option in required for a in option] + ["--out", str(tmp_path / "out")]
+    k = next(k for k, a in enumerate(argv) if a.startswith("--") and len(a) > 4)
+    argv[k] = argv[k][:-1]
+    _argparse_exit(words + argv)
+
+
 @pytest.mark.parametrize("argv", [
     [], ["plucker"], ["traffic"],
     # --out and every other option belong to the leaf: a group parser takes none

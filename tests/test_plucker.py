@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from flow_oracle import flow_table_enumerated, flow_value_bruteforce
+from flow_oracle import flow_table_enumerated, flow_value_bruteforce, reconstruct_fixpoint_oracle
 from tropkit.errors import NoFlow, TooLarge
 from tropkit.plucker import (
     CHECK_CAP,
@@ -167,6 +167,21 @@ def test_reconstruction_from_arbitrary_interval_data():
         assert is_tp(f)
         for m in interval_masks(n):
             assert f.table[m] == data[m]
+
+
+def test_reconstruction_equals_fixpoint_oracle():
+    # the one pass in order of span against the repeat-until-stable propagation
+    rng = random.Random(29)
+    for case in range(320):
+        n = case % CHECK_CAP + 1
+        if case // CHECK_CAP % 2:
+            data = {m: rng.randint(-9, 9) for m in interval_masks(n)}
+        else:
+            data = {m: Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for m in interval_masks(n)}
+        got = reconstruct_from_intervals(n, data).table
+        want = reconstruct_fixpoint_oracle(n, data).table
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_reconstruction_input_validation():
