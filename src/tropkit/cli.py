@@ -285,7 +285,7 @@ def _cmd_traffic(args) -> str:
     bins = _at_least(args.bins, 1, "--bins")
     if steps + bins > TRAFFIC_WORK_CAP:
         raise TooLarge(f"steps + bins is {steps + bins}, above {TRAFFIC_WORK_CAP}")
-    _, hist = dynamics.tent_trajectory(y0, steps, bins=bins)
+    *_, hist = dynamics._tent_cycle(y0, steps, bins)
     if args.format == "json":
         return io.dumps({"bins": bins, "counts": hist})
     lines = ["bin,count"]

@@ -19,7 +19,18 @@ X' / (D L) with integer min and plus only (L = 1 for roads and the light,
 build `Fraction`s only for the points they return, one per distinct value.
 `HomogeneousMap.step` is the one integer kernel of every model but the
 tent, whose scalar orbit runs on its own numerators, and `_orbit` is the one
-loop that iterates it. A T1H system is
+loop that iterates it.
+
+`_orbit` and the tent's loop stop stepping once the orbit is periodic.
+Every map `HomogeneousMap.__post_init__` accepts is degree-one, and so is
+the `CrossingMap` patch, so f(x + s 1) = f(x) + s 1: once x_t = x_s + sigma 1
+for some s < t, every later point is a shift of an earlier one. `_orbit`
+tests each new state exactly against the earlier states with the same
+reduced denominator, and builds the rest of the k points as integer shifts
+of the cycle; the tent orbit stops at its first repeated numerator and
+tiles the cycle. The cyclicity of max-plus linear maps (Baccelli, Cohen,
+Olsder & Quadrat, 1992) says linear orbits do repeat; the test on each run
+needs no such theorem for the nonlinear crossings. A T1H system is
 compiled to one `HomogeneousMap` on the concatenated state (u, x). Both
 crossing policies are built from one geometry; the priority `CrossingMap`
 is a `HomogeneousMap` whose step patches the non-priority entry with the
@@ -160,13 +171,57 @@ def _fractions(X: Sequence[int], D: int) -> List[Rat]:
     return _Points()(X, D)
 
 
+def _shape(X: Sequence[int]) -> Tuple[int, ...]:
+    """X - X[0]: a point's numerators up to a common shift."""
+    return tuple(map((-X[0]).__add__, X))
+
+
 def _orbit(f, x0: Sequence[Rat], k: int) -> Iterator[Tuple[List[int], int]]:
-    """x0 and its k images under f's integer `step`, each as reduced (X, D)."""
+    """x0 and its k images under f's integer `step`, each as (X, D) with x = X / D.
+
+    f is a `HomogeneousMap`, so f(x + s 1) = f(x) + s 1 for every rational
+    s: every map `HomogeneousMap.__post_init__` accepts is degree-one, and so
+    is the `CrossingMap` patch. So once a state x_t is x_s + sigma 1 for an
+    earlier x_s, every later point is x_{j-c} + sigma 1 with c = t - s, and
+    the loop stops stepping there. The repeat test is exact: an earlier
+    state with the same reduced D and the same X - X[0]. States are indexed
+    by the sum of X - X[0] first, and (D, X - X[0]) is built and compared
+    only where that sum recurs, so a step that finds no repeat mostly costs
+    one sum and one dict lookup. Points up to the repeat are reduced; the
+    rest are integer shifts of the cycle over one common denominator.
+    """
     X, D = _scaled(list(map(_rational, x0)))
-    yield X, D
-    for _ in range(k):
-        X, D = _reduced(*f.step(X, D))
+    if len(X) != f.dim:  # `step` checks it too, but the repeat key reads X[0] before any step
+        raise DimensionMismatch("point dimension differs from map dimension")
+    # the states so far; tuples of ints, unlike lists, drop out of the cyclic
+    # GC, so a long run that never repeats adds nothing to its full collections
+    seen: List[Tuple[int, ...]] = []
+    dens: List[int] = []
+    first: Dict[int, int] = {}  # sum of X - X[0] -> its first step
+    shapes: Dict[int, Dict[Tuple[int, Tuple[int, ...]], int]] = {}  # that sum -> {(D, X - X[0]): step}
+    for t in range(k + 1):
+        if t:
+            X, D = _reduced(*f.step(X, D))
         yield X, D
+        key = sum(X) - len(X) * X[0]
+        s = first.setdefault(key, t)
+        if s != t:
+            if key not in shapes:
+                shapes[key] = {(dens[s], _shape(seen[s])): s}
+            s = shapes[key].setdefault((D, _shape(X)), t)
+            if s != t:
+                break
+        seen.append(tuple(X))
+        dens.append(D)
+    else:
+        return
+    M = math.lcm(*dens[s:])
+    cycle = [[v * (M // E) for v in Y] for Y, E in zip(seen[s:], dens[s:])]
+    sigma = (X[0] - seen[s][0]) * (M // D)
+    for j in range(t + 1, k + 1):
+        turns, i = divmod(j - s, t - s)
+        shift = turns * sigma
+        yield [v + shift for v in cycle[i]], M
 
 
 @dataclass(frozen=True)
@@ -204,6 +259,8 @@ class HomogeneousMap:
     coords: Tuple[Tuple[MinPlusTerm, ...], ...]
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionMismatch("a map needs at least one coordinate")
         if len(self.coords) != self.dim:
             raise DimensionMismatch("one term list per coordinate required")
         for terms in self.coords:
@@ -292,7 +349,11 @@ def hom_iterate(
     """Iterate x^{t+1} = f(x^t) and measure the throughput.
 
     f is a `HomogeneousMap` (the priority `CrossingMap` is one); the
-    iteration runs on its integer `step`. The estimate is
+    iteration runs on its integer `step` through `_orbit`, which stops
+    stepping at the first exact repeat x_t = x_s + sigma 1 (f is degree-one,
+    so every later point is a shift of an earlier one) and returns the same
+    k + 1 points. The spread is shift-invariant, so a run that repeats
+    before it diverges never diverges. The estimate is
     (x_i^K - x_i^{K/2}) / (K - K/2) averaged over the coordinates; for a
     min-plus linear f it equals the matrix eigenvalue exactly once K/2
     clears the transient and the span covers whole periods. Raises Diverged
@@ -374,13 +435,16 @@ def tent_system() -> HomogeneousMap:
     )
 
 
-def tent_trajectory(
-    y0: Rat, k: int, bins: Optional[int] = None
-) -> Tuple[List[Rat], Optional[List[int]]]:
-    """Exact orbit of y -> min(2y, 2 - 2y) on [0, 1], with optional histogram.
+def _tent_cycle(
+    y0: Rat, k: int, bins: Optional[int]
+) -> Tuple[int, List[int], int, Optional[List[int]]]:
+    """(q, nums, start, hist) of the k-step tent orbit of y0.
 
-    The map never grows the denominator q of y0, so the orbit runs on
-    integer numerators over q: p -> min(2p, 2q - 2p).
+    nums are the numerators over q of the orbit's distinct points, up to its
+    first repeated numerator or its k + 1 points, and the cycle is
+    nums[start:]: point j > start is nums[start + (j - start) % len(cycle)].
+    hist counts all k + 1 points from nums, each cycle point as often as the
+    tiling repeats it; it is None when bins is None.
     """
     y = _rational(y0)
     if not 0 <= y <= 1:
@@ -390,16 +454,40 @@ def tent_trajectory(
     if bins is not None and bins < 1:
         raise ValueError("need at least one bin")
     p, q = y.numerator, y.denominator
-    nums = [p]
-    for _ in range(k):
+    index: Dict[int, int] = {}  # numerator -> its first step, in step order
+    for t in range(k + 1):
+        if index.setdefault(p, t) != t:
+            break
         p = 2 * p if 2 * p <= q else 2 * (q - p)
-        nums.append(p)
+    nums = list(index)
+    start = index.get(p, len(nums))
     hist: Optional[List[int]] = None
     if bins is not None:
+        period = len(nums) - start
         hist = [0] * bins
-        for n in nums:
-            hist[n * bins // q if n < q else bins - 1] += 1
-    return _fractions(nums, q), hist
+        for i, n in enumerate(nums):
+            hist[n * bins // q if n < q else bins - 1] += 1 if i < start else (k - i) // period + 1
+    return q, nums, start, hist
+
+
+def tent_trajectory(
+    y0: Rat, k: int, bins: Optional[int] = None
+) -> Tuple[List[Rat], Optional[List[int]]]:
+    """Exact orbit of y -> min(2y, 2 - 2y) on [0, 1], with optional histogram.
+
+    The map never grows the denominator q of y0, so the orbit runs on
+    integer numerators over q: p -> min(2p, 2q - 2p). It stops stepping at
+    the first repeated numerator, which is exact for a map of one variable,
+    and the k + 1 points tile the cycle after the transient; the histogram
+    is built from the transient's and the cycle's counts.
+    """
+    q, nums, start, hist = _tent_cycle(y0, k, bins)
+    points = _fractions(nums, q)
+    cycle = points[start:]
+    if cycle:
+        turns, rest = divmod(k + 1 - start, len(cycle))
+        points = points[:start] + cycle * turns + cycle[:rest]
+    return points, hist
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +781,10 @@ def t1h_simulate(system: T1HSystem, k: int):
     periodic, the matrices A(u_k) repeat with the period and the state
     behaves as a linear periodic system. Returned flow rates are
     per-coordinate second-half growth rates of x. The pair (u, x) steps as
-    one homogeneous map on integer numerators over a shared denominator.
+    one homogeneous map on integer numerators over a shared denominator,
+    through `_orbit`: every compiled term is degree-one, so once the pair
+    repeats up to a shift, (u_t, x_t) = (u_s, x_s) + sigma 1, the rest of
+    the run is built from the cycle without stepping.
     """
     if k < 2:
         raise ValueError("need at least two steps")

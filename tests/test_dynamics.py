@@ -2,7 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from orbit_oracle import (
+    counting,
+    first_repeat,
+    hom_iterate_oracle,
+    t1h_simulate_oracle,
+    tent_trajectory_oracle,
+)
 
+from tropkit import dynamics
 from tropkit.dynamics import (
     DEFAULT_SPREAD_BOUND,
     CrossingMap,
@@ -289,6 +297,9 @@ _BAD_TERMS = {
     "index_negative": (lambda: _map2((MinPlusTerm(Fraction(0), ((-1, Fraction(1)),)),)), DimensionMismatch),
     "empty_coordinate": (lambda: _map2(()), ValueError),
     "missing_coordinate": (lambda: HomogeneousMap(2, ((term(0, (0, 1)),),)), DimensionMismatch),
+    "no_coordinates": (lambda: HomogeneousMap(0, ()), DimensionMismatch),
+    "x0_empty": (lambda: hom_iterate(road_event_graph([1, 0]), [], 4), DimensionMismatch),
+    "x0_too_long": (lambda: hom_iterate(road_event_graph([1, 0]), [0, 0, 0], 4), DimensionMismatch),
     "uterm_sum_1": (lambda: uterm(0, (1, 0, 0, 0)), ValueError),
     "control_index_outside_u": (lambda: _light2(uterm_matrix(2, [[uterm(0, (1, 0, -1))]]), None), DimensionMismatch),
     "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
@@ -466,28 +477,33 @@ def test_trajectories_equal_plain_resimulation_random():
         assert got == want_report
 
 
+def _random_input_light(rng):
+    """A four-phase light with rational phases, u0 and x0, and a random B(u)."""
+    half = Fraction(1, 2)
+    nv, nh = rng.randint(2, 5), rng.randint(2, 5)
+    cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
+    ch = sorted(rng.sample(range(nh), rng.randint(0, nh)))
+    phi = [rng.choice((0, 1, half, Fraction(2, 3), Fraction(5, 4))) for _ in range(4)]
+    light = _phased_light(nv, nh, cv, ch, phi)
+    b_rows = []
+    for _ in range(nv + nh):
+        row = [None] * 4
+        row[rng.randrange(4)] = Fraction(rng.randint(0, 9), rng.choice((1, 3)))
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(4), 2)
+            e = rng.choice((half, 1, Fraction(3, 2)))
+            exponents = [e if t == i else -e if t == j else 0 for t in range(4)]
+            row[rng.randrange(4)] = uterm(rng.randint(-2, 2), exponents)
+        b_rows.append(row)
+    u0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(4))
+    x0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(nv + nh))
+    return T1HSystem(light.c, light.a_of_u, uterm_matrix(4, b_rows), u0, x0)
+
+
 def test_t1h_input_matrix_and_rational_phases_equal_plain_resimulation():
     rng = random.Random(36)
-    half = Fraction(1, 2)
     for _ in range(30):
-        nv, nh = rng.randint(2, 5), rng.randint(2, 5)
-        cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
-        ch = sorted(rng.sample(range(nh), rng.randint(0, nh)))
-        phi = [rng.choice((0, 1, half, Fraction(2, 3), Fraction(5, 4))) for _ in range(4)]
-        light = _phased_light(nv, nh, cv, ch, phi)
-        b_rows = []
-        for _ in range(nv + nh):
-            row = [None] * 4
-            row[rng.randrange(4)] = Fraction(rng.randint(0, 9), rng.choice((1, 3)))
-            if rng.random() < 0.5:
-                i, j = rng.sample(range(4), 2)
-                e = rng.choice((half, 1, Fraction(3, 2)))
-                exponents = [e if t == i else -e if t == j else 0 for t in range(4)]
-                row[rng.randrange(4)] = uterm(rng.randint(-2, 2), exponents)
-            b_rows.append(row)
-        u0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(4))
-        x0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(nv + nh))
-        system = T1HSystem(light.c, light.a_of_u, uterm_matrix(4, b_rows), u0, x0)
+        system = _random_input_light(rng)
         k = rng.randint(2, 120)
         u_traj, x_traj, _, rates = t1h_simulate(system, k)
         us, xs = _plain_t1h(system, k)
@@ -553,3 +569,172 @@ def test_min_plus_term_constructor_reads_values_as_exact_rationals():
     t = MinPlusTerm(Fraction(4, 2), ((1, Fraction(1)), (0, 0)))
     assert t == term(2, (0, 1)) and type(t.constant) is int
     assert t.exponents == ((1, 1),) and type(t.exponents[0][1]) is int
+
+
+def _thirds_map(rng, n):
+    """A random degree-one map whose terms mix two coordinates in thirds (L = 3).
+
+    An exponent 4/3 or 5/3 pairs with -1/3 or -2/3, so some of these maps are not monotone
+    and their spread grows until `hom_iterate` raises Diverged.
+    """
+    coords = []
+    for _ in range(n):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            j, l = rng.randrange(n), rng.randrange(n)
+            e = Fraction(rng.choice((1, 2, 3, 4, 5)), 3)
+            exps = {j: e}
+            exps[l] = exps.get(l, 0) + 1 - e
+            terms.append(MinPlusTerm(Fraction(rng.randint(-3, 3), 3), tuple(exps.items())))
+        coords.append(tuple(terms))
+    return HomogeneousMap(n, tuple(coords))
+
+
+def _iterate_against_oracle(f, x0, k, bound=DEFAULT_SPREAD_BOUND):
+    """hom_iterate equals the step-every-time oracle and steps no further than
+    the first repeat; returns "diverged", "repeated" or "stepped"."""
+    counted = counting(f)
+    try:
+        want = hom_iterate_oracle(f, x0, k, bound)
+    except Diverged as exc:
+        with pytest.raises(Diverged) as got:
+            hom_iterate(counted, x0, k, bound)
+        assert str(got.value) == str(exc)
+        return "diverged"
+    traj, lam = hom_iterate(counted, x0, k, bound)
+    assert traj == want[0] and lam == want[1]
+    assert _all_fractions(traj) and type(lam) is Fraction
+    t = first_repeat(f, x0, k)
+    if t is None:
+        assert counted.steps == k
+        return "stepped"
+    assert counted.steps <= t
+    return "repeated"
+
+
+def _ks(rng, f, x0, longest):
+    """A random run length and the lengths just before, at and past the first repeat."""
+    t = first_repeat(f, x0, longest)
+    near = () if t is None else (t - 1, t, t + 1)
+    return sorted({rng.randint(2, longest), *(k for k in near if k >= 2)})
+
+
+def test_orbit_stops_at_the_first_repeat_and_equals_the_oracle():
+    rng = random.Random(271)
+    seen = {"diverged": 0, "repeated": 0, "stepped": 0}
+    for _ in range(25):
+        m = rng.randint(2, 9)
+        occ = [rng.randint(0, 1) for _ in range(m)]
+        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(m)]
+        f = road_event_graph(occ)
+        for k in _ks(rng, f, x0, 40):
+            seen[_iterate_against_oracle(f, x0, k)] += 1
+    for _ in range(25):
+        n1, n2 = rng.randint(2, 6), rng.randint(2, 6)
+        cars = sorted(rng.sample(range(n1 + n2), rng.randint(0, n1 + n2)))
+        x0 = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5))) for _ in range(n1 + n2)]
+        for policy in ("fifty_fifty", "priority"):
+            f = build_crossing(n1, n2, cars, policy)
+            for k in _ks(rng, f, x0, 60):
+                seen[_iterate_against_oracle(f, x0, k)] += 1
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        f = _thirds_map(rng, n)
+        x0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(n)]
+        for k in _ks(rng, f, x0, 40):
+            seen[_iterate_against_oracle(f, x0, k, bound=10)] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_orbit_repeat_whose_shift_has_another_denominator():
+    # (x1, x2) -> (x2 + 1/2, x1 + 1/2) from (0, 1): the points alternate
+    # between D = 1 and D = 2, and x_2 = x_0 + 1 is the first repeat with one D
+    half = Fraction(1, 2)
+    swap = HomogeneousMap(2, ((MinPlusTerm(half, ((1, 1),)),), (MinPlusTerm(half, ((0, 1),)),)))
+    assert first_repeat(swap, [0, 1], 10) == 2
+    for k in (2, 3, 4, 9, 40):
+        assert _iterate_against_oracle(swap, [0, 1], k) == "repeated"
+    # the shift x -> x + 1/2: x_1 = x_0 + 1/2 has D = 2, so the repeat is found at x_2
+    shift = HomogeneousMap(3, tuple((MinPlusTerm(half, ((i, 1),)),) for i in range(3)))
+    assert first_repeat(shift, [0, 5, -2], 10) == 2
+    counted = counting(shift)
+    traj, lam = hom_iterate(counted, [0, 5, -2], 7)
+    assert traj[7] == [Fraction(7, 2), Fraction(17, 2), Fraction(3, 2)] and lam == half
+    assert counted.steps <= 2
+
+
+def test_orbit_steps_every_time_without_a_repeat_and_stops_on_divergence():
+    grow = HomogeneousMap(2, ((term(0, (2, -1)),), (term(0, (-1, 2)),)))
+    counted = counting(grow)
+    with pytest.raises(Diverged, match="coordinate spread exceeded the configured bound"):
+        hom_iterate(counted, [0, 10], 200, spread_bound=Fraction(100))
+    assert counted.steps == 3  # spreads 10, 30, 90, then 270 > 100 at step 3
+    counted = counting(road_event_graph([1, 1, 0, 0, 0, 1, 0]))
+    hom_iterate(counted, list(range(7)), 5)
+    assert first_repeat(road_event_graph([1, 1, 0, 0, 0, 1, 0]), list(range(7)), 5) is None
+    assert counted.steps == 5
+
+
+def _tracking_light(rng):
+    """A T1H system whose state follows its control layer through B(u).
+
+    The control layer is the four-phase light with rational phases, whose u
+    grows by at most 1 per step. Each state row is min(c + x_r, B(u) u) with
+    c >= 4/3, so x catches up with B(u) u, and the pair (u, x) repeats up to
+    a shift once it does.
+    """
+    phi = [rng.choice((0, Fraction(1, 2), Fraction(2, 3), 1)) for _ in range(4)]
+    c = _phased_light(2, 2, [], [], phi).c
+    n = rng.randint(1, 4)
+    a_rows, b_rows = [], []
+    for r in range(n):
+        a_row, b_row = [None] * n, [None] * 4
+        a_row[r] = Fraction(rng.randint(4, 6), 3)
+        b_row[rng.randrange(4)] = Fraction(rng.randint(-3, 3), 3)
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(4), 2)
+            exponents = [1 if t == i else -1 if t == j else 0 for t in range(4)]
+            b_row[rng.randrange(4)] = uterm(rng.randint(-2, 2), exponents)
+        a_rows.append(a_row)
+        b_rows.append(b_row)
+    u0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(4))
+    x0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(n))
+    return T1HSystem(c, uterm_matrix(4, a_rows), uterm_matrix(4, b_rows), u0, x0)
+
+
+def test_t1h_simulate_equals_the_step_every_time_oracle(monkeypatch):
+    maps = []
+    compile_map = dynamics._t1h_map
+
+    def counted_map(system):
+        maps.append(counting(compile_map(system)))
+        return maps[-1]
+
+    monkeypatch.setattr(dynamics, "_t1h_map", counted_map)
+    rng = random.Random(272)
+    repeated = 0
+    for n in range(40):
+        system = (_random_input_light, _tracking_light)[n % 2](rng)
+        start = [*system.u0, *system.x0]
+        for k in _ks(rng, compile_map(system), start, 50):
+            got = t1h_simulate(system, k)
+            assert got == t1h_simulate_oracle(system, k)
+            assert _all_fractions(got[0], got[1])
+            t = first_repeat(compile_map(system), start, k)
+            assert maps[-1].steps == k if t is None else maps[-1].steps <= t
+            repeated += t is not None and t < k
+    assert repeated >= 10, repeated
+
+
+def test_tent_orbit_tiles_its_cycle_like_the_oracle():
+    rng = random.Random(273)
+    starts = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3)]
+    starts += [Fraction(rng.randint(0, q), q) for q in (7, 8, 12, 101, 96, 999, 1000, 4097)]
+    for y0 in starts:
+        nums = tent_trajectory_oracle(y0, 5000)[0]
+        t = next(t for t in range(len(nums)) if nums[t] in nums[:t])
+        for k in sorted({1, rng.randint(1, 300), *(k for k in (t - 1, t, t + 1) if k >= 1)}):
+            for bins in (None, 1, 7, 100):
+                got = tent_trajectory(y0, k, bins)
+                assert got == tent_trajectory_oracle(y0, k, bins)
+                assert len(got[0]) == k + 1 and _all_fractions([got[0]])

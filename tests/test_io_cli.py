@@ -8,6 +8,7 @@ from fractions import Fraction
 from io import StringIO
 
 import pytest
+from orbit_oracle import tent_trajectory_oracle
 
 import tropkit
 from tropkit import io as tio
@@ -193,6 +194,16 @@ def test_cli_tent_histogram():
     lines = out.strip().splitlines()
     assert lines[0] == "bin,count"
     assert sum(int(l.split(",")[1]) for l in lines[1:]) == 61
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_tent_histogram_equals_the_step_every_time_oracle(fmt):
+    _, hist = tent_trajectory_oracle(Fraction(3, 101), 200_000, bins=8)
+    want = tio.dumps({"bins": 8, "counts": hist}) if fmt == "json" else (
+        "bin,count\n" + "".join(f"{i},{c}\n" for i, c in enumerate(hist)))
+    argv = ["traffic", "tent", "--y0", "3/101", "--steps", "200000", "--bins", "8", "--format", fmt]
+    code, out, _ = run_cli(argv)
+    assert code == 0 and out == want
 
 
 def test_cli_plucker_round_trip(tmp_path):
