@@ -3,14 +3,18 @@
 Rationals cross the file boundary as "p/q" strings (plain integers stay
 numbers), the bottoms of max-plus and min-plus as "-inf" / "+inf", subset
 functions as binary-literal masks, and flow-net edges as "i,j->k,l" keys.
-Each matrix or vector cell is read once, by `semiring.payload_of`; a
-boolean file takes only true and false, and a CSV cell, stripped of spaces,
-is the JSON value it spells or else a string. Parsing is strict: malformed
-payloads, JSON null, floats, strings other than "p" or "p/q" in ASCII
-digits and the file's own bottom, mask keys other than a binary, octal, hex
-or decimal literal in ASCII digits (no "_", sign or spaces), and edge keys
-other than four ASCII-digit coordinates raise SchemaError, which the CLI
-maps to exit code 2. Subset functions and flow nets above the plucker
+Matrix and vector rows are read by the row reader `semiring.payloads_of`,
+which is `payload_of` per cell unless the whole row is already canonical,
+the file's own bottom spelling read as None first: a row of JSON integers
+and "-inf" in a max-plus file costs no per-cell call. A row it rejects is
+read again cell by cell, so the first bad cell raises its own SchemaError.
+A boolean file takes only true and false, and a CSV cell, stripped of
+spaces, is the JSON value it spells or else a string. Parsing is strict:
+malformed payloads, JSON null, floats, strings other than "p" or "p/q" in
+ASCII digits and the file's own bottom, mask keys other than a binary,
+octal, hex or decimal literal in ASCII digits (no "_", sign or spaces), and
+edge keys other than four ASCII-digit coordinates raise SchemaError, which
+the CLI maps to exit code 2. Subset functions and flow nets above the plucker
 CHECK_CAP raise TooLarge (exit code 1) before any table over their ground
 set is built. The subset-function and flow-net decoders import `plucker`
 when they run, so the matrix codecs never load it.
@@ -21,10 +25,21 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import TooLarge
-from .semiring import BOOLEAN, MAX_PLUS, Payload, SemiringTag, TropScalar, _rational, payload_of
+from .semiring import (
+    BOOLEAN,
+    MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    Payload,
+    SemiringTag,
+    TropScalar,
+    _rational,
+    payload_of,
+    payloads_of,
+)
 from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
 
 
@@ -70,6 +85,30 @@ def _payload_from_json(v, tag: SemiringTag) -> Payload:
         raise SchemaError(str(exc)) from exc
 
 
+# A file cell as `payload_of` reads it: the file's own bottom spelling is
+# already None, and JSON null becomes a value no tag takes.
+_NULL = object()
+_FILE_CELL = {
+    MAX_PLUS: {"-inf": None, None: _NULL}.get,
+    MIN_PLUS: {"+inf": None, None: _NULL}.get,
+    MAX_TIMES: {None: _NULL}.get,
+    BOOLEAN: {None: _NULL}.get,
+}
+
+
+def _row_from_json(row: list, tag: SemiringTag) -> Tuple[Payload, ...]:
+    """A file row's payloads through `semiring.payloads_of`, so a row of JSON
+    integers and the file's bottom spelling is read in C-level passes. A
+    row it rejects, and under boolean a row holding any cell but a bool, is
+    read again cell by cell, so the first bad cell raises its own SchemaError."""
+    if tag is not BOOLEAN or set(map(type, row)) <= {bool}:
+        try:
+            return payloads_of(map(_FILE_CELL[tag], row, row), tag)
+        except (TypeError, ValueError):  # an unhashable cell raises TypeError in the lookup
+            pass
+    return tuple([_payload_from_json(v, tag) for v in row])
+
+
 def scalar_to_json(s: TropScalar) -> Union[int, str, bool]:
     return _payload_to_json(s.value, s.tag)
 
@@ -95,9 +134,7 @@ def matrix_from_json(obj) -> TropMatrix:
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError("matrix data does not match the declared column count")
-    return TropMatrix._trusted(
-        tuple(tuple(_payload_from_json(v, tag) for v in row) for row in data), tag
-    )
+    return TropMatrix._trusted(tuple([_row_from_json(row, tag) for row in data]), tag)
 
 
 def vector_to_json(x: TropVector) -> Dict:
@@ -110,7 +147,7 @@ def vector_from_json(obj) -> TropVector:
     tag = tag_from_name(obj["semiring"])
     if not isinstance(obj["data"], list) or not obj["data"]:
         raise SchemaError("vector data must be a nonempty list")
-    return TropVector._trusted(tuple(_payload_from_json(v, tag) for v in obj["data"]), tag)
+    return TropVector._trusted(_row_from_json(obj["data"], tag), tag)
 
 
 def interval_matrix_to_json(m: IntervalMatrix) -> Dict:
@@ -151,7 +188,7 @@ def _cell_from_csv(c: str):
 
 def matrix_from_csv(text: str, tag: SemiringTag) -> TropMatrix:
     rows = [
-        tuple(_payload_from_json(_cell_from_csv(c.strip()), tag) for c in line.split(","))
+        _row_from_json([_cell_from_csv(c.strip()) for c in line.split(",")], tag)
         for line in text.strip().splitlines()
     ]
     widths = {len(r) for r in rows}

@@ -58,7 +58,9 @@ def interval_masks(n: int) -> List[int]:
 @dataclass(frozen=True)
 class SubsetFunction:
     """Total function 2^{1..n} -> Q as canonical payloads (None marking minus
-    infinity); the constructor reads each value once through `semiring._rational`."""
+    infinity). The constructor keeps a table of ints and None as it is, after
+    one C-level pass over its exact types, and reads any other table value by
+    value through `semiring._rational`."""
 
     n: int
     table: Tuple[Payload, ...]
@@ -66,7 +68,10 @@ class SubsetFunction:
     def __post_init__(self):
         if len(self.table) != 1 << self.n:
             raise ValueError("table must cover every subset")
-        object.__setattr__(self, "table", tuple(None if v is None else _rational(v) for v in self.table))
+        table = tuple(self.table)
+        if not set(map(type, table)) <= {int, type(None)}:
+            table = tuple([None if v is None else _rational(v) for v in table])
+        object.__setattr__(self, "table", table)
 
     def value(self, subset: Union[int, Iterable[int]]) -> Payload:
         mask = subset if isinstance(subset, int) else subset_mask(subset, self.n)

@@ -15,10 +15,13 @@ module) and every law that makes a new value return this canonical form.
 `payload_of` is the one scalar reader, behind `TropScalar`, `scalar`,
 `vector`, `matrix` and the file codecs. It takes exactly the spellings its
 docstring lists, so that every identity tested downstream holds with
-equality, not tolerance. Integer kernels scale payloads by
-`_scaled` and come back through `_unscaled`. `PayloadOps` holds each tag's
-laws on payloads, and the scalar operations and every matrix kernel read
-them there.
+equality, not tolerance. `vector`, `matrix` and the file codecs read rows
+through the row reader `payloads_of`: `payload_of` per cell, unless one
+C-level pass over the exact types of the cells finds the whole row already
+canonical, so a row of ints and None costs no per-cell call. Integer
+kernels scale payloads by `_scaled` and come back through `_unscaled`.
+`PayloadOps` holds each tag's laws on payloads, and the scalar operations
+and every matrix kernel read them there.
 The canonical order of an idempotent semiring (a <= b  iff  a + b == b) is
 the one used everywhere; note that for min-plus it is the reverse of the
 numeric order.
@@ -33,7 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Union
+from typing import Callable, Iterable, Tuple, Union
 
 from .errors import DivisionByBottom, Divergent, TagMismatch
 
@@ -138,6 +141,33 @@ def payload_of(value: ScalarLike, tag: SemiringTag) -> Payload:
     if tag is MAX_TIMES and value < 0:
         raise ValueError("max-times scalars are nonnegative rationals")
     return value
+
+
+# the exact types of the values that are their own payloads under each tag
+# (under max-times only those >= 0)
+_OWN_TYPES = {
+    MAX_PLUS: frozenset({int, type(None)}),
+    MIN_PLUS: frozenset({int, type(None)}),
+    MAX_TIMES: frozenset({int}),
+    BOOLEAN: frozenset({bool}),
+}
+
+
+def payloads_of(row: Iterable[ScalarLike], tag: SemiringTag) -> Tuple[Payload, ...]:
+    """The row reader: `tuple(payload_of(v, tag) for v in row)`, with the
+    same payloads and the same exceptions.
+
+    One C-level pass over the exact types of the cells decides whether every
+    cell already is its own payload: ints and None under max-plus and
+    min-plus, ints >= 0 under max-times, bools under boolean. Such a row
+    comes back as a tuple without a per-cell call; any other row, one
+    holding a bool, an int subclass, a Fraction or a string included, is
+    read cell by cell.
+    """
+    row = tuple(row)
+    if set(map(type, row)) <= _OWN_TYPES[tag] and (tag is not MAX_TIMES or not row or min(row) >= 0):
+        return row
+    return tuple([payload_of(v, tag) for v in row])
 
 
 # -- the semiring laws on payloads ---------------------------------------------

@@ -3,10 +3,13 @@
 A `TropMatrix` stores one tuple of raw payload rows and its tag, a
 `TropVector` one tuple of payloads (see `semiring` for the payload types).
 The public constructors accept any scalar-like entries, same-tag
-`TropScalar`s included, and coerce each entry once; kernels build their
-results from payloads they computed through the private trusted constructor
-`_trusted`, which checks nothing. Indexing, `row`, `column` and `entries`
-box `TropScalar`s on demand, for callers at the edges.
+`TropScalar`s included, and read each row through `semiring.payloads_of`:
+`payload_of` per entry, unless the whole row already is canonical (ints
+and None under max-plus), which one pass over its types decides. Kernels
+build their results from payloads they computed through the private
+trusted constructor `_trusted`, which checks nothing. Indexing, `row`,
+`column` and `entries` box `TropScalar`s on demand, for callers at the
+edges.
 
 Every kernel (product, sum, scaling, order, left residuation) picks its
 tag's `PayloadOps` once per call and runs the same code for all four tags.
@@ -49,7 +52,7 @@ from .semiring import (
     TropScalar,
     _scaled,
     _unscaled,
-    payload_of,
+    payloads_of,
 )
 
 
@@ -80,7 +83,7 @@ class TropVector(_PayloadBacked):
     tag: SemiringTag
 
     def __init__(self, entries: Iterable[ScalarLike], tag: SemiringTag):
-        self._fill(tuple(payload_of(v, tag) for v in entries), tag)
+        self._fill(payloads_of(entries, tag), tag)
 
     @property
     def entries(self) -> Tuple[TropScalar, ...]:
@@ -163,7 +166,7 @@ class TropMatrix(_PayloadBacked):
     tag: SemiringTag
 
     def __init__(self, entries: Iterable[Iterable[ScalarLike]], tag: SemiringTag):
-        payload = tuple(tuple(payload_of(v, tag) for v in row) for row in entries)
+        payload = tuple([payloads_of(row, tag) for row in entries])
         if len({len(r) for r in payload}) > 1:
             raise DimensionMismatch("ragged rows")
         self._fill(payload, tag)

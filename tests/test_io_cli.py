@@ -78,6 +78,48 @@ def test_json_cells_take_only_the_documented_spellings(cell, tag):
         tio.vector_from_json({"semiring": tag.value, "data": [cell]})
 
 
+# one bad cell in a row of 40 ints, as JSON values: each is a schema error
+# wherever it sits, also where the rest of the row is read at C speed
+_BAD_FILE_CELLS = {
+    "null": (None, None), "bool": (True, True), "float": (1.5, 1.5),
+    "other_infinity": ("+inf", "-inf"), "space": (" 3", " 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FILE_CELLS))
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
+def test_readers_reject_one_bad_cell_at_every_position(name, tag):
+    bad = _BAD_FILE_CELLS[name][tag is MIN_PLUS]
+    own = BOT if tag is MAX_PLUS else "+inf"
+    ints = [(-1) ** j * j if j % 7 else own for j in range(40)]
+    assert tio.vector_from_json({"semiring": tag.value, "data": ints}).payload[7] is None
+    for at in range(40):
+        row = ints[:at] + [bad] + ints[at + 1:]
+        data = [ints] * at + [row] + [ints] * (39 - at)
+        with pytest.raises(tio.SchemaError):
+            tio.matrix_from_json({"semiring": tag.value, "rows": 40, "cols": 40, "data": data})
+        with pytest.raises(tio.SchemaError):
+            tio.vector_from_json({"semiring": tag.value, "data": row})
+        csv = "\n".join(",".join(map(json.dumps, r)) for r in data)
+        with pytest.raises(tio.SchemaError):
+            tio.matrix_from_csv(csv, tag)
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_FILE_CELLS))
+def test_cli_exits_2_on_one_bad_cell_at_every_position(tmp_path, name):
+    bad = _BAD_FILE_CELLS[name][0]
+    ints = [j % 9 - 4 if j % 5 else BOT for j in range(40)]
+    module = write(tmp_path, "v.json", _max_plus([[0]] * 40))
+    for at in range(40):
+        row = ints[:at] + [bad] + ints[at + 1:]
+        m = write(tmp_path, "m.json", _max_plus([ints] * at + [row] + [ints] * (39 - at)))
+        v = write(tmp_path, "x.json", {"semiring": "max-plus", "data": row})
+        for argv in (["star", "--matrix", m], ["project", "--module", module, "--vector", v]):
+            code, out, err = run_cli(argv)  # an uncaught exception fails the test
+            assert (code, out) == (2, "") and err.startswith("tropkit: ") and err.count("\n") == 1
+    _assert_schema_exit(tmp_path, ["star", "--matrix", m])
+
+
 def test_vector_and_interval_round_trip():
     v = vector([1, BOT, Fraction(3, 2)])
     assert tio.vector_from_json(tio.vector_to_json(v)) == v

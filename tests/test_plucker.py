@@ -21,6 +21,7 @@ from tropkit.plucker import (
     subset_function,
     subset_mask,
 )
+from tropkit.semiring import scalar
 
 
 def test_trivial_functions():
@@ -234,6 +235,16 @@ def test_subset_function_constructor_reads_values_as_exact_rationals():
     f = SubsetFunction(2, (Fraction(4, 2), "1/2", None, 3))
     assert f.table == (2, Fraction(1, 2), None, 3)
     assert [type(v) for v in f.table] == [int, Fraction, type(None), int]
+    # a table of ints and None is kept as it is; one other value sends the
+    # whole table through `_rational`, which takes no bottom spelling, no
+    # scalar, no bool and no float
+    table = (0, None, 2, -3)
+    assert SubsetFunction(2, table).table is table
+    assert SubsetFunction(2, [0, None, 2, -3]).table == table
+    for bad in ("-inf", scalar(1), scalar("-inf"), True, 1.0):
+        for at in range(4):
+            with pytest.raises(TypeError if bad != "-inf" else ValueError):
+                SubsetFunction(2, table[:at] + (bad,) + table[at + 1:])
 
 
 def test_grid_flow_net_constructor_reads_weights_as_exact_rationals():

@@ -1,3 +1,4 @@
+import enum
 import random
 from fractions import Fraction
 from math import lcm
@@ -32,6 +33,7 @@ from tropkit.semiring import (
     MAX_TIMES,
     MIN_PLUS,
     Interval,
+    SemiringTag,
     TropScalar,
     _canonical,
     _scaled,
@@ -40,6 +42,8 @@ from tropkit.semiring import (
     iv_binary,
     one,
     parse_rational,
+    payload_of,
+    payloads_of,
     scalar,
     sr_add,
     sr_mul,
@@ -258,6 +262,70 @@ def test_every_constructor_reads_the_documented_spellings(make):
         assert (got, type(got)) == (want, type(want)), (value, tag)
     with pytest.raises(TagMismatch):
         _PAYLOAD_OF[make](scalar(3), MIN_PLUS)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def _cell_pool(tag):
+    """Every kind of cell a caller may pass, accepted or not under `tag`."""
+    other = MIN_PLUS if tag is not MIN_PLUS else MAX_PLUS
+    return [
+        -7, 0, 1, 3, 10**30, None, True, False, Fraction(4, 2), Fraction(-5, 3), "7/2", "-6/3",
+        "-inf", "+inf", 1.0, -0.5, scalar(0, tag) if tag is not BOOLEAN else scalar(True, tag),
+        scalar(2, other), _Level.LOW,
+    ]
+
+
+def _per_cell(row, tag):
+    """(payloads, None) or (None, exception type) of the per-cell reader."""
+    try:
+        return [payload_of(v, tag) for v in row], None
+    except (TypeError, ValueError, TagMismatch) as exc:
+        return None, type(exc)
+
+
+def _rows(rng, tag):
+    """Seeded rows of length 1 to 40 mixing every kind of cell, and all-int
+    rows holding one rejected or non-canonical cell first, in the middle or last."""
+    pool = _cell_pool(tag)
+    own = [True, False] if tag is BOOLEAN else [0, 1, 2, 5] if tag is MAX_TIMES else [-3, 0, 4, None]
+    rows = []
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        rows.append([rng.choice(own) for _ in range(n)])
+        rows.append([rng.choice(pool) for _ in range(n)])
+        rows.append([rng.choice(own if rng.random() < 0.9 else pool) for _ in range(n)])
+    ints = [1] * 40 if tag is BOOLEAN else list(range(40))
+    for cell in pool + [-1]:
+        for at in (0, 20, 39):
+            rows.append(ints[:at] + [cell] + ints[at + 1:])
+    return rows
+
+
+@pytest.mark.parametrize("tag", list(SemiringTag))
+def test_row_reader_equals_the_per_cell_reader(tag):
+    # `payloads_of` returns a wholly canonical row as it is and reads any
+    # other row cell by cell: the payloads, their types and the exception
+    # type must be those of `payload_of` on each cell
+    rng = random.Random(28)
+    for row in _rows(rng, tag):
+        want, error = _per_cell(row, tag)
+        readers = {
+            "payloads_of": lambda: payloads_of(row, tag),
+            "payloads_of_iter": lambda: payloads_of(iter(row), tag),
+            "vector": lambda: vector(row, tag).payload,
+            "matrix": lambda: matrix([row, row], tag).payload[1],
+        }
+        for name, read in readers.items():
+            if error is not None:
+                with pytest.raises(error):
+                    read()
+                continue
+            got = read()
+            assert type(got) is tuple, name
+            assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want], (name, row)
 
 
 def test_tropscalar_reads_a_same_tag_scalar():
