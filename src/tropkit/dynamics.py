@@ -9,7 +9,8 @@ completion), fundamental-diagram sweeps, and triangular one-homogeneous
 
 Every branch of a homogeneous map, and every entry of a T1H control
 matrix, is one `MinPlusTerm`: a constant plus a sparse sum of exponent
-times coordinate, so a road step costs O(m).
+times coordinate, so a road step costs O(m). A `UTermMatrix`'s shape is
+its table's, and an empty or ragged table raises DimensionMismatch.
 
 Caller values enter through `semiring._rational`, and every model steps on
 integer numerators X over one denominator D from `semiring._scaled`. A map
@@ -671,12 +672,12 @@ UEntry = Optional[Tuple[MinPlusTerm, ...]]
 class UTermMatrix:
     """Matrix whose entries are min-combined 0-homogeneous terms in u."""
 
-    rows: int
-    cols: int
     udim: int
     entries: Tuple[Tuple[UEntry, ...], ...]
 
     def __post_init__(self):
+        if len({len(row) for row in self.entries}) != 1 or not self.entries[0]:
+            raise DimensionMismatch("a control matrix needs a nonempty rectangular table")
         if any(entry == () for row in self.entries for entry in row):
             raise ValueError("an entry needs at least one term; None stands for no edge")
         terms = [t for row in self.entries for entry in row if entry for t in entry]
@@ -684,6 +685,10 @@ class UTermMatrix:
             raise DimensionMismatch(f"control term index outside 0..{self.udim - 1}")
         for t in terms:
             _zero_homogeneous(t)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return len(self.entries), len(self.entries[0])
 
     def eval(self, u: Sequence[Rat]) -> TropMatrix:
         rows = [[None if e is None else min(t.eval(u) for t in e) for e in row] for row in self.entries]
@@ -705,7 +710,7 @@ def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
             else:
                 out_row.append(tuple(entry))
         norm.append(tuple(out_row))
-    return UTermMatrix(len(norm), len(norm[0]), udim, tuple(norm))
+    return UTermMatrix(udim, tuple(norm))
 
 
 @dataclass(frozen=True)
@@ -723,9 +728,9 @@ class T1HSystem:
             raise ValueError("the control layer is min-plus linear")
         if self.c.rows != self.c.cols or self.c.rows != len(self.u0):
             raise DimensionMismatch("control matrix and u0 disagree")
-        if self.a_of_u.rows != self.a_of_u.cols or self.a_of_u.rows != len(self.x0):
+        if self.a_of_u.shape != (len(self.x0), len(self.x0)):
             raise DimensionMismatch("state matrix and x0 disagree")
-        if self.b_of_u and (self.b_of_u.rows, self.b_of_u.cols) != (len(self.x0), len(self.u0)):
+        if self.b_of_u and self.b_of_u.shape != (len(self.x0), len(self.u0)):
             raise DimensionMismatch("input matrix disagrees with x0 and u0")
         if any(m and m.udim != len(self.u0) for m in (self.a_of_u, self.b_of_u)):
             raise DimensionMismatch("control-matrix udim disagrees with u0")
@@ -760,7 +765,7 @@ def _t1h_map(system: T1HSystem) -> HomogeneousMap:
     layers = (("control", [(c, 0)]), ("state", [(system.a_of_u, udim), (system.b_of_u, 0)]))
     coords = []
     for name, blocks in layers:
-        for r in range(blocks[0][0].rows):
+        for r in range(len(blocks[0][0].entries)):
             terms = tuple(
                 _plus_coordinate(t, offset + j)
                 for m, offset in blocks if m is not None
@@ -877,7 +882,7 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
     Returns A(u^3) A(u^2) A(u^1) A(u^0) restricted to the road's rows and
     columns; its min-plus eigenvalue over 4 equals the asymptotic flow.
     """
-    dim = system.a_of_u.rows
+    dim = len(system.x0)
     if road == "vertical":
         idx = range(n_vertical)
     elif road == "horizontal":

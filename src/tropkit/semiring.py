@@ -21,10 +21,12 @@ C-level pass over the exact types of the cells finds the whole row already
 canonical, so a row of ints and None costs no per-cell call. Integer
 kernels scale payloads by `_scaled` and come back through `_unscaled`.
 `PayloadOps` holds each tag's laws on payloads, and the scalar operations
-and every matrix kernel read them there.
+and every matrix kernel read them there; `TropScalar`'s `+`, `*`, `/` and
+`star` are `sr_add`, `sr_mul`, `sr_residual` and `sr_star` themselves.
 The canonical order of an idempotent semiring (a <= b  iff  a + b == b) is
 the one used everywhere; note that for min-plus it is the reverse of the
-numeric order.
+numeric order. It is a chain, so `TropScalar` defines only `<=` and derives
+`>=`, `<` and `>`; comparing a scalar with a non-scalar raises.
 """
 
 from __future__ import annotations
@@ -251,6 +253,40 @@ _OPS = {
 }
 
 
+def sr_add(a: TropScalar, b: TropScalar) -> TropScalar:
+    """a + b in the tagged semiring (idempotent, commutative): a or b itself."""
+    a.same_tag(b)
+    return a if a.tag.ops.add(a.value, b.value) is a.value else b
+
+
+def sr_mul(a: TropScalar, b: TropScalar) -> TropScalar:
+    """a * b in the tagged semiring; the zero is absorbing."""
+    a.same_tag(b)
+    return TropScalar._fast(a.tag.ops.mul(a.value, b.value), a.tag)
+
+
+def sr_residual(x: TropScalar, y: TropScalar) -> TropScalar:
+    """Residuation x / y = max{lam : lam * y <= x} (canonical order).
+
+    Subtraction in max-plus and min-plus, division in max-times.
+    """
+    x.same_tag(y)
+    return TropScalar._fast(x.tag.ops.residual(x.value, y.value), x.tag)
+
+
+def sr_star(a: TropScalar) -> TropScalar:
+    """Star a* = 1 + a + a^2 + ...; diverges above the unit."""
+    tag = a.tag
+    if tag is BOOLEAN:
+        return one(tag)
+    if tag is MAX_TIMES:
+        raise ValueError("scalar star is not provided for max-times")
+    if a <= one(tag):
+        return one(tag)
+    raise Divergent(f"star of {a!r} is unbounded")
+
+
+@functools.total_ordering
 @dataclass(frozen=True)
 class TropScalar:
     """An element of a tagged idempotent semiring (value or bottom)."""
@@ -285,34 +321,15 @@ class TropScalar:
         if self.tag is not other.tag:
             raise TagMismatch(f"{self.tag.value} vs {other.tag.value}")
 
-    # -- semiring operations ------------------------------------------------
+    __add__ = sr_add
+    __mul__ = sr_mul
+    __truediv__ = sr_residual
+    star = sr_star
 
-    def __add__(self, other: "TropScalar") -> "TropScalar":
-        return sr_add(self, other)
-
-    def __mul__(self, other: "TropScalar") -> "TropScalar":
-        return sr_mul(self, other)
-
-    def __truediv__(self, other: "TropScalar") -> "TropScalar":
-        return sr_residual(self, other)
-
-    def star(self) -> "TropScalar":
-        return sr_star(self)
-
-    # -- canonical order (a <= b iff a + b == b) -----------------------------
-
+    # the canonical order (a <= b iff a + b == b); >=, < and > derive from it
     def __le__(self, other: "TropScalar") -> bool:
         self.same_tag(other)
         return self.tag.ops.le(self.value, other.value)
-
-    def __ge__(self, other: "TropScalar") -> bool:
-        return other.__le__(self)
-
-    def __lt__(self, other: "TropScalar") -> bool:
-        return self.__le__(other) and self != other
-
-    def __gt__(self, other: "TropScalar") -> bool:
-        return other.__le__(self) and self != other
 
     def __repr__(self) -> str:
         if self.tag is BOOLEAN:
@@ -333,39 +350,6 @@ def zero(tag: SemiringTag) -> TropScalar:
 
 def one(tag: SemiringTag) -> TropScalar:
     return TropScalar._fast(tag.ops.unit, tag)
-
-
-def sr_add(a: TropScalar, b: TropScalar) -> TropScalar:
-    """a + b in the tagged semiring (idempotent, commutative): a or b itself."""
-    a.same_tag(b)
-    return a if a.tag.ops.add(a.value, b.value) is a.value else b
-
-
-def sr_mul(a: TropScalar, b: TropScalar) -> TropScalar:
-    """a * b in the tagged semiring; the zero is absorbing."""
-    a.same_tag(b)
-    return TropScalar._fast(a.tag.ops.mul(a.value, b.value), a.tag)
-
-
-def sr_residual(x: TropScalar, y: TropScalar) -> TropScalar:
-    """Residuation x / y = max{lam : lam * y <= x} (canonical order).
-
-    Subtraction in max-plus and min-plus, division in max-times.
-    """
-    x.same_tag(y)
-    return TropScalar._fast(x.tag.ops.residual(x.value, y.value), x.tag)
-
-
-def sr_star(a: TropScalar) -> TropScalar:
-    """Star a* = 1 + a + a^2 + ...; diverges above the unit."""
-    tag = a.tag
-    if tag is BOOLEAN:
-        return one(tag)
-    if tag is MAX_TIMES:
-        raise ValueError("scalar star is not provided for max-times")
-    if a <= one(tag):
-        return one(tag)
-    raise Divergent(f"star of {a!r} is unbounded")
 
 
 @dataclass(frozen=True)

@@ -182,14 +182,25 @@ def _howard(a: TropMatrix) -> Tuple[int, list, list, int, List[list]]:
     chi_l} - chi_l, None where chi_l is. Each policy cycle's smallest node
     keeps its bias from the round before, so the bias never decreases and
     the iteration terminates.
+
+    The nodes that reach no cycle are dropped first, by one out-degree sweep
+    that reads each dropped node's column once.
     """
     sign = -1 if a.tag is MIN_PLUS else 1
     w = a.payload
     n = a.rows
-    live, keep = None, list(range(n))
-    while keep != live:  # drop the nodes without an edge into the rest
-        live, keep = keep, [i for i in keep if any(w[i][j] is not None for j in keep)]
-    heads = [[j for j in live if r[j] is not None] for r in w]
+    heads = [[j for j, v in enumerate(r) if v is not None] for r in w]
+    degree = list(map(len, heads))  # edges into nodes not yet dropped
+    dead = [i for i, d in enumerate(degree) if not d]
+    for j in dead:  # grows as it runs: i goes when its last edge into kept nodes does
+        for i, r in enumerate(w):
+            if r[j] is not None:
+                degree[i] -= 1
+                if not degree[i]:
+                    dead.append(i)
+    if dead:
+        heads = [[j for j in js if degree[j]] for js in heads]
+    live = [i for i, d in enumerate(degree) if d]
     # a cycle of at most len(live) integer weights has an integral mean
     ints, scale = _scaled([sign * r[j] for r, js in zip(w, heads) for j in js], math.lcm(*range(1, len(live) + 1)))
     ints = iter(ints)

@@ -160,6 +160,21 @@ def vec_residual(x: TropVector, y: TropVector) -> TropScalar:
     return TropScalar._fast(_least_residual(x.payload, y.payload, x.tag.ops), x.tag)
 
 
+def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    """C_ik = sum_j a_ij * b_jk over the tagged semiring."""
+    if a.tag is not b.tag:
+        raise TagMismatch("matrix tags differ")
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    ops = a.tag.ops
+    add, mul, zero = ops.add, ops.mul, ops.zero
+    b_cols = tuple(zip(*b.payload))
+    return TropMatrix._trusted(
+        tuple(tuple(reduce(add, map(mul, row, col), zero) for col in b_cols) for row in a.payload),
+        a.tag,
+    )
+
+
 @dataclass(frozen=True, init=False, slots=True)
 class TropMatrix(_PayloadBacked):
     payload: Tuple[Tuple[Payload, ...], ...]
@@ -216,8 +231,7 @@ class TropMatrix(_PayloadBacked):
             tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.payload, other.payload)), self.tag
         )
 
-    def __matmul__(self, other: "TropMatrix") -> "TropMatrix":
-        return mat_mul(self, other)
+    __matmul__ = mat_mul
 
     def __le__(self, other: "TropMatrix") -> bool:
         self._check_same(other)
@@ -259,21 +273,6 @@ def from_columns(cols: Sequence[TropVector], tag: Optional[SemiringTag] = None) 
 
 def identity(n: int, tag: SemiringTag = MAX_PLUS) -> TropMatrix:
     return TropMatrix._trusted(tuple(unit_vector(n, i, tag).payload for i in range(n)), tag)
-
-
-def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """C_ik = sum_j a_ij * b_jk over the tagged semiring."""
-    if a.tag is not b.tag:
-        raise TagMismatch("matrix tags differ")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    ops = a.tag.ops
-    add, mul, zero = ops.add, ops.mul, ops.zero
-    b_cols = tuple(zip(*b.payload))
-    return TropMatrix._trusted(
-        tuple(tuple(reduce(add, map(mul, row, col), zero) for col in b_cols) for row in a.payload),
-        a.tag,
-    )
 
 
 def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:

@@ -305,6 +305,12 @@ _BAD_TERMS = {
     "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
     "udim_disagrees_with_u0": (lambda: _light2(uterm_matrix(3, [[0]]), None), DimensionMismatch),
     "control_entry_without_terms": (lambda: uterm_matrix(2, [[[], 0]]), ValueError),
+    "control_table_empty": (lambda: uterm_matrix(1, []), DimensionMismatch),
+    "control_table_ragged": (lambda: uterm_matrix(1, [[0, None], [0]]), DimensionMismatch),
+    "control_table_one_row_for_two_states": (
+        lambda: T1HSystem(matrix([[0]], MIN_PLUS), uterm_matrix(1, [[0, None]]), None, (Fraction(0),), (Fraction(0),) * 2),
+        DimensionMismatch,
+    ),
     "control_term_not_0_homogeneous": (lambda: uterm_matrix(2, [[term(0, (1, 0))]]), ValueError),
     "tent_bins_0": (lambda: tent_trajectory(Fraction(1, 3), 4, bins=0), ValueError),
     "tent_bins_-2": (lambda: tent_trajectory(Fraction(1, 3), 4, bins=-2), ValueError),

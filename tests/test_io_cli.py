@@ -217,6 +217,13 @@ def test_cli_twosided_infeasible(tmp_path):
     assert code == 1 and json.loads(out)["error"]["type"] == "Infeasible"
 
 
+def test_cli_twosided_above_the_cap_exits_1(tmp_path):
+    a = _max_plus([[i - j for j in range(7)] for i in range(7)])
+    proc = _cli_subprocess(tmp_path, ["twosided", "--A", a, "--B", a])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"
+
+
 def test_cli_traffic_and_out_file(tmp_path):
     cfg = write(tmp_path, "cfg.json", {"kind": "single_road", "m": 10})
     target = tmp_path / "diagram.csv"

@@ -386,3 +386,52 @@ def test_halfspace_edge_checks():
         h.contains(vector([0, 0, 0], MIN_PLUS))
     with pytest.raises(ValueError, match="max-plus"):
         Halfspace(vector([0, 1], MIN_PLUS), vector([0, 1], MIN_PLUS))
+
+
+def _covered(columns, x):
+    """Max-plus span membership by the covering test, on plain values: x is
+    in the span of the columns iff every finite x_i is attained by some
+    column's greatest multiple below x, lam = min over the column's support
+    of x_i - g_i (minus infinity once some such x_i is)."""
+    attained = set()
+    for g in columns:
+        support = [i for i, v in enumerate(g) if v is not None]
+        if any(x[i] is None for i in support):
+            continue
+        lam = min(x[i] - g[i] for i in support)
+        attained.update(i for i in support if lam + g[i] == x[i])
+    return all(i in attained for i, v in enumerate(x) if v is not None)
+
+
+def _draw(rng, share):
+    return None if rng.random() < share else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def _random_columns(rng, n, share):
+    """One to four generator columns of length n, none of them all zero."""
+    columns = [[_draw(rng, share) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+    for g in columns:
+        g[rng.randrange(n)] = _draw(rng, 0)
+    return columns
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
+def test_semimodule_contains_its_combinations_random(tag):
+    rng = random.Random(29)
+    for _ in range(300):
+        v = semimodule(_random_columns(rng, rng.randint(1, 5), rng.choice([0, 0.3, 0.6])), tag)
+        lam = vector([_draw(rng, 0.3) for _ in range(v.generators.cols)], tag)
+        assert v.contains(v.generators.apply(lam))
+
+
+def test_semimodule_contains_agrees_with_the_covering_test_random():
+    rng = random.Random(30)
+    outcomes = set()
+    for _ in range(600):
+        n, share = rng.randint(1, 5), rng.choice([0, 0.3, 0.6])
+        columns = _random_columns(rng, n, share)
+        x = [_draw(rng, share) for _ in range(n)]
+        got = semimodule(columns).contains(vector(x))
+        assert got is _covered(columns, x), (columns, x)
+        outcomes.add(got)
+    assert outcomes == {True, False}

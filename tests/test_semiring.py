@@ -1,4 +1,5 @@
 import enum
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -330,6 +331,47 @@ def test_row_reader_equals_the_per_cell_reader(tag):
 
 def test_tropscalar_reads_a_same_tag_scalar():
     assert TropScalar(scalar(3), MAX_PLUS) == scalar(3)
+
+
+# -- scalar operators and order ---------------------------------------------------
+
+# small pools, so that ties, bottoms and the unit come up often
+_SCALAR_POOL = {
+    MAX_PLUS: [None, -2, 0, 1, Fraction(1, 2), Fraction(-7, 3)],
+    MIN_PLUS: [None, -2, 0, 1, Fraction(1, 2), Fraction(-7, 3)],
+    MAX_TIMES: [0, 1, 2, Fraction(1, 2), Fraction(7, 3)],
+    BOOLEAN: [False, True],
+}
+
+
+def _outcome(call):
+    """('value', result) or ('raises', exception type)."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+def test_scalar_operators_are_the_semiring_functions_random():
+    rng = random.Random(29)
+    pairs = 0
+    for tag, pool in _SCALAR_POOL.items():
+        le = tag.ops.le
+        for _ in range(150):
+            a, b = (scalar(rng.choice(pool), tag) for _ in range(2))
+            assert _outcome(lambda: a + b) == _outcome(lambda: sr_add(a, b))
+            assert _outcome(lambda: a * b) == _outcome(lambda: sr_mul(a, b))
+            assert _outcome(lambda: a / b) == _outcome(lambda: sr_residual(a, b))
+            assert _outcome(a.star) == _outcome(lambda: sr_star(a))
+            forward, backward = le(a.value, b.value), le(b.value, a.value)
+            assert (a <= b) is forward and (a >= b) is backward
+            assert (a < b) is (forward and not backward)
+            assert (a > b) is (backward and not forward)
+            pairs += 1
+            for compare in (operator.le, operator.ge, operator.lt, operator.gt):
+                assert _outcome(lambda: compare(a, 100)) == ("raises", AttributeError), compare
+                assert _outcome(lambda: compare(100, a)) == ("raises", AttributeError), compare
+    assert pairs >= 500
 
 
 # -- canonical payloads from every kernel ----------------------------------------

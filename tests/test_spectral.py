@@ -301,6 +301,71 @@ def test_spectral_analysis_large_ring_without_recursion():
     assert m.apply(v) == v.scale(res.eigenvalue) and v[0] == scalar(0)
 
 
+def _path(n):
+    """Rows of the path 0 -> 1 -> ... -> n - 1 of weight 1 per edge."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = 1
+    return rows
+
+
+def test_long_path_has_no_cycle():
+    # every node of the path is dropped before Howard runs, the last first
+    m = TropMatrix._trusted(tuple(map(tuple, _path(2000))), MAX_PLUS)
+    with pytest.raises(NoCycle):
+        max_cycle_mean(m)
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
+def test_path_feeding_a_loop_gets_the_loop_mean(tag):
+    # the 2-cycle n-2 <-> n-1 of weights 1 and 2 ends the path: every node reaches it
+    n = 300
+    rows = _path(n)
+    rows[n - 1][n - 2] = 2
+    m = TropMatrix._trusted(tuple(map(tuple, rows)), tag)
+    assert max_cycle_mean(m) == scalar(Fraction(3, 2), tag)
+    chi, _ = spectral._cycle_time(m)
+    assert chi == [Fraction(3, 2) if tag is MAX_PLUS else Fraction(-3, 2)] * n
+    res = spectral_analysis(m)
+    assert res.critical_classes == (frozenset({n - 2, n - 1}),)
+
+
+def test_dead_rows_and_acyclic_tails_agree_with_karp_random():
+    # a random core, some of its rows emptied, and a tail of nodes whose
+    # edges only go further down the tail, shuffled into the core
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(200):
+        core, tail = rng.randint(1, 8), rng.randint(0, 8)
+        n, tag = core + tail, rng.choice([MAX_PLUS, MIN_PLUS])
+        share = rng.choice([0.3, 0.7, 0.9])
+        weight = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        rows = [[None] * n for _ in range(n)]
+        for i in range(core):
+            if rng.random() < 0.2:
+                continue  # an all-bottom row
+            for j in range(n):
+                if rng.random() > share:
+                    rows[i][j] = weight()
+        for i in range(core, n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    rows[i][j] = weight()
+        order = rng.sample(range(n), n)
+        m = matrix([[rows[i][j] for j in order] for i in order], tag)
+        try:
+            k = max_cycle_mean_karp(m)
+        except NoCycle:
+            with pytest.raises(NoCycle):
+                max_cycle_mean(m)
+            outcomes.add("acyclic")
+            continue
+        assert max_cycle_mean(m) == k
+        assert spectral_analysis(m).eigenvalue == k
+        outcomes.add("cyclic")
+    assert outcomes == {"acyclic", "cyclic"}
+
+
 def test_cycle_time_of_integral_fraction_weights():
     # payloads a kernel left as integral Fractions take the general scaling
     # path and give the same integers as int payloads

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tropkit import twosided
-from tropkit.errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch
+from tropkit.errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
 from tropkit.projector import Semimodule, project
 from tropkit.semiring import MIN_PLUS, scalar, sr_residual
 from tropkit.tropmat import from_columns, identity, matrix, vector
@@ -83,6 +83,13 @@ def test_solve_system_examples():
     sols2 = solve_system(s2).columns()
     assert len(sols2) == 1
     assert sr_residual(sols2[0][0], sols2[0][1]) == scalar(0)
+
+
+@pytest.mark.parametrize("m, n", [(7, 2), (2, 7)])
+def test_solve_system_above_the_cap_raises_too_large(m, n):
+    a = matrix([[i - j for j in range(n)] for i in range(m)])
+    with pytest.raises(TooLarge):
+        solve_system(InequalitySystem(a, a))
 
 
 def random_rows(rng, m, n):
