@@ -4,6 +4,7 @@ event-graph road, crossing phases, tent-map chaos, traffic lights.
 Run:  python demos/09_traffic_dynamics.py   (takes a few seconds)
 """
 
+from decimal import Context
 from fractions import Fraction
 
 from tropkit.dynamics import (
@@ -42,7 +43,7 @@ print("fundamental diagram has three phases (free, saturated at 1/4, jam)")
 build = crossing_builder(10, "priority")
 dens = [Fraction(p, 100) for p in (10, 20, 30, 40, 55, 70)]
 for rho, q in fundamental_diagram(build, dens, steps=1500):
-    shown = float(q) if q is not None else None
+    shown = Context(prec=6).divide(q.numerator, q.denominator) if q is not None else None
     print(f"  rho = {str(rho):>5}:  q = {shown:.6g}")
 
 print()

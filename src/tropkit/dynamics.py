@@ -330,10 +330,13 @@ def road_event_graph(occupancy: Sequence[int]) -> HomogeneousMap:
     Coordinate i advances by min(a_{i-1} + x_{i-1}, (1 - a_i) + x_{i+1});
     the matrix eigenvalue is min(n/m, (m-n)/m, 1/2) for n cars on m cells.
     """
-    a = [int(b) for b in occupancy]
+    a = list(occupancy)
     m = len(a)
     if m < 2:
         raise BadConfig("need one occupancy bit per cell, at least two cells")
+    if any(b not in (0, 1) for b in a):
+        raise BadConfig("occupancies are 0/1")
+    a = list(map(int, a))
     coords = tuple(
         (MinPlusTerm(a[i - 1], [((i - 1) % m, 1)]), MinPlusTerm(1 - a[i], [((i + 1) % m, 1)]))
         for i in range(m)
@@ -616,9 +619,7 @@ def single_road_builder(m: int) -> Callable[[Rat], Tuple[HomogeneousMap, List[Ra
         cars = _rational(rho) * m
         if cars.denominator != 1:
             raise BadConfig(f"density {rho} is not realizable on {m} cells")
-        occ = [0] * m
-        for c in spread_cars(m, int(cars)):
-            occ[c] = 1
+        occ = _occupancy_from_cars(m, spread_cars(m, int(cars)))
         return road_event_graph(occ), [Fraction(0)] * m
 
     return build
@@ -695,22 +696,19 @@ class UTermMatrix:
         return matrix(rows, MIN_PLUS)
 
 
+def _uentry(entry) -> UEntry:
+    """None, or an entry's terms: a MinPlusTerm as it is, anything else as a constant."""
+    if entry is None:
+        return None
+    terms = entry if isinstance(entry, (list, tuple)) else (entry,)
+    return tuple(t if isinstance(t, MinPlusTerm) else MinPlusTerm(t, ()) for t in terms)
+
+
 def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
-    """Entries: None (no edge), a constant, a MinPlusTerm or an iterable of them."""
-    norm: List[Tuple[UEntry, ...]] = []
-    for row in rows:
-        out_row: List[UEntry] = []
-        for entry in row:
-            if entry is None:
-                out_row.append(None)
-            elif isinstance(entry, MinPlusTerm):
-                out_row.append((entry,))
-            elif isinstance(entry, (int, Fraction)):
-                out_row.append((MinPlusTerm(entry, ()),))
-            else:
-                out_row.append(tuple(entry))
-        norm.append(tuple(out_row))
-    return UTermMatrix(udim, tuple(norm))
+    """Entries: None (no edge), a term, or a list or tuple of terms, where a
+    term is a MinPlusTerm or else a constant: an int, a Fraction or a "p/q"
+    string (a float or a bool raises TypeError)."""
+    return UTermMatrix(udim, tuple(tuple(map(_uentry, row)) for row in rows))
 
 
 @dataclass(frozen=True)

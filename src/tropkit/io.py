@@ -3,13 +3,11 @@
 Rationals cross the file boundary as "p/q" strings (plain integers stay
 numbers), the bottoms of max-plus and min-plus as "-inf" / "+inf", subset
 functions as binary-literal masks, and flow-net edges as "i,j->k,l" keys.
-Matrix and vector rows are read by the row reader `semiring.payloads_of`,
-which is `payload_of` per cell unless the whole row is already canonical,
-the file's own bottom spelling read as None first: a row of JSON integers
-and "-inf" in a max-plus file costs no per-cell call. A row it rejects is
-read again cell by cell, so the first bad cell raises its own SchemaError.
-A boolean file takes only true and false, and a CSV cell, stripped of
-spaces, is the JSON value it spells or else a string. Parsing is strict:
+Every matrix, vector and CSV cell and every subset-function value is read
+on its own by `payload_of`, whose errors become SchemaError, so the first
+bad cell raises its own SchemaError. A boolean file takes only true and
+false, and a CSV cell, stripped of spaces, is the JSON value it spells or
+else a string. Parsing is strict:
 malformed payloads, JSON null, floats, strings other than "p" or "p/q" in
 ASCII digits and the file's own bottom, mask keys other than a binary,
 octal, hex or decimal literal in ASCII digits (no "_", sign or spaces), and
@@ -31,14 +29,11 @@ from .errors import TooLarge
 from .semiring import (
     BOOLEAN,
     MAX_PLUS,
-    MAX_TIMES,
-    MIN_PLUS,
     Payload,
     SemiringTag,
     TropScalar,
     _rational,
     payload_of,
-    payloads_of,
 )
 from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
 
@@ -85,27 +80,8 @@ def _payload_from_json(v, tag: SemiringTag) -> Payload:
         raise SchemaError(str(exc)) from exc
 
 
-# A file cell as `payload_of` reads it: the file's own bottom spelling is
-# already None, and JSON null becomes a value no tag takes.
-_NULL = object()
-_FILE_CELL = {
-    MAX_PLUS: {"-inf": None, None: _NULL}.get,
-    MIN_PLUS: {"+inf": None, None: _NULL}.get,
-    MAX_TIMES: {None: _NULL}.get,
-    BOOLEAN: {None: _NULL}.get,
-}
-
-
 def _row_from_json(row: list, tag: SemiringTag) -> Tuple[Payload, ...]:
-    """A file row's payloads through `semiring.payloads_of`, so a row of JSON
-    integers and the file's bottom spelling is read in C-level passes. A
-    row it rejects, and under boolean a row holding any cell but a bool, is
-    read again cell by cell, so the first bad cell raises its own SchemaError."""
-    if tag is not BOOLEAN or set(map(type, row)) <= {bool}:
-        try:
-            return payloads_of(map(_FILE_CELL[tag], row, row), tag)
-        except (TypeError, ValueError):  # an unhashable cell raises TypeError in the lookup
-            pass
+    """A file row's payloads, cell by cell, so the first bad cell raises its own SchemaError."""
     return tuple([_payload_from_json(v, tag) for v in row])
 
 
@@ -234,7 +210,7 @@ def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFuncti
     mapping: Dict[int, Payload] = {}
     for key, v in obj["values"].items():
         mask = _mask_from_key(key, n)
-        mapping[mask] = None if v == "-inf" else fraction_from_json(v)
+        mapping[mask] = _payload_from_json(v, MAX_PLUS)
     if partial:
         return mapping
     try:

@@ -15,11 +15,12 @@ module) and every law that makes a new value return this canonical form.
 `payload_of` is the one scalar reader, behind `TropScalar`, `scalar`,
 `vector`, `matrix` and the file codecs. It takes exactly the spellings its
 docstring lists, so that every identity tested downstream holds with
-equality, not tolerance. `vector`, `matrix` and the file codecs read rows
-through the row reader `payloads_of`: `payload_of` per cell, unless one
-C-level pass over the exact types of the cells finds the whole row already
-canonical, so a row of ints and None costs no per-cell call. Integer
-kernels scale payloads by `_scaled` and come back through `_unscaled`.
+equality, not tolerance. `vector` and `matrix` read rows through the row
+reader `payloads_of`: `payload_of` per cell, unless one C-level pass over
+the exact types of the cells finds the whole row already canonical, so a
+row of ints and None costs no per-cell call; the file codecs read cell by
+cell. Integer kernels scale payloads by `_scaled` and come back through
+`_unscaled`.
 `PayloadOps` holds each tag's laws on payloads, and the scalar operations
 and every matrix kernel read them there; `TropScalar`'s `+`, `*`, `/` and
 `star` are `sr_add`, `sr_mul`, `sr_residual` and `sr_star` themselves.

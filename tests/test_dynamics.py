@@ -244,6 +244,8 @@ def test_t1h_matrices_repeat_with_period():
 def test_t1h_constant_control_reduces_to_linear():
     cid = matrix([[0, "+inf"], ["+inf", 0]], MIN_PLUS)
     a_const = uterm_matrix(2, [[1, 3], [None, 2]])
+    assert uterm_matrix(1, [["1/2"]]) == uterm_matrix(1, [[Fraction(1, 2)]])
+    assert uterm_matrix(1, [[[0, "1/2"]]]) == uterm_matrix(1, [[(term(0, ()), term(Fraction(1, 2), ()))]])
     s = T1HSystem(cid, a_const, None, (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
     _, x_traj, report, _ = t1h_simulate(s, 40)
     assert report is not None and report.period == 1
@@ -300,11 +302,14 @@ _BAD_TERMS = {
     "no_coordinates": (lambda: HomogeneousMap(0, ()), DimensionMismatch),
     "x0_empty": (lambda: hom_iterate(road_event_graph([1, 0]), [], 4), DimensionMismatch),
     "x0_too_long": (lambda: hom_iterate(road_event_graph([1, 0]), [0, 0, 0], 4), DimensionMismatch),
+    "road_occupancy_2": (lambda: road_event_graph([2, 0, 0]), BadConfig),
+    "road_occupancy_string": (lambda: road_event_graph([1, "0"]), BadConfig),
     "uterm_sum_1": (lambda: uterm(0, (1, 0, 0, 0)), ValueError),
     "control_index_outside_u": (lambda: _light2(uterm_matrix(2, [[uterm(0, (1, 0, -1))]]), None), DimensionMismatch),
     "input_matrix_shape": (lambda: _light2(uterm_matrix(2, [[0]]), uterm_matrix(2, [[5]])), DimensionMismatch),
     "udim_disagrees_with_u0": (lambda: _light2(uterm_matrix(3, [[0]]), None), DimensionMismatch),
     "control_entry_without_terms": (lambda: uterm_matrix(2, [[[], 0]]), ValueError),
+    "control_entry_float": (lambda: uterm_matrix(1, [[0.5]]), TypeError, "exact rational required"),
     "control_table_empty": (lambda: uterm_matrix(1, []), DimensionMismatch),
     "control_table_ragged": (lambda: uterm_matrix(1, [[0, None], [0]]), DimensionMismatch),
     "control_table_one_row_for_two_states": (
@@ -319,8 +324,8 @@ _BAD_TERMS = {
 
 @pytest.mark.parametrize("name", sorted(_BAD_TERMS))
 def test_term_and_map_validation(name):
-    build, error = _BAD_TERMS[name]
-    with pytest.raises(error):
+    build, error, *message = _BAD_TERMS[name]
+    with pytest.raises(error, match=message[0] if message else None):
         build()
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -78,11 +79,14 @@ def test_json_cells_take_only_the_documented_spellings(cell, tag):
         tio.vector_from_json({"semiring": tag.value, "data": [cell]})
 
 
-# one bad cell in a row of 40 ints, as JSON values: each is a schema error
-# wherever it sits, also where the rest of the row is read at C speed
+# one bad cell in a row of 40 ints, as JSON values (max-plus, min-plus): each
+# is a schema error wherever it sits, and its message is the bad cell's own
 _BAD_FILE_CELLS = {
-    "null": (None, None), "bool": (True, True), "float": (1.5, 1.5),
-    "other_infinity": ("+inf", "-inf"), "space": (" 3", " 3"),
+    "null": (None, None, "{tag} entry required, got null"),
+    "bool": (True, True, "exact rational required, got {bad!r}"),
+    "float": (1.5, 1.5, "exact rational required, got {bad!r}"),
+    "other_infinity": ("+inf", "-inf", "{bad} is not an element of {tag}"),
+    "space": (" 3", " 3", "bad rational {bad!r}"),
 }
 
 
@@ -90,18 +94,19 @@ _BAD_FILE_CELLS = {
 @pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS])
 def test_readers_reject_one_bad_cell_at_every_position(name, tag):
     bad = _BAD_FILE_CELLS[name][tag is MIN_PLUS]
+    message = re.escape(_BAD_FILE_CELLS[name][2].format(bad=bad, tag=tag.value))
     own = BOT if tag is MAX_PLUS else "+inf"
     ints = [(-1) ** j * j if j % 7 else own for j in range(40)]
     assert tio.vector_from_json({"semiring": tag.value, "data": ints}).payload[7] is None
     for at in range(40):
         row = ints[:at] + [bad] + ints[at + 1:]
         data = [ints] * at + [row] + [ints] * (39 - at)
-        with pytest.raises(tio.SchemaError):
+        with pytest.raises(tio.SchemaError, match=message):
             tio.matrix_from_json({"semiring": tag.value, "rows": 40, "cols": 40, "data": data})
-        with pytest.raises(tio.SchemaError):
+        with pytest.raises(tio.SchemaError, match=message):
             tio.vector_from_json({"semiring": tag.value, "data": row})
         csv = "\n".join(",".join(map(json.dumps, r)) for r in data)
-        with pytest.raises(tio.SchemaError):
+        with pytest.raises(tio.SchemaError, match=message):
             tio.matrix_from_csv(csv, tag)
 
 
