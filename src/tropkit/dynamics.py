@@ -16,8 +16,13 @@ Caller values enter through `semiring._rational`, and every model steps on
 integer numerators X over one denominator D from `semiring._scaled`. A map
 is compiled once to integer terms scaled by L, and one step sends X / D to
 X' / (D L) with integer min and plus only (L = 1 for roads and the light,
-2 for both crossings). Iterations divide out gcd(D, X) after each step and
-build `Fraction`s only for the points they return, one per distinct value.
+2 for both crossings); each compiled term keeps its first exponent pair
+flat, since most terms have only one. Iterations divide out gcd(D, X) after
+each step. Every value a function here returns is a canonical payload: an
+int exactly when it is integral, else a `Fraction`, never a float. A point
+over D = 1 is its numerator list itself; over another D, each distinct
+numerator becomes a value once per run. Quotients (rates, throughputs,
+gains, densities) are exact canonical ratios, not true division.
 `HomogeneousMap.step` is the one integer kernel of every model but the
 tent, whose scalar orbit runs on its own numerators, and `_orbit` is the one
 loop that iterates it.
@@ -28,14 +33,16 @@ the `CrossingMap` patch, so f(x + s 1) = f(x) + s 1: once x_t = x_s + sigma 1
 for some s < t, every later point is a shift of an earlier one. `_orbit`
 tests each new state exactly against the earlier states with the same
 reduced denominator, and builds the rest of the k points as integer shifts
-of the cycle; the tent orbit stops at its first repeated numerator and
-tiles the cycle. The cyclicity of max-plus linear maps (Baccelli, Cohen,
-Olsder & Quadrat, 1992) says linear orbits do repeat; the test on each run
-needs no such theorem for the nonlinear crossings. A T1H system is
-compiled to one `HomogeneousMap` on the concatenated state (u, x). Both
-crossing policies are built from one geometry; the priority `CrossingMap`
-is a `HomogeneousMap` whose step patches the non-priority entry with the
-priority entry's current-step value, the one sequential read of the model.
+of the cycle. The spread max(x) - min(x) is shift-invariant, so a spread
+bound is tested on the stepped states only. The tent orbit stops at its
+first repeated numerator and tiles the cycle. The cyclicity of max-plus
+linear maps (Baccelli, Cohen, Olsder & Quadrat, 1992) says linear orbits do
+repeat; the test on each run needs no such theorem for the nonlinear
+crossings. A T1H system is compiled to one `HomogeneousMap` on the
+concatenated state (u, x). Both crossing policies are built from one
+geometry; the priority `CrossingMap` is a `HomogeneousMap` whose step
+patches the non-priority entry with the priority entry's current-step
+value, the one sequential read of the model.
 
 Everything is exact: binary floating point would collapse tent orbits onto
 the fixed point and blur the exact plateau values the models predict.
@@ -47,14 +54,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadConfig, DimensionMismatch, Diverged
-from .semiring import MIN_PLUS, _rational, _scaled
+from .semiring import MIN_PLUS, _canonical, _rational, _scaled
 from .tropmat import TropMatrix, mat_mul, matrix
 
-Rat = Fraction
-DEFAULT_SPREAD_BOUND = Fraction(10**6)
+Rat = Union[int, Fraction]  # a canonical payload: an int exactly when integral
+DEFAULT_SPREAD_BOUND = 10**6
+
+
+def _ratio(a: Rat, b: int) -> Rat:
+    """a / b as a canonical payload, for a nonzero int b."""
+    return _canonical(Fraction(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +103,7 @@ class RingWord:
 
     @property
     def density(self) -> Rat:
-        return Fraction(self.cars, self.length)
+        return _ratio(self.cars, self.length)
 
 
 def exclusion_step(w: RingWord) -> Tuple[RingWord, int]:
@@ -116,7 +128,7 @@ def exclusion_run(w: RingWord, steps: int) -> Tuple[List[RingWord], List[Rat]]:
     for _ in range(steps):
         w, moved = exclusion_step(w)
         traj.append(w)
-        flows.append(Fraction(moved, w.length))
+        flows.append(_ratio(moved, w.length))
     return traj, flows
 
 
@@ -125,7 +137,8 @@ def exclusion_run(w: RingWord, steps: int) -> Tuple[List[RingWord], List[Rat]]:
 # ---------------------------------------------------------------------------
 
 
-IntTerm = Tuple[int, Tuple[Tuple[int, int], ...]]
+# a compiled term: constant C, first exponent pair (i, E), the other pairs
+IntTerm = Tuple[int, int, int, Tuple[Tuple[int, int], ...]]
 
 
 def _reduced(X: List[int], D: int) -> Tuple[List[int], int]:
@@ -139,37 +152,45 @@ def _reduced(X: List[int], D: int) -> Tuple[List[int], int]:
 
 
 class _FractionsOver(dict):
-    """numerator -> Fraction(numerator, D) for one denominator D, built on first use."""
+    """numerator v -> the canonical payload v / D for one denominator D != 1,
+    built on first use: v // D where D divides v, else Fraction(v, D)."""
 
     def __init__(self, D: int):
         super().__init__()
         self.D = D
 
     def __missing__(self, v: int) -> Rat:
-        f = self[v] = Fraction(v, self.D)
+        D = self.D
+        f = self[v] = Fraction(v, D) if v % D else v // D
         return f
 
 
 class _Points(dict):
-    """Builds points X / D as Fractions, each distinct value once per run.
+    """Builds points X / D as canonical payloads, each distinct value once per run.
 
-    Trajectory points repeat their values heavily (a 450-step priority
-    crossing run holds 9,020 entries but 228 distinct values), and building
-    a `Fraction` costs far more than a dict lookup. Fractions are immutable,
-    so points may share them.
+    A point over D = 1 is its numerator list X itself, so callers pass a list
+    they do not change later. Trajectory points repeat their values heavily
+    (a 450-step priority crossing run holds 9,020 entries but 228 distinct
+    values), and building a `Fraction` costs far more than a dict lookup.
+    Fractions are immutable, so points may share them.
     """
 
     def __missing__(self, D: int) -> _FractionsOver:
         over = self[D] = _FractionsOver(D)
         return over
 
-    def __call__(self, X: Sequence[int], D: int) -> List[Rat]:
+    def __call__(self, X: List[int], D: int) -> List[Rat]:
+        if D == 1:
+            return X
         return list(map(self[D].__getitem__, X))
 
 
-def _fractions(X: Sequence[int], D: int) -> List[Rat]:
-    """The point X / D, one Fraction per coordinate."""
-    return _Points()(X, D)
+def _fractions(X: List[int], D: int) -> List[Rat]:
+    """The point X / D, one canonical payload per coordinate, for values that
+    do not repeat (a tent orbit's distinct numerators, a single point)."""
+    if D == 1:
+        return X
+    return [Fraction(v, D) if v % D else v // D for v in X]
 
 
 def _shape(X: Sequence[int]) -> Tuple[int, ...]:
@@ -177,7 +198,7 @@ def _shape(X: Sequence[int]) -> Tuple[int, ...]:
     return tuple(map((-X[0]).__add__, X))
 
 
-def _orbit(f, x0: Sequence[Rat], k: int) -> Iterator[Tuple[List[int], int]]:
+def _orbit(f, x0: Sequence[Rat], k: int, bound: Optional[Rat] = None) -> Iterator[Tuple[List[int], int]]:
     """x0 and its k images under f's integer `step`, each as (X, D) with x = X / D.
 
     f is a `HomogeneousMap`, so f(x + s 1) = f(x) + s 1 for every rational
@@ -186,10 +207,15 @@ def _orbit(f, x0: Sequence[Rat], k: int) -> Iterator[Tuple[List[int], int]]:
     earlier x_s, every later point is x_{j-c} + sigma 1 with c = t - s, and
     the loop stops stepping there. The repeat test is exact: an earlier
     state with the same reduced D and the same X - X[0]. States are indexed
-    by the sum of X - X[0] first, and (D, X - X[0]) is built and compared
-    only where that sum recurs, so a step that finds no repeat mostly costs
-    one sum and one dict lookup. Points up to the repeat are reduced; the
-    rest are integer shifts of the cycle over one common denominator.
+    by the sum of X - X[0] and by X[-1] - X[0] first, and (D, X - X[0]) is
+    built and compared only where that key recurs, so a step that finds no
+    repeat mostly costs one sum and one dict lookup. Points up to the repeat
+    are reduced; the rest are integer shifts of the cycle over one common
+    denominator.
+
+    With a `bound`, a stepped state whose spread max(x) - min(x) exceeds it
+    raises Diverged. The spread is shift-invariant and every cycle point
+    has the spread of a stepped state, so the shifted points need no test.
     """
     X, D = _scaled(list(map(_rational, x0)))
     if len(X) != f.dim:  # `step` checks it too, but the repeat key reads X[0] before any step
@@ -198,13 +224,16 @@ def _orbit(f, x0: Sequence[Rat], k: int) -> Iterator[Tuple[List[int], int]]:
     # GC, so a long run that never repeats adds nothing to its full collections
     seen: List[Tuple[int, ...]] = []
     dens: List[int] = []
-    first: Dict[int, int] = {}  # sum of X - X[0] -> its first step
-    shapes: Dict[int, Dict[Tuple[int, Tuple[int, ...]], int]] = {}  # that sum -> {(D, X - X[0]): step}
+    first: Dict[Tuple[int, int], int] = {}  # (sum of X - X[0], X[-1] - X[0]) -> its first step
+    shapes: Dict[Tuple[int, int], Dict[Tuple[int, Tuple[int, ...]], int]] = {}  # that key -> {(D, X - X[0]): step}
     for t in range(k + 1):
         if t:
             X, D = _reduced(*f.step(X, D))
+            # max(x) - min(x) > bound for x = X / D, cross-multiplied
+            if bound is not None and (max(X) - min(X)) * bound.denominator > bound.numerator * D:
+                raise Diverged("coordinate spread exceeded the configured bound")
         yield X, D
-        key = sum(X) - len(X) * X[0]
+        key = (sum(X) - len(X) * X[0], X[-1] - X[0])
         s = first.setdefault(key, t)
         if s != t:
             if key not in shapes:
@@ -244,7 +273,7 @@ class MinPlusTerm:
         object.__setattr__(self, "exponents", tuple(sorted((i, e) for i, e in exps if e)))
 
     def eval(self, x: Sequence[Rat]) -> Rat:
-        return self.constant + sum((e * _rational(x[i]) for i, e in self.exponents), Fraction(0))
+        return _canonical(self.constant + sum(e * _rational(x[i]) for i, e in self.exponents))
 
 
 def term(constant, exponents) -> MinPlusTerm:
@@ -276,28 +305,36 @@ class HomogeneousMap:
     @cached_property
     def _compiled(self) -> Tuple[int, Tuple[Tuple[IntTerm, ...], ...]]:
         """(L, coords): every term's constant C and exponents E scaled to
-        integers by one `_scaled` call; at x = X / D a term is (C D + sum E X_i) / (D L)."""
-        values = [v for terms in self.coords for t in terms for v in (t.constant, *(e for _, e in t.exponents))]
-        ints, L = _scaled(values)
-        ints = iter(ints)
-        return L, tuple(tuple((next(ints), tuple((i, next(ints)) for i, _ in t.exponents)) for t in terms)
-                        for terms in self.coords)
+        integers by one `_scaled` call; at x = X / D a term is (C D + sum E X_i) / (D L).
+        A term is stored as (C, i, E, rest): its first exponent pair flat (every
+        degree-one term has one) and the other pairs, usually none, as a tuple."""
+        flat = [t for terms in self.coords for t in terms]
+        ints, L = _scaled([t.constant for t in flat] + [e for t in flat for _, e in t.exponents])
+        consts, exps = iter(ints[:len(flat)]), iter(ints[len(flat):])
+        return L, tuple([
+            tuple([(next(consts), t.exponents[0][0], next(exps),
+                    tuple([(j, next(exps)) for j, _ in t.exponents[1:]]) if len(t.exponents) > 1 else ())
+                   for t in terms])
+            for terms in self.coords
+        ])
 
     def step(self, X: Sequence[int], D: int) -> Tuple[List[int], int]:
         """One step on integer numerators: the point X / D maps to X' / (D L)."""
         if len(X) != self.dim:
             raise DimensionMismatch("point dimension differs from map dimension")
         L, coords = self._compiled
-        out = []
+        out: List[int] = []
+        append = out.append
         for terms in coords:
             best = None
-            for C, exps in terms:
-                v = C * D
-                for i, E in exps:
-                    v += E * X[i]
+            for C, i, E, rest in terms:
+                v = C * D + E * X[i]
+                if rest:
+                    for j, F in rest:
+                        v += F * X[j]
                 if best is None or v < best:
                     best = v
-            out.append(best)
+            append(best)
         return out, D * L
 
     def __call__(self, x: Sequence[Rat]) -> List[Rat]:
@@ -356,35 +393,33 @@ def hom_iterate(
     iteration runs on its integer `step` through `_orbit`, which stops
     stepping at the first exact repeat x_t = x_s + sigma 1 (f is degree-one,
     so every later point is a shift of an earlier one) and returns the same
-    k + 1 points. The spread is shift-invariant, so a run that repeats
-    before it diverges never diverges. The estimate is
-    (x_i^K - x_i^{K/2}) / (K - K/2) averaged over the coordinates; for a
-    min-plus linear f it equals the matrix eigenvalue exactly once K/2
-    clears the transient and the span covers whole periods. Raises Diverged
-    when coordinate spread exceeds `spread_bound`.
+    k + 1 points, each coordinate a canonical payload (an int exactly when
+    integral). The estimate is (x_i^K - x_i^{K/2}) / (K - K/2) averaged over
+    the coordinates, an exact canonical ratio; for a min-plus linear f it
+    equals the matrix eigenvalue exactly once K/2 clears the transient and
+    the span covers whole periods. Raises Diverged when the coordinate
+    spread of a stepped state exceeds `spread_bound`; the spread is
+    shift-invariant, so the points built as shifts of the cycle need no
+    test, and a run that repeats before it diverges never diverges.
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    bound = _rational(spread_bound)
-    orbit = _orbit(f, x0, k)
+    states = list(_orbit(f, x0, k, _rational(spread_bound)))
     point = _Points()
-    traj = [point(*next(orbit))]
-    for X, D in orbit:
-        # max(x) - min(x) > bound for x = X / D, cross-multiplied
-        if (max(X) - min(X)) * bound.denominator > bound.numerator * D:
-            raise Diverged("coordinate spread exceeded the configured bound")
-        traj.append(point(X, D))
-    rates = coordinate_rates(traj)
-    lam = sum(rates, Fraction(0)) / len(rates)
-    return traj, lam
+    traj = [point(X, D) for X, D in states]
+    # the mean of the rates: (sum(X_k) / D_k - sum(X_h) / D_h) / (span * dim), over ints
+    (Xh, Dh), (Xk, Dk) = states[k // 2], states[k]
+    return traj, _ratio(sum(Xk) * Dh - sum(Xh) * Dk, Dk * Dh * (k - k // 2) * len(Xk))
 
 
 def coordinate_rates(traj: List[List[Rat]]) -> List[Rat]:
-    """Per-coordinate second-half growth rates of a trajectory."""
+    """Per-coordinate second-half growth rates of a trajectory, as exact
+    canonical payloads: an int where the rate is integral. The two points
+    read are exact rationals, each value read through `semiring._rational`."""
     k = len(traj) - 1
     half = k // 2
     span = k - half
-    return [(traj[k][i] - traj[half][i]) / span for i in range(len(traj[0]))]
+    return [_ratio(_rational(b) - _rational(a), span) for a, b in zip(traj[half], traj[k])]
 
 
 @dataclass(frozen=True)
@@ -410,7 +445,7 @@ def eigen_reduce(f) -> EigenReduction:
 
     def g(y: Sequence[Rat]) -> List[Rat]:
         fx = f([0, *y])
-        return [fx[i] - fx[0] for i in range(1, dim)]
+        return [_canonical(fx[i] - fx[0]) for i in range(1, dim)]
 
     def lam(y: Sequence[Rat]) -> Rat:
         return f([0, *y])[0]
@@ -602,7 +637,7 @@ def fundamental_diagram(
     """
     out: List[Tuple[Rat, Optional[Rat]]] = []
     for rho in densities:
-        rho = Fraction(_rational(rho))
+        rho = _rational(rho)
         try:
             f, x0 = builder(rho)
             _, lam = hom_iterate(f, x0, steps)
@@ -620,7 +655,7 @@ def single_road_builder(m: int) -> Callable[[Rat], Tuple[HomogeneousMap, List[Ra
         if cars.denominator != 1:
             raise BadConfig(f"density {rho} is not realizable on {m} cells")
         occ = _occupancy_from_cars(m, spread_cars(m, int(cars)))
-        return road_event_graph(occ), [Fraction(0)] * m
+        return road_event_graph(occ), [0] * m
 
     return build
 
@@ -645,7 +680,7 @@ def crossing_builder(
         # cars start on ordinary road cells; a preloaded junction would
         # pipeline it forever and erase the saturated phase
         pos = [p for p in spread_cars(n - 1, c1)] + [n + p for p in spread_cars(n - 1, c2)]
-        return build_crossing(n, n, pos, policy), [Fraction(0)] * (2 * n)
+        return build_crossing(n, n, pos, policy), [0] * (2 * n)
 
     return build
 
@@ -805,7 +840,7 @@ def t1h_simulate(system: T1HSystem, k: int):
             start = seen.setdefault((tuple(X), E), step)
             if start != step:
                 u = u_traj[step]
-                gain = tuple((u[i] - u_traj[start][i]) / (step - start) for i in range(udim))
+                gain = tuple(_ratio(u[i] - u_traj[start][i], step - start) for i in range(udim))
                 report = PeriodReport(start, step - start, gain)
     rates = coordinate_rates(x_traj)
     return u_traj, x_traj, report, rates
@@ -863,15 +898,15 @@ def traffic_light_system(
         c,
         a_of_u,
         None,
-        tuple(Fraction(0) for _ in range(4)),
-        tuple(Fraction(0) for _ in range(dim)),
+        (0,) * 4,
+        (0,) * dim,
     )
 
 
 def light_gate_marking(system: T1HSystem, u: Sequence[Rat]) -> Tuple[Rat, Rat]:
     """The (a0, b0) token counts of the light at control state u."""
     u = list(map(_rational, u))
-    return Fraction(1 + u[0] - u[1]), Fraction(u[2] - u[3])
+    return _canonical(1 + u[0] - u[1]), _canonical(u[2] - u[3])
 
 
 def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMatrix:

@@ -9,7 +9,8 @@ bad cell raises its own SchemaError. A boolean file takes only true and
 false, and a CSV cell, stripped of spaces, is the JSON value it spells or
 else a string. Parsing is strict:
 malformed payloads, JSON null, floats, strings other than "p" or "p/q" in
-ASCII digits and the file's own bottom, mask keys other than a binary,
+ASCII digits and the file's own bottom, a "semiring" value that is not a
+known name (whatever its JSON type), mask keys other than a binary,
 octal, hex or decimal literal in ASCII digits (no "_", sign or spaces), and
 edge keys other than four ASCII-digit coordinates raise SchemaError, which
 the CLI maps to exit code 2. Subset functions and flow nets above the plucker
@@ -45,10 +46,12 @@ class SchemaError(ValueError):
 _TAGS = {t.value: t for t in SemiringTag}
 
 
-def tag_from_name(name: str) -> SemiringTag:
-    if name not in _TAGS:
+def tag_from_name(name) -> SemiringTag:
+    """The tag of a semiring name; any other value, of any type, raises SchemaError."""
+    tag = _TAGS.get(name) if isinstance(name, str) else None
+    if tag is None:
         raise SchemaError(f"unknown semiring {name!r}")
-    return _TAGS[name]
+    return tag
 
 
 def fraction_to_json(x: Union[int, Fraction]) -> Union[int, str]:

@@ -3,8 +3,9 @@
 `_orbit` stops calling `step` at the first exact repeat x_t = x_s + sigma 1
 and builds the rest of the run from the cycle, and the tent orbit stops at
 its first repeated numerator. These are the loops they replaced: every one
-of the k points is stepped, reduced and converted. The tests require equal
-values, `Fraction` payloads, the same `Diverged` and its text, and
+of the k points is stepped, reduced and converted, and the spread bound is
+tested on every point. The tests require equal values, canonical payloads
+(an int exactly when integral), the same `Diverged` and its text, and
 `CountingMap` pins how many steps the production loop takes.
 """
 
@@ -104,7 +105,7 @@ def t1h_simulate_oracle(system, k: int):
             start = seen.setdefault((tuple(X), E), step)
             if start != step:
                 u = u_traj[step]
-                gain = tuple((u[i] - u_traj[start][i]) / (step - start) for i in range(udim))
+                gain = tuple(Fraction(u[i] - u_traj[start][i], step - start) for i in range(udim))
                 report = PeriodReport(start, step - start, gain)
     return u_traj, x_traj, report, coordinate_rates(x_traj)
 

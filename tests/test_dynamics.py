@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -20,9 +21,11 @@ from tropkit.dynamics import (
     RingWord,
     T1HSystem,
     build_crossing,
+    coordinate_rates,
     crossing_builder,
     eigen_reduce,
     exclusion_run,
+    exclusion_step,
     four_phase_product,
     fundamental_diagram,
     hom_iterate,
@@ -212,8 +215,9 @@ def test_single_road_diagram():
     assert pts[Fraction(1, 3)] is None
     assert pts[Fraction(3, 10)] == Fraction(3, 10)
     assert pts[Fraction(7, 10)] == Fraction(3, 10)
-    # integer densities and throughputs still come back as Fractions
-    assert {type(v) for point in fundamental_diagram(build, [0, 1], steps=4) for v in point} == {Fraction}
+    # integer densities and throughputs come back as ints, the others as Fractions
+    assert {type(v) for point in fundamental_diagram(build, [0, 1], steps=4) for v in point} == {int}
+    assert _all_canonical([[v for v in point if v is not None] for point in pts.items()])
 
 
 def test_t1h_traffic_light():
@@ -222,9 +226,10 @@ def test_t1h_traffic_light():
     marks = [light_gate_marking(sys, u) for u in u_traj[:8]]
     assert marks[:4] == [(1, 0), (0, 0), (0, 1), (0, 0)]
     assert marks[4:8] == marks[:4]
-    assert {type(v) for m in marks + [light_gate_marking(sys, [0, 0, 0, 0])] for v in m} == {Fraction}
+    assert {type(v) for m in marks + [light_gate_marking(sys, [0, 0, 0, 0])] for v in m} == {int}
     assert report is not None and report.period == 4
-    assert all(g == Fraction(1, 4) for g in report.gain)
+    assert all(g == Fraction(1, 4) and type(g) is Fraction for g in report.gain)
+    assert _all_canonical(u_traj, x_traj, [rates])
     lam_v = max_cycle_mean(four_phase_product(sys, "vertical", 5)).value
     lam_h = max_cycle_mean(four_phase_product(sys, "horizontal", 5)).value
     assert abs(rates[0] - lam_v / 4) <= Fraction(1, 2 * 400)
@@ -439,8 +444,13 @@ def _plain_t1h(system, k):
     return us, xs
 
 
-def _all_fractions(*trajectories):
-    return all(type(v) is Fraction for traj in trajectories for point in traj for v in point)
+def _is_canonical(v):
+    """An int exactly when v is integral, else a Fraction; never a float or a bool."""
+    return type(v) is int or type(v) is Fraction and v.denominator != 1
+
+
+def _all_canonical(*trajectories):
+    return all(_is_canonical(v) for traj in trajectories for point in traj for v in point)
 
 
 def test_trajectories_equal_plain_resimulation_random():
@@ -453,7 +463,7 @@ def test_trajectories_equal_plain_resimulation_random():
         traj, lam = hom_iterate(road_event_graph(occ), x0, k)
         want = _plain_iterate(_plain_road(occ), x0, k)
         assert traj == want and lam == sum(_plain_rates(want)) / m
-        assert _all_fractions(traj)
+        assert _all_canonical(traj)
     for _ in range(40):
         n1, n2 = rng.randint(2, 7), rng.randint(2, 7)
         cars = sorted(rng.sample(range(n1 + n2), rng.randint(0, n1 + n2)))
@@ -470,7 +480,7 @@ def test_trajectories_equal_plain_resimulation_random():
                 continue
             traj, lam = hom_iterate(f, x0, k)
             assert traj == want and lam == sum(_plain_rates(want)) / (n1 + n2)
-            assert _all_fractions(traj)
+            assert _all_canonical(traj)
     for _ in range(30):
         nv, nh = rng.randint(2, 7), rng.randint(2, 7)
         cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
@@ -483,7 +493,7 @@ def test_trajectories_equal_plain_resimulation_random():
         occ_v, occ_h = [int(i in cv) for i in range(nv)], [int(i in ch) for i in range(nh)]
         us, xs, want_report, want_rates = _plain_light(occ_v, occ_h, phi, k)
         assert u_traj == us and x_traj == xs and rates == want_rates
-        assert _all_fractions(u_traj, x_traj)
+        assert _all_canonical(u_traj, x_traj)
         got = None if report is None else (report.start, report.period, report.gain)
         assert got == want_report
 
@@ -519,7 +529,7 @@ def test_t1h_input_matrix_and_rational_phases_equal_plain_resimulation():
         u_traj, x_traj, _, rates = t1h_simulate(system, k)
         us, xs = _plain_t1h(system, k)
         assert u_traj == us and x_traj == xs and rates == _plain_rates(xs)
-        assert _all_fractions(u_traj, x_traj)
+        assert _all_canonical(u_traj, x_traj)
 
 
 def test_integer_steps_and_exact_spread_bound():
@@ -531,7 +541,7 @@ def test_integer_steps_and_exact_spread_bound():
     swap = HomogeneousMap(2, ((term(0, (0, 1)),), (term(0, (1, 0)),)))
     bound = Fraction(7, 3)
     traj, _ = hom_iterate(swap, [Fraction(1, 5), Fraction(1, 5) + bound], 6, spread_bound=bound)
-    assert traj[-1] == [Fraction(1, 5), Fraction(1, 5) + bound] and _all_fractions(traj)
+    assert traj[-1] == [Fraction(1, 5), Fraction(1, 5) + bound] and _all_canonical(traj)
     with pytest.raises(Diverged):
         hom_iterate(swap, [0, bound + Fraction(1, 10**12)], 6, spread_bound=bound)
     hom_iterate(swap, [0, 3], 6, spread_bound=3)
@@ -549,7 +559,7 @@ def test_t1h_input_term_cancelling_its_control_column_equals_plain_resimulation(
     u_traj, x_traj, report, rates = t1h_simulate(system, 50)
     us, xs = _plain_t1h(system, 50)
     assert u_traj == us and x_traj == xs and rates == _plain_rates(xs)
-    assert _all_fractions(u_traj, x_traj)
+    assert _all_canonical(u_traj, x_traj)
     assert x_traj[1][0] == u0[0]
     assert x_traj != t1h_simulate(T1HSystem(light.c, light.a_of_u, None, u0, x0), 50)[1]
 
@@ -614,7 +624,7 @@ def _iterate_against_oracle(f, x0, k, bound=DEFAULT_SPREAD_BOUND):
         return "diverged"
     traj, lam = hom_iterate(counted, x0, k, bound)
     assert traj == want[0] and lam == want[1]
-    assert _all_fractions(traj) and type(lam) is Fraction
+    assert _all_canonical(traj) and _is_canonical(lam)
     t = first_repeat(f, x0, k)
     if t is None:
         assert counted.steps == k
@@ -713,6 +723,14 @@ def _tracking_light(rng):
     return T1HSystem(c, uterm_matrix(4, a_rows), uterm_matrix(4, b_rows), u0, x0)
 
 
+def _drifting_light(rng):
+    """A T1H system whose pair (u, x) never repeats, though the sum of
+    (u, x) - u_0 is 0 at every step: u gains 1 a step on every place, x_0
+    gains 2 and x_1 gains 0. rng is unused; it matches the other system makers."""
+    c = _phased_light(2, 2, [], [], (1, 1, 1, 1)).c
+    return T1HSystem(c, uterm_matrix(4, [[2, None], [None, 0]]), None, (0,) * 4, (0, 0))
+
+
 def test_t1h_simulate_equals_the_step_every_time_oracle(monkeypatch):
     maps = []
     compile_map = dynamics._t1h_map
@@ -724,13 +742,13 @@ def test_t1h_simulate_equals_the_step_every_time_oracle(monkeypatch):
     monkeypatch.setattr(dynamics, "_t1h_map", counted_map)
     rng = random.Random(272)
     repeated = 0
-    for n in range(40):
-        system = (_random_input_light, _tracking_light)[n % 2](rng)
+    for make in [_random_input_light, _tracking_light] * 20 + [_drifting_light]:
+        system = make(rng)
         start = [*system.u0, *system.x0]
         for k in _ks(rng, compile_map(system), start, 50):
             got = t1h_simulate(system, k)
             assert got == t1h_simulate_oracle(system, k)
-            assert _all_fractions(got[0], got[1])
+            assert _all_canonical(got[0], got[1])
             t = first_repeat(compile_map(system), start, k)
             assert maps[-1].steps == k if t is None else maps[-1].steps <= t
             repeated += t is not None and t < k
@@ -748,4 +766,82 @@ def test_tent_orbit_tiles_its_cycle_like_the_oracle():
             for bins in (None, 1, 7, 100):
                 got = tent_trajectory(y0, k, bins)
                 assert got == tent_trajectory_oracle(y0, k, bins)
-                assert len(got[0]) == k + 1 and _all_fractions([got[0]])
+                assert len(got[0]) == k + 1 and _all_canonical([got[0]])
+
+
+def test_coordinate_rates_are_exact_canonical_ratios():
+    rates = coordinate_rates([[0, 0], [1, 1], [2, 3], [3, 4]])
+    assert rates == [1, Fraction(3, 2)]
+    assert [type(r) for r in rates] == [int, Fraction]
+
+
+def _leaves(obj):
+    """Every scalar in a result: through lists, tuples, dicts and dataclass fields."""
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _leaves(item)
+    elif isinstance(obj, dict):
+        yield from _leaves(list(obj.items()))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        yield from _leaves([getattr(obj, f.name) for f in dataclasses.fields(obj)])
+    else:
+        yield obj
+
+
+def _public_results(sp):
+    """name -> the result of one public `dynamics` call, every rational input spelled by sp."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    fifty = build_crossing(3, 4, [1, 4], "fifty_fifty")
+    light = traffic_light_system(5, 5, [0, 2], [1, 3])
+    b_rows = [[sp(Fraction(5, 2)), None, uterm(sp(1), [sp(half), sp(-half), 0, 0]), None]] * 10
+    system = T1HSystem(light.c, light.a_of_u, uterm_matrix(4, b_rows), tuple(map(sp, (0, half, 1, third))),
+                       tuple(sp(Fraction(i, 3)) for i in range(10)))
+    red = eigen_reduce(tent_system())
+    road = road_event_graph([1, 0, 0, 1])
+    t = term(sp(half), [sp(Fraction(3, 2)), sp(-half)])
+    ut = uterm(sp(half), [sp(Fraction(3, 2)), sp(Fraction(-3, 2))])
+    u = uterm_matrix(2, [[sp(third), [ut, sp(2)]], [None, uterm(sp(1), [sp(half), sp(-half)])]])
+    return {
+        "RingWord.density": RingWord.from_string("1100").density,
+        "exclusion_step": exclusion_step(RingWord.from_string("1101001001")),
+        "exclusion_run": exclusion_run(RingWord.from_string("1101001001"), 4),
+        "MinPlusTerm.eval": t.eval([sp(third), sp(2)]),
+        "term": t,
+        "uterm": ut,
+        "uterm_matrix": u,
+        "UTermMatrix.eval": u.eval([sp(half), sp(third)]),
+        "HomogeneousMap.__call__": road([sp(half), sp(0), sp(third), sp(2)]),
+        "linear_matrix": road.linear_matrix(),
+        "hom_iterate_road": hom_iterate(road, [sp(half), sp(0), sp(third), sp(2)], 9, sp(7)),
+        "hom_iterate_fifty": hom_iterate(fifty, [sp(Fraction(i, 3)) for i in range(7)], 30, sp(10**6)),
+        "hom_iterate_priority": hom_iterate(build_crossing(3, 4, [1, 4]), [sp(half)] * 7, 30),
+        "coordinate_rates": coordinate_rates([[sp(0), sp(half)], [sp(1), sp(third)], [sp(3), sp(2)]]),
+        "eigen_reduce.g": red.g([sp(Fraction(1, 4))]),
+        "eigen_reduce.lam": red.lam([sp(Fraction(2, 3))]),
+        "tent_trajectory": tent_trajectory(sp(Fraction(1, 5)), 12, bins=4),
+        "tent_trajectory_integral": tent_trajectory(sp(1), 3, bins=2),
+        "fundamental_diagram_road": fundamental_diagram(
+            single_road_builder(10), [sp(0), sp(Fraction(3, 10)), sp(third), sp(1)], steps=20),
+        "fundamental_diagram_crossing": fundamental_diagram(
+            crossing_builder(4), [sp(Fraction(1, 8)), sp(half)], steps=20),
+        "tent_system": tent_system(),
+        "build_crossing": fifty,
+        "spread_cars": spread_cars(10, 3),
+        "single_road_builder": single_road_builder(10)(sp(Fraction(3, 10))),
+        "crossing_builder": crossing_builder(4, "priority")(sp(Fraction(1, 4))),
+        "traffic_light_system": light,
+        "t1h_simulate": t1h_simulate(system, 40),
+        "light_gate_marking": light_gate_marking(light, [sp(0), sp(half), sp(1), sp(third)]),
+        "four_phase_product": four_phase_product(system, "vertical", 5),
+    }
+
+
+@pytest.mark.parametrize("spelling", ["canonical", "Fraction", "p/q"])
+def test_public_dynamics_results_hold_no_float(spelling):
+    sp = {"canonical": lambda v: v, "Fraction": Fraction, "p/q": lambda v: str(Fraction(v))}[spelling]
+    results = _public_results(sp)
+    assert results == _public_results(lambda v: v)
+    for name, result in results.items():
+        values = [v for v in _leaves(result) if isinstance(v, (int, float, Fraction)) and type(v) is not bool]
+        assert not any(type(v) is float for v in values), name
+        assert all(_is_canonical(v) for v in values), name

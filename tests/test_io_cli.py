@@ -372,6 +372,15 @@ _BAD_MATRIX_REQUESTS = {
         "--vector", {"semiring": "boolean", "data": [True, False, True]},
     ],
 }
+# a "semiring" that is no name, of every JSON type; a list or an object used to
+# raise TypeError (unhashable) out of the name lookup
+for _kind, _name in {"list": [], "object": {}, "int": 1, "null": None}.items():
+    _BAD_MATRIX_REQUESTS[f"star_semiring_{_kind}"] = [
+        "star", "--matrix", {"semiring": _name, "rows": 1, "cols": 1, "data": [[0]]},
+    ]
+    _BAD_MATRIX_REQUESTS[f"project_vector_semiring_{_kind}"] = [
+        "project", "--module", _max_plus([[0]]), "--vector", {"semiring": _name, "data": [0]},
+    ]
 
 
 def _cli_subprocess(tmp_path, argv):
