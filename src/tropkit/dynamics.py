@@ -16,33 +16,40 @@ Caller values enter through `semiring._rational`, and every model steps on
 integer numerators X over one denominator D from `semiring._scaled`. A map
 is compiled once to integer terms scaled by L, and one step sends X / D to
 X' / (D L) with integer min and plus only (L = 1 for roads and the light,
-2 for both crossings); each compiled term keeps its first exponent pair
-flat, since most terms have only one. Iterations divide out gcd(D, X) after
-each step. Every value a function here returns is a canonical payload: an
-int exactly when it is integral, else a `Fraction`, never a float. A point
-over D = 1 is its numerator list itself; over another D, each distinct
-numerator becomes a value once per run. Quotients (rates, throughputs,
-gains, densities) are exact canonical ratios, not true division.
-`HomogeneousMap.step` is the one integer kernel of every model but the
-tent, whose scalar orbit runs on its own numerators, and `_orbit` is the one
-loop that iterates it.
+2 for both crossings), in one loop over a flat list of every coordinate's
+terms; each compiled term keeps its first exponent pair flat, since most
+terms have only one. Iterations divide out gcd(D, X) after each step. Every
+value a function here returns is a canonical payload: an int exactly when
+it is integral, else a `Fraction`, never a float. A point over D = 1 is its
+numerator list itself; otherwise each run reads its points from one value
+table keyed by numerators over the lcm of the run's denominators, so each
+distinct value becomes a payload once per run, whatever D it is reached
+over. Quotients (rates, throughputs, gains, densities) are exact canonical
+ratios, not true division. `HomogeneousMap.step` is the one integer kernel
+of every model but the tent, whose scalar orbit runs on its own numerators,
+and `_orbit` is the one loop that iterates it.
 
 `_orbit` and the tent's loop stop stepping once the orbit is periodic.
-Every map `HomogeneousMap.__post_init__` accepts is degree-one, and so is
-the `CrossingMap` patch, so f(x + s 1) = f(x) + s 1: once x_t = x_s + sigma 1
-for some s < t, every later point is a shift of an earlier one. `_orbit`
-tests each new state exactly against the earlier states with the same
-reduced denominator, and builds the rest of the k points as integer shifts
-of the cycle. The spread max(x) - min(x) is shift-invariant, so a spread
-bound is tested on the stepped states only. The tent orbit stops at its
-first repeated numerator and tiles the cycle. The cyclicity of max-plus
-linear maps (Baccelli, Cohen, Olsder & Quadrat, 1992) says linear orbits do
-repeat; the test on each run needs no such theorem for the nonlinear
-crossings. A T1H system is compiled to one `HomogeneousMap` on the
-concatenated state (u, x). Both crossing policies are built from one
-geometry; the priority `CrossingMap` is a `HomogeneousMap` whose step
-patches the non-priority entry with the priority entry's current-step
-value, the one sequential read of the model.
+`_orbit` works on shift blocks, a partition of the coordinates such that
+f(x + sum_b sigma_b 1_b) = f(x) + sum_b sigma_b 1_b: once x_t - x_s is
+constant on every block for some s < t, every later point is a shift of an
+earlier one. Every map `HomogeneousMap.__post_init__` accepts is degree-one,
+and so is the `CrossingMap` patch, so roads and crossings are one block and
+a repeat is x_t = x_s + sigma 1. A T1H system is compiled once to one
+`HomogeneousMap` on the concatenated state (u, x) and its blocks: the light
+u, and each connected component of the state coupling of A(u), a component
+fed by B(u) joining u's block, so the light and each road may advance at
+their own rates. `_orbit` tests each new state exactly against the earlier
+states with the same reduced denominator, and builds the rest of the k
+points from the cycle through the run's value table. On one block the
+spread max(x) - min(x) is shift-invariant, so a spread bound is tested on
+the stepped states only. The tent orbit stops at its first repeated
+numerator and tiles the cycle. The cyclicity of max-plus linear maps
+(Baccelli, Cohen, Olsder & Quadrat, 1992) says linear orbits do repeat; the
+test on each run needs no such theorem for the nonlinear crossings. Both
+crossing policies are built from one geometry; the priority `CrossingMap` is
+a `HomogeneousMap` whose step patches the non-priority entry with the
+priority entry's current-step value, the one sequential read of the model.
 
 Everything is exact: binary floating point would collapse tent orbits onto
 the fixed point and blur the exact plateau values the models predict.
@@ -54,10 +61,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadConfig, DimensionMismatch, Diverged
-from .semiring import MIN_PLUS, _canonical, _rational, _scaled
+from .semiring import MIN_PLUS, _canonical, _rational, _scaled, _unscaled
 from .tropmat import TropMatrix, mat_mul, matrix
 
 Rat = Union[int, Fraction]  # a canonical payload: an int exactly when integral
@@ -137,8 +145,8 @@ def exclusion_run(w: RingWord, steps: int) -> Tuple[List[RingWord], List[Rat]]:
 # ---------------------------------------------------------------------------
 
 
-# a compiled term: constant C, first exponent pair (i, E), the other pairs
-IntTerm = Tuple[int, int, int, Tuple[Tuple[int, int], ...]]
+# a compiled term: coordinate r, constant C, first exponent pair (i, E), the other pairs
+IntTerm = Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]
 
 
 def _reduced(X: List[int], D: int) -> Tuple[List[int], int]:
@@ -151,107 +159,145 @@ def _reduced(X: List[int], D: int) -> Tuple[List[int], int]:
     return [v // g for v in X], D // g
 
 
-class _FractionsOver(dict):
-    """numerator v -> the canonical payload v / D for one denominator D != 1,
-    built on first use: v // D where D divides v, else Fraction(v, D)."""
+class _Values(dict):
+    """One run's value table: a numerator over the run's denominator lcm M ->
+    its canonical payload, each distinct value of the run built once.
 
-    def __init__(self, D: int):
-        super().__init__()
-        self.D = D
-
-    def __missing__(self, v: int) -> Rat:
-        D = self.D
-        f = self[v] = Fraction(v, D) if v % D else v // D
-        return f
-
-
-class _Points(dict):
-    """Builds points X / D as canonical payloads, each distinct value once per run.
-
-    A point over D = 1 is its numerator list X itself, so callers pass a list
-    they do not change later. Trajectory points repeat their values heavily
-    (a 450-step priority crossing run holds 9,020 entries but 228 distinct
-    values), and building a `Fraction` costs far more than a dict lookup.
-    Fractions are immutable, so points may share them.
+    Trajectory points repeat their values heavily (a 450-step priority
+    crossing run holds 9,020 entries but 228 distinct values), a value is
+    often reached over several denominators D as the orbit's D changes, and
+    building a `Fraction` costs far more than a dict lookup. So `point` keys
+    each numerator v of X / D over M, as v M / D, and a missing value is
+    built from its own (v, D) by `_unscaled`: `point` records the D it reads
+    over, and M / D, for `__missing__`. A point over M = 1 is its numerator
+    list itself, so callers pass a list they do not change later. Fractions
+    are immutable, so points may share them.
     """
 
-    def __missing__(self, D: int) -> _FractionsOver:
-        over = self[D] = _FractionsOver(D)
-        return over
+    def __init__(self, M: int):
+        super().__init__()
+        self.M = M
+        self.D, self.m = M, 1  # the denominator `point` reads over, and M / D
 
-    def __call__(self, X: List[int], D: int) -> List[Rat]:
-        if D == 1:
+    def point(self, X: List[int], D: int) -> List[Rat]:
+        if self.M == 1:
             return X
-        return list(map(self[D].__getitem__, X))
+        m = self.m = self.M // D
+        self.D = D
+        return list(map(self.__getitem__, X if m == 1 else map(m.__mul__, X)))
+
+    def __missing__(self, key: int) -> Rat:
+        value = self[key] = _unscaled(key // self.m, self.D)
+        return value
 
 
-def _fractions(X: List[int], D: int) -> List[Rat]:
-    """The point X / D, one canonical payload per coordinate, for values that
-    do not repeat (a tent orbit's distinct numerators, a single point)."""
-    if D == 1:
-        return X
-    return [Fraction(v, D) if v % D else v // D for v in X]
+State = Tuple[List[int], int]  # a point x = X / D as its numerators X and denominator D
 
 
-def _shape(X: Sequence[int]) -> Tuple[int, ...]:
-    """X - X[0]: a point's numerators up to a common shift."""
-    return tuple(map((-X[0]).__add__, X))
+def _orbit(f, x0: Sequence[Rat], k: int, bound: Optional[Rat] = None,
+           blocks: Optional[Sequence[Sequence[int]]] = None) -> Tuple[List[State], Optional[int]]:
+    """(states, s): x0 and its images under f's integer `step` up to the
+    first repeat, each as (X, D) with x = X / D and gcd(D, *X) = 1.
 
+    `blocks` partitions the coordinates into shift blocks, one block when it
+    is None, and f must commute with a shift on each block:
+    f(x + sum_b sigma_b 1_b) = f(x) + sum_b sigma_b 1_b for all rationals
+    sigma_b. A min of terms does so when every term has exponent sum 1 on its
+    own coordinate's block and 0 on every other. Every map
+    `HomogeneousMap.__post_init__` accepts does so on one block, and so does
+    the `CrossingMap` patch; `_t1h_map` finds a T1H system's blocks. So once
+    x_t - x_s is constant on each block for an earlier s, every later point
+    is x_{j-c} + (x_t - x_s) with c = t - s, and the loop stops stepping
+    there: states ends with x_t and s is the cycle start (`_at` and
+    `_points` read the later points). Without a repeat in k steps, states
+    holds all k + 1 points and s is None.
 
-def _orbit(f, x0: Sequence[Rat], k: int, bound: Optional[Rat] = None) -> Iterator[Tuple[List[int], int]]:
-    """x0 and its k images under f's integer `step`, each as (X, D) with x = X / D.
-
-    f is a `HomogeneousMap`, so f(x + s 1) = f(x) + s 1 for every rational
-    s: every map `HomogeneousMap.__post_init__` accepts is degree-one, and so
-    is the `CrossingMap` patch. So once a state x_t is x_s + sigma 1 for an
-    earlier x_s, every later point is x_{j-c} + sigma 1 with c = t - s, and
-    the loop stops stepping there. The repeat test is exact: an earlier
-    state with the same reduced D and the same X - X[0]. States are indexed
-    by the sum of X - X[0] and by X[-1] - X[0] first, and (D, X - X[0]) is
-    built and compared only where that key recurs, so a step that finds no
-    repeat mostly costs one sum and one dict lookup. Points up to the repeat
-    are reduced; the rest are integer shifts of the cycle over one common
-    denominator.
+    The repeat test is exact: an earlier state with the same reduced D and
+    the same X less its block's first coordinate on every block. States are
+    indexed by the sum of that shape and its last coordinate first, and
+    (D, shape) is built and compared only where that key recurs, so a step
+    that finds no repeat mostly costs one sum and one dict lookup.
 
     With a `bound`, a stepped state whose spread max(x) - min(x) exceeds it
-    raises Diverged. The spread is shift-invariant and every cycle point
-    has the spread of a stepped state, so the shifted points need no test.
+    raises Diverged. On one block the spread is shift-invariant and every
+    cycle point has the spread of a stepped state, so the later points need
+    no test; a bound is for one-block runs only.
     """
     X, D = _scaled(list(map(_rational, x0)))
     if len(X) != f.dim:  # `step` checks it too, but the repeat key reads X[0] before any step
         raise DimensionMismatch("point dimension differs from map dimension")
-    # the states so far; tuples of ints, unlike lists, drop out of the cyclic
-    # GC, so a long run that never repeats adds nothing to its full collections
-    seen: List[Tuple[int, ...]] = []
-    dens: List[int] = []
-    first: Dict[Tuple[int, int], int] = {}  # (sum of X - X[0], X[-1] - X[0]) -> its first step
-    shapes: Dict[Tuple[int, int], Dict[Tuple[int, Tuple[int, ...]], int]] = {}  # that key -> {(D, X - X[0]): step}
+    blocks = blocks or [range(len(X))]
+    anchors = [0] * len(X)  # coordinate -> the first coordinate of its block
+    for block in blocks:
+        for i in block:
+            anchors[i] = block[0]
+    (a0, n0), *others = [(block[0], len(block)) for block in blocks]
+    last = anchors[-1]
+
+    def shape(X: List[int]) -> Tuple[int, ...]:
+        return tuple([v - X[a] for v, a in zip(X, anchors)])
+
+    states: List[State] = []
+    first: Dict[Tuple[int, int], int] = {}  # (sum of the shape, its last coordinate) -> its first step
+    shapes: Dict[Tuple[int, int], Dict[Tuple[int, Tuple[int, ...]], int]] = {}  # that key -> {(D, shape): step}
     for t in range(k + 1):
         if t:
             X, D = _reduced(*f.step(X, D))
             # max(x) - min(x) > bound for x = X / D, cross-multiplied
             if bound is not None and (max(X) - min(X)) * bound.denominator > bound.numerator * D:
                 raise Diverged("coordinate spread exceeded the configured bound")
-        yield X, D
-        key = (sum(X) - len(X) * X[0], X[-1] - X[0])
+        states.append((X, D))
+        key = (sum(X) - n0 * X[a0] - sum([n * X[a] for a, n in others]), X[-1] - X[last])
         s = first.setdefault(key, t)
         if s != t:
             if key not in shapes:
-                shapes[key] = {(dens[s], _shape(seen[s])): s}
-            s = shapes[key].setdefault((D, _shape(X)), t)
+                shapes[key] = {(states[s][1], shape(states[s][0])): s}
+            s = shapes[key].setdefault((D, shape(X)), t)
             if s != t:
-                break
-        seen.append(tuple(X))
-        dens.append(D)
-    else:
-        return
-    M = math.lcm(*dens[s:])
-    cycle = [[v * (M // E) for v in Y] for Y, E in zip(seen[s:], dens[s:])]
-    sigma = (X[0] - seen[s][0]) * (M // D)
-    for j in range(t + 1, k + 1):
-        turns, i = divmod(j - s, t - s)
-        shift = turns * sigma
-        yield [v + shift for v in cycle[i]], M
+                return states, s
+    return states, None
+
+
+def _at(states: List[State], s: Optional[int], j: int) -> State:
+    """Point j of the orbit `_orbit` returned as (states, s): a stepped state,
+    or past the repeat t the cycle state x_{s+i} shifted by whole turns of
+    x_t - x_s, over the lcm of the two denominators."""
+    t = len(states) - 1
+    if j <= t:
+        return states[j]
+    turns, i = divmod(j - s, t - s)
+    (Xt, D), (Xs, _), (Y, E) = states[t], states[s], states[s + i]
+    M = math.lcm(D, E)
+    return [v * (M // E) + turns * (a - b) * (M // D) for v, a, b in zip(Y, Xt, Xs)], M
+
+
+def _points(states: List[State], s: Optional[int], k: int) -> List[List[Rat]]:
+    """All k + 1 points of the orbit `_orbit` returned as (states, s), each a
+    list of canonical payloads drawn from one `_Values` table over the lcm M
+    of the stepped denominators.
+
+    Past the repeat t, point j is the cycle state x_{s+i} plus whole turns of
+    sigma = x_t - x_s, for j - s = turns c + i: each turn adds sigma to the
+    previous turn's keys over M, one vector addition and one table read per
+    point. Over M = 1 a point is its key list itself.
+    """
+    values = _Values(math.lcm(*{D for _, D in states}))
+    M = values.M
+    points = [values.point(X, D) for X, D in states]
+    t = len(states) - 1
+    if t < k:
+        (Xt, D), (Xs, _) = states[t], states[s]
+        sigma = [(a - b) * (M // D) for a, b in zip(Xt, Xs)]
+        cycle = [[v * (M // E) for v in Y] if E != M else Y for Y, E in states[s:t]]
+        values.D, values.m = M, 1  # every key below is over M
+        get = values.__getitem__
+        skip = 1  # x_t, the first point of the first turn, is stepped already
+        while len(points) <= k:
+            cycle = [list(map(add, keys, sigma)) for keys in cycle]
+            turn = cycle[skip:skip + k + 1 - len(points)]
+            points += turn if M == 1 else [list(map(get, keys)) for keys in turn]
+            skip = 0
+    return points
 
 
 @dataclass(frozen=True)
@@ -303,42 +349,41 @@ class HomogeneousMap:
                     raise ValueError("exponents of a degree-one term must sum to 1")
 
     @cached_property
-    def _compiled(self) -> Tuple[int, Tuple[Tuple[IntTerm, ...], ...]]:
-        """(L, coords): every term's constant C and exponents E scaled to
+    def _compiled(self) -> Tuple[int, Tuple[IntTerm, ...]]:
+        """(L, terms): every term's constant C and exponents E scaled to
         integers by one `_scaled` call; at x = X / D a term is (C D + sum E X_i) / (D L).
-        A term is stored as (C, i, E, rest): its first exponent pair flat (every
-        degree-one term has one) and the other pairs, usually none, as a tuple."""
-        flat = [t for terms in self.coords for t in terms]
-        ints, L = _scaled([t.constant for t in flat] + [e for t in flat for _, e in t.exponents])
+        One flat tuple holds the terms of every coordinate, in coordinate
+        order, each as (r, C, i, E, rest): its coordinate r, its first
+        exponent pair flat (every degree-one term has one) and the other
+        pairs, usually none, as a tuple."""
+        flat = [(r, t) for r, terms in enumerate(self.coords) for t in terms]
+        ints, L = _scaled([t.constant for _, t in flat] + [e for _, t in flat for _, e in t.exponents])
         consts, exps = iter(ints[:len(flat)]), iter(ints[len(flat):])
         return L, tuple([
-            tuple([(next(consts), t.exponents[0][0], next(exps),
-                    tuple([(j, next(exps)) for j, _ in t.exponents[1:]]) if len(t.exponents) > 1 else ())
-                   for t in terms])
-            for terms in self.coords
+            (r, next(consts), t.exponents[0][0], next(exps),
+             tuple([(j, next(exps)) for j, _ in t.exponents[1:]]) if len(t.exponents) > 1 else ())
+            for r, t in flat
         ])
 
     def step(self, X: Sequence[int], D: int) -> Tuple[List[int], int]:
         """One step on integer numerators: the point X / D maps to X' / (D L)."""
         if len(X) != self.dim:
             raise DimensionMismatch("point dimension differs from map dimension")
-        L, coords = self._compiled
-        out: List[int] = []
-        append = out.append
-        for terms in coords:
-            best = None
-            for C, i, E, rest in terms:
-                v = C * D + E * X[i]
-                if rest:
-                    for j, F in rest:
-                        v += F * X[j]
-                if best is None or v < best:
-                    best = v
-            append(best)
+        L, terms = self._compiled
+        out: List[Optional[int]] = [None] * self.dim
+        for r, C, i, E, rest in terms:
+            v = C * D + E * X[i]
+            if rest:
+                for j, F in rest:
+                    v += F * X[j]
+            best = out[r]
+            if best is None or v < best:
+                out[r] = v
         return out, D * L
 
     def __call__(self, x: Sequence[Rat]) -> List[Rat]:
-        return _fractions(*self.step(*_scaled(list(map(_rational, x)))))
+        X, D = self.step(*_scaled(list(map(_rational, x))))
+        return [_unscaled(v, D) for v in X]
 
     def is_linear(self) -> bool:
         return all(
@@ -404,11 +449,10 @@ def hom_iterate(
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    states = list(_orbit(f, x0, k, _rational(spread_bound)))
-    point = _Points()
-    traj = [point(X, D) for X, D in states]
+    states, s = _orbit(f, x0, k, _rational(spread_bound))
+    traj = _points(states, s, k)
     # the mean of the rates: (sum(X_k) / D_k - sum(X_h) / D_h) / (span * dim), over ints
-    (Xh, Dh), (Xk, Dk) = states[k // 2], states[k]
+    (Xh, Dh), (Xk, Dk) = _at(states, s, k // 2), _at(states, s, k)
     return traj, _ratio(sum(Xk) * Dh - sum(Xh) * Dk, Dk * Dh * (k - k // 2) * len(Xk))
 
 
@@ -521,7 +565,7 @@ def tent_trajectory(
     is built from the transient's and the cycle's counts.
     """
     q, nums, start, hist = _tent_cycle(y0, k, bins)
-    points = _fractions(nums, q)
+    points = [Fraction(v, q) if v % q else v // q for v in nums]  # distinct values: no table
     cycle = points[start:]
     if cycle:
         turns, rest = divmod(k + 1 - start, len(cycle))
@@ -768,6 +812,12 @@ class T1HSystem:
         if any(m and m.udim != len(self.u0) for m in (self.a_of_u, self.b_of_u)):
             raise DimensionMismatch("control-matrix udim disagrees with u0")
 
+    @cached_property
+    def _compiled(self) -> Tuple[HomogeneousMap, Optional[List[List[int]]]]:
+        """The pair (u, x) as one homogeneous map and its shift blocks, by
+        `_t1h_map`, built once per system."""
+        return _t1h_map(self)
+
 
 @dataclass(frozen=True)
 class PeriodReport:
@@ -786,8 +836,9 @@ def _plus_coordinate(t: MinPlusTerm, i: int) -> MinPlusTerm:
     return MinPlusTerm(t.constant, tuple(exps.items()))
 
 
-def _t1h_map(system: T1HSystem) -> HomogeneousMap:
-    """The pair (u, x) as one degree-one homogeneous map on udim + xdim coordinates.
+def _t1h_map(system: T1HSystem) -> Tuple[HomogeneousMap, Optional[List[List[int]]]]:
+    """The pair (u, x) as one degree-one homogeneous map on udim + xdim
+    coordinates, and its shift blocks for `_orbit` (None for one block).
 
     Entry c_ij becomes the term c_ij + u_j, a term t of A(u) entry (r, j)
     becomes t + x_j and one of B(u) entry (r, j) becomes t + u_j; control
@@ -797,17 +848,71 @@ def _t1h_map(system: T1HSystem) -> HomogeneousMap:
     c = uterm_matrix(udim, system.c.payload)
     layers = (("control", [(c, 0)]), ("state", [(system.a_of_u, udim), (system.b_of_u, 0)]))
     coords = []
-    for name, blocks in layers:
-        for r in range(len(blocks[0][0].entries)):
+    for name, parts in layers:
+        for r in range(len(parts[0][0].entries)):
             terms = tuple(
                 _plus_coordinate(t, offset + j)
-                for m, offset in blocks if m is not None
+                for m, offset in parts if m is not None
                 for j, entry in enumerate(m.entries[r]) if entry for t in entry
             )
             if not terms:
                 raise Diverged(f"{name} coordinate {r} has no input")
             coords.append(terms)
-    return HomogeneousMap(udim + len(system.x0), tuple(coords))
+    f = HomogeneousMap(udim + len(system.x0), tuple(coords))
+    return f, _shift_blocks(system, f)
+
+
+def _shift_blocks(system: T1HSystem, f: HomogeneousMap) -> Optional[List[List[int]]]:
+    """The shift blocks of the pair (u, x) that f steps, or None for one block.
+
+    The blocks are u, plus each connected component of the x-coupling graph
+    of A(u) (x_r and x_j joined where entry (r, j) is present); a component
+    joins u's block where B(u) feeds one of its rows. Then a term of row r
+    has exponent sum 1 on r's block and 0 on every other, so f commutes with
+    a shift on each block. `_shifts_by_block` checks that term by term;
+    where it fails, f runs as one block.
+    """
+    udim = len(system.u0)
+    root = list(range(f.dim))  # union-find over the coordinates
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    def join(i: int, j: int) -> None:
+        root[find(i)] = find(j)
+
+    for i in range(1, udim):
+        join(i, 0)
+    for r, row in enumerate(system.a_of_u.entries):
+        for j, entry in enumerate(row):
+            if entry:
+                join(udim + r, udim + j)
+    for r, row in enumerate(system.b_of_u.entries if system.b_of_u else ()):
+        if any(row):
+            join(udim + r, 0)
+    groups: Dict[int, List[int]] = {}
+    for i in range(f.dim):
+        groups.setdefault(find(i), []).append(i)
+    blocks = list(groups.values())
+    if len(blocks) == 1 or not _shifts_by_block(f, blocks):
+        return None
+    return blocks
+
+
+def _shifts_by_block(f: HomogeneousMap, blocks: List[List[int]]) -> bool:
+    """Whether every term of f has exponent sum 1 on its own coordinate's
+    block and 0 on every other, so f(x + sum_b sigma_b 1_b) = f(x) + sum_b sigma_b 1_b."""
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    for r, terms in enumerate(f.coords):
+        for t in terms:
+            sums = [0] * len(blocks)
+            for i, e in t.exponents:
+                sums[block_of[i]] += e
+            if any(v != (b == block_of[r]) for b, v in enumerate(sums)):
+                return False
+    return True
 
 
 def t1h_simulate(system: T1HSystem, k: int):
@@ -820,28 +925,30 @@ def t1h_simulate(system: T1HSystem, k: int):
     behaves as a linear periodic system. Returned flow rates are
     per-coordinate second-half growth rates of x. The pair (u, x) steps as
     one homogeneous map on integer numerators over a shared denominator,
-    through `_orbit`: every compiled term is degree-one, so once the pair
-    repeats up to a shift, (u_t, x_t) = (u_s, x_s) + sigma 1, the rest of
-    the run is built from the cycle without stepping.
+    compiled once per system with its shift blocks (`_t1h_map`), through
+    `_orbit`: once (u_t, x_t) - (u_s, x_s) is constant on each block (the
+    light and each road may advance at their own rates), the rest of the run
+    is built from the cycle without stepping. u lies in one block, so its
+    first repeat is at or before that step, among the stepped states.
     """
     if k < 2:
         raise ValueError("need at least two steps")
     udim = len(system.u0)
-    point = _Points()
-    u_traj: List[List[Rat]] = []
-    x_traj: List[List[Rat]] = []
+    f, blocks = system._compiled
+    states, s = _orbit(f, [*system.u0, *system.x0], k, blocks=blocks)
+    points = _points(states, s, k)
+    u_traj: List[List[Rat]] = [p[:udim] for p in points]
+    x_traj: List[List[Rat]] = [p[udim:] for p in points]
     seen: Dict[Tuple[Tuple[int, ...], int], int] = {}
     report: Optional[PeriodReport] = None
-    for step, (Y, D) in enumerate(_orbit(_t1h_map(system), [*system.u0, *system.x0], k)):
-        u_traj.append(point(Y[:udim], D))
-        x_traj.append(point(Y[udim:], D))
-        if report is None:
-            X, E = _reduced([v - Y[0] for v in Y[:udim]], D)
-            start = seen.setdefault((tuple(X), E), step)
-            if start != step:
-                u = u_traj[step]
-                gain = tuple(_ratio(u[i] - u_traj[start][i], step - start) for i in range(udim))
-                report = PeriodReport(start, step - start, gain)
+    for step, (Y, D) in enumerate(states):
+        X, E = _reduced([v - Y[0] for v in Y[:udim]], D)
+        start = seen.setdefault((tuple(X), E), step)
+        if start != step:
+            u = u_traj[step]
+            gain = tuple(_ratio(u[i] - u_traj[start][i], step - start) for i in range(udim))
+            report = PeriodReport(start, step - start, gain)
+            break
     rates = coordinate_rates(x_traj)
     return u_traj, x_traj, report, rates
 
@@ -923,9 +1030,10 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
     else:
         raise ValueError("road must be vertical or horizontal")
     udim = len(system.u0)
+    f, blocks = system._compiled
     mats = []
-    for Y, D in _orbit(_t1h_map(system), [*system.u0, *system.x0], 3):
-        a = system.a_of_u.eval(_fractions(Y[:udim], D)).payload
+    for point in _points(*_orbit(f, [*system.u0, *system.x0], 3, blocks=blocks), 3):
+        a = system.a_of_u.eval(point[:udim]).payload
         mats.append(matrix([[a[i][j] for j in idx] for i in idx], MIN_PLUS))
     prod = mats[3]
     for m in (mats[2], mats[1], mats[0]):

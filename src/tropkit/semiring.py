@@ -112,8 +112,7 @@ def _unscaled(v, scale: int):
     """v / scale as a canonical payload; None stays None."""
     if v is None:
         return None
-    q, r = divmod(v, scale)
-    return q if r == 0 else Fraction(v, scale)
+    return Fraction(v, scale) if v % scale else v // scale
 
 
 def payload_of(value: ScalarLike, tag: SemiringTag) -> Payload:

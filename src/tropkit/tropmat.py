@@ -272,7 +272,9 @@ def from_columns(cols: Sequence[TropVector], tag: Optional[SemiringTag] = None) 
 
 
 def identity(n: int, tag: SemiringTag = MAX_PLUS) -> TropMatrix:
-    return TropMatrix._trusted(tuple(unit_vector(n, i, tag).payload for i in range(n)), tag)
+    ops = tag.ops
+    zeros = (ops.zero,) * n
+    return TropMatrix._trusted(tuple(zeros[:i] + (ops.unit,) + zeros[i + 1:] for i in range(n)), tag)
 
 
 def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
@@ -359,7 +361,8 @@ def _closure(a: TropMatrix) -> List[list]:
 
     After pivot k, d_ij is the best weight of a path i -> j of at least one
     edge with intermediate nodes <= k. A pivot diagonal above the unit
-    closes a cycle that makes the series diverge: Divergent, at once.
+    closes a cycle that makes the series diverge: Divergent, at once. Pivot
+    0 reads a_00 of A itself, so that case raises before any pass over A.
     """
     if not a.is_square:
         raise DimensionMismatch("star needs a square matrix")
@@ -369,6 +372,9 @@ def _closure(a: TropMatrix) -> List[list]:
     n = a.rows
     if not n:
         return []
+    a00 = a.payload[0][0]
+    if a00 is not None and sign * a00 > 0:  # pivot 0 reads A itself: no pass needed
+        raise Divergent(f"a cycle through node 0 has weight {a00}, above the unit")
     flat, scale = _scaled(list(chain.from_iterable(a.payload)))
     bound = n * max(map(abs, [v for v in flat if v is not None]), default=0)
     off, low = 4 * bound + 1, 3 * bound + 1

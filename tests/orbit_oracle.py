@@ -1,12 +1,13 @@
 """Step-every-time orbits: the test oracle for `tropkit.dynamics`.
 
-`_orbit` stops calling `step` at the first exact repeat x_t = x_s + sigma 1
-and builds the rest of the run from the cycle, and the tent orbit stops at
-its first repeated numerator. These are the loops they replaced: every one
-of the k points is stepped, reduced and converted, and the spread bound is
-tested on every point. The tests require equal values, canonical payloads
-(an int exactly when integral), the same `Diverged` and its text, and
-`CountingMap` pins how many steps the production loop takes.
+`_orbit` stops calling `step` at the first exact repeat, where x_t - x_s is
+constant on each shift block, and builds the rest of the run from the
+cycle, and the tent orbit stops at its first repeated numerator. These are
+the loops they replaced: every one of the k points is stepped, reduced and
+converted by `semiring._unscaled`, and the spread bound is tested on every
+point. The tests require equal values, canonical payloads (an int exactly
+when integral), the same `Diverged` and its text, and `CountingMap` pins
+how many steps the production loop takes.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ from tropkit.dynamics import (
     CrossingMap,
     HomogeneousMap,
     PeriodReport,
-    _fractions,
-    _Points,
     _reduced,
     _t1h_map,
     coordinate_rates,
 )
 from tropkit.errors import Diverged
-from tropkit.semiring import _rational, _scaled
+from tropkit.semiring import _rational, _scaled, _unscaled
 
 
 class CountingMap(HomogeneousMap):
@@ -59,13 +58,24 @@ def orbit_oracle(f, x0, k: int) -> Iterator[Tuple[List[int], int]]:
         yield X, D
 
 
-def first_repeat(f, x0, k: int) -> Optional[int]:
-    """The first step t <= k whose reduced state has the same D and X - X[0]
-    as an earlier one, by comparing every pair; None if there is none."""
+def _point(X: List[int], D: int) -> list:
+    """X / D, one canonical payload per coordinate."""
+    return [_unscaled(v, D) for v in X]
+
+
+def first_repeat(f, x0, k: int, blocks=None) -> Optional[int]:
+    """The first step t <= k whose reduced state has the same D as an earlier
+    one and, on every block of `blocks` (one block when None), the same X
+    less the block's first coordinate, by comparing every pair; None if
+    there is none."""
+    blocks = blocks or [range(f.dim)]
+
+    def shape(X):
+        return [[X[i] - X[block[0]] for i in block] for block in blocks]
+
     states: List[Tuple[List[int], int]] = []
     for t, (X, D) in enumerate(orbit_oracle(f, x0, k)):
-        shape = [v - X[0] for v in X]
-        if any(E == D and [v - Y[0] for v in Y] == shape for Y, E in states):
+        if any(E == D and shape(Y) == shape(X) for Y, E in states):
             return t
         states.append((X, D))
     return None
@@ -77,12 +87,11 @@ def hom_iterate_oracle(f, x0, k: int, spread_bound=DEFAULT_SPREAD_BOUND):
         raise ValueError("need at least two steps")
     bound = _rational(spread_bound)
     orbit = orbit_oracle(f, x0, k)
-    point = _Points()
-    traj = [point(*next(orbit))]
+    traj = [_point(*next(orbit))]
     for X, D in orbit:
         if (max(X) - min(X)) * bound.denominator > bound.numerator * D:
             raise Diverged("coordinate spread exceeded the configured bound")
-        traj.append(point(X, D))
+        traj.append(_point(X, D))
     rates = coordinate_rates(traj)
     return traj, sum(rates, Fraction(0)) / len(rates)
 
@@ -92,14 +101,14 @@ def t1h_simulate_oracle(system, k: int):
     if k < 2:
         raise ValueError("need at least two steps")
     udim = len(system.u0)
-    point = _Points()
+    f, _ = _t1h_map(system)
     u_traj: List[List[Fraction]] = []
     x_traj: List[List[Fraction]] = []
     seen: Dict[Tuple[Tuple[int, ...], int], int] = {}
     report: Optional[PeriodReport] = None
-    for step, (Y, D) in enumerate(orbit_oracle(_t1h_map(system), [*system.u0, *system.x0], k)):
-        u_traj.append(point(Y[:udim], D))
-        x_traj.append(point(Y[udim:], D))
+    for step, (Y, D) in enumerate(orbit_oracle(f, [*system.u0, *system.x0], k)):
+        u_traj.append(_point(Y[:udim], D))
+        x_traj.append(_point(Y[udim:], D))
         if report is None:
             X, E = _reduced([v - Y[0] for v in Y[:udim]], D)
             start = seen.setdefault((tuple(X), E), step)
@@ -123,4 +132,4 @@ def tent_trajectory_oracle(y0, k: int, bins: Optional[int] = None):
         hist = [0] * bins
         for n in nums:
             hist[n * bins // q if n < q else bins - 1] += 1
-    return _fractions(nums, q), hist
+    return _point(nums, q), hist

@@ -11,7 +11,6 @@ from orbit_oracle import (
     tent_trajectory_oracle,
 )
 
-from tropkit import dynamics
 from tropkit.dynamics import (
     DEFAULT_SPREAD_BOUND,
     CrossingMap,
@@ -20,6 +19,8 @@ from tropkit.dynamics import (
     PeriodReport,
     RingWord,
     T1HSystem,
+    _shifts_by_block,
+    _t1h_map,
     build_crossing,
     coordinate_rates,
     crossing_builder,
@@ -633,9 +634,9 @@ def _iterate_against_oracle(f, x0, k, bound=DEFAULT_SPREAD_BOUND):
     return "repeated"
 
 
-def _ks(rng, f, x0, longest):
+def _ks(rng, f, x0, longest, blocks=None):
     """A random run length and the lengths just before, at and past the first repeat."""
-    t = first_repeat(f, x0, longest)
+    t = first_repeat(f, x0, longest, blocks)
     near = () if t is None else (t - 1, t, t + 1)
     return sorted({rng.randint(2, longest), *(k for k in near if k >= 2)})
 
@@ -731,28 +732,126 @@ def _drifting_light(rng):
     return T1HSystem(c, uterm_matrix(4, [[2, None], [None, 0]]), None, (0,) * 4, (0, 0))
 
 
-def test_t1h_simulate_equals_the_step_every_time_oracle(monkeypatch):
-    maps = []
-    compile_map = dynamics._t1h_map
+def _unequal_roads_light(rng):
+    """The plain four-phase light on two roads that carry different numbers
+    of cars on different lengths, so the roads advance at their own rates and
+    the pair (u, x) never repeats as a whole; each road and the light repeat
+    on their own shift blocks."""
+    nv, nh = rng.randint(3, 6), rng.randint(3, 6)
+    cv = sorted(rng.sample(range(nv), 1))
+    ch = sorted(rng.sample(range(nh), rng.randint(2, nh - 1)))
+    return traffic_light_system(nv, nh, cv, ch)
 
-    def counted_map(system):
-        maps.append(counting(compile_map(system)))
-        return maps[-1]
 
-    monkeypatch.setattr(dynamics, "_t1h_map", counted_map)
+def _partly_fed_light(rng):
+    """The four-phase light with rational u0 and x0, and B(u) feeding at most
+    two state rows, so a road that B(u) feeds joins u's shift block and the
+    other road keeps its own."""
+    nv, nh = rng.randint(2, 5), rng.randint(2, 5)
+    cv = sorted(rng.sample(range(nv), rng.randint(0, nv)))
+    ch = sorted(rng.sample(range(nh), rng.randint(0, nh)))
+    light = traffic_light_system(nv, nh, cv, ch)
+    rows = [[None] * 4 for _ in range(nv + nh)]
+    for r in rng.sample(range(nv + nh), rng.randint(1, 2)):
+        rows[r][rng.randrange(4)] = Fraction(rng.randint(0, 9), rng.choice((1, 2)))
+    u0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(4))
+    x0 = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in range(nv + nh))
+    return T1HSystem(light.c, light.a_of_u, uterm_matrix(4, rows), u0, x0)
+
+
+def _counted(system):
+    """A counting copy of system's compiled map, put in the system's place."""
+    f, blocks = system._compiled
+    counted = counting(f)
+    system.__dict__["_compiled"] = (counted, blocks)
+    return counted
+
+
+def test_t1h_simulate_equals_the_step_every_time_oracle():
     rng = random.Random(272)
     repeated = 0
-    for make in [_random_input_light, _tracking_light] * 20 + [_drifting_light]:
+    makers = [_random_input_light, _tracking_light] * 20 + [_unequal_roads_light, _partly_fed_light] * 5 + [_drifting_light]
+    for make in makers:
         system = make(rng)
+        f, blocks = _t1h_map(system)
+        counted = _counted(system)
         start = [*system.u0, *system.x0]
-        for k in _ks(rng, compile_map(system), start, 50):
+        for k in _ks(rng, f, start, 50, blocks):
+            before = counted.steps
             got = t1h_simulate(system, k)
             assert got == t1h_simulate_oracle(system, k)
             assert _all_canonical(got[0], got[1])
-            t = first_repeat(compile_map(system), start, k)
-            assert maps[-1].steps == k if t is None else maps[-1].steps <= t
+            t = first_repeat(f, start, k, blocks)
+            steps = counted.steps - before
+            assert steps == k if t is None else steps <= t
             repeated += t is not None and t < k
     assert repeated >= 10, repeated
+
+
+def test_t1h_runs_whose_light_and_roads_drift_apart_stop_early():
+    # the pair (u, x) never repeats up to one shift: the roads and the light
+    # advance at different rates. Each repeats on its own block within a few steps.
+    rng = random.Random(274)
+    drifting = 0
+    for system in [_drifting_light(rng)] + [_unequal_roads_light(rng) for _ in range(20)]:
+        f, blocks = _t1h_map(system)
+        udim, start = len(system.u0), [*system.u0, *system.x0]
+        assert blocks is not None and blocks[0][:udim] == list(range(udim))
+        assert sorted(i for block in blocks for i in block) == list(range(f.dim))
+        if first_repeat(f, start, 120) is not None:
+            continue  # these two roads happen to keep pace with each other
+        drifting += 1
+        t = first_repeat(f, start, 120, blocks)
+        assert t is not None and t <= 20
+        counted = _counted(system)
+        for k in (t - 1, t, t + 1, 120, 280):
+            if k >= 2:
+                before = counted.steps
+                assert t1h_simulate(system, k) == t1h_simulate_oracle(system, k)
+                assert counted.steps - before <= min(t, k)
+    assert drifting >= 8, drifting
+
+
+def test_t1h_blocks_follow_the_coupling_of_the_state_rows():
+    light = traffic_light_system(3, 4, [0], [1, 2])
+    assert _t1h_map(light)[1] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9, 10]]
+    # every state row of a tracking light is fed by B(u), so it stays in u's block: one block
+    rng = random.Random(275)
+    for _ in range(5):
+        assert _t1h_map(_tracking_light(rng))[1] is None
+    # B(u) feeding one row of the horizontal road pulls that whole road into u's block
+    b_rows = [[None] * 4 for _ in range(7)]
+    b_rows[5][2] = 0
+    fed = T1HSystem(light.c, light.a_of_u, uterm_matrix(4, b_rows), light.u0, light.x0)
+    assert _t1h_map(fed)[1] == [[0, 1, 2, 3, 7, 8, 9, 10], [4, 5, 6]]
+    # a map whose terms mix blocks fails the sum rule, and so runs as one block
+    road = road_event_graph([1, 0, 0])
+    assert not _shifts_by_block(road, [[0], [1, 2]])
+    assert _shifts_by_block(road, [[0, 1, 2]])
+
+
+def test_t1h_system_compiles_its_map_once():
+    system = traffic_light_system(5, 5, [0, 2], [1, 3])
+    compiled = system._compiled
+    t1h_simulate(system, 40)
+    four_phase_product(system, "vertical", 5)
+    assert system._compiled is compiled
+    assert compiled == _t1h_map(system)
+
+
+NEVER_REPEATING_CARS = [0, 2, 4, 5, 6, 14, 15, 16, 17, 18]  # a 450-step priority run over 2,063 distinct fractions
+
+
+def test_a_priority_run_that_never_repeats_builds_each_value_once():
+    # every D of this run differs from the one before or after it, as it
+    # doubles every second step; a value reached over several D is one object
+    f = build_crossing(10, 10, NEVER_REPEATING_CARS, "priority")
+    counted = counting(f)
+    traj, _ = hom_iterate(counted, [0] * 20, 450)
+    assert counted.steps == 450
+    values = [v for point in traj for v in point if type(v) is Fraction]
+    assert len({id(v) for v in values}) == len(set(values))
+    assert len({v.denominator for v in values}) > 100
 
 
 def test_tent_orbit_tiles_its_cycle_like_the_oracle():

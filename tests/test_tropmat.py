@@ -33,6 +33,7 @@ from tropkit.tropmat import (
     mat_mul,
     mat_residual_left,
     matrix,
+    unit_vector,
     vec_residual,
     vector,
 )
@@ -235,6 +236,37 @@ def test_packed_closure_bottom_and_extreme_entries():
         kleene_star(matrix([[BOT, Fraction(1, 6)], [Fraction(1, 6), BOT]]))
     with pytest.raises(Divergent, match="node 1 has weight -1, above"):
         kleene_star(matrix([["+inf", Fraction(-1, 2)], [Fraction(-1, 2), "+inf"]], MIN_PLUS))
+
+
+def test_divergence_at_pivot_0_matches_oracle_random():
+    # a_00 above the unit raises before the scaling and packing pass, with
+    # the oracle's text, on max-plus and min-plus matrices with Fraction weights
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        tag = rng.choice([MAX_PLUS, MIN_PLUS])
+        sign = 1 if tag is MAX_PLUS else -1
+        rows = [
+            [None if rng.random() < 0.3 else sign * Fraction(rng.randint(-9, 4), rng.choice((1, 2, 3, 7)))
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        rows[0][0] = sign * Fraction(rng.randint(1, 40), rng.choice((1, 2, 3, 7)))
+        a = matrix(rows, tag)
+        want = _closure_outcome(closure_oracle, a)
+        assert want.startswith("Divergent: a cycle through node 0 has weight ")
+        assert _closure_outcome(_closure, a) == want
+        with pytest.raises(Divergent) as got:
+            kleene_star(a)
+        assert f"Divergent: {got.value}" == want
+
+
+def test_identity_rows():
+    for tag in (MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN):
+        for n in range(5):
+            want = tuple(unit_vector(n, i, tag).payload for i in range(n))
+            got = identity(n, tag)
+            assert got.payload == want and got.tag is tag and (got.rows, got.cols) == (n, n)
 
 
 def test_interval_star_endpoints_in_order_and_user_intervals_checked():
