@@ -13,6 +13,7 @@ option or another action's option exits 2 before any handler runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -302,7 +303,10 @@ class _DomainExit(Exception):
         self.body = body
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: `main` reuses it, since
+    parsing builds a fresh namespace and leaves the parser unchanged."""
     p = argparse.ArgumentParser(
         prog="tropkit",
         description="exact idempotent/tropical mathematics toolkit",

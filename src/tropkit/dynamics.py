@@ -20,14 +20,17 @@ X' / (D L) with integer min and plus only (L = 1 for roads and the light,
 terms; each compiled term keeps its first exponent pair flat, since most
 terms have only one. Iterations divide out gcd(D, X) after each step. Every
 value a function here returns is a canonical payload: an int exactly when
-it is integral, else a `Fraction`, never a float. A point over D = 1 is its
-numerator list itself; otherwise each run reads its points from one value
-table keyed by numerators over the lcm of the run's denominators, so each
-distinct value becomes a payload once per run, whatever D it is reached
-over. Quotients (rates, throughputs, gains, densities) are exact canonical
-ratios, not true division. `HomogeneousMap.step` is the one integer kernel
-of every model but the tent, whose scalar orbit runs on its own numerators,
-and `_orbit` is the one loop that iterates it.
+it is integral, else a `Fraction`, never a float. Every run holds its
+k + 1 points in one form, their integer numerators ("keys") over M, the lcm
+of the run's stepped denominators (`_keys`): throughputs and the T1H period
+report are read from the keys in integer arithmetic, and `_points` turns
+them into values, a point over M = 1 being its key list itself and every
+other value coming from one table per run keyed by its key, so each
+distinct value becomes a payload once per run. Quotients (rates,
+throughputs, gains, densities) are exact canonical ratios, not true
+division. `HomogeneousMap.step` is the one integer kernel of every model
+but the tent, whose scalar orbit runs on its own numerators, and `_orbit`
+is the one loop that iterates it.
 
 `_orbit` and the tent's loop stop stepping once the orbit is periodic.
 `_orbit` works on shift blocks, a partition of the coordinates such that
@@ -40,11 +43,12 @@ a repeat is x_t = x_s + sigma 1. A T1H system is compiled once to one
 u, and each connected component of the state coupling of A(u), a component
 fed by B(u) joining u's block, so the light and each road may advance at
 their own rates. `_orbit` tests each new state exactly against the earlier
-states with the same reduced denominator, and builds the rest of the k
-points from the cycle through the run's value table. On one block the
-spread max(x) - min(x) is shift-invariant, so a spread bound is tested on
-the stepped states only. The tent orbit stops at its first repeated
-numerator and tiles the cycle. The cyclicity of max-plus linear maps
+states with the same reduced denominator, and `_keys` builds the rest of
+the k + 1 points from the cycle, each the keys of the point one cycle
+earlier plus the integer shift of one turn. On one block the spread
+max(x) - min(x) is shift-invariant, so a spread bound is tested on the
+stepped states only. The tent orbit stops at its first repeated numerator
+and tiles the cycle. The cyclicity of max-plus linear maps
 (Baccelli, Cohen, Olsder & Quadrat, 1992) says linear orbits do repeat; the
 test on each run needs no such theorem for the nonlinear crossings. Both
 crossing policies are built from one geometry; the priority `CrossingMap` is
@@ -61,7 +65,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadConfig, DimensionMismatch, Diverged
@@ -160,34 +164,21 @@ def _reduced(X: List[int], D: int) -> Tuple[List[int], int]:
 
 
 class _Values(dict):
-    """One run's value table: a numerator over the run's denominator lcm M ->
-    its canonical payload, each distinct value of the run built once.
+    """One run's value table: a key (a numerator over the run's denominator
+    lcm M) -> its canonical payload, each distinct value of the run built once.
 
     Trajectory points repeat their values heavily (a 450-step priority
-    crossing run holds 9,020 entries but 228 distinct values), a value is
-    often reached over several denominators D as the orbit's D changes, and
-    building a `Fraction` costs far more than a dict lookup. So `point` keys
-    each numerator v of X / D over M, as v M / D, and a missing value is
-    built from its own (v, D) by `_unscaled`: `point` records the D it reads
-    over, and M / D, for `__missing__`. A point over M = 1 is its numerator
-    list itself, so callers pass a list they do not change later. Fractions
-    are immutable, so points may share them.
+    crossing run holds 9,020 entries but 228 distinct values), and building
+    a `Fraction` costs far more than a dict lookup. Fractions are immutable,
+    so points may share them.
     """
 
     def __init__(self, M: int):
         super().__init__()
         self.M = M
-        self.D, self.m = M, 1  # the denominator `point` reads over, and M / D
-
-    def point(self, X: List[int], D: int) -> List[Rat]:
-        if self.M == 1:
-            return X
-        m = self.m = self.M // D
-        self.D = D
-        return list(map(self.__getitem__, X if m == 1 else map(m.__mul__, X)))
 
     def __missing__(self, key: int) -> Rat:
-        value = self[key] = _unscaled(key // self.m, self.D)
+        value = self[key] = _unscaled(key, self.M)
         return value
 
 
@@ -208,9 +199,9 @@ def _orbit(f, x0: Sequence[Rat], k: int, bound: Optional[Rat] = None,
     the `CrossingMap` patch; `_t1h_map` finds a T1H system's blocks. So once
     x_t - x_s is constant on each block for an earlier s, every later point
     is x_{j-c} + (x_t - x_s) with c = t - s, and the loop stops stepping
-    there: states ends with x_t and s is the cycle start (`_at` and
-    `_points` read the later points). Without a repeat in k steps, states
-    holds all k + 1 points and s is None.
+    there: states ends with x_t and s is the cycle start (`_keys` builds the
+    later points). Without a repeat in k steps, states holds all k + 1
+    points and s is None.
 
     The repeat test is exact: an earlier state with the same reduced D and
     the same X less its block's first coordinate on every block. States are
@@ -258,46 +249,32 @@ def _orbit(f, x0: Sequence[Rat], k: int, bound: Optional[Rat] = None,
     return states, None
 
 
-def _at(states: List[State], s: Optional[int], j: int) -> State:
-    """Point j of the orbit `_orbit` returned as (states, s): a stepped state,
-    or past the repeat t the cycle state x_{s+i} shifted by whole turns of
-    x_t - x_s, over the lcm of the two denominators."""
-    t = len(states) - 1
-    if j <= t:
-        return states[j]
-    turns, i = divmod(j - s, t - s)
-    (Xt, D), (Xs, _), (Y, E) = states[t], states[s], states[s + i]
-    M = math.lcm(D, E)
-    return [v * (M // E) + turns * (a - b) * (M // D) for v, a, b in zip(Y, Xt, Xs)], M
+def _keys(states: List[State], s: Optional[int], k: int) -> Tuple[int, List[List[int]]]:
+    """(M, keys): all k + 1 points of the orbit `_orbit` returned as
+    (states, s), each as its integer numerators ("keys") over M, the lcm of
+    the stepped denominators.
 
-
-def _points(states: List[State], s: Optional[int], k: int) -> List[List[Rat]]:
-    """All k + 1 points of the orbit `_orbit` returned as (states, s), each a
-    list of canonical payloads drawn from one `_Values` table over the lcm M
-    of the stepped denominators.
-
-    Past the repeat t, point j is the cycle state x_{s+i} plus whole turns of
-    sigma = x_t - x_s, for j - s = turns c + i: each turn adds sigma to the
-    previous turn's keys over M, one vector addition and one table read per
-    point. Over M = 1 a point is its key list itself.
+    A stepped state X / D is rescaled to M by M / D. Past the repeat t,
+    point j is keys[j - c] + sigma, with c = t - s and sigma = keys[t] - keys[s].
     """
-    values = _Values(math.lcm(*{D for _, D in states}))
-    M = values.M
-    points = [values.point(X, D) for X, D in states]
+    M = math.lcm(*{D for _, D in states})
+    keys = [X if D == M else list(map((M // D).__mul__, X)) for X, D in states]
     t = len(states) - 1
     if t < k:
-        (Xt, D), (Xs, _) = states[t], states[s]
-        sigma = [(a - b) * (M // D) for a, b in zip(Xt, Xs)]
-        cycle = [[v * (M // E) for v in Y] if E != M else Y for Y, E in states[s:t]]
-        values.D, values.m = M, 1  # every key below is over M
-        get = values.__getitem__
-        skip = 1  # x_t, the first point of the first turn, is stepped already
-        while len(points) <= k:
-            cycle = [list(map(add, keys, sigma)) for keys in cycle]
-            turn = cycle[skip:skip + k + 1 - len(points)]
-            points += turn if M == 1 else [list(map(get, keys)) for keys in turn]
-            skip = 0
-    return points
+        c, sigma = t - s, list(map(sub, keys[t], keys[s]))
+        for j in range(t + 1, k + 1):
+            keys.append(list(map(add, keys[j - c], sigma)))
+    return M, keys
+
+
+def _points(M: int, keys: List[List[int]]) -> List[List[Rat]]:
+    """The points keys / M, each a list of canonical payloads. Over M = 1 a
+    point is its key list itself; otherwise every value is drawn from one
+    `_Values` table for the run."""
+    if M == 1:
+        return keys
+    get = _Values(M).__getitem__
+    return [list(map(get, K)) for K in keys]
 
 
 @dataclass(frozen=True)
@@ -449,11 +426,10 @@ def hom_iterate(
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    states, s = _orbit(f, x0, k, _rational(spread_bound))
-    traj = _points(states, s, k)
-    # the mean of the rates: (sum(X_k) / D_k - sum(X_h) / D_h) / (span * dim), over ints
-    (Xh, Dh), (Xk, Dk) = _at(states, s, k // 2), _at(states, s, k)
-    return traj, _ratio(sum(Xk) * Dh - sum(Xh) * Dk, Dk * Dh * (k - k // 2) * len(Xk))
+    M, keys = _keys(*_orbit(f, x0, k, _rational(spread_bound)), k)
+    # the mean of the rates: (sum(x_k) - sum(x_{k/2})) / (span * dim), on the keys over M
+    lam = _ratio(sum(keys[k]) - sum(keys[k // 2]), M * (k - k // 2) * len(keys[k]))
+    return _points(M, keys), lam
 
 
 def coordinate_rates(traj: List[List[Rat]]) -> List[Rat]:
@@ -929,25 +905,27 @@ def t1h_simulate(system: T1HSystem, k: int):
     `_orbit`: once (u_t, x_t) - (u_s, x_s) is constant on each block (the
     light and each road may advance at their own rates), the rest of the run
     is built from the cycle without stepping. u lies in one block, so its
-    first repeat is at or before that step, among the stepped states.
+    first repeat is at or before that step, among the stepped states; their
+    keys over M compare u - u_0 exactly and give the gain as an integer ratio.
     """
     if k < 2:
         raise ValueError("need at least two steps")
     udim = len(system.u0)
     f, blocks = system._compiled
     states, s = _orbit(f, [*system.u0, *system.x0], k, blocks=blocks)
-    points = _points(states, s, k)
+    M, keys = _keys(states, s, k)
+    points = _points(M, keys)
     u_traj: List[List[Rat]] = [p[:udim] for p in points]
     x_traj: List[List[Rat]] = [p[udim:] for p in points]
-    seen: Dict[Tuple[Tuple[int, ...], int], int] = {}
+    seen: Dict[Tuple[int, ...], int] = {}  # u - u_0 over M -> its first step
     report: Optional[PeriodReport] = None
-    for step, (Y, D) in enumerate(states):
-        X, E = _reduced([v - Y[0] for v in Y[:udim]], D)
-        start = seen.setdefault((tuple(X), E), step)
+    for step in range(len(states)):
+        K = keys[step]
+        start = seen.setdefault(tuple([v - K[0] for v in K[:udim]]), step)
         if start != step:
-            u = u_traj[step]
-            gain = tuple(_ratio(u[i] - u_traj[start][i], step - start) for i in range(udim))
-            report = PeriodReport(start, step - start, gain)
+            period = step - start
+            gain = tuple([_ratio(K[i] - keys[start][i], M * period) for i in range(udim)])
+            report = PeriodReport(start, period, gain)
             break
     rates = coordinate_rates(x_traj)
     return u_traj, x_traj, report, rates
@@ -1032,7 +1010,7 @@ def four_phase_product(system: T1HSystem, road: str, n_vertical: int) -> TropMat
     udim = len(system.u0)
     f, blocks = system._compiled
     mats = []
-    for point in _points(*_orbit(f, [*system.u0, *system.x0], 3, blocks=blocks), 3):
+    for point in _points(*_keys(*_orbit(f, [*system.u0, *system.x0], 3, blocks=blocks), 3)):
         a = system.a_of_u.eval(point[:udim]).payload
         mats.append(matrix([[a[i][j] for j in idx] for i in idx], MIN_PLUS))
     prod = mats[3]

@@ -1,13 +1,16 @@
-"""The CLI exit-code contract under mutated input files, in-process.
+"""The CLI exit-code contract under mutated input files and options, in-process.
 
 Each `test_golden.py` CLI case is replayed with 1-3 JSON nodes of its
-fixture files replaced, deleted or duplicated, at fixed seeds, through
-`cli.main` with stdout and stderr captured. For every request the contract
-must hold: the exit code is 0, 1 or 2 and no exception escapes `main`; an
-exit-1 body is JSON; exit-2 stderr starts with "tropkit: ". Every fourth
-request is sent twice and must give the same bytes both times. A SIGALRM
-guard turns a request that runs past its budget into a failure instead of
-a hang.
+fixture files replaced, deleted or duplicated, and each `traffic` case with
+1-3 of its option values replaced, options deleted or options of either
+`traffic` action added, at fixed seeds, through `cli.main` with stdout and
+stderr captured. For every request the contract must hold: the exit code is
+0, 1 or 2 and no other exception escapes `main`; an exit-1 body is JSON;
+exit-2 stderr starts with "tropkit: ". argparse rejects a bad option before
+any handler runs, by its own exit 2 with a "usage: " diagnostic, which only
+a mutated option may cause. Every fourth request is sent twice and must give
+the same bytes both times. A SIGALRM guard turns a request that runs past
+its budget into a failure instead of a hang.
 """
 
 import copy
@@ -23,6 +26,7 @@ from test_golden import CLI_CASES, GOLDEN
 from tropkit.cli import main
 
 REQUESTS_PER_CASE = 32  # 25 cases: 800 requests, 200 of them sent twice
+OPTION_REQUESTS_PER_CASE = 75  # 4 traffic cases: 300 requests, 76 of them sent twice
 REQUEST_SECONDS = 10
 # inserted values: containers, null, floats, bools, huge ints, strings that are
 # almost numbers (an exponent, non-ASCII digits) and the spellings the readers accept
@@ -31,6 +35,18 @@ VALUES = [
     "1/2", "-3/4", "1/0", "-inf", "+inf", "inf", "", "abc", "max-plus", "min-plus", "boolean",
     [[0]], [[0, 1], [2]], [None], {"a": 1}, [1, 2, 3],
 ]
+# option values: accepted spellings, bad ones, values at and beside the lower
+# bounds and the work cap, and almost-numbers
+OPTION_VALUES = {
+    "--densities": [
+        "1/10:1/2:1/5", "0:1:1/4", "1/2:1/10:1/10", "0:0:1", "1:1:1", "0:1:0", "0:1:-1/2",
+        "-1:2:1/2", "0:1:1/1000000", "1/10:1/2", "::", "a:b:c", "1/0:1:1", "0.1:0.5:0.1", "٣:٤:١", "",
+    ],
+    "--steps": ["0", "1", "2", "-1", "60", "300", "1000", "10000000", str(10**20), "1e3", "2.5", "abc", "", "٣"],
+    "--bins": ["0", "1", "8", "-3", "1000", "10000000", str(10**20), "abc", "", "1.5"],
+    "--y0": ["3/101", "0", "1", "1/2", "2", "-1/3", "1/0", "abc", "", "0.5", "1e3", "1/1000003", "+inf", "-inf"],
+    "--format": ["csv", "json", "xml", "", "JSON"],
+}
 
 
 def _paths(node, path=()):
@@ -90,7 +106,9 @@ def _run(argv):
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
-    except BaseException as exc:  # the contract: nothing escapes main
+    except SystemExit as exc:  # argparse's exit, before any handler runs
+        code = exc.code
+    except BaseException as exc:  # the contract: nothing else escapes main
         pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
     finally:
         signal.alarm(0)
@@ -116,3 +134,41 @@ def test_cli_contract_holds_for_mutated_fixtures(name, tmp_path):
             assert _run(argv) == (code, out, err), argv
         codes.add(code)
     assert codes - {0}, name  # the mutations reach the error paths
+
+
+def _option_request(rng, argv):
+    """A traffic argv with 1-3 option values replaced, options deleted or
+    options of either traffic action added; its config file is the fixture."""
+    pairs = [argv[i:i + 2] for i in range(2, len(argv), 2)]
+    pairs = [[option, str(GOLDEN / value) if option == "--config" else value] for option, value in pairs]
+    for _ in range(rng.randint(1, 3)):
+        mutable = [pair for pair in pairs if pair[0] in OPTION_VALUES]
+        op = rng.choice(("replace", "replace", "replace", "delete", "add"))
+        if op == "replace" and mutable:
+            pair = rng.choice(mutable)
+            pair[1] = rng.choice(OPTION_VALUES[pair[0]])
+        elif op == "delete" and pairs:
+            pairs.pop(rng.randrange(len(pairs)))
+        else:
+            option = rng.choice(sorted(OPTION_VALUES))
+            pairs.insert(rng.randint(0, len(pairs)), [option, rng.choice(OPTION_VALUES[option])])
+    return argv[:2] + [word for pair in pairs for word in pair]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the hang guard")
+@pytest.mark.parametrize("name", sorted(name for name in CLI_CASES if CLI_CASES[name][0] == "traffic"))
+def test_cli_contract_holds_for_mutated_traffic_options(name):
+    rng = random.Random(f"cli-option-fuzz-{name}")
+    codes = set()
+    for n in range(OPTION_REQUESTS_PER_CASE):
+        argv = _option_request(rng, CLI_CASES[name])
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            json.loads(out)
+        if code == 2:
+            assert err.startswith(("tropkit: ", "usage: ")), (argv, err)
+        if n % 4 == 0:
+            assert _run(argv) == (code, out, err), argv
+        codes.add(code)
+    assert codes >= {0, 2}, (name, codes)  # the mutations reach both the runs and the rejections

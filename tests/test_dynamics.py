@@ -45,7 +45,7 @@ from tropkit.dynamics import (
 from tropkit.errors import BadConfig, DimensionMismatch, Diverged
 from tropkit.semiring import MIN_PLUS, scalar
 from tropkit.spectral import max_cycle_mean
-from tropkit.tropmat import matrix
+from tropkit.tropmat import matrix, vector
 
 
 def test_exclusion_reference_sequence():
@@ -852,6 +852,38 @@ def test_a_priority_run_that_never_repeats_builds_each_value_once():
     values = [v for point in traj for v in point if type(v) is Fraction]
     assert len({id(v) for v in values}) == len(set(values))
     assert len({v.denominator for v in values}) > 100
+
+
+def _four_phase_oracle(system, idx):
+    """A(u^3) A(u^2) A(u^1) A(u^0) on the rows and columns idx, as payload
+    rows: u steps by `c.apply`, and the restricted blocks multiply by a plain
+    min-plus loop (None is +inf)."""
+    u = vector(system.u0, MIN_PLUS)
+    prod = None
+    for _ in range(4):
+        a = system.a_of_u.eval(u.payload).payload
+        block = [[a[i][j] for j in idx] for i in idx]
+        prod = block if prod is None else [
+            [min((x + y for x, y in zip(row, col) if x is not None and y is not None), default=None)
+             for col in zip(*prod)]
+            for row in block
+        ]
+        u = system.c.apply(u)
+    return tuple(map(tuple, prod))
+
+
+def test_four_phase_product_matrices_equal_the_oracle():
+    rng = random.Random(276)
+    systems = [traffic_light_system(5, 5, [0, 2], [1, 3])]
+    systems += [_unequal_roads_light(rng) for _ in range(10)] + [_partly_fed_light(rng) for _ in range(10)]
+    for system in systems:
+        n = len(system.x0)
+        for nv in range(1, n):  # every split, the system's own road lengths among them
+            for road, idx in (("vertical", range(nv)), ("horizontal", range(nv, n))):
+                got = four_phase_product(system, road, nv)
+                assert got.tag is MIN_PLUS
+                assert got.payload == _four_phase_oracle(system, idx)
+                assert _all_canonical([[v for row in got.payload for v in row if v is not None]])
 
 
 def test_tent_orbit_tiles_its_cycle_like_the_oracle():
