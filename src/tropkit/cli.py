@@ -306,7 +306,9 @@ class _DomainExit(Exception):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: `main` reuses it, since
-    parsing builds a fresh namespace and leaves the parser unchanged."""
+    parsing builds a fresh namespace and leaves the parser unchanged. Every
+    caller shares the one tree, so a caller may read it but must not change
+    it (no `add_argument`, `set_defaults` or edits to its actions)."""
     p = argparse.ArgumentParser(
         prog="tropkit",
         description="exact idempotent/tropical mathematics toolkit",

@@ -7,8 +7,9 @@ fixture files replaced, deleted or duplicated, and each `traffic` case with
 stderr captured. For every request the contract must hold: the exit code is
 0, 1 or 2 and no other exception escapes `main`; an exit-1 body is JSON;
 exit-2 stderr starts with "tropkit: ". argparse rejects a bad option before
-any handler runs, by its own exit 2 with a "usage: " diagnostic, which only
-a mutated option may cause. Every fourth request is sent twice and must give
+any handler runs, by its own exit 2 with a "usage: " diagnostic; that is the
+one `SystemExit` `_run` accepts, and only the option fuzzer accepts its
+"usage: " stderr. Every fourth request is sent twice and must give
 the same bytes both times. A SIGALRM guard turns a request that runs past
 its budget into a failure instead of a hang.
 """
@@ -106,7 +107,9 @@ def _run(argv):
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
-    except SystemExit as exc:  # argparse's exit, before any handler runs
+    except SystemExit as exc:  # only argparse's own rejection of a bad option
+        if exc.code != 2 or not err.getvalue().startswith("usage: "):
+            pytest.fail(f"{argv}: SystemExit({exc.code!r}) escaped main")
         code = exc.code
     except BaseException as exc:  # the contract: nothing else escapes main
         pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
