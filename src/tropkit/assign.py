@@ -17,18 +17,17 @@ the test oracle in `tests/assign_oracle.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .determ import _optimal_bijections
 from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
-from .semiring import MAX_PLUS, Payload, _rational, _scaled, _unscaled
+from .semiring import MAX_PLUS, Payload, _rational, _record, _scaled, _unscaled
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
 
-@dataclass(frozen=True)
+@_record
 class AssignMatrix:
     """Square max-plus matrix with a finite entry in every row and column."""
 
@@ -66,7 +65,7 @@ def apply_b(b: AssignMatrix, f: Sequence, transpose: bool = False) -> List[Paylo
     return list(m.apply(neg).payload)
 
 
-@dataclass(frozen=True)
+@_record
 class SubdifferentialReport:
     mapping: Dict[int, FrozenSet[int]]
     inverse: Dict[int, FrozenSet[int]]
@@ -103,14 +102,14 @@ def subdifferential(b: AssignMatrix, g: Sequence) -> SubdifferentialReport:
     return SubdifferentialReport(mapping, inverse, covering, minimal)
 
 
-@dataclass(frozen=True)
+@_record
 class RegularityCertificate:
     bijection: Tuple[int, ...]
     f: Tuple[Payload, ...]
     g: Tuple[Payload, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class NotStronglyRegular:
     """Optimal assignment is absent or not unique; carries the witness."""
 

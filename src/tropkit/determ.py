@@ -15,19 +15,18 @@ the assignment module reads: its strict dual certificate is built from them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, TooLarge
-from .semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, SemiringTag, TropScalar, one
+from .semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, SemiringTag, TropScalar, _record, one
 from .tropmat import TropMatrix
 
 BIDETERMINANT_CAP = 14
 
 
-@dataclass(frozen=True)
+@_record
 class Bideterminant:
     plus: TropScalar
     minus: TropScalar
@@ -236,7 +235,7 @@ def is_pattern_singular(a: TropMatrix) -> str:
     return "none"
 
 
-@dataclass(frozen=True)
+@_record
 class StandardTransform:
     """X -> P D X' E Q with permutations P, Q and invertible diagonals D, E."""
 

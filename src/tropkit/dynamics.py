@@ -62,14 +62,13 @@ the fixed point and blur the exact plateau values the models predict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadConfig, DimensionMismatch, Diverged
-from .semiring import MIN_PLUS, _canonical, _rational, _scaled, _unscaled
+from .semiring import MIN_PLUS, _canonical, _rational, _record, _scaled, _unscaled
 from .tropmat import TropMatrix, mat_mul, matrix
 
 Rat = Union[int, Fraction]  # a canonical payload: an int exactly when integral
@@ -86,7 +85,7 @@ def _ratio(a: Rat, b: int) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class RingWord:
     """Circular word of occupancies: 1 = car, 0 = free cell."""
 
@@ -277,7 +276,7 @@ def _points(M: int, keys: List[List[int]]) -> List[List[Rat]]:
     return [list(map(get, K)) for K in keys]
 
 
-@dataclass(frozen=True)
+@_record
 class MinPlusTerm:
     """constant + sum of e * x_i over the sparse exponent pairs (i, e).
 
@@ -290,10 +289,11 @@ class MinPlusTerm:
     constant: Rat
     exponents: Tuple[Tuple[int, Rat], ...]
 
-    def __post_init__(self):
-        exps = ((i, _rational(e)) for i, e in self.exponents)
-        object.__setattr__(self, "constant", _rational(self.constant))
-        object.__setattr__(self, "exponents", tuple(sorted((i, e) for i, e in exps if e)))
+    def __init__(self, constant, exponents):
+        fields = self.__dict__  # written directly: the record is frozen
+        fields["constant"] = _rational(constant)
+        exps = ((i, _rational(e)) for i, e in exponents)
+        fields["exponents"] = tuple(sorted((i, e) for i, e in exps if e))
 
     def eval(self, x: Sequence[Rat]) -> Rat:
         return _canonical(self.constant + sum(e * _rational(x[i]) for i, e in self.exponents))
@@ -304,7 +304,7 @@ def term(constant, exponents) -> MinPlusTerm:
     return MinPlusTerm(constant, enumerate(exponents))
 
 
-@dataclass(frozen=True)
+@_record
 class HomogeneousMap:
     """Per-coordinate min over affine terms whose exponents sum to one."""
 
@@ -442,7 +442,7 @@ def coordinate_rates(traj: List[List[Rat]]) -> List[Rat]:
     return [_ratio(_rational(b) - _rational(a), span) for a, b in zip(traj[half], traj[k])]
 
 
-@dataclass(frozen=True)
+@_record
 class EigenReduction:
     """Fixed-point form of the degree-one homogeneous eigenproblem.
 
@@ -565,7 +565,7 @@ def _occupancy_from_cars(total: int, cars: Sequence[int]) -> List[int]:
     return occ
 
 
-@dataclass(frozen=True)
+@_record
 class CrossingMap(HomogeneousMap):
     """The priority crossing: a homogeneous map plus one sequential patch.
 
@@ -724,7 +724,7 @@ def uterm(constant, exponents) -> MinPlusTerm:
 UEntry = Optional[Tuple[MinPlusTerm, ...]]
 
 
-@dataclass(frozen=True)
+@_record
 class UTermMatrix:
     """Matrix whose entries are min-combined 0-homogeneous terms in u."""
 
@@ -766,7 +766,7 @@ def uterm_matrix(udim: int, rows: Sequence[Sequence[object]]) -> UTermMatrix:
     return UTermMatrix(udim, tuple(tuple(map(_uentry, row)) for row in rows))
 
 
-@dataclass(frozen=True)
+@_record
 class T1HSystem:
     """u_{k+1} = C u_k (min-plus linear); x_{k+1} = A(u_k) x_k + B(u_k) u_k."""
 
@@ -795,7 +795,7 @@ class T1HSystem:
         return _t1h_map(self)
 
 
-@dataclass(frozen=True)
+@_record
 class PeriodReport:
     start: int
     period: int

@@ -157,9 +157,18 @@ def matrix_to_csv(m: TropMatrix) -> str:
     return "\n".join(",".join(map(str, row)) for row in _rows_to_json(m)) + "\n"
 
 
+# JSON's integer grammar; `int` alone would also take "+5", "007", "1_0" and non-ASCII digits
+_JSON_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
 def _cell_from_csv(c: str):
-    """The JSON value a CSV cell stands for (bools as Python writes them), else the string."""
+    """The JSON value a CSV cell stands for (bools as Python writes them), else
+    the string. A cell in JSON's integer grammar is read by `int` without a
+    JSON parse; an int past the interpreter's digit limit stays the string,
+    as `json.loads` leaves it."""
     try:
+        if _JSON_INT.fullmatch(c):
+            return int(c)
         return json.loads(c.lower() if c in ("True", "False") else c)
     except ValueError:
         return c

@@ -16,11 +16,10 @@ or writes a table over all 2^n subsets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import Inconsistent, NoFlow, TooLarge
-from .semiring import Payload, _canonical, _rational, _scaled, _unscaled
+from .semiring import Payload, _canonical, _rational, _record, _scaled, _unscaled
 
 CHECK_CAP = 8
 
@@ -55,7 +54,7 @@ def interval_masks(n: int) -> List[int]:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class SubsetFunction:
     """Total function 2^{1..n} -> Q as canonical payloads (None marking minus
     infinity). The constructor keeps a table of ints and None as it is, after
@@ -65,13 +64,15 @@ class SubsetFunction:
     n: int
     table: Tuple[Payload, ...]
 
-    def __post_init__(self):
-        if len(self.table) != 1 << self.n:
+    def __init__(self, n: int, table: Tuple[Payload, ...]):
+        if len(table) != 1 << n:
             raise ValueError("table must cover every subset")
-        table = tuple(self.table)
+        table = tuple(table)
         if not set(map(type, table)) <= {int, type(None)}:
             table = tuple([None if v is None else _rational(v) for v in table])
-        object.__setattr__(self, "table", table)
+        fields = self.__dict__  # written directly: the record is frozen
+        fields["n"] = n
+        fields["table"] = table
 
     def value(self, subset: Union[int, Iterable[int]]) -> Payload:
         mask = subset if isinstance(subset, int) else subset_mask(subset, self.n)
@@ -102,10 +103,15 @@ def subset_function(n: int, values: Mapping) -> SubsetFunction:
     return SubsetFunction(n, tuple(table))
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     ok: bool
     witness: Optional[tuple] = None
+
+    def __init__(self, ok: bool, witness: Optional[tuple] = None):
+        fields = self.__dict__  # written directly: the record is frozen
+        fields["ok"] = ok
+        fields["witness"] = witness
 
     def __bool__(self) -> bool:
         return self.ok
@@ -169,7 +175,7 @@ def is_dmtp(f: SubsetFunction) -> CheckResult:
 Edge = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@_record
 class GridFlowNet:
     """The n x n planar grid: edges (i,j)->(i-1,j) and (i,j)->(i,j+1).
 

@@ -23,17 +23,16 @@ are the test oracle in `tests/projector_oracle.py`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TropkitError
-from .semiring import MAX_PLUS, SemiringTag, TropScalar, one, sr_mul, zero
+from .semiring import MAX_PLUS, SemiringTag, TropScalar, _record, one, sr_mul, zero
 from .spectral import _cycle_time
 from .tropmat import TropMatrix, TropVector, _apply, _residual_left, from_columns, vec_residual, vector
 
 
-@dataclass(frozen=True)
+@_record
 class Semimodule:
     """Finitely generated subsemimodule, described by generator columns."""
 
@@ -116,7 +115,7 @@ def hilbert_value(xs: Sequence[TropVector]) -> TropScalar:
     return total
 
 
-@dataclass(frozen=True)
+@_record
 class HilbertReport:
     """Cyclic spectral radius with attaining witnesses and its eigenvector.
 
@@ -130,7 +129,7 @@ class HilbertReport:
     eigenvector: Optional[TropVector] = None
 
 
-@dataclass(frozen=True)
+@_record
 class Halfspace:
     """Idempotent halfspace {x : u/x >= v/x} plus the zero vector, u <= v,
     over max-plus (the only tag `separate` produces)."""
@@ -138,11 +137,14 @@ class Halfspace:
     u: TropVector
     v: TropVector
 
-    def __post_init__(self):
-        if self.u.tag is not MAX_PLUS or self.v.tag is not MAX_PLUS:
+    def __init__(self, u: TropVector, v: TropVector):
+        if u.tag is not MAX_PLUS or v.tag is not MAX_PLUS:
             raise ValueError("halfspaces are provided over max-plus")
-        if not self.u <= self.v:
+        if not u <= v:
             raise ValueError("halfspace needs u <= v")
+        fields = self.__dict__  # written directly: the record is frozen
+        fields["u"] = u
+        fields["v"] = v
 
     def contains(self, x: TropVector) -> bool:
         if x.tag is not MAX_PLUS:
@@ -179,7 +181,7 @@ def _in_halfspace(u: tuple, v: tuple, x: tuple) -> bool:
     return lo_v is None or (not u_bottom and lo_v <= lo_u)
 
 
-@dataclass(frozen=True)
+@_record
 class NotSeparable:
     """Returned when the semimodules share a nonzero point."""
 

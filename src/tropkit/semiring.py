@@ -28,6 +28,10 @@ The canonical order of an idempotent semiring (a <= b  iff  a + b == b) is
 the one used everywhere; note that for min-plus it is the reverse of the
 numeric order. It is a chain, so `TropScalar` defines only `<=` and derives
 `>=`, `<` and `>`; comparing a scalar with a non-scalar raises.
+`_record` turns a class with annotated fields into a frozen record, with
+the constructor, equality, hash and repr `dataclasses` would give it but
+none of its per-method `exec` or its import of `inspect`; every value
+class of the package, `TropScalar` and `PayloadOps` here included, is one.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import enum
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Tuple, Union
@@ -228,7 +231,82 @@ def _residual_boolean(x, y):
     raise ValueError("residuation needs a semifield tag, not boolean")
 
 
-@dataclass(frozen=True)
+# -- frozen records --------------------------------------------------------------
+
+
+def _record(cls):
+    """Make cls a frozen record of its annotated fields, a record base class's
+    fields first, listed in order as `cls._fields`. It gets the methods
+    `dataclass(frozen=True)` would write, built without `exec`:
+
+    - `__init__`, by position or keyword, a field's class attribute as its
+      default, then `__post_init__` when the class has one;
+    - `==` only between instances of one class, on their field tuples, and
+      `hash` of the field tuple;
+    - `Name(field=value, ...)` as repr;
+    - assigning or deleting an attribute raises AttributeError.
+
+    A method the class defines itself is kept. Constructors and
+    `__post_init__` write fields through `object.__setattr__` or `__dict__`.
+    """
+    inherited = getattr(cls, "_fields", ())
+    names = inherited + tuple(n for n in cls.__dict__.get("__annotations__", ()) if n not in inherited)
+    get = operator.attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bound(cls, names, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, names, key(self)))})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    cls._fields = cls.__match_args__ = names
+    return cls
+
+
+def _bound(cls, names: tuple, args: tuple, kwargs: dict) -> list:
+    """The field values of a record call that passes keywords or leaves
+    defaults out, or the TypeError that call raises."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional arguments but {len(args)} were given")
+    values = list(args)
+    for name in names[len(args):]:
+        if name in kwargs:
+            values.append(kwargs.pop(name))
+        elif hasattr(cls, name):
+            values.append(getattr(cls, name))
+        else:
+            raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+    if kwargs:
+        name = next(iter(kwargs))
+        problem = "multiple values for" if name in names else "an unexpected keyword"
+        raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+    return values
+
+
+@_record
 class PayloadOps:
     """One tag's semiring laws on raw payloads: a kernel picks them once per call.
 
@@ -287,7 +365,7 @@ def sr_star(a: TropScalar) -> TropScalar:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@_record
 class TropScalar:
     """An element of a tagged idempotent semiring (value or bottom)."""
 
@@ -301,7 +379,7 @@ class TropScalar:
     def _fast(cls, value, tag: SemiringTag) -> "TropScalar":
         """Internal constructor for payloads already in canonical form."""
         obj = object.__new__(cls)
-        fields = obj.__dict__  # written directly: the dataclass is frozen
+        fields = obj.__dict__  # written directly: the record is frozen
         fields["value"] = value
         fields["tag"] = tag
         return obj
@@ -352,7 +430,7 @@ def one(tag: SemiringTag) -> TropScalar:
     return TropScalar._fast(tag.ops.unit, tag)
 
 
-@dataclass(frozen=True)
+@_record
 class Interval:
     """Order interval [lo, hi] of same-tag scalars, lo <= hi canonically."""
 
@@ -368,7 +446,7 @@ class Interval:
     def _trusted(cls, lo: TropScalar, hi: TropScalar) -> "Interval":
         """Internal constructor for same-tag endpoints known to be in order."""
         obj = object.__new__(cls)
-        fields = obj.__dict__  # written directly: the dataclass is frozen
+        fields = obj.__dict__  # written directly: the record is frozen
         fields["lo"] = lo
         fields["hi"] = hi
         return obj

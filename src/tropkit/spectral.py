@@ -18,12 +18,11 @@ Min-plus matrices are handled by duality through the canonical order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
-from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, _scaled, _unscaled
+from .semiring import MAX_PLUS, MIN_PLUS, TropScalar, _record, _scaled, _unscaled
 from .tropmat import TropMatrix, TropVector
 
 
@@ -54,7 +53,7 @@ def _best(chi: list) -> int:
     return max(finite)
 
 
-@dataclass(frozen=True)
+@_record
 class SpectralResult:
     eigenvalue: TropScalar
     critical_nodes: FrozenSet[int]

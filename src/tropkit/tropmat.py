@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -50,6 +49,7 @@ from .semiring import (
     ScalarLike,
     SemiringTag,
     TropScalar,
+    _record,
     _scaled,
     _unscaled,
     payloads_of,
@@ -63,10 +63,10 @@ def _boxed(values: Iterable[Payload], tag: SemiringTag) -> Tuple[TropScalar, ...
 class _PayloadBacked:
     """Frozen `payload` and `tag` slots, set once by a constructor."""
 
-    __slots__ = ()
+    __slots__ = ("payload", "tag")
 
     def _fill(self, payload, tag: SemiringTag):
-        # through object.__setattr__: the dataclasses are frozen
+        # through object.__setattr__: the records are frozen
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "tag", tag)
         return self
@@ -76,9 +76,15 @@ class _PayloadBacked:
         """Wrap payloads a kernel computed; nothing is checked or copied."""
         return object.__new__(cls)._fill(payload, tag)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through `_trusted`: the slots are frozen
+        return self._trusted, (self.payload, self.tag)
 
-@dataclass(frozen=True, init=False, slots=True)
+
+@_record
 class TropVector(_PayloadBacked):
+    __slots__ = ()
+
     payload: Tuple[Payload, ...]
     tag: SemiringTag
 
@@ -175,8 +181,10 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     )
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@_record
 class TropMatrix(_PayloadBacked):
+    __slots__ = ()
+
     payload: Tuple[Tuple[Payload, ...], ...]
     tag: SemiringTag
 
@@ -423,7 +431,7 @@ def kleene_plus(a: TropMatrix) -> TropMatrix:
     return TropMatrix._trusted(tuple(map(tuple, _closure(a))), a.tag)
 
 
-@dataclass(frozen=True)
+@_record
 class IntervalMatrix:
     """Matrix of order intervals, stored as its two endpoint matrices."""
 
@@ -444,7 +452,7 @@ class IntervalMatrix:
     def _trusted(cls, lo: TropMatrix, hi: TropMatrix) -> "IntervalMatrix":
         """Wrap endpoints a kernel computed in order; nothing is checked."""
         out = object.__new__(cls)
-        out.__dict__.update(lo=lo, hi=hi)  # written directly: the dataclass is frozen
+        out.__dict__.update(lo=lo, hi=hi)  # written directly: the record is frozen
         return out
 
     @property

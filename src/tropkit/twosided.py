@@ -28,12 +28,11 @@ not the kernel's inline arithmetic, and boxed into one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
-from .semiring import MAX_PLUS, Payload, _canonical
+from .semiring import MAX_PLUS, Payload, _canonical, _record
 from .tropmat import TropMatrix, TropVector, identity
 
 COMBINATORIAL_CAP = 6
@@ -41,7 +40,7 @@ Column = Tuple[Payload, ...]  # max-plus payloads, None for -inf
 _add, _mul, _le = MAX_PLUS.ops.add, MAX_PLUS.ops.mul, MAX_PLUS.ops.le
 
 
-@dataclass(frozen=True)
+@_record
 class InequalitySystem:
     a: TropMatrix
     b: TropMatrix
@@ -61,9 +60,12 @@ class InequalitySystem:
         return self.a.cols
 
 
-@dataclass(frozen=True)
+@_record
 class GeneratorSet:
     generators: TropMatrix
+
+    def __init__(self, generators: TropMatrix):
+        self.__dict__["generators"] = generators  # written directly: the record is frozen
 
     def columns(self) -> List[TropVector]:
         return self.generators.columns()

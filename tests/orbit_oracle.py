@@ -12,7 +12,6 @@ how many steps the production loop takes.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -46,7 +45,7 @@ class CountingCrossing(CountingMap, CrossingMap):
 def counting(f: HomogeneousMap) -> CountingMap:
     """A counting copy of f, the priority patch included."""
     cls = CountingCrossing if isinstance(f, CrossingMap) else CountingMap
-    return cls(**{field.name: getattr(f, field.name) for field in fields(f)})
+    return cls(**{name: getattr(f, name) for name in f._fields})
 
 
 def orbit_oracle(f, x0, k: int) -> Iterator[Tuple[List[int], int]]:

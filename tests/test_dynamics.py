@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,6 +9,7 @@ from orbit_oracle import (
     t1h_simulate_oracle,
     tent_trajectory_oracle,
 )
+from result_leaves import is_canonical, numbers
 
 from tropkit.dynamics import (
     DEFAULT_SPREAD_BOUND,
@@ -445,13 +445,8 @@ def _plain_t1h(system, k):
     return us, xs
 
 
-def _is_canonical(v):
-    """An int exactly when v is integral, else a Fraction; never a float or a bool."""
-    return type(v) is int or type(v) is Fraction and v.denominator != 1
-
-
 def _all_canonical(*trajectories):
-    return all(_is_canonical(v) for traj in trajectories for point in traj for v in point)
+    return all(is_canonical(v) for traj in trajectories for point in traj for v in point)
 
 
 def test_trajectories_equal_plain_resimulation_random():
@@ -625,7 +620,7 @@ def _iterate_against_oracle(f, x0, k, bound=DEFAULT_SPREAD_BOUND):
         return "diverged"
     traj, lam = hom_iterate(counted, x0, k, bound)
     assert traj == want[0] and lam == want[1]
-    assert _all_canonical(traj) and _is_canonical(lam)
+    assert _all_canonical(traj) and is_canonical(lam)
     t = first_repeat(f, x0, k)
     if t is None:
         assert counted.steps == k
@@ -906,19 +901,6 @@ def test_coordinate_rates_are_exact_canonical_ratios():
     assert [type(r) for r in rates] == [int, Fraction]
 
 
-def _leaves(obj):
-    """Every scalar in a result: through lists, tuples, dicts and dataclass fields."""
-    if isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _leaves(item)
-    elif isinstance(obj, dict):
-        yield from _leaves(list(obj.items()))
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        yield from _leaves([getattr(obj, f.name) for f in dataclasses.fields(obj)])
-    else:
-        yield obj
-
-
 def _public_results(sp):
     """name -> the result of one public `dynamics` call, every rational input spelled by sp."""
     half, third = Fraction(1, 2), Fraction(1, 3)
@@ -973,6 +955,6 @@ def test_public_dynamics_results_hold_no_float(spelling):
     results = _public_results(sp)
     assert results == _public_results(lambda v: v)
     for name, result in results.items():
-        values = [v for v in _leaves(result) if isinstance(v, (int, float, Fraction)) and type(v) is not bool]
+        values = numbers(result)
         assert not any(type(v) is float for v in values), name
-        assert all(_is_canonical(v) for v in values), name
+        assert all(is_canonical(v) for v in values), name

@@ -9,6 +9,7 @@ from fractions import Fraction
 from io import StringIO
 
 import pytest
+from csv_oracle import matrix_from_csv_oracle
 from orbit_oracle import tent_trajectory_oracle
 
 import tropkit
@@ -65,6 +66,36 @@ def test_matrix_round_trip():
 def test_matrix_from_csv_rejects_malformed_cells(cell, tag):
     with pytest.raises(tio.SchemaError):
         tio.matrix_from_csv(f"{cell}\n", tag)
+
+
+# cells in and around JSON's integer grammar, which the CSV reader reads by `int`,
+# and the other spellings a cell may hold; the digit strings pass int's digit limit
+_CSV_CELLS = [
+    "+5", "007", "-0", "0", "-7", "12", "- 1", "1_0", "\u0663", "\u0663\u0663", "1e3", "1.5", "1/2", "-3/4",
+    "True", "False", "true", "null", "[1]", "abc", "", "-inf", "+inf", "9" * 5000, "-" + "9" * 5000,
+]
+
+
+def _csv_outcome(text, tag, reader):
+    try:
+        m = reader(text, tag)
+    except Exception as exc:  # the exception type and text are the outcome compared
+        return "raises", type(exc), str(exc)
+    return "returns", m.payload, [list(map(type, row)) for row in m.payload]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_from_csv_equals_the_json_cell_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(250):
+        tag = rng.choice([MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN])
+        cells = _CSV_CELLS + [str(rng.randint(-99, 99)) for _ in range(20)]
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        text = "\n".join(
+            ",".join(" " * rng.randint(0, 1) + rng.choice(cells) + " " * rng.randint(0, 1) for _ in range(cols))
+            for _ in range(rows)
+        )
+        assert _csv_outcome(text, tag, tio.matrix_from_csv) == _csv_outcome(text, tag, matrix_from_csv_oracle)
 
 
 @pytest.mark.parametrize("cell, tag", [
@@ -605,12 +636,13 @@ _LOADED = (
     "        status = 0\n"
     "    except SystemExit as exc:\n"
     "        status = exc.code\n"
-    "print(status, *sorted(m for m in sys.modules if m.startswith('tropkit')))"
+    "print(status, *sorted(m for m in sys.modules if m.startswith('tropkit') or m in ('dataclasses', 'inspect')))"
 )
 
 
 def _loaded_modules(statement, argv=()):
-    """(exit status, tropkit modules loaded) of a statement run in a fresh interpreter."""
+    """(exit status, tropkit modules loaded) of a statement run in a fresh
+    interpreter; `dataclasses` and `inspect` are listed too when loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED.format(statement), *argv], cwd=_GOLDEN,
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
