@@ -64,15 +64,13 @@ class SubsetFunction:
     n: int
     table: Tuple[Payload, ...]
 
-    def __init__(self, n: int, table: Tuple[Payload, ...]):
-        if len(table) != 1 << n:
+    def __post_init__(self):
+        if len(self.table) != 1 << self.n:
             raise ValueError("table must cover every subset")
-        table = tuple(table)
+        table = tuple(self.table)
         if not set(map(type, table)) <= {int, type(None)}:
             table = tuple([None if v is None else _rational(v) for v in table])
-        fields = self.__dict__  # written directly: the record is frozen
-        fields["n"] = n
-        fields["table"] = table
+        object.__setattr__(self, "table", table)
 
     def value(self, subset: Union[int, Iterable[int]]) -> Payload:
         mask = subset if isinstance(subset, int) else subset_mask(subset, self.n)
@@ -107,11 +105,6 @@ def subset_function(n: int, values: Mapping) -> SubsetFunction:
 class CheckResult:
     ok: bool
     witness: Optional[tuple] = None
-
-    def __init__(self, ok: bool, witness: Optional[tuple] = None):
-        fields = self.__dict__  # written directly: the record is frozen
-        fields["ok"] = ok
-        fields["witness"] = witness
 
     def __bool__(self) -> bool:
         return self.ok

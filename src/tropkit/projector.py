@@ -137,14 +137,11 @@ class Halfspace:
     u: TropVector
     v: TropVector
 
-    def __init__(self, u: TropVector, v: TropVector):
-        if u.tag is not MAX_PLUS or v.tag is not MAX_PLUS:
+    def __post_init__(self):
+        if self.u.tag is not MAX_PLUS or self.v.tag is not MAX_PLUS:
             raise ValueError("halfspaces are provided over max-plus")
-        if not u <= v:
+        if not self.u <= self.v:
             raise ValueError("halfspace needs u <= v")
-        fields = self.__dict__  # written directly: the record is frozen
-        fields["u"] = u
-        fields["v"] = v
 
     def contains(self, x: TropVector) -> bool:
         if x.tag is not MAX_PLUS:

@@ -244,7 +244,9 @@ def _record(cls):
     - `==` only between instances of one class, on their field tuples, and
       `hash` of the field tuple;
     - `Name(field=value, ...)` as repr;
-    - assigning or deleting an attribute raises AttributeError.
+    - assigning or deleting a field raises AttributeError, and so does any
+      attribute on an instance of cls itself; an undecorated subclass may set
+      attributes that are not fields.
 
     A method the class defines itself is kept. Constructors and
     `__post_init__` write fields through `object.__setattr__` or `__dict__`.
@@ -274,10 +276,14 @@ def _record(cls):
         return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, names, key(self)))})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        if type(self) is cls or name in names:
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        if type(self) is cls or name in names:
+            raise AttributeError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         if method.__name__ not in cls.__dict__:

@@ -64,9 +64,6 @@ class InequalitySystem:
 class GeneratorSet:
     generators: TropMatrix
 
-    def __init__(self, generators: TropMatrix):
-        self.__dict__["generators"] = generators  # written directly: the record is frozen
-
     def columns(self) -> List[TropVector]:
         return self.generators.columns()
 

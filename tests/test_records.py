@@ -243,6 +243,29 @@ def test_record_is_frozen(cls):
     assert _values(a) == before
 
 
+def test_plain_subclass_sets_only_attributes_that_are_not_fields():
+    class Tagged(HomogeneousMap):
+        pass
+
+    class TaggedCrossing(Tagged, CrossingMap):
+        pass
+
+    road = road_event_graph([1, 0, 1])
+    crossing = build_crossing(2, 2, [0])
+    for a in (Tagged(road.dim, road.coords), TaggedCrossing(**{n: getattr(crossing, n) for n in crossing._fields})):
+        before = _values(a)
+        a.note = 1
+        assert a.note == 1
+        del a.note
+        assert not hasattr(a, "note")
+        for name in a._fields:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(a, name)
+        assert _values(a) == before
+
+
 @pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__name__)
 def test_record_copies_equal_the_original(cls):
     a = _SAMPLES[cls](0)
