@@ -20,7 +20,18 @@ from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, TooLarge
-from .semiring import BOOLEAN, MAX_TIMES, MIN_PLUS, SemiringTag, TropScalar, _record, one
+from .semiring import (
+    BOOLEAN,
+    MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    SemiringTag,
+    TropScalar,
+    _record,
+    _scaled,
+    _unscaled,
+    one,
+)
 from .tropmat import TropMatrix
 
 BIDETERMINANT_CAP = 14
@@ -39,12 +50,17 @@ def bideterminant(a: TropMatrix) -> Bideterminant:
     far, the (even, odd) sums of the partial products. Putting the next row
     in column j adds one inversion per used column above j, so the parity
     flips with popcount(mask >> (j + 1)). O(2^n n) steps, so n is capped.
+    Max-plus and min-plus run it on scaled integers (`_plus_bideterminant`),
+    the other tags on their `PayloadOps` laws.
     """
     if not a.is_square:
         raise DimensionMismatch("bideterminant needs a square matrix")
     n = a.rows
     if n > BIDETERMINANT_CAP:
         raise TooLarge(f"bideterminant DP capped at n <= {BIDETERMINANT_CAP}")
+    if a.tag is MAX_PLUS or a.tag is MIN_PLUS:
+        plus, minus = _plus_bideterminant(a.payload, -1 if a.tag is MIN_PLUS else 1)
+        return Bideterminant(TropScalar._fast(plus, a.tag), TropScalar._fast(minus, a.tag))
     ops, rows, full = a.tag.ops, a.payload, (1 << n) - 1
     add, mul = ops.add, ops.mul
     even, odd = [ops.zero] * (full + 1), [ops.zero] * (full + 1)
@@ -60,6 +76,44 @@ def bideterminant(a: TropMatrix) -> Bideterminant:
             t = mask | 1 << j
             even[t], odd[t] = add(even[t], pe), add(odd[t], po)
     return Bideterminant(TropScalar._fast(even[full], a.tag), TropScalar._fast(odd[full], a.tag))
+
+
+def _plus_bideterminant(rows: Sequence[Sequence], sign: int) -> Tuple:
+    """The (even, odd) payloads of the bideterminant of max-plus rows
+    (sign 1), or of min-plus rows (sign -1) as the negated max-plus one.
+
+    The same DP as `bideterminant`, on the entries times sign scaled to
+    integers by one `_scaled` call, with inline `+` and `>`; None is the
+    bottom, and a row's bottom entries are never visited. Each sum is
+    unscaled once, to its canonical payload."""
+    n = len(rows)
+    flat, scale = _scaled([None if v is None else sign * v for row in rows for v in row])
+    items = [[(1 << j, j + 1, v) for j, v in enumerate(flat[i * n:(i + 1) * n]) if v is not None]
+             for i in range(n)]
+    full = (1 << n) - 1
+    even, odd = [None] * (full + 1), [None] * (full + 1)
+    even[0] = 0
+    for mask in range(full):
+        e, o = even[mask], odd[mask]
+        if e is None and o is None:
+            continue
+        for bit, above, v in items[mask.bit_count()]:
+            if mask & bit:
+                continue
+            if (mask >> above).bit_count() & 1:
+                pe, po = o, e
+            else:
+                pe, po = e, o
+            t = mask | bit
+            if pe is not None:
+                pe += v
+                if even[t] is None or pe > even[t]:
+                    even[t] = pe
+            if po is not None:
+                po += v
+                if odd[t] is None or po > odd[t]:
+                    odd[t] = po
+    return tuple(None if s is None else _unscaled(sign * s, scale) for s in (even[full], odd[full]))
 
 
 def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):

@@ -20,15 +20,17 @@ X' / (D L) with integer min and plus only (L = 1 for roads and the light,
 terms; each compiled term keeps its first exponent pair flat, since most
 terms have only one. Iterations divide out gcd(D, X) after each step. Every
 value a function here returns is a canonical payload: an int exactly when
-it is integral, else a `Fraction`, never a float. Every run holds its
-k + 1 points in one form, their integer numerators ("keys") over M, the lcm
-of the run's stepped denominators (`_keys`): throughputs and the T1H period
-report are read from the keys in integer arithmetic, and `_points` turns
-them into values, a point over M = 1 being its key list itself and every
-other value coming from one table per run keyed by its key, so each
-distinct value becomes a payload once per run. Quotients (rates,
-throughputs, gains, densities) are exact canonical ratios, not true
-division. `HomogeneousMap.step` is the one integer kernel of every model
+it is integral, else a `Fraction`, never a float. A run that returns its
+k + 1 points holds them in one form, their integer numerators ("keys")
+over M, the lcm of the run's stepped denominators (`_keys`): the T1H
+period report is read from the keys in integer arithmetic, and `_points`
+turns them into values, a point over M = 1 being its key list itself and
+every other value coming from one table per run keyed by its key, so each
+distinct value becomes a payload once per run. A throughput is read from
+the key sums of the stepped states alone (`_throughput`), so
+`fundamental_diagram`, which keeps only throughputs, builds no points.
+Quotients (rates, throughputs, gains, densities) are exact canonical
+ratios, not true division. `HomogeneousMap.step` is the one integer kernel of every model
 but the tent, whose scalar orbit runs on its own numerators, and `_orbit`
 is the one loop that iterates it.
 
@@ -266,6 +268,27 @@ def _keys(states: List[State], s: Optional[int], k: int) -> Tuple[int, List[List
     return M, keys
 
 
+def _throughput(states: List[State], s: Optional[int], k: int) -> Rat:
+    """`hom_iterate`'s estimate, the mean of the coordinate rates
+    (x_k - x_{k/2}) / (k - k/2), for the orbit `_orbit` returned as
+    (states, s).
+
+    It reads only the two key sums over M (see `_keys`), and neither needs
+    the tiled points: past the repeat t, point j is the stepped point
+    j - r c plus r shifts sigma, with c = t - s and r = ceil((j - t) / c)."""
+    M = math.lcm(*{D for _, D in states})
+    t = len(states) - 1
+
+    def key_sum(j: int) -> int:
+        if j > t:
+            r = -(-(j - t) // (t - s))
+            return key_sum(j - r * (t - s)) + r * (key_sum(t) - key_sum(s))
+        X, D = states[j]
+        return sum(X) * (M // D)
+
+    return _ratio(key_sum(k) - key_sum(k // 2), M * (k - k // 2) * len(states[0][0]))
+
+
 def _points(M: int, keys: List[List[int]]) -> List[List[Rat]]:
     """The points keys / M, each a list of canonical payloads. Over M = 1 a
     point is its key list itself; otherwise every value is drawn from one
@@ -426,10 +449,8 @@ def hom_iterate(
     """
     if k < 2:
         raise ValueError("need at least two steps")
-    M, keys = _keys(*_orbit(f, x0, k, _rational(spread_bound)), k)
-    # the mean of the rates: (sum(x_k) - sum(x_{k/2})) / (span * dim), on the keys over M
-    lam = _ratio(sum(keys[k]) - sum(keys[k // 2]), M * (k - k // 2) * len(keys[k]))
-    return _points(M, keys), lam
+    states, s = _orbit(f, x0, k, _rational(spread_bound))
+    return _points(*_keys(states, s, k)), _throughput(states, s, k)
 
 
 def coordinate_rates(traj: List[List[Rat]]) -> List[Rat]:
@@ -655,12 +676,14 @@ def fundamental_diagram(
     network) and a Diverged run (spread above `DEFAULT_SPREAD_BOUND`) both
     record None for that density instead of aborting the sweep.
     """
+    if steps < 2:
+        raise ValueError("need at least two steps")
     out: List[Tuple[Rat, Optional[Rat]]] = []
     for rho in densities:
         rho = _rational(rho)
         try:
             f, x0 = builder(rho)
-            _, lam = hom_iterate(f, x0, steps)
+            lam = _throughput(*_orbit(f, x0, steps, DEFAULT_SPREAD_BOUND), steps)
         except (BadConfig, Diverged):
             lam = None
         out.append((rho, lam))

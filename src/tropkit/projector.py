@@ -77,8 +77,8 @@ def project(v: Semimodule, x: TropVector) -> TropVector:
 
 def _project(v: Semimodule, xs: tuple) -> tuple:
     """P_V(x) on payloads, for every tag: x's payload in, the projection's out."""
-    rows, ops = v.generators.payload, v.tag.ops
-    return _apply(rows, _residual_left(rows, xs, ops), ops)
+    rows, tag = v.generators.payload, v.tag
+    return _apply(rows, _residual_left(rows, xs, tag), tag)
 
 
 def cyclic_orbit(vs: Sequence[Semimodule], x0: TropVector, sweeps: int) -> List[TropVector]:

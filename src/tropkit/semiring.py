@@ -21,9 +21,10 @@ the exact types of the cells finds the whole row already canonical, so a
 row of ints and None costs no per-cell call; the file codecs read cell by
 cell. Integer kernels scale payloads by `_scaled` and come back through
 `_unscaled`.
-`PayloadOps` holds each tag's laws on payloads, and the scalar operations
-and every matrix kernel read them there; `TropScalar`'s `+`, `*`, `/` and
-`star` are `sr_add`, `sr_mul`, `sr_residual` and `sr_star` themselves.
+`PayloadOps` holds each tag's laws on payloads, its sum of products `dot`
+among them, and the scalar operations and every matrix kernel read them
+there; `TropScalar`'s `+`, `*`, `/` and `star` are `sr_add`, `sr_mul`,
+`sr_residual` and `sr_star` themselves.
 The canonical order of an idempotent semiring (a <= b  iff  a + b == b) is
 the one used everywhere; note that for min-plus it is the reverse of the
 numeric order. It is a chain, so `TropScalar` defines only `<=` and derives
@@ -42,7 +43,7 @@ import operator
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
 from .errors import DivisionByBottom, Divergent, TagMismatch
 
@@ -177,7 +178,10 @@ def payloads_of(row: Iterable[ScalarLike], tag: SemiringTag) -> Tuple[Payload, .
 
 # -- the semiring laws on payloads ---------------------------------------------
 # A sum returns one of its operands, the left one on ties, so folds keep
-# their first best term.
+# their first best term. A dot product returns the payload of the fold of
+# `add` over `mul` of the pairs; equal values have one canonical payload, so
+# its tie rule is free. The plus tags run it in one pass of inline `+` and
+# compares and canonicalise only the result.
 
 
 def _add_max(a, b):
@@ -210,6 +214,34 @@ def _mul_plus(a, b):
 def _mul_times(a, b):
     c = a * b
     return c if type(c) is int else _canonical(c)
+
+
+def _dot_max_plus(row, xs):
+    best = None
+    for a, x in zip(row, xs):
+        if a is not None and x is not None:
+            t = a + x
+            if best is None or t > best:
+                best = t
+    return best if best is None or type(best) is int else _canonical(best)
+
+
+def _dot_min_plus(row, xs):
+    best = None
+    for a, x in zip(row, xs):
+        if a is not None and x is not None:
+            t = a + x
+            if best is None or t < best:
+                best = t
+    return best if best is None or type(best) is int else _canonical(best)
+
+
+def _dot_max_times(row, xs):
+    return max(map(_mul_times, row, xs), default=0)
+
+
+def _dot_boolean(row, xs):
+    return any(map(operator.and_, row, xs))
 
 
 def _residual_plus(x, y):
@@ -316,6 +348,9 @@ def _bound(cls, names: tuple, args: tuple, kwargs: dict) -> list:
 class PayloadOps:
     """One tag's semiring laws on raw payloads: a kernel picks them once per call.
 
+    `dot(row, xs)` is the sum of row_j xs_j over the pairs, the payload of
+    `reduce(add, map(mul, row, xs), zero)`: every kernel that sums products
+    calls it, and no other fold of them is written outside this module.
     `residual` raises DivisionByBottom on a zero denominator, and ValueError
     for boolean. `le` is the canonical order (a <= b iff a + b == b),
     computed directly.
@@ -323,6 +358,7 @@ class PayloadOps:
 
     add: Callable[[Payload, Payload], Payload]
     mul: Callable[[Payload, Payload], Payload]
+    dot: Callable[[Sequence[Payload], Sequence[Payload]], Payload]
     residual: Callable[[Payload, Payload], Payload]
     le: Callable[[Payload, Payload], bool]
     zero: Payload
@@ -330,10 +366,10 @@ class PayloadOps:
 
 
 _OPS = {
-    MAX_PLUS: PayloadOps(_add_max, _mul_plus, _residual_plus, _le_max, None, 0),
-    MIN_PLUS: PayloadOps(_add_min, _mul_plus, _residual_plus, _le_min, None, 0),
-    MAX_TIMES: PayloadOps(_add_max, _mul_times, _residual_times, operator.le, 0, 1),
-    BOOLEAN: PayloadOps(operator.or_, operator.and_, _residual_boolean, operator.le, False, True),
+    MAX_PLUS: PayloadOps(_add_max, _mul_plus, _dot_max_plus, _residual_plus, _le_max, None, 0),
+    MIN_PLUS: PayloadOps(_add_min, _mul_plus, _dot_min_plus, _residual_plus, _le_min, None, 0),
+    MAX_TIMES: PayloadOps(_add_max, _mul_times, _dot_max_times, _residual_times, operator.le, 0, 1),
+    BOOLEAN: PayloadOps(operator.or_, operator.and_, _dot_boolean, _residual_boolean, operator.le, False, True),
 }
 
 

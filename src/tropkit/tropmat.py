@@ -12,7 +12,11 @@ trusted constructor `_trusted`, which checks nothing. Indexing, `row`,
 edges.
 
 Every kernel (product, sum, scaling, order, left residuation) picks its
-tag's `PayloadOps` once per call and runs the same code for all four tags.
+tag's `PayloadOps` once per call. The product and `apply` sum products by
+its `dot` law, which the plus tags run in one pass of inline arithmetic;
+the least residual behind `vec_residual` and `mat_residual_left` is one
+inline min (max-plus) or max (min-plus) of the differences, and the other
+tags fold their `residual` law.
 The Kleene star and plus-closure are one Floyd-Warshall pass that fails
 fast on divergence, and the interval star runs it on both endpoint
 matrices. The pass scales the signed weights to integers with
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import reduce
 from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -49,6 +52,7 @@ from .semiring import (
     ScalarLike,
     SemiringTag,
     TropScalar,
+    _canonical,
     _record,
     _scaled,
     _unscaled,
@@ -142,9 +146,23 @@ def unit_vector(n: int, i: int, tag: SemiringTag = MAX_PLUS) -> TropVector:
     return TropVector._trusted(tuple(ops.unit if j == i else ops.zero for j in range(n)), tag)
 
 
-def _least_residual(xs: Sequence[Payload], ys: Sequence[Payload], ops) -> Payload:
+def _least_residual(xs: Sequence[Payload], ys: Sequence[Payload], tag: SemiringTag) -> Payload:
     """The canonical min of x_i / y_i over the i with y_i nonzero, or EmptySupport.
-    Equal values have one canonical payload, so the fold needs no tie rule."""
+
+    Under max-plus and min-plus the residual is x_i - y_i and a bottom x_i is
+    the least value, so one pass of inline subtractions gives the numeric
+    min (max-plus) or max (min-plus), canonicalised once. The other tags fold
+    their `residual` law by `le`; equal values have one canonical payload, so
+    neither path needs a tie rule."""
+    if tag is MAX_PLUS or tag is MIN_PLUS:
+        gaps = [None if x is None else x - y for x, y in zip(xs, ys) if y is not None]
+        if not gaps:
+            raise EmptySupport("residual against the zero vector")
+        if None in gaps:
+            return None
+        best = min(gaps) if tag is MAX_PLUS else max(gaps)
+        return best if type(best) is int else _canonical(best)
+    ops = tag.ops
     residual, zero, le = ops.residual, ops.zero, ops.le
     residuals = [residual(x, y) for x, y in zip(xs, ys) if y != zero]
     if not residuals:
@@ -163,7 +181,7 @@ def vec_residual(x: TropVector, y: TropVector) -> TropScalar:
     vector has no residual (empty support).
     """
     x._check_same(y)
-    return TropScalar._fast(_least_residual(x.payload, y.payload, x.tag.ops), x.tag)
+    return TropScalar._fast(_least_residual(x.payload, y.payload, x.tag), x.tag)
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -172,13 +190,8 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
         raise TagMismatch("matrix tags differ")
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    ops = a.tag.ops
-    add, mul, zero = ops.add, ops.mul, ops.zero
-    b_cols = tuple(zip(*b.payload))
-    return TropMatrix._trusted(
-        tuple(tuple(reduce(add, map(mul, row, col), zero) for col in b_cols) for row in a.payload),
-        a.tag,
-    )
+    dot, b_cols = a.tag.ops.dot, tuple(zip(*b.payload))
+    return TropMatrix._trusted(tuple(tuple([dot(row, col) for col in b_cols]) for row in a.payload), a.tag)
 
 
 @_record
@@ -257,7 +270,7 @@ class TropMatrix(_PayloadBacked):
             raise DimensionMismatch(f"{self.rows}x{self.cols} applied to length {len(x)}")
         if self.tag is not x.tag:
             raise TagMismatch("matrix and vector tags differ")
-        return TropVector._trusted(_apply(self.payload, x.payload, self.tag.ops), self.tag)
+        return TropVector._trusted(_apply(self.payload, x.payload, self.tag), self.tag)
 
     def __repr__(self) -> str:
         return "[" + "; ".join(", ".join(map(repr, row)) for row in self.entries) + "]"
@@ -295,21 +308,21 @@ def mat_residual_left(v: TropMatrix, x: TropVector) -> TropVector:
         raise DimensionMismatch("row count does not match vector length")
     if v.tag is not x.tag:
         raise TagMismatch("matrix and vector tags differ")
-    return TropVector._trusted(_residual_left(v.payload, x.payload, v.tag.ops), v.tag)
+    return TropVector._trusted(_residual_left(v.payload, x.payload, v.tag), v.tag)
 
 
-def _apply(rows: Sequence[tuple], xs: Sequence[Payload], ops) -> Tuple[Payload, ...]:
-    """A x on payloads: the rows of A, the payload of x and their tag's ops."""
-    add, mul, zero = ops.add, ops.mul, ops.zero
-    return tuple(reduce(add, map(mul, row, xs), zero) for row in rows)
+def _apply(rows: Sequence[tuple], xs: Sequence[Payload], tag: SemiringTag) -> Tuple[Payload, ...]:
+    """A x on payloads: the rows of A, the payload of x and their tag."""
+    dot = tag.ops.dot
+    return tuple([dot(row, xs) for row in rows])
 
 
-def _residual_left(rows: Sequence[tuple], xs: Sequence[Payload], ops) -> Tuple[Payload, ...]:
+def _residual_left(rows: Sequence[tuple], xs: Sequence[Payload], tag: SemiringTag) -> Tuple[Payload, ...]:
     """V \\ x on payloads, as `mat_residual_left`; ZeroColumn for an all-zero column."""
     out = []
     for j, col in enumerate(zip(*rows)):
         try:
-            out.append(_least_residual(xs, col, ops))
+            out.append(_least_residual(xs, col, tag))
         except EmptySupport:
             raise ZeroColumn(f"column {j} is all zero") from None
     return tuple(out)

@@ -22,13 +22,13 @@ once the attained coordinates cover c's support. The pairwise one-pass
 pruning this replaces is the test oracle in `tests/twosided_oracle.py`.
 
 Before they are returned, the generators are checked against every row on
-their payloads by the max-plus laws, the one test `check_solution` runs and
-not the kernel's inline arithmetic, and boxed into one matrix.
+their payloads by the max-plus law `dot` of `semiring`, the one test
+`check_solution` runs and not the row step's inline arithmetic, and boxed
+into one matrix.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
@@ -37,7 +37,7 @@ from .tropmat import TropMatrix, TropVector, identity
 
 COMBINATORIAL_CAP = 6
 Column = Tuple[Payload, ...]  # max-plus payloads, None for -inf
-_add, _mul, _le = MAX_PLUS.ops.add, MAX_PLUS.ops.mul, MAX_PLUS.ops.le
+_dot, _le = MAX_PLUS.ops.dot, MAX_PLUS.ops.le
 
 
 @_record
@@ -78,13 +78,8 @@ def check_solution(s: InequalitySystem, x: TropVector) -> bool:
 
 
 def _satisfies(a_rows: Tuple[Column, ...], b_rows: Tuple[Column, ...], x: Column) -> bool:
-    """A x <= B x on payloads by the max-plus laws, not the row step's inline arithmetic."""
-    return all(_le(reduce(_add, map(_mul, a, x), None), reduce(_add, map(_mul, b, x), None))
-               for a, b in zip(a_rows, b_rows))
-
-
-def _canon(c):
-    return c if type(c) is int else _canonical(c)
+    """A x <= B x on payloads by the max-plus law `dot`, not the row step's inline arithmetic."""
+    return all(_le(_dot(a, x), _dot(b, x)) for a, b in zip(a_rows, b_rows))
 
 
 def _normalize(col: Column) -> Column:
@@ -95,7 +90,14 @@ def _normalize(col: Column) -> Column:
             break
     if first == 0:
         return col
-    return tuple(None if v is None else _canon(v - first) for v in col)
+    out = []
+    for v in col:
+        if v is not None:
+            v -= first
+            if type(v) is not int:
+                v = _canonical(v)
+        out.append(v)
+    return tuple(out)
 
 
 def _prune(cols: List[Column]) -> List[Column]:

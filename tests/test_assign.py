@@ -17,8 +17,8 @@ from tropkit.assign import (
 )
 from tropkit.determ import _optimal_bijections
 from tropkit.errors import CertificateInvalid, ImprovingCycle
-from tropkit.semiring import MAX_PLUS, scalar
-from tropkit.tropmat import vector
+from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar
+from tropkit.tropmat import matrix, vector
 
 from assign_oracle import normal_form_oracle, strong_regularity_oracle
 
@@ -302,3 +302,14 @@ def test_normal_form_reads_certificate_values_as_exact_rationals():
     for bad in (0.5, True, None):
         with pytest.raises(TypeError):
             normal_form(b5, RegularityCertificate((0, 1), (bad, 0), (5, 5)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: AssignMatrix(matrix([[0]], MIN_PLUS)), ValueError),
+    (lambda: distances_potentials(assign_matrix([[0, 1], [2, 0]]), (0, 0)), ValueError),
+    (lambda: distances_potentials(assign_matrix([[None, 1], [2, 0]]), (0, 1)), ValueError),
+], ids=["tag", "not-a-bijection", "bottom-on-bijection"])
+def test_assign_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

@@ -24,7 +24,7 @@ from tropkit.determ import (
     permanent,
     rook_coefficients,
 )
-from tropkit.errors import TooLarge
+from tropkit.errors import DimensionMismatch, TooLarge
 from tropkit.semiring import (
     BOOLEAN,
     MAX_PLUS,
@@ -267,6 +267,23 @@ def test_bideterminant_matches_parity_oracle():
         _assert_same_payload(bd.minus.value, minus, tag)
 
 
+def test_plus_bideterminant_equals_the_parity_oracle():
+    # max-plus and min-plus run the DP on scaled integers (min-plus by sign):
+    # every n <= 7, bottoms, ints and Fractions, ties from repeated rows
+    rng = random.Random(35)
+    pools = ([0, 1], list(range(-4, 5)), [Fraction(k, d) for d in (1, 2, 3) for k in range(-4, 5)])
+    for trial in range(168):
+        tag = (MAX_PLUS, MIN_PLUS)[trial % 2]
+        n, pool, rate = trial % 7 + 1, pools[trial % 3], (0, 0.2, 0.5)[trial // 7 % 3]
+        rows = [[None if rng.random() < rate else rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 4 == 0:
+            rows[0] = list(rows[-1])
+        a = matrix(rows, tag)
+        bd, (plus, minus) = bideterminant(a), _bideterminant_oracle(a)
+        _assert_same_payload(bd.plus.value, plus, tag)
+        _assert_same_payload(bd.minus.value, minus, tag)
+
+
 def test_rook_coefficients_match_subset_oracle():
     # the padded-matrix permanent against every rook placement, m, n <= 6
     rng = random.Random(24)
@@ -458,3 +475,18 @@ def test_rook_coefficient_preservation():
         assert all(v == one(MAX_PLUS) for v in rook_coefficients(de)[1:])
         x = matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         assert rook_coefficients(x) == rook_coefficients(apply_standard_transform(x, t))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: bideterminant(matrix([[0, 0]])), DimensionMismatch),
+    (lambda: permanent(matrix([[0, 0]])), DimensionMismatch),
+    (lambda: is_trop_singular(matrix([[0, 0]])), DimensionMismatch),
+    (lambda: apply_standard_transform(matrix([[0, 0]]), StandardTransform((0, 1), (scalar(0),) * 2, (scalar(0),) * 2, (0, 1))),
+     DimensionMismatch),
+    (lambda: apply_standard_transform(matrix([[0, 0]]), StandardTransform((0,), (scalar(0),), (scalar(0),), (0,))),
+     DimensionMismatch),
+], ids=["bideterminant", "permanent", "trop-singular", "transform-rows", "transform-cols"])
+def test_determ_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

@@ -221,6 +221,26 @@ def test_single_road_diagram():
     assert _all_canonical([[v for v in point if v is not None] for point in pts.items()])
 
 
+@pytest.mark.parametrize("build, densities, steps", [
+    (single_road_builder(10), [Fraction(k, 10) for k in (1, 3, 5)], 60),  # golden traffic_diagram
+    (crossing_builder(5, "fifty_fifty"), [Fraction(1, 5), Fraction(2, 5)], 60),  # golden, fifty-fifty
+    (crossing_builder(5, "priority"), [Fraction(k, 10) for k in range(1, 9)], 80),  # golden, priority
+    (crossing_builder(5, "priority"), [Fraction(k, 10) for k in range(1, 9)], 401),
+    (single_road_builder(10), [Fraction(k, 10) for k in range(11)] + [Fraction(1, 3)], 401),
+    (crossing_builder(10, "priority"), [Fraction(p, 100) for p in (10, 20, 30, 40, 55, 70)], 1500),  # demo 09
+], ids=["road", "fifty", "priority", "priority-401", "road-401", "demo09"])
+def test_diagram_points_equal_hom_iterate(build, densities, steps):
+    # `fundamental_diagram` reads each throughput from the stepped states
+    # alone; it must be `hom_iterate`'s estimate, value and type, whether the
+    # orbit repeats (and k or k/2 falls past the repeat) or never does
+    for rho, q in fundamental_diagram(build, densities, steps):
+        try:
+            want = hom_iterate(*build(rho), steps)[1]
+        except BadConfig:
+            want = None
+        assert (q, type(q)) == (want, type(want)), rho
+
+
 def test_t1h_traffic_light():
     sys = traffic_light_system(5, 5, [0, 2], [1, 3])
     u_traj, x_traj, report, rates = t1h_simulate(sys, 400)
@@ -958,3 +978,32 @@ def test_public_dynamics_results_hold_no_float(spelling):
         values = numbers(result)
         assert not any(type(v) is float for v in values), name
         assert all(is_canonical(v) for v in values), name
+
+
+def _light():
+    return traffic_light_system(5, 5, [0, 2], [1, 3])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: exclusion_run(RingWord.from_string("10"), -1), ValueError),
+    (lambda: road_event_graph([1]), BadConfig),
+    (lambda: road_event_graph([1, 0]).step([0], 1), DimensionMismatch),
+    (lambda: tent_system().linear_matrix(), ValueError),
+    (lambda: hom_iterate(road_event_graph([1, 0]), [0, 0], 1), ValueError),
+    (lambda: tent_trajectory(Fraction(3, 2), 4), BadConfig),
+    (lambda: tent_trajectory(Fraction(-1, 2), 4), BadConfig),
+    (lambda: tent_trajectory(Fraction(1, 5), 0), ValueError),
+    (lambda: build_crossing(3, 3, [0, 3], policy="roundabout"), BadConfig),
+    (lambda: spread_cars(3, 4), BadConfig),
+    (lambda: fundamental_diagram(single_road_builder(4), [Fraction(1, 4)], steps=1), ValueError),
+    (lambda: t1h_simulate(_light(), 1), ValueError),
+    (lambda: T1HSystem(matrix([[0]]), uterm_matrix(1, [[0]]), None, (0,), (0,)), ValueError),
+    (lambda: T1HSystem(matrix([[0]], MIN_PLUS), uterm_matrix(1, [[0]]), None, (0, 0), (0,)), DimensionMismatch),
+    (lambda: four_phase_product(_light(), "diagonal", 5), ValueError),
+], ids=["exclusion-steps", "road-cells", "step-dimension", "not-linear", "hom-steps", "tent-above",
+        "tent-below", "tent-steps", "crossing-policy", "spread-cars", "diagram-steps", "t1h-steps",
+        "t1h-control-tag", "t1h-control-shape", "four-phase-road"])
+def test_dynamics_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

@@ -15,6 +15,7 @@ from orbit_oracle import tent_trajectory_oracle
 import tropkit
 from tropkit import io as tio
 from tropkit.cli import main
+from tropkit.errors import TooLarge
 from tropkit.plucker import flow_tp, grid_edges, grid_net, is_tp
 from tropkit.semiring import BOOLEAN, MAX_PLUS, MAX_TIMES, MIN_PLUS
 from tropkit.tropmat import interval_matrix, matrix, vector
@@ -747,3 +748,16 @@ def test_cli_unique_option_prefix_exits_2(tmp_path, name):
 ])
 def test_cli_groups_need_an_action_and_take_no_options(argv):
     _argparse_exit(argv)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: tio.subset_function_from_json({"n": 2, "values": {"4": 0}}), tio.SchemaError),
+    (lambda: tio.subset_function_from_json({"n": 9, "values": {}}), TooLarge),
+    (lambda: tio.grid_net_from_json({"n": 9}), TooLarge),
+    # grid_net's ValueError for an edge off the grid comes back as a SchemaError
+    (lambda: tio.grid_net_from_json({"n": 2, "weights": {"5,5->5,6": 1}}), tio.SchemaError),
+], ids=["subset-key-range", "subset-cap", "net-cap", "net-off-grid-edge"])
+def test_io_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

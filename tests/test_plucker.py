@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from flow_oracle import flow_table_enumerated, flow_value_bruteforce, reconstruct_fixpoint_oracle
-from tropkit.errors import NoFlow, TooLarge
+from tropkit import plucker
+from tropkit.errors import Inconsistent, NoFlow, TooLarge
 from tropkit.plucker import (
     CHECK_CAP,
     GridFlowNet,
@@ -254,3 +255,29 @@ def test_grid_flow_net_constructor_reads_weights_as_exact_rationals():
     net = GridFlowNet(2, tuple((e, Fraction(2, 2)) for e in grid_edges(2)))
     assert all(type(w) is int for _, w in net.edge_weights)
     assert flow_tp(net) == flow_tp(grid_net(2, {e: 1 for e in grid_edges(2)}))
+
+
+_BIG = SubsetFunction(CHECK_CAP + 1, (0,) * (1 << (CHECK_CAP + 1)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: subset_mask([4], 3), ValueError),
+    (lambda: grid_net(2, {((5, 5), (5, 6)): 1}), ValueError),
+    (lambda: is_tp(_BIG), TooLarge),
+    (lambda: is_dmtp(_BIG), TooLarge),
+    (lambda: is_submodular(_BIG), TooLarge),
+    (lambda: reconstruct_from_intervals(CHECK_CAP + 1, {}), TooLarge),
+], ids=["subset-element", "off-grid-edge", "tp-cap", "dmtp-cap", "submodular-cap", "reconstruct-cap"])
+def test_plucker_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_reconstruction_rejects_a_fill_that_breaks_the_relation(monkeypatch):
+    # a fault in the fill kernel (each derived value one too high) must be
+    # caught by the closing TP check, not returned
+    canonical = plucker._canonical
+    monkeypatch.setattr(plucker, "_canonical", lambda v: canonical(v + 1))
+    with pytest.raises(Inconsistent):
+        reconstruct_from_intervals(3, {m: 0 for m in interval_masks(3)})

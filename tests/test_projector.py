@@ -435,3 +435,29 @@ def test_semimodule_contains_agrees_with_the_covering_test_random():
         assert got is _covered(columns, x), (columns, x)
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: project(semimodule([[0, 0]]), vector([0, 0], MIN_PLUS)), TagMismatch),
+    (lambda: cyclic_orbit([semimodule([[0, 0]])], vector([0, 0]), 0), ValueError),
+    (lambda: cyclic_orbit([semimodule([[0, 0]])], vector([0, 0, 0]), 1), DimensionMismatch),
+    (lambda: hilbert_value([]), ValueError),
+    (lambda: cyclic_spectral_radius([]), ValueError),
+    (lambda: cyclic_spectral_radius([semimodule([[0, 0]]), semimodule([[0, 0, 0]])]), DimensionMismatch),
+    (lambda: cyclic_spectral_radius([semimodule([[0, 0]], MIN_PLUS)] * 2), ValueError),
+], ids=["project-tag", "orbit-sweeps", "orbit-dimension", "hilbert-empty", "radius-empty",
+        "radius-dimension", "radius-tag"])
+def test_projector_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_separate_rejects_halfspaces_that_miss_their_semimodule(monkeypatch):
+    # a fault in the halfspace construction: u has a bottom where the
+    # generator (0, 0) is finite, so u/x = -inf < v/x and (0, 0) lies outside
+    wrong = lambda vs, rep: [Halfspace(vector([BOT, 0]), vector([0, 0])) for _ in vs]
+    monkeypatch.setattr(projector, "_halfspaces", wrong)
+    with pytest.raises(TropkitError) as info:
+        separate([semimodule([[0, 0]]), semimodule([[0, 2]])])
+    assert type(info.value) is TropkitError

@@ -57,7 +57,7 @@ from tropkit.tropmat import IntervalMatrix, TropMatrix, TropVector, matrix, vect
 from tropkit.twosided import GeneratorSet, InequalitySystem, solve_system
 
 _SAMPLES = {
-    PayloadOps: lambda k: PayloadOps(operator.add, operator.mul, operator.sub, operator.le, None, k),
+    PayloadOps: lambda k: PayloadOps(operator.add, operator.mul, operator.matmul, operator.sub, operator.le, None, k),
     TropScalar: lambda k: TropScalar(f"{k + 1}/2", MIN_PLUS),
     Interval: lambda k: interval(0, 3 + k),
     TropVector: lambda k: vector([1, None, Fraction(1, 2) + k]),
@@ -109,7 +109,7 @@ _FIELDS = {
     "MinPlusTerm": ("constant", "exponents"),
     "NotSeparable": ("witness",),
     "NotStronglyRegular": ("best_bijection", "second_bijection", "reason"),
-    "PayloadOps": ("add", "mul", "residual", "le", "zero", "unit"),
+    "PayloadOps": ("add", "mul", "dot", "residual", "le", "zero", "unit"),
     "PeriodReport": ("start", "period", "gain"),
     "RegularityCertificate": ("bijection", "f", "g"),
     "RingWord": ("bits",),
@@ -154,7 +154,7 @@ _REPRS = {
         "reason='no bijection with finite weight')"
     ),
     "PayloadOps": (
-        "PayloadOps(add=<built-in function add>, mul=<built-in function mul>, "
+        "PayloadOps(add=<built-in function add>, mul=<built-in function mul>, dot=<built-in function matmul>, "
         "residual=<built-in function sub>, le=<built-in function le>, zero=None, unit=0)"
     ),
     "PeriodReport": "PeriodReport(start=0, period=2, gain=(Fraction(1, 2), 1))",

@@ -2,6 +2,7 @@ import enum
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 import pytest
@@ -484,6 +485,31 @@ def test_every_kernel_returns_canonical_payloads():
     assert reconstructions >= 10  # reconstructions that derive non-interval values
 
 
+@pytest.mark.parametrize("tag", list(SemiringTag))
+def test_dot_equals_the_fold_of_add_over_mul(tag):
+    # `dot` is every kernel's sum of products: the payload of the fold, value
+    # and type, on rows of length 0 to 9 with 0, 30 and 60 % bottoms and
+    # halves and thirds whose sums or products are integral
+    ops, rng = tag.ops, random.Random(f"dot-{tag.value}")
+    if tag is BOOLEAN:
+        pool = [True]
+    else:
+        pool = [_canonical(v) for v in (_POSITIVE if tag is MAX_TIMES else _THIRDS_HALVES)]
+    cases = integral = 0
+    for n in range(10):
+        for rate in (0, 0.3, 0.6):
+            for _ in range(70):
+                row, xs = ([ops.zero if rng.random() < rate else rng.choice(pool) for _ in range(n)]
+                           for _ in range(2))
+                want = reduce(ops.add, map(ops.mul, row, xs), ops.zero)
+                got = ops.dot(row, xs)
+                assert (got, type(got)) == (want, type(want)), (row, xs)
+                cases += 1
+                integral += type(want) is int and Fraction in set(map(type, row + xs))
+    assert cases >= 2000
+    assert tag is BOOLEAN or integral >= 100
+
+
 def test_scaled_round_trips_through_unscaled_random():
     rng = random.Random(23)
     for trial in range(400):
@@ -531,3 +557,13 @@ def test_floats_and_bools_are_rejected_at_every_rational_entry():
             else:
                 accepted.append((name, x))
     assert accepted == []
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: iv_binary("pow", interval(0, 1), interval(0, 1)), ValueError),
+    (lambda: iv_binary("add", interval(0, 1), interval(1, 0, MIN_PLUS)), TagMismatch),
+], ids=["unknown-op", "tags"])
+def test_interval_operation_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tropkit import spectral
-from tropkit.errors import CertificateInvalid, NoCycle, Unbounded
-from tropkit.semiring import MAX_PLUS, MIN_PLUS, one, scalar, sr_mul, sr_residual
+from tropkit.errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
+from tropkit.semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS, one, scalar, sr_mul, sr_residual
 from tropkit.spectral import (
     collatz_wielandt_certificate,
     max_cycle_mean,
@@ -526,3 +526,14 @@ def test_collatz_wielandt_rejects_a_witness_that_misses_the_value(monkeypatch):
     monkeypatch.setattr(spectral, "_howard", corrupted)
     with pytest.raises(CertificateInvalid):
         collatz_wielandt_certificate(matrix([[BOT, 2], [0, BOT]]))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: max_cycle_mean(matrix([[0, 0]])), DimensionMismatch),
+    (lambda: max_cycle_mean(matrix([[1]], MAX_TIMES)), ValueError),
+    (lambda: spectral_analysis(matrix([[1]], MAX_TIMES)), ValueError),
+], ids=["square", "max-times", "analysis-max-times"])
+def test_spectral_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

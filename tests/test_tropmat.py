@@ -5,7 +5,7 @@ from itertools import chain
 import pytest
 
 from cycle_oracle import closure_oracle
-from tropkit.errors import DimensionMismatch, Divergent, NoCycle, TagMismatch, ZeroColumn
+from tropkit.errors import DimensionMismatch, Divergent, EmptySupport, NoCycle, TagMismatch, ZeroColumn
 from tropkit.projector import Halfspace
 from tropkit.semiring import (
     BOOLEAN,
@@ -25,6 +25,8 @@ from tropkit.tropmat import (
     TropMatrix,
     TropVector,
     _closure,
+    _least_residual,
+    from_columns,
     identity,
     interval_matrix,
     iv_kleene_star,
@@ -50,6 +52,42 @@ def rand_matrix(rng, n, lo=-5, hi=5, density=0.8, tag=MAX_PLUS):
         ],
         tag,
     )
+
+
+def _least_residual_fold(xs, ys, ops):
+    """The generic path: the tag's `residual` law over the support of ys,
+    folded by `le`, keeping the first least value."""
+    residuals = [ops.residual(x, y) for x, y in zip(xs, ys) if y != ops.zero]
+    if not residuals:
+        raise EmptySupport("residual against the zero vector")
+    best = residuals[0]
+    for r in residuals[1:]:
+        if not ops.le(best, r):
+            best = r
+    return best
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS], ids=lambda t: t.value)
+def test_plus_least_residual_equals_the_generic_fold(tag):
+    # the inline min (max-plus) or max (min-plus) of x_i - y_i: same payload,
+    # same type, EmptySupport on the same inputs, bottoms on either side
+    rng = random.Random(f"least-residual-{tag.value}")
+    pool = [0, 3, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(1, 3)]
+    empty = 0
+    for trial in range(2000):
+        n = trial % 8
+        xs, ys = ([None if rng.random() < rate else rng.choice(pool) for _ in range(n)]
+                  for rate in ((0, 0.2, 0.5)[trial % 3], (0, 0.3, 0.7)[trial // 3 % 3]))
+        try:
+            want = _least_residual_fold(xs, ys, tag.ops)
+        except EmptySupport:
+            with pytest.raises(EmptySupport):
+                _least_residual(xs, ys, tag)
+            empty += 1
+            continue
+        got = _least_residual(xs, ys, tag)
+        assert (got, type(got)) == (want, type(want)), (xs, ys)
+    assert empty >= 100
 
 
 def test_mat_mul_examples():
@@ -473,3 +511,26 @@ def test_constructor_accepts_same_tag_scalars():
     m = TropMatrix(rows, MIN_PLUS)
     assert m.payload == ((1, None), (2, Fraction(1, 3))) and type(m.payload[1][0]) is int
     assert m == matrix(rows, MIN_PLUS) and m.entries[1][1] == scalar("1/3", MIN_PLUS)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: mat_mul(matrix([[0]]), matrix([[0]], MIN_PLUS)), TagMismatch),
+    (lambda: vector([0]).scale(scalar(0, MIN_PLUS)), TagMismatch),
+    (lambda: matrix([[0]]).scale(scalar(0, MIN_PLUS)), TagMismatch),
+    (lambda: matrix([[0, 0]]).apply(vector([0])), DimensionMismatch),
+    (lambda: matrix([[0]]).apply(vector([0], MIN_PLUS)), TagMismatch),
+    (lambda: from_columns([]), DimensionMismatch),
+    (lambda: from_columns([vector([0]), vector([0, 1])]), DimensionMismatch),
+    (lambda: from_columns([vector([0]), vector([0], MIN_PLUS)]), TagMismatch),
+    (lambda: mat_residual_left(matrix([[0]]), vector([0, 1])), DimensionMismatch),
+    (lambda: mat_residual_left(matrix([[0]]), vector([0], MIN_PLUS)), TagMismatch),
+    (lambda: kleene_star(matrix([[0, 0]])), DimensionMismatch),
+    (lambda: kleene_star(matrix([[1]], MAX_TIMES)), ValueError),
+    (lambda: interval_matrix(matrix([[0]]), matrix([[0]], MIN_PLUS)), TagMismatch),
+], ids=["mat_mul-tag", "vector-scale-tag", "matrix-scale-tag", "apply-length", "apply-tag",
+        "from_columns-empty", "from_columns-lengths", "from_columns-tag", "residual-length", "residual-tag",
+        "star-square", "star-tag", "interval-tags"])
+def test_tropmat_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

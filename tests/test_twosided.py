@@ -265,3 +265,13 @@ def test_row_step_matches_payload_oracle_random():
             if not gens:
                 break
     assert steps > 500
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: row_generators(vector([0]), vector([0, 1])), DimensionMismatch),
+    (lambda: row_generators(vector([0], MIN_PLUS), vector([0], MIN_PLUS)), TagMismatch),
+], ids=["lengths", "tag"])
+def test_row_generators_input_checks_raise(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
