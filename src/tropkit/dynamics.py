@@ -273,20 +273,31 @@ def _throughput(states: List[State], s: Optional[int], k: int) -> Rat:
     (x_k - x_{k/2}) / (k - k/2), for the orbit `_orbit` returned as
     (states, s).
 
-    It reads only the two key sums over M (see `_keys`), and neither needs
-    the tiled points: past the repeat t, point j is the stepped point
-    j - r c plus r shifts sigma, with c = t - s and r = ceil((j - t) / c)."""
-    M = math.lcm(*{D for _, D in states})
+    Only two point sums are read, and neither needs `_keys`' tiling: past
+    the repeat t, point j is the stepped point j - r c plus r shifts
+    x_t - x_s, with c = t - s and r = ceil((j - t) / c). The sums are taken
+    over the lcm L of the at most four denominators they read."""
     t = len(states) - 1
 
-    def key_sum(j: int) -> int:
-        if j > t:
-            r = -(-(j - t) // (t - s))
-            return key_sum(j - r * (t - s)) + r * (key_sum(t) - key_sum(s))
-        X, D = states[j]
-        return sum(X) * (M // D)
+    def at(j: int) -> Tuple[int, int]:
+        # (the stepped state of point j, the cycle turns it lies past)
+        if j <= t:
+            return j, 0
+        r = -(-(j - t) // (t - s))
+        return j - r * (t - s), r
 
-    return _ratio(key_sum(k) - key_sum(k // 2), M * (k - k // 2) * len(states[0][0]))
+    (a, ra), (b, rb) = at(k), at(k // 2)
+    read = (a, b, t, s) if ra or rb else (a, b)
+    L = math.lcm(*{states[i][1] for i in read})
+
+    def key_sum(i: int) -> int:
+        X, D = states[i]
+        return sum(X) * (L // D)
+
+    diff = key_sum(a) - key_sum(b)
+    if ra or rb:
+        diff += (ra - rb) * (key_sum(t) - key_sum(s))
+    return _ratio(diff, L * (k - k // 2) * len(states[0][0]))
 
 
 def _points(M: int, keys: List[List[int]]) -> List[List[Rat]]:
