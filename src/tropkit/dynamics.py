@@ -30,9 +30,9 @@ distinct value becomes a payload once per run. A throughput is read from
 the key sums of the stepped states alone (`_throughput`), so
 `fundamental_diagram`, which keeps only throughputs, builds no points.
 Quotients (rates, throughputs, gains, densities) are exact canonical
-ratios, not true division. `HomogeneousMap.step` is the one integer kernel of every model
-but the tent, whose scalar orbit runs on its own numerators, and `_orbit`
-is the one loop that iterates it.
+ratios, not true division. `HomogeneousMap.step` is the one integer kernel
+of every model but the tent, whose scalar orbit runs on its own
+numerators, and `_orbit` is the one loop that iterates it.
 
 `_orbit` and the tent's loop stop stepping once the orbit is periodic.
 `_orbit` works on shift blocks, a partition of the coordinates such that
