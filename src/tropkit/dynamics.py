@@ -461,7 +461,10 @@ def hom_iterate(
     if k < 2:
         raise ValueError("need at least two steps")
     states, s = _orbit(f, x0, k, _rational(spread_bound))
-    return _points(*_keys(states, s, k)), _throughput(states, s, k)
+    lam = _throughput(states, s, k)
+    M, keys = _keys(states, s, k)
+    del states  # freed before the points are built, so the collector does not walk them
+    return _points(M, keys), lam
 
 
 def coordinate_rates(traj: List[List[Rat]]) -> List[Rat]:
