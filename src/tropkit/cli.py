@@ -2,7 +2,10 @@
 
 One subcommand per module family, stable exact file formats, deterministic
 byte-identical output. Exit status: 0 success, 1 domain errors (structured
-JSON error body), 2 I/O or schema errors (diagnostic on stderr). Each
+JSON error body), 2 I/O or schema errors (diagnostic on stderr). `main`
+alone maps exceptions to exit codes: a `TropkitError` gives 1, and a
+`ValueError` (`SchemaError` among them) or an `OSError`, from reading,
+computing or writing, gives 2. Each
 handler imports the modules it uses, so a request loads only its own
 subcommand's modules besides `io`, `errors` and `semiring`.
 argparse owns the options: each leaf parser (one per `plucker` and
@@ -25,11 +28,8 @@ from .semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS, parse_rational
 
 
 def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write(out: Optional[str], text: str) -> None:
@@ -82,14 +82,6 @@ def _over(m, command: str, *tags):
     return m
 
 
-def _checked(build, m):
-    """build(m), with a ValueError from its input checks reported as a schema error."""
-    try:
-        return build(m)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def _cmd_star(args) -> str:
     from . import tropmat
 
@@ -124,7 +116,7 @@ def _cmd_project(args) -> str:
     from . import projector
 
     m = _over(_load_matrix(args.module), "project", MAX_PLUS, MIN_PLUS, MAX_TIMES)
-    v = _checked(projector.Semimodule, m)
+    v = projector.Semimodule(m)
     x = io.vector_from_json(io.loads(_read(args.vector)))
     return io.dumps(io.vector_to_json(projector.project(v, x)))
 
@@ -132,10 +124,7 @@ def _cmd_project(args) -> str:
 def _cmd_separate(args) -> str:
     from . import projector
 
-    modules = [
-        _checked(projector.Semimodule, _over(_load_matrix(p), "separate", MAX_PLUS))
-        for p in args.modules
-    ]
+    modules = [projector.Semimodule(_over(_load_matrix(p), "separate", MAX_PLUS)) for p in args.modules]
     rep = projector.cyclic_spectral_radius(modules)
     result = projector._separate(modules, rep)
     if isinstance(result, projector.NotSeparable):
@@ -204,14 +193,14 @@ def _cmd_plucker(args) -> str:
         return io.dumps(io.subset_function_to_json(plucker.flow_tp(net)))
     obj = io.loads(_read(args.function))
     mapping = io.subset_function_from_json(obj, partial=True)
-    f = _checked(lambda m: plucker.reconstruct_from_intervals(obj["n"], m), mapping)
+    f = plucker.reconstruct_from_intervals(obj["n"], mapping)
     return io.dumps(io.subset_function_to_json(f))
 
 
 def _cmd_assign(args) -> str:
     from . import assign as assign_mod
 
-    b = _checked(assign_mod.AssignMatrix, _over(_load_matrix(args.matrix), "assign", MAX_PLUS))
+    b = assign_mod.AssignMatrix(_over(_load_matrix(args.matrix), "assign", MAX_PLUS))
     res = assign_mod.strong_regularity(b)
     if isinstance(res, assign_mod.NotStronglyRegular):
         body = {
@@ -376,19 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args)
-    except _DomainExit as exc:
-        _write(args.out, exc.body)
-        return 1
-    except TropkitError as exc:
-        body = io.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        _write(args.out, body)
-        return 1
-    except SchemaError as exc:
+        try:
+            code, text = 0, args.handler(args)
+        except _DomainExit as exc:
+            code, text = 1, exc.body
+        except TropkitError as exc:
+            code, text = 1, io.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        _write(args.out, text)
+    except (ValueError, OSError) as exc:
         print(f"tropkit: {exc}", file=sys.stderr)
         return 2
-    _write(args.out, text)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """The CLI exit-code contract under mutated input files and options, in-process.
 
 Each `test_golden.py` CLI case is replayed with 1-3 JSON nodes of its
-fixture files replaced, deleted or duplicated, and each `traffic` case with
+fixture files replaced, deleted or duplicated (one file in 16 is then saved
+as UTF-16, whose bytes are not UTF-8), and each `traffic` case with
 1-3 of its option values replaced, options deleted or options of either
 `traffic` action added, at fixed seeds, through `cli.main` with stdout and
 stderr captured. For every request the contract must hold: the exit code is
@@ -29,10 +30,14 @@ from tropkit.cli import main
 REQUESTS_PER_CASE = 32  # 25 cases: 800 requests, 200 of them sent twice
 OPTION_REQUESTS_PER_CASE = 75  # 4 traffic cases: 300 requests, 76 of them sent twice
 REQUEST_SECONDS = 10
+# ints of 4,000-5,000 digits, around CPython's 4,300-digit int/str limit:
+# json.dumps cannot write one past it, so each is inserted as its placeholder
+# string and spelled out in the file text
+HUGE_INTS = {"<4000 digits>": "9" * 4000, "<-4400 digits>": "-" + "1" * 4400, "<5000 digits>": "5" * 5000}
 # inserted values: containers, null, floats, bools, huge ints, strings that are
 # almost numbers (an exponent, non-ASCII digits) and the spellings the readers accept
 VALUES = [
-    [], {}, None, 0.5, 1e3, True, False, 0, -1, 2, 7, 10**20, -(10**20), "1e3", "٣", "７",
+    [], {}, None, 0.5, 1e3, True, False, 0, -1, 2, 7, 10**20, -(10**20), *HUGE_INTS, "1e3", "٣", "７",
     "1/2", "-3/4", "1/0", "-inf", "+inf", "inf", "", "abc", "max-plus", "min-plus", "boolean",
     [[0]], [[0, 1], [2]], [None], {"a": 1}, [1, 2, 3],
 ]
@@ -48,6 +53,10 @@ OPTION_VALUES = {
     "--y0": ["3/101", "0", "1", "1/2", "2", "-1/3", "1/0", "abc", "", "0.5", "1e3", "1/1000003", "+inf", "-inf"],
     "--format": ["csv", "json", "xml", "", "JSON"],
 }
+# --steps values in 10^4-10^5 for the cases whose runs repeat early, so stay
+# cheap; the crossings are left out, as some of their runs never repeat
+LONG_STEPS = ["10000", "31623", "100000"]
+LONG_STEPS_CASES = ("traffic_diagram", "traffic_tent")
 
 
 def _paths(node, path=()):
@@ -90,8 +99,11 @@ def _request(rng, argv, tmp_path, n):
         docs[i] = _mutate(rng, docs[i])
     out = list(argv)
     for i, doc in docs.items():
+        text = json.dumps(doc)
+        for placeholder, digits in HUGE_INTS.items():
+            text = text.replace(json.dumps(placeholder), digits)
         path = tmp_path / f"{n}_{argv[i]}"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_bytes(text.encode("utf-16" if rng.randrange(16) == 0 else "utf-8"))
         out[i] = str(path)
     return out
 
@@ -139,22 +151,23 @@ def test_cli_contract_holds_for_mutated_fixtures(name, tmp_path):
     assert codes - {0}, name  # the mutations reach the error paths
 
 
-def _option_request(rng, argv):
+def _option_request(rng, argv, values):
     """A traffic argv with 1-3 option values replaced, options deleted or
-    options of either traffic action added; its config file is the fixture."""
+    options of either traffic action added, the values drawn from `values`;
+    its config file is the fixture."""
     pairs = [argv[i:i + 2] for i in range(2, len(argv), 2)]
     pairs = [[option, str(GOLDEN / value) if option == "--config" else value] for option, value in pairs]
     for _ in range(rng.randint(1, 3)):
-        mutable = [pair for pair in pairs if pair[0] in OPTION_VALUES]
+        mutable = [pair for pair in pairs if pair[0] in values]
         op = rng.choice(("replace", "replace", "replace", "delete", "add"))
         if op == "replace" and mutable:
             pair = rng.choice(mutable)
-            pair[1] = rng.choice(OPTION_VALUES[pair[0]])
+            pair[1] = rng.choice(values[pair[0]])
         elif op == "delete" and pairs:
             pairs.pop(rng.randrange(len(pairs)))
         else:
-            option = rng.choice(sorted(OPTION_VALUES))
-            pairs.insert(rng.randint(0, len(pairs)), [option, rng.choice(OPTION_VALUES[option])])
+            option = rng.choice(sorted(values))
+            pairs.insert(rng.randint(0, len(pairs)), [option, rng.choice(values[option])])
     return argv[:2] + [word for pair in pairs for word in pair]
 
 
@@ -162,9 +175,12 @@ def _option_request(rng, argv):
 @pytest.mark.parametrize("name", sorted(name for name in CLI_CASES if CLI_CASES[name][0] == "traffic"))
 def test_cli_contract_holds_for_mutated_traffic_options(name):
     rng = random.Random(f"cli-option-fuzz-{name}")
+    values = OPTION_VALUES
+    if name in LONG_STEPS_CASES:
+        values = {**OPTION_VALUES, "--steps": OPTION_VALUES["--steps"] + LONG_STEPS}
     codes = set()
     for n in range(OPTION_REQUESTS_PER_CASE):
-        argv = _option_request(rng, CLI_CASES[name])
+        argv = _option_request(rng, CLI_CASES[name], values)
         code, out, err = _run(argv)
         assert code in (0, 1, 2), (argv, code)
         if code == 1:

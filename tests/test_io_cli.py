@@ -13,6 +13,7 @@ from csv_oracle import matrix_from_csv_oracle
 from orbit_oracle import tent_trajectory_oracle
 
 import tropkit
+from tropkit import dynamics
 from tropkit import io as tio
 from tropkit.cli import main
 from tropkit.errors import TooLarge
@@ -534,6 +535,47 @@ def test_cli_huge_exponent_cell_exits_2_at_once(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("tropkit: ") and "Traceback" not in proc.stderr
+
+
+def _assert_exit_2_in_process(argv):
+    """`main` must return 2 with one `tropkit:` line on stderr and nothing on stdout."""
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("tropkit: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_int_cell_past_the_digit_limit_exits_2(tmp_path):
+    # json.loads raises a plain ValueError past CPython's 4,300-digit int/str limit
+    path = tmp_path / "m.json"
+    path.write_text('{"semiring": "max-plus", "rows": 1, "cols": 1, "data": [[' + "7" * 5000 + "]]}")
+    _assert_exit_2_in_process(["star", "--matrix", str(path)])
+
+
+def test_cli_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe{")
+    _assert_exit_2_in_process(["star", "--matrix", str(path)])
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["star", "--matrix", "a_maxplus.json"], "missing/out.json"),
+    (["star", "--matrix", "a_maxplus.json"], "."),
+    # a NotSeparable body, exit 1 when written, has nowhere to go either
+    (["separate", "--modules", "sep1.json", "sep1.json"], "missing/out.json"),
+])
+def test_cli_out_that_cannot_be_opened_exits_2(tmp_path, argv, out):
+    argv = [os.path.join(_GOLDEN, a) if a.endswith(".json") else a for a in argv]
+    _assert_exit_2_in_process(argv + ["--out", str(tmp_path / out)])
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_cli_q_past_the_digit_limit_exits_2(monkeypatch):
+    # the real request, --steps 32000 on the priority crossing at rho = 1/2,
+    # reaches such a q only after about 6 s
+    q = Fraction(10**4399 + 1, 3)
+    monkeypatch.setattr(dynamics, "fundamental_diagram", lambda build, densities, steps: [(densities[0], q)])
+    _assert_exit_2_in_process(["traffic", "diagram", "--config", os.path.join(_GOLDEN, "road.json"),
+                               "--densities", "1/2:1/2:1/10"])
 
 
 _TOO_LARGE_TRAFFIC_REQUESTS = {

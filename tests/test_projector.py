@@ -376,6 +376,25 @@ def test_halfspace_contains_matches_the_boxed_oracle_random():
     assert outcomes == {True, False}
 
 
+def test_halfspace_is_closed_under_sums_and_prime_random():
+    # u/(x + y) = min(u/x, u/y), and the same for v, so x, y in H gives
+    # x + y in H (closed), and x + y in H gives x in H or y in H (prime)
+    rng = random.Random(40)
+    seen = set()
+    for _ in range(20000):
+        n, share = rng.randint(1, 5), rng.choice([0, 0.2, 0.4])
+        draw = lambda: vector([None if rng.random() < share else rng.randint(-6, 6) for _ in range(n)])
+        u, x, y = draw(), draw(), draw()
+        h = Halfspace(u, u + draw())
+        in_x, in_y, in_sum = h.contains(x), h.contains(y), h.contains(x + y)
+        assert in_sum or not (in_x and in_y), ("not closed", h, x, y)
+        assert in_x or in_y or not in_sum, ("not prime", h, x, y)
+        seen.add((in_x, in_y, in_sum))
+    # the sum is in with both, or with one of them, and out with one or none
+    assert seen == {(True, True, True), (True, False, True), (False, True, True),
+                    (True, False, False), (False, True, False), (False, False, False)}
+
+
 def test_halfspace_edge_checks():
     h = Halfspace(vector([0, BOT, 1]), vector([0, 2, 1]))
     with pytest.raises(DimensionMismatch):
