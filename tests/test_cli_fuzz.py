@@ -19,12 +19,14 @@ import copy
 import json
 import random
 import signal
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
 import pytest
 from test_golden import CLI_CASES, GOLDEN
 
+from tropkit import cli
 from tropkit.cli import main
 
 REQUESTS_PER_CASE = 32  # 25 cases: 800 requests, 200 of them sent twice
@@ -109,13 +111,15 @@ def _request(rng, argv, tmp_path, n):
 
 
 def _timeout(signum, frame):
-    raise TimeoutError(f"a request ran past {REQUEST_SECONDS} s")
+    # pytest.fail raises a BaseException: main, which maps ValueError and
+    # OSError (TimeoutError among them) to exit 2, cannot turn it into an exit code
+    pytest.fail(f"a request ran past {REQUEST_SECONDS} s")
 
 
 def _run(argv):
     out, err = StringIO(), StringIO()
     previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(REQUEST_SECONDS)
+    signal.setitimer(signal.ITIMER_REAL, REQUEST_SECONDS)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -126,9 +130,18 @@ def _run(argv):
     except BaseException as exc:  # the contract: nothing else escapes main
         pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the hang guard")
+def test_hang_guard_fails_a_request_that_runs_past_its_budget(monkeypatch, tmp_path):
+    # a slow request must fail the fuzzer, not exit 2 through main's mapping
+    monkeypatch.setitem(globals(), "REQUEST_SECONDS", 0.2)
+    monkeypatch.setattr(cli, "_read", lambda path: time.sleep(5))
+    with pytest.raises(pytest.fail.Exception, match="ran past 0.2 s"):
+        _run(["star", "--matrix", str(tmp_path / "m.json")])
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the hang guard")

@@ -31,6 +31,13 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_exit_2_in_process(argv):
+    """`main` must return 2 with one `tropkit:` line on stderr and nothing on stdout."""
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("tropkit: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
@@ -153,8 +160,7 @@ def test_cli_exits_2_on_one_bad_cell_at_every_position(tmp_path, name):
         m = write(tmp_path, "m.json", _max_plus([ints] * at + [row] + [ints] * (39 - at)))
         v = write(tmp_path, "x.json", {"semiring": "max-plus", "data": row})
         for argv in (["star", "--matrix", m], ["project", "--module", module, "--vector", v]):
-            code, out, err = run_cli(argv)  # an uncaught exception fails the test
-            assert (code, out) == (2, "") and err.startswith("tropkit: ") and err.count("\n") == 1
+            _assert_exit_2_in_process(argv)  # an uncaught exception fails the test
     _assert_schema_exit(tmp_path, ["star", "--matrix", m])
 
 
@@ -535,13 +541,6 @@ def test_cli_huge_exponent_cell_exits_2_at_once(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("tropkit: ") and "Traceback" not in proc.stderr
-
-
-def _assert_exit_2_in_process(argv):
-    """`main` must return 2 with one `tropkit:` line on stderr and nothing on stdout."""
-    code, out, err = run_cli(argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("tropkit: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_int_cell_past_the_digit_limit_exits_2(tmp_path):

@@ -18,7 +18,6 @@ from tropkit.cli import build_parser, main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@functools.cache
 def _files(*dirs):
     """The `.py` files under dirs, relative to the root."""
     return [p.relative_to(ROOT) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
@@ -29,14 +28,9 @@ def _tree(path):
     return ast.parse((ROOT / path).read_text(encoding="utf-8"))
 
 
-@functools.cache
-def _walk(path):
-    return list(ast.walk(_tree(path)))
-
-
 def _found(dirs, rejects):
     """`path:line` of every node under dirs that rejects(node) is true for."""
-    return [f"{p}:{node.lineno}" for p in _files(*dirs) for node in _walk(p) if rejects(node)]
+    return [f"{p}:{node.lineno}" for p in _files(*dirs) for node in ast.walk(_tree(p)) if rejects(node)]
 
 
 def test_no_assert_statements_in_src():
@@ -56,9 +50,9 @@ def test_only_integer_valued_math_functions_in_src():
     allowed = {"gcd", "lcm", "isqrt", "comb", "perm", "factorial"}
     found = []
     for p in _files("src"):
-        aliases = {a.asname or a.name for n in _walk(p) if isinstance(n, ast.Import)
+        aliases = {a.asname or a.name for n in ast.walk(_tree(p)) if isinstance(n, ast.Import)
                    for a in n.names if a.name == "math"}
-        for node in _walk(p):
+        for node in ast.walk(_tree(p)):
             if isinstance(node, ast.ImportFrom) and node.module == "math":
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
@@ -103,7 +97,7 @@ def test_sums_of_products_only_through_payload_ops_dot():
     # a kernel sums products with its tag's `dot` law; the fold
     # reduce(add, map(mul, ...)) may be written only in semiring.py
     found = [f"{p}:{node.lineno}" for p in _files("src") if p.name != "semiring.py"
-             for node in _walk(p) if _is_fold(node)]
+             for node in ast.walk(_tree(p)) if _is_fold(node)]
     assert not found, "\n".join(found)
 
 
@@ -111,7 +105,7 @@ def test_no_unused_top_level_imports_in_src_tests_and_demos():
     found = []
     for p in _files("src", "tests", "demos"):
         tree = _tree(p)
-        used = {n.id for n in _walk(p) if isinstance(n, ast.Name)}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         exported = {e.value for n in tree.body if isinstance(n, ast.Assign)
                     and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
                     for e in ast.walk(n.value) if isinstance(e, ast.Constant)}
