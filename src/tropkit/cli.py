@@ -5,9 +5,10 @@ byte-identical output. Exit status: 0 success, 1 domain errors (structured
 JSON error body), 2 I/O or schema errors (diagnostic on stderr). `main`
 alone maps exceptions to exit codes: a `TropkitError` gives 1, and a
 `ValueError` (`SchemaError` among them) or an `OSError`, from reading,
-computing or writing, gives 2. Each
-handler imports the modules it uses, so a request loads only its own
-subcommand's modules besides `io`, `errors` and `semiring`.
+computing or writing, gives 2. Every input file goes through `_load`, which
+puts the file's path before a load-time `ValueError`. Each handler imports
+the modules it uses, so a request loads only its own subcommand's modules
+besides `io`, `errors` and `semiring`.
 argparse owns the options: each leaf parser (one per `plucker` and
 `traffic` action) takes only the options its handler reads, so a missing
 option or another action's option exits 2 before any handler runs.
@@ -40,8 +41,18 @@ def _write(out: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _load(path: str):
+    """The JSON document in the file at path. A load-time ValueError (a file
+    that is not UTF-8, malformed JSON, a number past the int/str digit
+    limit) names the path, as an OSError's text already does."""
+    try:
+        return io.loads(_read(path))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def _load_matrix(path: str):
-    return io.matrix_from_json(io.loads(_read(path)))
+    return io.matrix_from_json(_load(path))
 
 
 # Largest densities x steps x cells of a traffic diagram, and steps + bins of a tent
@@ -92,7 +103,7 @@ def _cmd_star(args) -> str:
 def _cmd_interval(args) -> str:
     from . import tropmat
 
-    im = io.interval_matrix_from_json(io.loads(_read(args.matrix)))
+    im = io.interval_matrix_from_json(_load(args.matrix))
     im = _over(im, "interval", MAX_PLUS, MIN_PLUS)
     return io.dumps(io.interval_matrix_to_json(tropmat.iv_kleene_star(im)))
 
@@ -117,7 +128,7 @@ def _cmd_project(args) -> str:
 
     m = _over(_load_matrix(args.module), "project", MAX_PLUS, MIN_PLUS, MAX_TIMES)
     v = projector.Semimodule(m)
-    x = io.vector_from_json(io.loads(_read(args.vector)))
+    x = io.vector_from_json(_load(args.vector))
     return io.dumps(io.vector_to_json(projector.project(v, x)))
 
 
@@ -176,7 +187,7 @@ def _cmd_plucker(args) -> str:
     from . import plucker
 
     if args.action == "check":
-        f = io.subset_function_from_json(io.loads(_read(args.function)))
+        f = io.subset_function_from_json(_load(args.function))
         tp = plucker.is_tp(f)
         dm = plucker.is_dmtp(f)
         body = {
@@ -189,9 +200,9 @@ def _cmd_plucker(args) -> str:
         }
         return io.dumps(body)
     if args.action == "build":
-        net = io.grid_net_from_json(io.loads(_read(args.net)))
+        net = io.grid_net_from_json(_load(args.net))
         return io.dumps(io.subset_function_to_json(plucker.flow_tp(net)))
-    obj = io.loads(_read(args.function))
+    obj = _load(args.function)
     mapping = io.subset_function_from_json(obj, partial=True)
     f = plucker.reconstruct_from_intervals(obj["n"], mapping)
     return io.dumps(io.subset_function_to_json(f))
@@ -252,7 +263,7 @@ def _cmd_traffic(args) -> str:
     from . import dynamics
 
     if args.action == "diagram":
-        cfg = io.loads(_read(args.config))
+        cfg = _load(args.config)
         build, cells = _traffic_builder(cfg)
         lo, step, count = _densities(args.densities)
         steps = _at_least(args.steps, 2, "--steps")

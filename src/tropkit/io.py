@@ -272,5 +272,5 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc

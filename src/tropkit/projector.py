@@ -13,23 +13,29 @@ from above by a max-plus linear map and from below by an exact eigenvector,
 so every reported value is certified at every dimension.
 
 Separation checks its halfspaces, which hold max-plus vectors only, on
-payload tuples: one helper decides membership with inline max-plus
-arithmetic, for `Halfspace.contains` after its tag and length checks and
-for the containment and grid checks of `separate`. `project` and the
-radius's eigenvector test share one payload projection. The boxed checks
-are the test oracle in `tests/projector_oracle.py`.
+payload tuples: one helper decides membership by two least residuals, for
+`Halfspace.contains` after its tag and length checks and for the
+containment check of `separate`. Whether the halfspaces meet outside zero
+is an exact check on the row step of `twosided`: each halfspace is a
+two-sided row on the supports that avoid its bottoms. `project` and the
+radius's eigenvector test share one payload projection. The boxed
+containment check and a support enumeration over the two-sided oracle are
+the test oracle in `tests/projector_oracle.py`.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import reduce
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch, TropkitError
+from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch
 from .semiring import MAX_PLUS, SemiringTag, TropScalar, _record, one, sr_mul, zero
 from .spectral import _cycle_time
-from .tropmat import TropMatrix, TropVector, _apply, _residual_left, from_columns, vec_residual, vector
+from .tropmat import TropMatrix, TropVector, _apply, _least_residual, _residual_left, from_columns, identity
+from .tropmat import vec_residual, vector
+from .twosided import _intersect
+
+_add, _le = MAX_PLUS.ops.add, MAX_PLUS.ops.le
 
 
 @_record
@@ -152,30 +158,41 @@ class Halfspace:
 
 
 def _in_halfspace(u: tuple, v: tuple, x: tuple) -> bool:
-    """x in {y : u/y >= v/y} u {0}, on max-plus payload tuples (None for -inf).
+    """x in {y : u/y >= v/y} u {0}, on max-plus payload tuples (None for -inf):
+    v/x <= u/x by `tropmat._least_residual`, and the zero x is in."""
+    return x.count(None) == len(x) or _le(_least_residual(v, x, MAX_PLUS), _least_residual(u, x, MAX_PLUS))
 
-    Over S = supp x, v/x is the min of v_i - x_i and u/x that of u_i - x_i,
-    each -inf when one of its terms is. So x is in when S is empty or some
-    v_i (i in S) is -inf, out when some u_i (i in S) is -inf and no v_i is,
-    and otherwise in iff min v_i - x_i <= min u_i - x_i.
+
+def _common_point(bounds: Sequence[Tuple[tuple, tuple]]) -> Optional[tuple]:
+    """A nonzero point of every halfspace {x : u/x >= v/x}, given as max-plus
+    payload pairs (u, v) of one length, or None when they meet only at zero.
+
+    With Z(w) the bottoms of w, x lies in the halfspace iff supp x meets
+    Z(v), or supp x avoids Z(u), which holds Z(v) as u <= v, and
+    (-u) x <= (-v) x, a two-sided row finite on supp x. F holds the
+    halfspaces that x may enter through Z(v); it starts as every halfspace
+    with a bottom in v. Each pass runs `twosided._intersect` with the rows
+    outside F, from the unit vectors off their Z(u), and takes x as the sum
+    of the generators left. A common point enters through Z(v) only
+    halfspaces of F, so it lies in that cone and supp x holds its support:
+    F, cut to the halfspaces whose Z(v) supp x meets, keeps them. Once F
+    stays, x is a common point; once the cone is {0}, none exists. F
+    shrinks on every pass but the last: at most len(bounds) + 1 passes.
     """
-    lo_u = lo_v = None
-    u_bottom = False
-    for ui, vi, xi in zip(u, v, x):
-        if xi is None:
-            continue
-        if vi is None:
-            return True
-        t = vi - xi
-        if lo_v is None or t < lo_v:
-            lo_v = t
-        if ui is None:
-            u_bottom = True
-        elif not u_bottom:
-            t = ui - xi
-            if lo_u is None or t < lo_u:
-                lo_u = t
-    return lo_v is None or (not u_bottom and lo_v <= lo_u)
+    free = [t for t, (_, v) in enumerate(bounds) if None in v]
+    while True:
+        held = [b for t, b in enumerate(bounds) if t not in free]
+        bottoms = {j for u, _ in held for j, uj in enumerate(u) if uj is None}
+        gens = [e for j, e in enumerate(identity(len(bounds[0][0])).payload) if j not in bottoms]
+        for u, v in held:
+            gens = _intersect(gens, *(tuple(None if w is None else -w for w in r) for r in (u, v)))
+        if not gens:
+            return None
+        x = tuple(reduce(_add, c) for c in zip(*gens))
+        kept = [t for t in free if any(xi is not None and vi is None for xi, vi in zip(x, bounds[t][1]))]
+        if kept == free:
+            return x
+        free = kept
 
 
 @_record
@@ -298,9 +315,10 @@ def separate(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:
     reported through NotSeparable. Otherwise each semimodule V_t receives
     the halfspace built from the eigenvector orbit: u = P_t(v) with v the
     stage input, following the constructive route of the separation theorem.
-    Supports are restricted to the class attaining the radius; containment
-    of each V_t is exact and the empty intersection is verified on the
-    generator grid before the halfspaces are returned.
+    Supports are restricted to the class attaining the radius. Before the
+    halfspaces are returned, containment of each V_t is checked on its
+    generators, and the empty intersection by the exact check on the row
+    step, `_common_point`; a failed check raises CertificateInvalid.
     """
     return _separate(vs, cyclic_spectral_radius(vs))
 
@@ -310,22 +328,16 @@ def _separate(vs: Sequence[Semimodule], rep: HilbertReport) -> Union[List[Halfsp
     if rep.value == one(MAX_PLUS):
         return NotSeparable(witness=rep.witness_vectors[0])
     halfspaces = _halfspaces(vs, rep)
-    # both checks run on payload tuples: the generators, then the grid of
-    # the generators and their pairwise sums, all nonzero as generators are
-    add = MAX_PLUS.ops.add
-    for v, h in zip(vs, halfspaces):
-        u, w = h.u.payload, h.v.payload
-        if not all(_in_halfspace(u, w, g) for g in zip(*v.generators.payload)):
-            raise TropkitError("separation halfspace fails to contain its semimodule")
     bounds = [(h.u.payload, h.v.payload) for h in halfspaces]
-    gens = [g for v in vs for g in zip(*v.generators.payload)]
-    sums = (tuple(map(add, a, b)) for a, b in itertools.combinations(gens, 2))
-    for x in itertools.chain(gens, sums):
-        if all(_in_halfspace(u, w, x) for u, w in bounds):
-            raise TropkitError(
-                "separation verification found a common grid point; supports "
-                "outside the attaining class are not separated by this construction"
-            )
+    for v, (u, w) in zip(vs, bounds):
+        if not all(_in_halfspace(u, w, g) for g in zip(*v.generators.payload)):
+            raise CertificateInvalid("separation halfspace fails to contain its semimodule")
+    x = _common_point(bounds)
+    if x is not None:
+        raise CertificateInvalid(
+            f"separation halfspaces share the nonzero point {TropVector._trusted(x, MAX_PLUS)!r}; "
+            "supports outside the attaining class are not separated by this construction"
+        )
     return halfspaces
 
 

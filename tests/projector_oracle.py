@@ -10,18 +10,22 @@ lives with the tests; production code runs strategy iteration on the
 projectors' min-max game in `tropkit.projector`.
 
 `separate_oracle` checks the halfspaces `separate` builds on boxed vectors:
-membership by two `vec_residual`s per point, over the generators and their
-pairwise sums as `TropVector`s. Production code runs the same checks on
-payload tuples with inline max-plus arithmetic.
+containment by two `vec_residual`s per generator, and the empty
+intersection by `common_point_oracle`, which enumerates the supports and
+solves each restricted two-sided system with the semiring-law row step
+`tests/twosided_oracle.intersect_oracle`. Production code checks
+containment on payload tuples and finds a common point by a fixed point
+over `twosided._intersect`, with no enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from typing import FrozenSet, List, Optional, Sequence, Union
 
-from tropkit.errors import CertificateInvalid, DimensionMismatch, TooLarge, TropkitError
+from tropkit.errors import CertificateInvalid, DimensionMismatch, TooLarge
 from tropkit.projector import (
     Halfspace,
     HilbertReport,
@@ -33,7 +37,9 @@ from tropkit.projector import (
     project,
 )
 from tropkit.semiring import MAX_PLUS, TropScalar, one, zero
-from tropkit.tropmat import TropVector, from_columns, vec_residual
+from tropkit.tropmat import TropVector, from_columns, vec_residual, vector
+
+from twosided_oracle import intersect_oracle
 
 Supports = List[List[FrozenSet[int]]]  # per semimodule, the support of each generator
 
@@ -153,17 +159,54 @@ def contains_oracle(h: Halfspace, x: TropVector) -> bool:
     return vec_residual(h.u, x) >= vec_residual(h.v, x)
 
 
-def _grid_points(vs: Sequence[Semimodule]) -> List[TropVector]:
-    """Generators plus pairwise sums: the falsification grid for separation."""
-    gens = [g for v in vs for g in v.generators.columns()]
-    pts = list(gens)
-    for a, b in itertools.combinations(gens, 2):
-        pts.append(a + b)
-    return pts
+def _generator_sum(rows: List[tuple], size: int) -> Sequence:
+    """The sum of the generators of {y : a y <= b y for every row (a, b)}
+    over `size` coordinates, one row at a time from the unit vectors by
+    `intersect_oracle`; all bottoms when only y = 0 solves."""
+    if not rows:
+        return [0] * size
+    gens = [tuple(0 if i == j else None for i in range(size)) for j in range(size)]
+    for a, b in rows:
+        gens = intersect_oracle(gens, a, b)
+    return reduce(TropVector.__add__, map(vector, gens)).payload if gens else [None] * size
+
+
+def common_point_oracle(halfspaces: Sequence[Halfspace]) -> Optional[TropVector]:
+    """A nonzero point of every halfspace, or None, by support enumeration.
+
+    A point x with support S lies in {y : u/y >= v/y} iff S meets the
+    bottoms of v, or S avoids the bottoms of u and x satisfies the row
+    (-u_S) x <= (-v_S) x over S. For each S, from the largest down, the
+    rows of the halfspaces whose v has no bottom on S are solved over S by
+    `_generator_sum`. The sum of the generators is a common point iff it
+    is finite on all of S. Otherwise it is finite on some T only, and every
+    common point supported inside S is supported inside T, as the rows held
+    on S are held on every subset; so the subsets of S outside T are
+    skipped. Common points are closed under sums, so the first S found
+    holds the support of every other, and its point is the one `separate`
+    reports.
+    """
+    n = len(halfspaces[0].u)
+    ruled_out = []  # (S, T): every common point supported inside S is supported inside T
+    for size in range(n, 0, -1):
+        for s in itertools.combinations(range(n), size):
+            if any(big.issuperset(s) and not t.issuperset(s) for big, t in ruled_out):
+                continue
+            held = [(h.u.payload, h.v.payload) for h in halfspaces if all(h.v.payload[i] is not None for i in s)]
+            if any(u[i] is None for u, _ in held for i in s):
+                continue
+            rows = [([-u[i] for i in s], [-v[i] for i in s]) for u, v in held]
+            x = dict(zip(s, _generator_sum(rows, size)))
+            t = {i for i, xi in x.items() if xi is not None}
+            if len(t) == size:
+                return vector([x.get(i) for i in range(n)])
+            ruled_out.append((set(s), t))
+    return None
 
 
 def separate_oracle(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:
-    """`separate` with its containment and grid checks on boxed vectors."""
+    """`separate` with its containment check on boxed vectors and its
+    common-point check by `common_point_oracle`."""
     rep = cyclic_spectral_radius(vs)
     if rep.value == one(MAX_PLUS):
         return NotSeparable(witness=rep.witness_vectors[0])
@@ -171,11 +214,11 @@ def separate_oracle(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSepar
     for v, h in zip(vs, halfspaces):
         for g in v.generators.columns():
             if not contains_oracle(h, g):
-                raise TropkitError("separation halfspace fails to contain its semimodule")
-    for x in _grid_points(vs):
-        if not x.is_zero and all(contains_oracle(h, x) for h in halfspaces):
-            raise TropkitError(
-                "separation verification found a common grid point; supports "
-                "outside the attaining class are not separated by this construction"
-            )
+                raise CertificateInvalid("separation halfspace fails to contain its semimodule")
+    x = common_point_oracle(halfspaces)
+    if x is not None:
+        raise CertificateInvalid(
+            f"separation halfspaces share the nonzero point {x!r}; "
+            "supports outside the attaining class are not separated by this construction"
+        )
     return halfspaces

@@ -58,6 +58,7 @@ from tropkit.tropmat import (
 from tropkit.twosided import InequalitySystem, check_solution, row_generators
 
 from cycle_oracle import max_cycle_mean_bruteforce
+from projector_oracle import common_point_oracle
 
 BOT = "-inf"
 
@@ -315,6 +316,7 @@ def test_criterion_06_cyclic_projector_radius_and_separation():
             for x in grid:
                 if not x.is_zero:
                     assert not all(h.contains(x) for h in result)
+            assert common_point_oracle(result) is None
     elapsed = time.perf_counter() - t0
     assert separable_seen and common_seen
     assert elapsed < 120

@@ -1,7 +1,8 @@
 """The CLI exit-code contract under mutated input files and options, in-process.
 
 Each `test_golden.py` CLI case is replayed with 1-3 JSON nodes of its
-fixture files replaced, deleted or duplicated (one file in 16 is then saved
+fixture files replaced (by values that include arrays nested thousands
+deep), deleted or duplicated (one file in 16 is then saved
 as UTF-16, whose bytes are not UTF-8), and each `traffic` case with
 1-3 of its option values replaced, options deleted or options of either
 `traffic` action added, at fixed seeds, through `cli.main` with stdout and
@@ -36,10 +37,15 @@ REQUEST_SECONDS = 10
 # json.dumps cannot write one past it, so each is inserted as its placeholder
 # string and spelled out in the file text
 HUGE_INTS = {"<4000 digits>": "9" * 4000, "<-4400 digits>": "-" + "1" * 4400, "<5000 digits>": "5" * 5000}
+# values nested 5,000 and 100,000 arrays deep, past the JSON decoder's
+# recursion limit at any stack depth (a fresh Python 3.11 fails from 1,000
+# levels); json.dumps cannot write them either, so they are spelled out the
+# same way
+DEEP = {f"<{k} levels>": "[" * k + "0" + "]" * k for k in (5000, 100000)}
 # inserted values: containers, null, floats, bools, huge ints, strings that are
 # almost numbers (an exponent, non-ASCII digits) and the spellings the readers accept
 VALUES = [
-    [], {}, None, 0.5, 1e3, True, False, 0, -1, 2, 7, 10**20, -(10**20), *HUGE_INTS, "1e3", "٣", "７",
+    [], {}, None, 0.5, 1e3, True, False, 0, -1, 2, 7, 10**20, -(10**20), *HUGE_INTS, *DEEP, "1e3", "٣", "７",
     "1/2", "-3/4", "1/0", "-inf", "+inf", "inf", "", "abc", "max-plus", "min-plus", "boolean",
     [[0]], [[0, 1], [2]], [None], {"a": 1}, [1, 2, 3],
 ]
@@ -102,8 +108,8 @@ def _request(rng, argv, tmp_path, n):
     out = list(argv)
     for i, doc in docs.items():
         text = json.dumps(doc)
-        for placeholder, digits in HUGE_INTS.items():
-            text = text.replace(json.dumps(placeholder), digits)
+        for placeholder, spelled in {**HUGE_INTS, **DEEP}.items():
+            text = text.replace(json.dumps(placeholder), spelled)
         path = tmp_path / f"{n}_{argv[i]}"
         path.write_bytes(text.encode("utf-16" if rng.randrange(16) == 0 else "utf-8"))
         out[i] = str(path)

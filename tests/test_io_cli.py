@@ -254,6 +254,17 @@ def test_cli_separate_shared_axis_ray(tmp_path):
     assert error["type"] == "NotSeparable" and error["witness"][1:] == [BOT, BOT]
 
 
+def test_cli_separate_refuses_halfspaces_that_share_a_point(tmp_path):
+    # the halfspaces built for these two rays meet outside zero: no
+    # separation is printed, and the refusal is a domain outcome, exit 1
+    v1 = write(tmp_path, "v1.json", _max_plus([[4], [BOT], [-5], [BOT], [3]]))
+    v2 = write(tmp_path, "v2.json", _max_plus([[2], [BOT], [-3], [-5], [4]]))
+    code, out, err = run_cli(["separate", "--modules", v1, v2])
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert error["type"] == "CertificateInvalid" and "share the nonzero point" in error["message"]
+
+
 def test_cli_twosided_infeasible(tmp_path):
     a = write(tmp_path, "A.json", {"semiring": "max-plus", "rows": 1, "cols": 2, "data": [[5, 5]]})
     b = write(tmp_path, "B.json", {"semiring": "max-plus", "rows": 1, "cols": 2, "data": [[1, 1]]})
@@ -556,6 +567,34 @@ def test_cli_non_utf8_file_exits_2(tmp_path):
     _assert_exit_2_in_process(["star", "--matrix", str(path)])
 
 
+def test_cli_file_nested_1000_deep_exits_2(tmp_path):
+    # json.loads of Python 3.11 raises RecursionError at 1,000 levels in a
+    # fresh interpreter; where it does not, the reader rejects the array
+    path = tmp_path / "m.json"
+    path.write_text("[" * 1000 + "]" * 1000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropkit.cli", "star", "--matrix", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("tropkit: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe{",
+    b"[[" + b"7" * 5000 + b"]]",
+    b'{"semiring": ',
+    b"[" * 100000 + b"]" * 100000,  # past the JSON decoder's recursion limit
+], ids=["not_utf8", "5000_digits", "malformed", "100000_deep"])
+def test_cli_load_errors_name_the_file(tmp_path, text):
+    # of the two files a request reads, the message names the one that failed
+    bad = tmp_path / "vector.json"
+    bad.write_bytes(text)
+    argv = ["project", "--module", os.path.join(_GOLDEN, "module.json"), "--vector", str(bad)]
+    _assert_exit_2_in_process(argv)
+    assert run_cli(argv)[2].startswith(f"tropkit: {bad}: ")
+
+
 @pytest.mark.parametrize("argv, out", [
     (["star", "--matrix", "a_maxplus.json"], "missing/out.json"),
     (["star", "--matrix", "a_maxplus.json"], "."),
@@ -617,9 +656,12 @@ _IMPORTS = {
     "eig": (["eig", "--matrix", "eig.json"], ["tropkit.spectral"]),
     "project": (
         ["project", "--module", "module.json", "--vector", "vector.json"],
-        ["tropkit.projector", "tropkit.spectral"],
+        ["tropkit.projector", "tropkit.spectral", "tropkit.twosided"],
     ),
-    "separate": (["separate", "--modules", "sep1.json", "sep2.json"], ["tropkit.projector", "tropkit.spectral"]),
+    "separate": (
+        ["separate", "--modules", "sep1.json", "sep2.json"],
+        ["tropkit.projector", "tropkit.spectral", "tropkit.twosided"],
+    ),
     "twosided": (["twosided", "--A", "ts_a.json", "--B", "ts_b.json"], ["tropkit.twosided"]),
     "invariants": (["invariants", "--matrix", "a_maxplus.json"], ["tropkit.determ"]),
     "plucker_check": (["plucker", "check", "--function", "tp.json"], ["tropkit.plucker"]),

@@ -27,7 +27,7 @@ from tropkit.projector import (
 from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar, sr_mul, zero
 from tropkit.tropmat import identity, matrix, vector
 
-from projector_oracle import contains_oracle, cyclic_spectral_radius_oracle, separate_oracle
+from projector_oracle import common_point_oracle, contains_oracle, cyclic_spectral_radius_oracle, separate_oracle
 
 BOT = "-inf"
 
@@ -310,6 +310,45 @@ def test_separation_random_finite():
     assert separable > 5
 
 
+def test_separate_refuses_halfspaces_that_meet_outside_both_semimodules():
+    # the two rays meet only at zero, but the halfspaces built for them both
+    # hold x, which lies in neither ray; the generators and their pairwise
+    # sums all miss one halfspace or the other
+    v1, v2 = semimodule([[4, BOT, -5, BOT, 3]]), semimodule([[2, BOT, -3, -5, 4]])
+    hs = projector._halfspaces([v1, v2], cyclic_spectral_radius([v1, v2]))
+    x = vector([-6, 12, -8, -6, 7])
+    assert all(h.contains(x) for h in hs)
+    assert not v1.contains(x) and not v2.contains(x)
+    gens = [g for v in (v1, v2) for g in v.generators.columns()]
+    assert not any(all(h.contains(g) for h in hs) for g in gens + [gens[0] + gens[1]])
+    with pytest.raises(CertificateInvalid, match=r"share the nonzero point \(0, 0, 0, 0, 0\)"):
+        separate([v1, v2])
+    assert common_point_oracle(hs) == vector([0] * 5)
+
+
+def test_common_point_matches_the_support_enumeration_random():
+    # n 2-7, 2-4 halfspaces with u <= v, 0-60 % bottoms, denominators up to 3
+    rng = random.Random(41)
+    draw = lambda n, share: vector(
+        [None if rng.random() < share else Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    )
+    found = {}
+    for _ in range(5000):
+        n, share = rng.randint(2, 7), rng.choice([0, 0.2, 0.4, 0.6])
+        hs = [Halfspace(u, u + draw(n, share)) for u in (draw(n, share) for _ in range(rng.randint(2, 4)))]
+        x = projector._common_point([(h.u.payload, h.v.payload) for h in hs])
+        # a returned point is checked directly, so the enumeration runs
+        # only to confirm that no point exists
+        if x is None:
+            assert common_point_oracle(hs) is None, hs
+        else:
+            x = vector(x)
+            assert not x.is_zero and all(h.contains(x) for h in hs), (hs, x)
+        found[x is not None, share] = found.get((x is not None, share), 0) + 1
+    # a common point and none both occur at every share of bottoms
+    assert len(found) == 8 and min(found.values()) >= 100
+
+
 def _rand_separation_input(rng, rational):
     """ROADMAP item 1's distribution: n 2-5, 2-3 semimodules, 1-3 generators
     in [-5, 5] with 0, 20 or 40 % bottoms; `rational` divides each finite
@@ -352,11 +391,11 @@ def test_separation_checks_match_the_boxed_oracle_random():
         vs = _rand_separation_input(rng, rational=trial % 3 == 2)
         got = _separation_outcome(separate, vs)
         assert got == _separation_outcome(separate_oracle, vs)
-        kind = got[1] if isinstance(got[0], type) else type(got[0]).__name__
+        kind = got[0].__name__ if isinstance(got[0], type) else type(got[0]).__name__
         kinds[kind] = kinds.get(kind, 0) + 1
-    # separations, NotSeparable witnesses and grid refusals all occur
+    # separations, NotSeparable witnesses and refusals of a common point all occur
     assert min(kinds.get(k, 0) for k in ("list", "NotSeparable")) >= 100
-    assert sum(v for k, v in kinds.items() if "common grid point" in k) >= 50
+    assert kinds.get("CertificateInvalid", 0) >= 50
 
 
 def test_halfspace_contains_matches_the_boxed_oracle_random():
@@ -477,6 +516,5 @@ def test_separate_rejects_halfspaces_that_miss_their_semimodule(monkeypatch):
     # generator (0, 0) is finite, so u/x = -inf < v/x and (0, 0) lies outside
     wrong = lambda vs, rep: [Halfspace(vector([BOT, 0]), vector([0, 0])) for _ in vs]
     monkeypatch.setattr(projector, "_halfspaces", wrong)
-    with pytest.raises(TropkitError) as info:
+    with pytest.raises(CertificateInvalid, match="fails to contain its semimodule"):
         separate([semimodule([[0, 0]]), semimodule([[0, 2]])])
-    assert type(info.value) is TropkitError
