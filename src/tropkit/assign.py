@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .determ import _optimal_bijections
-from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle
+from .errors import CertificateInvalid, DimensionMismatch, Divergent, ImprovingCycle, SchemaError
 from .semiring import MAX_PLUS, Payload, _rational, _record, _scaled, _unscaled
 from .tropmat import TropMatrix, TropVector, kleene_plus, matrix
 
@@ -39,11 +39,11 @@ class AssignMatrix:
         if not self.data.is_square:
             raise DimensionMismatch("assignment matrices are square")
         if not self.data.rows:
-            raise ValueError("assignment matrices are nonempty")
+            raise SchemaError("assignment matrices are nonempty")
         for name, lines in (("row", self.data.payload), ("column", zip(*self.data.payload))):
             for i, line in enumerate(lines):
                 if all(v is None for v in line):
-                    raise ValueError(f"{name} {i} has no finite entry (condition C)")
+                    raise SchemaError(f"{name} {i} has no finite entry (condition C)")
 
     @property
     def n(self) -> int:

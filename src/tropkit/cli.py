@@ -4,9 +4,11 @@ One subcommand per module family, stable exact file formats, deterministic
 byte-identical output. Exit status: 0 success, 1 domain errors (structured
 JSON error body), 2 I/O or schema errors (diagnostic on stderr). `main`
 alone maps exceptions to exit codes: a `TropkitError` gives 1, and a
-`ValueError` (`SchemaError` among them) or an `OSError`, from reading,
-computing or writing, gives 2. Every input file goes through `_load`, which
-puts the file's path before a load-time `ValueError`. Each handler imports
+`SchemaError` or an `OSError`, from reading, computing or writing, gives 2.
+Any other exception, a plain `ValueError` among them, is an internal fault
+and propagates. Every input file goes through `_load`, which turns a
+load-time `ValueError` into a `SchemaError` led by the file's path, and
+library checks of request data raise `SchemaError`. Each handler imports
 the modules it uses, so a request loads only its own subcommand's modules
 besides `io`, `errors` and `semiring`.
 argparse owns the options: each leaf parser (one per `plucker` and
@@ -23,8 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import io
-from .errors import TooLarge, TropkitError
-from .io import SchemaError
+from .errors import SchemaError, TooLarge, TropkitError
 from .semiring import MAX_PLUS, MAX_TIMES, MIN_PLUS, parse_rational
 
 
@@ -383,7 +384,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except TropkitError as exc:
             code, text = 1, io.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
         _write(args.out, text)
-    except (ValueError, OSError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"tropkit: {exc}", file=sys.stderr)
         return 2
     return code

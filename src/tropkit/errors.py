@@ -5,6 +5,12 @@ class TropkitError(Exception):
     """Base class for all domain errors raised by tropkit."""
 
 
+class SchemaError(ValueError):
+    """Input does not match the documented file schema, or asks for what
+    tropkit refuses as bad input. A ValueError and not a domain error: the
+    CLI gives it exit code 2, not 1."""
+
+
 class TagMismatch(TropkitError):
     """Operands carry different semiring tags."""
 

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
-from .errors import TooLarge
+from .errors import SchemaError, TooLarge
 from .semiring import (
     BOOLEAN,
     MAX_PLUS,
@@ -37,10 +37,6 @@ from .semiring import (
     payload_of,
 )
 from .tropmat import IntervalMatrix, TropMatrix, TropVector, interval_matrix
-
-
-class SchemaError(ValueError):
-    """Input does not match the documented file schema."""
 
 
 _TAGS = {t.value: t for t in SemiringTag}
@@ -55,7 +51,12 @@ def tag_from_name(name) -> SemiringTag:
 
 
 def fraction_to_json(x: Union[int, Fraction]) -> Union[int, str]:
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if x.denominator == 1:
+        return int(x)
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past the int/str digit limit
+        raise SchemaError(str(exc)) from exc
 
 
 def fraction_from_json(v) -> Payload:
@@ -265,8 +266,12 @@ def grid_net_from_json(obj) -> "GridFlowNet":
 
 
 def dumps(obj) -> str:
-    """Canonical deterministic JSON rendering."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical deterministic JSON rendering; an int past the int/str digit
+    limit raises SchemaError."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def loads(text: str):

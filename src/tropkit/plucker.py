@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import Inconsistent, NoFlow, TooLarge
+from .errors import Inconsistent, NoFlow, SchemaError, TooLarge
 from .semiring import Payload, _canonical, _rational, _record, _scaled, _unscaled
 
 CHECK_CAP = 8
@@ -301,13 +301,13 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
     given = {k if isinstance(k, int) else subset_mask(k, n): v for k, v in interval_values.items()}
     for m in needed:
         if m not in given:
-            raise ValueError("interval data must cover the empty set and every interval")
+            raise SchemaError("interval data must cover the empty set and every interval")
         if given[m] is None:
-            raise ValueError("interval values must be finite")
+            raise SchemaError("interval values must be finite")
         table[m] = _rational(given[m])
     extra = set(given) - set(needed)
     if extra:
-        raise ValueError("interval data mentions non-interval subsets")
+        raise SchemaError("interval data mentions non-interval subsets")
     for span in range(2, n):
         for lo in range(n - span):
             bi, bk = 1 << lo, 1 << (lo + span)

@@ -12,15 +12,16 @@ residuals' row choices (Cochet-Terrasson, Gaubert & Gunawardena) bounds it
 from above by a max-plus linear map and from below by an exact eigenvector,
 so every reported value is certified at every dimension.
 
-Separation checks its halfspaces, which hold max-plus vectors only, on
-payload tuples: one helper decides membership by two least residuals, for
-`Halfspace.contains` after its tag and length checks and for the
-containment check of `separate`. Whether the halfspaces meet outside zero
-is an exact check on the row step of `twosided`: each halfspace is a
-two-sided row on the supports that avoid its bottoms. `project` and the
-radius's eigenvector test share one payload projection. The boxed
-containment check and a support enumeration over the two-sided oracle are
-the test oracle in `tests/projector_oracle.py`.
+This module owns the semimodules, the halfspaces, their records and
+checks, and the strategy loop of the radius, the one piece that needs
+`spectral`. The payload kernels it calls belong to `tropkit._cones`: the
+projection that `project` and the game share, the game's stage helpers,
+halfspace membership for `Halfspace.contains` and the containment check of
+`separate`, and the exact check that the halfspaces meet only at zero, a
+fixed point over the two-sided row step. The game runs on payload tuples
+and boxes only the report it returns. The boxed containment check and a
+support enumeration over the two-sided oracle are the test oracle in
+`tests/projector_oracle.py`.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from __future__ import annotations
 from functools import reduce
 from typing import FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, TagMismatch
-from .semiring import MAX_PLUS, SemiringTag, TropScalar, _record, one, sr_mul, zero
+from ._cones import _choose, _common_point, _in_halfspace, _project, _push
+from .errors import CertificateInvalid, DimensionMismatch, EmptySupport, SchemaError, TagMismatch
+from .semiring import MAX_PLUS, Payload, SemiringTag, TropScalar, _record, one, zero
 from .spectral import _cycle_time
-from .tropmat import TropMatrix, TropVector, _apply, _least_residual, _residual_left, from_columns, identity
-from .tropmat import vec_residual, vector
-from .twosided import _intersect
+from .tropmat import TropMatrix, TropVector, _least_residual, from_columns, vector
 
-_add, _le = MAX_PLUS.ops.add, MAX_PLUS.ops.le
+_add, _mul = MAX_PLUS.ops.add, MAX_PLUS.ops.mul
 
 
 @_record
@@ -47,7 +47,7 @@ class Semimodule:
     def __post_init__(self):
         for j, g in enumerate(self.generators.columns()):
             if g.is_zero:
-                raise ValueError(f"generator column {j} is all zero")
+                raise SchemaError(f"generator column {j} is all zero")
 
     @property
     def tag(self) -> SemiringTag:
@@ -78,13 +78,7 @@ def project(v: Semimodule, x: TropVector) -> TropVector:
         raise DimensionMismatch("ambient dimensions differ")
     if v.tag is not x.tag:
         raise TagMismatch("semimodule and vector tags differ")
-    return TropVector._trusted(_project(v, x.payload), x.tag)
-
-
-def _project(v: Semimodule, xs: tuple) -> tuple:
-    """P_V(x) on payloads, for every tag: x's payload in, the projection's out."""
-    rows, tag = v.generators.payload, v.tag
-    return _apply(rows, _residual_left(rows, xs, tag), tag)
+    return TropVector._trusted(_project(v.generators.payload, x.payload, x.tag), x.tag)
 
 
 def cyclic_orbit(vs: Sequence[Semimodule], x0: TropVector, sweeps: int) -> List[TropVector]:
@@ -111,14 +105,16 @@ def hilbert_value(xs: Sequence[TropVector]) -> TropScalar:
     """d_H(x1, ..., xk) = (x1/x2)(x2/x3)...(xk/x1) via vector residuation."""
     if not xs:
         raise ValueError("need at least one vector")
+    if any(x.is_zero for x in xs):
+        raise EmptySupport("Hilbert value of a zero vector")
     for x in xs:
-        if x.is_zero:
-            raise EmptySupport("Hilbert value of a zero vector")
-    k = len(xs)
-    total = one(xs[0].tag)
-    for t in range(k):
-        total = sr_mul(total, vec_residual(xs[t], xs[(t + 1) % k]))
-    return total
+        xs[0]._check_same(x)
+    return TropScalar._fast(_hilbert([x.payload for x in xs], xs[0].tag), xs[0].tag)
+
+
+def _hilbert(xs: List[tuple], tag: SemiringTag) -> Payload:
+    """d_H on the payloads of nonzero vectors of one tag and length."""
+    return reduce(tag.ops.mul, [_least_residual(x, y, tag) for x, y in zip(xs, xs[1:] + xs[:1])], tag.ops.unit)
 
 
 @_record
@@ -157,81 +153,11 @@ class Halfspace:
         return _in_halfspace(self.u.payload, self.v.payload, x.payload)
 
 
-def _in_halfspace(u: tuple, v: tuple, x: tuple) -> bool:
-    """x in {y : u/y >= v/y} u {0}, on max-plus payload tuples (None for -inf):
-    v/x <= u/x by `tropmat._least_residual`, and the zero x is in."""
-    return x.count(None) == len(x) or _le(_least_residual(v, x, MAX_PLUS), _least_residual(u, x, MAX_PLUS))
-
-
-def _common_point(bounds: Sequence[Tuple[tuple, tuple]]) -> Optional[tuple]:
-    """A nonzero point of every halfspace {x : u/x >= v/x}, given as max-plus
-    payload pairs (u, v) of one length, or None when they meet only at zero.
-
-    With Z(w) the bottoms of w, x lies in the halfspace iff supp x meets
-    Z(v), or supp x avoids Z(u), which holds Z(v) as u <= v, and
-    (-u) x <= (-v) x, a two-sided row finite on supp x. F holds the
-    halfspaces that x may enter through Z(v); it starts as every halfspace
-    with a bottom in v. Each pass runs `twosided._intersect` with the rows
-    outside F, from the unit vectors off their Z(u), and takes x as the sum
-    of the generators left. A common point enters through Z(v) only
-    halfspaces of F, so it lies in that cone and supp x holds its support:
-    F, cut to the halfspaces whose Z(v) supp x meets, keeps them. Once F
-    stays, x is a common point; once the cone is {0}, none exists. F
-    shrinks on every pass but the last: at most len(bounds) + 1 passes.
-    """
-    free = [t for t, (_, v) in enumerate(bounds) if None in v]
-    while True:
-        held = [b for t, b in enumerate(bounds) if t not in free]
-        bottoms = {j for u, _ in held for j, uj in enumerate(u) if uj is None}
-        gens = [e for j, e in enumerate(identity(len(bounds[0][0])).payload) if j not in bottoms]
-        for u, v in held:
-            gens = _intersect(gens, *(tuple(None if w is None else -w for w in r) for r in (u, v)))
-        if not gens:
-            return None
-        x = tuple(reduce(_add, c) for c in zip(*gens))
-        kept = [t for t in free if any(xi is not None and vi is None for xi, vi in zip(x, bounds[t][1]))]
-        if kept == free:
-            return x
-        free = kept
-
-
 @_record
 class NotSeparable:
     """Returned when the semimodules share a nonzero point."""
 
     witness: TropVector
-
-
-def _choose(cols: Sequence[tuple], sigma: Sequence[Optional[int]], chi: list, eta: list) -> Tuple[int, ...]:
-    """Per generator g, the row i of supp g with the least residual
-    (chi_i, eta_i - g_i), bottom least and ties to the smallest i; the
-    current row (None: none yet) stays unless strictly beaten."""
-
-    def key(g, i):
-        return (0,) if chi[i] is None else (1, chi[i], eta[i] - g[i])
-
-    out = []
-    for g, cur in zip(cols, sigma):
-        best = min((i for i, v in enumerate(g) if v is not None), key=lambda i: key(g, i))
-        out.append(best if cur is None or key(g, best) < key(g, cur) else cur)
-    return tuple(out)
-
-
-def _push(cols: Sequence[tuple], sigma: Sequence[int], chi: list, eta: list) -> Tuple[list, list]:
-    """Growth rate and second-order term of M x for x = N chi + eta, N large,
-    with M[l][i] = max of g_l - g_i over the generators g with sigma(g) = i:
-    per row l, the lexicographic max of (chi_i, g_l - g_i + eta_i).
-
-    The residual's min over supp g is at most its term at row sigma(g), so
-    the stage projector is at most M pointwise.
-    """
-    best: List[Optional[tuple]] = [None] * len(chi)
-    for g, i in zip(cols, sigma):
-        if chi[i] is not None:
-            for l, gl in enumerate(g):
-                if gl is not None and (best[l] is None or (chi[i], gl - g[i] + eta[i]) > best[l]):
-                    best[l] = (chi[i], gl - g[i] + eta[i])
-    return [b and b[0] for b in best], [b and b[1] for b in best]
 
 
 def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
@@ -252,6 +178,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     S; its orbit, the witnesses, must attain r as a Hilbert value, or
     CertificateInvalid is raised. A semimodule without generators is {0},
     which sends every orbit to zero: the radius is zero, with no witnesses.
+    Every step runs on payload tuples; only the returned report is boxed.
     """
     if not vs:
         raise ValueError("need at least one semimodule")
@@ -261,11 +188,11 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     if any(v.tag is not MAX_PLUS for v in vs):
         raise ValueError("the cyclic spectral radius is provided over max-plus")
     n = next(iter(dims))
-    tag = MAX_PLUS
     if any(not v.generators.cols for v in vs):
-        return HilbertReport(zero(tag), (), frozenset())
-    cols = [list(zip(*v.generators.payload)) for v in vs]
-    eta = list(reduce(TropVector.__add__, vs[-1].generators.columns()).payload)
+        return HilbertReport(zero(MAX_PLUS), (), frozenset())
+    rows = [v.generators.payload for v in vs]
+    cols = [list(zip(*r)) for r in rows]
+    eta = [reduce(_add, r) for r in rows[-1]]
     chi, sigma = [None if v is None else 0 for v in eta], []
     for c in cols:
         sigma.append(_choose(c, [None] * len(c), chi, eta))
@@ -278,17 +205,14 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
             for c, s in zip(cols, sigma):
                 chi, eta = _push(c, s, chi, eta)
             columns[i] = eta
-        a = TropMatrix._trusted(tuple(zip(*columns)), MAX_PLUS)
-        chi, eta = _cycle_time(a)
+        chi, eta = _cycle_time(TropMatrix._trusted(tuple(zip(*columns)), MAX_PLUS))
         if all(c is None for c in chi):
-            return HilbertReport(zero(tag), (), frozenset())
-        lam = TropScalar._fast(max(c for c in chi if c is not None), tag)
-        x = TropVector._trusted(tuple(e if c == lam.value else None for c, e in zip(chi, eta)), tag)
-        orbit, y = [], x.payload
-        for v in vs:
-            y = _project(v, y)
-            orbit.append(y)
-        if y == x.scale(lam).payload:
+            return HilbertReport(zero(MAX_PLUS), (), frozenset())
+        lam = max(c for c in chi if c is not None)
+        orbit = [tuple(e if c == lam else None for c, e in zip(chi, eta))]  # x, then its images
+        for r in rows:
+            orbit.append(_project(r, orbit[-1], MAX_PLUS))
+        if orbit[-1] == tuple(_mul(lam, e) for e in orbit[0]):
             break
         seen.add(sigma)
         improved = []
@@ -299,13 +223,14 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
         if sigma in seen:
             raise CertificateInvalid("strategy iteration stalled without an eigenvector")
 
-    support = x.support()
-    inside = [g for g in vs[-1].generators.columns() if g.support() <= support]
-    c = vec_residual(reduce(TropVector.__add__, inside), x)
-    eig, witnesses = x.scale(c), tuple(TropVector._trusted(w, tag).scale(c) for w in orbit)
-    if hilbert_value(witnesses) != lam:
+    support = frozenset(i for i, e in enumerate(orbit[0]) if e is not None)
+    inside = [g for g in cols[-1] if all(i in support for i, gi in enumerate(g) if gi is not None)]
+    c = _least_residual([reduce(_add, r) for r in zip(*inside)], orbit[0], MAX_PLUS)
+    scaled = [tuple(_mul(c, e) for e in w) for w in orbit]
+    if _hilbert(scaled[1:], MAX_PLUS) != lam:
         raise CertificateInvalid("orbit witnesses fail to attain the eigenvalue")
-    return HilbertReport(lam, witnesses, support, eig)
+    eig, *witnesses = (TropVector._trusted(w, MAX_PLUS) for w in scaled)
+    return HilbertReport(TropScalar._fast(lam, MAX_PLUS), tuple(witnesses), support, eig)
 
 
 def separate(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:
@@ -345,15 +270,10 @@ def _halfspaces(vs: Sequence[Semimodule], rep: HilbertReport) -> List[Halfspace]
     """The unchecked halfspace per semimodule, for a radius below the unit:
     u = P_t(v), the report's witness w_t, with v the stage input along the
     eigenvector orbit, or v = the sum of all generators for a zero radius."""
-    halfspaces: List[Halfspace] = []
     if rep.witness_vectors:
         inputs = [rep.eigenvector] + list(rep.witness_vectors[:-1])
-        for u, vin in zip(rep.witness_vectors, inputs):
-            halfspaces.append(Halfspace(u, vin))
-    else:
-        # sum of all generators; with none at all, a finite top makes each halfspace {0}
-        gens = [g for v in vs for g in v.generators.columns()]
-        top = reduce(TropVector.__add__, gens) if gens else vector([0] * vs[0].ambient_dim, MAX_PLUS)
-        for v in vs:
-            halfspaces.append(Halfspace(project(v, top), top))
-    return halfspaces
+        return [Halfspace(u, vin) for u, vin in zip(rep.witness_vectors, inputs)]
+    # sum of all generators; with none at all, a finite top makes each halfspace {0}
+    gens = [g for v in vs for g in v.generators.columns()]
+    top = reduce(TropVector.__add__, gens) if gens else vector([0] * vs[0].ambient_dim, MAX_PLUS)
+    return [Halfspace(project(v, top), top) for v in vs]

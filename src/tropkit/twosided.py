@@ -8,18 +8,9 @@ both sides of the row are equal. A single row is this step applied once to
 the unit vectors. After every step, columns generated by the others are
 pruned, so only extreme rays remain.
 
-The steps run on raw max-plus payload tuples (None for -inf). Products and
-sums are written inline as plain comparisons, and every non-int result goes
-through `semiring._canonical`, so each value keeps its one payload. Columns
-are normalized by subtracting their first finite coordinate and compared as
-tuples. A column c lies in the span of others iff every finite c_i is
-attained by the greatest multiple of some other column below c (the
-covering criterion), which needs no projector. Extreme rays are unique up
-to scaling and generate every other column, so each distinct column is
-tested against all the others, with no dependence on order: an int support
-mask skips every column whose support is not inside c's, and the test stops
-once the attained coordinates cover c's support. The pairwise one-pass
-pruning this replaces is the test oracle in `tests/twosided_oracle.py`.
+This module owns the systems, their checks and their records. The row
+step, the pruning and the loop over the rows are payload kernels of
+`tropkit._cones`, which `projector`'s separation check runs too.
 
 Before they are returned, the generators are checked against every row on
 their payloads by the max-plus law `dot` of `semiring`, the one test
@@ -31,12 +22,12 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ._cones import Column, _generators
 from .errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
-from .semiring import MAX_PLUS, Payload, _canonical, _record
-from .tropmat import TropMatrix, TropVector, identity
+from .semiring import MAX_PLUS, _record
+from .tropmat import TropMatrix, TropVector
 
 COMBINATORIAL_CAP = 6
-Column = Tuple[Payload, ...]  # max-plus payloads, None for -inf
 _dot, _le = MAX_PLUS.ops.dot, MAX_PLUS.ops.le
 
 
@@ -82,112 +73,6 @@ def _satisfies(a_rows: Tuple[Column, ...], b_rows: Tuple[Column, ...], x: Column
     return all(_le(_dot(a, x), _dot(b, x)) for a, b in zip(a_rows, b_rows))
 
 
-def _normalize(col: Column) -> Column:
-    """Shift a nonzero column of canonical payloads so its first finite
-    coordinate is 0."""
-    for first in col:
-        if first is not None:
-            break
-    if first == 0:
-        return col
-    out = []
-    for v in col:
-        if v is not None:
-            v -= first
-            if type(v) is not int:
-                v = _canonical(v)
-        out.append(v)
-    return tuple(out)
-
-
-def _prune(cols: List[Column]) -> List[Column]:
-    """Drop duplicates of normalized columns, then each column that the
-    other distinct columns generate, by the covering criterion.
-
-    The greatest multiple of g below c is lam g with lam = min of c_i - g_i
-    over the support of g, finite only when that support lies inside c's.
-    Their sum never exceeds c, and equals it iff every finite c_i is
-    attained, lam + g_i = c_i, by some g. Extreme rays are unique up to
-    scaling and generate every other column, so testing each column against
-    all the others keeps exactly the extreme rays, in first-seen order.
-    """
-    distinct = list(dict.fromkeys(cols))
-    supports = []
-    for c in distinct:
-        mask, items = 0, []
-        for i, v in enumerate(c):
-            if v is not None:
-                mask |= 1 << i
-                items.append((1 << i, i, v))
-        supports.append((mask, items))
-    kept: List[Column] = []
-    for k, c in enumerate(distinct):
-        mask = supports[k][0]
-        covered = 0
-        for j, (g_mask, items) in enumerate(supports):
-            if j == k or g_mask & ~mask:
-                continue
-            lam = None
-            for bit, i, v in items:
-                gap = c[i] - v
-                if lam is None or gap < lam:
-                    lam, hit = gap, bit
-                elif gap == lam:
-                    hit |= bit
-            covered |= hit
-            if covered == mask:
-                break
-        else:
-            kept.append(c)
-    return kept
-
-
-def _intersect(gens: List[Column], a: Column, b: Column) -> List[Column]:
-    """Generators of {x in span(gens) : a x <= b x} for one row; gens are
-    normalized.
-
-    Each g with a g <= b g stays and, for every h with a h > b h, adds
-    (a h) g + (b g) h, whose two sides both equal (a h)(b g). When b g is
-    -inf the combination is a multiple of g, which is already kept.
-    """
-    sides = []
-    for g in gens:
-        ag = bg = None
-        for x, y, v in zip(a, b, g):
-            if v is not None:
-                if x is not None:
-                    t = x + v
-                    if ag is None or t > ag:
-                        ag = t
-                if y is not None:
-                    t = y + v
-                    if bg is None or t > bg:
-                        bg = t
-        sides.append((ag, bg))
-    over = [(h, ah) for h, (ah, bh) in zip(gens, sides) if ah is not None and (bh is None or ah > bh)]
-    out: List[Column] = []
-    for g, (ag, bg) in zip(gens, sides):
-        if ag is not None and (bg is None or ag > bg):
-            continue
-        out.append(g)
-        if bg is None:
-            continue
-        for h, ah in over:
-            col = []
-            for u, w in zip(g, h):
-                if u is None:
-                    t = None if w is None else bg + w
-                elif w is None:
-                    t = ah + u
-                else:
-                    t, q = ah + u, bg + w
-                    if q > t:
-                        t = q
-                col.append(t if t is None or type(t) is int else _canonical(t))
-            out.append(_normalize(tuple(col)))
-    return _prune(out)
-
-
 def _certified(a_rows: Tuple[Column, ...], b_rows: Tuple[Column, ...], gens: List[Column]) -> GeneratorSet:
     """Check each generator by `_satisfies`, the test `check_solution` runs,
     and raise if one fails; then box them."""
@@ -209,7 +94,7 @@ def row_generators(a: TropVector, b: TropVector) -> GeneratorSet:
         raise DimensionMismatch("row lengths differ")
     if a.tag is not MAX_PLUS or b.tag is not MAX_PLUS:
         raise TagMismatch("two-sided rows are over max-plus")
-    gens = _intersect(list(identity(len(a)).payload), a.payload, b.payload)
+    gens = _generators(len(a), [(a.payload, b.payload)])
     if not gens:
         raise Infeasible("b dominates a strictly in every coordinate; only x = 0 solves")
     return _certified((a.payload,), (b.payload,), gens)
@@ -225,9 +110,7 @@ def solve_system(s: InequalitySystem) -> GeneratorSet:
     m, n = s.rows, s.cols
     if m > COMBINATORIAL_CAP or n > COMBINATORIAL_CAP:
         raise TooLarge(f"combinatorial path is capped at {COMBINATORIAL_CAP}x{COMBINATORIAL_CAP}")
-    gens = list(identity(n).payload)
-    for a_row, b_row in zip(s.a.payload, s.b.payload):
-        gens = _intersect(gens, a_row, b_row)
+    gens = _generators(n, zip(s.a.payload, s.b.payload))
     if not gens:
         raise Infeasible("only the zero vector solves the system")
     return _certified(s.a.payload, s.b.payload, gens)

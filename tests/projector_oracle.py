@@ -15,7 +15,7 @@ intersection by `common_point_oracle`, which enumerates the supports and
 solves each restricted two-sided system with the semiring-law row step
 `tests/twosided_oracle.intersect_oracle`. Production code checks
 containment on payload tuples and finds a common point by a fixed point
-over `twosided._intersect`, with no enumeration.
+over the row step `tropkit._cones._intersect`, with no enumeration.
 """
 
 from __future__ import annotations

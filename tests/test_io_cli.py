@@ -616,6 +616,25 @@ def test_cli_q_past_the_digit_limit_exits_2(monkeypatch):
                                "--densities", "1/2:1/2:1/10"])
 
 
+def test_cli_json_answer_past_the_digit_limit_exits_2(tmp_path):
+    # the max-times permanent of two 4,000-digit entries has 8,000 digits
+    big = "9" * 4000
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"semiring": "max-times", "rows": 2, "cols": 2, "data": [[{big}, 1], [1, {big}]]}}')
+    _assert_exit_2_in_process(["invariants", "--matrix", str(path)])
+
+
+def test_cli_internal_value_error_propagates(monkeypatch):
+    # a plain ValueError from a library call is an internal fault, not bad
+    # input: main lets it through instead of exiting 2
+    def planted(build, densities, steps):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(dynamics, "fundamental_diagram", planted)
+    with pytest.raises(ValueError, match="planted"):
+        run_cli(["traffic", "diagram", "--config", os.path.join(_GOLDEN, "road.json"), "--densities", "1/2:1/2:1/10"])
+
+
 _TOO_LARGE_TRAFFIC_REQUESTS = {
     "tent_bins_1e12": ["tent", "--y0", "1/5", "--bins", str(10**12)],
     "tent_steps_1e12": ["tent", "--y0", "1/5", "--steps", str(10**12)],
@@ -656,13 +675,13 @@ _IMPORTS = {
     "eig": (["eig", "--matrix", "eig.json"], ["tropkit.spectral"]),
     "project": (
         ["project", "--module", "module.json", "--vector", "vector.json"],
-        ["tropkit.projector", "tropkit.spectral", "tropkit.twosided"],
+        ["tropkit._cones", "tropkit.projector", "tropkit.spectral"],
     ),
     "separate": (
         ["separate", "--modules", "sep1.json", "sep2.json"],
-        ["tropkit.projector", "tropkit.spectral", "tropkit.twosided"],
+        ["tropkit._cones", "tropkit.projector", "tropkit.spectral"],
     ),
-    "twosided": (["twosided", "--A", "ts_a.json", "--B", "ts_b.json"], ["tropkit.twosided"]),
+    "twosided": (["twosided", "--A", "ts_a.json", "--B", "ts_b.json"], ["tropkit._cones", "tropkit.twosided"]),
     "invariants": (["invariants", "--matrix", "a_maxplus.json"], ["tropkit.determ"]),
     "plucker_check": (["plucker", "check", "--function", "tp.json"], ["tropkit.plucker"]),
     "plucker_build": (["plucker", "build", "--net", "net.json"], ["tropkit.plucker"]),
@@ -745,6 +764,14 @@ def test_cli_subcommand_loads_only_its_modules(name):
 
 def test_io_does_not_load_plucker():
     assert _loaded_modules("import tropkit.io") == (0, sorted(m for m in _CORE if m != "tropkit.cli"))
+
+
+@pytest.mark.parametrize("module", sorted(
+    f"tropkit.{f[:-3]}" for f in os.listdir(os.path.join(_SRC, "tropkit")) if f.endswith(".py") and f != "__init__.py"
+))
+def test_each_module_imports_on_its_own(module):
+    # an import cycle fails on one side of it, in a fresh interpreter
+    assert _loaded_modules(f"import {module}")[0] == 0
 
 
 def _empty(semiring, rows, cols=0):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit import projector, spectral
+from tropkit import _cones, projector, spectral
 from tropkit.errors import (
     CertificateInvalid,
     DimensionMismatch,
@@ -24,7 +24,7 @@ from tropkit.projector import (
     semimodule,
     separate,
 )
-from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar, sr_mul, zero
+from tropkit.semiring import MAX_PLUS, MIN_PLUS, scalar, zero
 from tropkit.tropmat import identity, matrix, vector
 
 from projector_oracle import common_point_oracle, contains_oracle, cyclic_spectral_radius_oracle, separate_oracle
@@ -47,8 +47,7 @@ def test_projector_laws_random():
     rng = random.Random(11)
     for _ in range(120):
         n = rng.randint(2, 4)
-        cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
-        v = semimodule(cols)
+        v = semimodule(_random_stages(rng, n, 1, 3, rng.choice([0, 0.2, 0.4]))[0])
         x = vector([rng.randint(-5, 5) for _ in range(n)])
         p = project(v, x)
         assert p <= x
@@ -98,19 +97,22 @@ def test_radius_examples():
     assert cyclic_spectral_radius([ax1, ax2]).value == zero(MAX_PLUS)
 
 
+def _assert_certified(rep):
+    """The witnesses attain the radius; a zero radius has neither witnesses
+    nor an eigenvector."""
+    if rep.value == zero(MAX_PLUS):
+        assert (rep.witness_vectors, rep.eigenvector) == ((), None)
+    else:
+        assert hilbert_value(rep.witness_vectors) == rep.value
+
+
 def test_radius_dominates_sampled_tuples():
     rng = random.Random(12)
     for _ in range(60):
         n = rng.randint(2, 4)
-        k = rng.randint(1, 3)
-        vs = [
-            semimodule(
-                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
-            )
-            for _ in range(k)
-        ]
+        vs = [semimodule(gens) for gens in _random_stages(rng, n, rng.randint(1, 3), 3, rng.choice([0, 0.2, 0.4]))]
         rep = cyclic_spectral_radius(vs)
-        assert hilbert_value(rep.witness_vectors) == rep.value
+        _assert_certified(rep)
         for _ in range(15):
             tup = []
             for v in vs:
@@ -127,14 +129,11 @@ def test_radius_eigenvector_certificate():
     rng = random.Random(13)
     for _ in range(40):
         n = rng.randint(2, 4)
-        k = rng.randint(2, 3)
-        vs = [
-            semimodule(
-                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
-            )
-            for _ in range(k)
-        ]
+        vs = [semimodule(gens) for gens in _random_stages(rng, n, rng.randint(2, 3), 2, rng.choice([0, 0.2, 0.4]))]
         rep = cyclic_spectral_radius(vs)
+        _assert_certified(rep)
+        if rep.value == zero(MAX_PLUS):
+            continue
         y = rep.eigenvector
         z = y
         for v in vs:
@@ -160,8 +159,8 @@ def test_radius_rejects_orbit_witnesses_that_miss_the_value(monkeypatch):
 def test_radius_rejects_witnesses_whose_hilbert_value_misses(monkeypatch):
     # witnesses whose Hilbert value is off the radius fail the check, with
     # asserts stripped too
-    real = hilbert_value
-    monkeypatch.setattr(projector, "hilbert_value", lambda xs: sr_mul(real(xs), scalar(1)))
+    real = projector._hilbert
+    monkeypatch.setattr(projector, "_hilbert", lambda xs, tag: real(xs, tag) + 1)
     with pytest.raises(CertificateInvalid):
         cyclic_spectral_radius([semimodule([[0], [0]]), semimodule([[0], [2]])])
 
@@ -336,7 +335,7 @@ def test_common_point_matches_the_support_enumeration_random():
     for _ in range(5000):
         n, share = rng.randint(2, 7), rng.choice([0, 0.2, 0.4, 0.6])
         hs = [Halfspace(u, u + draw(n, share)) for u in (draw(n, share) for _ in range(rng.randint(2, 4)))]
-        x = projector._common_point([(h.u.payload, h.v.payload) for h in hs])
+        x = _cones._common_point([(h.u.payload, h.v.payload) for h in hs])
         # a returned point is checked directly, so the enumeration runs
         # only to confirm that no point exists
         if x is None:

@@ -41,7 +41,7 @@ from tropkit.dynamics import (
     traffic_light_system,
     uterm_matrix,
 )
-from tropkit.errors import BadConfig, DimensionMismatch, TagMismatch
+from tropkit.errors import BadConfig, DimensionMismatch, SchemaError, TagMismatch
 from tropkit.plucker import CheckResult, GridFlowNet, SubsetFunction, grid_net, subset_function
 from tropkit.projector import (
     Halfspace,
@@ -334,11 +334,11 @@ def test_post_init_reads_and_validates():
         (lambda: HomogeneousMap(0, ()), DimensionMismatch),
         (lambda: StandardTransform((0, 0), (), (), ()), ValueError),
         (lambda: StandardTransform((0,), (scalar(None),), (), ()), ValueError),
-        (lambda: AssignMatrix(matrix([[0, None], [None, None]])), ValueError),
+        (lambda: AssignMatrix(matrix([[0, None], [None, None]])), SchemaError),
         (lambda: AssignMatrix(matrix([[0, 1]])), DimensionMismatch),
         (lambda: InequalitySystem(matrix([[0]]), matrix([[0, 1]])), DimensionMismatch),
         (lambda: InequalitySystem(matrix([[0]], MIN_PLUS), matrix([[0]], MIN_PLUS)), TagMismatch),
-        (lambda: Semimodule(matrix([[None]])), ValueError),
+        (lambda: Semimodule(matrix([[None]])), SchemaError),
         (lambda: SubsetFunction(2, (0, 0)), ValueError),
         (lambda: GridFlowNet(1, ((((1, 1), (1, 2)), 0.5),)), TypeError),
     ]

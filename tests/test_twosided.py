@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropkit import twosided
+from tropkit import _cones, twosided
 from tropkit.errors import CertificateInvalid, DimensionMismatch, Infeasible, TagMismatch, TooLarge
 from tropkit.projector import Semimodule, project
 from tropkit.semiring import MIN_PLUS, scalar, sr_residual
@@ -98,7 +98,7 @@ def random_rows(rng, m, n):
 
 def test_unsound_generator_raises_certificate_invalid(monkeypatch):
     # skip the row step: the unit vector e_1 violates 3 + x1 <= 1 + x1
-    monkeypatch.setattr(twosided, "_intersect", lambda gens, a, b: gens)
+    monkeypatch.setattr(_cones, "_intersect", lambda gens, a, b: gens)
     with pytest.raises(CertificateInvalid):
         solve_system(InequalitySystem(matrix([[0, 3]]), matrix([[2, 1]])))
 
@@ -110,7 +110,7 @@ def test_generator_violating_only_the_last_row_raises_certificate_invalid(monkey
     s = InequalitySystem(matrix([[0, 0], [1, 0]]), matrix([[0, 0], [0, 0]]))
     assert check_solution(InequalitySystem(matrix([[0, 0]]), matrix([[0, 0]])), vector(bad))
     assert not check_solution(s, vector(bad))
-    monkeypatch.setattr(twosided, "_intersect", lambda gens, a, b: [bad])
+    monkeypatch.setattr(_cones, "_intersect", lambda gens, a, b: [bad])
     with pytest.raises(CertificateInvalid):
         solve_system(s)
     with pytest.raises(CertificateInvalid):
@@ -259,7 +259,7 @@ def test_row_step_matches_payload_oracle_random():
         gens = list(identity(n).payload)
         for _ in range(m):
             a, b = row(), row()
-            got, want = twosided._intersect(gens, a, b), intersect_oracle(gens, a, b)
+            got, want = _cones._intersect(gens, a, b), intersect_oracle(gens, a, b)
             assert got == want and payload_types(got) == payload_types(want)
             gens, steps = got, steps + 1
             if not gens:
