@@ -60,7 +60,7 @@ def bideterminant(a: TropMatrix) -> Bideterminant:
         raise TooLarge(f"bideterminant DP capped at n <= {BIDETERMINANT_CAP}")
     if a.tag is MAX_PLUS or a.tag is MIN_PLUS:
         plus, minus = _plus_bideterminant(a.payload, -1 if a.tag is MIN_PLUS else 1)
-        return Bideterminant(TropScalar._fast(plus, a.tag), TropScalar._fast(minus, a.tag))
+        return Bideterminant(TropScalar._trusted(plus, a.tag), TropScalar._trusted(minus, a.tag))
     ops, rows, full = a.tag.ops, a.payload, (1 << n) - 1
     add, mul = ops.add, ops.mul
     even, odd = [ops.zero] * (full + 1), [ops.zero] * (full + 1)
@@ -75,7 +75,7 @@ def bideterminant(a: TropMatrix) -> Bideterminant:
                 pe, po = po, pe
             t = mask | 1 << j
             even[t], odd[t] = add(even[t], pe), add(odd[t], po)
-    return Bideterminant(TropScalar._fast(even[full], a.tag), TropScalar._fast(odd[full], a.tag))
+    return Bideterminant(TropScalar._trusted(even[full], a.tag), TropScalar._trusted(odd[full], a.tag))
 
 
 def _plus_bideterminant(rows: Sequence[Sequence], sign: int) -> Tuple:
@@ -239,7 +239,7 @@ def permanent(a: TropMatrix) -> TropScalar:
     """
     if not a.is_square:
         raise DimensionMismatch("permanent needs a square matrix")
-    return TropScalar._fast(_permanent_of(a.payload, a.tag), a.tag)
+    return TropScalar._trusted(_permanent_of(a.payload, a.tag), a.tag)
 
 
 def rook_coefficients(a: TropMatrix) -> List[TropScalar]:
@@ -257,7 +257,7 @@ def rook_coefficients(a: TropMatrix) -> List[TropScalar]:
     for k in range(1, min(m, n) + 1):
         padded = [list(row) + [unit] * (m - k) for row in a.payload]
         padded += [[unit] * n + [zero] * (m - k)] * (n - k)
-        out.append(TropScalar._fast(_permanent_of(padded, a.tag), a.tag))
+        out.append(TropScalar._trusted(_permanent_of(padded, a.tag), a.tag))
     return out
 
 

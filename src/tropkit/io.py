@@ -10,7 +10,8 @@ false, and a CSV cell, stripped of spaces, is the JSON value it spells or
 else a string. Parsing is strict:
 malformed payloads, JSON null, floats, strings other than "p" or "p/q" in
 ASCII digits and the file's own bottom, a "semiring" value that is not a
-known name (whatever its JSON type), mask keys other than a binary,
+known name (whatever its JSON type), counts ("rows", "cols", "n") that are
+not JSON integers (true and 1.0 included), mask keys other than a binary,
 octal, hex or decimal literal in ASCII digits (no "_", sign or spaces), and
 edge keys other than four ASCII-digit coordinates raise SchemaError, which
 the CLI maps to exit code 2. Subset functions and flow nets above the plucker
@@ -109,6 +110,8 @@ def matrix_from_json(obj) -> TropMatrix:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise SchemaError(f"matrix payload missing key {exc}") from exc
+    if not all(type(k) is int and k >= 0 for k in (rows, cols)):
+        raise SchemaError("matrix rows and cols must be integers >= 0")
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError("matrix data does not match the declared row count")
     for row in data:
@@ -214,7 +217,7 @@ def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFuncti
     if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
         raise SchemaError("subset function payload needs 'n' and 'values'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a bool is no count
         raise SchemaError("ground-set size must be a positive integer")
     if not isinstance(obj["values"], dict):
         raise SchemaError("subset function values must be an object")
@@ -245,7 +248,7 @@ def grid_net_from_json(obj) -> "GridFlowNet":
     if not isinstance(obj, dict) or "n" not in obj:
         raise SchemaError("flow net payload needs 'n'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # a bool is no count
         raise SchemaError("grid size must be a positive integer")
     given = obj.get("weights", {})
     if not isinstance(given, dict):

@@ -109,7 +109,7 @@ def hilbert_value(xs: Sequence[TropVector]) -> TropScalar:
         raise EmptySupport("Hilbert value of a zero vector")
     for x in xs:
         xs[0]._check_same(x)
-    return TropScalar._fast(_hilbert([x.payload for x in xs], xs[0].tag), xs[0].tag)
+    return TropScalar._trusted(_hilbert([x.payload for x in xs], xs[0].tag), xs[0].tag)
 
 
 def _hilbert(xs: List[tuple], tag: SemiringTag) -> Payload:
@@ -230,7 +230,7 @@ def cyclic_spectral_radius(vs: Sequence[Semimodule]) -> HilbertReport:
     if _hilbert(scaled[1:], MAX_PLUS) != lam:
         raise CertificateInvalid("orbit witnesses fail to attain the eigenvalue")
     eig, *witnesses = (TropVector._trusted(w, MAX_PLUS) for w in scaled)
-    return HilbertReport(TropScalar._fast(lam, MAX_PLUS), tuple(witnesses), support, eig)
+    return HilbertReport(TropScalar._trusted(lam, MAX_PLUS), tuple(witnesses), support, eig)
 
 
 def separate(vs: Sequence[Semimodule]) -> Union[List[Halfspace], NotSeparable]:

@@ -33,6 +33,12 @@ numeric order. It is a chain, so `TropScalar` defines only `<=` and derives
 the constructor, equality, hash and repr `dataclasses` would give it but
 none of its per-method `exec` or its import of `inspect`; every value
 class of the package, `TropScalar` and `PayloadOps` here included, is one.
+It also gives each record the one trusted constructor, `_trusted(*values)`,
+through which kernels box the payloads they computed unchecked, and the one
+copy protocol: `copy`, `deepcopy` and `pickle` rebuild a record from its
+fields through `_trusted`. `_trusted` writes fields with
+`object.__setattr__`, so a record may keep its fields in `__slots__`, as
+`TropVector` and `TropMatrix` do.
 """
 
 from __future__ import annotations
@@ -280,14 +286,39 @@ def _record(cls):
       attribute on an instance of cls itself; an undecorated subclass may set
       attributes that are not fields.
 
-    A method the class defines itself is kept. Constructors and
-    `__post_init__` write fields through `object.__setattr__` or `__dict__`.
+    Two more methods carry a record's value without re-reading it:
+
+    - the classmethod `_trusted(*values)` builds an instance from its field
+      values in field order, without `__init__` or `__post_init__`: a kernel
+      boxes the payloads it computed there, and nothing is checked or copied
+      but their count, which must match the fields (else ValueError);
+    - `__reduce__` rebuilds a record through `_trusted`, for `copy`,
+      `deepcopy` and `pickle`. It carries the fields alone: an attribute an
+      undecorated subclass set and a `cached_property` cache (such as
+      `HomogeneousMap._compiled`) are not part of the value, so a copy drops
+      them and rebuilds a cache on first use.
+
+    `_trusted` writes each field with `object.__setattr__`, which fills a
+    `__slots__` entry and an instance `__dict__` alike, so a record may
+    declare its fields as slots (`TropVector` and `TropMatrix` do). A method
+    the class defines itself is kept. Constructors and `__post_init__` write
+    fields through `object.__setattr__` or `__dict__`.
     """
     inherited = getattr(cls, "_fields", ())
     names = inherited + tuple(n for n in cls.__dict__.get("__annotations__", ()) if n not in inherited)
     get = operator.attrgetter(*names)
     key = get if len(names) > 1 else lambda self: (get(self),)
     post_init = hasattr(cls, "__post_init__")
+    new, put = object.__new__, object.__setattr__
+
+    def _trusted(cls, *values):
+        obj = new(cls)
+        for name, value in zip(names, values, strict=True):
+            put(obj, name, value)
+        return obj
+
+    def __reduce__(self):
+        return self._trusted, key(self)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
@@ -317,7 +348,7 @@ def _record(cls):
             raise AttributeError(f"cannot delete field {name!r}")
         super(cls, self).__delattr__(name)
 
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+    for method in (classmethod(_trusted), __reduce__, __init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         if method.__name__ not in cls.__dict__:
             setattr(cls, method.__name__, method)
     cls._fields = cls.__match_args__ = names
@@ -382,7 +413,7 @@ def sr_add(a: TropScalar, b: TropScalar) -> TropScalar:
 def sr_mul(a: TropScalar, b: TropScalar) -> TropScalar:
     """a * b in the tagged semiring; the zero is absorbing."""
     a.same_tag(b)
-    return TropScalar._fast(a.tag.ops.mul(a.value, b.value), a.tag)
+    return TropScalar._trusted(a.tag.ops.mul(a.value, b.value), a.tag)
 
 
 def sr_residual(x: TropScalar, y: TropScalar) -> TropScalar:
@@ -391,7 +422,7 @@ def sr_residual(x: TropScalar, y: TropScalar) -> TropScalar:
     Subtraction in max-plus and min-plus, division in max-times.
     """
     x.same_tag(y)
-    return TropScalar._fast(x.tag.ops.residual(x.value, y.value), x.tag)
+    return TropScalar._trusted(x.tag.ops.residual(x.value, y.value), x.tag)
 
 
 def sr_star(a: TropScalar) -> TropScalar:
@@ -416,15 +447,6 @@ class TropScalar:
 
     def __post_init__(self):
         object.__setattr__(self, "value", payload_of(self.value, self.tag))
-
-    @classmethod
-    def _fast(cls, value, tag: SemiringTag) -> "TropScalar":
-        """Internal constructor for payloads already in canonical form."""
-        obj = object.__new__(cls)
-        fields = obj.__dict__  # written directly: the record is frozen
-        fields["value"] = value
-        fields["tag"] = tag
-        return obj
 
     # -- structure ---------------------------------------------------------
 
@@ -461,15 +483,15 @@ class TropScalar:
 
 def scalar(value: ScalarLike, tag: SemiringTag = MAX_PLUS) -> TropScalar:
     """Convenience constructor accepting ints, Fractions, "p/q", bottoms."""
-    return TropScalar._fast(payload_of(value, tag), tag)
+    return TropScalar._trusted(payload_of(value, tag), tag)
 
 
 def zero(tag: SemiringTag) -> TropScalar:
-    return TropScalar._fast(tag.ops.zero, tag)
+    return TropScalar._trusted(tag.ops.zero, tag)
 
 
 def one(tag: SemiringTag) -> TropScalar:
-    return TropScalar._fast(tag.ops.unit, tag)
+    return TropScalar._trusted(tag.ops.unit, tag)
 
 
 @_record
@@ -483,15 +505,6 @@ class Interval:
         self.lo.same_tag(self.hi)
         if not self.lo <= self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo!r}, {self.hi!r}")
-
-    @classmethod
-    def _trusted(cls, lo: TropScalar, hi: TropScalar) -> "Interval":
-        """Internal constructor for same-tag endpoints known to be in order."""
-        obj = object.__new__(cls)
-        fields = obj.__dict__  # written directly: the record is frozen
-        fields["lo"] = lo
-        fields["hi"] = hi
-        return obj
 
     @property
     def tag(self) -> SemiringTag:

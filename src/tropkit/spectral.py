@@ -43,7 +43,7 @@ def max_cycle_mean(a: TropMatrix) -> TropScalar:
     """
     _check_spectral_tag(a)
     sign, chi, _, scale, _ = _howard(a)
-    return TropScalar._fast(sign * _unscaled(_best(chi), scale), a.tag)
+    return TropScalar._trusted(sign * _unscaled(_best(chi), scale), a.tag)
 
 
 def _best(chi: list) -> int:
@@ -102,7 +102,7 @@ def spectral_analysis(a: TropMatrix) -> SpectralResult:
         dist = _dijkstra_toward(r, into)
         payload = (None if d is None else sign * _unscaled(d + eta[i] - eta[r], scale) for i, d in enumerate(dist))
         gens.append(TropVector._trusted(tuple(payload), a.tag))
-    lam_value = TropScalar._fast(sign * _unscaled(lam, scale), a.tag)
+    lam_value = TropScalar._trusted(sign * _unscaled(lam, scale), a.tag)
     return SpectralResult(lam_value, frozenset().union(*classes), edges, classes, tuple(gens))
 
 
@@ -257,10 +257,10 @@ def collatz_wielandt_certificate(a: TropMatrix) -> Tuple[TropScalar, TropVector]
     n = -min([0] + [(lam + eta[i] - v - eta[j]) // (chi[i] - chi[j])
                     for i, row in enumerate(succ) for j, v in row if chi[j] < chi[i]])
     u = TropVector._trusted(tuple(sign * _unscaled(e + n * c, scale) for e, c in zip(eta, chi)), a.tag)
-    lam_value = TropScalar._fast(sign * _unscaled(lam, scale), a.tag)
+    lam_value = TropScalar._trusted(sign * _unscaled(lam, scale), a.tag)
     ops = a.tag.ops
     residuals = map(ops.residual, a.apply(u).payload, u.payload)
-    witnessed = TropScalar._fast(reduce(ops.add, residuals), a.tag)
+    witnessed = TropScalar._trusted(reduce(ops.add, residuals), a.tag)
     if witnessed != lam_value:
         raise CertificateInvalid(f"witness attains {witnessed!r}, not the eigenvalue {lam_value!r}")
     return lam_value, u

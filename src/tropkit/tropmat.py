@@ -6,10 +6,11 @@ The public constructors accept any scalar-like entries, same-tag
 `TropScalar`s included, and read each row through `semiring.payloads_of`:
 `payload_of` per entry, unless the whole row already is canonical (ints
 and None under max-plus), which one pass over its types decides. Kernels
-build their results from payloads they computed through the private
-trusted constructor `_trusted`, which checks nothing. Indexing, `row`,
-`column` and `entries` box `TropScalar`s on demand, for callers at the
-edges.
+build their results from payloads they computed through the trusted
+constructor `_trusted` that `semiring._record` gives every record, which
+checks nothing. Both classes keep their two fields in `__slots__`, so an
+instance holds no `__dict__`. Indexing, `row`, `column` and `entries` box
+`TropScalar`s on demand, for callers at the edges.
 
 Every kernel (product, sum, scaling, order, left residuation) picks its
 tag's `PayloadOps` once per call. The product and `apply` sum products by
@@ -61,39 +62,19 @@ from .semiring import (
 
 
 def _boxed(values: Iterable[Payload], tag: SemiringTag) -> Tuple[TropScalar, ...]:
-    return tuple(TropScalar._fast(v, tag) for v in values)
-
-
-class _PayloadBacked:
-    """Frozen `payload` and `tag` slots, set once by a constructor."""
-
-    __slots__ = ("payload", "tag")
-
-    def _fill(self, payload, tag: SemiringTag):
-        # through object.__setattr__: the records are frozen
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "tag", tag)
-        return self
-
-    @classmethod
-    def _trusted(cls, payload, tag: SemiringTag):
-        """Wrap payloads a kernel computed; nothing is checked or copied."""
-        return object.__new__(cls)._fill(payload, tag)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through `_trusted`: the slots are frozen
-        return self._trusted, (self.payload, self.tag)
+    return tuple(TropScalar._trusted(v, tag) for v in values)
 
 
 @_record
-class TropVector(_PayloadBacked):
-    __slots__ = ()
+class TropVector:
+    __slots__ = ("payload", "tag")
 
     payload: Tuple[Payload, ...]
     tag: SemiringTag
 
     def __init__(self, entries: Iterable[ScalarLike], tag: SemiringTag):
-        self._fill(payloads_of(entries, tag), tag)
+        object.__setattr__(self, "payload", payloads_of(entries, tag))  # the record is frozen
+        object.__setattr__(self, "tag", tag)
 
     @property
     def entries(self) -> Tuple[TropScalar, ...]:
@@ -103,7 +84,7 @@ class TropVector(_PayloadBacked):
         return len(self.payload)
 
     def __getitem__(self, i: int) -> TropScalar:
-        return TropScalar._fast(self.payload[i], self.tag)
+        return TropScalar._trusted(self.payload[i], self.tag)
 
     def support(self) -> frozenset:
         zero = self.tag.ops.zero
@@ -181,7 +162,7 @@ def vec_residual(x: TropVector, y: TropVector) -> TropScalar:
     vector has no residual (empty support).
     """
     x._check_same(y)
-    return TropScalar._fast(_least_residual(x.payload, y.payload, x.tag), x.tag)
+    return TropScalar._trusted(_least_residual(x.payload, y.payload, x.tag), x.tag)
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -195,8 +176,8 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 
 @_record
-class TropMatrix(_PayloadBacked):
-    __slots__ = ()
+class TropMatrix:
+    __slots__ = ("payload", "tag")
 
     payload: Tuple[Tuple[Payload, ...], ...]
     tag: SemiringTag
@@ -205,7 +186,8 @@ class TropMatrix(_PayloadBacked):
         payload = tuple([payloads_of(row, tag) for row in entries])
         if len({len(r) for r in payload}) > 1:
             raise DimensionMismatch("ragged rows")
-        self._fill(payload, tag)
+        object.__setattr__(self, "payload", payload)  # the record is frozen
+        object.__setattr__(self, "tag", tag)
 
     @property
     def entries(self) -> Tuple[Tuple[TropScalar, ...], ...]:
@@ -225,7 +207,7 @@ class TropMatrix(_PayloadBacked):
 
     def __getitem__(self, ij: Tuple[int, int]) -> TropScalar:
         i, j = ij
-        return TropScalar._fast(self.payload[i][j], self.tag)
+        return TropScalar._trusted(self.payload[i][j], self.tag)
 
     def row(self, i: int) -> TropVector:
         return TropVector._trusted(self.payload[i], self.tag)
@@ -461,13 +443,6 @@ class IntervalMatrix:
             lo, hi = next((lo, hi) for lo, hi in pairs if not lo <= hi)
             raise ValueError(f"interval endpoints out of order: {lo!r}, {hi!r}")
 
-    @classmethod
-    def _trusted(cls, lo: TropMatrix, hi: TropMatrix) -> "IntervalMatrix":
-        """Wrap endpoints a kernel computed in order; nothing is checked."""
-        out = object.__new__(cls)
-        out.__dict__.update(lo=lo, hi=hi)  # written directly: the record is frozen
-        return out
-
     @property
     def tag(self) -> SemiringTag:
         return self.lo.tag
@@ -491,8 +466,8 @@ class IntervalMatrix:
     def __getitem__(self, ij: Tuple[int, int]) -> Interval:
         i, j = ij
         tag = self.lo.tag
-        lo = TropScalar._fast(self.lo.payload[i][j], tag)
-        return Interval._trusted(lo, TropScalar._fast(self.hi.payload[i][j], tag))
+        lo = TropScalar._trusted(self.lo.payload[i][j], tag)
+        return Interval._trusted(lo, TropScalar._trusted(self.hi.payload[i][j], tag))
 
     def contains(self, m: TropMatrix) -> bool:
         return self.lo <= m and m <= self.hi

@@ -167,7 +167,7 @@ def spectral_analysis_closure(a: TropMatrix) -> SpectralResult:
     class.
     """
     lam = max_cycle_mean(a)
-    normalized = a.scale(TropScalar._fast(-lam.value, a.tag))
+    normalized = a.scale(TropScalar._trusted(-lam.value, a.tag))
     star = closure_oracle(normalized)  # the plus-closure until the unit diagonal is set
     nodes = frozenset(i for i, row in enumerate(star) if row[i] == 0)
     for i, row in enumerate(star):

@@ -421,6 +421,12 @@ _BAD_MATRIX_REQUESTS = {
         "project", "--module", os.path.join(_GOLDEN, "a_boolean.json"),
         "--vector", {"semiring": "boolean", "data": [True, False, True]},
     ],
+    # "rows" and "cols" are JSON integers >= 0, also when there are no rows
+    "star_rows_float_cols_true": ["star", "--matrix", {"semiring": "max-plus", "rows": 1.0, "cols": True,
+                                                       "data": [[0]]}],
+    "star_no_rows_cols_string": ["star", "--matrix", {"semiring": "max-plus", "rows": 0, "cols": "x", "data": []}],
+    "interval_cols_true": ["interval", "--matrix", {"semiring": "max-plus", "rows": 1, "cols": True,
+                                                    "lo": [[0]], "hi": [[1]]}],
 }
 # a "semiring" that is no name, of every JSON type; a list or an object used to
 # raise TypeError (unhashable) out of the name lookup
@@ -514,6 +520,10 @@ _BAD_PLUCKER_REQUESTS = {
     "check_spaced_mask_key": [
         "check", "--function", {"n": 2, "values": {"0b0": 0, "0b1": 1, "0b10": 2, " 3 ": 3}},
     ],
+    # a count is a JSON integer: true and 1.0 used to be read as 1
+    "reconstruct_n_true": ["reconstruct", "--function", {"n": True, "values": {"0b0": 0, "0b1": 1}}],
+    "check_n_float": ["check", "--function", {"n": 1.0, "values": {"0b0": 0, "0b1": 1}}],
+    "build_n_true": ["build", "--net", {"n": True, "weights": {}}],
 }
 
 
@@ -866,7 +876,20 @@ def test_cli_groups_need_an_action_and_take_no_options(argv):
     (lambda: tio.grid_net_from_json({"n": 9}), TooLarge),
     # grid_net's ValueError for an edge off the grid comes back as a SchemaError
     (lambda: tio.grid_net_from_json({"n": 2, "weights": {"5,5->5,6": 1}}), tio.SchemaError),
-], ids=["subset-key-range", "subset-cap", "net-cap", "net-off-grid-edge"])
+    # a count is a JSON integer: neither a bool nor an integral float
+    (lambda: tio.subset_function_from_json({"n": True, "values": {"0b0": 0, "0b1": 1}}), tio.SchemaError),
+    (lambda: tio.subset_function_from_json({"n": 1.0, "values": {"0b0": 0}}), tio.SchemaError),
+    (lambda: tio.grid_net_from_json({"n": True, "weights": {}}), tio.SchemaError),
+    (lambda: tio.grid_net_from_json({"n": 2.0, "weights": {}}), tio.SchemaError),
+    (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 1.0, "cols": True, "data": [[0]]}),
+     tio.SchemaError),
+    (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 1, "cols": True, "data": [[0]]}),
+     tio.SchemaError),
+    (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 0, "cols": "x", "data": []}), tio.SchemaError),
+    (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 0, "cols": -1, "data": []}), tio.SchemaError),
+], ids=["subset-key-range", "subset-cap", "net-cap", "net-off-grid-edge", "subset-n-true", "subset-n-float",
+        "net-n-true", "net-n-float", "matrix-rows-float-cols-true", "matrix-cols-true", "matrix-cols-string",
+        "matrix-cols-negative"])
 def test_io_input_checks_raise(call, error):
     with pytest.raises(error) as info:
         call()

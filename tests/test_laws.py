@@ -1,0 +1,100 @@
+"""Metamorphic laws: each relates a call on one matrix to a call on a
+transformed matrix, over the seeded matrices of `inputs.square_matrices`.
+
+- min-plus(A) = -max-plus(-A) for the permanent, the rook coefficients,
+  both sums of the bideterminant, tropical singularity and the Kleene star,
+  its Divergent verdict included;
+- permanent(A + c) = permanent(A) + n c;
+- max_cycle_mean(A + c) = max_cycle_mean(A) + c, NoCycle included;
+- P A P^T has the eigenvalue of A, by `max_cycle_mean` and by
+  `spectral_analysis`, whose critical nodes are those of A renumbered.
+
+A + c adds c to every finite entry. The laws compare the payloads of boxed
+results across tags, and every payload must be canonical, so they also
+check the scalars the kernels box.
+"""
+
+import random
+
+import pytest
+from inputs import rational, square_matrices
+from result_leaves import is_canonical, numbers
+
+from tropkit.determ import Bideterminant, bideterminant, is_trop_singular, permanent, rook_coefficients
+from tropkit.errors import Divergent, NoCycle
+from tropkit.semiring import MAX_PLUS, MIN_PLUS, TropScalar
+from tropkit.spectral import max_cycle_mean, spectral_analysis
+from tropkit.tropmat import TropMatrix, kleene_star, matrix
+
+_CASES = square_matrices(18, 600)
+
+
+def _payloads(result):
+    """The payload tree of a result: scalars, matrices and bideterminants
+    become their payloads, lists become tuples, and a bool stays."""
+    if isinstance(result, TropScalar):
+        return result.value
+    if isinstance(result, TropMatrix):
+        return result.payload
+    if isinstance(result, Bideterminant):
+        return result.plus.value, result.minus.value
+    if isinstance(result, (list, tuple)):
+        return tuple(map(_payloads, result))
+    return result
+
+
+def _negated(tree):
+    if type(tree) is bool:
+        return tree
+    if isinstance(tree, (list, tuple)):
+        return tuple(map(_negated, tree))
+    return None if tree is None else -tree
+
+
+def _shifted(rows, c):
+    return [[None if v is None else v + c for v in row] for row in rows]
+
+
+def _outcome(fn, a):
+    """("returns", the payload tree of fn(a)) or ("raises", the verdict's type)."""
+    try:
+        result = _payloads(fn(a))
+    except (Divergent, NoCycle) as exc:
+        return "raises", type(exc)
+    assert all(map(is_canonical, numbers(result)))
+    return "returns", result
+
+
+@pytest.mark.parametrize("fn", [permanent, rook_coefficients, bideterminant, is_trop_singular, kleene_star],
+                         ids=lambda fn: fn.__name__)
+def test_min_plus_is_negated_max_plus(fn):
+    for rows in _CASES:
+        kind, result = _outcome(fn, matrix(rows, MAX_PLUS))
+        expected = (kind, _negated(result) if kind == "returns" else result)
+        assert _outcome(fn, matrix(_negated(rows), MIN_PLUS)) == expected, rows
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS], ids=lambda tag: tag.value)
+def test_permanent_and_cycle_mean_shift_with_the_entries(tag):
+    rng = random.Random(f"shift-{tag.value}")
+    for rows in _CASES:
+        c = rational(rng)
+        a, b = matrix(rows, tag), matrix(_shifted(rows, c), tag)
+        perm = permanent(a).value
+        assert _outcome(permanent, b) == ("returns", None if perm is None else perm + len(rows) * c), (rows, c)
+        kind, lam = _outcome(max_cycle_mean, a)
+        assert _outcome(max_cycle_mean, b) == (kind, lam + c if kind == "returns" else lam), (rows, c)
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS], ids=lambda tag: tag.value)
+def test_permuted_matrix_has_the_same_eigenvalue(tag):
+    rng = random.Random(f"permute-{tag.value}")
+    for rows in _CASES:
+        p = rng.sample(range(len(rows)), len(rows))  # node i of P A P^T is node p[i] of A
+        a, b = matrix(rows, tag), matrix([[rows[i][j] for j in p] for i in p], tag)
+        kind, lam = _outcome(max_cycle_mean, a)
+        assert _outcome(max_cycle_mean, b) == (kind, lam), (rows, p)
+        if kind == "returns":
+            ra, rb = spectral_analysis(a), spectral_analysis(b)
+            assert rb.eigenvalue == ra.eigenvalue == TropScalar(lam, tag), (rows, p)
+            assert {p[i] for i in rb.critical_nodes} == ra.critical_nodes, (rows, p)

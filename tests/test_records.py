@@ -209,6 +209,13 @@ def test_record_fields_repr_and_equality(cls):
     a, again, b = sample(0), sample(0), sample(1)
     assert type(a) is cls and cls._fields == _FIELDS[cls.__name__]
     assert repr(a) == _REPRS[cls.__name__]
+    # the generated trusted constructor takes the field values in field order
+    trusted = cls._trusted(*_values(a))
+    assert type(trusted) is cls and trusted == a and _values(trusted) == _values(a)
+    # ... and refuses a value list of the wrong length at the call
+    for wrong in (_values(a)[:-1], (*_values(a), None)):
+        with pytest.raises(ValueError):
+            cls._trusted(*wrong)
     assert a is not again and a == again and not a != again
     assert a != b and not a == b
     # == holds only between instances of one class
@@ -256,6 +263,14 @@ def test_plain_subclass_sets_only_attributes_that_are_not_fields():
         before = _values(a)
         a.note = 1
         assert a.note == 1
+        X, D = list(range(a.dim)), 2
+        stepped = a.step(X, D)  # fills the `_compiled` cache
+        # a copy keeps the class and the fields; an attribute that is not a
+        # field and a cached_property cache are not part of the value
+        for b in (copy.copy(a), copy.deepcopy(a)):
+            assert type(b) is type(a) and _values(b) == _values(a) and b == a
+            assert not hasattr(b, "note") and "_compiled" not in vars(b)
+            assert b.step(X, D) == stepped
         del a.note
         assert not hasattr(a, "note")
         for name in a._fields:
@@ -269,9 +284,13 @@ def test_plain_subclass_sets_only_attributes_that_are_not_fields():
 @pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__name__)
 def test_record_copies_equal_the_original(cls):
     a = _SAMPLES[cls](0)
-    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    copies = [copy.copy(a), copy.deepcopy(a)]
     if cls is not EigenReduction:  # its sample holds builtins, but real ones hold closures
-        assert pickle.loads(pickle.dumps(a)) == a
+        copies.append(pickle.loads(pickle.dumps(a)))
+    for b in copies:
+        assert type(b) is cls and b == a and _outcome(lambda: hash(b)) == _outcome(lambda: hash(a))
+        assert list(map(type, _values(b))) == list(map(type, _values(a)))
+        assert hasattr(b, "__dict__") == hasattr(a, "__dict__")
 
 
 @pytest.mark.parametrize("cls", sorted(set(_CLASSES) - {TropVector, TropMatrix}, key=lambda c: c.__name__),
@@ -344,6 +363,8 @@ def test_post_init_reads_and_validates():
     ]
     for fn, exc in cases:
         assert _outcome(fn) == ("raises", exc)
+    # trusted means unchecked: the record the constructor refuses is built as given
+    assert _values(Interval._trusted(scalar(2), scalar(1))) == (scalar(2), scalar(1))
     light = traffic_light_system(2, 2, [0], [1])
     with pytest.raises(DimensionMismatch):
         T1HSystem(light.c, light.a_of_u, light.b_of_u, light.u0, light.x0[1:])

@@ -79,6 +79,21 @@ def test_no_dataclasses_import_in_src():
     assert not found, "\n".join(found)
 
 
+def _is_object_new(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_trusted_records_built_only_by_semiring_record():
+    # `_record` writes the one trusted constructor of every record class;
+    # `object.__new__` anywhere else is a hand-written second one
+    record = next(node for node in _tree(Path("src/tropkit/semiring.py")).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_record")
+    allowed = {id(node) for node in ast.walk(record)}
+    found = _found(("src",), lambda node: _is_object_new(node) and id(node) not in allowed)
+    assert not found, "\n".join(found)
+
+
 def test_no_true_division_in_src():
     # `/` on two ints is a float; exact quotients are built as Fractions
     found = _found(("src",), lambda node: isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
