@@ -11,7 +11,8 @@ tight graph, the components with such an edge are the critical classes, and
 the generator of a class (the normalized star's column at its smallest node)
 comes from one Dijkstra search toward that node on the reduced weights.
 The Collatz-Wielandt witness is read from the same run's chi and eta.
-Howard runs on integer weights, scaled by `semiring._scaled`.
+Howard runs on integer weights, scaled by `semiring._scaled` and then only
+as far as the means of the policy cycles it meets need.
 Min-plus matrices are handled by duality through the canonical order.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from operator import itemgetter
 from typing import FrozenSet, List, Tuple
 
 from .errors import CertificateInvalid, DimensionMismatch, NoCycle, Unbounded
@@ -174,7 +176,12 @@ def _howard(a: TropMatrix) -> Tuple[int, list, list, int, List[list]]:
     (Cochet-Terrasson, Cohen, Gaubert, Mc Gettrick & Quadrat, 1998) on A's
     max-plus weights, min-plus negated (sign -1), all scaled by one integer.
 
-    `scale` makes every weight and every cycle mean integral; succ[i] lists
+    `scale` is the least integer that makes every weight and the mean of
+    every policy cycle met integral: it starts at the lcm of the weights'
+    denominators, and a policy cycle of length k and weight sum s with s / k
+    not an integer multiplies it, and every scaled value so far, by k /
+    gcd(s, k). Comparisons do not depend on the scale, so the policies and
+    the rationals chi / scale and eta / scale do not either. succ[i] lists
     (j, scale * sign * a_ij) for the edges i -> j that Howard keeps, and chi
     and eta are scaled integers. chi_l is the best mean of a cycle that l
     reaches, None if it reaches none, and eta_l = max{a_li + eta_i : chi_i =
@@ -200,11 +207,17 @@ def _howard(a: TropMatrix) -> Tuple[int, list, list, int, List[list]]:
     if dead:
         heads = [[j for j in js if degree[j]] for js in heads]
     live = [i for i, d in enumerate(degree) if d]
-    # a cycle of at most len(live) integer weights has an integral mean
-    ints, scale = _scaled([sign * r[j] for r, js in zip(w, heads) for j in js], math.lcm(*range(1, len(live) + 1)))
+    flat = [r[j] for r, js in zip(w, heads) for j in js]
+    ints, scale = _scaled(flat if sign > 0 else [-v for v in flat])
     ints = iter(ints)
-    succ = [list(zip(js, ints)) for js in heads]  # zip stops at the end of js before drawing from ints
-    pi = {i: max(succ[i], key=lambda e: e[1]) for i in live}  # (successor, weight)
+    succ: List[list] = []
+    pi = {}  # i -> (successor, weight)
+    weight = itemgetter(1)
+    for i, js in enumerate(heads):
+        row = list(zip(js, ints))  # zip stops at the end of js before drawing from ints
+        succ.append(row)
+        if row:
+            pi[i] = max(row, key=weight)
     chi: List = [None] * n
     eta: List = [0 if s else None for s in succ]  # no node off live has an edge into it
     while True:
@@ -219,7 +232,15 @@ def _howard(a: TropMatrix) -> Tuple[int, list, list, int, List[list]]:
                 cycle = path[path.index(j):]
                 del path[-len(cycle):]
                 k = cycle.index(min(cycle))
-                chi[cycle[k]] = sum(pi[i][1] for i in cycle) // len(cycle)
+                total, length = sum(pi[i][1] for i in cycle), len(cycle)
+                if total % length:  # the least factor that makes this mean integral
+                    f = length // math.gcd(total, length)
+                    scale, total = scale * f, total * f
+                    succ = [[(j, v * f) for j, v in row] for row in succ]
+                    pi = {i: (j, v * f) for i, (j, v) in pi.items()}
+                    chi = [None if c is None else c * f for c in chi]
+                    eta = [None if e is None else e * f for e in eta]
+                chi[cycle[k]] = total // length
                 path += cycle[k + 1:] + cycle[:k]
             for i in reversed(path):
                 j, v = pi[i]

@@ -7,14 +7,20 @@ transformed matrix, over the seeded matrices of `inputs.square_matrices`.
 - permanent(A + c) = permanent(A) + n c;
 - max_cycle_mean(A + c) = max_cycle_mean(A) + c, NoCycle included;
 - P A P^T has the eigenvalue of A, by `max_cycle_mean` and by
-  `spectral_analysis`, whose critical nodes are those of A renumbered.
+  `spectral_analysis`, whose critical nodes are those of A renumbered;
+- max_cycle_mean(c A) = c max_cycle_mean(A) for c = p/q > 0, and
+  `spectral_analysis(c A)` has the critical graph and classes of A with
+  every generator times c.
 
-A + c adds c to every finite entry. The laws compare the payloads of boxed
-results across tags, and every payload must be canonical, so they also
-check the scalars the kernels box.
+A + c adds c to every finite entry, and c A multiplies it by c. Dividing by
+q makes the cycle means fractional, so the dilation law drives Howard's
+scale to grow on matrices that no oracle test samples. The laws compare the
+payloads of boxed results across tags, and every payload must be canonical,
+so they also check the scalars the kernels box.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from inputs import rational, square_matrices
@@ -53,6 +59,10 @@ def _negated(tree):
 
 def _shifted(rows, c):
     return [[None if v is None else v + c for v in row] for row in rows]
+
+
+def _dilated(payloads, c):
+    return tuple(None if v is None else v * c for v in payloads)
 
 
 def _outcome(fn, a):
@@ -98,3 +108,18 @@ def test_permuted_matrix_has_the_same_eigenvalue(tag):
             ra, rb = spectral_analysis(a), spectral_analysis(b)
             assert rb.eigenvalue == ra.eigenvalue == TropScalar(lam, tag), (rows, p)
             assert {p[i] for i in rb.critical_nodes} == ra.critical_nodes, (rows, p)
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS], ids=lambda tag: tag.value)
+def test_dilation_scales_the_eigenvalue_and_the_generators(tag):
+    rng = random.Random(f"dilate-{tag.value}")
+    for rows in _CASES:
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        a, b = matrix(rows, tag), matrix([_dilated(row, c) for row in rows], tag)
+        kind, lam = _outcome(max_cycle_mean, a)
+        assert _outcome(max_cycle_mean, b) == (kind, lam * c if kind == "returns" else lam), (rows, c)
+        if kind == "returns":
+            ra, rb = spectral_analysis(a), spectral_analysis(b)
+            assert rb.eigenvalue == TropScalar(lam * c, tag), (rows, c)
+            assert (rb.critical_edges, rb.critical_classes) == (ra.critical_edges, ra.critical_classes), (rows, c)
+            assert [v.payload for v in rb.eigenvectors] == [_dilated(v.payload, c) for v in ra.eigenvectors], (rows, c)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -376,7 +378,60 @@ def test_cycle_time_of_integral_fraction_weights():
     )
     assert spectral._cycle_time(ints) == spectral._cycle_time(fracs) == ([3, 1, 3, None], [4, 0, 1, None])
     for a in (ints, fracs):
-        assert spectral._howard(a)[1:4] == ([18, 6, 18, None], [24, 0, 6, None], 6)
+        assert spectral._howard(a)[1:4] == ([3, 1, 3, None], [4, 0, 1, None], 1)
+
+
+def test_howard_grows_the_scale_by_the_least_factor_a_cycle_needs():
+    # a 2-cycle of weights 1, 0 beside a disjoint 3-cycle of weights 1, 0, 0:
+    # the means 1/2 and 1/3 need scale 6, where lcm(1..5) would be 60
+    rows = [[None] * 5 for _ in range(5)]
+    rows[0][1], rows[1][0] = 1, 0
+    rows[2][3], rows[3][4], rows[4][2] = 1, 0, 0
+    for tag in (MAX_PLUS, MIN_PLUS):
+        a = matrix(rows, tag)
+        sign, chi, _, scale, _ = spectral._howard(a)
+        assert ([sign * c for c in chi], scale) == ([3, 3, 2, 2, 2], 6)
+        assert spectral._cycle_time(a)[0] == [Fraction(sign, 2)] * 2 + [Fraction(sign, 3)] * 3
+    # a 4-cycle of weights 1, 1, 0, 0 has mean 2/4: the factor is 4 / gcd(2, 4) = 2, not 4
+    cycle = matrix([[None, 1, None, None], [None, None, 1, None], [None, None, None, 0], [0, None, None, None]])
+    assert spectral._howard(cycle)[1:4] == ([1, 1, 1, 1], [0, -1, -2, -1], 2)
+
+
+def test_howard_starts_from_each_nodes_first_best_edge():
+    # node 1's first best edge is 1 -> 0, so the first policy cycle is
+    # 0 -> 1 -> 0 of mean 5/2: it grows the scale to 2, which the loop at
+    # node 1 (mean 3) keeps, and the loop's root keeps the bias 1/2 that
+    # cycle gave it; starting from the loop would give eta = (-1, 0)
+    a = matrix([[0, 2], [3, 3]])
+    assert spectral._howard(a)[1:4] == ([6, 6], [-1, 1], 2)
+    assert spectral._cycle_time(a) == ([3, 3], [Fraction(-1, 2), Fraction(1, 2)])
+
+
+def test_spectral_elements_at_bench_sizes_random():
+    # n = 12, 24 and 40, where lcm(1..n) passes 2^30: ints or p/q entries,
+    # 0 or 30 % bottoms, both tags; the scale Howard returns divides the
+    # lcm of 1..n and of the entries' denominators
+    rng = random.Random(44)
+    grew = False
+    for n, p_bot, den, tag in itertools.product((12, 24, 40), (0, 0.3), (1, 4), (MAX_PLUS, MIN_PLUS)):
+        rows = [[None if rng.random() < p_bot else Fraction(rng.randint(-9, 9), rng.randint(1, den))
+                 for _ in range(n)] for _ in range(n)]
+        for row in rows:  # an all-zero row is Unbounded for Collatz-Wielandt
+            if all(v is None for v in row):
+                row[rng.randrange(n)] = rng.randint(-9, 9)
+        a = matrix(rows, tag)
+        lam = max_cycle_mean(a)
+        assert lam == max_cycle_mean_karp(a)
+        res = spectral_analysis(a)
+        assert res.eigenvalue == lam
+        for cls, v in zip(res.critical_classes, res.eigenvectors):
+            assert a.apply(v) == v.scale(lam) and v[min(cls)] == scalar(0, tag)
+        _assert_collatz_wielandt(a)
+        denominators = math.lcm(*(Fraction(v).denominator for row in rows for v in row if v is not None))
+        scale = spectral._howard(a)[3]
+        assert math.lcm(*range(1, n + 1)) * denominators % scale == 0
+        grew |= scale > denominators
+    assert grew
 
 
 def test_eigenvector_examples():
@@ -514,8 +569,8 @@ def test_collatz_wielandt_witness_random():
 
 
 def test_collatz_wielandt_rejects_a_witness_that_misses_the_value(monkeypatch):
-    # on [[-inf, 2], [0, -inf]] (scale 2, chi = (2, 2)) the bias (0, -10)
-    # gives the witness (0, -5), which attains 5, not lambda = 1; the check
+    # on [[-inf, 2], [0, -inf]] (scale 1, chi = (1, 1)) the bias (0, -10)
+    # is the witness itself, which attains 10, not lambda = 1; the check
     # rejects it, with asserts stripped too
     howard = spectral._howard
 
