@@ -203,9 +203,7 @@ def _cmd_plucker(args) -> str:
     if args.action == "build":
         net = io.grid_net_from_json(_load(args.net))
         return io.dumps(io.subset_function_to_json(plucker.flow_tp(net)))
-    obj = _load(args.function)
-    mapping = io.subset_function_from_json(obj, partial=True)
-    f = plucker.reconstruct_from_intervals(obj["n"], mapping)
+    f = plucker.reconstruct_from_intervals(*io.subset_values_from_json(_load(args.function)))
     return io.dumps(io.subset_function_to_json(f))
 
 

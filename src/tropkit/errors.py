@@ -53,6 +53,8 @@ class TooLarge(TropkitError):
     Caps bound work that is exponential in the input size even for the best
     exact algorithm in use (tables over all 2^n subsets, double-description
     generator sets) or set by a traffic request; no cap guards enumeration.
+    Each cap is checked where its work is built: the 2^n tables and the
+    flow-net grid by `plucker`'s constructors, never by `io`.
     """
 
 

@@ -13,11 +13,15 @@ ASCII digits and the file's own bottom, a "semiring" value that is not a
 known name (whatever its JSON type), counts ("rows", "cols", "n") that are
 not JSON integers (true and 1.0 included), mask keys other than a binary,
 octal, hex or decimal literal in ASCII digits (no "_", sign or spaces), and
-edge keys other than four ASCII-digit coordinates raise SchemaError, which
-the CLI maps to exit code 2. Subset functions and flow nets above the plucker
-CHECK_CAP raise TooLarge (exit code 1) before any table over their ground
-set is built. The subset-function and flow-net decoders import `plucker`
-when they run, so the matrix codecs never load it.
+edge keys other than four ASCII-digit coordinates, two keys that name one
+subset or one edge, and a JSON object that repeats a name raise
+SchemaError, which the CLI maps to exit code 2. Subset functions and flow
+nets are only parsed here: `plucker` checks its own table rules, refusing
+a ground set above its cap with TooLarge (exit code 1) before any table
+over it is built, and a subset function that misses a subset or a weight
+on an edge off the grid with SchemaError. The subset-function and flow-net
+decoders import `plucker` when they run, so the matrix codecs never load
+it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
-from .errors import SchemaError, TooLarge
+from .errors import SchemaError
 from .semiring import (
     BOOLEAN,
     MAX_PLUS,
@@ -201,19 +205,26 @@ _MASK_KEY = re.compile(r"0[bB][01]+|0[oO][0-7]+|0[xX][0-9a-fA-F]+|0|[1-9][0-9]*"
 _EDGE_KEY = re.compile(r"([0-9]+),([0-9]+)->([0-9]+),([0-9]+)")
 
 
+def _key_int(text: str, base: int) -> int:
+    """int(text, base) of a key's digits, which its pattern has checked."""
+    try:
+        return int(text, base)
+    except ValueError as exc:  # past the int/str digit limit
+        raise SchemaError(f"bad key: {exc}") from exc
+
+
 def _mask_from_key(key: str, n: int) -> int:
     if not isinstance(key, str) or _MASK_KEY.fullmatch(key) is None:
         raise SchemaError(f"bad subset key {key!r}")
-    mask = int(key, 0)
-    if not 0 <= mask < (1 << n):
+    mask = _key_int(key, 0)
+    if mask >> n:  # a shift, so a huge n builds no 2^n
         raise SchemaError(f"subset key {key!r} outside the power set of n={n}")
     return mask
 
 
-def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFunction", Dict[int, Payload]]:
-    """Full subset function, or the raw mask mapping when partial=True."""
-    from .plucker import CHECK_CAP, subset_function
-
+def subset_values_from_json(obj) -> Tuple[int, Dict[int, Payload]]:
+    """(n, {mask: value}) of a subset-function file, as given: whether the
+    values cover every subset, or the intervals, is for `plucker` to check."""
     if not isinstance(obj, dict) or "n" not in obj or "values" not in obj:
         raise SchemaError("subset function payload needs 'n' and 'values'")
     n = obj["n"]
@@ -221,18 +232,20 @@ def subset_function_from_json(obj, partial: bool = False) -> Union["SubsetFuncti
         raise SchemaError("ground-set size must be a positive integer")
     if not isinstance(obj["values"], dict):
         raise SchemaError("subset function values must be an object")
-    if n > CHECK_CAP:
-        raise TooLarge(f"subset functions capped at n <= {CHECK_CAP}")
     mapping: Dict[int, Payload] = {}
     for key, v in obj["values"].items():
         mask = _mask_from_key(key, n)
+        if mask in mapping:
+            raise SchemaError(f"subset key {key!r} names a subset given before")
         mapping[mask] = _payload_from_json(v, MAX_PLUS)
-    if partial:
-        return mapping
-    try:
-        return subset_function(n, mapping)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return n, mapping
+
+
+def subset_function_from_json(obj) -> "SubsetFunction":
+    """The subset function of a file, built by `plucker.subset_function`."""
+    from .plucker import subset_function
+
+    return subset_function(*subset_values_from_json(obj))
 
 
 def grid_net_to_json(net: "GridFlowNet") -> Dict:
@@ -243,7 +256,7 @@ def grid_net_to_json(net: "GridFlowNet") -> Dict:
 
 
 def grid_net_from_json(obj) -> "GridFlowNet":
-    from .plucker import CHECK_CAP, grid_net
+    from .plucker import grid_net
 
     if not isinstance(obj, dict) or "n" not in obj:
         raise SchemaError("flow net payload needs 'n'")
@@ -253,19 +266,17 @@ def grid_net_from_json(obj) -> "GridFlowNet":
     given = obj.get("weights", {})
     if not isinstance(given, dict):
         raise SchemaError("flow net weights must be an object")
-    if n > CHECK_CAP:
-        raise TooLarge(f"flow nets capped at n <= {CHECK_CAP}")
     weights = {}
     for key, v in given.items():
         m = _EDGE_KEY.fullmatch(key)
         if m is None:
             raise SchemaError(f"bad edge key {key!r}")
-        i, j, k, l = map(int, m.groups())
-        weights[((i, j), (k, l))] = fraction_from_json(v)
-    try:
-        return grid_net(n, weights)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        i, j, k, l = [_key_int(c, 10) for c in m.groups()]
+        edge = (i, j), (k, l)
+        if edge in weights:
+            raise SchemaError(f"edge key {key!r} names an edge given before")
+        weights[edge] = fraction_from_json(v)
+    return grid_net(n, weights)
 
 
 def dumps(obj) -> str:
@@ -277,8 +288,17 @@ def dumps(obj) -> str:
         raise SchemaError(str(exc)) from exc
 
 
+def _object(pairs: List[tuple]) -> Dict:
+    """The dict of a JSON object's (name, value) pairs; a repeated name
+    raises SchemaError, where `json.loads` alone keeps its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise SchemaError("a JSON object repeats a name")
+    return obj
+
+
 def loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc

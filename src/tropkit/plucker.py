@@ -8,9 +8,12 @@ with one longest augmenting path each, on weights scaled by
 `semiring._scaled`. Tables hold canonical payloads. A TP-function is
 determined by its values on the interval family, rebuilt from them in one
 pass in order of span, and its submodularity is read off the intervals
-alone. Building a subset function, the checkers, the flow construction and
-the reconstruction are all capped at n <= CHECK_CAP, because each one reads
-or writes a table over all 2^n subsets.
+alone. Every table over the 2^n subsets of {1..n}, and the grid a flow
+net lives on, is capped at n <= CHECK_CAP by one check, `_check_cap`: the
+`SubsetFunction` and `GridFlowNet` constructors, `subset_function`,
+`grid_net` and `reconstruct_from_intervals` make it before they build
+anything over n, so the checkers and the flow construction, whose arguments
+exist only within the cap, make none.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ from .errors import Inconsistent, NoFlow, SchemaError, TooLarge
 from .semiring import Payload, _canonical, _rational, _record, _scaled, _unscaled
 
 CHECK_CAP = 8
+
+
+def _check_cap(n: int) -> None:
+    """TooLarge unless n <= CHECK_CAP; called before a table over 2^{1..n}
+    or the n x n grid is built, so a huge n builds neither."""
+    if n > CHECK_CAP:
+        raise TooLarge(f"subset functions and grid nets capped at n <= {CHECK_CAP}")
 
 
 def subset_mask(elements: Iterable[int], n: int) -> int:
@@ -65,6 +75,7 @@ class SubsetFunction:
     table: Tuple[Payload, ...]
 
     def __post_init__(self):
+        _check_cap(self.n)
         if len(self.table) != 1 << self.n:
             raise ValueError("table must cover every subset")
         table = tuple(self.table)
@@ -87,9 +98,9 @@ class SubsetFunction:
 
 
 def subset_function(n: int, values: Mapping) -> SubsetFunction:
-    """Build from any mapping of subsets (masks or iterables) to rationals."""
-    if n > CHECK_CAP:
-        raise TooLarge(f"subset functions capped at n <= {CHECK_CAP}")
+    """Build from any mapping of subsets (masks or iterables) to rationals;
+    SchemaError unless it covers every subset."""
+    _check_cap(n)
     table: List[Payload] = [None] * (1 << n)
     assigned = [False] * (1 << n)
     for key, val in values.items():
@@ -97,7 +108,7 @@ def subset_function(n: int, values: Mapping) -> SubsetFunction:
         table[mask] = val
         assigned[mask] = True
     if not all(assigned):
-        raise ValueError("subset function must be total on the power set")
+        raise SchemaError("subset function must be total on the power set")
     return SubsetFunction(n, tuple(table))
 
 
@@ -141,8 +152,6 @@ def is_tp(f: SubsetFunction) -> CheckResult:
     f(A+ik) + f(A+j) = max(f(A+ij) + f(A+k), f(A+jk) + f(A+i)).
     Subsets where f records no flow (minus infinity) are excluded.
     """
-    if f.n > CHECK_CAP:
-        raise TooLarge(f"TP check capped at n <= {CHECK_CAP}")
     for witness, (lhs, s2, s3) in _relation_sums(f, 3):
         if lhs != max(s2, s3):
             return CheckResult(False, witness)
@@ -156,8 +165,6 @@ def _max_twice(values: Sequence[Payload]) -> bool:
 
 def is_dmtp(f: SubsetFunction) -> CheckResult:
     """Maximum attained at least twice in every 3-term and 4-term triple."""
-    if f.n > CHECK_CAP:
-        raise TooLarge(f"DMTP check capped at n <= {CHECK_CAP}")
     for size, family in ((3, "3-term"), (4, "4-term")):
         for witness, sums in _relation_sums(f, size):
             if not _max_twice(sums):
@@ -182,6 +189,7 @@ class GridFlowNet:
     edge_weights: Tuple[Tuple[Edge, Payload], ...]
 
     def __post_init__(self):
+        _check_cap(self.n)
         object.__setattr__(self, "edge_weights", tuple((e, _rational(w)) for e, w in self.edge_weights))
 
     @property
@@ -207,13 +215,15 @@ def grid_edges(n: int) -> List[Edge]:
 
 
 def grid_net(n: int, weights: Mapping[Edge, object]) -> GridFlowNet:
-    """Grid net with the given edge weights (missing edges weigh zero)."""
+    """Grid net with the given edge weights (missing edges weigh zero);
+    SchemaError for a weight on an edge off the grid."""
+    _check_cap(n)
     table = []
     wmap = dict(weights)
     for e in grid_edges(n):
         table.append((e, wmap.pop(e, 0)))
     if wmap:
-        raise ValueError(f"weights given for non-grid edges: {sorted(wmap)}")
+        raise SchemaError(f"weights given for non-grid edges: {sorted(wmap)}")
     return GridFlowNet(n, tuple(table))
 
 
@@ -264,8 +274,6 @@ def flow_tp(net: GridFlowNet) -> SubsetFunction:
     scaled to integers by `semiring._scaled`.
     """
     n = net.n
-    if n > CHECK_CAP:
-        raise TooLarge(f"normal-flow construction capped at n <= {CHECK_CAP}")
     weights, scale = _scaled([g for _, g in net.edge_weights])
     # tails bottom row first, left to right: a topological order of the
     # grid, so a path without backward arcs settles in one pass
@@ -294,8 +302,7 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
     f(S) = max(f(A+ij) + f(A+k), f(A+jk) + f(A+i)) - f(A+j), from five sets
     of smaller span. The result is verified to be TP.
     """
-    if n > CHECK_CAP:
-        raise TooLarge(f"reconstruction capped at n <= {CHECK_CAP}")
+    _check_cap(n)
     needed = interval_masks(n)
     table: List[Payload] = [None] * (1 << n)
     given = {k if isinstance(k, int) else subset_mask(k, n): v for k, v in interval_values.items()}
@@ -329,8 +336,6 @@ def reconstruct_from_intervals(n: int, interval_values: Mapping) -> SubsetFuncti
 def is_submodular(f: SubsetFunction, on_intervals_only: bool = False) -> bool:
     """f(A) + f(B) >= f(A | B) + f(A & B) over all pairs, or interval pairs."""
     n = f.n
-    if n > CHECK_CAP:
-        raise TooLarge(f"submodularity check capped at n <= {CHECK_CAP}")
     masks = interval_masks(n) if on_intervals_only else list(range(1 << n))
     for a in masks:
         fa = f.table[a]

@@ -351,16 +351,19 @@ def _closure(a: TropMatrix) -> List[list]:
     n finite edges weighs in [-R, R]. Row i is one int with column j in
     field j of F = 8 nbytes bits, the top one a guard bit that stays clear.
     A finite weight v is stored as v + off, off = 4R + 1, and a bottom as R,
-    the weight -3R - 1. Until a positive cycle is met, an entry is the best
-    path weight, in [-R, R], when a path of finite edges exists, and else
-    the weight of a walk through a bottom edge, in [-3R - 1, -R) (a pivot
-    skips the rows whose d_ik is such a weight). So a stored value below
-    off - R decodes to bottom, every stored value lies in [R, 5R + 1], and
-    q = p_k + d_ik ONES, for d_ik in [-R, R], has every field in
-    [0, 6R + 1] < 2^(F-1): no field borrows from the next. Field j of
-    d = (p_i | guards) - q is then 2^(F-1) + p_ij - q_j, its guard bit is
-    set iff p_ij >= q_j, and p_i becomes the fieldwise max q + (d & mask)
-    in about a dozen big-int operations.
+    the weight -3R - 1. Until a positive cycle is met, every cycle through
+    the pivoted nodes weighs <= 0, so an entry is the best path weight, in
+    [-R, R] and stored in [3R + 1, 5R + 1], when a path of finite edges
+    exists, and else the weight of a walk that ends in a bottom edge (a
+    pivot skips the rows whose d_ik is such a weight, so no edge follows
+    it): a finite walk of weight <= R to the edge's tail, then the edge, so
+    stored in [R, 2R]. Every stored field stays in [R, 5R + 1], a stored
+    value below low = 3R + 1 decodes to bottom, and q = p_k + d_ik ONES,
+    for d_ik in [-R, R], has every field in [0, 5R + 1]. The fields are
+    sized for 6R + 1 < 2^(F-1), a margin of R: no field borrows from the
+    next. Field j of d = (p_i | guards) - q is then 2^(F-1) + p_ij - q_j,
+    its guard bit is set iff p_ij >= q_j, and p_i becomes the fieldwise max
+    q + (d & mask) in about a dozen big-int operations.
 
     After pivot k, d_ij is the best weight of a path i -> j of at least one
     edge with intermediate nodes <= k. A pivot diagonal above the unit

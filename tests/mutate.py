@@ -125,8 +125,9 @@ def mutants(module, path):
 
 
 def tests_for(module):
-    """The test files mapped to a module: its own, then the laws and the record contract."""
-    names = [f"test_{module}.py", "test_laws.py", "test_records.py"]
+    """The test files mapped to a module: its own, `test_<module>*.py` (so
+    `test_io_cli.py` for `io`), then the laws and the record contract."""
+    names = [p.name for p in sorted((ROOT / "tests").glob(f"test_{module}*.py"))] + ["test_laws.py", "test_records.py"]
     return [str(Path("tests") / n) for n in dict.fromkeys(names) if (ROOT / "tests" / n).exists()]
 
 

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -13,7 +14,7 @@ from csv_oracle import matrix_from_csv_oracle
 from orbit_oracle import tent_trajectory_oracle
 
 import tropkit
-from tropkit import dynamics
+from tropkit import dynamics, plucker
 from tropkit import io as tio
 from tropkit.cli import main
 from tropkit.errors import TooLarge
@@ -177,8 +178,11 @@ def test_subset_function_round_trip():
     f = flow_tp(grid_net(3, w))
     obj = tio.subset_function_to_json(f)
     assert tio.subset_function_from_json(obj) == f
+    assert tio.subset_values_from_json(obj) == (3, dict(enumerate(f.table)))
+    assert tio.subset_values_from_json({"n": 1, "values": {"1": "1/2", "0": 0}}) == (1, {1: Fraction(1, 2), 0: 0})
     net = grid_net(3, w)
     assert tio.grid_net_from_json(tio.grid_net_to_json(net)) == net
+    assert tio.grid_net_from_json({"n": 1}) == grid_net(1, {})
 
 
 def test_schema_errors():
@@ -524,6 +528,15 @@ _BAD_PLUCKER_REQUESTS = {
     "reconstruct_n_true": ["reconstruct", "--function", {"n": True, "values": {"0b0": 0, "0b1": 1}}],
     "check_n_float": ["check", "--function", {"n": 1.0, "values": {"0b0": 0, "0b1": 1}}],
     "build_n_true": ["build", "--net", {"n": True, "weights": {}}],
+    # two keys that name one subset or one edge: the later value used to win
+    "check_subset_given_twice": ["check", "--function", {"n": 1, "values": {"0b0": 0, "0": 5, "0b1": 1}}],
+    "reconstruct_subset_given_twice": [
+        "reconstruct", "--function", {"n": 2, "values": {"0b0": 0, "0b1": 1, "0b10": 2, "0b11": 3, "0x3": 4}},
+    ],
+    "build_edge_given_twice": ["build", "--net", {"n": 2, "weights": {"1,1->1,2": 1, "01,1->1,2": 2}}],
+    # keys past the 4,300-digit int/str limit used to escape as a plain ValueError
+    "check_mask_key_5000_digits": ["check", "--function", {"n": 2, "values": {"1" * 5000: 0}}],
+    "build_edge_key_5000_digits": ["build", "--net", {"n": 2, "weights": {"1" * 5000 + ",1->1,2": 0}}],
 }
 
 
@@ -533,6 +546,9 @@ def test_cli_plucker_bad_requests_exit_2(tmp_path, name):
 
 
 _TOO_LARGE_PLUCKER_REQUESTS = {
+    "check_n9": ["check", "--function", {"n": 9, "values": {"0b0": 0}}],
+    "reconstruct_n9": ["reconstruct", "--function", {"n": 9, "values": {"0b0": 0}}],
+    "build_n9": ["build", "--net", {"n": 9, "weights": {"1,1->1,2": 1}}],
     "check_n64": ["check", "--function", {"n": 64, "values": {"0b0": 0}}],
     "reconstruct_n64": ["reconstruct", "--function", {"n": 64, "values": {"0b0": 0}}],
     "build_n64": ["build", "--net", {"n": 64, "weights": {}}],
@@ -545,6 +561,27 @@ def test_cli_plucker_above_check_cap_exits_1(tmp_path, name):
     proc = _cli_subprocess(tmp_path, ["plucker"] + _TOO_LARGE_PLUCKER_REQUESTS[name])
     assert (proc.returncode, proc.stderr) == (1, "")
     assert json.loads(proc.stdout)["error"]["type"] == "TooLarge"
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("built a table or grid over a ground set above the cap")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--function", {"n": 10**9, "values": {str(m): m for m in range(32)}}],
+    ["reconstruct", "--function", {"n": 10**9, "values": {str(m): m for m in range(32)}}],
+    ["build", "--net", {"n": 10**6, "weights": {"1,1->1,2": 1}}],
+], ids=["check_n1e9", "reconstruct_n1e9", "build_n1e6"])
+def test_cli_plucker_far_above_check_cap_exits_1_at_once(tmp_path, monkeypatch, argv):
+    # io reads the keys without a 2^n int (70 ms each at n = 10^9), and
+    # plucker refuses n before it builds the intervals, a table or the grid
+    monkeypatch.setattr(plucker, "interval_masks", _refuse_to_build)
+    monkeypatch.setattr(plucker, "grid_edges", _refuse_to_build)
+    argv = ["plucker", argv[0], argv[1], write(tmp_path, "arg.json", argv[2])]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, err, json.loads(out)["error"]["type"]) == (1, "", "TooLarge")
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_MATRIX_REQUESTS))
@@ -595,7 +632,8 @@ def test_cli_file_nested_1000_deep_exits_2(tmp_path):
     b"[[" + b"7" * 5000 + b"]]",
     b'{"semiring": ',
     b"[" * 100000 + b"]" * 100000,  # past the JSON decoder's recursion limit
-], ids=["not_utf8", "5000_digits", "malformed", "100000_deep"])
+    b'{"semiring": "max-plus", "data": [0], "semiring": "min-plus"}',  # json.loads keeps the last value
+], ids=["not_utf8", "5000_digits", "malformed", "100000_deep", "repeated_name"])
 def test_cli_load_errors_name_the_file(tmp_path, text):
     # of the two files a request reads, the message names the one that failed
     bad = tmp_path / "vector.json"
@@ -874,22 +912,30 @@ def test_cli_groups_need_an_action_and_take_no_options(argv):
     (lambda: tio.subset_function_from_json({"n": 2, "values": {"4": 0}}), tio.SchemaError),
     (lambda: tio.subset_function_from_json({"n": 9, "values": {}}), TooLarge),
     (lambda: tio.grid_net_from_json({"n": 9}), TooLarge),
-    # grid_net's ValueError for an edge off the grid comes back as a SchemaError
+    # plucker's own table rules: an edge off the grid, a subset left out
     (lambda: tio.grid_net_from_json({"n": 2, "weights": {"5,5->5,6": 1}}), tio.SchemaError),
+    (lambda: tio.subset_function_from_json({"n": 1, "values": {"0b1": 1}}), tio.SchemaError),
+    (lambda: tio.subset_values_from_json({"n": 1, "values": {"0b0": 0, "0": 5}}), tio.SchemaError),
+    (lambda: tio.grid_net_from_json({"n": 2, "weights": {"1,1->1,2": 1, "01,1->1,2": 2}}), tio.SchemaError),
+    (lambda: tio.loads('{"n": 1, "n": 2}'), tio.SchemaError),
+    (lambda: tio.loads('[{"a": {"b": 1, "b": 1}}]'), tio.SchemaError),
     # a count is a JSON integer: neither a bool nor an integral float
     (lambda: tio.subset_function_from_json({"n": True, "values": {"0b0": 0, "0b1": 1}}), tio.SchemaError),
     (lambda: tio.subset_function_from_json({"n": 1.0, "values": {"0b0": 0}}), tio.SchemaError),
+    (lambda: tio.subset_function_from_json({"n": 0, "values": {"0": 0}}), tio.SchemaError),
     (lambda: tio.grid_net_from_json({"n": True, "weights": {}}), tio.SchemaError),
     (lambda: tio.grid_net_from_json({"n": 2.0, "weights": {}}), tio.SchemaError),
+    (lambda: tio.grid_net_from_json({"n": 0, "weights": {}}), tio.SchemaError),
     (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 1.0, "cols": True, "data": [[0]]}),
      tio.SchemaError),
     (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 1, "cols": True, "data": [[0]]}),
      tio.SchemaError),
     (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 0, "cols": "x", "data": []}), tio.SchemaError),
     (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 0, "cols": -1, "data": []}), tio.SchemaError),
-], ids=["subset-key-range", "subset-cap", "net-cap", "net-off-grid-edge", "subset-n-true", "subset-n-float",
-        "net-n-true", "net-n-float", "matrix-rows-float-cols-true", "matrix-cols-true", "matrix-cols-string",
-        "matrix-cols-negative"])
+], ids=["subset-key-range", "subset-cap", "net-cap", "net-off-grid-edge", "subset-not-total",
+        "subset-given-twice", "edge-given-twice", "repeated-name", "nested-repeated-name",
+        "subset-n-true", "subset-n-float", "subset-n-zero", "net-n-true", "net-n-float", "net-n-zero",
+        "matrix-rows-float-cols-true", "matrix-cols-true", "matrix-cols-string", "matrix-cols-negative"])
 def test_io_input_checks_raise(call, error):
     with pytest.raises(error) as info:
         call()

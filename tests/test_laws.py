@@ -10,7 +10,13 @@ transformed matrix, over the seeded matrices of `inputs.square_matrices`.
   `spectral_analysis`, whose critical nodes are those of A renumbered;
 - max_cycle_mean(c A) = c max_cycle_mean(A) for c = p/q > 0, and
   `spectral_analysis(c A)` has the critical graph and classes of A with
-  every generator times c.
+  every generator times c;
+- a boolean matrix has the permanent, the rook coefficients, both sums of
+  the bideterminant and the tropical singularity of its max-plus 0/bottom
+  pattern, true where the pattern's answer is 0 (the boolean bideterminant
+  runs the generic-tag DP, the max-plus one `_plus_bideterminant`);
+- for the span V of A's columns (A with no all-bottom column) and a vector
+  x: P_V(P_V x) = P_V x, P_V x <= x and P_V(x + c) = P_V x + c.
 
 A + c adds c to every finite entry, and c A multiplies it by c. Dividing by
 q makes the cycle means fractional, so the dilation law drives Howard's
@@ -28,9 +34,10 @@ from result_leaves import is_canonical, numbers
 
 from tropkit.determ import Bideterminant, bideterminant, is_trop_singular, permanent, rook_coefficients
 from tropkit.errors import Divergent, NoCycle
-from tropkit.semiring import MAX_PLUS, MIN_PLUS, TropScalar
+from tropkit.projector import Semimodule, project
+from tropkit.semiring import BOOLEAN, MAX_PLUS, MIN_PLUS, TropScalar
 from tropkit.spectral import max_cycle_mean, spectral_analysis
-from tropkit.tropmat import TropMatrix, kleene_star, matrix
+from tropkit.tropmat import TropMatrix, kleene_star, matrix, vector
 
 _CASES = square_matrices(18, 600)
 
@@ -63,6 +70,16 @@ def _shifted(rows, c):
 
 def _dilated(payloads, c):
     return tuple(None if v is None else v * c for v in payloads)
+
+
+def _as_boolean(tree):
+    """A payload tree of the max-plus 0/bottom pattern as booleans: 0 is
+    true, the bottom false, and a bool stays; any other value fails."""
+    if type(tree) is bool:
+        return tree
+    if isinstance(tree, tuple):
+        return tuple(map(_as_boolean, tree))
+    return {0: True, None: False}[tree]
 
 
 def _outcome(fn, a):
@@ -123,3 +140,24 @@ def test_dilation_scales_the_eigenvalue_and_the_generators(tag):
             assert rb.eigenvalue == TropScalar(lam * c, tag), (rows, c)
             assert (rb.critical_edges, rb.critical_classes) == (ra.critical_edges, ra.critical_classes), (rows, c)
             assert [v.payload for v in rb.eigenvectors] == [_dilated(v.payload, c) for v in ra.eigenvectors], (rows, c)
+
+
+@pytest.mark.parametrize("fn", [permanent, rook_coefficients, bideterminant, is_trop_singular],
+                         ids=lambda fn: fn.__name__)
+def test_boolean_is_the_max_plus_zero_pattern(fn):
+    for rows in _CASES:
+        b = matrix([[v is not None for v in row] for row in rows], BOOLEAN)
+        pattern = matrix([[None if v is None else 0 for v in row] for row in rows], MAX_PLUS)
+        assert _payloads(fn(b)) == _as_boolean(_payloads(fn(pattern))), rows
+
+
+def test_projection_is_idempotent_below_x_and_shifts_with_x():
+    rng = random.Random("project")
+    spans = [rows for rows in _CASES if all(any(v is not None for v in col) for col in zip(*rows))]
+    for rows in spans:
+        v, c = Semimodule(matrix(rows, MAX_PLUS)), rational(rng)
+        x = [None if rng.random() < 0.2 else rational(rng) for _ in rows]
+        px = project(v, vector(x, MAX_PLUS)).payload
+        assert project(v, vector(px, MAX_PLUS)).payload == px, (rows, x)
+        assert all(p is None or xi is not None and p <= xi for p, xi in zip(px, x)), (rows, x)
+        assert project(v, vector(_shifted([x], c)[0], MAX_PLUS)).payload == tuple(_shifted([px], c)[0]), (rows, x, c)

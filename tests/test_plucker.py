@@ -5,7 +5,7 @@ import pytest
 
 from flow_oracle import flow_table_enumerated, flow_value_bruteforce, reconstruct_fixpoint_oracle
 from tropkit import plucker
-from tropkit.errors import Inconsistent, NoFlow, TooLarge
+from tropkit.errors import Inconsistent, NoFlow, SchemaError, TooLarge
 from tropkit.plucker import (
     CHECK_CAP,
     GridFlowNet,
@@ -257,17 +257,20 @@ def test_grid_flow_net_constructor_reads_weights_as_exact_rationals():
     assert flow_tp(net) == flow_tp(grid_net(2, {e: 1 for e in grid_edges(2)}))
 
 
-_BIG = SubsetFunction(CHECK_CAP + 1, (0,) * (1 << (CHECK_CAP + 1)))
-
-
+# the checkers and flow_tp take only a SubsetFunction or GridFlowNet, whose
+# constructors refuse a ground set above the cap
 @pytest.mark.parametrize("call, error", [
     (lambda: subset_mask([4], 3), ValueError),
-    (lambda: grid_net(2, {((5, 5), (5, 6)): 1}), ValueError),
-    (lambda: is_tp(_BIG), TooLarge),
-    (lambda: is_dmtp(_BIG), TooLarge),
-    (lambda: is_submodular(_BIG), TooLarge),
+    (lambda: grid_net(2, {((5, 5), (5, 6)): 1}), SchemaError),
+    (lambda: subset_function(2, {0: 0, 1: 1, 3: 3}), SchemaError),
+    (lambda: SubsetFunction(CHECK_CAP + 1, (0,) * (1 << (CHECK_CAP + 1))), TooLarge),
+    (lambda: GridFlowNet(CHECK_CAP + 1, ()), TooLarge),
+    (lambda: grid_net(CHECK_CAP + 1, {}), TooLarge),
+    (lambda: subset_function(10**9, {0: 0}), TooLarge),
     (lambda: reconstruct_from_intervals(CHECK_CAP + 1, {}), TooLarge),
-], ids=["subset-element", "off-grid-edge", "tp-cap", "dmtp-cap", "submodular-cap", "reconstruct-cap"])
+    (lambda: reconstruct_from_intervals(10**9, {0: 0}), TooLarge),
+], ids=["subset-element", "off-grid-edge", "subset-function-not-total", "table-cap", "net-cap", "grid-net-cap",
+        "subset-function-cap-1e9", "reconstruct-cap", "reconstruct-cap-1e9"])
 def test_plucker_input_checks_raise(call, error):
     with pytest.raises(error) as info:
         call()

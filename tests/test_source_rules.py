@@ -94,6 +94,26 @@ def test_trusted_records_built_only_by_semiring_record():
     assert not found, "\n".join(found)
 
 
+def _names_check_cap(node):
+    return (isinstance(node, ast.Name) and node.id == "CHECK_CAP"
+            or isinstance(node, ast.Attribute) and node.attr == "CHECK_CAP"
+            or isinstance(node, ast.alias) and node.name == "CHECK_CAP")
+
+
+def test_only_plucker_check_cap_compares_with_check_cap():
+    # plucker owns the 2^n table rule: one helper compares n with the cap,
+    # and io and the CLI leave it to plucker's constructors
+    plucker = Path("src/tropkit/plucker.py")
+    helper = next(node for node in _tree(plucker).body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_check_cap")
+    allowed = {id(node) for node in ast.walk(helper)}
+    found = [f"{p}:{node.lineno}" for p in _files("src") if p != plucker
+             for node in ast.walk(_tree(p)) if _names_check_cap(node)]
+    found += [f"{plucker}:{node.lineno}" for node in ast.walk(_tree(plucker)) if isinstance(node, ast.Compare)
+              and id(node) not in allowed and any(map(_names_check_cap, ast.walk(node)))]
+    assert not found, "\n".join(found)
+
+
 def test_no_true_division_in_src():
     # `/` on two ints is a float; exact quotients are built as Fractions
     found = _found(("src",), lambda node: isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
