@@ -2,14 +2,20 @@
 tropical and zero-pattern singularity, and standard transformations.
 
 The bideterminant replaces the determinant over subtraction-free semirings:
-the pair of permutation sums split by parity, found by a DP over rows and
-used-column sets in O(2^n n). The permanent is the full permutation sum;
-over max-plus it is the optimal assignment value. The permanent, tropical
-singularity and the rook coefficients come from one O(n^3) Hungarian kernel
-with a lexicographic search for the optimal bijections; a rook coefficient
-is the permanent of a padded matrix. The kernel also returns its optimal
-duals u, v (u_i v_j >= a_ij, tight on every optimal bijection), which only
-the assignment module reads: its strict dual certificate is built from them.
+the pair of permutation sums split by parity, found by one DP over rows and
+used-column sets in O(2^n n). Every tag is encoded as one maximization by
+`_weights`: max-plus as is, min-plus negated, boolean as the 0/bottom
+pattern of its True entries (all three multiplied by `+`), and max-times
+with 0 as the bottom (multiplied by `*`). The DP runs on those weights
+scaled to integers; the Hungarian kernel below reads the same weights.
+
+The permanent is the full permutation sum; over max-plus it is the optimal
+assignment value. The permanent, tropical singularity and the rook
+coefficients come from one O(n^3) Hungarian kernel with a lexicographic
+search for the optimal bijections; a rook coefficient is the permanent of a
+padded matrix. The kernel also returns its optimal duals u, v (u_i v_j >=
+a_ij, tight on every optimal bijection), which only the assignment module
+reads: its strict dual certificate is built from them.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, TooLarge
 from .semiring import (
     BOOLEAN,
-    MAX_PLUS,
     MAX_TIMES,
     MIN_PLUS,
     SemiringTag,
@@ -50,49 +55,25 @@ def bideterminant(a: TropMatrix) -> Bideterminant:
     far, the (even, odd) sums of the partial products. Putting the next row
     in column j adds one inversion per used column above j, so the parity
     flips with popcount(mask >> (j + 1)). O(2^n n) steps, so n is capped.
-    Max-plus and min-plus run it on scaled integers (`_plus_bideterminant`),
-    the other tags on their `PayloadOps` laws.
+    The one DP serves every tag. It keeps the max of the products of the
+    `_weights` of the rows, scaled to integers by L, and decodes each sum
+    at the end: max-plus sums are unscaled by L, min-plus ones also negated
+    back; a max-times product carries L once per factor, so it is unscaled
+    by L^n, and a missing one is the zero 0; a boolean sum is true exactly
+    when some product exists.
     """
     if not a.is_square:
         raise DimensionMismatch("bideterminant needs a square matrix")
-    n = a.rows
+    n, tag = a.rows, a.tag
     if n > BIDETERMINANT_CAP:
         raise TooLarge(f"bideterminant DP capped at n <= {BIDETERMINANT_CAP}")
-    if a.tag is MAX_PLUS or a.tag is MIN_PLUS:
-        plus, minus = _plus_bideterminant(a.payload, -1 if a.tag is MIN_PLUS else 1)
-        return Bideterminant(TropScalar._trusted(plus, a.tag), TropScalar._trusted(minus, a.tag))
-    ops, rows, full = a.tag.ops, a.payload, (1 << n) - 1
-    add, mul = ops.add, ops.mul
-    even, odd = [ops.zero] * (full + 1), [ops.zero] * (full + 1)
-    even[0] = ops.unit
-    for mask in range(full):
-        e, o, row = even[mask], odd[mask], rows[mask.bit_count()]
-        for j in range(n):
-            if mask >> j & 1:
-                continue
-            pe, po = mul(e, row[j]), mul(o, row[j])
-            if (mask >> (j + 1)).bit_count() & 1:
-                pe, po = po, pe
-            t = mask | 1 << j
-            even[t], odd[t] = add(even[t], pe), add(odd[t], po)
-    return Bideterminant(TropScalar._trusted(even[full], a.tag), TropScalar._trusted(odd[full], a.tag))
-
-
-def _plus_bideterminant(rows: Sequence[Sequence], sign: int) -> Tuple:
-    """The (even, odd) payloads of the bideterminant of max-plus rows
-    (sign 1), or of min-plus rows (sign -1) as the negated max-plus one.
-
-    The same DP as `bideterminant`, on the entries times sign scaled to
-    integers by one `_scaled` call, with inline `+` and `>`; None is the
-    bottom, and a row's bottom entries are never visited. Each sum is
-    unscaled once, to its canonical payload."""
-    n = len(rows)
-    flat, scale = _scaled([None if v is None else sign * v for row in rows for v in row])
+    w, mul, unit = _weights(a.payload, tag)
+    flat, scale = _scaled([v for row in w for v in row])
     items = [[(1 << j, j + 1, v) for j, v in enumerate(flat[i * n:(i + 1) * n]) if v is not None]
              for i in range(n)]
     full = (1 << n) - 1
     even, odd = [None] * (full + 1), [None] * (full + 1)
-    even[0] = 0
+    even[0] = unit
     for mask in range(full):
         e, o = even[mask], odd[mask]
         if e is None and o is None:
@@ -106,14 +87,39 @@ def _plus_bideterminant(rows: Sequence[Sequence], sign: int) -> Tuple:
                 pe, po = e, o
             t = mask | bit
             if pe is not None:
-                pe += v
+                pe = mul(pe, v)
                 if even[t] is None or pe > even[t]:
                     even[t] = pe
             if po is not None:
-                po += v
+                po = mul(po, v)
                 if odd[t] is None or po > odd[t]:
                     odd[t] = po
-    return tuple(None if s is None else _unscaled(sign * s, scale) for s in (even[full], odd[full]))
+    if tag is BOOLEAN:
+        plus, minus = (s is not None for s in (even[full], odd[full]))
+    else:
+        sign, scale = -1 if tag is MIN_PLUS else 1, scale**n if tag is MAX_TIMES else scale
+        plus, minus = (tag.ops.zero if s is None else _unscaled(sign * s, scale) for s in (even[full], odd[full]))
+    return Bideterminant(TropScalar._trusted(plus, tag), TropScalar._trusted(minus, tag))
+
+
+def _weights(rows: Sequence[Sequence], tag: SemiringTag):
+    """(w, mul, unit): the payload rows as the weights of one maximization,
+    None for the zero, with their product and its unit.
+
+    Max-plus rows are their own weights; min-plus rows are negated; a
+    boolean row becomes the 0/bottom pattern of its True entries; all three
+    multiply by `+` with unit 0. Max-times entries become Fractions, with 0
+    as the bottom, and multiply by `*` with unit 1.
+    """
+    if tag is MAX_TIMES:
+        return [[Fraction(x) if x else None for x in row] for row in rows], operator.mul, 1
+    if tag is MIN_PLUS:
+        w = [[None if x is None else -x for x in row] for row in rows]
+    elif tag is BOOLEAN:
+        w = [[0 if x else None for x in row] for row in rows]
+    else:
+        w = rows
+    return w, operator.add, 0
 
 
 def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
@@ -122,28 +128,19 @@ def _optimal_bijections(rows: Sequence[Sequence], tag: SemiringTag, keep: int):
     order, and the optimal duals.
 
     One O(n^3) shortest-augmenting-path Hungarian pass (Kuhn 1955) finds
-    optimal duals u, v with u_i v_j >= a_ij, run as max-plus (min-plus is
-    negated, boolean becomes the 0/bottom pattern of its True entries) or as
-    max-times (x and / with unit 1; 0 is no edge). The optimal bijections are
-    exactly the perfect matchings of the tight edges u_i v_j = a_ij; a depth
-    first search over rows in order and columns ascending lists them,
-    pruning a column as soon as the remaining rows cannot be rematched. The
-    value is the product along the first witness; (None, [], None) when no
-    bijection avoids the bottom. The duals u, v are lists of length n in the
-    kernel's arithmetic (max-plus or max-times on the converted weights).
+    optimal duals u, v with u_i v_j >= a_ij on the `_weights` of the rows:
+    as max-plus with - as the inverse, or as max-times with /. The optimal
+    bijections are exactly the perfect matchings of the tight edges
+    u_i v_j = a_ij; a depth first search over rows in order and columns
+    ascending lists them, pruning a column as soon as the remaining rows
+    cannot be rematched. The value is the product along the first witness;
+    (None, [], None) when no bijection avoids the bottom. The duals u, v are
+    lists of length n in the kernel's arithmetic (max-plus or max-times on
+    the weights).
     """
     n = len(rows)
-    if tag is MAX_TIMES:
-        w = [[Fraction(x) if x else None for x in row] for row in rows]
-        mul, div, unit = operator.mul, operator.truediv, 1
-    else:
-        if tag is MIN_PLUS:
-            w = [[None if x is None else -x for x in row] for row in rows]
-        elif tag is BOOLEAN:
-            w = [[0 if x else None for x in row] for row in rows]
-        else:
-            w = rows
-        mul, div, unit = operator.add, operator.sub, 0
+    w, mul, unit = _weights(rows, tag)
+    div = operator.truediv if tag is MAX_TIMES else operator.sub
     # Hungarian pass; column n is the root of each row's alternating tree
     u, v = [unit] * n, [unit] * (n + 1)
     owner: List[Optional[int]] = [None] * (n + 1)

@@ -99,12 +99,15 @@ class SubsetFunction:
 
 def subset_function(n: int, values: Mapping) -> SubsetFunction:
     """Build from any mapping of subsets (masks or iterables) to rationals;
-    SchemaError unless it covers every subset."""
+    SchemaError for an int mask outside [0, 2^n), and unless it covers
+    every subset."""
     _check_cap(n)
     table: List[Payload] = [None] * (1 << n)
     assigned = [False] * (1 << n)
     for key, val in values.items():
         mask = key if isinstance(key, int) else subset_mask(key, n)
+        if not 0 <= mask < len(table):
+            raise SchemaError(f"subset mask {mask} outside [0, 2^{n})")
         table[mask] = val
         assigned[mask] = True
     if not all(assigned):

@@ -24,10 +24,11 @@ matrices. The pass scales the signed weights to integers with
 `semiring._scaled` and packs each row into one int, a fixed-width field per
 column: a finite weight v is stored as v + 4R + 1, where R = n max |v|
 bounds every path weight, and a bottom as R, a weight so low that any path
-through it stays below -R. Every field then stays in [0, 6R + 1] during a
-pivot, so one big-int subtract over guard bits compares a whole row pair
-without borrows between fields, and a pivot updates a row in about a dozen
-big-int operations (see `_closure`). Payloads come back canonical, as the
+through it stays below -R. Every stored field then stays in [R, 5R + 1]
+and every field of the pivot's candidate row q in [0, 5R + 1]; the fields
+are sized for 6R + 1, a margin of R, so one big-int subtract over guard
+bits compares a whole row pair without borrows between fields, and a pivot
+updates a row in about a dozen big-int operations (see `_closure`). Payloads come back canonical, as the
 `semiring` laws and the closure's unscaling return them.
 """
 

@@ -268,8 +268,9 @@ def test_bideterminant_matches_parity_oracle():
 
 
 def test_plus_bideterminant_equals_the_parity_oracle():
-    # max-plus and min-plus run the DP on scaled integers (min-plus by sign):
-    # every n <= 7, bottoms, ints and Fractions, ties from repeated rows
+    # the one DP on scaled integers, on max-plus and on min-plus (negated)
+    # weights: every n <= 7, bottoms, ints and Fractions, ties from repeated
+    # rows; the other test covers all four tags at random
     rng = random.Random(35)
     pools = ([0, 1], list(range(-4, 5)), [Fraction(k, d) for d in (1, 2, 3) for k in range(-4, 5)])
     for trial in range(168):

@@ -1,5 +1,6 @@
 """Metamorphic laws: each relates a call on one matrix to a call on a
-transformed matrix, over the seeded matrices of `inputs.square_matrices`.
+transformed matrix, over the seeded matrices of `inputs.square_matrices`
+(max-plus unless a law names another tag).
 
 - min-plus(A) = -max-plus(-A) for the permanent, the rook coefficients,
   both sums of the bideterminant, tropical singularity and the Kleene star,
@@ -13,8 +14,14 @@ transformed matrix, over the seeded matrices of `inputs.square_matrices`.
   every generator times c;
 - a boolean matrix has the permanent, the rook coefficients, both sums of
   the bideterminant and the tropical singularity of its max-plus 0/bottom
-  pattern, true where the pattern's answer is 0 (the boolean bideterminant
-  runs the generic-tag DP, the max-plus one `_plus_bideterminant`);
+  pattern, true where the pattern's answer is 0 (both bideterminants run
+  the one DP, so that law checks the boolean encoding and decoding alone;
+  the parity oracle of `test_determ.py` is the independent check);
+- in all four tags, A^T has the bideterminant and the permanent of A;
+- in max-plus, min-plus and max-times, D A with D = diag(d_i), every d_i
+  invertible, has both bideterminant sums and the permanent of A times
+  prod d_i: each of the n factors of a product carries one d_i, which
+  checks the max-times sums unscaled by L^n over mixed denominators;
 - for the span V of A's columns (A with no all-bottom column) and a vector
   x: P_V(P_V x) = P_V x, P_V x <= x and P_V(x + c) = P_V x + c.
 
@@ -27,15 +34,16 @@ so they also check the scalars the kernels box.
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from inputs import rational, square_matrices
+from inputs import payload, rational, square_matrices
 from result_leaves import is_canonical, numbers
 
 from tropkit.determ import Bideterminant, bideterminant, is_trop_singular, permanent, rook_coefficients
 from tropkit.errors import Divergent, NoCycle
 from tropkit.projector import Semimodule, project
-from tropkit.semiring import BOOLEAN, MAX_PLUS, MIN_PLUS, TropScalar
+from tropkit.semiring import BOOLEAN, MAX_PLUS, MAX_TIMES, MIN_PLUS, TropScalar
 from tropkit.spectral import max_cycle_mean, spectral_analysis
 from tropkit.tropmat import TropMatrix, kleene_star, matrix, vector
 
@@ -149,6 +157,32 @@ def test_boolean_is_the_max_plus_zero_pattern(fn):
         b = matrix([[v is not None for v in row] for row in rows], BOOLEAN)
         pattern = matrix([[None if v is None else 0 for v in row] for row in rows], MAX_PLUS)
         assert _payloads(fn(b)) == _as_boolean(_payloads(fn(pattern))), rows
+
+
+_TAG_CASES = {tag: square_matrices(18, 600, tag) for tag in (MIN_PLUS, MAX_TIMES, BOOLEAN)}
+_TAG_CASES[MAX_PLUS] = _CASES
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS, MAX_TIMES, BOOLEAN], ids=lambda tag: tag.value)
+def test_transpose_keeps_the_bideterminant_and_the_permanent(tag):
+    for rows in _TAG_CASES[tag]:
+        a, b = matrix(rows, tag), matrix([list(col) for col in zip(*rows)], tag)
+        for fn in (bideterminant, permanent):
+            assert _outcome(fn, b) == _outcome(fn, a), (rows, fn.__name__)
+
+
+@pytest.mark.parametrize("tag", [MAX_PLUS, MIN_PLUS, MAX_TIMES], ids=lambda tag: tag.value)
+def test_row_scaling_multiplies_the_bideterminant_and_the_permanent(tag):
+    rng, mul = random.Random(f"diag-{tag.value}"), tag.ops.mul
+    for rows in _TAG_CASES[tag]:
+        d = [payload(rng, tag) for _ in rows]
+        d = [tag.ops.unit if di == tag.ops.zero else di for di in d]  # max-times draws its zero 0
+        a, b = matrix(rows, tag), matrix([[mul(di, v) for v in row] for di, row in zip(d, rows)], tag)
+        factor = reduce(mul, d, tag.ops.unit)
+        for fn in (bideterminant, permanent):
+            kind, result = _outcome(fn, a)
+            expected = tuple(mul(factor, v) for v in result) if fn is bideterminant else mul(factor, result)
+            assert _outcome(fn, b) == (kind, expected), (rows, d, fn.__name__)
 
 
 def test_projection_is_idempotent_below_x_and_shifts_with_x():

@@ -263,14 +263,16 @@ def test_grid_flow_net_constructor_reads_weights_as_exact_rationals():
     (lambda: subset_mask([4], 3), ValueError),
     (lambda: grid_net(2, {((5, 5), (5, 6)): 1}), SchemaError),
     (lambda: subset_function(2, {0: 0, 1: 1, 3: 3}), SchemaError),
+    (lambda: subset_function(2, {0: 0, 1: 1, 2: 2, -1: 7}), SchemaError),
+    (lambda: subset_function(2, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}), SchemaError),
     (lambda: SubsetFunction(CHECK_CAP + 1, (0,) * (1 << (CHECK_CAP + 1))), TooLarge),
     (lambda: GridFlowNet(CHECK_CAP + 1, ()), TooLarge),
     (lambda: grid_net(CHECK_CAP + 1, {}), TooLarge),
     (lambda: subset_function(10**9, {0: 0}), TooLarge),
     (lambda: reconstruct_from_intervals(CHECK_CAP + 1, {}), TooLarge),
     (lambda: reconstruct_from_intervals(10**9, {0: 0}), TooLarge),
-], ids=["subset-element", "off-grid-edge", "subset-function-not-total", "table-cap", "net-cap", "grid-net-cap",
-        "subset-function-cap-1e9", "reconstruct-cap", "reconstruct-cap-1e9"])
+], ids=["subset-element", "off-grid-edge", "subset-function-not-total", "negative-mask", "mask-of-2^n",
+        "table-cap", "net-cap", "grid-net-cap", "subset-function-cap-1e9", "reconstruct-cap", "reconstruct-cap-1e9"])
 def test_plucker_input_checks_raise(call, error):
     with pytest.raises(error) as info:
         call()
