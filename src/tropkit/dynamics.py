@@ -7,6 +7,12 @@ chaotic system, two roads through one crossing (priority or fifty-fifty
 completion), fundamental-diagram sweeps, and triangular one-homogeneous
 (T1H) systems with a min-plus linear light-control layer.
 
+Every road is one ring, and `_ring` writes its cell rule once: cell i
+advances by min(a_{i-1} + x_{i-1}, (1 - a_i) + x_{i+1}) for occupancies a.
+`road_event_graph` is the ring itself; a crossing is the ring over both
+roads with its two exits and two entries rewritten; the T1H light places
+each road's ring matrix in A(u), with a gate on its junction cell.
+
 Every branch of a homogeneous map, and every entry of a T1H control
 matrix, is one `MinPlusTerm`: a constant plus a sparse sum of exponent
 times coordinate, so a road step costs O(m). A `UTermMatrix`'s shape is
@@ -417,24 +423,26 @@ class HomogeneousMap:
         return matrix(rows, MIN_PLUS)
 
 
+def _ring(a: Sequence[int]) -> List[Tuple[MinPlusTerm, ...]]:
+    """The terms of every cell of the ring a, the one copy of the cell rule:
+    cell i advances by min(a_{i-1} + x_{i-1}, (1 - a_i) + x_{i+1}), its
+    upstream term first."""
+    m = len(a)
+    return [
+        (MinPlusTerm(a[i - 1], [((i - 1) % m, 1)]), MinPlusTerm(1 - a[i], [((i + 1) % m, 1)]))
+        for i in range(m)
+    ]
+
+
 def road_event_graph(occupancy: Sequence[int]) -> HomogeneousMap:
     """Min-plus linear event graph of a circular road.
 
     Coordinate i advances by min(a_{i-1} + x_{i-1}, (1 - a_i) + x_{i+1});
     the matrix eigenvalue is min(n/m, (m-n)/m, 1/2) for n cars on m cells.
+    The occupancy is checked as a `RingWord`.
     """
-    a = list(occupancy)
-    m = len(a)
-    if m < 2:
-        raise BadConfig("need one occupancy bit per cell, at least two cells")
-    if any(b not in (0, 1) for b in a):
-        raise BadConfig("occupancies are 0/1")
-    a = list(map(int, a))
-    coords = tuple(
-        (MinPlusTerm(a[i - 1], [((i - 1) % m, 1)]), MinPlusTerm(1 - a[i], [((i + 1) % m, 1)]))
-        for i in range(m)
-    )
-    return HomogeneousMap(m, coords)
+    bits = RingWord(tuple(occupancy)).bits
+    return HomogeneousMap(len(bits), tuple(_ring(list(map(int, bits)))))
 
 
 def hom_iterate(
@@ -633,42 +641,42 @@ def build_crossing(
     """Degree-one homogeneous map of the two-roads-one-crossing system.
 
     Roads occupy coordinates 0..n1-1 and n1..n1+n2-1, the crossing places
-    are the last cell of each road, and the exits are the first cells. Exits
-    split the crossing output evenly (square root, i.e. half-exponents), so
-    both policies compile at L = 2. The policies differ only at the entries.
+    are the last cell of each road, and the exits are the first cells. The
+    map starts as the ring over all n1 + n2 cells (`_ring`), which already
+    holds every inner cell's terms, the exits' downstream terms and the
+    entries' upstream terms; only the exits' crossing terms and the entries'
+    free-space terms are rewritten. Exits split the crossing output evenly
+    (square root, i.e. half-exponents), so both policies compile at L = 2.
+    The policies differ only at the entries.
     policy "priority": road 1's entry divides by the other road's entry
     counter, and road 2's entry yields to road 1's current step (a
     `CrossingMap`). policy "fifty_fifty": both entries average the free
     space over the exits, a plain `HomogeneousMap`.
     """
-    occ = _occupancy_from_cars(n_road1 + n_road2, cars)
+    a = _occupancy_from_cars(n_road1 + n_road2, cars)
     if policy not in ("priority", "fifty_fifty"):
         raise BadConfig(f"unknown policy {policy!r}")
     n1, n2 = n_road1, n_road2
     if n1 < 2 or n2 < 2:
         raise BadConfig("each road needs at least two cells")
     dim = n1 + n2
-    a = occ
     exit1, exit2 = 0, n1
     entry1, entry2 = n1 - 1, n1 + n2 - 1
     half = Fraction(1, 2)
-    coords: List[Tuple[MinPlusTerm, ...]] = [()] * dim
-    for i in [*range(1, n1 - 1), *range(n1 + 1, n1 + n2 - 1)]:
-        coords[i] = (MinPlusTerm(a[i - 1], [(i - 1, 1)]), MinPlusTerm(1 - a[i], [(i + 1, 1)]))
+    coords = _ring(a)
     cross = [(entry1, half), (entry2, half)]
-    coords[exit1] = (MinPlusTerm(a[entry1], cross), MinPlusTerm(1 - a[exit1], [(1 % n1, 1)]))
-    coords[exit2] = (MinPlusTerm(a[entry2], cross), MinPlusTerm(1 - a[exit2], [(n1 + (1 % n2), 1)]))
-    upstream = {e: MinPlusTerm(a[e - 1], [(e - 1, 1)]) for e in (entry1, entry2)}
+    for x, e in ((exit1, entry1), (exit2, entry2)):
+        coords[x] = (MinPlusTerm(a[e], cross), coords[x][1])
     if policy == "priority":
         free1 = MinPlusTerm(1 - a[entry1], [(exit1, 1), (exit2, 1), (entry2, -1)])
-        coords[entry1] = (free1, upstream[entry1])
-        coords[entry2] = (upstream[entry2],)
+        coords[entry1] = (free1, coords[entry1][0])
+        coords[entry2] = coords[entry2][:1]
         return CrossingMap(dim, tuple(coords), entry1, entry2, exit1, exit2, 1 - a[entry2])
     # fifty-fifty entries average the free-space constraint over the exits:
     # x' = (abar + exit1 + exit2) / 2 keeps the exponent sum at one
     exits = [(exit1, half), (exit2, half)]
     for e in (entry1, entry2):
-        coords[e] = (MinPlusTerm(Fraction(1 - a[e], 2), exits), upstream[e])
+        coords[e] = (MinPlusTerm(Fraction(1 - a[e], 2), exits), coords[e][0])
     return HomogeneousMap(dim, tuple(coords))
 
 
@@ -979,9 +987,11 @@ def traffic_light_system(
     The light is the autonomous min-plus counter system u_{k+1} = C u_k
     with one token travelling through the four phase places; with u0 = 0
     the gate markings a0(k) = 1 + u1 - u2 and b0(k) = u3 - u4 cycle through
-    (1,0), (0,0), (0,1), (0,0). Each road is a circular event graph whose
-    junction cell carries the 0-homogeneous gate entry a0 u1/u2
-    (resp. b0 u3/u4) on the diagonal.
+    (1,0), (0,0), (0,1), (0,0). Each road's block of A(u) is the matrix of
+    its ring, `road_event_graph(occ).linear_matrix()`, placed at the road's
+    offset, and its junction cell (the road's last) carries the
+    0-homogeneous gate entry a0 u1/u2 (resp. b0 u3/u4) on the diagonal.
+    Like every ring, each road needs at least two cells.
     """
     inf = "+inf"
     c = matrix(
@@ -993,36 +1003,16 @@ def traffic_light_system(
         ],
         MIN_PLUS,
     )
-    occ_v = _occupancy_from_cars(n_vertical, cars_vertical)
-    occ_h = _occupancy_from_cars(n_horizontal, cars_horizontal)
     dim = n_vertical + n_horizontal
-
-    def road_block(offset: int, cells: int, occ: List[int], gate: MinPlusTerm):
-        rows: List[List[object]] = []
-        for local in range(cells):
-            row: List[object] = [None] * dim
-            prev = offset + (local - 1) % cells
-            nxt = offset + (local + 1) % cells
-            row[prev] = occ[(local - 1) % cells]
-            row[nxt] = min(1 - occ[local], row[nxt]) if isinstance(row[nxt], int) else 1 - occ[local]
-            if local == cells - 1:
-                row[offset + local] = gate
-            rows.append(row)
-        return rows
-
-    gate_v = MinPlusTerm(1, [(0, 1), (1, -1)])
-    gate_h = MinPlusTerm(0, [(2, 1), (3, -1)])
-    rows = road_block(0, n_vertical, occ_v, gate_v) + road_block(
-        n_vertical, n_horizontal, occ_h, gate_h
-    )
-    a_of_u = uterm_matrix(4, rows)
-    return T1HSystem(
-        c,
-        a_of_u,
-        None,
-        (0,) * 4,
-        (0,) * dim,
-    )
+    rows: List[List[object]] = []
+    for offset, cells, cars, gate in (
+        (0, n_vertical, cars_vertical, MinPlusTerm(1, [(0, 1), (1, -1)])),
+        (n_vertical, n_horizontal, cars_horizontal, MinPlusTerm(0, [(2, 1), (3, -1)])),
+    ):
+        road = road_event_graph(_occupancy_from_cars(cells, cars)).linear_matrix().payload
+        rows += [[None] * offset + list(row) + [None] * (dim - offset - cells) for row in road]
+        rows[-1][offset + cells - 1] = gate
+    return T1HSystem(c, uterm_matrix(4, rows), None, (0,) * 4, (0,) * dim)
 
 
 def light_gate_marking(system: T1HSystem, u: Sequence[Rat]) -> Tuple[Rat, Rat]:

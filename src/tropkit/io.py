@@ -11,7 +11,8 @@ else a string. Parsing is strict:
 malformed payloads, JSON null, floats, strings other than "p" or "p/q" in
 ASCII digits and the file's own bottom, a "semiring" value that is not a
 known name (whatever its JSON type), counts ("rows", "cols", "n") that are
-not JSON integers (true and 1.0 included), mask keys other than a binary,
+not JSON integers (true and 1.0 included), a matrix of 0 rows that
+declares columns (it would be read as 0x0), mask keys other than a binary,
 octal, hex or decimal literal in ASCII digits (no "_", sign or spaces), and
 edge keys other than four ASCII-digit coordinates, two keys that name one
 subset or one edge, and a JSON object that repeats a name raise
@@ -116,6 +117,8 @@ def matrix_from_json(obj) -> TropMatrix:
         raise SchemaError(f"matrix payload missing key {exc}") from exc
     if not all(type(k) is int and k >= 0 for k in (rows, cols)):
         raise SchemaError("matrix rows and cols must be integers >= 0")
+    if not rows and cols:  # a matrix of no rows would be read as 0x0
+        raise SchemaError("a matrix with no rows must declare cols 0")
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError("matrix data does not match the declared row count")
     for row in data:

@@ -185,6 +185,8 @@ def test_build_crossing_validation():
         build_crossing(3, 3, [99])
     with pytest.raises(BadConfig):
         build_crossing(1, 3, [])
+    with pytest.raises(BadConfig):
+        build_crossing(3, 1, [])
 
 
 def test_crossing_policies_share_one_geometry():
@@ -198,6 +200,60 @@ def test_crossing_policies_share_one_geometry():
     ]
     # the priority entry divides by the other entry's counter
     assert pr.coords[2][0].exponents == ((0, 1), (3, 1), (6, -1))
+
+
+def _t(constant, *exponents):
+    return MinPlusTerm(constant, exponents)
+
+
+@pytest.mark.parametrize("policy", ["priority", "fifty_fifty"])
+def test_crossing_terms_written_out(policy):
+    # cars on cells 1 and 4 of 3 + 4 cells: a = 0 1 0 | 0 1 0 0; exits 0 and 3, entries 2 and 6
+    half = Fraction(1, 2)
+    cross = ((2, half), (6, half))
+    entries = {
+        "priority": ((_t(1, (0, 1), (3, 1), (6, -1)), _t(1, (1, 1))), (_t(0, (5, 1)),)),
+        "fifty_fifty": ((_t(half, (0, half), (3, half)), _t(1, (1, 1))),
+                        (_t(half, (0, half), (3, half)), _t(0, (5, 1)))),
+    }[policy]
+    want = (
+        (_t(0, *cross), _t(1, (1, 1))),
+        (_t(0, (0, 1)), _t(0, (2, 1))),
+        entries[0],
+        (_t(0, *cross), _t(1, (4, 1))),
+        (_t(0, (3, 1)), _t(0, (5, 1))),
+        (_t(1, (4, 1)), _t(1, (6, 1))),
+        entries[1],
+    )
+    f = build_crossing(3, 4, [1, 4], policy)
+    assert f.coords == want
+    if policy == "priority":
+        assert (f.entry1, f.entry2, f.exit1, f.exit2, f.free2) == (2, 6, 0, 3, 1)
+
+
+def test_light_rows_written_out():
+    # roads 1 0 0 and 0 1 1 0; each junction (last) cell carries its gate on the diagonal
+    N = None
+    gate_v, gate_h = _t(1, (0, 1), (1, -1)), _t(0, (2, 1), (3, -1))
+    rows = [
+        [N, 0, 0, N, N, N, N],
+        [1, N, 1, N, N, N, N],
+        [1, 0, gate_v, N, N, N, N],
+        [N, N, N, N, 1, N, 0],
+        [N, N, N, 0, N, 0, N],
+        [N, N, N, N, 1, N, 0],
+        [N, N, N, 1, N, 1, gate_h],
+    ]
+    system = traffic_light_system(3, 4, [0], [1, 2])
+    assert system.a_of_u == uterm_matrix(4, rows)
+    assert system.b_of_u is None and system.x0 == (0,) * 7
+
+
+@pytest.mark.parametrize("cells", [(1, 3), (3, 1), (0, 3)])
+def test_light_road_needs_two_cells(cells):
+    # every road is a ring, and a ring needs at least two cells
+    with pytest.raises(BadConfig, match="at least two cells"):
+        traffic_light_system(*cells, [], [])
 
 
 def test_crossing_phases_small():

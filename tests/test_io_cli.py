@@ -429,6 +429,9 @@ _BAD_MATRIX_REQUESTS = {
     "star_rows_float_cols_true": ["star", "--matrix", {"semiring": "max-plus", "rows": 1.0, "cols": True,
                                                        "data": [[0]]}],
     "star_no_rows_cols_string": ["star", "--matrix", {"semiring": "max-plus", "rows": 0, "cols": "x", "data": []}],
+    # no rows and three columns was read as 0x0: `twosided` called it infeasible
+    "twosided_no_rows_three_cols": ["twosided", "--A", {"semiring": "max-plus", "rows": 0, "cols": 3, "data": []},
+                                    "--B", {"semiring": "max-plus", "rows": 0, "cols": 3, "data": []}],
     "interval_cols_true": ["interval", "--matrix", {"semiring": "max-plus", "rows": 1, "cols": True,
                                                     "lo": [[0]], "hi": [[1]]}],
 }
@@ -930,10 +933,12 @@ def test_cli_groups_need_an_action_and_take_no_options(argv):
      tio.SchemaError),
     (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 0, "cols": "x", "data": []}), tio.SchemaError),
     (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 0, "cols": -1, "data": []}), tio.SchemaError),
+    (lambda: tio.matrix_from_json({"semiring": "max-plus", "rows": 0, "cols": 3, "data": []}), tio.SchemaError),
 ], ids=["subset-key-range", "subset-cap", "net-cap", "net-off-grid-edge", "subset-not-total",
         "subset-given-twice", "edge-given-twice", "repeated-name", "nested-repeated-name",
         "subset-n-true", "subset-n-float", "subset-n-zero", "net-n-true", "net-n-float", "net-n-zero",
-        "matrix-rows-float-cols-true", "matrix-cols-true", "matrix-cols-string", "matrix-cols-negative"])
+        "matrix-rows-float-cols-true", "matrix-cols-true", "matrix-cols-string", "matrix-cols-negative",
+        "matrix-no-rows-three-cols"])
 def test_io_input_checks_raise(call, error):
     with pytest.raises(error) as info:
         call()

@@ -23,7 +23,12 @@ transformed matrix, over the seeded matrices of `inputs.square_matrices`
   prod d_i: each of the n factors of a product carries one d_i, which
   checks the max-times sums unscaled by L^n over mixed denominators;
 - for the span V of A's columns (A with no all-bottom column) and a vector
-  x: P_V(P_V x) = P_V x, P_V x <= x and P_V(x + c) = P_V x + c.
+  x: P_V(P_V x) = P_V x, P_V x <= x and P_V(x + c) = P_V x + c;
+- f(x + c 1) = f(x) + c 1 for roads, both crossings (the priority patch
+  included), the tent system and random maps that `HomogeneousMap`
+  accepts, and, for T1H systems, f(x + sum_b sigma_b 1_b) = f(x) +
+  sum_b sigma_b 1_b with one shift sigma_b per block of `_t1h_map`: the
+  law `_orbit`'s early stop relies on.
 
 A + c adds c to every finite entry, and c A multiplies it by c. Dividing by
 q makes the cycle means fractional, so the dilation law drives Howard's
@@ -35,11 +40,14 @@ so they also check the scalars the kernels box.
 import random
 from fractions import Fraction
 from functools import reduce
+from operator import add
 
 import pytest
 from inputs import payload, rational, square_matrices
 from result_leaves import is_canonical, numbers
 
+from tropkit.dynamics import (HomogeneousMap, MinPlusTerm, T1HSystem, _t1h_map, build_crossing,
+                              road_event_graph, tent_system, traffic_light_system, uterm_matrix)
 from tropkit.determ import Bideterminant, bideterminant, is_trop_singular, permanent, rook_coefficients
 from tropkit.errors import Divergent, NoCycle
 from tropkit.projector import Semimodule, project
@@ -195,3 +203,93 @@ def test_projection_is_idempotent_below_x_and_shifts_with_x():
         assert project(v, vector(px, MAX_PLUS)).payload == px, (rows, x)
         assert all(p is None or xi is not None and p <= xi for p, xi in zip(px, x)), (rows, x)
         assert project(v, vector(_shifted([x], c)[0], MAX_PLUS)).payload == tuple(_shifted([px], c)[0]), (rows, x, c)
+
+
+def _degree_one_map(rng):
+    """A random map that `HomogeneousMap` accepts: 1 to 5 coordinates, each a
+    min of 1 to 3 terms with rational constants and 1 to 3 rational
+    exponents that sum to one, negative ones included."""
+    n = rng.randint(1, 5)
+    coords = []
+    for _ in range(n):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            exps = [(rng.randrange(n), rational(rng)) for _ in range(rng.randint(0, 2))]
+            exps.append((rng.randrange(n), 1 - sum(e for _, e in exps)))
+            merged = {}
+            for i, e in exps:
+                merged[i] = merged.get(i, 0) + e
+            terms.append(MinPlusTerm(rational(rng), merged.items()))
+        coords.append(tuple(terms))
+    return HomogeneousMap(n, tuple(coords))
+
+
+def _traffic_maps(rng):
+    """Seeded roads, crossings of both policies, and the tent system."""
+    maps = [tent_system()]
+    for _ in range(40):
+        m = rng.randint(2, 9)
+        maps.append(road_event_graph([rng.randint(0, 1) for _ in range(m)]))
+    for _ in range(40):
+        n1, n2 = rng.randint(2, 6), rng.randint(2, 6)
+        cars = rng.sample(range(n1 + n2), rng.randint(0, n1 + n2))
+        maps += [build_crossing(n1, n2, cars, policy) for policy in ("priority", "fifty_fifty")]
+    return maps
+
+
+def test_homogeneous_maps_commute_with_a_shift():
+    rng = random.Random("shift-map")
+    maps = _traffic_maps(rng) + [_degree_one_map(rng) for _ in range(300)]
+    for f in maps:
+        for _ in range(3):
+            x, c = [rational(rng) for _ in range(f.dim)], rational(rng)
+            assert f([v + c for v in x]) == [v + c for v in f(x)], (f, x, c)
+
+
+def _zero_sum_term(rng, udim):
+    """A control-matrix term: a rational constant and rational exponents in u that sum to zero."""
+    if udim == 1 or rng.random() < 0.4:
+        return MinPlusTerm(rational(rng), ())
+    i, j = rng.sample(range(udim), 2)
+    e = rational(rng)
+    return MinPlusTerm(rational(rng), ((i, e), (j, -e)))
+
+
+def _t1h_system(rng):
+    """A random T1H system whose every coordinate has an input: a min-plus
+    control matrix C, and A(u) and, half the time, B(u) with 0-homogeneous
+    terms and a share of missing entries."""
+    udim, xdim = rng.randint(1, 4), rng.randint(1, 5)
+    c = [[rational(rng) if rng.random() < 0.5 else None for _ in range(udim)] for _ in range(udim)]
+    for i, row in enumerate(c):
+        row[i] = rational(rng) if all(v is None for v in row) else row[i]
+    a = [[None if rng.random() < 0.6 else _zero_sum_term(rng, udim) for _ in range(xdim)] for _ in range(xdim)]
+    b = [[None if rng.random() < 0.7 else _zero_sum_term(rng, udim) for _ in range(udim)] for _ in range(xdim)]
+    b_of_u = uterm_matrix(udim, b) if rng.random() < 0.5 else None
+    for r in range(xdim):
+        if not any(a[r]) and not (b_of_u and any(b[r])):
+            a[r][rng.randrange(xdim)] = _zero_sum_term(rng, udim)
+    u0, x0 = [rational(rng) for _ in range(udim)], [rational(rng) for _ in range(xdim)]
+    return T1HSystem(matrix(c, MIN_PLUS), uterm_matrix(udim, a), b_of_u, tuple(u0), tuple(x0))
+
+
+def test_t1h_maps_commute_with_a_shift_on_each_block():
+    rng = random.Random("shift-t1h")
+    systems = [_t1h_system(rng) for _ in range(150)]
+    for _ in range(30):
+        nv, nh = rng.randint(2, 5), rng.randint(2, 5)
+        systems.append(traffic_light_system(nv, nh, rng.sample(range(nv), rng.randint(0, nv)),
+                                            rng.sample(range(nh), rng.randint(0, nh))))
+    split = 0
+    for system in systems:
+        f, blocks = _t1h_map(system)
+        split += blocks is not None
+        for _ in range(3):
+            x = [rational(rng) for _ in range(f.dim)]
+            shift = [0] * f.dim
+            for block in blocks or [range(f.dim)]:
+                sigma = rational(rng)
+                for i in block:
+                    shift[i] = sigma
+            assert f(list(map(add, x, shift))) == list(map(add, f(x), shift)), (system, x, shift)
+    assert split >= 30, split

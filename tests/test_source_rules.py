@@ -13,6 +13,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+from code_lines import count
+
 from tropkit.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,3 +195,22 @@ def test_every_command_and_action_answers_help_and_takes_whole_option_names_only
         if code != 0 or not out.getvalue().startswith("usage:"):
             found.append(f"tropkit {' '.join(argv)}: exit {code}\n{err.getvalue()}")
     assert not found, "\n".join(found)
+
+
+def test_code_line_count_skips_docstrings_comments_and_blank_lines():
+    # `tests/code_lines.py` counts the code lines of `src/` that simplicity changes report
+    source = (
+        '"""A module docstring,\nover two lines."""\n'
+        "\n"
+        "import os  # a line with code and a comment counts once\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """A function docstring."""\n'
+        "    # a comment line\n"
+        '    s = """a string over two lines\n'
+        '    is code, not a docstring"""\n'
+        "    return (x,\n"
+        "            s, os)\n"
+    )
+    assert count(source) == 6
